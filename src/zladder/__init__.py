@@ -8,7 +8,8 @@ polynomials, at both the exact (change-of-variables) and asymptotic layers.
 
 from .exceptions import (AdmissibilityError, CacheError, ConvergenceError,
                          DomainError, PoleError, PrecisionError,
-                         QuadratureError, ToleranceNotMetError, ZladderError)
+                         QuadratureError, ReportFormatError,
+                         ToleranceNotMetError, ZladderError)
 from .ladder import (EULER_C, LadderTable, PrimePi, RetardationRow,
                      build_ladder, check_admissible, ladder_eval,
                      ladder_invert, log_stability_check, pushforward_integral,
@@ -33,6 +34,6 @@ __all__ = [
     "poly_weight",
     "ZladderError", "DomainError", "PoleError", "PrecisionError",
     "ConvergenceError", "QuadratureError", "ToleranceNotMetError",
-    "AdmissibilityError", "CacheError",
+    "AdmissibilityError", "CacheError", "ReportFormatError",
     "__version__",
 ]

@@ -3,8 +3,9 @@
 Verbs: `z eval`, `specfun zeros`, `ladder build|query|invert|retardation`,
 `verify baseline|theorem1|corollary|theorem2|sanity`, `plot-data`, `run`,
 `report`.  Exit codes: 0 success, 1 exactness-layer failure, 2 asymptotic
-(soft) failure with reports still written, 64 config/usage error, 65 cache
-corruption or mismatch, 70 numeric non-convergence.
+(soft) failure with reports still written, 64 config/usage error (including
+an unreadable input file or an unwritable output path), 65 cache corruption
+or mismatch, or a malformed report file, 70 numeric non-convergence.
 
 All numeric output uses full round-trip precision; report files are byte
 identical across runs of the same configuration (timings are only included
@@ -24,7 +25,8 @@ from . import verify as V
 from .config import RunConfig, cache_root
 from .exceptions import (AdmissibilityError, CacheError, ConvergenceError,
                          DomainError, PoleError, PrecisionError,
-                         QuadratureError, ToleranceNotMetError)
+                         QuadratureError, ReportFormatError,
+                         ToleranceNotMetError)
 from .ladder import LadderTable, build_ladder, retardation_report
 from .specfun import bessel_zero, load_zero_cache, save_zero_cache, zero_table
 
@@ -401,22 +403,35 @@ def _cmd_plot_data(args) -> int:
     return EXIT_OK
 
 
+def _read_report_rows(path) -> list[tuple[str, float | None, float]]:
+    """(equation_id, ratio, abs_error) per nonblank line of a JSONL report."""
+    rows = []
+    lineno = 1
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for line in fh:
+                if line.strip():
+                    doc = json.loads(line)
+                    ratio = doc.get("ratio")
+                    rows.append((str(doc["equation_id"]),
+                                 None if ratio is None else float(ratio),
+                                 float(doc["abs_error"])))
+                lineno += 1
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ReportFormatError(
+                f"{path} line {lineno}: not a report row: {exc!r}") from exc
+    return rows
+
+
 def _cmd_report(args) -> int:
     counts: dict = {}
     worst_ratio: dict = {}
     worst_abs: dict = {}
-    with open(args.file, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            eq = doc["equation_id"]
-            counts[eq] = counts.get(eq, 0) + 1
-            if doc.get("ratio") is not None:
-                err = abs(doc["ratio"] - 1.0)
-                worst_ratio[eq] = max(worst_ratio.get(eq, 0.0), err)
-            worst_abs[eq] = max(worst_abs.get(eq, 0.0), doc["abs_error"])
+    for eq, ratio, abs_error in _read_report_rows(args.file):
+        counts[eq] = counts.get(eq, 0) + 1
+        if ratio is not None:
+            worst_ratio[eq] = max(worst_ratio.get(eq, 0.0), abs(ratio - 1.0))
+        worst_abs[eq] = max(worst_abs.get(eq, 0.0), abs_error)
     print(f"{'equation':<14}{'rows':>6}  {'max|ratio-1|':>14}  {'max abs err':>14}")
     for eq in sorted(counts):
         r = f"{worst_ratio[eq]:.3e}" if eq in worst_ratio else "-"
@@ -547,11 +562,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (DomainError, AdmissibilityError, PoleError) as exc:
+    except (DomainError, AdmissibilityError, PoleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CacheError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
+        return EXIT_CACHE
+    except ReportFormatError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CACHE
     except (ConvergenceError, QuadratureError, ToleranceNotMetError,
             PrecisionError) as exc:

@@ -35,3 +35,7 @@ class AdmissibilityError(DomainError):
 
 class CacheError(ZladderError):
     """A cache file is corrupt or does not match the requesting configuration."""
+
+
+class ReportFormatError(ZladderError):
+    """A report file is not JSON Lines of verification report rows."""

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._atomic import atomic_text_writer
 from .exceptions import (AdmissibilityError, CacheError, ConvergenceError,
                          DomainError, ToleranceNotMetError)
 from .quadrature import GAUSS7_NODES, GAUSS7_WEIGHTS, integrate_adaptive
@@ -106,6 +107,7 @@ class LadderTable:
         self._split_base_indices = np.asarray(split_base_indices, dtype=np.int64)
         self._extra_edges = np.asarray(extra_edges, dtype=float)
         self.residual_total = float(residual_total)
+        self._breakpoints: dict[tuple[float, float], np.ndarray] = {}
 
     # -- basic properties --
 
@@ -124,6 +126,21 @@ class LadderTable:
                    f"tol={self.build_tolerance!r},rule={self.panel_rule},"
                    f"z={self.evaluator.config_hash()})")
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+    def breakpoints(self, a: float, b: float) -> np.ndarray:
+        """Z zeros on [a, b] plus the evaluator dispatch seam, for panel
+        pre-splits; scanned once per (a, b), returned read-only.  Threads
+        racing on a new interval may both scan it, with equal results."""
+        key = (float(a), float(b))
+        pts = self._breakpoints.get(key)
+        if pts is None:
+            pts = self.evaluator.zero_scan(*key, step=0.05)
+            seam = self.evaluator.t_min_rs
+            if key[0] < seam < key[1]:
+                pts = np.sort(np.append(pts, seam))
+            pts.flags.writeable = False
+            self._breakpoints[key] = pts
+        return pts
 
     # -- evaluation --
 
@@ -232,7 +249,7 @@ class LadderTable:
             "residual_total": self.residual_total,
             "phi": self.phi.tolist(),
         }
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_text_writer(path) as fh:
             json.dump(doc, fh)
             fh.write("\n")
 
@@ -292,12 +309,15 @@ def _base_edges(t_lo: float, t_hi: float, anchor_t0: float, h: float,
     when the domain straddles it: the computed Ztilde^2 has a ~1e-7 jump
     there, and a panel containing the jump could never meet its Richardson
     share.  Putting the seam on an edge keeps every panel one-path smooth.
+
+    The outermost grid points are replaced by t_lo and t_hi; inner grid
+    points that rounding puts at or beyond either end are dropped, so no
+    panel is empty or reversed.
     """
     n_up = int(math.ceil((t_hi - anchor_t0) / h - 1e-12))
-    ks = np.arange(-n_down, n_up + 1, dtype=float)
-    edges = anchor_t0 + h * ks
-    edges[0] = t_lo
-    edges[-1] = t_hi
+    inner = anchor_t0 + h * np.arange(-n_down + 1, n_up, dtype=float)
+    inner = inner[(inner > t_lo) & (inner < t_hi)]
+    edges = np.concatenate([[t_lo], inner, [t_hi]])
     if seam is not None and t_lo < seam < t_hi and seam not in edges:
         edges = np.insert(edges, np.searchsorted(edges, seam), seam)
     return edges
@@ -466,15 +486,6 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
 # ---------------------------------------------------------------------------
 # module-level operations in terms of a built table
 
-def _scan_breakpoints(table: LadderTable, a: float, b: float) -> np.ndarray:
-    """Z zeros on [a, b] plus the evaluator dispatch seam, for panel pre-splits."""
-    pts = table.evaluator.zero_scan(a, b, step=0.05)
-    seam = table.evaluator.t_min_rs
-    if a < seam < b:
-        pts = np.sort(np.append(pts, seam))
-    return pts
-
-
 def ladder_eval(table: LadderTable, t) -> float | np.ndarray:
     return table.eval(t)
 
@@ -507,7 +518,7 @@ def pushforward_integral(table: LadderTable, f, T: float, U: float,
         return f(table.eval(ts)) * table._ztilde(ts)
 
     res = integrate_adaptive(integrand, a, b, tol,
-                             breakpoints=_scan_breakpoints(table, a, b))
+                             breakpoints=table.breakpoints(a, b))
     return res.value
 
 

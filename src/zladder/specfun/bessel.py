@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._atomic import atomic_text_writer
 from ..exceptions import ConvergenceError, DomainError
 from .gamma import gamma_fn
 
@@ -276,7 +277,7 @@ def save_zero_cache(path) -> None:
             "version": _ZERO_CACHE_VERSION,
             "tables": {repr(nu): t.to_dict() for nu, t in sorted(_TABLES.items())},
         }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_text_writer(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .ladder import LadderTable, _scan_breakpoints, check_admissible
+from .ladder import LadderTable, check_admissible
 from .quadrature import integrate_adaptive, integrate_singular
 from .specfun import (PolyFamilySpec, bessel_j, bessel_norm_sq, bessel_zero,
                       poly_eval, poly_norm_sq)
@@ -128,7 +128,7 @@ def verify_theorem1(table: LadderTable, T: float, nu: float, max_n: int,
     lhash = table.config_hash()
     a = table.invert(T)
     b = table.invert(T + 1.0)
-    zeros = _scan_breakpoints(table, a, b)
+    zeros = table.breakpoints(a, b)
     mus = [bessel_zero(nu, k) for k in range(1, max_n + 1)]
 
     reports = []
@@ -174,7 +174,7 @@ def verify_corollary(table: LadderTable, T_list, nu: float, n: int,
         t0 = time.perf_counter()
         a = table.invert(T)
         b = table.invert(T + 1.0)
-        zeros = _scan_breakpoints(table, a, b)
+        zeros = table.breakpoints(a, b)
 
         def integrand(ts):
             u = np.maximum(table.eval(ts) - T, 0.0)
@@ -328,7 +328,7 @@ def _run_theorem2(table: LadderTable, T: float, eq: str, params: dict,
 
     if route == "adaptive":
         res = integrate_adaptive(integrand, a, b, quad_tol,
-                                 breakpoints=_scan_breakpoints(table, a, b))
+                                 breakpoints=table.breakpoints(a, b))
     else:
         res = integrate_singular(integrand, a, b, quad_tol, singular=flags,
                                  max_level=max_level)

@@ -208,3 +208,21 @@ class TestReportSummary:
         assert run_cli("report", str(out)) == EXIT_OK
         text = capsys.readouterr().out
         assert "E2_10" in text and "max|ratio-1|" in text
+
+    def test_missing_file_exit(self, capsys, tmp_path):
+        assert run_cli("report", str(tmp_path / "missing.jsonl")) == EXIT_CONFIG
+        assert "missing.jsonl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", ['{"equation_id": "E1_2", "abs_error": 0.0}\n{bad\n',
+                                      '[1, 2]\n', '{"equation_id": "E1_2"}\n'])
+    def test_malformed_line_exit(self, capsys, tmp_path, body):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(body)
+        assert run_cli("report", str(path)) == EXIT_CACHE
+        assert "not a report row" in capsys.readouterr().err
+
+    def test_unwritable_out_exit(self, capsys, cache_env, tmp_path):
+        out = tmp_path / "no-such-dir" / "z.csv"
+        assert run_cli("plot-data", "--what", "z_trace", "--from", "100", "--to", "101",
+                       "--out", str(out)) == EXIT_CONFIG
+        assert "no-such-dir" in capsys.readouterr().err

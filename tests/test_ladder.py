@@ -105,6 +105,8 @@ class TestBuild:
         # checkpoint edge or no panel could meet its Richardson share
         table = build_ladder(ev, 40.0, 60.0, anchor_t0=47.7, tol=1e-8)
         assert ev.t_min_rs in table.edges
+        pts = table.breakpoints(45.0, 55.0)
+        assert ev.t_min_rs in pts and np.all(np.diff(pts) > 0.0)
         v = pushforward_integral(table, lambda x: np.ones_like(x), 34.0, 1.0,
                                  tol=1e-9)
         assert abs(v - 1.0) <= 1e-9
@@ -117,6 +119,43 @@ class TestBuild:
             assert np.array_equal(again.edges, table.edges)
         finally:
             os.remove(path)
+
+    def test_no_empty_panel_at_top_edge(self, ev):
+        # (t_hi - anchor) / h rounds just above 200, so the grid's last inner
+        # point lands on t_hi; it must be dropped, not kept as a 0-width panel
+        t_lo = 1004.3312694023647
+        table = build_ladder(ev, t_lo, t_lo + 20.0)
+        widths = np.diff(table.edges)
+        assert widths.min() > 0.0
+        assert table.edges[0] == t_lo and table.edges[-1] == t_lo + 20.0
+        assert np.all(np.diff(table.phi) >= 0.0)
+
+
+class TestBreakpoints:
+    def test_scanned_once_per_interval(self, ev, small_ladder, monkeypatch):
+        calls = []
+        real = ZEvaluator.zero_scan
+
+        def counting(self, a, b, step=0.05):
+            calls.append((a, b))
+            return real(self, a, b, step)
+
+        monkeypatch.setattr(ZEvaluator, "zero_scan", counting)
+        a, b = 1003.125, 1004.875
+        first = small_ladder.breakpoints(a, b)
+        again = small_ladder.breakpoints(a, b)
+        assert calls == [(a, b)]
+        assert again is first
+        small_ladder.breakpoints(a, b + 0.5)
+        assert len(calls) == 2
+        assert np.array_equal(first, real(ev, a, b, step=0.05))
+        assert len(first) > 0
+
+    def test_read_only(self, small_ladder):
+        pts = small_ladder.breakpoints(1005.5, 1006.5)
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0] = 0.0
 
 
 class TestEval:
@@ -298,6 +337,27 @@ class TestCache:
         path.write_text(text[: len(text) // 2])
         with pytest.raises(CacheError):
             LadderTable.load(path, ev)
+
+    def test_failed_write_keeps_previous_cache(self, ev, small_ladder, tmp_path,
+                                                monkeypatch):
+        import json
+        path = tmp_path / "ladder.json"
+        small_ladder.save(path)
+        before = path.read_bytes()
+
+        def half_then_fail(doc, fh, **kw):
+            text = json.dumps(doc, **kw)
+            fh.write(text[: len(text) // 2])
+            raise OSError("simulated full disk")
+
+        monkeypatch.setattr(json, "dump", half_then_fail)
+        with pytest.raises(OSError, match="simulated"):
+            small_ladder.save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ladder.json"]
+        again = LadderTable.load(path, ev)
+        assert np.array_equal(again.phi, small_ladder.phi)
 
     def test_rejects_wrong_version(self, ev, small_ladder, tmp_path):
         import json

@@ -4,12 +4,29 @@ import numpy as np
 import pytest
 
 from zladder import DomainError, ZEvaluator
+from zladder._rs_terms import RS_TERM_TABLES
+from zladder.rszeta import _CLENSHAW_CHUNK, _rs_terms
 
 # first two sign changes of Z, located by bisection on the oracle path
 ZERO_1 = 14.134725141734695
 ZERO_2 = 21.022039638771552
 THETA_100 = 87.97216523178722
 Z_SQ_500 = 2.168102674076738
+
+
+def cheb_row(coeffs, p):
+    """Per-table Clenshaw recurrence: the reference the fused pass must match."""
+    u = 2.0 * p - 1.0
+    b0 = np.zeros_like(u)
+    b1 = np.zeros_like(u)
+    for c in coeffs[:0:-1]:
+        b0, b1 = 2.0 * u * b0 - b1 + c, b0
+    return u * b0 - b1 + coeffs[0]
+
+
+def rs_fraction(ts):
+    a = np.sqrt(ts / (2.0 * np.pi))
+    return a, np.floor(a)
 
 
 def bisect(f, lo, hi, iters=80):
@@ -137,6 +154,34 @@ class TestZRs:
             ZEvaluator(t_min_rs=1.0)
 
 
+class TestRemainderClenshaw:
+    @pytest.mark.parametrize("size", [1, 2047, 2048, 2049, _CLENSHAW_CHUNK - 1,
+                                      _CLENSHAW_CHUNK, _CLENSHAW_CHUNK + 1, 63000])
+    def test_rows_bitwise_per_table(self, size):
+        ts = np.random.default_rng(size).uniform(50.0, 1.1e5, size)
+        a, n = rs_fraction(ts)
+        p = a - n
+        for order in range(5):
+            rows = _rs_terms(p, order)
+            assert rows.shape == (order, size)
+            for j in range(order):
+                assert np.array_equal(rows[j], cheb_row(RS_TERM_TABLES[j], p)), \
+                    (order, j)
+
+    @pytest.mark.parametrize("order", range(1, 5))
+    def test_z_rs_bitwise_against_per_table_remainder(self, order):
+        ts = np.random.default_rng(order).uniform(50.0, 1.1e5, 2049)
+        a, n = rs_fraction(ts)
+        corr = np.zeros_like(ts)
+        fac = np.ones_like(ts)
+        for j in range(order):
+            corr += cheb_row(RS_TERM_TABLES[j], a - n) * fac
+            fac = fac * (1.0 / a)
+        sign = np.where(n % 2 == 1, 1.0, -1.0)
+        want = ZEvaluator(rs_correction_order=0).z_rs(ts) + sign * corr / np.sqrt(a)
+        assert np.array_equal(ZEvaluator(rs_correction_order=order).z_rs(ts), want)
+
+
 class TestZetaSqMod:
     def test_nonnegative_and_consistent(self, ev, rng):
         ts = rng.uniform(50.0, 2e4, 200)
@@ -170,6 +215,16 @@ class TestPurity:
         vec = ev.z_rs(ts)
         for i, t in enumerate(ts):
             assert vec[i] == ev.z_rs(float(t))
+
+    @pytest.mark.parametrize("n_len", [3, 20, 126])
+    def test_batch_sharing_sum_length_matches_scalars(self, ev, n_len):
+        # the main sum of a batch runs to its longest floor(sqrt(t/2pi)); when
+        # all points share that length, batching cannot move a single bit
+        lo, hi = 2.0 * np.pi * n_len ** 2, 2.0 * np.pi * (n_len + 1) ** 2
+        ts = np.random.default_rng(n_len).uniform(lo, hi, 300)
+        ts = ts[np.floor(np.sqrt(ts / (2.0 * np.pi))) == n_len]
+        assert len(ts) > 250
+        assert np.array_equal(ev.z_rs(ts), [ev.z_rs(float(t)) for t in ts])
 
     def test_zero_scan_finds_known_zeros(self, ev):
         zeros = ev.zero_scan(14.0, 21.5, step=0.05)

@@ -126,6 +126,25 @@ class TestBesselZeros:
         assert "2.0" in doc["tables"]
         assert load_zero_cache(path) >= 1
 
+    def test_failed_write_keeps_previous_cache(self, tmp_path, monkeypatch):
+        bessel_zero(2.0, 6)
+        path = tmp_path / "zeros.json"
+        save_zero_cache(path)
+        before = path.read_bytes()
+
+        def half_then_fail(doc, fh, **kw):
+            text = json.dumps(doc, **kw)
+            fh.write(text[: len(text) // 2])
+            raise OSError("simulated full disk")
+
+        monkeypatch.setattr(json, "dump", half_then_fail)
+        with pytest.raises(OSError, match="simulated"):
+            save_zero_cache(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["zeros.json"]
+        assert load_zero_cache(path) >= 1
+
     def test_cache_rejects_garbage(self, tmp_path):
         from zladder import CacheError
         path = tmp_path / "bad.json"
