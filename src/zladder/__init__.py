@@ -11,9 +11,8 @@ from .exceptions import (AdmissibilityError, CacheError, ConvergenceError,
                          QuadratureError, ReportFormatError,
                          ToleranceNotMetError, ZladderError)
 from .ladder import (EULER_C, LadderTable, PrimePi, RetardationRow,
-                     build_ladder, check_admissible, ladder_eval,
-                     ladder_invert, log_stability_check, pushforward_integral,
-                     retardation_report, ztilde_sq)
+                     build_ladder, check_admissible, log_stability_check,
+                     pushforward_integral, retardation_report, ztilde_sq)
 from .quadrature import (QuadratureResult, integrate_adaptive,
                          integrate_singular)
 from .rszeta import ZEvaluator
@@ -25,8 +24,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ZEvaluator",
-    "LadderTable", "PrimePi", "RetardationRow", "build_ladder", "ladder_eval",
-    "ladder_invert", "pushforward_integral", "retardation_report",
+    "LadderTable", "PrimePi", "RetardationRow", "build_ladder",
+    "pushforward_integral", "retardation_report",
     "log_stability_check", "ztilde_sq", "check_admissible", "EULER_C",
     "QuadratureResult", "integrate_adaptive", "integrate_singular",
     "BesselZeroTable", "PolyFamilySpec", "bessel_j", "bessel_norm_sq",

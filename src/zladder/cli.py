@@ -2,10 +2,17 @@
 
 Verbs: `z eval`, `specfun zeros`, `ladder build|query|invert|retardation`,
 `verify baseline|theorem1|corollary|theorem2|sanity`, `plot-data`, `run`,
-`report`.  Exit codes: 0 success, 1 exactness-layer failure, 2 asymptotic
-(soft) failure with reports still written, 64 config/usage error (including
-an unreadable input file or an unwritable output path), 65 cache corruption
-or mismatch, or a malformed report file, 70 numeric non-convergence.
+`report`.  `verify F` is `run --equations F`: the same reports, the same
+judgement and the same exit code.  Ladder verbs and plans cache the ladder in
+`<cache root>/ladder-<ladder config hash>.json` unless `--cache` names a
+file; a cache written under an older naming scheme is not read, and the
+ladder is rebuilt once.  `report` lists the exactness (sanity) rows of an
+equation apart from its asymptotic rows, as `E2_x/sanity`.
+
+Exit codes: 0 success, 1 exactness-layer failure, 2 asymptotic (soft)
+failure with reports still written, 64 config/usage error (including an
+unreadable input file or an unwritable output path), 65 cache corruption or
+mismatch, or a malformed report file, 70 numeric non-convergence.
 
 All numeric output uses full round-trip precision; report files are byte
 identical across runs of the same configuration (timings are only included
@@ -37,7 +44,8 @@ EXIT_CONFIG = 64
 EXIT_CACHE = 65
 EXIT_NUMERIC = 70
 
-_SINGULAR_EQS = ("E2_7", "E2_8")
+# plan families judged by the exactness layer; the others are asymptotic
+_HARD_FAMILIES = ("baseline", "theorem1", "sanity")
 
 
 def _print_json(doc) -> None:
@@ -54,7 +62,7 @@ def _config_from_args(args) -> RunConfig:
     overrides = {}
     for name in ("rs_correction_order", "oracle_terms", "t_min_rs",
                  *_LADDER_OVERRIDES, "n_max", "alpha", "beta",
-                 "tol_exact", "tol_sanity", "tol_ratio", "tol_baseline",
+                 "tol_exact", "tol_ratio", "tol_baseline",
                  "format", "path"):
         if hasattr(args, name) and getattr(args, name) is not None:
             overrides[name] = getattr(args, name)
@@ -133,7 +141,7 @@ def _hard_failures(reports, cfg: RunConfig) -> list[str]:
             if r.abs_error > cfg.tol_exact * (1.0 + r.rhs):
                 fails.append(f"E1_3 diag {r.params}: error = {r.abs_error:.3e}")
         elif _is_sanity(r):
-            thr = (cfg.tol_sanity_singular if r.equation_id in _SINGULAR_EQS
+            thr = (cfg.tol_sanity_singular if r.equation_id in V.SINGULAR_WEIGHT_EQS
                    else cfg.tol_sanity)
             if r.ratio is None or abs(r.ratio - 1.0) > thr:
                 fails.append(f"sanity {r.equation_id} {r.params}: "
@@ -240,120 +248,41 @@ def _cmd_ladder_retardation(args) -> int:
     return EXIT_OK
 
 
-def _verify_exit(reports, cfg, out_override, hard: bool) -> int:
-    _emit_reports(reports, cfg, out_override)
-    if hard:
-        fails = _hard_failures(reports, cfg)
-        code = EXIT_HARD if fails else EXIT_OK
-    else:
-        fails = _soft_failures(reports, cfg)
-        code = EXIT_SOFT if fails else EXIT_OK
-    for f in fails:
-        print(f"FAIL {f}", file=sys.stderr)
-    return code
-
-
-def _cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
-    which = args.which
-    if which == "baseline":
-        reports = []
-        for nu in cfg.nu:
-            reports.extend(V.verify_bessel_baseline(nu, min(cfg.n_max, 8),
-                                                    tol=cfg.tol_baseline))
-        return _verify_exit(reports, cfg, args.out, hard=True)
-
-    table = _get_ladder(cfg)
-    _validate_plan_T(cfg, table)
-    if which == "theorem1":
-        reports = []
-        for T in cfg.T:
-            for nu in cfg.nu:
-                reports.extend(V.verify_theorem1(table, T, nu, cfg.n_max,
-                                                 tol=cfg.tol_exact))
-        return _verify_exit(reports, cfg, args.out, hard=True)
-    if which == "corollary":
-        reports = []
-        for nu in cfg.nu:
-            for n in range(1, cfg.n_max + 1):
-                reports.extend(V.verify_corollary(table, cfg.T, nu, n))
-        return _verify_exit(reports, cfg, args.out, hard=False)
-    if which == "theorem2":
-        reports = _theorem2_reports(table, cfg, V.verify_theorem2)
-        return _verify_exit(reports, cfg, args.out, hard=False)
-    if which == "sanity":
-        reports = _theorem2_reports(table, cfg, V.sanity_theorem2_exact)
-        return _verify_exit(reports, cfg, args.out, hard=True)
-    raise DomainError(f"unknown verify target {which!r}")
-
-
-def _theorem2_jobs(cfg: RunConfig):
-    for eq in ("E2_4", "E2_5", "E2_6", "E2_7", "E2_9"):
-        for n in range(1, cfg.n_max + 1):
-            if eq == "E2_4":
-                yield eq, {"n": n, "nu": cfg.nu[0]}
-            elif eq == "E2_5":
-                yield eq, {"n": n, "alpha": cfg.alpha, "beta": cfg.beta}
-            else:
-                yield eq, {"n": n}
-    yield "E2_8", {}
-    yield "E2_10", {}
-
-
-def _theorem2_reports(table, cfg, fn):
-    reports = []
-    for T in cfg.T:
-        for eq, params in _theorem2_jobs(cfg):
-            reports.append(fn(table, T, eq, params))
-    return reports
-
-
-def _validate_plan_T(cfg: RunConfig, table: LadderTable) -> None:
-    needs_ladder = any(e != "baseline" for e in cfg.equations)
-    if not needs_ladder:
-        return
-    for T in cfg.T:
-        if T < table.phi_lo or T + 2.0 > table.phi_hi:
-            raise DomainError(
-                f"plan T = {T} outside ladder range: need phi_lo <= T and "
-                f"T + 2 <= phi_hi, have [{table.phi_lo!r}, {table.phi_hi!r}]")
+def _family_reports(family: str, cfg: RunConfig, table) -> list:
+    """The report rows of one plan family (the verify functions are looked
+    up on the module at call time, so wrappers installed there see them)."""
+    if family == "baseline":
+        return [r for nu in cfg.nu
+                for r in V.verify_bessel_baseline(nu, min(cfg.n_max, 8),
+                                                  tol=cfg.tol_baseline)]
+    if family == "theorem1":
+        return [r for T in cfg.T for nu in cfg.nu
+                for r in V.verify_theorem1(table, T, nu, cfg.n_max, tol=cfg.tol_exact)]
+    if family == "corollary":
+        return [r for nu in cfg.nu for n in range(1, cfg.n_max + 1)
+                for r in V.verify_corollary(table, cfg.T, nu, n)]
+    fn = V.verify_theorem2 if family == "theorem2" else V.sanity_theorem2_exact
+    jobs = list(V.theorem2_jobs(cfg.n_max, cfg.nu[0], cfg.alpha, cfg.beta))
+    return [fn(table, T, eq, params) for T in cfg.T for eq, params in jobs]
 
 
 def _cmd_run(args) -> int:
     cfg = _config_from_args(args)
-    reports = []
-    hard_needed = False
-    soft_needed = False
     table = None
     if any(e != "baseline" for e in cfg.equations):
         table = _get_ladder(cfg)
-        _validate_plan_T(cfg, table)
-    for eq in cfg.equations:
-        if eq == "baseline":
-            hard_needed = True
-            for nu in cfg.nu:
-                reports.extend(V.verify_bessel_baseline(nu, min(cfg.n_max, 8),
-                                                        tol=cfg.tol_baseline))
-        elif eq == "theorem1":
-            hard_needed = True
-            for T in cfg.T:
-                for nu in cfg.nu:
-                    reports.extend(V.verify_theorem1(table, T, nu, cfg.n_max,
-                                                     tol=cfg.tol_exact))
-        elif eq == "corollary":
-            soft_needed = True
-            for nu in cfg.nu:
-                for n in range(1, cfg.n_max + 1):
-                    reports.extend(V.verify_corollary(table, cfg.T, nu, n))
-        elif eq == "theorem2":
-            soft_needed = True
-            reports.extend(_theorem2_reports(table, cfg, V.verify_theorem2))
-        elif eq == "sanity":
-            hard_needed = True
-            reports.extend(_theorem2_reports(table, cfg, V.sanity_theorem2_exact))
+        for T in cfg.T:
+            if T < table.phi_lo or T + 2.0 > table.phi_hi:
+                raise DomainError(
+                    f"plan T = {T} outside ladder range: need phi_lo <= T and "
+                    f"T + 2 <= phi_hi, have [{table.phi_lo!r}, {table.phi_hi!r}]")
+    reports = [r for family in cfg.equations
+               for r in _family_reports(family, cfg, table)]
     _emit_reports(reports, cfg, args.out)
-    hard_fails = _hard_failures(reports, cfg) if hard_needed else []
-    soft_fails = _soft_failures(reports, cfg) if soft_needed else []
+    hard = any(e in _HARD_FAMILIES for e in cfg.equations)
+    soft = any(e not in _HARD_FAMILIES for e in cfg.equations)
+    hard_fails = _hard_failures(reports, cfg) if hard else []
+    soft_fails = _soft_failures(reports, cfg) if soft else []
     for f in hard_fails + soft_fails:
         print(f"FAIL {f}", file=sys.stderr)
     if hard_fails:
@@ -361,6 +290,11 @@ def _cmd_run(args) -> int:
     if soft_fails:
         return EXIT_SOFT
     return EXIT_OK
+
+
+def _cmd_verify(args) -> int:
+    args.equations = (args.which,)
+    return _cmd_run(args)
 
 
 def _cmd_plot_data(args) -> int:
@@ -404,7 +338,8 @@ def _cmd_plot_data(args) -> int:
 
 
 def _read_report_rows(path) -> list[tuple[str, float | None, float]]:
-    """(equation_id, ratio, abs_error) per nonblank line of a JSONL report."""
+    """(key, ratio, abs_error) per nonblank line of a JSONL report; the key
+    is the equation id, with "/sanity" appended on exactness rows."""
     rows = []
     lineno = 1
     with open(path, "r", encoding="utf-8") as fh:
@@ -413,7 +348,10 @@ def _read_report_rows(path) -> list[tuple[str, float | None, float]]:
                 if line.strip():
                     doc = json.loads(line)
                     ratio = doc.get("ratio")
-                    rows.append((str(doc["equation_id"]),
+                    key = str(doc["equation_id"])
+                    if (doc.get("params") or {}).get("weight") == "ztilde2":
+                        key += "/sanity"
+                    rows.append((key,
                                  None if ratio is None else float(ratio),
                                  float(doc["abs_error"])))
                 lineno += 1

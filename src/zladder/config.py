@@ -13,7 +13,7 @@ Sections and keys (all optional; defaults shown):
     anchor_t0 =            ; blank -> t_lo + 10
     tol = 1e-8
     h = 0.05
-    cache =                ; blank -> <cache_root>/ladder-<confighash>.json
+    cache =                ; blank -> <cache_root>/ladder-<ladder config hash>.json
 
     [plan]
     equations = baseline theorem1 sanity theorem2 corollary
@@ -33,18 +33,21 @@ Sections and keys (all optional; defaults shown):
     path = reports.jsonl
     timings = false
 
-Flags win over file values; the config hash covers every field, so cached
-artifacts are never silently reused across configuration changes.
+Flags win over file values.  The default ladder cache is named by the same
+hash that `LadderTable.config_hash` records in the cache file and in every
+report row: the ladder domain, anchor, step, tolerance, panel rule and
+evaluator configuration.  Caches written under the names older versions used
+are not read; the ladder is rebuilt once under its new name.
 """
 
 from __future__ import annotations
 
 import configparser
-import hashlib
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .exceptions import DomainError
+from .ladder import ladder_config_hash
 from .rszeta import ZEvaluator
 
 _PLAN_EQUATIONS = ("baseline", "theorem1", "corollary", "theorem2", "sanity")
@@ -195,21 +198,9 @@ class RunConfig:
     def anchor(self) -> float:
         return self.anchor_t0 if self.anchor_t0 is not None else self.t_lo + 10.0
 
-    def canonical_string(self) -> str:
-        parts = []
-        for f in fields(self):
-            parts.append(f"{f.name}={getattr(self, f.name)!r}")
-        return "RunConfig(" + ",".join(parts) + ")"
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_string().encode()).hexdigest()[:16]
-
     def ladder_cache_path(self) -> str:
         if self.cache:
             return self.cache
-        import hashlib as _h
-        key = (f"ladder(t_lo={self.t_lo!r},t_hi={self.t_hi!r},"
-               f"anchor={self.anchor()!r},h={self.h!r},tol={self.tol!r},"
-               f"z={self.evaluator().config_hash()})")
-        digest = _h.sha256(key.encode()).hexdigest()[:16]
+        digest = ladder_config_hash(self.evaluator(), self.t_lo, self.t_hi,
+                                    self.anchor(), self.h, self.tol)
         return os.path.join(cache_root(), f"ladder-{digest}.json")

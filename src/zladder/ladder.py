@@ -15,6 +15,7 @@ monotone.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -37,6 +38,18 @@ _CACHE_VERSION = 1
 
 _BUILD_CHUNK = 3000          # panels per evaluation batch
 _MAX_SPLIT_ROUNDS = 30
+_PANEL_RULE = "gauss7-halves+richardson"
+
+
+def ladder_config_hash(evaluator: ZEvaluator, t_lo: float, t_hi: float,
+                       anchor_t0: float, h: float, tol: float) -> str:
+    """Hash of the configuration that determines a built ladder.  Cache
+    files are named by it and carry it, and every report row records it."""
+    payload = (f"ladder(t_lo={float(t_lo)!r},t_hi={float(t_hi)!r},"
+               f"anchor={float(anchor_t0)!r},h={float(h)!r},"
+               f"tol={float(tol)!r},rule={_PANEL_RULE},"
+               f"z={evaluator.config_hash()})")
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def ztilde_sq(evaluator: ZEvaluator, t) -> float | np.ndarray:
@@ -89,8 +102,6 @@ def _gauss7_nodes(lo: np.ndarray, t: np.ndarray) -> np.ndarray:
 class LadderTable:
     """Monotone checkpointed representation of phi_1 over [t_lo, t_hi]."""
 
-    panel_rule = "gauss7-halves+richardson"
-
     def __init__(self, *, evaluator, t_lo, t_hi, anchor_t0, anchor_value,
                  h, build_tolerance, edges, phi, base_step_count,
                  split_base_indices, extra_edges, residual_total):
@@ -120,12 +131,8 @@ class LadderTable:
         return float(self.phi[-1])
 
     def config_hash(self) -> str:
-        import hashlib
-        payload = (f"ladder(t_lo={self.t_lo!r},t_hi={self.t_hi!r},"
-                   f"anchor={self.anchor_t0!r},h={self.h!r},"
-                   f"tol={self.build_tolerance!r},rule={self.panel_rule},"
-                   f"z={self.evaluator.config_hash()})")
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return ladder_config_hash(self.evaluator, self.t_lo, self.t_hi,
+                                  self.anchor_t0, self.h, self.build_tolerance)
 
     def breakpoints(self, a: float, b: float) -> np.ndarray:
         """Z zeros on [a, b] plus the evaluator dispatch seam, for panel
@@ -284,6 +291,10 @@ class LadderTable:
             raise CacheError("ladder cache config hash mismatch; refusing to reuse")
         if len(table.phi) != len(table.edges):
             raise CacheError("ladder cache checkpoint count mismatch")
+        if not (np.all(np.isfinite(table.edges)) and np.all(np.diff(table.edges) > 0.0)):
+            raise CacheError("ladder cache checkpoints are not finite and strictly increasing")
+        if not (np.all(np.isfinite(table.phi)) and np.all(np.diff(table.phi) >= 0.0)):
+            raise CacheError("ladder cache values are not finite and nondecreasing")
         return table
 
     @classmethod
@@ -485,14 +496,6 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
 
 # ---------------------------------------------------------------------------
 # module-level operations in terms of a built table
-
-def ladder_eval(table: LadderTable, t) -> float | np.ndarray:
-    return table.eval(t)
-
-
-def ladder_invert(table: LadderTable, y) -> float | np.ndarray:
-    return table.invert(y)
-
 
 def check_admissible(T: float, U: float) -> None:
     if not 0.0 < U <= T / math.log(T):

@@ -85,8 +85,6 @@ class QuadratureResult:
     error_estimate: float
     panels_used: int
     rule: str
-    singular_left: bool = False
-    singular_right: bool = False
 
 
 def _check_finite(vals: np.ndarray, where: np.ndarray) -> None:
@@ -231,7 +229,6 @@ def integrate_singular(
     b: float,
     tol: float,
     *,
-    singular: tuple[bool, bool] = (True, True),
     max_level: int = 12,
     distance_form: bool = False,
 ) -> QuadratureResult:
@@ -258,9 +255,7 @@ def integrate_singular(
         diff = abs(cur - prev)
         if diff <= max(tol, 8.0 * _EPS * (1.0 + abs(cur))):
             return QuadratureResult(value=cur, error_estimate=diff,
-                                    panels_used=level, rule="tanh-sinh",
-                                    singular_left=bool(singular[0]),
-                                    singular_right=bool(singular[1]))
+                                    panels_used=level, rule="tanh-sinh")
         prev = cur
     raise QuadratureError(
         f"tanh-sinh did not converge to {tol:.3e} within {max_level} levels on [{a}, {b}]")

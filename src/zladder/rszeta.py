@@ -22,18 +22,12 @@ import numpy as np
 
 from ._rs_terms import RS_TERM_TABLES
 from .exceptions import DomainError, PrecisionError
-from .specfun.gamma import _log_gamma_cld
+from .specfun.gamma import _BERNOULLI_2K, _log_gamma_cld
 
 _TWO_PI = 2.0 * np.pi
 _LD = np.longdouble
 _CLD = np.clongdouble
 _LN_PI_LD = np.log(_LD(np.pi))
-
-# B_{2k} for the Euler-Maclaurin tail, k = 1..11
-_B2K = (
-    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730),
-    (7, 6), (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
-)
 
 _MAX_BLOCK = 4_000_000  # cap on len(t) * N per main-sum chunk
 
@@ -202,7 +196,7 @@ class ZEvaluator:
         res = main + nn * n_pow / (s - 1) + n_pow / 2
         poch = s
         for k in range(1, self.oracle_terms + 1):
-            num, den = _B2K[k - 1]
+            num, den = _BERNOULLI_2K[k - 1]
             coeff = _LD(num) / _LD(den * math.factorial(2 * k))
             res = res + coeff * poch * n_pow * nn ** _LD(1 - 2 * k)
             poch = poch * (s + 2 * k - 1) * (s + 2 * k)

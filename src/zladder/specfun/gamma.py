@@ -72,13 +72,7 @@ def log_gamma(x: float) -> float:
     while w < _STIRLING_RADIUS:
         shift = shift + np.log(w)
         w = w + 1
-    res = (w - _LD(0.5)) * np.log(w) - w + _HALF_LN_TWO_PI
-    zsq = w * w
-    zpow = w
-    for k, (num, den) in enumerate(_BERNOULLI_2K, start=1):
-        res = res + _LD(num) / (_LD(den * (2 * k) * (2 * k - 1)) * zpow)
-        zpow = zpow * zsq
-    return float(res - shift)
+    return float(_log_gamma_stirling(_CLD(w)).real - shift)
 
 
 def gamma_fn(x: float) -> float:

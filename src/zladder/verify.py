@@ -25,15 +25,6 @@ from .quadrature import integrate_adaptive, integrate_singular
 from .specfun import (PolyFamilySpec, bessel_j, bessel_norm_sq, bessel_zero,
                       poly_eval, poly_norm_sq)
 
-EQUATION_IDS = (
-    "E1_2", "E1_3_offdiag", "E1_3_diag", "E1_4",
-    "E2_2", "E2_4", "E2_5", "E2_6", "E2_7", "E2_8", "E2_9", "E2_10",
-)
-
-# JSONL field order is fixed for byte-reproducible reports
-_REPORT_FIELDS = ("equation_id", "params", "lhs", "rhs", "ratio", "abs_error",
-                  "quadrature_error", "evaluator_hash", "ladder_hash")
-
 
 @dataclass
 class VerificationReport:
@@ -51,6 +42,7 @@ class VerificationReport:
     ladder_hash: str | None = None
 
     def to_json_dict(self, include_timings: bool = False) -> dict:
+        # the field order is fixed, so reports are byte-reproducible
         doc = {
             "equation_id": self.equation_id,
             "params": {k: self.params[k] for k in sorted(self.params)},
@@ -217,98 +209,99 @@ def envelope_23(table: LadderTable, T: float, nu: float, n: int,
 # the integral-equation family E2_4..E2_10 and its exact-substitution
 # sanity layer
 
-_THEOREM2_EQS = ("E2_4", "E2_5", "E2_6", "E2_7", "E2_8", "E2_9", "E2_10")
+# One row per member: eq -> (polynomial family, Jacobi exponents (alpha, beta)
+# of its weight (1 - u)^alpha (1 + u)^beta, or "params" to take them from the
+# job, degree rule: "n" from the job in [1, 16], or a fixed degree).  E2_4 is
+# the Bessel member on u = phi_1 - T in [0, 1] (U = 1), whose smooth weight u
+# sits in its integrand; the others live on u = phi_1 - T - 1 in [-1, 1]
+# (U = 2), and E2_8 / E2_10 are the n = 0 rows of Chebyshev T / U.
+_THEOREM2_MEMBERS = {
+    "E2_4": ("bessel", (0.0, 0.0), "n"),
+    "E2_5": ("jacobi", "params", "n"),
+    "E2_6": ("legendre", (0.0, 0.0), "n"),
+    "E2_7": ("chebyshev_t", (-0.5, -0.5), "n"),
+    "E2_8": ("chebyshev_t", (-0.5, -0.5), 0),
+    "E2_9": ("chebyshev_u", (0.5, 0.5), "n"),
+    "E2_10": ("chebyshev_u", (0.5, 0.5), 0),
+}
+
+# members whose weight blows up at the ends of the window; their sanity rows
+# are judged against tol_sanity_singular
+SINGULAR_WEIGHT_EQS = frozenset(
+    eq for eq, (_, ab, _) in _THEOREM2_MEMBERS.items() if ab != "params" and min(ab) < 0.0)
+
+
+def theorem2_jobs(n_max: int, nu: float, alpha: float, beta: float):
+    """(eq, params) for every member, degrees 1..n_max where the member has one."""
+    for eq, (family, ab, degree) in _THEOREM2_MEMBERS.items():
+        if degree != "n":
+            yield eq, {}
+            continue
+        for n in range(1, n_max + 1):
+            if family == "bessel":
+                yield eq, {"n": n, "nu": nu}
+            elif ab == "params":
+                yield eq, {"n": n, "alpha": alpha, "beta": beta}
+            else:
+                yield eq, {"n": n}
 
 
 def _theorem2_pieces(table: LadderTable, T: float, eq: str, params: dict):
-    """(U, rhs_constant, integrand builder, integration route) for one equation id."""
-    if eq not in _THEOREM2_EQS:
+    """(U, rhs constant, integrand builder, smooth) for one equation id.
+
+    The builder maps (ts, w) to the member's squared function times its
+    weight times w.  With Jacobi exponents (0, 0) the integrand is smooth on
+    the closed window (GK15 with Z-zero breakpoints); otherwise its weight
+    has an endpoint power and it goes to tanh-sinh.
+    """
+    if eq not in _THEOREM2_MEMBERS:
         raise DomainError(f"unknown equation id {eq!r}")
-    n = int(params.get("n", 0))
-    if eq in ("E2_4", "E2_5", "E2_6", "E2_7", "E2_9"):
+    family, ab, degree = _THEOREM2_MEMBERS[eq]
+    if degree == "n":
+        n = int(params.get("n", 0))
         if not 1 <= n <= 16:
             raise DomainError(f"{eq} requires 1 <= n <= 16")
+    else:
+        n = degree
+    alpha, beta = (float(params["alpha"]), float(params["beta"])) if ab == "params" else ab
+    smooth = alpha == 0.0 and beta == 0.0
 
-    if eq == "E2_4":
+    if family == "bessel":
         nu = float(params.get("nu", 0.0))
         mu = bessel_zero(nu, n)
-        const = bessel_norm_sq(nu, n)
 
         def factor(ts, w):
             u = np.maximum(table.eval(ts) - T, 0.0)
             return bessel_j(nu, mu * u) ** 2 * u * w
 
-        return 1.0, const, factor, "adaptive", (False, False)
+        return 1.0, bessel_norm_sq(nu, n), factor, smooth
 
-    # the U = 2 family, argument u = phi_1(t) - T - 1 in [-1, 1]
-    if eq == "E2_5":
-        alpha = float(params["alpha"])
-        beta = float(params["beta"])
-        spec = PolyFamilySpec.jacobi(alpha, beta)
-        const = poly_norm_sq(spec, n)
-        if alpha == 0.0 and beta == 0.0:
-            # weight is identically 1: same integrand and route as E2_6
+    spec = (PolyFamilySpec.jacobi(alpha, beta) if family == "jacobi"
+            else PolyFamilySpec(family))
 
-            def factor(ts, w):
-                p = poly_eval(spec, n, table.eval(ts) - (T + 1.0))
-                return p * p * w
-
-            return 2.0, const, factor, "adaptive", (False, False)
-
-        def factor(ts, w):
-            phi = table.eval(ts)
-            d_right = np.maximum((T + 2.0) - phi, 0.0)   # 1 - u
-            d_left = np.maximum(phi - T, 0.0)            # 1 + u
-            p = poly_eval(spec, n, phi - (T + 1.0))
-            return p * p * d_right ** alpha * d_left ** beta * w
-
-        return 2.0, const, factor, "singular", (beta < 0.0, alpha < 0.0)
-
-    if eq == "E2_6":
-        spec = PolyFamilySpec.legendre()
-        const = poly_norm_sq(spec, n)
-
-        def factor(ts, w):
-            p = poly_eval(spec, n, table.eval(ts) - (T + 1.0))
-            return p * p * w
-
-        return 2.0, const, factor, "adaptive", (False, False)
-
-    if eq in ("E2_7", "E2_8"):
-        const = math.pi / 2.0 if eq == "E2_7" else math.pi
-
-        def factor(ts, w):
-            phi = table.eval(ts)
-            rad = np.maximum((T + 2.0) - phi, 0.0) * np.maximum(phi - T, 0.0)
-            if eq == "E2_7":
-                p = poly_eval(PolyFamilySpec.chebyshev_t(), n, phi - (T + 1.0))
-                num = p * p * w
-            else:
-                num = w
-            return np.where(rad > 0.0, num / np.sqrt(np.where(rad > 0.0, rad, 1.0)), 0.0)
-
-        return 2.0, const, factor, "singular", (True, True)
-
-    # remaining ids: E2_9 / E2_10, the sqrt(1 - u^2) weight
-    const = math.pi / 2.0
-
+    # the weight's arithmetic follows the family, not (alpha, beta): the
+    # Chebyshev forms take one square root of the product of the distances
     def factor(ts, w):
         phi = table.eval(ts)
-        rad = np.maximum((T + 2.0) - phi, 0.0) * np.maximum(phi - T, 0.0)
-        if eq == "E2_9":
-            p = poly_eval(PolyFamilySpec.chebyshev_u(), n, phi - (T + 1.0))
-            num = p * p * w
-        else:
-            num = w
-        return num * np.sqrt(rad)
+        p = poly_eval(spec, n, phi - (T + 1.0))
+        if smooth:
+            return p * p * w
+        d_right = np.maximum((T + 2.0) - phi, 0.0)   # 1 - u
+        d_left = np.maximum(phi - T, 0.0)            # 1 + u
+        if family == "jacobi":
+            return p * p * d_right ** alpha * d_left ** beta * w
+        rad = d_right * d_left
+        if family == "chebyshev_u":
+            return p * p * w * np.sqrt(rad)
+        return np.where(rad > 0.0, p * p * w / np.sqrt(np.where(rad > 0.0, rad, 1.0)), 0.0)
 
-    return 2.0, const, factor, "singular", (False, False)
+    return 2.0, poly_norm_sq(spec, n), factor, smooth
 
 
 def _run_theorem2(table: LadderTable, T: float, eq: str, params: dict,
                   weight: str, quad_tol: float, max_level: int):
     T = float(T)
-    U, const, factor, route, flags = _theorem2_pieces(table, T, eq, params)
+    U, const, factor, smooth = _theorem2_pieces(table, T, eq, params)
     check_admissible(T, U)
     ev = table.evaluator
     a = table.invert(T)
@@ -326,13 +319,12 @@ def _run_theorem2(table: LadderTable, T: float, eq: str, params: dict,
         def integrand(ts):
             return factor(ts, table._ztilde(ts))
 
-    if route == "adaptive":
+    if smooth:
         res = integrate_adaptive(integrand, a, b, quad_tol,
                                  breakpoints=table.breakpoints(a, b))
     else:
-        res = integrate_singular(integrand, a, b, quad_tol, singular=flags,
-                                 max_level=max_level)
-    return res, rhs, flags
+        res = integrate_singular(integrand, a, b, quad_tol, max_level=max_level)
+    return res, rhs
 
 
 def verify_theorem2(table: LadderTable, T: float, eq: str, params: dict,
@@ -345,7 +337,7 @@ def verify_theorem2(table: LadderTable, T: float, eq: str, params: dict,
     params for downstream judgement of |ratio - 1|.
     """
     t0 = time.perf_counter()
-    res, rhs, _ = _run_theorem2(table, T, eq, params, "zeta2", quad_tol, max_level)
+    res, rhs = _run_theorem2(table, T, eq, params, "zeta2", quad_tol, max_level)
     rep = _make_report(eq, {**params, "T": float(T), "tol_ratio": tol_ratio},
                        res.value, rhs, res.error_estimate, t0,
                        table.evaluator.config_hash(), table.config_hash())
@@ -359,7 +351,7 @@ def sanity_theorem2_exact(table: LadderTable, T: float, eq: str, params: dict,
     makes the ratio exactly 1 up to quadrature error, isolating the numeric
     stack from the asymptotic ln-xi ~ ln-T step."""
     t0 = time.perf_counter()
-    res, rhs, _ = _run_theorem2(table, T, eq, params, "ztilde2", quad_tol, max_level)
+    res, rhs = _run_theorem2(table, T, eq, params, "ztilde2", quad_tol, max_level)
     rep = _make_report(eq, {**params, "T": float(T), "weight": "ztilde2"},
                        res.value, rhs, res.error_estimate, t0,
                        table.evaluator.config_hash(), table.config_hash())

@@ -83,6 +83,13 @@ class TestLadderVerbs:
             fh.write("{broken")
         assert run_cli("ladder", "query", *LADDER_ARGS, "--t", "1010") == EXIT_CACHE
 
+    def test_cache_named_by_ladder_hash(self, capsys, cache_env):
+        assert run_cli("ladder", "build", *LADDER_ARGS) == EXIT_OK
+        built = json.loads(capsys.readouterr().out)
+        assert os.path.basename(built["cache"]) == f"ladder-{built['config_hash']}.json"
+        ints = RunConfig(t_lo=1000, t_hi=1090, tol=1e-9)
+        assert ints.ladder_cache_path() == built["cache"]
+
     def test_unreachable_tolerance_exit(self, cache_env):
         assert run_cli("ladder", "build", "--t-lo", "1000", "--t-hi", "1001",
                        "--anchor", "1000.5", "--tol", "1e-300") == EXIT_NUMERIC
@@ -109,6 +116,24 @@ class TestVerifyVerbs:
         assert code == EXIT_SOFT
         assert out.exists() and out.read_text().strip()  # reports still written
 
+    @pytest.mark.parametrize("family", ["baseline", "theorem1", "corollary",
+                                        "theorem2", "sanity"])
+    def test_verify_is_run_of_one_family(self, capsys, cache_env, tmp_path, family):
+        plan = [*LADDER_ARGS, "--T", "1000", "--nu", "0", "--max-n", "1",
+                "--tol-ratio", "1e-9"]
+        outs, codes, fails = [], [], []
+        for verb in (["verify", family], ["run", "--equations", family]):
+            out = tmp_path / f"{verb[0]}.jsonl"
+            codes.append(run_cli(*verb, *plan, "--out", str(out)))
+            outs.append(out.read_bytes())
+            fails.append([line for line in capsys.readouterr().err.splitlines()
+                          if line.startswith("FAIL")])
+        assert outs[0] and outs[0] == outs[1]
+        assert codes[0] == codes[1]
+        assert fails[0] == fails[1]
+        # the tight ratio band makes the asymptotic families fail
+        assert bool(fails[0]) == (family in ("corollary", "theorem2"))
+
     def test_plan_T_outside_domain(self, capsys, cache_env):
         code = run_cli("verify", "theorem2", *LADDER_ARGS, "--T", "5000",
                        "--max-n", "1", "--out", "-")
@@ -130,7 +155,6 @@ class TestRun:
         cfg = self.write_config(path)
         again = RunConfig.from_ini(str(path))
         assert again == cfg
-        assert again.config_hash() == cfg.config_hash()
 
     def test_run_deterministic_reports(self, cache_env, tmp_path):
         ini = tmp_path / "run.ini"
@@ -208,6 +232,21 @@ class TestReportSummary:
         assert run_cli("report", str(out)) == EXIT_OK
         text = capsys.readouterr().out
         assert "E2_10" in text and "max|ratio-1|" in text
+
+    def test_sanity_rows_apart(self, capsys, tmp_path):
+        path = tmp_path / "mixed.jsonl"
+        rows = [("E2_7", {"n": 1, "T": 1000.0, "weight": "ztilde2"}, 1.0 + 2e-4),
+                ("E2_7", {"n": 1, "T": 1000.0, "tol_ratio": 0.25}, 1.0 - 3e-2),
+                ("E2_7", {"n": 2, "T": 1000.0, "tol_ratio": 0.25}, 1.0 + 1e-2)]
+        path.write_text("".join(
+            json.dumps({"equation_id": eq, "params": params, "ratio": ratio,
+                        "abs_error": abs(ratio - 1.0)}) + "\n"
+            for eq, params, ratio in rows))
+        assert run_cli("report", str(path)) == EXIT_OK
+        table = {line.split()[0]: line.split()[1:]
+                 for line in capsys.readouterr().out.splitlines()[1:]}
+        assert table["E2_7"][:2] == ["2", "3.000e-02"]
+        assert table["E2_7/sanity"][:2] == ["1", "2.000e-04"]
 
     def test_missing_file_exit(self, capsys, tmp_path):
         assert run_cli("report", str(tmp_path / "missing.jsonl")) == EXIT_CONFIG

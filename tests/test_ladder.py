@@ -6,9 +6,8 @@ import pytest
 from zladder import (AdmissibilityError, CacheError, DomainError, EULER_C,
                      LadderTable, PrimePi, ToleranceNotMetError, ZEvaluator,
                      bessel_j, bessel_norm_sq, bessel_zero, build_ladder,
-                     integrate_adaptive, ladder_eval, ladder_invert,
-                     log_stability_check, pushforward_integral,
-                     retardation_report, ztilde_sq)
+                     integrate_adaptive, log_stability_check,
+                     pushforward_integral, retardation_report, ztilde_sq)
 
 FIRST_ZETA_ZERO = 14.134725141734695
 
@@ -196,9 +195,6 @@ class TestEval:
         with pytest.raises(DomainError):
             small_ladder.eval(1090.5)
 
-    def test_module_level_alias(self, small_ladder):
-        assert ladder_eval(small_ladder, 1010.0) == small_ladder.eval(1010.0)
-
 
 class TestInvert:
     def test_anchor_roundtrip(self, small_ladder):
@@ -219,7 +215,7 @@ class TestInvert:
         with pytest.raises(DomainError):
             small_ladder.invert(small_ladder.phi_lo - 1.0)
         with pytest.raises(DomainError):
-            ladder_invert(small_ladder, small_ladder.phi_hi + 1.0)
+            small_ladder.invert(small_ladder.phi_hi + 1.0)
 
 
 class TestPushforward:
@@ -358,6 +354,22 @@ class TestCache:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ladder.json"]
         again = LadderTable.load(path, ev)
         assert np.array_equal(again.phi, small_ladder.phi)
+
+    @pytest.mark.parametrize("tamper", ["swap_phi", "inf_edge"])
+    def test_rejects_tampered_data(self, ev, small_ladder, tmp_path, tamper):
+        # the configuration and so the hash are intact; only the data is not
+        import json
+        path = tmp_path / "ladder.json"
+        small_ladder.save(path)
+        doc = json.loads(path.read_text())
+        if tamper == "swap_phi":
+            doc["phi"][10], doc["phi"][11] = doc["phi"][11], doc["phi"][10]
+        else:  # one more checkpoint, at t = inf, with a nondecreasing value
+            doc["extra_edges"].append(math.inf)
+            doc["phi"].append(doc["phi"][-1])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CacheError):
+            LadderTable.load(path, ev)
 
     def test_rejects_wrong_version(self, ev, small_ladder, tmp_path):
         import json

@@ -115,10 +115,8 @@ class TestTanhSinh:
     def test_general_interval(self):
         # int_2^5 dx / sqrt(x - 2) = 2 sqrt(3)
         res = integrate_singular(lambda x, dl, dr: 1.0 / np.sqrt(dl),
-                                 2.0, 5.0, 1e-12, distance_form=True,
-                                 singular=(True, False))
+                                 2.0, 5.0, 1e-12, distance_form=True)
         assert abs(res.value - 2.0 * math.sqrt(3.0)) <= 1e-11
-        assert res.singular_left and not res.singular_right
 
     def test_non_integrable_raises(self):
         with pytest.raises(QuadratureError):
