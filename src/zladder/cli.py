@@ -15,8 +15,12 @@ unreadable input file or an unwritable output path), 65 cache corruption or
 mismatch, or a malformed report file, 70 numeric non-convergence.
 
 All numeric output uses full round-trip precision; report files are byte
-identical across runs of the same configuration (timings are only included
-on request, since they are inherently nondeterministic).
+identical across runs of the same configuration with the same BLAS thread
+count (timings are only included on request, since they are inherently
+nondeterministic).  The thread count matters because the tanh-sinh level sum
+is an `np.dot`, which OpenBLAS splits across threads above ~20,000 nodes in
+a thread-dependent order; set OPENBLAS_NUM_THREADS=1 for reports that match
+byte for byte from run to run.
 """
 
 from __future__ import annotations

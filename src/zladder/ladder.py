@@ -119,6 +119,7 @@ class LadderTable:
         self._extra_edges = np.asarray(extra_edges, dtype=float)
         self.residual_total = float(residual_total)
         self._breakpoints: dict[tuple[float, float], np.ndarray] = {}
+        self._inverses: dict[float, float] = {}
 
     # -- basic properties --
 
@@ -162,7 +163,16 @@ class LadderTable:
         return (t - lo) / 2.0 * (w @ GAUSS7_WEIGHTS)
 
     def eval(self, t) -> float | np.ndarray:
-        """phi_1(t); checkpoint queries return stored values exactly."""
+        """phi_1(t); checkpoint queries return stored values exactly.
+
+        Off-checkpoint points take the Gauss-7 integral from their panel's
+        left edge, in two halves past the panel midpoint.  The first half is
+        integrated once per distinct panel in the call and shared by its
+        points.  Its Z batch holds the same node values without duplicates,
+        so it keeps the batch's longest main sum, and the results are the
+        bits of integrating it once per point whenever that batch was one
+        `z_rs` block (see `ZEvaluator`).
+        """
         ta = np.asarray(t, dtype=float)
         scalar = ta.ndim == 0
         flat = np.atleast_1d(ta).astype(float).ravel()
@@ -185,16 +195,31 @@ class LadderTable:
             first = ts <= mid
             if np.any(first):
                 partial[first] = self._partial(lo[first], ts[first])
-            if np.any(~first):
-                partial[~first] = (self._partial(lo[~first], mid[~first])
-                                   + self._partial(mid[~first], ts[~first]))
+            second = ~first
+            if np.any(second):
+                panels, which = np.unique(k[second], return_inverse=True)
+                if panels.size == 1 < which.size:
+                    # numpy sends a one-row matvec to its dot kernel, which
+                    # rounds unlike the batched matvec of the per-point
+                    # heads; two rows keep the batched rounding
+                    panels = np.repeat(panels, 2)
+                head_lo = self.edges[panels]
+                head = self._partial(head_lo, 0.5 * (head_lo + self.edges[panels + 1]))
+                partial[second] = head[which] + self._partial(mid[second], ts[second])
             vals = self.phi[k] + partial
             out[rest] = np.minimum(np.maximum(vals, self.phi[k]), self.phi[k + 1])
         out = out.reshape(np.shape(ta)) if ta.ndim else out
         return float(out[0]) if scalar else out
 
     def invert(self, y) -> float | np.ndarray:
-        """Smallest t with phi_1(t) = y, to |phi_1(t) - y| <= 1e-10."""
+        """Smallest t with phi_1(t) = y, to |phi_1(t) - y| <= 1e-10.
+
+        Each scalar inverse is solved once per y and memoized in the table
+        (verification jobs re-invert the same T and T + U), so a repeated y
+        returns the identical float.  A y whose solve raises is not stored,
+        and raises again on every call.  Threads racing on a new y may both
+        solve it, with equal results.
+        """
         ya = np.asarray(y, dtype=float)
         scalar = ya.ndim == 0
         flat = np.atleast_1d(ya).astype(float).ravel()
@@ -206,6 +231,12 @@ class LadderTable:
         return float(out[0]) if scalar else out
 
     def _invert_scalar(self, y: float) -> float:
+        t = self._inverses.get(y)
+        if t is None:
+            t = self._inverses[y] = self._solve_inverse(y)
+        return t
+
+    def _solve_inverse(self, y: float) -> float:
         j = np.searchsorted(self.phi, y, side="left")
         if j < len(self.phi) and self.phi[j] == y:
             return float(self.edges[j])

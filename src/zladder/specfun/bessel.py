@@ -34,7 +34,7 @@ _ZERO_CACHE_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# double-double primitives (elementwise on ndarrays)
+# double-double primitives (elementwise on ndarrays, or on Python floats)
 
 def _two_sum(a, b):
     s = a + b
@@ -73,22 +73,45 @@ def _dd_div(xh, xl, yh, yl):
 # ---------------------------------------------------------------------------
 # J_nu evaluation
 
+def _series_converged(th, sh) -> bool:
+    return bool(np.all(np.abs(th) <= 1e-37 * np.maximum(1.0, np.abs(sh))))
+
+
+def _series_converged_scalar(th: float, sh: float) -> bool:
+    return abs(th) <= 1e-37 * max(1.0, abs(sh))
+
+
 def _bessel_series(nu: float, x: np.ndarray) -> np.ndarray:
-    """Ascending series, double-double terms; x <= ~40 elementwise, x > 0."""
+    """Ascending series, double-double terms; x <= ~40 elementwise, x > 0.
+
+    A single point runs the term loop on Python floats: the same IEEE
+    operations in the same order as the array loop, so the same bits, at a
+    fraction of the per-call cost of 1-element arrays (the zero finder's
+    Newton steps are all single points).  The term divisor r (nu + r) is one
+    scalar double-double pair per term on either path.
+    """
     half = 0.5 * x
     t0 = half ** nu / gamma_fn(nu + 1.0)
-    th, tl = t0, np.zeros_like(t0)
-    sh, sl = th.copy(), tl.copy()
+    if x.size == 1:
+        return np.array([_series_sum(nu, float(half[0]), float(t0[0]), 0.0,
+                                     _series_converged_scalar)])
+    return _series_sum(nu, half, t0, np.zeros_like(t0), _series_converged)
+
+
+def _series_sum(nu, half, t0, zero, converged):
+    """sum_r t_r, t_r = t_{r-1} (-(x/2)^2) / (r (nu + r)), in double-double;
+    `half`, `t0` and `zero` are all arrays or all floats."""
+    th, tl = t0, zero
+    sh, sl = th, tl
     qh, ql = _two_prod(half, half)
     r_needed = float(np.max(half, initial=0.0))
-    zero = np.zeros_like(t0)
     for r in range(1, 701):
         nrh, nrl = _two_sum(nu, float(r))
-        dh, dl = _dd_mul(np.full_like(t0, float(r)), zero, nrh + zero, nrl + zero)
-        th, tl = _dd_mul(th, tl, qh + zero, ql + zero)
+        dh, dl = _dd_mul(float(r), 0.0, nrh, nrl)
+        th, tl = _dd_mul(th, tl, qh, ql)
         th, tl = _dd_div(th, tl, -dh, -dl)
         sh, sl = _dd_add(sh, sl, th, tl)
-        if r > r_needed and np.all(np.abs(th) <= 1e-37 * np.maximum(1.0, np.abs(sh))):
+        if r > r_needed and converged(th, sh):
             break
     return sh + sl
 

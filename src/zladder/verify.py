@@ -87,8 +87,9 @@ def verify_bessel_baseline(nu: float, max_n: int, tol: float = 1e-9,
         for n in range(m, max_n + 1):
             t0 = time.perf_counter()
 
-            def integrand(x, _mm=mus[m - 1], _mn=mus[n - 1]):
-                return bessel_j(nu, _mm * x) * bessel_j(nu, _mn * x) * x
+            def integrand(x, _mm=mus[m - 1], _mn=mus[n - 1], _sq=(m == n)):
+                j = bessel_j(nu, _mm * x)
+                return (j * j if _sq else j * bessel_j(nu, _mn * x)) * x
 
             res = integrate_adaptive(integrand, 0.0, 1.0, quad_tol)
             rhs = bessel_norm_sq(nu, n) if m == n else 0.0
@@ -128,10 +129,11 @@ def verify_theorem1(table: LadderTable, T: float, nu: float, max_n: int,
         for n in range(m, max_n + 1):
             t0 = time.perf_counter()
 
-            def integrand(ts, _mm=mus[m - 1], _mn=mus[n - 1]):
+            def integrand(ts, _mm=mus[m - 1], _mn=mus[n - 1], _sq=(m == n)):
                 u = np.maximum(table.eval(ts) - T, 0.0)
-                return (bessel_j(nu, _mm * u) * bessel_j(nu, _mn * u) * u
-                        * table._ztilde(ts))
+                j = bessel_j(nu, _mm * u)
+                jj = j * j if _sq else j * bessel_j(nu, _mn * u)
+                return jj * u * table._ztilde(ts)
 
             res = integrate_adaptive(integrand, a, b, quad_tol, breakpoints=zeros)
             if m == n:

@@ -1,15 +1,66 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from zladder import (AdmissibilityError, CacheError, DomainError, EULER_C,
+from zladder import (AdmissibilityError, CacheError, ConvergenceError,
+                     DomainError, EULER_C,
                      LadderTable, PrimePi, ToleranceNotMetError, ZEvaluator,
                      bessel_j, bessel_norm_sq, bessel_zero, build_ladder,
                      integrate_adaptive, log_stability_check,
                      pushforward_integral, retardation_report, ztilde_sq)
 
 FIRST_ZETA_ZERO = 14.134725141734695
+
+
+def eval_per_point(table, ts):
+    """`LadderTable.eval` as it was before panels shared their first half:
+    every point past its panel's midpoint integrates [lo, mid] on its own."""
+    flat = np.asarray(ts, dtype=float)
+    edges, phi = table.edges, table.phi
+    j = np.searchsorted(edges, flat, side="left")
+    exact = (j < len(edges)) & (edges[np.minimum(j, len(edges) - 1)] == flat)
+    out = np.empty_like(flat)
+    out[exact] = phi[j[exact]]
+    rest = ~exact
+    if np.any(rest):
+        t = flat[rest]
+        k = np.searchsorted(edges, t, side="right") - 1
+        lo, hi = edges[k], edges[k + 1]
+        mid = 0.5 * (lo + hi)
+        partial = np.empty_like(t)
+        first = t <= mid
+        if np.any(first):
+            partial[first] = table._partial(lo[first], t[first])
+        if np.any(~first):
+            partial[~first] = (table._partial(lo[~first], mid[~first])
+                               + table._partial(mid[~first], t[~first]))
+        out[rest] = np.minimum(np.maximum(phi[k] + partial, phi[k]), phi[k + 1])
+    return out
+
+
+def shifted(table, k0):
+    """The same ladder with phi_1 moved to 0 at checkpoint k0, so values in
+    the panels next to k0 show their partial integrals to the last bits."""
+    return LadderTable(
+        evaluator=table.evaluator, t_lo=table.t_lo, t_hi=table.t_hi,
+        anchor_t0=table.anchor_t0, anchor_value=table.anchor_value, h=table.h,
+        build_tolerance=table.build_tolerance, edges=table.edges,
+        phi=table.phi - table.phi[k0], base_step_count=table._base_step_count,
+        split_base_indices=table._split_base_indices,
+        extra_edges=table._extra_edges, residual_total=table.residual_total)
+
+
+def points_in_panels(table, panels, per_panel, rng):
+    """`per_panel` random points in each panel (both halves) plus the panels'
+    left checkpoints, shuffled."""
+    e = table.edges
+    ts = [rng.uniform(e[k], e[k + 1], per_panel) for k in panels]
+    ts.append(e[np.asarray(panels)])
+    ts = np.concatenate(ts)
+    rng.shuffle(ts)
+    return ts
 
 
 class TestPrimePi:
@@ -196,6 +247,60 @@ class TestEval:
             small_ladder.eval(1090.5)
 
 
+class TestEvalSharedHeads:
+    """One first-half integral per distinct panel gives the bits of one per
+    point (the head batch holds the same Z node values, deduplicated)."""
+
+    # the main sum has 12 terms below 2 pi 13^2 ~ 1061.86 and 13 above it
+    SEAM = 2.0 * math.pi * 13 ** 2
+
+    def _panels(self, table, lo, hi, count, rng):
+        ks = np.nonzero((table.edges[:-1] >= lo) & (table.edges[1:] <= hi))[0]
+        return np.sort(rng.choice(ks, count, replace=False))
+
+    @pytest.mark.parametrize("k0", [None, "shift"])
+    def test_shared_main_sum_length(self, small_ladder, rng, k0):
+        panels = self._panels(small_ladder, 1000.0, 1060.0, 12, rng)
+        table = shifted(small_ladder, panels[0]) if k0 else small_ladder
+        ts = points_in_panels(table, panels, 40, rng)
+        assert np.all(np.floor(np.sqrt(ts / (2.0 * math.pi))) == 12.0)
+        assert np.array_equal(table.eval(ts), eval_per_point(table, ts))
+
+    def test_mixed_main_sum_lengths(self, small_ladder, rng):
+        # the deduplicated batch keeps its longest main sum, so the bits hold
+        # across the length seam too
+        panels = np.concatenate([self._panels(small_ladder, 1055.0, self.SEAM, 4, rng),
+                                 self._panels(small_ladder, self.SEAM, 1070.0, 4, rng)])
+        table = shifted(small_ladder, panels[0])
+        ts = points_in_panels(table, panels, 30, rng)
+        assert np.array_equal(table.eval(ts), eval_per_point(table, ts))
+
+    @pytest.mark.parametrize("count", [1, 2, 50])
+    def test_one_panel(self, small_ladder, count):
+        # second-half points of a single panel: the lone head keeps the
+        # rounding of the batched per-point heads
+        for k in range(300, 340):
+            table = shifted(small_ladder, k)
+            lo, hi = table.edges[k], table.edges[k + 1]
+            ts = np.linspace(0.5 * (lo + hi), hi, count + 2)[1:-1]
+            assert np.array_equal(table.eval(ts), eval_per_point(table, ts)), k
+
+    def test_head_integrated_once_per_panel(self, small_ladder, monkeypatch):
+        seen = []
+        real = ZEvaluator.z
+
+        def counting(self, t):
+            seen.append(np.size(t))
+            return real(self, t)
+
+        e = small_ladder.edges
+        ts = np.concatenate([np.linspace(0.5 * (e[k] + e[k + 1]), e[k + 1], 27)[1:-1]
+                             for k in (400, 401, 402, 403, 404)])
+        monkeypatch.setattr(ZEvaluator, "z", counting)
+        small_ladder.eval(ts)
+        assert seen == [7 * 5, 7 * len(ts)]
+
+
 class TestInvert:
     def test_anchor_roundtrip(self, small_ladder):
         t = small_ladder.invert(small_ladder.anchor_value)
@@ -216,6 +321,42 @@ class TestInvert:
             small_ladder.invert(small_ladder.phi_lo - 1.0)
         with pytest.raises(DomainError):
             small_ladder.invert(small_ladder.phi_hi + 1.0)
+
+
+class TestInvertMemo:
+    @pytest.fixture
+    def table(self, ev):
+        return build_ladder(ev, 1000.0, 1030.0, tol=1e-9)
+
+    def test_repeat_is_identical_and_free(self, table, monkeypatch):
+        y = table.anchor_value + 3.217
+        first = table.invert(y)
+        calls = []
+        real = table.eval
+        monkeypatch.setattr(table, "eval", lambda t: calls.append(t) or real(t))
+        again = table.invert(y)
+        assert again.hex() == first.hex()
+        assert calls == []
+        many = table.invert(np.array([y, y]))
+        assert [v.hex() for v in many.tolist()] == [first.hex()] * 2
+        assert calls == []
+
+    def test_raise_is_not_memoized(self, table, monkeypatch):
+        y = table.anchor_value + 5.5
+        real = table.eval
+        flip = itertools.count()
+
+        def noisy(t):   # phi_1 seen through +-1e-9 noise: no t meets 1e-10
+            return real(t) + (1e-9 if next(flip) % 2 else -1e-9)
+
+        monkeypatch.setattr(table, "eval", noisy)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError):
+                table.invert(y)
+        monkeypatch.undo()
+        t = table.invert(y)
+        assert abs(table.eval(t) - y) <= 1e-10
+        assert table.invert(y) == t
 
 
 class TestPushforward:

@@ -10,13 +10,68 @@ from zladder import (DomainError, PoleError, PolyFamilySpec, bessel_j,
                      bessel_norm_sq, bessel_zero, gamma_fn, integrate_adaptive,
                      integrate_singular, poly_eval, poly_norm_sq, poly_weight)
 from zladder.specfun import load_zero_cache, save_zero_cache, zero_table
-from zladder.specfun.bessel import _bessel_j_any, _bessel_miller
+from zladder.specfun.bessel import (BesselZeroTable, _bessel_j_any, _bessel_miller,
+                                    _bessel_series, _dd_add, _dd_div, _dd_mul,
+                                    _two_prod, _two_sum)
 
 J0_ZERO_1 = 2.404825557695773
 J0_ZERO_2 = 5.520078110286311
 J1_ZERO_1 = 3.8317059702075125
 NORM_0_1 = 0.13475706197095866   # 0.5 * J_1(j_{0,1})^2
 J_32_PI = 0.4501581580785531     # J_{3/2}(pi) = sqrt(2/pi^2)
+
+
+def bessel_series_arrays(nu, x):
+    """The ascending series as it ran before single points got a scalar loop:
+    every term on full arrays, the divisor r (nu + r) broadcast to arrays."""
+    half = 0.5 * x
+    t0 = half ** nu / gamma_fn(nu + 1.0)
+    th, tl = t0, np.zeros_like(t0)
+    sh, sl = th.copy(), tl.copy()
+    qh, ql = _two_prod(half, half)
+    r_needed = float(np.max(half, initial=0.0))
+    zero = np.zeros_like(t0)
+    for r in range(1, 701):
+        nrh, nrl = _two_sum(nu, float(r))
+        dh, dl = _dd_mul(np.full_like(t0, float(r)), zero, nrh + zero, nrl + zero)
+        th, tl = _dd_mul(th, tl, qh + zero, ql + zero)
+        th, tl = _dd_div(th, tl, -dh, -dl)
+        sh, sl = _dd_add(sh, sl, th, tl)
+        if r > r_needed and np.all(np.abs(th) <= 1e-37 * np.maximum(1.0, np.abs(sh))):
+            break
+    return sh + sl
+
+
+# zeros and weighted norms 0.5 J_{nu+1}(mu_n)^2, n = 1..8, as computed by the
+# all-array series; the scalar series must reproduce them bit for bit
+SERIES_ZEROS_HEX = {
+    0.0: ("0x1.33d152e971b3cp+1", "0x1.6148f5b2c2e4ap+2", "0x1.14eb56cccdec6p+3",
+          "0x1.79544008272bap+3", "0x1.ddca13ef271ccp+3", "0x1.212313f8a19f0p+4",
+          "0x1.5362dd173f796p+4", "0x1.85a3b930156e4p+4"),
+    0.5: ("0x1.921fb54442d1cp+1", "0x1.921fb54442d1cp+2", "0x1.2d97c7f3321d6p+3",
+          "0x1.921fb54442d1cp+3", "0x1.f6a7a29553866p+3", "0x1.2d97c7f3321d6p+4",
+          "0x1.5fdbbe9bba779p+4", "0x1.921fb54442d1cp+4"),
+    1.0: ("0x1.ea75575af6f04p+1", "0x1.c0ff5f3b4724ap+2", "0x1.458d0d0bdfc2cp+3",
+          "0x1.aa5baf310e5a6p+3", "0x1.0787b360508c2p+4", "0x1.39da8e7416ca1p+4",
+          "0x1.6c294e3d4d8a6p+4", "0x1.9e7570dcea10ap+4"),
+    2.5: ("0x1.70dc83f69f85ap+2", "0x1.230a5533a4a74p+3", "0x1.8a55884d63e6ep+3",
+          "0x1.f077a0bbc5d05p+3", "0x1.2b064afc409cep+4", "0x1.5da9780456f90p+4",
+          "0x1.9034712171e39p+4", "0x1.c2af6e3432142p+4"),
+}
+SERIES_NORMS_HEX = {
+    0.0: ("0x1.13fb82b090002p-3", "0x1.da3c464bca642p-5", "0x1.2dd1bd44addc2p-5",
+          "0x1.baad013484044p-6", "0x1.5d7b804dbffa4p-6", "0x1.20b40c3df455cp-6",
+          "0x1.ebdd7e9225918p-7", "0x1.ac661bd6468f1p-7"),
+    0.5: ("0x1.9f02f6222c713p-4", "0x1.9f02f6222c714p-5", "0x1.14aca416c84b7p-5",
+          "0x1.9f02f6222c713p-6", "0x1.4c025e81bd271p-6", "0x1.14aca416c84b5p-6",
+          "0x1.da4c87027bef2p-7", "0x1.9f02f6222c714p-7"),
+    1.0: ("0x1.4c37724e892bbp-4", "0x1.70ecade2cdd7ap-5", "0x1.fecab94c703d7p-6",
+          "0x1.8699f314b516bp-6", "0x1.3c33383b87159p-6", "0x1.099b947b44503p-6",
+          "0x1.c9f1b18b8ce16p-7", "0x1.926f85302dcf2p-7"),
+    2.5: ("0x1.9be0ba478abf8p-5", "0x1.14523815dbd19p-5", "0x1.9eda281a4342bp-6",
+          "0x1.4bf54c6ebfacep-6", "0x1.14a773a8cdd10p-6", "0x1.da47c2b55023bp-7",
+          "0x1.9f00872c3fe14p-7", "0x1.70e4d7881f85cp-7"),
+}
 
 
 class TestGamma:
@@ -154,6 +209,37 @@ class TestBesselZeros:
         path.write_text('{"version": 99, "tables": {}}')
         with pytest.raises(CacheError):
             load_zero_cache(path)
+
+
+class TestSeriesBitwise:
+    """The scalar loop for single points and the scalar term divisor give
+    the bits of the all-array series they replaced."""
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5, 10.0])
+    @pytest.mark.parametrize("size", [2, 15, 1000])
+    def test_arrays(self, nu, size):
+        rng = np.random.default_rng(size)
+        x = np.concatenate([[40.0], rng.uniform(0.0, 40.0, size - 1)])
+        x[x == 0.0] = 1e-3
+        assert np.array_equal(_bessel_series(nu, x), bessel_series_arrays(nu, x))
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5, 10.0])
+    def test_single_points(self, nu):
+        xs = np.concatenate([[1e-300, 1e-8, 0.5, 1.0, 2.404825557695773, 39.999, 40.0],
+                             np.random.default_rng(7).uniform(0.0, 40.0, 25)])
+        for x in xs:
+            one = np.array([x])
+            got = _bessel_series(nu, one)
+            assert got.shape == (1,)
+            assert got[0].hex() == bessel_series_arrays(nu, one)[0].hex(), x
+
+    @pytest.mark.parametrize("nu", sorted(SERIES_ZEROS_HEX))
+    def test_zeros_and_norms(self, nu):
+        table = BesselZeroTable(nu=nu)   # a fresh table: the zeros are found now
+        table.extend_to(8)
+        assert [z.hex() for z in table.zeros] == list(SERIES_ZEROS_HEX[nu])
+        norms = [bessel_norm_sq(nu, n).hex() for n in range(1, 9)]
+        assert norms == list(SERIES_NORMS_HEX[nu])
 
 
 class TestBesselNorm:
