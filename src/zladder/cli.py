@@ -3,10 +3,12 @@
 Verbs: `z eval`, `specfun zeros`, `ladder build|query|invert|retardation`,
 `verify baseline|theorem1|corollary|theorem2|sanity`, `plot-data`, `run`,
 `report`.  `verify F` is `run --equations F`: the same reports, the same
-judgement and the same exit code.  Ladder verbs and plans cache the ladder in
-`<cache root>/ladder-<ladder config hash>.json` unless `--cache` names a
-file; a cache written under an older naming scheme is not read, and the
-ladder is rebuilt once.  `report` lists the exactness (sanity) rows of an
+judgement and the same exit code.  Ladder verbs and plans cache the ladder's
+checkpoints in `<cache root>/ladder-<ladder config hash>.npz` unless `--cache`
+names a file (written under exactly that name).  A default cache under an
+older name (`.json`) is not read, and the ladder is rebuilt once; a `--cache`
+file in the older JSON format is rejected (exit 65) until `ladder build
+--rebuild` replaces it.  `report` lists the exactness (sanity) rows of an
 equation apart from its asymptotic rows, as `E2_x/sanity`.
 
 Exit codes: 0 success, 1 exactness-layer failure, 2 asymptotic (soft)
@@ -236,19 +238,30 @@ def _cmd_ladder_invert(args) -> int:
     return EXIT_OK
 
 
+def _write_csv(out, header: str, rows) -> None:
+    """Write a header and rows of repr'd fields to `out` ('-' or None =
+    stdout).  Callers compute every row first, so a run that fails leaves an
+    existing `out` file as it was."""
+    text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    if out in (None, "-"):
+        sys.stdout.write(f"{header}\n{text}")
+    else:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(f"{header}\n{text}")
+
+
+def _t_grid(args) -> np.ndarray:
+    return np.arange(args.t_from, args.t_to + 0.5 * args.step, args.step)
+
+
+def _retardation_rows(table, args) -> list:
+    return [(r.t, r.lag, r.expected, r.ratio)
+            for r in retardation_report(table, _t_grid(args))]
+
+
 def _cmd_ladder_retardation(args) -> int:
-    cfg = _config_from_args(args)
-    table = _get_ladder(cfg)
-    ts = np.arange(args.t_from, args.t_to + 0.5 * args.step, args.step)
-    rows = retardation_report(table, ts)
-    out = sys.stdout if args.out in (None, "-") else open(args.out, "w", encoding="utf-8")
-    try:
-        out.write("t,lag,expected,ratio\n")
-        for r in rows:
-            out.write(f"{r.t!r},{r.lag!r},{r.expected!r},{r.ratio!r}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    rows = _retardation_rows(_get_ladder(_config_from_args(args)), args)
+    _write_csv(args.out, "t,lag,expected,ratio", rows)
     return EXIT_OK
 
 
@@ -301,43 +314,25 @@ def _cmd_verify(args) -> int:
     return _cmd_run(args)
 
 
+def _plot_rows(args, cfg: RunConfig) -> tuple[str, list]:
+    """CSV header and rows of one plot-data target."""
+    if args.what == "z_trace":
+        ts = _t_grid(args)
+        return "t,z", list(zip(ts.tolist(), cfg.evaluator().z(ts).tolist()))
+    table = _get_ladder(cfg)
+    if args.what == "ladder":
+        ts = _t_grid(args)
+        return "t,phi1,t_minus_phi1", [(t, p, t - p) for t, p in
+                                       zip(ts.tolist(), table.eval(ts).tolist())]
+    if args.what == "retardation":
+        return "t,lag,expected,ratio", _retardation_rows(table, args)
+    grid = np.linspace(table.invert(args.T), table.invert(args.T + 1.0), args.points)
+    return "t,envelope,abs_z", V.envelope_23(table, args.T, args.nu_single, args.n, grid)
+
+
 def _cmd_plot_data(args) -> int:
-    cfg = _config_from_args(args)
-    out = sys.stdout if args.out in (None, "-") else open(args.out, "w", encoding="utf-8")
-    try:
-        if args.what == "z_trace":
-            ev = cfg.evaluator()
-            ts = np.arange(args.t_from, args.t_to + 0.5 * args.step, args.step)
-            zs = ev.z(ts)
-            out.write("t,z\n")
-            for t, z in zip(ts.tolist(), zs.tolist()):
-                out.write(f"{t!r},{z!r}\n")
-            return EXIT_OK
-        table = _get_ladder(cfg)
-        if args.what == "ladder":
-            ts = np.arange(args.t_from, args.t_to + 0.5 * args.step, args.step)
-            phis = table.eval(ts)
-            out.write("t,phi1,t_minus_phi1\n")
-            for t, p in zip(ts.tolist(), phis.tolist()):
-                out.write(f"{t!r},{p!r},{t - p!r}\n")
-        elif args.what == "retardation":
-            ts = np.arange(args.t_from, args.t_to + 0.5 * args.step, args.step)
-            out.write("t,lag,expected,ratio\n")
-            for r in retardation_report(table, ts):
-                out.write(f"{r.t!r},{r.lag!r},{r.expected!r},{r.ratio!r}\n")
-        elif args.what == "envelope":
-            a = table.invert(args.T)
-            b = table.invert(args.T + 1.0)
-            grid = np.linspace(a, b, args.points)
-            rows = V.envelope_23(table, args.T, args.nu_single, args.n, grid)
-            out.write("t,envelope,abs_z\n")
-            for t, e, z in rows:
-                out.write(f"{t!r},{e!r},{z!r}\n")
-        else:
-            raise DomainError(f"unknown plot-data target {args.what!r}")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    header, rows = _plot_rows(args, _config_from_args(args))
+    _write_csv(args.out, header, rows)
     return EXIT_OK
 
 

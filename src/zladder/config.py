@@ -13,7 +13,7 @@ Sections and keys (all optional; defaults shown):
     anchor_t0 =            ; blank -> t_lo + 10
     tol = 1e-8
     h = 0.05
-    cache =                ; blank -> <cache_root>/ladder-<ladder config hash>.json
+    cache =                ; blank -> <cache_root>/ladder-<ladder config hash>.npz
 
     [plan]
     equations = baseline theorem1 sanity theorem2 corollary
@@ -36,8 +36,8 @@ Sections and keys (all optional; defaults shown):
 Flags win over file values.  The default ladder cache is named by the same
 hash that `LadderTable.config_hash` records in the cache file and in every
 report row: the ladder domain, anchor, step, tolerance, panel rule and
-evaluator configuration.  Caches written under the names older versions used
-are not read; the ladder is rebuilt once under its new name.
+evaluator configuration.  Default caches under the names older versions used
+(JSON files) are not read; the ladder is rebuilt once as `ladder-<hash>.npz`.
 """
 
 from __future__ import annotations
@@ -203,4 +203,4 @@ class RunConfig:
             return self.cache
         digest = ladder_config_hash(self.evaluator(), self.t_lo, self.t_hi,
                                     self.anchor(), self.h, self.tol)
-        return os.path.join(cache_root(), f"ladder-{digest}.json")
+        return os.path.join(cache_root(), f"ladder-{digest}.npz")

@@ -2,27 +2,29 @@
 inversion, the pushforward (change-of-variables) integral, and the retardation
 diagnostic against (1 - c) * pi(t).
 
-The ladder is represented by checkpoints on a grid of step <= h anchored at
-anchor_t0 (so the anchor lands exactly on a checkpoint).  Each panel integral
-is a pair of 7-point Gauss rules on its halves with the whole-panel rule as a
-Richardson check; panels whose check exceeds their tolerance share, and panels
-on which Z changes sign, are subdivided.  Checkpoint prefix sums are carried
-in extended precision.  Between checkpoints phi_1 is evaluated by the same
-partial-panel Gauss rule, clamped to the checkpoint bracket, which keeps the
-table exactly consistent (checkpoint queries return stored values bitwise) and
-monotone.
+The ladder is stored as its checkpoints: the panel edges and the values of
+phi_1 there.  The base grid has step <= h and is anchored at anchor_t0 (so the
+anchor lands exactly on a checkpoint).  Each panel integral is a pair of
+7-point Gauss rules on its halves with the whole-panel rule as a Richardson
+check; base panels on which Z changes sign among the Gauss nodes, and panels
+whose check exceeds their tolerance share, are halved, round after round.  Checkpoint prefix sums
+are carried in extended precision.  Between checkpoints phi_1 is evaluated by
+the same partial-panel Gauss rule, clamped to the checkpoint bracket, which
+keeps the table exactly consistent (checkpoint queries return stored values
+bitwise) and monotone.  `save` and `load` keep the checkpoints in a versioned
+`.npz` file, which `load` checks against the configuration it records.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._atomic import atomic_text_writer
+from ._atomic import atomic_writer
 from .exceptions import (AdmissibilityError, CacheError, ConvergenceError,
                          DomainError, ToleranceNotMetError)
 from .quadrature import GAUSS7_NODES, GAUSS7_WEIGHTS, integrate_adaptive
@@ -34,7 +36,10 @@ ONE_MINUS_C = 1.0 - EULER_C
 _E = math.e
 _NODES01 = (GAUSS7_NODES + 1.0) / 2.0
 _LD = np.longdouble
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
+_CACHE_SCALARS = ("config_hash", "t_lo", "t_hi", "anchor_t0", "h", "tol",
+                  "rs_correction_order", "oracle_terms", "t_min_rs",
+                  "anchor_value", "residual_total")
 
 _BUILD_CHUNK = 3000          # panels per evaluation batch
 _MAX_SPLIT_ROUNDS = 30
@@ -103,8 +108,7 @@ class LadderTable:
     """Monotone checkpointed representation of phi_1 over [t_lo, t_hi]."""
 
     def __init__(self, *, evaluator, t_lo, t_hi, anchor_t0, anchor_value,
-                 h, build_tolerance, edges, phi, base_step_count,
-                 split_base_indices, extra_edges, residual_total):
+                 h, build_tolerance, edges, phi, residual_total):
         self.evaluator = evaluator
         self.t_lo = float(t_lo)
         self.t_hi = float(t_hi)
@@ -114,9 +118,6 @@ class LadderTable:
         self.build_tolerance = float(build_tolerance)
         self.edges = np.asarray(edges, dtype=float)
         self.phi = np.asarray(phi, dtype=float)
-        self._base_step_count = int(base_step_count)
-        self._split_base_indices = np.asarray(split_base_indices, dtype=np.int64)
-        self._extra_edges = np.asarray(extra_edges, dtype=float)
         self.residual_total = float(residual_total)
         self._breakpoints: dict[tuple[float, float], np.ndarray] = {}
         self._inverses: dict[float, float] = {}
@@ -269,82 +270,64 @@ class LadderTable:
     # -- persistence --
 
     def save(self, path) -> None:
-        doc = {
-            "version": _CACHE_VERSION,
-            "config_hash": self.config_hash(),
-            "builder": {
-                "t_lo": self.t_lo, "t_hi": self.t_hi,
-                "anchor_t0": self.anchor_t0, "h": self.h,
-                "tol": self.build_tolerance,
-                "rs_correction_order": self.evaluator.rs_correction_order,
-                "oracle_terms": self.evaluator.oracle_terms,
-                "t_min_rs": self.evaluator.t_min_rs,
-            },
-            "anchor_value": self.anchor_value,
-            "base_step_count": self._base_step_count,
-            "split_base_indices": self._split_base_indices.tolist(),
-            "extra_edges": self._extra_edges.tolist(),
-            "residual_total": self.residual_total,
-            "phi": self.phi.tolist(),
+        """Write the table to `path`, under exactly that name, as a version-2
+        `.npz` of the checkpoints and the configuration; replaced atomically."""
+        fields = {
+            "version": _CACHE_VERSION, "config_hash": self.config_hash(),
+            "t_lo": self.t_lo, "t_hi": self.t_hi, "anchor_t0": self.anchor_t0,
+            "h": self.h, "tol": self.build_tolerance,
+            "rs_correction_order": self.evaluator.rs_correction_order,
+            "oracle_terms": self.evaluator.oracle_terms,
+            "t_min_rs": self.evaluator.t_min_rs,
+            "anchor_value": self.anchor_value, "residual_total": self.residual_total,
+            "edges": self.edges, "phi": self.phi,
         }
-        with atomic_text_writer(path) as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+        with atomic_writer(path, binary=True) as fh:
+            np.savez(fh, **fields)
 
     @classmethod
     def load(cls, path, evaluator: ZEvaluator) -> "LadderTable":
+        """The table `save` wrote to `path`.  Raises `CacheError` for a file
+        that is not such a cache, or whose checkpoints contradict the
+        configuration it records or the evaluator's."""
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            with np.load(path, allow_pickle=False) as doc:
+                if int(doc["version"]) != _CACHE_VERSION:
+                    raise CacheError(f"ladder cache {path} has unsupported version")
+                b = {key: doc[key].item() for key in _CACHE_SCALARS}
+                table = cls(evaluator=evaluator, t_lo=b["t_lo"], t_hi=b["t_hi"],
+                            anchor_t0=b["anchor_t0"], anchor_value=b["anchor_value"],
+                            h=b["h"], build_tolerance=b["tol"], edges=doc["edges"],
+                            phi=doc["phi"], residual_total=b["residual_total"])
+        except (OSError, EOFError, KeyError, TypeError, ValueError, AttributeError,
+                zipfile.BadZipFile) as exc:
             raise CacheError(f"ladder cache {path} unreadable: {exc}") from exc
-        if not isinstance(doc, dict) or doc.get("version") != _CACHE_VERSION:
-            raise CacheError(f"ladder cache {path} has unsupported version")
-        try:
-            b = doc["builder"]
-            table = cls._assemble(
-                evaluator=evaluator,
-                t_lo=b["t_lo"], t_hi=b["t_hi"], anchor_t0=b["anchor_t0"],
-                h=b["h"], tol=b["tol"],
-                anchor_value=doc["anchor_value"],
-                base_step_count=doc["base_step_count"],
-                split_base_indices=np.asarray(doc["split_base_indices"], dtype=np.int64),
-                extra_edges=np.asarray(doc["extra_edges"], dtype=float),
-                phi=np.asarray(doc["phi"], dtype=float),
-                residual_total=doc["residual_total"],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CacheError(f"ladder cache {path} is corrupt: {exc}") from exc
         if (evaluator.rs_correction_order, evaluator.oracle_terms, evaluator.t_min_rs) != \
                 (b["rs_correction_order"], b["oracle_terms"], b["t_min_rs"]):
             raise CacheError("ladder cache was built with a different evaluator config")
-        if doc.get("config_hash") != table.config_hash():
+        if b["config_hash"] != table.config_hash():
             raise CacheError("ladder cache config hash mismatch; refusing to reuse")
-        if len(table.phi) != len(table.edges):
-            raise CacheError("ladder cache checkpoint count mismatch")
-        if not (np.all(np.isfinite(table.edges)) and np.all(np.diff(table.edges) > 0.0)):
-            raise CacheError("ladder cache checkpoints are not finite and strictly increasing")
-        if not (np.all(np.isfinite(table.phi)) and np.all(np.diff(table.phi) >= 0.0)):
-            raise CacheError("ladder cache values are not finite and nondecreasing")
+        edges, phi = table.edges, table.phi
+        if not (edges.ndim == phi.ndim == 1 and len(edges) == len(phi) >= 2):
+            raise CacheError("ladder cache needs equal-length 1-D checkpoints and values")
+        if not (np.all(np.isfinite(edges)) and np.all(np.isfinite(phi))):
+            raise CacheError("ladder cache checkpoints or values are not finite")
+        if not (np.all(np.diff(edges) > 0.0)
+                and edges[0] == table.t_lo and edges[-1] == table.t_hi):
+            raise CacheError("ladder cache checkpoints do not increase strictly "
+                             "from t_lo to t_hi")
+        k0 = int(np.searchsorted(edges, table.anchor_t0))
+        if not (k0 < len(edges) and edges[k0] == table.anchor_t0
+                and phi[k0] == table.anchor_value):
+            raise CacheError("ladder cache anchor is not a checkpoint holding "
+                             "the anchor value")
+        if not np.all(np.diff(phi) >= 0.0):
+            raise CacheError("ladder cache values are not nondecreasing")
         return table
-
-    @classmethod
-    def _assemble(cls, *, evaluator, t_lo, t_hi, anchor_t0, h, tol, anchor_value,
-                  base_step_count, split_base_indices, extra_edges, phi,
-                  residual_total) -> "LadderTable":
-        base = _base_edges(t_lo, t_hi, anchor_t0, h, base_step_count,
-                           seam=evaluator.t_min_rs)
-        mids = 0.5 * (base[split_base_indices] + base[split_base_indices + 1])
-        edges = np.sort(np.concatenate([base, mids, extra_edges]))
-        return cls(evaluator=evaluator, t_lo=t_lo, t_hi=t_hi, anchor_t0=anchor_t0,
-                   anchor_value=anchor_value, h=h, build_tolerance=tol,
-                   edges=edges, phi=phi, base_step_count=base_step_count,
-                   split_base_indices=split_base_indices, extra_edges=extra_edges,
-                   residual_total=residual_total)
 
 
 def _base_edges(t_lo: float, t_hi: float, anchor_t0: float, h: float,
-                n_down: int, seam: float | None = None) -> np.ndarray:
+                seam: float) -> np.ndarray:
     """Checkpoint grid of step h through anchor_t0, clamped to [t_lo, t_hi].
 
     The evaluator's RS/oracle dispatch threshold is inserted as an extra edge
@@ -356,11 +339,12 @@ def _base_edges(t_lo: float, t_hi: float, anchor_t0: float, h: float,
     points that rounding puts at or beyond either end are dropped, so no
     panel is empty or reversed.
     """
+    n_down = int(math.ceil((anchor_t0 - t_lo) / h - 1e-12))
     n_up = int(math.ceil((t_hi - anchor_t0) / h - 1e-12))
     inner = anchor_t0 + h * np.arange(-n_down + 1, n_up, dtype=float)
     inner = inner[(inner > t_lo) & (inner < t_hi)]
     edges = np.concatenate([[t_lo], inner, [t_hi]])
-    if seam is not None and t_lo < seam < t_hi and seam not in edges:
+    if t_lo < seam < t_hi and seam not in edges:
         edges = np.insert(edges, np.searchsorted(edges, seam), seam)
     return edges
 
@@ -373,7 +357,10 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
     phi_1(t) = anchor_value + int_{anchor_t0}^t Ztilde^2, with
     anchor_value = anchor_t0 - (1 - c) pi(anchor_t0).  Panels are Gauss-7
     half-pairs checked by Richardson extrapolation against their width's
-    share of `tol`; Z sign-change panels are pre-split once.
+    share of `tol`.  One refinement loop halves the flagged panels: round 0
+    is the base grid, where panels with a Z sign change among their Gauss
+    nodes are flagged too; each later round holds the children of the panels
+    flagged in the round before.
     """
     t_lo = float(t_lo)
     t_hi = float(t_hi)
@@ -389,17 +376,9 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
     if not 0.0 < h <= 0.05:
         raise DomainError("checkpoint step must satisfy 0 < h <= 0.05")
 
-    n_down = int(math.ceil((anchor_t0 - t_lo) / h - 1e-12))
-    base = _base_edges(t_lo, t_hi, anchor_t0, h, n_down, seam=evaluator.t_min_rs)
+    base = _base_edges(t_lo, t_hi, anchor_t0, h, seam=evaluator.t_min_rs)
     n_base = len(base) - 1
     span = t_hi - t_lo
-
-    lo_all = base[:-1]
-    hi_all = base[1:]
-    values = np.empty(n_base)
-    resids = np.empty(n_base)
-    floors = np.empty(n_base)
-    signflip = np.zeros(n_base, dtype=bool)
     eps = np.finfo(float).eps
 
     def panel_batch(lo, hi):
@@ -426,63 +405,42 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
         floor = 32.0 * eps * (hi - lo) * phase * (zmax + 1.0) / np.log(mid)
         return value, np.abs(i_full - value), floor, flips
 
-    for i0 in range(0, n_base, _BUILD_CHUNK):
-        i1 = min(n_base, i0 + _BUILD_CHUNK)
-        (values[i0:i1], resids[i0:i1],
-         floors[i0:i1], signflip[i0:i1]) = panel_batch(lo_all[i0:i1], hi_all[i0:i1])
-
-    budget = tol * (hi_all - lo_all) / span
-    flagged = signflip | (resids > np.maximum(budget, floors))
-    split_base = np.nonzero(flagged)[0]
-
-    # working set: children of flagged panels; kept panels remember whether
-    # they were certified by their budget share (systematic part) or only by
-    # the noise floor (random part, accumulated in quadrature below)
-    keep = ~flagged
-    seg_lo = [lo_all[keep]]
-    seg_hi = [hi_all[keep]]
-    seg_val = [values[keep]]
-    seg_res = [resids[keep]]
-    seg_by_budget = [resids[keep] <= budget[keep]]
-
-    pend_lo = lo_all[flagged]
-    pend_hi = hi_all[flagged]
-    extra_edges: list[float] = []
+    # kept panels remember whether they were certified by their budget share
+    # (systematic part) or only by the noise floor (random part, accumulated
+    # in quadrature below)
+    seg_lo, seg_val, seg_res, seg_by_budget = [], [], [], []
+    lo, hi = base[:-1], base[1:]
     rounds = 0
-    first_round = True
     panel_total = n_base
     panel_cap = max(4 * n_base, n_base + 100_000)
-    while len(pend_lo):
+    while True:
+        val = np.empty(len(lo))
+        res = np.empty(len(lo))
+        floor = np.empty(len(lo))
+        flips = np.empty(len(lo), dtype=bool)
+        for i0 in range(0, len(lo), _BUILD_CHUNK):
+            c = slice(i0, i0 + _BUILD_CHUNK)
+            val[c], res[c], floor[c], flips[c] = panel_batch(lo[c], hi[c])
+        budget = tol * (hi - lo) / span
+        bad = res > np.maximum(budget, floor)
+        if rounds == 0:
+            bad |= flips   # sign-change panels are split in the base round only
+        keep = ~bad
+        seg_lo.append(lo[keep])
+        seg_val.append(val[keep])
+        seg_res.append(res[keep])
+        seg_by_budget.append(res[keep] <= budget[keep])
+        lo, hi = lo[bad], hi[bad]
+        if not len(lo):
+            break
         rounds += 1
-        panel_total += len(pend_lo)
+        panel_total += len(lo)
         if rounds > _MAX_SPLIT_ROUNDS or panel_total > panel_cap:
             raise ToleranceNotMetError(
-                f"panel refinement exhausted ({len(pend_lo)} panels still above "
+                f"panel refinement exhausted ({len(lo)} panels still above "
                 f"their tolerance share after {rounds - 1} rounds)")
-        mid = 0.5 * (pend_lo + pend_hi)
-        if not first_round:
-            extra_edges.extend(mid.tolist())
-        child_lo = np.concatenate([pend_lo, mid])
-        child_hi = np.concatenate([mid, pend_hi])
-        c_val = np.empty_like(child_lo)
-        c_res = np.empty_like(child_lo)
-        c_floor = np.empty_like(child_lo)
-        c_flip = np.zeros(len(child_lo), dtype=bool)
-        for i0 in range(0, len(child_lo), _BUILD_CHUNK):
-            i1 = min(len(child_lo), i0 + _BUILD_CHUNK)
-            (c_val[i0:i1], c_res[i0:i1],
-             c_floor[i0:i1], c_flip[i0:i1]) = panel_batch(child_lo[i0:i1],
-                                                          child_hi[i0:i1])
-        c_budget = tol * (child_hi - child_lo) / span
-        bad = c_res > np.maximum(c_budget, c_floor)  # sign forcing applies once
-        seg_lo.append(child_lo[~bad])
-        seg_hi.append(child_hi[~bad])
-        seg_val.append(c_val[~bad])
-        seg_res.append(c_res[~bad])
-        seg_by_budget.append(c_res[~bad] <= c_budget[~bad])
-        pend_lo = child_lo[bad]
-        pend_hi = child_hi[bad]
-        first_round = False
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
 
     lo_fin = np.concatenate(seg_lo)
     order = np.argsort(lo_fin, kind="stable")
@@ -519,10 +477,7 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
     return LadderTable(
         evaluator=evaluator, t_lo=t_lo, t_hi=t_hi, anchor_t0=anchor_t0,
         anchor_value=float(anchor_value), h=h, build_tolerance=tol,
-        edges=edges, phi=phi, base_step_count=n_down,
-        split_base_indices=split_base,
-        extra_edges=np.asarray(sorted(extra_edges), dtype=float),
-        residual_total=certified)
+        edges=edges, phi=phi, residual_total=certified)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._atomic import atomic_text_writer
-from ..exceptions import ConvergenceError, DomainError
+from .._atomic import atomic_writer
+from ..exceptions import CacheError, ConvergenceError, DomainError
 from .gamma import gamma_fn
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
@@ -300,31 +300,44 @@ def save_zero_cache(path) -> None:
             "version": _ZERO_CACHE_VERSION,
             "tables": {repr(nu): t.to_dict() for nu, t in sorted(_TABLES.items())},
         }
-    with atomic_text_writer(path) as fh:
+    with atomic_writer(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
 def load_zero_cache(path) -> int:
-    """Merge a cache file into the in-memory tables; returns tables loaded."""
-    from ..exceptions import CacheError
+    """Merge a cache file into the in-memory tables; returns tables loaded.
 
+    Raises `CacheError`, merging nothing, unless the file is UTF-8 JSON of
+    the current version whose tables are keyed by a finite nu > -1 and hold
+    finite, positive, strictly increasing zeros.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also a file that is not UTF-8
             raise CacheError(f"bessel zero cache {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("version") != _ZERO_CACHE_VERSION:
         raise CacheError(f"bessel zero cache {path} has unsupported version")
-    count = 0
-    with _TABLES_LOCK:
+    tables = []
+    try:
         for key, payload in doc.get("tables", {}).items():
             nu = float(key)
-            table = _TABLES.setdefault(nu, BesselZeroTable(nu=nu))
             zeros = [float(z) for z in payload["zeros"]]
+            bound = float(payload.get("residual_bound", 0.0))
+            z = np.array(zeros)
+            if not (np.isfinite(nu) and nu > -1.0 and np.all(np.isfinite(z))
+                    and np.all(z > 0.0) and np.all(np.diff(z) > 0.0)):
+                raise CacheError(f"bessel zero cache {path}: table {key!r} is not "
+                                 f"finite, positive, increasing zeros of an order "
+                                 f"nu > -1")
+            tables.append((nu, zeros, bound))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CacheError(f"bessel zero cache {path} is malformed: {exc}") from exc
+    with _TABLES_LOCK:
+        for nu, zeros, bound in tables:
+            table = _TABLES.setdefault(nu, BesselZeroTable(nu=nu))
             if len(zeros) > len(table.zeros):
                 table.zeros = zeros
-                table.residual_bound = max(table.residual_bound,
-                                           float(payload.get("residual_bound", 0.0)))
-            count += 1
-    return count
+                table.residual_bound = max(table.residual_bound, bound)
+    return len(tables)

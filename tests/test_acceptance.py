@@ -38,7 +38,7 @@ def big_ladder(ev, timings):
     cache_dir = os.environ.get(
         "ZLADDER_TEST_CACHE",
         os.path.join(os.path.dirname(__file__), "..", ".cache"))
-    path = os.path.join(cache_dir, "acceptance-ladder.json")
+    path = os.path.join(cache_dir, "acceptance-ladder.npz")
     meta_path = path + ".meta"
     if os.path.exists(path):
         try:
@@ -268,7 +268,7 @@ def test_criterion_8_engineering(big_ladder, ev, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("ZLADDER_CACHE_ROOT", str(tmp_path / "cache"))
 
     # cache round-trip bit-stability on the acceptance ladder
-    path = tmp_path / "big.json"
+    path = tmp_path / "big.npz"
     big_ladder.save(path)
     again = LadderTable.load(path, ev)
     probe = np.linspace(big_ladder.t_lo, big_ladder.t_hi, 401)

@@ -51,6 +51,29 @@ class TestSpecfunZeros:
         doc2 = json.loads(capsys.readouterr().out)
         assert doc2["zeros"][:3] == doc["zeros"]
 
+    @pytest.mark.parametrize("body", [
+        b'{"version":1,"tables":{"0.0":{}}}',
+        b'{"version":1,"tables":{"abc":{"zeros":[2.404825557695773]}}}',
+        b'\xff\xfe{"version":1,"tables":{}}',
+        b'{"version":1,"tables":{"0.0":{"zeros":[9.0, 1.0]}}}',
+        b'{"version":1,"tables":{"0.0":{"zeros":[-2.0, 5.5]}}}',
+        b'{"version":1,"tables":{"0.0":{"zeros":[2.4, NaN]}}}',
+        b'{"version":1,"tables":{"0.0":{"zeros":[2.4, Infinity]}}}',
+        b'{"version":1,"tables":{"-3.0":{"zeros":[2.4]}}}',
+        b'{"version":1,"tables":{"0.0":{"zeros":2.4}}}',
+        b'{"version":1,"tables":{"0.0":{"zeros":[2.4],"residual_bound":"x"}}}',
+        b'{"version":1,"tables":[]}',
+        b'{"version":2,"tables":{}}',
+    ])
+    def test_malformed_cache_exit(self, capsys, tmp_path, body):
+        path = tmp_path / "zeros.json"
+        path.write_bytes(body)
+        assert run_cli("specfun", "zeros", "--nu", "0", "--count", "2",
+                       "--cache-file", str(path)) == EXIT_CACHE
+        out, err = capsys.readouterr()
+        assert out == "" and "bessel zero cache" in err
+        assert path.read_bytes() == body
+
 
 class TestLadderVerbs:
     def test_build_query_invert(self, capsys, cache_env):
@@ -86,7 +109,7 @@ class TestLadderVerbs:
     def test_cache_named_by_ladder_hash(self, capsys, cache_env):
         assert run_cli("ladder", "build", *LADDER_ARGS) == EXIT_OK
         built = json.loads(capsys.readouterr().out)
-        assert os.path.basename(built["cache"]) == f"ladder-{built['config_hash']}.json"
+        assert os.path.basename(built["cache"]) == f"ladder-{built['config_hash']}.npz"
         ints = RunConfig(t_lo=1000, t_hi=1090, tol=1e-9)
         assert ints.ladder_cache_path() == built["cache"]
 
@@ -207,6 +230,22 @@ class TestPlotData:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "t,envelope,abs_z"
         assert len(lines) == 1001
+
+    def test_failed_run_keeps_existing_out(self, capsys, cache_env):
+        assert run_cli("ladder", "build", *LADDER_ARGS) == EXIT_OK
+        built = json.loads(capsys.readouterr().out)
+        with open(built["cache"], "w") as fh:
+            fh.write("{broken")
+        out = cache_env / "ladder.csv"
+        out.write_text("t,phi1,t_minus_phi1\n1005.0,1.0,2.0\n")
+        for what in ("ladder", "retardation"):
+            assert run_cli("plot-data", "--what", what, *LADDER_ARGS, "--from", "1005",
+                           "--to", "1006", "--step", "0.5",
+                           "--out", str(out)) == EXIT_CACHE
+            assert out.read_text() == "t,phi1,t_minus_phi1\n1005.0,1.0,2.0\n"
+        assert run_cli("ladder", "retardation", *LADDER_ARGS, "--from", "1010",
+                       "--to", "1060", "--out", str(out)) == EXIT_CACHE
+        assert out.read_text() == "t,phi1,t_minus_phi1\n1005.0,1.0,2.0\n"
 
     def test_z_trace_sign_changes_match_oracle(self, capsys, cache_env):
         assert run_cli("plot-data", "--what", "z_trace",

@@ -10,6 +10,7 @@ from zladder import (AdmissibilityError, CacheError, ConvergenceError,
                      bessel_j, bessel_norm_sq, bessel_zero, build_ladder,
                      integrate_adaptive, log_stability_check,
                      pushforward_integral, retardation_report, ztilde_sq)
+from zladder.quadrature import GAUSS7_NODES
 
 FIRST_ZETA_ZERO = 14.134725141734695
 
@@ -47,9 +48,7 @@ def shifted(table, k0):
         evaluator=table.evaluator, t_lo=table.t_lo, t_hi=table.t_hi,
         anchor_t0=table.anchor_t0, anchor_value=table.anchor_value, h=table.h,
         build_tolerance=table.build_tolerance, edges=table.edges,
-        phi=table.phi - table.phi[k0], base_step_count=table._base_step_count,
-        split_base_indices=table._split_base_indices,
-        extra_edges=table._extra_edges, residual_total=table.residual_total)
+        phi=table.phi - table.phi[k0], residual_total=table.residual_total)
 
 
 def points_in_panels(table, panels, per_panel, rng):
@@ -122,11 +121,20 @@ class TestBuild:
         assert np.max(np.diff(small_ladder.edges)) <= 0.05 + 1e-12
 
     def test_sign_change_panels_were_split(self, ev, small_ladder):
+        # a base panel is split when Z changes sign among its 21 Gauss nodes,
+        # so every zero farther from its base panel's edges than the outermost
+        # half-panel node sits in a panel narrower than h.  A zero closer to
+        # an edge leaves its panel whole: 1001.3495 lies 5.2e-4 below the
+        # edge 1001.35, and the node margin is 6.4e-4.
         zeros = ev.zero_scan(1000.0, 1010.0, step=0.05)
         assert len(zeros) > 5
-        split_mids = set()
-        base = small_ladder._split_base_indices
-        assert len(base) > 0
+        h, edges = small_ladder.h, small_ladder.edges
+        base_lo = small_ladder.anchor_t0 + h * np.floor((zeros - small_ladder.anchor_t0) / h)
+        margin = (1.0 - GAUSS7_NODES.max()) / 4.0 * h
+        inside = np.minimum(zeros - base_lo, base_lo + h - zeros) > margin
+        assert np.count_nonzero(inside) >= len(zeros) - 1
+        k = np.searchsorted(edges, zeros[inside], side="right") - 1
+        assert np.all(edges[k + 1] - edges[k] < h)
 
     def test_domain_validation(self, ev):
         with pytest.raises(DomainError):
@@ -162,7 +170,7 @@ class TestBuild:
         assert abs(v - 1.0) <= 1e-9
         # cache round-trips the seam edge too
         import tempfile, os
-        path = tempfile.mktemp(suffix=".json")
+        path = tempfile.mktemp(suffix=".npz")
         try:
             table.save(path)
             again = LadderTable.load(path, ev)
@@ -449,75 +457,135 @@ class TestLogStability:
         assert log_stability_check(small_ladder, 950.0) <= 15.0
 
 
+def rewrite_cache(path, **changes):
+    """Rewrite a saved ladder cache with some fields replaced (a value of
+    None drops the field)."""
+    with np.load(path) as doc:
+        fields = {key: doc[key] for key in doc.files}
+    fields.update(changes)
+    with open(path, "wb") as fh:
+        np.savez(fh, **{k: v for k, v in fields.items() if v is not None})
+
+
 class TestCache:
     def test_roundtrip_bitwise(self, ev, small_ladder, tmp_path):
-        path = tmp_path / "ladder.json"
+        path = tmp_path / "ladder.npz"
         small_ladder.save(path)
         again = LadderTable.load(path, ev)
         assert np.array_equal(again.phi, small_ladder.phi)
         assert np.array_equal(again.edges, small_ladder.edges)
         assert again.anchor_value == small_ladder.anchor_value
+        assert again.residual_total == small_ladder.residual_total
         ts = np.linspace(1000.0, 1090.0, 57)
         assert np.array_equal(again.eval(ts), small_ladder.eval(ts))
 
+    def test_saved_under_exactly_the_given_name(self, small_ladder, tmp_path):
+        path = tmp_path / "query-ladder.json"
+        small_ladder.save(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["query-ladder.json"]
+
+    def test_two_saves_give_identical_bytes(self, small_ladder, tmp_path):
+        small_ladder.save(tmp_path / "a.npz")
+        small_ladder.save(tmp_path / "b.npz")
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
     def test_rejects_other_evaluator(self, small_ladder, tmp_path):
-        path = tmp_path / "ladder.json"
+        path = tmp_path / "ladder.npz"
         small_ladder.save(path)
         other = ZEvaluator(rs_correction_order=2)
         with pytest.raises(CacheError):
             LadderTable.load(path, other)
 
     def test_rejects_corruption(self, ev, small_ladder, tmp_path):
-        path = tmp_path / "ladder.json"
+        path = tmp_path / "ladder.npz"
         small_ladder.save(path)
-        text = path.read_text()
-        path.write_text(text[: len(text) // 2])
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(CacheError):
+            LadderTable.load(path, ev)
+
+    def test_rejects_v1_json_cache(self, ev, small_ladder, tmp_path):
+        import json
+        path = tmp_path / "ladder.json"
+        b = small_ladder
+        path.write_text(json.dumps({
+            "version": 1, "config_hash": b.config_hash(),
+            "builder": {"t_lo": b.t_lo, "t_hi": b.t_hi, "anchor_t0": b.anchor_t0,
+                        "h": b.h, "tol": b.build_tolerance,
+                        "rs_correction_order": ev.rs_correction_order,
+                        "oracle_terms": ev.oracle_terms, "t_min_rs": ev.t_min_rs},
+            "anchor_value": b.anchor_value, "base_step_count": 200,
+            "split_base_indices": [], "extra_edges": [],
+            "residual_total": b.residual_total, "phi": b.phi.tolist()}))
         with pytest.raises(CacheError):
             LadderTable.load(path, ev)
 
     def test_failed_write_keeps_previous_cache(self, ev, small_ladder, tmp_path,
                                                 monkeypatch):
-        import json
-        path = tmp_path / "ladder.json"
+        import io
+        path = tmp_path / "ladder.npz"
         small_ladder.save(path)
         before = path.read_bytes()
+        real = np.savez
 
-        def half_then_fail(doc, fh, **kw):
-            text = json.dumps(doc, **kw)
-            fh.write(text[: len(text) // 2])
+        def half_then_fail(fh, **fields):
+            buf = io.BytesIO()
+            real(buf, **fields)
+            fh.write(buf.getvalue()[: len(buf.getvalue()) // 2])
             raise OSError("simulated full disk")
 
-        monkeypatch.setattr(json, "dump", half_then_fail)
+        monkeypatch.setattr(np, "savez", half_then_fail)
         with pytest.raises(OSError, match="simulated"):
             small_ladder.save(path)
         monkeypatch.undo()
         assert path.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ladder.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ladder.npz"]
         again = LadderTable.load(path, ev)
         assert np.array_equal(again.phi, small_ladder.phi)
 
-    @pytest.mark.parametrize("tamper", ["swap_phi", "inf_edge"])
+    @pytest.mark.parametrize("tamper", [
+        "swap_phi", "inf_edge", "nan_phi", "first_edge", "last_edge",
+        "anchor_value", "anchor_off_grid", "ragged", "short", "two_d",
+        "missing_key", "string_scalar"])
     def test_rejects_tampered_data(self, ev, small_ladder, tmp_path, tamper):
         # the configuration and so the hash are intact; only the data is not
-        import json
-        path = tmp_path / "ladder.json"
+        path = tmp_path / "ladder.npz"
         small_ladder.save(path)
-        doc = json.loads(path.read_text())
-        if tamper == "swap_phi":
-            doc["phi"][10], doc["phi"][11] = doc["phi"][11], doc["phi"][10]
-        else:  # one more checkpoint, at t = inf, with a nondecreasing value
-            doc["extra_edges"].append(math.inf)
-            doc["phi"].append(doc["phi"][-1])
-        path.write_text(json.dumps(doc))
+        edges, phi = small_ladder.edges.copy(), small_ladder.phi.copy()
+        k0 = int(np.searchsorted(edges, small_ladder.anchor_t0))
+        changes = {
+            "swap_phi": lambda: {"phi": np.concatenate([phi[:10], phi[11:9:-1], phi[12:]])},
+            # one more checkpoint, at t = inf, with a nondecreasing value
+            "inf_edge": lambda: {"edges": np.append(edges, math.inf),
+                                 "phi": np.append(phi, phi[-1])},
+            "nan_phi": lambda: {"phi": np.where(np.arange(len(phi)) == 5, math.nan, phi)},
+            # increasing checkpoints that no longer start at t_lo / end at t_hi
+            "first_edge": lambda: {"edges": np.concatenate([[edges[0] - 1e-3], edges[1:]])},
+            "last_edge": lambda: {"edges": np.concatenate([edges[:-1], [edges[-1] + 1e-3]])},
+            # the anchor checkpoint holds another value, or is gone
+            "anchor_value": lambda: {"anchor_value": np.array(phi[k0] + 1e-9)},
+            "anchor_off_grid": lambda: {"edges": np.delete(edges, k0),
+                                        "phi": np.delete(phi, k0)},
+            "ragged": lambda: {"phi": phi[:-1]},
+            "short": lambda: {"edges": edges[:1], "phi": phi[:1]},
+            "two_d": lambda: {"edges": edges[None, :], "phi": phi[None, :]},
+            "missing_key": lambda: {"residual_total": None},
+            "string_scalar": lambda: {"t_lo": np.array("t_lo")},
+        }[tamper]()
+        rewrite_cache(path, **changes)
         with pytest.raises(CacheError):
             LadderTable.load(path, ev)
 
     def test_rejects_wrong_version(self, ev, small_ladder, tmp_path):
-        import json
-        path = tmp_path / "ladder.json"
+        path = tmp_path / "ladder.npz"
         small_ladder.save(path)
-        doc = json.loads(path.read_text())
-        doc["version"] = 99
-        path.write_text(json.dumps(doc))
+        rewrite_cache(path, version=np.array(99))
         with pytest.raises(CacheError):
             LadderTable.load(path, ev)
+
+    def test_untampered_rewrite_loads(self, ev, small_ladder, tmp_path):
+        # the tampering helper alone does not make a cache unreadable
+        path = tmp_path / "ladder.npz"
+        small_ladder.save(path)
+        rewrite_cache(path)
+        assert np.array_equal(LadderTable.load(path, ev).phi, small_ladder.phi)
