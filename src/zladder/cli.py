@@ -3,12 +3,13 @@
 Verbs: `z eval`, `specfun zeros`, `ladder build|query|invert|retardation`,
 `verify baseline|theorem1|corollary|theorem2|sanity`, `plot-data`, `run`,
 `report`.  `verify F` is `run --equations F`: the same reports, the same
-judgement and the same exit code.  Ladder verbs and plans cache the ladder's
-checkpoints in `<cache root>/ladder-<ladder config hash>.npz` unless `--cache`
-names a file (written under exactly that name).  A default cache under an
-older name (`.json`) is not read, and the ladder is rebuilt once; a `--cache`
-file in the older JSON format is rejected (exit 65) until `ladder build
---rebuild` replaces it.  `report` lists the exactness (sanity) rows of an
+judgement and the same exit code.  Ladder verbs and plans cache the ladder
+(checkpoints and panel coefficients) in `<cache root>/ladder-<ladder config
+hash>.npz` unless `--cache` names a file (written under exactly that name).
+A default cache of an older format has another name and is not read, so the
+ladder is rebuilt once; a `--cache` file in an older format (JSON, or a
+version-2 `.npz`) is rejected (exit 65) until `ladder build --rebuild`
+replaces it.  `report` lists the exactness (sanity) rows of an
 equation apart from its asymptotic rows, as `E2_x/sanity`.
 
 Exit codes: 0 success, 1 exactness-layer failure, 2 asymptotic (soft)
@@ -17,12 +18,9 @@ unreadable input file or an unwritable output path), 65 cache corruption or
 mismatch, or a malformed report file, 70 numeric non-convergence.
 
 All numeric output uses full round-trip precision; report files are byte
-identical across runs of the same configuration with the same BLAS thread
-count (timings are only included on request, since they are inherently
-nondeterministic).  The thread count matters because the tanh-sinh level sum
-is an `np.dot`, which OpenBLAS splits across threads above ~20,000 nodes in
-a thread-dependent order; set OPENBLAS_NUM_THREADS=1 for reports that match
-byte for byte from run to run.
+identical across runs of the same configuration, with one BLAS thread or
+two alike (timings are only included on request, since they are inherently
+nondeterministic).
 """
 
 from __future__ import annotations
@@ -391,7 +389,8 @@ def _add_ladder_opts(p):
     p.add_argument("--t-hi", dest="t_hi", type=float)
     p.add_argument("--anchor", dest="anchor_t0", type=float)
     p.add_argument("--tol", dest="tol", type=float)
-    p.add_argument("--h", dest="h", type=float)
+    p.add_argument("--h", dest="h", type=float,
+                   help="base panel width, 0 < h <= 1 (default 1)")
     p.add_argument("--cache", dest="cache")
 
 

@@ -12,7 +12,7 @@ Sections and keys (all optional; defaults shown):
     t_hi = 2000.0
     anchor_t0 =            ; blank -> t_lo + 10
     tol = 1e-8
-    h = 0.05
+    h = 1.0                ; base panel width, 0 < h <= 1
     cache =                ; blank -> <cache_root>/ladder-<ladder config hash>.npz
 
     [plan]
@@ -71,7 +71,7 @@ class RunConfig:
     t_hi: float = 2000.0
     anchor_t0: float | None = None
     tol: float = 1e-8
-    h: float = 0.05
+    h: float = 1.0
     cache: str | None = None
     # plan
     equations: tuple[str, ...] = _PLAN_EQUATIONS

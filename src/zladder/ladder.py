@@ -2,17 +2,13 @@
 inversion, the pushforward (change-of-variables) integral, and the retardation
 diagnostic against (1 - c) * pi(t).
 
-The ladder is stored as its checkpoints: the panel edges and the values of
-phi_1 there.  The base grid has step <= h and is anchored at anchor_t0 (so the
-anchor lands exactly on a checkpoint).  Each panel integral is a pair of
-7-point Gauss rules on its halves with the whole-panel rule as a Richardson
-check; base panels on which Z changes sign among the Gauss nodes, and panels
-whose check exceeds their tolerance share, are halved, round after round.  Checkpoint prefix sums
-are carried in extended precision.  Between checkpoints phi_1 is evaluated by
-the same partial-panel Gauss rule, clamped to the checkpoint bracket, which
-keeps the table exactly consistent (checkpoint queries return stored values
-bitwise) and monotone.  `save` and `load` keep the checkpoints in a versioned
-`.npz` file, which `load` checks against the configuration it records.
+On each panel a degree-32 Chebyshev polynomial p interpolates Z / sqrt(ln t)
+at the 33 Chebyshev-Lobatto points; phi_1' = p^2 >= 0, and phi_1 is its exact
+integral, a Clenshaw sum between the checkpoints (panel edges), so nothing
+after the build calls Z.  Panels have width h, with edges at anchor_t0 and at
+the RS/oracle seam, and are halved until the degree-16 interpolant through
+the nested 17 points agrees to the panel's share of the tolerance.  `save` and
+`load` keep checkpoints and coefficients in a versioned, validated `.npz`.
 """
 
 from __future__ import annotations
@@ -21,29 +17,31 @@ import hashlib
 import math
 import zipfile
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebroots
 
 from ._atomic import atomic_writer
 from .exceptions import (AdmissibilityError, CacheError, ConvergenceError,
                          DomainError, ToleranceNotMetError)
-from .quadrature import GAUSS7_NODES, GAUSS7_WEIGHTS, integrate_adaptive
+from .quadrature import integrate_adaptive
 from .rszeta import ZEvaluator
 
 EULER_C = 0.5772156649015329
 ONE_MINUS_C = 1.0 - EULER_C
 
 _E = math.e
-_NODES01 = (GAUSS7_NODES + 1.0) / 2.0
 _LD = np.longdouble
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 _CACHE_SCALARS = ("config_hash", "t_lo", "t_hi", "anchor_t0", "h", "tol",
                   "rs_correction_order", "oracle_terms", "t_min_rs",
                   "anchor_value", "residual_total")
 
+_DEGREE = 32                 # of p on every panel; the check uses DEGREE / 2
 _BUILD_CHUNK = 3000          # panels per evaluation batch
 _MAX_SPLIT_ROUNDS = 30
-_PANEL_RULE = "gauss7-halves+richardson"
+_PANEL_RULE = "cheb32-lobatto+cheb16"
 
 
 def ladder_config_hash(evaluator: ZEvaluator, t_lo: float, t_hi: float,
@@ -98,31 +96,84 @@ class PrimePi:
 
 
 # ---------------------------------------------------------------------------
-# construction
+# Chebyshev panels: every reduction runs in a fixed order on elementwise
+# operations, so no result depends on the batch or the BLAS thread count.
 
-def _gauss7_nodes(lo: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return lo[:, None] + (t - lo)[:, None] * _NODES01[None, :]
+def _lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending Chebyshev-Lobatto points x_j = -cos(pi j / n) on [-1, 1],
+    and the (n + 1, n + 1) matrix taking values there to the Chebyshev
+    coefficients of their interpolant (a DCT-I)."""
+    angles = np.pi * np.arange(n, -1, -1) / n
+    mat = np.cos(np.outer(np.arange(n + 1), angles)) * (2.0 / n)
+    mat[:, [0, -1]] *= 0.5
+    mat[[0, -1]] *= 0.5
+    return np.cos(angles), mat
+
+
+_X32, _COEF32 = _lobatto(_DEGREE)
+_COEF16 = _lobatto(_DEGREE // 2)[1]
+
+
+def _cheb_coef(vals: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients, one row per panel, of the Lobatto samples."""
+    out = np.zeros((mat.shape[0], len(vals)))
+    for j, col in enumerate(np.ascontiguousarray(vals.T)):
+        out += mat[:, j:j + 1] * col
+    return out.T
+
+
+def _antiderivative(coef: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Coefficients of int_lo^t p^2 on each panel as (2 deg + 2, panels)
+    columns: p^2 from T_i T_j = (T_{i+j} + T_{|i-j|}) / 2, then the integral
+    rule 2k b_k = a_{k-1} - a_{k+1} (a_0 doubled), b_0 making it 0 at lo."""
+    c = np.ascontiguousarray(coef.T)
+    n = len(c)
+    sq = np.zeros((2 * n + 1, c.shape[1]))   # twice p^2, two zero rows past it
+    for i, ci in enumerate(c):
+        sq[2 * i] += ci * ci
+        sq[0] += ci * ci
+        cross = 2.0 * ci * c[i + 1:]
+        sq[2 * i + 1:i + n] += cross
+        sq[1:n - i] += cross
+    sq[0] *= 2.0
+    anti = np.zeros((2 * n, c.shape[1]))
+    anti[1:] = (sq[:-2] - sq[2:]) / (4.0 * np.arange(1, 2 * n))[:, None]
+    anti[0] = -_clenshaw(anti, slice(None), np.full(c.shape[1], -1.0))
+    return anti * half
+
+
+def _clenshaw(cols: np.ndarray, k, x: np.ndarray) -> np.ndarray:
+    """sum_j cols[j, k] T_j(x), pointwise; gathers one column per step."""
+    x2 = 2.0 * x
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    for row in cols[:0:-1]:
+        b1, b2 = x2 * b1 - b2 + row[k], b1
+    return x * b1 - b2 + cols[0][k]
+
+
+def _steps(anti: np.ndarray) -> np.ndarray:   # whole-panel integrals
+    return _clenshaw(anti, slice(None), np.ones(anti.shape[1]))
 
 
 class LadderTable:
-    """Monotone checkpointed representation of phi_1 over [t_lo, t_hi]."""
+    """Monotone checkpointed representation of phi_1 over [t_lo, t_hi]:
+    checkpoints `edges`, values `phi` there, and per panel the Chebyshev
+    coefficients `coef` of p, with phi_1' = p^2 between checkpoints."""
 
     def __init__(self, *, evaluator, t_lo, t_hi, anchor_t0, anchor_value,
-                 h, build_tolerance, edges, phi, residual_total):
+                 h, build_tolerance, edges, phi, coef, residual_total):
         self.evaluator = evaluator
-        self.t_lo = float(t_lo)
-        self.t_hi = float(t_hi)
-        self.anchor_t0 = float(anchor_t0)
-        self.anchor_value = float(anchor_value)
-        self.h = float(h)
-        self.build_tolerance = float(build_tolerance)
-        self.edges = np.asarray(edges, dtype=float)
-        self.phi = np.asarray(phi, dtype=float)
+        self.t_lo, self.t_hi = float(t_lo), float(t_hi)
+        self.anchor_t0, self.anchor_value = float(anchor_t0), float(anchor_value)
+        self.h, self.build_tolerance = float(h), float(build_tolerance)
+        self.edges, self.phi, self.coef = (np.asarray(a, dtype=float)
+                                           for a in (edges, phi, coef))
         self.residual_total = float(residual_total)
+        self._mid = 0.5 * (self.edges[:-1] + self.edges[1:])
+        self._half = 0.5 * (self.edges[1:] - self.edges[:-1])
         self._breakpoints: dict[tuple[float, float], np.ndarray] = {}
         self._inverses: dict[float, float] = {}
-
-    # -- basic properties --
 
     @property
     def phi_lo(self) -> float:
@@ -136,151 +187,126 @@ class LadderTable:
         return ladder_config_hash(self.evaluator, self.t_lo, self.t_hi,
                                   self.anchor_t0, self.h, self.build_tolerance)
 
+    @cached_property
+    def _anti(self) -> np.ndarray:
+        return _antiderivative(self.coef, self._half)
+
+    def _panels(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """t flattened, its panel indices and its coordinates on them."""
+        flat = np.atleast_1d(np.asarray(t, dtype=float)).astype(float).ravel()
+        if np.any(flat < self.t_lo) or np.any(flat > self.t_hi):
+            raise DomainError(f"ladder evaluation outside [{self.t_lo}, {self.t_hi}]")
+        k = np.minimum(np.searchsorted(self.edges, flat, side="right") - 1,
+                       len(self._half) - 1)
+        return flat, k, (flat - self._mid[k]) / self._half[k]
+
     def breakpoints(self, a: float, b: float) -> np.ndarray:
-        """Z zeros on [a, b] plus the evaluator dispatch seam, for panel
-        pre-splits; scanned once per (a, b), returned read-only.  Threads
-        racing on a new interval may both scan it, with equal results."""
+        """Real roots of the panels' p in [a, b] (the zeros of Z) and the
+        evaluator dispatch seam, for quadrature pre-splits; found once per
+        (a, b) (racing threads find equal ones), returned read-only."""
         key = (float(a), float(b))
         pts = self._breakpoints.get(key)
         if pts is None:
-            pts = self.evaluator.zero_scan(*key, step=0.05)
-            seam = self.evaluator.t_min_rs
-            if key[0] < seam < key[1]:
-                pts = np.sort(np.append(pts, seam))
+            k0 = max(int(np.searchsorted(self.edges, key[0], side="right")) - 1, 0)
+            k1 = min(int(np.searchsorted(self.edges, key[1])), len(self._half))
+            pts = [np.empty(0)]
+            for k in range(k0, k1):
+                r = chebroots(self.coef[k])
+                x = r.real[(np.abs(r.imag) <= 1e-8) & (np.abs(r.real) <= 1.0 + 1e-9)]
+                pts.append(self._mid[k] + self._half[k] * x)
+            pts = np.unique(np.concatenate(pts))
+            pts = pts[(pts >= key[0]) & (pts <= key[1])]
+            pts = pts[np.diff(pts, prepend=-math.inf) > 1e-9]   # found on both sides of an edge
+            if key[0] < self.evaluator.t_min_rs < key[1]:
+                pts = np.sort(np.append(pts, self.evaluator.t_min_rs))
             pts.flags.writeable = False
             self._breakpoints[key] = pts
         return pts
 
-    # -- evaluation --
-
-    def _ztilde(self, t: np.ndarray) -> np.ndarray:
-        zv = self.evaluator.z(t)
-        return zv * zv / np.log(t)
-
-    def _partial(self, lo: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Gauss-7 integral of Ztilde^2 on [lo_i, t_i], batched."""
-        nodes = _gauss7_nodes(lo, t)
-        w = self._ztilde(nodes.ravel()).reshape(nodes.shape)
-        return (t - lo) / 2.0 * (w @ GAUSS7_WEIGHTS)
+    def ztilde_sq(self, t) -> float | np.ndarray:
+        """p(t)^2, the stored derivative of phi_1 (Ztilde^2 to the build
+        tolerance); t in [t_lo, t_hi]."""
+        flat, k, x = self._panels(t)
+        out = _clenshaw(self.coef.T, k, x) ** 2
+        return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
     def eval(self, t) -> float | np.ndarray:
-        """phi_1(t); checkpoint queries return stored values exactly.
-
-        Off-checkpoint points take the Gauss-7 integral from their panel's
-        left edge, in two halves past the panel midpoint.  The first half is
-        integrated once per distinct panel in the call and shared by its
-        points.  Its Z batch holds the same node values without duplicates,
-        so it keeps the batch's longest main sum, and the results are the
-        bits of integrating it once per point whenever that batch was one
-        `z_rs` block (see `ZEvaluator`).
-        """
-        ta = np.asarray(t, dtype=float)
-        scalar = ta.ndim == 0
-        flat = np.atleast_1d(ta).astype(float).ravel()
-        if np.any(flat < self.t_lo) or np.any(flat > self.t_hi):
-            raise DomainError(f"ladder evaluation outside [{self.t_lo}, {self.t_hi}]")
-        out = np.empty_like(flat)
-
-        j = np.searchsorted(self.edges, flat, side="left")
-        exact = (j < len(self.edges)) & (self.edges[np.minimum(j, len(self.edges) - 1)] == flat)
-        out[exact] = self.phi[j[exact]]
-
-        rest = ~exact
-        if np.any(rest):
-            ts = flat[rest]
-            k = np.searchsorted(self.edges, ts, side="right") - 1
-            lo = self.edges[k]
-            hi = self.edges[k + 1]
-            mid = 0.5 * (lo + hi)
-            partial = np.empty_like(ts)
-            first = ts <= mid
-            if np.any(first):
-                partial[first] = self._partial(lo[first], ts[first])
-            second = ~first
-            if np.any(second):
-                panels, which = np.unique(k[second], return_inverse=True)
-                if panels.size == 1 < which.size:
-                    # numpy sends a one-row matvec to its dot kernel, which
-                    # rounds unlike the batched matvec of the per-point
-                    # heads; two rows keep the batched rounding
-                    panels = np.repeat(panels, 2)
-                head_lo = self.edges[panels]
-                head = self._partial(head_lo, 0.5 * (head_lo + self.edges[panels + 1]))
-                partial[second] = head[which] + self._partial(mid[second], ts[second])
-            vals = self.phi[k] + partial
-            out[rest] = np.minimum(np.maximum(vals, self.phi[k]), self.phi[k + 1])
-        out = out.reshape(np.shape(ta)) if ta.ndim else out
-        return float(out[0]) if scalar else out
+        """phi_1(t): the stored value at a checkpoint, else the left one plus
+        the antiderivative of p^2 on the panel, clamped to the right one.
+        Each point is evaluated on its own: its bits ignore the batch."""
+        flat, k, x = self._panels(t)
+        out = self.phi[k] + _clenshaw(self._anti, k, x)
+        out = np.minimum(np.maximum(out, self.phi[k]), self.phi[k + 1])
+        exact = self.edges[k] == flat
+        out[exact] = self.phi[k[exact]]
+        out[flat == self.t_hi] = self.phi[-1]
+        return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
     def invert(self, y) -> float | np.ndarray:
-        """Smallest t with phi_1(t) = y, to |phi_1(t) - y| <= 1e-10.
+        """The double t nearest phi_1^{-1}(y): |phi_1(t) - y| <= 1e-10, or no
+        double comes closer to y (phi_1 can rise by more than 2e-10 from one
+        double t to the next where Ztilde^2 ulp(t) > 2e-10, near t ~ 1e5).
+        Raises `ConvergenceError` when the solve finds neither.
 
         Each scalar inverse is solved once per y and memoized in the table
         (verification jobs re-invert the same T and T + U), so a repeated y
-        returns the identical float.  A y whose solve raises is not stored,
-        and raises again on every call.  Threads racing on a new y may both
-        solve it, with equal results.
+        returns the identical float; a y whose solve raises raises again.
+        Threads racing on a new y may both solve it, with equal results.
         """
         ya = np.asarray(y, dtype=float)
-        scalar = ya.ndim == 0
         flat = np.atleast_1d(ya).astype(float).ravel()
         if np.any(flat < self.phi[0]) or np.any(flat > self.phi[-1]):
             raise DomainError(
                 f"inversion target outside [{self.phi[0]!r}, {self.phi[-1]!r}]")
-        out = np.array([self._invert_scalar(float(v)) for v in flat])
-        out = out.reshape(np.shape(ya)) if ya.ndim else out
-        return float(out[0]) if scalar else out
-
-    def _invert_scalar(self, y: float) -> float:
-        t = self._inverses.get(y)
-        if t is None:
-            t = self._inverses[y] = self._solve_inverse(y)
-        return t
+        out = np.array([self._inverses.get(v) or self._solve_inverse(v)
+                        for v in map(float, flat)])
+        return float(out[0]) if ya.ndim == 0 else out.reshape(np.shape(ya))
 
     def _solve_inverse(self, y: float) -> float:
         j = np.searchsorted(self.phi, y, side="left")
         if j < len(self.phi) and self.phi[j] == y:
             return float(self.edges[j])
-        k = j - 1
-        lo, hi = float(self.edges[k]), float(self.edges[k + 1])
-        f_tol = max(1e-12, 8.0 * np.finfo(float).eps * abs(y))
+        lo, hi = float(self.edges[j - 1]), float(self.edges[j])
         t = 0.5 * (lo + hi)
         for _ in range(80):
             ft = self.eval(t) - y
-            if abs(ft) <= f_tol:
-                return t
-            if ft > 0.0:
-                hi = t
-            else:
-                lo = t
-            # Newton step on the known derivative, safeguarded by the bracket
-            slope = float(self._ztilde(np.array([t]))[0])
-            t_new = t - ft / slope if slope > 1e-18 else 0.5 * (lo + hi)
-            if not lo < t_new < hi:
-                t_new = 0.5 * (lo + hi)
-            if hi - lo <= 4.0 * np.spacing(hi):
-                t = t_new if lo < t_new < hi else 0.5 * (lo + hi)
+            lo, hi = (lo, t) if ft > 0.0 else (t, hi)
+            # Newton step on the stored derivative, safeguarded by the bracket;
+            # a step below two ulps of t is left to the search below
+            slope = self.ztilde_sq(t)
+            step = ft / slope if slope > 1e-18 else math.inf
+            if abs(step) <= 2.0 * np.spacing(t) or hi - lo <= 4.0 * np.spacing(hi):
                 break
-            t = t_new
-        resid = abs(self.eval(t) - y)
-        if resid > 1e-10:
+            t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
+        # the best double among t and its four neighbours on either side
+        below, above = [t], [t]
+        for _ in range(4):
+            below.append(float(np.nextafter(below[-1], -math.inf)))
+            above.append(float(np.nextafter(above[-1], math.inf)))
+        cands = np.array([c for c in below[:0:-1] + above if self.t_lo <= c <= self.t_hi])
+        vals = self.eval(cands)
+        best = int(np.argmin(np.abs(vals - y)))
+        resid = abs(vals[best] - y)
+        # no double comes closer when the neighbours' values bracket y
+        nearest = 0 < best < len(cands) - 1 and vals[best - 1] <= y <= vals[best + 1]
+        if not (resid <= 1e-10 or nearest):
             raise ConvergenceError(f"ladder inversion stalled at |phi - y| = {resid:.2e}")
+        t = self._inverses[y] = float(cands[best])
         return t
 
-    # -- persistence --
-
     def save(self, path) -> None:
-        """Write the table to `path`, under exactly that name, as a version-2
-        `.npz` of the checkpoints and the configuration; replaced atomically."""
+        """Write the table to `path`, under exactly that name, as a version-3
+        `.npz` of the checkpoints, panel coefficients and configuration;
+        replaced atomically."""
+        ev = self.evaluator
         fields = {
             "version": _CACHE_VERSION, "config_hash": self.config_hash(),
             "t_lo": self.t_lo, "t_hi": self.t_hi, "anchor_t0": self.anchor_t0,
             "h": self.h, "tol": self.build_tolerance,
-            "rs_correction_order": self.evaluator.rs_correction_order,
-            "oracle_terms": self.evaluator.oracle_terms,
-            "t_min_rs": self.evaluator.t_min_rs,
+            "rs_correction_order": ev.rs_correction_order,
+            "oracle_terms": ev.oracle_terms, "t_min_rs": ev.t_min_rs,
             "anchor_value": self.anchor_value, "residual_total": self.residual_total,
-            "edges": self.edges, "phi": self.phi,
+            "edges": self.edges, "phi": self.phi, "coef": self.coef,
         }
         with atomic_writer(path, binary=True) as fh:
             np.savez(fh, **fields)
@@ -288,8 +314,8 @@ class LadderTable:
     @classmethod
     def load(cls, path, evaluator: ZEvaluator) -> "LadderTable":
         """The table `save` wrote to `path`.  Raises `CacheError` for a file
-        that is not such a cache, or whose checkpoints contradict the
-        configuration it records or the evaluator's."""
+        that is not such a cache, or whose data contradict the configuration
+        it records, the evaluator's, or each other."""
         try:
             with np.load(path, allow_pickle=False) as doc:
                 if int(doc["version"]) != _CACHE_VERSION:
@@ -298,7 +324,8 @@ class LadderTable:
                 table = cls(evaluator=evaluator, t_lo=b["t_lo"], t_hi=b["t_hi"],
                             anchor_t0=b["anchor_t0"], anchor_value=b["anchor_value"],
                             h=b["h"], build_tolerance=b["tol"], edges=doc["edges"],
-                            phi=doc["phi"], residual_total=b["residual_total"])
+                            phi=doc["phi"], coef=doc["coef"],
+                            residual_total=b["residual_total"])
         except (OSError, EOFError, KeyError, TypeError, ValueError, AttributeError,
                 zipfile.BadZipFile) as exc:
             raise CacheError(f"ladder cache {path} unreadable: {exc}") from exc
@@ -307,11 +334,13 @@ class LadderTable:
             raise CacheError("ladder cache was built with a different evaluator config")
         if b["config_hash"] != table.config_hash():
             raise CacheError("ladder cache config hash mismatch; refusing to reuse")
-        edges, phi = table.edges, table.phi
-        if not (edges.ndim == phi.ndim == 1 and len(edges) == len(phi) >= 2):
-            raise CacheError("ladder cache needs equal-length 1-D checkpoints and values")
-        if not (np.all(np.isfinite(edges)) and np.all(np.isfinite(phi))):
-            raise CacheError("ladder cache checkpoints or values are not finite")
+        edges, phi, coef = table.edges, table.phi, table.coef
+        if not (edges.ndim == phi.ndim == 1 and len(edges) == len(phi) >= 2
+                and coef.shape == (len(edges) - 1, _DEGREE + 1)):
+            raise CacheError("ladder cache needs equal-length 1-D checkpoints and "
+                             "values, and one coefficient row per panel")
+        if not all(np.all(np.isfinite(a)) for a in (edges, phi, coef)):
+            raise CacheError("ladder cache data are not finite")
         if not (np.all(np.diff(edges) > 0.0)
                 and edges[0] == table.t_lo and edges[-1] == table.t_hi):
             raise CacheError("ladder cache checkpoints do not increase strictly "
@@ -321,24 +350,19 @@ class LadderTable:
                 and phi[k0] == table.anchor_value):
             raise CacheError("ladder cache anchor is not a checkpoint holding "
                              "the anchor value")
-        if not np.all(np.diff(phi) >= 0.0):
-            raise CacheError("ladder cache values are not nondecreasing")
+        ulps = np.spacing(np.maximum(np.abs(phi[:-1]), np.abs(phi[1:])))
+        if not (np.all(np.diff(phi) >= 0.0)
+                and np.all(np.abs(np.diff(phi) - _steps(table._anti)) <= 4.0 * ulps)):
+            raise CacheError("ladder cache values decrease or disagree with the "
+                             "integrals of their panel polynomials")
         return table
 
 
 def _base_edges(t_lo: float, t_hi: float, anchor_t0: float, h: float,
                 seam: float) -> np.ndarray:
-    """Checkpoint grid of step h through anchor_t0, clamped to [t_lo, t_hi].
-
-    The evaluator's RS/oracle dispatch threshold is inserted as an extra edge
-    when the domain straddles it: the computed Ztilde^2 has a ~1e-7 jump
-    there, and a panel containing the jump could never meet its Richardson
-    share.  Putting the seam on an edge keeps every panel one-path smooth.
-
-    The outermost grid points are replaced by t_lo and t_hi; inner grid
-    points that rounding puts at or beyond either end are dropped, so no
-    panel is empty or reversed.
-    """
+    """Checkpoint grid of step h through anchor_t0, clamped to [t_lo, t_hi]
+    (inner points that rounding puts at or past an end are dropped), plus
+    the RS/oracle seam, where the computed Ztilde^2 jumps ~1e-7."""
     n_down = int(math.ceil((anchor_t0 - t_lo) / h - 1e-12))
     n_up = int(math.ceil((t_hi - anchor_t0) / h - 1e-12))
     inner = anchor_t0 + h * np.arange(-n_down + 1, n_up, dtype=float)
@@ -351,30 +375,26 @@ def _base_edges(t_lo: float, t_hi: float, anchor_t0: float, h: float,
 
 def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
                  anchor_t0: float | None = None, tol: float = 1e-8,
-                 h: float = 0.05, prime_pi: PrimePi | None = None) -> LadderTable:
+                 h: float = 1.0, prime_pi: PrimePi | None = None) -> LadderTable:
     """Construct phi_1 on [t_lo, t_hi] anchored by the retardation law.
 
-    phi_1(t) = anchor_value + int_{anchor_t0}^t Ztilde^2, with
-    anchor_value = anchor_t0 - (1 - c) pi(anchor_t0).  Panels are Gauss-7
-    half-pairs checked by Richardson extrapolation against their width's
-    share of `tol`.  One refinement loop halves the flagged panels: round 0
-    is the base grid, where panels with a Z sign change among their Gauss
-    nodes are flagged too; each later round holds the children of the panels
-    flagged in the round before.
+    phi_1(t) = anchor_value + int_{anchor_t0}^t p^2, with anchor_value =
+    anchor_t0 - (1 - c) pi(anchor_t0), where p interpolates Z / sqrt(ln t) at
+    33 Chebyshev-Lobatto points per panel.  A panel is checked by the
+    integral of the interpolant through the nested 17 points against its
+    width's share of `tol`; round 0 is the base grid of step h, and each
+    later round holds the halves of the panels that failed the round before.
     """
-    t_lo = float(t_lo)
-    t_hi = float(t_hi)
-    if anchor_t0 is None:
-        anchor_t0 = t_lo + 10.0
-    anchor_t0 = float(anchor_t0)
+    t_lo, t_hi = float(t_lo), float(t_hi)
+    anchor_t0 = t_lo + 10.0 if anchor_t0 is None else float(anchor_t0)
     if not (_E + 1.0 <= t_lo <= anchor_t0 <= t_hi):
         raise DomainError("require e + 1 <= t_lo <= anchor_t0 <= t_hi")
     if t_hi - t_lo <= 0 or t_hi - t_lo > 1e6:
         raise DomainError("require 0 < t_hi - t_lo <= 1e6")
     if tol <= 0.0:
         raise DomainError("build tolerance must be positive")
-    if not 0.0 < h <= 0.05:
-        raise DomainError("checkpoint step must satisfy 0 < h <= 0.05")
+    if not 0.0 < h <= 1.0:
+        raise DomainError("base panel width must satisfy 0 < h <= 1")
 
     base = _base_edges(t_lo, t_hi, anchor_t0, h, seam=evaluator.t_min_rs)
     n_base = len(base) - 1
@@ -382,59 +402,41 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
     eps = np.finfo(float).eps
 
     def panel_batch(lo, hi):
-        """Per panel: half-pair value, Richardson residual, roundoff floor,
-        and whether Z changes sign among the 21 nodes.
-
-        The floor models the evaluation noise of Z (phase magnitude ~ theta(t)
-        times eps, scaled into Ztilde^2); measured residuals on noise-only
-        panels stay below ~8x the model, so 32x gives headroom while genuine
-        unresolved structure still exceeds it by many orders.
-        """
-        mid = 0.5 * (lo + hi)
-        nodes = np.concatenate([_gauss7_nodes(lo, mid), _gauss7_nodes(mid, hi),
-                                _gauss7_nodes(lo, hi)], axis=1)
+        """Per panel: coefficients of p, its integral, the residual against
+        the degree-16 interpolant, and the roundoff floor.  The floor models
+        the evaluation noise of Z (phase ~ theta(t) times eps, scaled into
+        Ztilde^2); unresolved structure exceeds it by many orders."""
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nodes = mid[:, None] + half[:, None] * _X32[None, :]
         zs = np.asarray(evaluator.z(nodes.ravel()), dtype=float).reshape(nodes.shape)
-        w = zs * zs / np.log(nodes)
-        i_h1 = (mid - lo) / 2.0 * (w[:, 0:7] @ GAUSS7_WEIGHTS)
-        i_h2 = (hi - mid) / 2.0 * (w[:, 7:14] @ GAUSS7_WEIGHTS)
-        i_full = (hi - lo) / 2.0 * (w[:, 14:21] @ GAUSS7_WEIGHTS)
-        value = i_h1 + i_h2
-        flips = (zs.min(axis=1) < 0.0) & (zs.max(axis=1) > 0.0)
+        g = zs / np.sqrt(np.log(nodes))
+        coef = _cheb_coef(g, _COEF32)
+        value = _steps(_antiderivative(coef, half))
+        check = _steps(_antiderivative(_cheb_coef(g[:, ::2], _COEF16), half))
         zmax = np.abs(zs).max(axis=1)
         phase = np.abs(evaluator.theta(mid)) + mid
         floor = 32.0 * eps * (hi - lo) * phase * (zmax + 1.0) / np.log(mid)
-        return value, np.abs(i_full - value), floor, flips
+        return coef, value, np.abs(value - check), floor
 
     # kept panels remember whether they were certified by their budget share
     # (systematic part) or only by the noise floor (random part, accumulated
     # in quadrature below)
-    seg_lo, seg_val, seg_res, seg_by_budget = [], [], [], []
+    kept = []   # per round: left edges, coefficients, integrals, residuals, by budget
     lo, hi = base[:-1], base[1:]
-    rounds = 0
-    panel_total = n_base
+    rounds, panel_total = 0, n_base
     panel_cap = max(4 * n_base, n_base + 100_000)
     while True:
-        val = np.empty(len(lo))
-        res = np.empty(len(lo))
-        floor = np.empty(len(lo))
-        flips = np.empty(len(lo), dtype=bool)
-        for i0 in range(0, len(lo), _BUILD_CHUNK):
-            c = slice(i0, i0 + _BUILD_CHUNK)
-            val[c], res[c], floor[c], flips[c] = panel_batch(lo[c], hi[c])
+        coef, val, res, floor = (np.concatenate(part) for part in zip(*(
+            panel_batch(lo[i:i + _BUILD_CHUNK], hi[i:i + _BUILD_CHUNK])
+            for i in range(0, len(lo), _BUILD_CHUNK))))
         budget = tol * (hi - lo) / span
-        bad = res > np.maximum(budget, floor)
-        if rounds == 0:
-            bad |= flips   # sign-change panels are split in the base round only
-        keep = ~bad
-        seg_lo.append(lo[keep])
-        seg_val.append(val[keep])
-        seg_res.append(res[keep])
-        seg_by_budget.append(res[keep] <= budget[keep])
+        ok = res <= np.maximum(budget, floor)
+        bad = ~ok
+        kept.append((lo[ok], coef[ok], val[ok], res[ok], res[ok] <= budget[ok]))
         lo, hi = lo[bad], hi[bad]
         if not len(lo):
             break
-        rounds += 1
-        panel_total += len(lo)
+        rounds, panel_total = rounds + 1, panel_total + len(lo)
         if rounds > _MAX_SPLIT_ROUNDS or panel_total > panel_cap:
             raise ToleranceNotMetError(
                 f"panel refinement exhausted ({len(lo)} panels still above "
@@ -442,13 +444,11 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
 
-    lo_fin = np.concatenate(seg_lo)
+    lo_fin = np.concatenate([part[0] for part in kept])
     order = np.argsort(lo_fin, kind="stable")
-    lo_fin = lo_fin[order]
-    val_fin = np.concatenate(seg_val)[order]
-    res_fin = np.concatenate(seg_res)[order]
-    by_budget = np.concatenate(seg_by_budget)[order]
-    edges = np.append(lo_fin, t_hi)
+    edges = np.append(lo_fin[order], t_hi)
+    coef_fin, val_fin, res_fin, by_budget = (
+        np.concatenate(part)[order] for part in list(zip(*kept))[1:])
 
     # certified build error: budget-met residuals may be systematic and sum
     # linearly (bounded by tol via the shares); floor-only residuals are
@@ -463,7 +463,6 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
             f"{certified:.3e} (roundoff-noise bound) on [{t_lo}, {t_hi}]")
 
     prefix = np.concatenate([[_LD(0.0)], np.cumsum(val_fin.astype(_LD))])
-
     # anchor lands on a checkpoint by construction of the grid
     k0 = int(np.searchsorted(edges, anchor_t0, side="left"))
     if not (k0 < len(edges) and edges[k0] == anchor_t0):
@@ -471,13 +470,12 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
     if prime_pi is None or prime_pi.limit < anchor_t0:
         prime_pi = PrimePi.up_to(max(int(anchor_t0) + 10, 100))
     anchor_value = anchor_t0 - ONE_MINUS_C * prime_pi.count(anchor_t0)
-
     phi = (np.longdouble(anchor_value) + (prefix - prefix[k0])).astype(float)
 
     return LadderTable(
         evaluator=evaluator, t_lo=t_lo, t_hi=t_hi, anchor_t0=anchor_t0,
         anchor_value=float(anchor_value), h=h, build_tolerance=tol,
-        edges=edges, phi=phi, residual_total=certified)
+        edges=edges, phi=phi, coef=coef_fin, residual_total=certified)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +502,7 @@ def pushforward_integral(table: LadderTable, f, T: float, U: float,
     b = table.invert(T + U)
 
     def integrand(ts: np.ndarray) -> np.ndarray:
-        return f(table.eval(ts)) * table._ztilde(ts)
+        return f(table.eval(ts)) * table.ztilde_sq(ts)
 
     res = integrate_adaptive(integrand, a, b, tol,
                              breakpoints=table.breakpoints(a, b))

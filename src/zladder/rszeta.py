@@ -1,4 +1,4 @@
-"""Riemann-Siegel theta, the Hardy Z-function, and |zeta(1/2 + it)|^2.
+"""Riemann-Siegel theta and the Hardy Z-function.
 
 Two independent evaluation routes are provided and cross-checked in tests:
 
@@ -243,14 +243,6 @@ class ZEvaluator:
         if np.any(~hi):
             out[~hi] = self.z_oracle(ta[~hi])
         return out
-
-    def zeta_sq_mod(self, t) -> float | np.ndarray:
-        """|zeta(1/2+it)|^2 = Z(t)^2; nonnegative by construction."""
-        ta = np.asarray(t, dtype=float)
-        if np.any(ta < 1.0):
-            raise DomainError("zeta_sq_mod requires t >= 1")
-        zv = self.z(t)
-        return zv * zv
 
     # -- helpers -------------------------------------------------------------
 

@@ -310,7 +310,7 @@ def load_zero_cache(path) -> int:
 
     Raises `CacheError`, merging nothing, unless the file is UTF-8 JSON of
     the current version whose tables are keyed by a finite nu > -1 and hold
-    finite, positive, strictly increasing zeros.
+    finite, positive, strictly increasing zeros z with |J_nu(z)| <= 1e-12.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -331,6 +331,11 @@ def load_zero_cache(path) -> int:
                 raise CacheError(f"bessel zero cache {path}: table {key!r} is not "
                                  f"finite, positive, increasing zeros of an order "
                                  f"nu > -1")
+            for zk in zeros:   # the residual test `extend_to` applies
+                resid = abs(float(_bessel_j_any(nu, np.float64(zk))))
+                if not resid <= 1e-12:
+                    raise CacheError(f"bessel zero cache {path}: table {key!r} holds "
+                                     f"{zk!r}, where |J_nu| = {resid:.2e} > 1e-12")
             tables.append((nu, zeros, bound))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CacheError(f"bessel zero cache {path} is malformed: {exc}") from exc

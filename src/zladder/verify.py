@@ -133,7 +133,7 @@ def verify_theorem1(table: LadderTable, T: float, nu: float, max_n: int,
                 u = np.maximum(table.eval(ts) - T, 0.0)
                 j = bessel_j(nu, _mm * u)
                 jj = j * j if _sq else j * bessel_j(nu, _mn * u)
-                return jj * u * table._ztilde(ts)
+                return jj * u * table.ztilde_sq(ts)
 
             res = integrate_adaptive(integrand, a, b, quad_tol, breakpoints=zeros)
             if m == n:
@@ -160,8 +160,7 @@ def verify_corollary(table: LadderTable, T_list, nu: float, n: int,
     0.5 J_{nu+1}(mu_n)^2 ln T, one report per T (ratio -> 1 as T grows)."""
     mu = bessel_zero(nu, n)
     norm = bessel_norm_sq(nu, n)
-    ev = table.evaluator
-    ev_hash = ev.config_hash()
+    ev_hash = table.evaluator.config_hash()
     lhash = table.config_hash()
     reports = []
     for T in sorted(float(x) for x in np.atleast_1d(np.asarray(T_list, dtype=float))):
@@ -172,8 +171,7 @@ def verify_corollary(table: LadderTable, T_list, nu: float, n: int,
 
         def integrand(ts):
             u = np.maximum(table.eval(ts) - T, 0.0)
-            zv = ev.z(ts)
-            return bessel_j(nu, mu * u) ** 2 * u * zv * zv
+            return bessel_j(nu, mu * u) ** 2 * u * table.ztilde_sq(ts) * np.log(ts)
 
         res = integrate_adaptive(integrand, a, b, quad_tol, breakpoints=zeros)
         reports.append(_make_report(
@@ -305,21 +303,25 @@ def _run_theorem2(table: LadderTable, T: float, eq: str, params: dict,
     T = float(T)
     U, const, factor, smooth = _theorem2_pieces(table, T, eq, params)
     check_admissible(T, U)
-    ev = table.evaluator
+    # the nearest doubles whose values lie inside [T, T + U], so a weight
+    # singular at the window's ends is never evaluated past them
     a = table.invert(T)
+    while table.eval(a) < T:
+        a = float(np.nextafter(a, math.inf))
     b = table.invert(T + U)
+    while table.eval(b) > T + U:
+        b = float(np.nextafter(b, -math.inf))
 
-    if weight == "zeta2":
+    if weight == "zeta2":   # |zeta|^2 = Z^2 = Ztilde^2 ln t
         rhs = const * math.log(T)
 
         def integrand(ts):
-            zv = ev.z(ts)
-            return factor(ts, zv * zv)
+            return factor(ts, table.ztilde_sq(ts) * np.log(ts))
     else:  # the exact-substitution weight Ztilde^2
         rhs = const
 
         def integrand(ts):
-            return factor(ts, table._ztilde(ts))
+            return factor(ts, table.ztilde_sq(ts))
 
     if smooth:
         res = integrate_adaptive(integrand, a, b, quad_tol,

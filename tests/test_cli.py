@@ -56,6 +56,7 @@ class TestSpecfunZeros:
         b'{"version":1,"tables":{"abc":{"zeros":[2.404825557695773]}}}',
         b'\xff\xfe{"version":1,"tables":{}}',
         b'{"version":1,"tables":{"0.0":{"zeros":[9.0, 1.0]}}}',
+        b'{"version":1,"tables":{"0.0":{"zeros":[1.0, 9.0]}}}',
         b'{"version":1,"tables":{"0.0":{"zeros":[-2.0, 5.5]}}}',
         b'{"version":1,"tables":{"0.0":{"zeros":[2.4, NaN]}}}',
         b'{"version":1,"tables":{"0.0":{"zeros":[2.4, Infinity]}}}',
@@ -80,7 +81,7 @@ class TestLadderVerbs:
         assert run_cli("ladder", "build", *LADDER_ARGS) == EXIT_OK
         built = json.loads(capsys.readouterr().out)
         assert os.path.exists(built["cache"])
-        assert built["checkpoints"] > 1800
+        assert built["checkpoints"] >= 91   # unit panels on [1000, 1090]
 
         assert run_cli("ladder", "query", *LADDER_ARGS, "--t", "1024.77") == EXIT_OK
         q = json.loads(capsys.readouterr().out)
@@ -105,6 +106,24 @@ class TestLadderVerbs:
         with open(built["cache"], "w") as fh:
             fh.write("{broken")
         assert run_cli("ladder", "query", *LADDER_ARGS, "--t", "1010") == EXIT_CACHE
+
+    @pytest.mark.parametrize("tamper", ["coef_step", "coef_shape", "version_2"])
+    def test_tampered_v3_cache_exit(self, capsys, cache_env, tamper):
+        assert run_cli("ladder", "build", *LADDER_ARGS) == EXIT_OK
+        path = json.loads(capsys.readouterr().out)["cache"]
+        with np.load(path) as doc:
+            fields = {key: doc[key] for key in doc.files}
+        if tamper == "coef_step":
+            fields["coef"] = fields["coef"] * (1.0 + 1e-9)
+        elif tamper == "coef_shape":
+            fields["coef"] = fields["coef"][:, :-1]
+        else:   # the checkpoint-only format
+            fields["version"] = np.array(2)
+            del fields["coef"]
+        with open(path, "wb") as fh:
+            np.savez(fh, **fields)
+        assert run_cli("ladder", "invert", *LADDER_ARGS, "--y", "950") == EXIT_CACHE
+        assert "cache error" in capsys.readouterr().err
 
     def test_cache_named_by_ladder_hash(self, capsys, cache_env):
         assert run_cli("ladder", "build", *LADDER_ARGS) == EXIT_OK

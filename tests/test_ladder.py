@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zladder import (AdmissibilityError, CacheError, ConvergenceError,
                      DomainError, EULER_C,
@@ -10,35 +12,8 @@ from zladder import (AdmissibilityError, CacheError, ConvergenceError,
                      bessel_j, bessel_norm_sq, bessel_zero, build_ladder,
                      integrate_adaptive, log_stability_check,
                      pushforward_integral, retardation_report, ztilde_sq)
-from zladder.quadrature import GAUSS7_NODES
 
 FIRST_ZETA_ZERO = 14.134725141734695
-
-
-def eval_per_point(table, ts):
-    """`LadderTable.eval` as it was before panels shared their first half:
-    every point past its panel's midpoint integrates [lo, mid] on its own."""
-    flat = np.asarray(ts, dtype=float)
-    edges, phi = table.edges, table.phi
-    j = np.searchsorted(edges, flat, side="left")
-    exact = (j < len(edges)) & (edges[np.minimum(j, len(edges) - 1)] == flat)
-    out = np.empty_like(flat)
-    out[exact] = phi[j[exact]]
-    rest = ~exact
-    if np.any(rest):
-        t = flat[rest]
-        k = np.searchsorted(edges, t, side="right") - 1
-        lo, hi = edges[k], edges[k + 1]
-        mid = 0.5 * (lo + hi)
-        partial = np.empty_like(t)
-        first = t <= mid
-        if np.any(first):
-            partial[first] = table._partial(lo[first], t[first])
-        if np.any(~first):
-            partial[~first] = (table._partial(lo[~first], mid[~first])
-                               + table._partial(mid[~first], t[~first]))
-        out[rest] = np.minimum(np.maximum(phi[k] + partial, phi[k]), phi[k + 1])
-    return out
 
 
 def shifted(table, k0):
@@ -48,18 +23,23 @@ def shifted(table, k0):
         evaluator=table.evaluator, t_lo=table.t_lo, t_hi=table.t_hi,
         anchor_t0=table.anchor_t0, anchor_value=table.anchor_value, h=table.h,
         build_tolerance=table.build_tolerance, edges=table.edges,
-        phi=table.phi - table.phi[k0], residual_total=table.residual_total)
+        phi=table.phi - table.phi[k0], coef=table.coef,
+        residual_total=table.residual_total)
 
 
 def points_in_panels(table, panels, per_panel, rng):
-    """`per_panel` random points in each panel (both halves) plus the panels'
-    left checkpoints, shuffled."""
+    """`per_panel` random points in each panel plus the panels' left
+    checkpoints, shuffled."""
     e = table.edges
     ts = [rng.uniform(e[k], e[k + 1], per_panel) for k in panels]
     ts.append(e[np.asarray(panels)])
     ts = np.concatenate(ts)
     rng.shuffle(ts)
     return ts
+
+
+def no_z(self, t):
+    raise AssertionError("Z evaluated after the build")
 
 
 class TestPrimePi:
@@ -118,23 +98,47 @@ class TestBuild:
         assert small_ladder.anchor_t0 == small_ladder.t_lo + 10.0
 
     def test_checkpoint_step(self, small_ladder):
-        assert np.max(np.diff(small_ladder.edges)) <= 0.05 + 1e-12
+        assert small_ladder.h == 1.0
+        assert np.max(np.diff(small_ladder.edges)) <= small_ladder.h + 1e-12
 
-    def test_sign_change_panels_were_split(self, ev, small_ladder):
-        # a base panel is split when Z changes sign among its 21 Gauss nodes,
-        # so every zero farther from its base panel's edges than the outermost
-        # half-panel node sits in a panel narrower than h.  A zero closer to
-        # an edge leaves its panel whole: 1001.3495 lies 5.2e-4 below the
-        # edge 1001.35, and the node margin is 6.4e-4.
-        zeros = ev.zero_scan(1000.0, 1010.0, step=0.05)
-        assert len(zeros) > 5
-        h, edges = small_ladder.h, small_ladder.edges
-        base_lo = small_ladder.anchor_t0 + h * np.floor((zeros - small_ladder.anchor_t0) / h)
-        margin = (1.0 - GAUSS7_NODES.max()) / 4.0 * h
-        inside = np.minimum(zeros - base_lo, base_lo + h - zeros) > margin
-        assert np.count_nonzero(inside) >= len(zeros) - 1
-        k = np.searchsorted(edges, zeros[inside], side="right") - 1
-        assert np.all(edges[k + 1] - edges[k] < h)
+    # phi_1 of the Gauss-7 half-pair build (rule "gauss7-halves+richardson",
+    # h = 0.05) at a few points; the spectral table must agree within tol
+    GAUSS_PANEL_VALUES = {
+        "small": ((1000.0, 1090.0), {"tol": 1e-9}, [
+            (1000.0, 924.59641515965), (1001.3495, 925.298029502727),
+            (1010.0, 938.5494473683591), (1033.77, 958.4296743274008),
+            (1060.5, 979.1448058672838), (1090.0, 1007.6512968029602)]),
+        "seam": ((40.0, 60.0), {"anchor_t0": 47.7, "tol": 1e-8}, [
+            (40.0, 33.21839487544118), (45.3, 36.42828460565548),
+            (50.0, 41.488336775898205), (55.55, 46.43543573221908),
+            (60.0, 47.949455343840214)]),
+        "near_1e5": ((99500.0, 99520.0), {"tol": 1e-8}, [
+            (99500.0, 95462.63141966837), (99503.3, 95466.09822107157),
+            (99510.0, 95473.67795281493), (99517.77, 95477.5052439737),
+            (99520.0, 95478.66917062203)]),
+    }
+
+    @pytest.mark.parametrize("case", list(GAUSS_PANEL_VALUES))
+    def test_agrees_with_gauss_panel_build(self, ev, small_ladder, case):
+        (t_lo, t_hi), kwargs, values = self.GAUSS_PANEL_VALUES[case]
+        table = (small_ladder if case == "small"
+                 else build_ladder(ev, t_lo, t_hi, **kwargs))
+        assert table.residual_total <= kwargs["tol"]
+        for t, phi in values:
+            assert abs(table.eval(t) - phi) <= kwargs["tol"], t
+
+    def test_33_z_points_per_unit_panel(self, ev, monkeypatch):
+        seen = []
+        real = ZEvaluator.z
+
+        def counting(self, t):
+            seen.append(np.size(t))
+            return real(self, t)
+
+        monkeypatch.setattr(ZEvaluator, "z", counting)
+        table = build_ladder(ev, 99500.0, 99520.0, tol=1e-8)
+        assert len(table.edges) == 21
+        assert sum(seen) == 33 * 20
 
     def test_domain_validation(self, ev):
         with pytest.raises(DomainError):
@@ -145,22 +149,24 @@ class TestBuild:
             build_ladder(ev, 1000.0, 1100.0, anchor_t0=999.0)
         with pytest.raises(DomainError):
             build_ladder(ev, 1000.0, 1100.0, tol=-1.0)
-        with pytest.raises(DomainError):
-            build_ladder(ev, 1000.0, 1100.0, h=0.2)
+        for h in (0.0, -1.0, 1.5):
+            with pytest.raises(DomainError):
+                build_ladder(ev, 1000.0, 1100.0, h=h)
 
     def test_unreachable_tolerance(self, ev):
         with pytest.raises(ToleranceNotMetError):
             build_ladder(ev, 1000.0, 1001.0, anchor_t0=1000.5, tol=1e-300)
 
     def test_halving_h_stable(self, ev):
-        coarse = build_ladder(ev, 1000.0, 1020.0, anchor_t0=1010.0, tol=1e-9, h=0.05)
-        fine = build_ladder(ev, 1000.0, 1020.0, anchor_t0=1010.0, tol=1e-9, h=0.025)
+        coarse = build_ladder(ev, 1000.0, 1020.0, anchor_t0=1010.0, tol=1e-9, h=1.0)
+        fine = build_ladder(ev, 1000.0, 1020.0, anchor_t0=1010.0, tol=1e-9, h=0.5)
+        assert len(fine.edges) == 2 * len(coarse.edges) - 1
         assert abs(coarse.eval(1020.0) - fine.eval(1020.0)) <= 1e-9
 
     def test_domain_straddling_rs_threshold(self, ev):
         # the computed Ztilde^2 jumps ~1e-7 where the evaluator switches from
         # the oracle to the Riemann-Siegel path; the seam must sit on a
-        # checkpoint edge or no panel could meet its Richardson share
+        # checkpoint edge or no panel polynomial could follow it
         table = build_ladder(ev, 40.0, 60.0, anchor_t0=47.7, tol=1e-8)
         assert ev.t_min_rs in table.edges
         pts = table.breakpoints(45.0, 55.0)
@@ -190,24 +196,35 @@ class TestBuild:
 
 
 class TestBreakpoints:
-    def test_scanned_once_per_interval(self, ev, small_ladder, monkeypatch):
+    def test_scanned_once_per_interval(self, small_ladder, monkeypatch):
+        import zladder.ladder as L
+
         calls = []
-        real = ZEvaluator.zero_scan
+        real = L.chebroots
 
-        def counting(self, a, b, step=0.05):
-            calls.append((a, b))
-            return real(self, a, b, step)
+        def counting(c):
+            calls.append(len(c))
+            return real(c)
 
-        monkeypatch.setattr(ZEvaluator, "zero_scan", counting)
+        monkeypatch.setattr(L, "chebroots", counting)
         a, b = 1003.125, 1004.875
         first = small_ladder.breakpoints(a, b)
+        assert calls == [33, 33]   # the two panels [1003, 1004], [1004, 1005]
         again = small_ladder.breakpoints(a, b)
-        assert calls == [(a, b)]
         assert again is first
-        small_ladder.breakpoints(a, b + 0.5)
         assert len(calls) == 2
-        assert np.array_equal(first, real(ev, a, b, step=0.05))
+        small_ladder.breakpoints(a, b + 0.5)
+        assert len(calls) == 5
         assert len(first) > 0
+
+    @pytest.mark.parametrize("a, b", [(1000.0, 1010.0), (99990.0, 1e5)])
+    def test_matches_zero_scan(self, ev, a, b, monkeypatch):
+        table = build_ladder(ev, a, b, tol=1e-8)
+        scanned = ev.zero_scan(a, b, step=0.05)
+        monkeypatch.setattr(ZEvaluator, "z", no_z)
+        roots = table.breakpoints(a, b)
+        assert len(roots) == len(scanned) > 5
+        assert np.max(np.abs(roots - scanned)) <= 1e-9
 
     def test_read_only(self, small_ladder):
         pts = small_ladder.breakpoints(1005.5, 1006.5)
@@ -218,9 +235,10 @@ class TestBreakpoints:
 
 class TestEval:
     def test_checkpoints_exact(self, small_ladder):
-        idx = np.arange(0, len(small_ladder.edges), 7)
-        got = small_ladder.eval(small_ladder.edges[idx])
-        assert np.array_equal(got, small_ladder.phi[idx])
+        got = small_ladder.eval(small_ladder.edges)
+        assert np.array_equal(got, small_ladder.phi)
+        for k in (0, 13, len(small_ladder.edges) - 1):
+            assert small_ladder.eval(float(small_ladder.edges[k])) == small_ladder.phi[k]
 
     def test_monotone_on_random_pairs(self, small_ladder, rng):
         # 1e5 random pairs, checked as a sorted sweep
@@ -229,6 +247,24 @@ class TestEval:
         order = np.argsort(ts)
         diffs = np.diff(phis[order])
         assert np.all(diffs >= -1e-14)
+
+    def test_nondecreasing_through_roots(self, small_ladder):
+        # phi_1' = p^2 vanishes at the roots of p, where rounding is most
+        # likely to show; dense sorted samples around every root in 20 units
+        roots = small_ladder.breakpoints(1020.0, 1040.0)
+        assert len(roots) > 10
+        for r in roots:
+            ts = np.linspace(max(r - 1e-3, 1020.0), min(r + 1e-3, 1040.0), 4001)
+            assert np.all(np.diff(small_ladder.eval(ts)) >= 0.0), r
+
+    def test_derivative_is_ztilde_sq(self, ev, small_ladder, rng):
+        ts = rng.uniform(1001.0, 1089.0, 200)
+        d = 1e-4
+        slope = (small_ladder.eval(ts + d) - small_ladder.eval(ts - d)) / (2.0 * d)
+        p_sq = small_ladder.ztilde_sq(ts)
+        assert np.max(np.abs(slope - p_sq)) <= 1e-5
+        assert np.max(np.abs(p_sq - ztilde_sq(ev, ts))) <= 1e-9
+        assert isinstance(small_ladder.ztilde_sq(1010.0), float)
 
     def test_matches_direct_integral(self, ev, small_ladder, rng):
         # phi(t) - anchor_value must equal the independent adaptive integral
@@ -253,60 +289,58 @@ class TestEval:
             small_ladder.eval(999.0)
         with pytest.raises(DomainError):
             small_ladder.eval(1090.5)
+        with pytest.raises(DomainError):
+            small_ladder.ztilde_sq(1090.5)
 
 
-class TestEvalSharedHeads:
-    """One first-half integral per distinct panel gives the bits of one per
-    point (the head batch holds the same Z node values, deduplicated)."""
+class TestEvalBatch:
+    """Every point gets the bits it gets alone, in any batch, and no call
+    after the build evaluates Z."""
 
-    # the main sum has 12 terms below 2 pi 13^2 ~ 1061.86 and 13 above it
+    # Z's main sum has 12 terms below 2 pi 13^2 ~ 1061.86 and 13 above it
     SEAM = 2.0 * math.pi * 13 ** 2
 
     def _panels(self, table, lo, hi, count, rng):
         ks = np.nonzero((table.edges[:-1] >= lo) & (table.edges[1:] <= hi))[0]
         return np.sort(rng.choice(ks, count, replace=False))
 
+    def _one_at_a_time(self, table, ts):
+        return np.array([table.eval(float(t)) for t in ts])
+
     @pytest.mark.parametrize("k0", [None, "shift"])
-    def test_shared_main_sum_length(self, small_ladder, rng, k0):
+    def test_matches_one_point_at_a_time(self, small_ladder, rng, k0):
         panels = self._panels(small_ladder, 1000.0, 1060.0, 12, rng)
         table = shifted(small_ladder, panels[0]) if k0 else small_ladder
         ts = points_in_panels(table, panels, 40, rng)
-        assert np.all(np.floor(np.sqrt(ts / (2.0 * math.pi))) == 12.0)
-        assert np.array_equal(table.eval(ts), eval_per_point(table, ts))
+        assert np.array_equal(table.eval(ts), self._one_at_a_time(table, ts))
 
-    def test_mixed_main_sum_lengths(self, small_ladder, rng):
-        # the deduplicated batch keeps its longest main sum, so the bits hold
-        # across the length seam too
+    def test_across_z_main_sum_seam(self, small_ladder, rng):
+        # Z's batch dependence at its main-sum seam does not reach eval
         panels = np.concatenate([self._panels(small_ladder, 1055.0, self.SEAM, 4, rng),
                                  self._panels(small_ladder, self.SEAM, 1070.0, 4, rng)])
         table = shifted(small_ladder, panels[0])
         ts = points_in_panels(table, panels, 30, rng)
-        assert np.array_equal(table.eval(ts), eval_per_point(table, ts))
+        assert np.array_equal(table.eval(ts), self._one_at_a_time(table, ts))
 
     @pytest.mark.parametrize("count", [1, 2, 50])
     def test_one_panel(self, small_ladder, count):
-        # second-half points of a single panel: the lone head keeps the
-        # rounding of the batched per-point heads
-        for k in range(300, 340):
+        for k in range(30, 40):
             table = shifted(small_ladder, k)
             lo, hi = table.edges[k], table.edges[k + 1]
-            ts = np.linspace(0.5 * (lo + hi), hi, count + 2)[1:-1]
-            assert np.array_equal(table.eval(ts), eval_per_point(table, ts)), k
+            ts = np.linspace(lo, hi, count + 2)[1:-1]
+            assert np.array_equal(table.eval(ts), self._one_at_a_time(table, ts)), k
+            assert np.array_equal(table.ztilde_sq(ts),
+                                  [table.ztilde_sq(float(t)) for t in ts]), k
 
-    def test_head_integrated_once_per_panel(self, small_ladder, monkeypatch):
-        seen = []
-        real = ZEvaluator.z
-
-        def counting(self, t):
-            seen.append(np.size(t))
-            return real(self, t)
-
-        e = small_ladder.edges
-        ts = np.concatenate([np.linspace(0.5 * (e[k] + e[k + 1]), e[k + 1], 27)[1:-1]
-                             for k in (400, 401, 402, 403, 404)])
-        monkeypatch.setattr(ZEvaluator, "z", counting)
-        small_ladder.eval(ts)
-        assert seen == [7 * 5, 7 * len(ts)]
+    def test_calls_no_z(self, ev, monkeypatch):
+        table = build_ladder(ev, 1000.0, 1030.0, tol=1e-9)
+        monkeypatch.setattr(ZEvaluator, "z", no_z)
+        ts = np.linspace(1000.0, 1030.0, 301)
+        table.eval(ts)
+        table.ztilde_sq(ts)
+        table.invert(table.anchor_value + 3.5)
+        table.breakpoints(1001.0, 1009.0)
+        pushforward_integral(table, lambda x: np.ones_like(x), 950.0, 1.0)
 
 
 class TestInvert:
@@ -321,7 +355,7 @@ class TestInvert:
             assert abs(small_ladder.eval(t) - y) <= 1e-10
 
     def test_checkpoint_targets(self, small_ladder):
-        for j in (5, 100, 777):
+        for j in (5, 40, 77):
             assert small_ladder.invert(small_ladder.phi[j]) == small_ladder.edges[j]
 
     def test_out_of_range(self, small_ladder):
@@ -329,6 +363,56 @@ class TestInvert:
             small_ladder.invert(small_ladder.phi_lo - 1.0)
         with pytest.raises(DomainError):
             small_ladder.invert(small_ladder.phi_hi + 1.0)
+
+
+@pytest.fixture(scope="module")
+def ladder_near_1e5(ev):
+    return build_ladder(ev, 99990.0, 100000.0, tol=1e-8)
+
+
+def _neighbours(table, t, count=4):
+    """t and up to `count` neighbouring doubles on either side, inside the
+    ladder domain, ascending."""
+    below, above = [t], [t]
+    for _ in range(count):
+        below.append(float(np.nextafter(below[-1], -math.inf)))
+        above.append(float(np.nextafter(above[-1], math.inf)))
+    return np.array([u for u in below[:0:-1] + above if table.t_lo <= u <= table.t_hi])
+
+
+def _meets_contract(table, y):
+    """Whether invert(y) keeps its contract: it raises ConvergenceError, or
+    returns a t with |phi_1(t) - y| <= 1e-10 or with no double closer to y."""
+    try:
+        t = table.invert(y)
+    except ConvergenceError:
+        return True
+    near = _neighbours(table, t, 1)
+    vals = table.eval(near)
+    return (abs(table.eval(t) - y) <= 1e-10
+            or (len(near) == 3 and vals[0] <= y <= vals[2]))
+
+
+class TestInvertContract:
+    def test_former_silent_miss(self, ladder_near_1e5):
+        # the Gauss-panel ladder's 8 eps |y| stop rule returned a t with
+        # |phi_1(t) - y| = 1.46e-10 here, without an error
+        y = 95939.43889598358
+        assert abs(ladder_near_1e5.eval(ladder_near_1e5.invert(y)) - y) <= 1e-10
+
+    def test_best_double_nearby(self, ladder_near_1e5, rng):
+        table = ladder_near_1e5
+        for y in rng.uniform(table.phi_lo, table.phi_hi, 40):
+            t = table.invert(float(y))
+            near = _neighbours(table, t)
+            assert abs(table.eval(t) - y) == np.min(np.abs(table.eval(near) - y))
+
+    @settings(max_examples=200, deadline=None)
+    @given(u=st.floats(0.0, 1.0))
+    def test_contract_or_raise(self, ladder_near_1e5, u):
+        table = ladder_near_1e5
+        y = min(table.phi_lo + u * (table.phi_hi - table.phi_lo), table.phi_hi)
+        assert _meets_contract(table, y)
 
 
 class TestInvertMemo:
@@ -474,6 +558,7 @@ class TestCache:
         again = LadderTable.load(path, ev)
         assert np.array_equal(again.phi, small_ladder.phi)
         assert np.array_equal(again.edges, small_ladder.edges)
+        assert np.array_equal(again.coef, small_ladder.coef)
         assert again.anchor_value == small_ladder.anchor_value
         assert again.residual_total == small_ladder.residual_total
         ts = np.linspace(1000.0, 1090.0, 57)
@@ -546,18 +631,23 @@ class TestCache:
     @pytest.mark.parametrize("tamper", [
         "swap_phi", "inf_edge", "nan_phi", "first_edge", "last_edge",
         "anchor_value", "anchor_off_grid", "ragged", "short", "two_d",
-        "missing_key", "string_scalar"])
+        "missing_key", "string_scalar", "coef_rows", "coef_degree", "nan_coef",
+        "coef_scaled", "phi_step", "no_coef"])
     def test_rejects_tampered_data(self, ev, small_ladder, tmp_path, tamper):
         # the configuration and so the hash are intact; only the data is not
         path = tmp_path / "ladder.npz"
         small_ladder.save(path)
         edges, phi = small_ladder.edges.copy(), small_ladder.phi.copy()
+        coef = small_ladder.coef.copy()
         k0 = int(np.searchsorted(edges, small_ladder.anchor_t0))
+        scaled = coef.copy()
+        scaled[30] *= 1.0 + 1e-9
         changes = {
             "swap_phi": lambda: {"phi": np.concatenate([phi[:10], phi[11:9:-1], phi[12:]])},
             # one more checkpoint, at t = inf, with a nondecreasing value
             "inf_edge": lambda: {"edges": np.append(edges, math.inf),
-                                 "phi": np.append(phi, phi[-1])},
+                                 "phi": np.append(phi, phi[-1]),
+                                 "coef": np.vstack([coef, coef[-1:]])},
             "nan_phi": lambda: {"phi": np.where(np.arange(len(phi)) == 5, math.nan, phi)},
             # increasing checkpoints that no longer start at t_lo / end at t_hi
             "first_edge": lambda: {"edges": np.concatenate([[edges[0] - 1e-3], edges[1:]])},
@@ -571,9 +661,26 @@ class TestCache:
             "two_d": lambda: {"edges": edges[None, :], "phi": phi[None, :]},
             "missing_key": lambda: {"residual_total": None},
             "string_scalar": lambda: {"t_lo": np.array("t_lo")},
+            "coef_rows": lambda: {"coef": coef[:-1]},
+            "coef_degree": lambda: {"coef": coef[:, :17]},
+            "nan_coef": lambda: {"coef": np.where(coef == coef[7, 3], math.nan, coef)},
+            # a panel whose integral of p^2 moves by ~1e-9 from its phi step
+            "coef_scaled": lambda: {"coef": scaled},
+            # a phi step 1e-9 off its panel integral, still nondecreasing
+            "phi_step": lambda: {"phi": np.where(np.arange(len(phi)) == 60,
+                                                 phi + 1e-9, phi)},
+            "no_coef": lambda: {"coef": None},
         }[tamper]()
         rewrite_cache(path, **changes)
         with pytest.raises(CacheError):
+            LadderTable.load(path, ev)
+
+    def test_rejects_v2_cache(self, ev, small_ladder, tmp_path):
+        # the checkpoint-only format: edges and values without coefficients
+        path = tmp_path / "ladder.npz"
+        small_ladder.save(path)
+        rewrite_cache(path, version=np.array(2), coef=None)
+        with pytest.raises(CacheError, match="version"):
             LadderTable.load(path, ev)
 
     def test_rejects_wrong_version(self, ev, small_ladder, tmp_path):

@@ -131,3 +131,32 @@ class TestTanhSinh:
     def test_domain(self):
         with pytest.raises(DomainError):
             integrate_singular(lambda x: x, 2.0, 2.0, 1e-9)
+
+    @staticmethod
+    def full_level_sum(f, a, b, level):
+        """The tanh-sinh sum at step 2^-level over every node, recomputed."""
+        h = 2.0 ** -level
+        tau = h * np.arange(-math.ceil(4.3 / h), math.ceil(4.3 / h) + 1)
+        u = 0.5 * math.pi * np.sinh(tau)
+        w = h * 0.5 * math.pi * np.cosh(tau) / np.cosh(u) ** 2
+        x = 0.5 * (a + b) + 0.5 * (b - a) * np.tanh(u)
+        keep = (x > a) & (x < b) & (w > 0.0)
+        return 0.5 * (b - a) * math.fsum(w[keep] * f(x[keep]))
+
+    def test_levels_reuse_the_previous_sum(self):
+        # each level evaluates only its new (odd) nodes; its value is the
+        # recomputed full sum up to rounding
+        calls = []
+
+        def f(x):
+            calls.append(len(x))
+            return np.sqrt((1.0 - x) * (1.0 + x)) * np.exp(x)
+
+        res = integrate_singular(f, -1.0, 1.0, 1e-12)
+        level = res.panels_used
+        ref = self.full_level_sum(lambda x: np.sqrt((1.0 - x) * (1.0 + x)) * np.exp(x),
+                                  -1.0, 1.0, level)
+        assert abs(res.value - ref) <= 1e-14
+        assert len(calls) == level
+        full = sum(2 * math.ceil(4.3 * 2 ** k) + 1 for k in range(1, level + 1))
+        assert sum(calls) <= 0.6 * full

@@ -183,22 +183,8 @@ class TestRemainderClenshaw:
 
 
 class TestZetaSqMod:
-    def test_nonnegative_and_consistent(self, ev, rng):
-        ts = rng.uniform(50.0, 2e4, 200)
-        vals = ev.zeta_sq_mod(ts)
-        assert np.all(vals >= 0.0)
-        zs = ev.z(ts)
-        assert np.array_equal(vals, zs * zs)
-
-    def test_zero_at_first_zeta_zero(self, ev):
-        assert ev.zeta_sq_mod(ZERO_1) <= 1e-10
-
     def test_rs_and_oracle_agree_at_1e4(self, ev):
         assert abs(ev.z_rs(10000.0) ** 2 - ev.z_oracle(10000.0) ** 2) <= 2e-5
-
-    def test_domain(self, ev):
-        with pytest.raises(DomainError):
-            ev.zeta_sq_mod(0.5)
 
 
 class TestPurity:

@@ -210,6 +210,23 @@ class TestBesselZeros:
         with pytest.raises(CacheError):
             load_zero_cache(path)
 
+    def test_cache_rejects_non_zeros_and_merges_nothing(self, tmp_path):
+        from zladder import CacheError
+        good = zero_table(0.0, 3).zeros[:3]
+        nu = 7.25   # an order no other test touches
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": 1, "tables": {
+            "0.0": {"zeros": good},
+            repr(nu): {"zeros": [bessel_zero(nu, 1), bessel_zero(nu, 1) + 1e-6]}}}))
+        before = len(zero_table(nu, 1).zeros)
+        with pytest.raises(CacheError, match="1e-12"):
+            load_zero_cache(path)
+        assert len(zero_table(nu, 1).zeros) == before
+        # the deep zeros a cache may hold (x > 200) pass the same check
+        bessel_zero(10.0, 64)
+        save_zero_cache(path)
+        assert load_zero_cache(path) >= 1
+
 
 class TestSeriesBitwise:
     """The scalar loop for single points and the scalar term divisor give
