@@ -293,9 +293,10 @@ class TestEval:
             small_ladder.ztilde_sq(1090.5)
 
 
-class TestEvalBatch:
+class TestEvalSharedHeads:
     """Every point gets the bits it gets alone, in any batch, and no call
-    after the build evaluates Z."""
+    after the build evaluates Z. (The name is kept from the per-panel Gauss
+    heads a batch once shared; this is the contract they served.)"""
 
     # Z's main sum has 12 terms below 2 pi 13^2 ~ 1061.86 and 13 above it
     SEAM = 2.0 * math.pi * 13 ** 2
@@ -308,13 +309,13 @@ class TestEvalBatch:
         return np.array([table.eval(float(t)) for t in ts])
 
     @pytest.mark.parametrize("k0", [None, "shift"])
-    def test_matches_one_point_at_a_time(self, small_ladder, rng, k0):
+    def test_shared_main_sum_length(self, small_ladder, rng, k0):
         panels = self._panels(small_ladder, 1000.0, 1060.0, 12, rng)
         table = shifted(small_ladder, panels[0]) if k0 else small_ladder
         ts = points_in_panels(table, panels, 40, rng)
         assert np.array_equal(table.eval(ts), self._one_at_a_time(table, ts))
 
-    def test_across_z_main_sum_seam(self, small_ladder, rng):
+    def test_mixed_main_sum_lengths(self, small_ladder, rng):
         # Z's batch dependence at its main-sum seam does not reach eval
         panels = np.concatenate([self._panels(small_ladder, 1055.0, self.SEAM, 4, rng),
                                  self._panels(small_ladder, self.SEAM, 1070.0, 4, rng)])
