@@ -14,7 +14,7 @@ from .ladder import (EULER_C, LadderTable, PrimePi, RetardationRow,
                      build_ladder, check_admissible, log_stability_check,
                      pushforward_integral, retardation_report, ztilde_sq)
 from .quadrature import (QuadratureResult, integrate_adaptive,
-                         integrate_singular)
+                         integrate_adaptive_rows, integrate_singular)
 from .rszeta import ZEvaluator
 from .specfun import (BesselZeroTable, PolyFamilySpec, bessel_j,
                       bessel_norm_sq, bessel_zero, gamma_fn, log_gamma,
@@ -27,7 +27,8 @@ __all__ = [
     "LadderTable", "PrimePi", "RetardationRow", "build_ladder",
     "pushforward_integral", "retardation_report",
     "log_stability_check", "ztilde_sq", "check_admissible", "EULER_C",
-    "QuadratureResult", "integrate_adaptive", "integrate_singular",
+    "QuadratureResult", "integrate_adaptive", "integrate_adaptive_rows",
+    "integrate_singular",
     "BesselZeroTable", "PolyFamilySpec", "bessel_j", "bessel_norm_sq",
     "bessel_zero", "gamma_fn", "log_gamma", "poly_eval", "poly_norm_sq",
     "poly_weight",

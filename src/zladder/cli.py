@@ -274,8 +274,8 @@ def _family_reports(family: str, cfg: RunConfig, table) -> list:
         return [r for T in cfg.T for nu in cfg.nu
                 for r in V.verify_theorem1(table, T, nu, cfg.n_max, tol=cfg.tol_exact)]
     if family == "corollary":
-        return [r for nu in cfg.nu for n in range(1, cfg.n_max + 1)
-                for r in V.verify_corollary(table, cfg.T, nu, n)]
+        return [r for nu in cfg.nu
+                for r in V.verify_corollary(table, cfg.T, nu, cfg.n_max)]
     fn = V.verify_theorem2 if family == "theorem2" else V.sanity_theorem2_exact
     jobs = list(V.theorem2_jobs(cfg.n_max, cfg.nu[0], cfg.alpha, cfg.beta))
     return [fn(table, T, eq, params) for T in cfg.T for eq, params in jobs]

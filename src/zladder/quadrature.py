@@ -5,6 +5,11 @@ bisection refinement and a QUADPACK-style error estimate; panels are accepted
 locally against a width-proportional share of the tolerance, which makes the
 final panel set (and hence the result, summed in ascending position order)
 deterministic and independent of evaluation batching.
+`integrate_adaptive_rows` runs the same refinement for several integrands
+that share a window and breakpoints (the rows of a Gram system), each row
+with its own panels, acceptance test and sum, and calls the integrand once
+per round on the union of the rows' pending panels; `integrate_adaptive` is
+its one-row case.
 
 `integrate_singular` applies the double-exponential (tanh-sinh) transform,
 doubling the node density per level until two successive levels agree; each
@@ -91,13 +96,9 @@ def _check_finite(vals: np.ndarray, where: np.ndarray) -> None:
         raise QuadratureError(f"integrand returned a non-finite value near x = {x}")
 
 
-def _gk15_batch(f: Callable, lo: np.ndarray, hi: np.ndarray):
-    """Kronrod/Gauss sums and error estimates for a batch of panels."""
-    mid = 0.5 * (lo + hi)
-    hw = 0.5 * (hi - lo)
-    nodes = mid[:, None] + hw[:, None] * _XK[None, :]
-    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    _check_finite(vals, nodes)
+def _gk15_sums(vals: np.ndarray, hw: np.ndarray):
+    """Kronrod sums and error estimates of panels of half-widths `hw`, from
+    their integrand values `vals` (one row of 15 per panel)."""
     resk = vals @ _WK
     resg = vals[:, _GAUSS_IDX] @ _WG
     reskh = 0.5 * resk
@@ -114,6 +115,101 @@ def _gk15_batch(f: Callable, lo: np.ndarray, hi: np.ndarray):
     return hw * resk, err, floor
 
 
+def _union_panels(pending):
+    """The distinct panels of several rows' pending (lo, hi) arrays, in order
+    of first appearance, and for each row the index of its panels in them.
+
+    Keyed by both edges: a panel bisected down to one ulp has a child of zero
+    width that shares its sibling's left edge.
+    """
+    keys = np.stack([np.concatenate([lo for lo, _ in pending]),
+                     np.concatenate([hi for _, hi in pending])], axis=1)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    where = rank[inverse.ravel()]
+    cuts = np.cumsum([len(lo) for lo, _ in pending])[:-1]
+    return keys[first[order], 0], keys[first[order], 1], np.split(where, cuts)
+
+
+def integrate_adaptive_rows(
+    f: Callable,
+    rows: int,
+    a: float,
+    b: float,
+    tol: float,
+    *,
+    breakpoints: Sequence[float] | None = None,
+    max_panels: int = 10 ** 6,
+) -> list[QuadratureResult]:
+    """Adaptive Gauss-Kronrod integrals of `rows` integrands on one window.
+
+    `f(x)` returns an array of shape (rows, len(x)): row r is the r-th
+    integrand at the points x.  Every row refines on its own exactly as
+    `integrate_adaptive` would, with its own pending panels, acceptance
+    test, panel budget and ascending-order sum; only the integrand calls are
+    shared.  All pending panels of a round sit at the same bisection depth
+    of the same initial panels, so each round calls `f` once, on the nodes
+    of the union of every unfinished row's pending panels.  Each row's
+    result is bit-identical to a solo `integrate_adaptive` of that row when
+    f's value at a point does not depend on the other points of the batch.
+    Raises QuadratureError for the first row (in round, then row order) that
+    exhausts its panel budget or meets a non-finite value.
+    """
+    a = float(a)
+    b = float(b)
+    if not a < b:
+        raise DomainError(f"integrate_adaptive requires a < b, got [{a}, {b}]")
+    if tol <= 0.0:
+        raise DomainError("tolerance must be positive")
+
+    edges = [a]
+    if breakpoints is not None and len(breakpoints):
+        edges.extend(sorted(float(x) for x in breakpoints if a < x < b))
+    edges.append(b)
+    pending = {r: (np.array(edges[:-1]), np.array(edges[1:])) for r in range(rows)}
+    done: list[list[tuple]] = [[] for _ in range(rows)]   # (lo, value, err) arrays
+    n_panels = [len(edges) - 1] * rows
+    span = b - a
+
+    while pending:
+        u_lo, u_hi, gathers = _union_panels(list(pending.values()))
+        mid = 0.5 * (u_lo + u_hi)
+        hw = 0.5 * (u_hi - u_lo)
+        nodes = mid[:, None] + hw[:, None] * _XK[None, :]
+        vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(rows, *nodes.shape)
+        for (r, (pend_lo, pend_hi)), idx in zip(list(pending.items()), gathers):
+            row_vals = vals[r][idx]
+            _check_finite(row_vals, nodes[idx])
+            sums, errs, floors = _gk15_sums(row_vals, hw[idx])
+            # a panel is done when it meets its width's share of tol, or is
+            # already at the roundoff floor (the reported estimate stays honest)
+            ok = errs <= np.maximum(tol * (pend_hi - pend_lo) / span, 1.01 * floors)
+            done[r].append((pend_lo[ok], sums[ok], errs[ok]))
+            lo_bad = pend_lo[~ok]
+            hi_bad = pend_hi[~ok]
+            if len(lo_bad) == 0:
+                del pending[r]
+                continue
+            n_panels[r] += 2 * len(lo_bad)
+            if n_panels[r] > max_panels:
+                raise QuadratureError(
+                    f"adaptive refinement exceeded {max_panels} panels on [{a}, {b}] "
+                    f"(unresolved error ~ {float(np.sum(errs[~ok])):.3e} vs tol {tol:.3e})")
+            mid_bad = 0.5 * (lo_bad + hi_bad)
+            pending[r] = (np.concatenate([lo_bad, mid_bad]), np.concatenate([mid_bad, hi_bad]))
+
+    results = []
+    for row in done:
+        lo_all, val_all, err_all = (np.concatenate(part) for part in zip(*row))
+        order = np.argsort(lo_all, kind="stable")
+        results.append(QuadratureResult(
+            value=float(np.sum(val_all[order])), error_estimate=float(np.sum(err_all[order])),
+            panels_used=len(lo_all), rule="gk15-adaptive"))
+    return results
+
+
 def integrate_adaptive(
     f: Callable,
     a: float,
@@ -127,55 +223,12 @@ def integrate_adaptive(
 
     A panel [lo, hi] is accepted once its error estimate is below
     tol * (hi - lo) / (b - a); otherwise it is bisected.  Raises
-    QuadratureError if the panel budget is exhausted first.
+    QuadratureError if the panel budget is exhausted first.  The one-row
+    case of `integrate_adaptive_rows`: f is called with the same points, in
+    the same order, as by a loop over this integral alone.
     """
-    a = float(a)
-    b = float(b)
-    if not a < b:
-        raise DomainError(f"integrate_adaptive requires a < b, got [{a}, {b}]")
-    if tol <= 0.0:
-        raise DomainError("tolerance must be positive")
-
-    edges = [a]
-    if breakpoints is not None and len(breakpoints):
-        edges.extend(sorted(float(x) for x in breakpoints if a < x < b))
-    edges.append(b)
-    pend_lo = np.array(edges[:-1])
-    pend_hi = np.array(edges[1:])
-
-    done_lo: list[np.ndarray] = []
-    done_val: list[np.ndarray] = []
-    done_err: list[np.ndarray] = []
-    n_panels = len(pend_lo)
-    span = b - a
-
-    while len(pend_lo):
-        vals, errs, floors = _gk15_batch(f, pend_lo, pend_hi)
-        # a panel is done when it meets its width's share of tol, or is
-        # already at the roundoff floor (the reported estimate stays honest)
-        ok = errs <= np.maximum(tol * (pend_hi - pend_lo) / span, 1.01 * floors)
-        done_lo.append(pend_lo[ok])
-        done_val.append(vals[ok])
-        done_err.append(errs[ok])
-        lo_bad = pend_lo[~ok]
-        hi_bad = pend_hi[~ok]
-        if len(lo_bad) == 0:
-            break
-        n_panels += 2 * len(lo_bad)
-        if n_panels > max_panels:
-            raise QuadratureError(
-                f"adaptive refinement exceeded {max_panels} panels on [{a}, {b}] "
-                f"(unresolved error ~ {float(np.sum(errs[~ok])):.3e} vs tol {tol:.3e})")
-        mid_bad = 0.5 * (lo_bad + hi_bad)
-        pend_lo = np.concatenate([lo_bad, mid_bad])
-        pend_hi = np.concatenate([mid_bad, hi_bad])
-
-    lo_all = np.concatenate(done_lo)
-    order = np.argsort(lo_all, kind="stable")
-    value = float(np.sum(np.concatenate(done_val)[order]))
-    err = float(np.sum(np.concatenate(done_err)[order]))
-    return QuadratureResult(value=value, error_estimate=err,
-                            panels_used=len(lo_all), rule="gk15-adaptive")
+    return integrate_adaptive_rows(f, 1, a, b, tol, breakpoints=breakpoints,
+                                   max_panels=max_panels)[0]
 
 
 def _tanh_sinh_level(f: Callable, a: float, b: float, level: int,

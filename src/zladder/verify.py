@@ -9,6 +9,14 @@ Three layers, in increasing dependence on asymptotics:
 * asymptotic layer (E2_2, E2_4..E2_10 with |zeta|^2 weight): the right-hand
   sides carry a factor ln T and hold only as T -> infinity; ratios are
   reported and their error trend is checked across a ladder of T values.
+
+The Bessel families (E1_2 per nu, E1_3 per (T, nu), E2_2 per (T, nu) over
+n = 1..max_n) integrate all rows of one window in one
+`integrate_adaptive_rows` call: the integrand evaluates the window's shared
+factors and J_nu at every zero once per round, then forms each row with the
+operations, in the order, that the row's own integrand would use, so every
+row keeps the bits of an integral of that row alone.  Each row of such a
+group records the elapsed time of the whole group.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import numpy as np
 
 from .exceptions import DomainError
 from .ladder import LadderTable, check_admissible
-from .quadrature import integrate_adaptive, integrate_singular
+from .quadrature import integrate_adaptive, integrate_adaptive_rows, integrate_singular
 from .specfun import (PolyFamilySpec, bessel_j, bessel_norm_sq, bessel_zero,
                       poly_eval, poly_norm_sq)
 
@@ -68,6 +76,14 @@ def _make_report(eq, params, lhs, rhs, qerr, t0, ev_hash, ladder_hash=None):
         ladder_hash=ladder_hash)
 
 
+def _gram_pairs(max_n: int):
+    """The unordered pairs (m, n), 1 <= m <= n <= max_n, in report order, and
+    their 0-based index arrays."""
+    pairs = [(m, n) for m in range(1, max_n + 1) for n in range(m, max_n + 1)]
+    mi, ni = (np.array(k) - 1 for k in zip(*pairs))
+    return pairs, mi, ni
+
+
 # ---------------------------------------------------------------------------
 # classical Bessel orthogonality baseline (E1_2)
 
@@ -77,25 +93,25 @@ def verify_bessel_baseline(nu: float, max_n: int, tol: float = 1e-9,
 
     Off-diagonal entries vanish; diagonals equal 0.5 J_{nu+1}(mu_n)^2.
     `tol` is recorded for the caller's judgement; rows are emitted for every
-    unordered pair (m, n) with m <= n <= max_n.
+    unordered pair (m, n) with m <= n <= max_n, integrated together.
     """
     if not 1 <= max_n <= 8:
         raise DomainError("verify_bessel_baseline requires 1 <= max_n <= 8")
-    mus = [bessel_zero(nu, k) for k in range(1, max_n + 1)]
+    mus = np.array([bessel_zero(nu, k) for k in range(1, max_n + 1)])
+    pairs, mi, ni = _gram_pairs(max_n)
+    t0 = time.perf_counter()
+
+    def integrand(x):
+        j = bessel_j(nu, mus[:, None] * x)
+        return j[mi] * j[ni] * x
+
+    results = integrate_adaptive_rows(integrand, len(pairs), 0.0, 1.0, quad_tol)
     reports = []
-    for m in range(1, max_n + 1):
-        for n in range(m, max_n + 1):
-            t0 = time.perf_counter()
-
-            def integrand(x, _mm=mus[m - 1], _mn=mus[n - 1], _sq=(m == n)):
-                j = bessel_j(nu, _mm * x)
-                return (j * j if _sq else j * bessel_j(nu, _mn * x)) * x
-
-            res = integrate_adaptive(integrand, 0.0, 1.0, quad_tol)
-            rhs = bessel_norm_sq(nu, n) if m == n else 0.0
-            reports.append(_make_report(
-                "E1_2", {"nu": nu, "m": m, "n": n, "tol": tol},
-                res.value, rhs, res.error_estimate, t0, "classical"))
+    for (m, n), res in zip(pairs, results):
+        rhs = bessel_norm_sq(nu, n) if m == n else 0.0
+        reports.append(_make_report(
+            "E1_2", {"nu": nu, "m": m, "n": n, "tol": tol},
+            res.value, rhs, res.error_estimate, t0, "classical"))
     return reports
 
 
@@ -109,8 +125,8 @@ def verify_theorem1(table: LadderTable, T: float, nu: float, max_n: int,
     """Weighted orthogonality of J_nu(mu_n (phi_1(t) - T)) on the preimage
     of [T, T+1] under the weight (phi_1(t) - T) Ztilde^2(t).
 
-    Emits E1_3 rows for all unordered (m, n), plus the E1_4 segment-distance
-    row dist([0,1], [phi^-1(T), phi^-1(T+1)]) / T.
+    Emits E1_3 rows for all unordered (m, n), integrated together, plus the
+    E1_4 segment-distance row dist([0,1], [phi^-1(T), phi^-1(T+1)]) / T.
     """
     T = float(T)
     if T < 1e3:
@@ -122,27 +138,27 @@ def verify_theorem1(table: LadderTable, T: float, nu: float, max_n: int,
     a = table.invert(T)
     b = table.invert(T + 1.0)
     zeros = table.breakpoints(a, b)
-    mus = [bessel_zero(nu, k) for k in range(1, max_n + 1)]
+    mus = np.array([bessel_zero(nu, k) for k in range(1, max_n + 1)])
+    pairs, mi, ni = _gram_pairs(max_n)
+    t0 = time.perf_counter()
 
+    def integrand(ts):
+        u = np.maximum(table.eval(ts) - T, 0.0)
+        zt = table.ztilde_sq(ts)
+        j = bessel_j(nu, mus[:, None] * u)
+        return j[mi] * j[ni] * u * zt
+
+    results = integrate_adaptive_rows(integrand, len(pairs), a, b, quad_tol,
+                                      breakpoints=zeros)
     reports = []
-    for m in range(1, max_n + 1):
-        for n in range(m, max_n + 1):
-            t0 = time.perf_counter()
-
-            def integrand(ts, _mm=mus[m - 1], _mn=mus[n - 1], _sq=(m == n)):
-                u = np.maximum(table.eval(ts) - T, 0.0)
-                j = bessel_j(nu, _mm * u)
-                jj = j * j if _sq else j * bessel_j(nu, _mn * u)
-                return jj * u * table.ztilde_sq(ts)
-
-            res = integrate_adaptive(integrand, a, b, quad_tol, breakpoints=zeros)
-            if m == n:
-                eq, rhs = "E1_3_diag", bessel_norm_sq(nu, n)
-            else:
-                eq, rhs = "E1_3_offdiag", 0.0
-            reports.append(_make_report(
-                eq, {"T": T, "nu": nu, "m": m, "n": n, "tol": tol},
-                res.value, rhs, res.error_estimate, t0, ev_hash, lhash))
+    for (m, n), res in zip(pairs, results):
+        if m == n:
+            eq, rhs = "E1_3_diag", bessel_norm_sq(nu, n)
+        else:
+            eq, rhs = "E1_3_offdiag", 0.0
+        reports.append(_make_report(
+            eq, {"T": T, "nu": nu, "m": m, "n": n, "tol": tol},
+            res.value, rhs, res.error_estimate, t0, ev_hash, lhash))
 
     t0 = time.perf_counter()
     dist = a - 1.0  # segments [0,1] and [a,b] with a >> 1
@@ -154,12 +170,14 @@ def verify_theorem1(table: LadderTable, T: float, nu: float, max_n: int,
 # ---------------------------------------------------------------------------
 # the |zeta|^2-weighted Bessel diagonal (E2_2)
 
-def verify_corollary(table: LadderTable, T_list, nu: float, n: int,
+def verify_corollary(table: LadderTable, T_list, nu: float, max_n: int,
                      quad_tol: float = 1e-6) -> list[VerificationReport]:
-    """The E2_2 integral: |zeta(1/2+it)|^2-weighted Bessel diagonal against
-    0.5 J_{nu+1}(mu_n)^2 ln T, one report per T (ratio -> 1 as T grows)."""
-    mu = bessel_zero(nu, n)
-    norm = bessel_norm_sq(nu, n)
+    """The E2_2 integrals: |zeta(1/2+it)|^2-weighted Bessel diagonals against
+    0.5 J_{nu+1}(mu_n)^2 ln T for n = 1..max_n, one report per (T, n) (ratio
+    -> 1 as T grows); the rows n of one T are integrated together."""
+    if not 1 <= max_n <= 64:
+        raise DomainError("verify_corollary requires 1 <= max_n <= 64")
+    mus = np.array([bessel_zero(nu, n) for n in range(1, max_n + 1)])
     ev_hash = table.evaluator.config_hash()
     lhash = table.config_hash()
     reports = []
@@ -171,12 +189,16 @@ def verify_corollary(table: LadderTable, T_list, nu: float, n: int,
 
         def integrand(ts):
             u = np.maximum(table.eval(ts) - T, 0.0)
-            return bessel_j(nu, mu * u) ** 2 * u * table.ztilde_sq(ts) * np.log(ts)
+            zt = table.ztilde_sq(ts)
+            return bessel_j(nu, mus[:, None] * u) ** 2 * u * zt * np.log(ts)
 
-        res = integrate_adaptive(integrand, a, b, quad_tol, breakpoints=zeros)
-        reports.append(_make_report(
-            "E2_2", {"T": T, "nu": nu, "n": n},
-            res.value, norm * math.log(T), res.error_estimate, t0, ev_hash, lhash))
+        results = integrate_adaptive_rows(integrand, max_n, a, b, quad_tol,
+                                          breakpoints=zeros)
+        for n, res in enumerate(results, start=1):
+            reports.append(_make_report(
+                "E2_2", {"T": T, "nu": nu, "n": n},
+                res.value, bessel_norm_sq(nu, n) * math.log(T), res.error_estimate,
+                t0, ev_hash, lhash))
     return reports
 
 

@@ -2,9 +2,40 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zladder import (DomainError, QuadratureError, bessel_norm_sq, bessel_zero,
-                     bessel_j, integrate_adaptive, integrate_singular)
+                     bessel_j, integrate_adaptive, integrate_adaptive_rows,
+                     integrate_singular)
+from zladder.quadrature import _XK, _gk15_sums
+
+
+def adaptive_reference(f, a, b, tol, breakpoints=()):
+    """The one-integrand refinement loop as it ran before the rows API:
+    (value, error estimate, panels, number of calls of f)."""
+    edges = [a, *sorted(x for x in breakpoints if a < x < b), b]
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    done_lo, done_val, done_err, calls = [], [], [], 0
+    while len(lo):
+        mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nodes = mid[:, None] + hw[:, None] * _XK[None, :]
+        sums, errs, floors = _gk15_sums(f(nodes.ravel()).reshape(nodes.shape), hw)
+        calls += 1
+        ok = errs <= np.maximum(tol * (hi - lo) / (b - a), 1.01 * floors)
+        done_lo.append(lo[ok])
+        done_val.append(sums[ok])
+        done_err.append(errs[ok])
+        lo_bad, hi_bad = lo[~ok], hi[~ok]
+        mid_bad = 0.5 * (lo_bad + hi_bad)
+        lo, hi = np.concatenate([lo_bad, mid_bad]), np.concatenate([mid_bad, hi_bad])
+    order = np.argsort(np.concatenate(done_lo), kind="stable")
+    return (float(np.sum(np.concatenate(done_val)[order])),
+            float(np.sum(np.concatenate(done_err)[order])), len(order), calls)
+
+
+def damped_wave(c, w, ph, d):
+    return lambda x: c * np.cos(w * x + ph) * np.exp(-d * x)
 
 
 class TestAdaptive:
@@ -80,6 +111,72 @@ class TestAdaptive:
             integrate_adaptive(lambda x: x, 1.0, 0.0, 1e-9)
         with pytest.raises(DomainError):
             integrate_adaptive(lambda x: x, 0.0, 1.0, -1e-9)
+
+
+class TestAdaptiveRows:
+    @settings(max_examples=60, deadline=None)
+    @given(params=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 40.0),
+                                     st.floats(0.0, 6.0), st.floats(0.0, 3.0)),
+                           min_size=1, max_size=5),
+           a=st.floats(-2.0, 2.0), width=st.floats(0.1, 4.0),
+           cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
+           tol=st.sampled_from([1e-6, 1e-9, 1e-12]))
+    def test_rows_equal_solo_integrals(self, params, a, width, cuts, tol):
+        b = a + width
+        breaks = [a + c * width for c in cuts]
+        fs = [damped_wave(*p) for p in params]
+        calls = []
+
+        def rows_f(x):
+            calls.append(len(x))
+            return np.stack([f(x) for f in fs])
+
+        got = integrate_adaptive_rows(rows_f, len(fs), a, b, tol, breakpoints=breaks)
+        rounds = []
+        for f, res in zip(fs, got):
+            solo = integrate_adaptive(f, a, b, tol, breakpoints=breaks)
+            value, err, panels, n_calls = adaptive_reference(f, a, b, tol, breaks)
+            assert (res.value, res.error_estimate, res.panels_used) == \
+                (solo.value, solo.error_estimate, solo.panels_used) == (value, err, panels)
+            rounds.append(n_calls)
+        # one call per round, as many rounds as the slowest row needs
+        assert len(calls) == max(rounds)
+
+    def test_union_of_pending_panels_per_call(self):
+        # a row done after one round leaves the later calls to the others
+        fs = [lambda x: x, lambda x: np.cos(30.0 * x)]
+        calls = []
+
+        def rows_f(x):
+            calls.append(len(x))
+            return np.stack([f(x) for f in fs])
+
+        flat, wave = integrate_adaptive_rows(rows_f, 2, 0.0, 2.0, 1e-10,
+                                             breakpoints=[0.5])
+        assert flat.panels_used == 2
+        assert calls[0] == 2 * 15
+        # the nodes of the wave row's panels, each once: its two roots and
+        # two children per bisection, of which panels_used are leaves
+        assert sum(calls) == 15 * (2 * wave.panels_used - 2)
+
+    def test_row_panel_budget(self):
+        def rows_f(x):
+            return np.stack([x, np.cos(50.0 * x)])
+
+        with pytest.raises(QuadratureError, match="64 panels"):
+            integrate_adaptive_rows(rows_f, 2, 0.0, 10.0, 1e-300, max_panels=64)
+
+    def test_row_non_finite(self):
+        def rows_f(x):
+            with np.errstate(divide="ignore"):
+                return np.stack([x, 1.0 / (x - 0.5)])
+
+        with pytest.raises(QuadratureError, match="non-finite"):
+            integrate_adaptive_rows(rows_f, 2, 0.0, 1.0, 1e-9)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            integrate_adaptive_rows(lambda x: np.stack([x, x]), 2, 1.0, 0.0, 1e-9)
 
 
 class TestTanhSinh:

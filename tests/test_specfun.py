@@ -138,6 +138,23 @@ class TestBesselJ:
             bessel_j(0.0, 201.0)
 
 
+class TestBesselJBatchInvariance:
+    """A point's J_nu does not depend on the batch it is evaluated in: the
+    pooled verification integrands rely on it for their bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(nu=st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.3]),
+           xs=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 40.0),
+                                 st.floats(40.0, 200.0, exclude_min=True)),
+                       min_size=2, max_size=40))
+    def test_point_in_batch_equals_point_alone(self, nu, xs):
+        x = np.array(xs)
+        batch = bessel_j(nu, x)
+        assert [v.hex() for v in batch.tolist()] == [bessel_j(nu, v).hex() for v in xs]
+        grid = bessel_j(nu, np.stack([x, x[::-1]]))
+        assert grid.tobytes() == np.stack([batch, batch[::-1]]).tobytes()
+
+
 class TestBesselZeros:
     def test_frozen_values(self):
         assert abs(bessel_zero(0, 1) - J0_ZERO_1) <= 1e-10

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from zladder import DomainError, bessel_norm_sq
+from zladder import (DomainError, bessel_j, bessel_norm_sq, bessel_zero,
+                     integrate_adaptive)
 from zladder import verify as V
 
 J_32_PI_HALF_SQ = 0.10132118364233779   # 0.5 * J_{3/2}(pi)^2
@@ -89,6 +90,69 @@ class TestCorollary:
             abs_error=0.0, quadrature_error=0.0, elapsed=0.0, evaluator_hash="x")
         assert V.ratio_trend_nonincreasing([mk(1.10, 1e3), mk(1.05, 1e4), mk(1.02, 1e5)])
         assert not V.ratio_trend_nonincreasing([mk(1.01, 1e3), mk(1.08, 1e4)])
+
+
+class TestPooledRowsEqualPerRowIntegrals:
+    """Each row of a Bessel family integrated together with its siblings is
+    the integral of that row's own integrand, bit for bit."""
+
+    @staticmethod
+    def assert_rows(reports, integrand, a, b, tol, breakpoints=None):
+        for r in reports:
+            res = integrate_adaptive(integrand(r.params), a, b, tol, breakpoints=breakpoints)
+            assert (r.lhs, r.quadrature_error) == (res.value, res.error_estimate)
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0])
+    def test_baseline(self, nu):
+        def integrand(p):
+            mm, mn = bessel_zero(nu, p["m"]), bessel_zero(nu, p["n"])
+
+            def f(x):
+                j = bessel_j(nu, mm * x)
+                return (j * j if p["m"] == p["n"] else j * bessel_j(nu, mn * x)) * x
+            return f
+
+        self.assert_rows(V.verify_bessel_baseline(nu, 3), integrand, 0.0, 1.0, 1e-12)
+
+    def test_theorem1(self, small_ladder, theorem1_reports):
+        T, table = 1000.0, small_ladder
+
+        def integrand(p):
+            mm, mn = bessel_zero(0.0, p["m"]), bessel_zero(0.0, p["n"])
+
+            def f(ts):
+                u = np.maximum(table.eval(ts) - T, 0.0)
+                j = bessel_j(0.0, mm * u)
+                jj = j * j if p["m"] == p["n"] else j * bessel_j(0.0, mn * u)
+                return jj * u * table.ztilde_sq(ts)
+            return f
+
+        a, b = table.invert(T), table.invert(T + 1.0)
+        rows = [r for r in theorem1_reports if r.equation_id != "E1_4"]
+        assert len(rows) == 6
+        self.assert_rows(rows, integrand, a, b, 1e-9, table.breakpoints(a, b))
+
+    def test_corollary(self, small_ladder):
+        table = small_ladder
+        reports = V.verify_corollary(table, [1001.0, 1000.0], 1.0, 3)
+        assert [(r.params["T"], r.params["n"]) for r in reports] == \
+            [(T, n) for T in (1000.0, 1001.0) for n in (1, 2, 3)]
+        for T in (1000.0, 1001.0):
+            def integrand(p):
+                mu = bessel_zero(1.0, p["n"])
+
+                def f(ts):
+                    u = np.maximum(table.eval(ts) - T, 0.0)
+                    return bessel_j(1.0, mu * u) ** 2 * u * table.ztilde_sq(ts) * np.log(ts)
+                return f
+
+            a, b = table.invert(T), table.invert(T + 1.0)
+            self.assert_rows([r for r in reports if r.params["T"] == T], integrand,
+                             a, b, 1e-6, table.breakpoints(a, b))
+
+    def test_corollary_max_n(self, small_ladder):
+        with pytest.raises(DomainError):
+            V.verify_corollary(small_ladder, [1000.0], 0.0, 0)
 
 
 class TestSanityLayer:
