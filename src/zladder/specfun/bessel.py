@@ -208,6 +208,8 @@ def _refine_zero(nu: float, lo: float, hi: float) -> float:
             hi = x
         step = f / float(_bessel_j_prime(nu, x))
         x_new = x - step
+        if x_new == x:   # the step is below half an ulp: x is Newton's fixed point
+            return x
         if not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
         if abs(x_new - x) <= 1e-15 * x:
