@@ -178,6 +178,7 @@ def verify_corollary(table: LadderTable, T_list, nu: float, max_n: int,
     if not 1 <= max_n <= 64:
         raise DomainError("verify_corollary requires 1 <= max_n <= 64")
     mus = np.array([bessel_zero(nu, n) for n in range(1, max_n + 1)])
+    norms = [bessel_norm_sq(nu, n) for n in range(1, max_n + 1)]
     ev_hash = table.evaluator.config_hash()
     lhash = table.config_hash()
     reports = []
@@ -194,11 +195,10 @@ def verify_corollary(table: LadderTable, T_list, nu: float, max_n: int,
 
         results = integrate_adaptive_rows(integrand, max_n, a, b, quad_tol,
                                           breakpoints=zeros)
-        for n, res in enumerate(results, start=1):
+        for n, (norm, res) in enumerate(zip(norms, results), start=1):
             reports.append(_make_report(
                 "E2_2", {"T": T, "nu": nu, "n": n},
-                res.value, bessel_norm_sq(nu, n) * math.log(T), res.error_estimate,
-                t0, ev_hash, lhash))
+                res.value, norm * math.log(T), res.error_estimate, t0, ev_hash, lhash))
     return reports
 
 
