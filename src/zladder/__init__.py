@@ -14,7 +14,8 @@ from .ladder import (EULER_C, LadderTable, PrimePi, RetardationRow,
                      build_ladder, check_admissible, log_stability_check,
                      pushforward_integral, retardation_report, ztilde_sq)
 from .quadrature import (QuadratureResult, integrate_adaptive,
-                         integrate_adaptive_rows, integrate_singular)
+                         integrate_adaptive_rows, integrate_singular,
+                         integrate_singular_rows)
 from .rszeta import ZEvaluator
 from .specfun import (BesselZeroTable, PolyFamilySpec, bessel_j,
                       bessel_norm_sq, bessel_zero, gamma_fn, log_gamma,
@@ -28,7 +29,7 @@ __all__ = [
     "pushforward_integral", "retardation_report",
     "log_stability_check", "ztilde_sq", "check_admissible", "EULER_C",
     "QuadratureResult", "integrate_adaptive", "integrate_adaptive_rows",
-    "integrate_singular",
+    "integrate_singular", "integrate_singular_rows",
     "BesselZeroTable", "PolyFamilySpec", "bessel_j", "bessel_norm_sq",
     "bessel_zero", "gamma_fn", "log_gamma", "poly_eval", "poly_norm_sq",
     "poly_weight",

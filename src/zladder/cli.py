@@ -276,9 +276,12 @@ def _family_reports(family: str, cfg: RunConfig, table) -> list:
     if family == "corollary":
         return [r for nu in cfg.nu
                 for r in V.verify_corollary(table, cfg.T, nu, cfg.n_max)]
-    fn = V.verify_theorem2 if family == "theorem2" else V.sanity_theorem2_exact
-    jobs = list(V.theorem2_jobs(cfg.n_max, cfg.nu[0], cfg.alpha, cfg.beta))
-    return [fn(table, T, eq, params) for T in cfg.T for eq, params in jobs]
+    args = (cfg.n_max, cfg.nu[0], cfg.alpha, cfg.beta)
+    if family == "theorem2":
+        return [r for T in cfg.T for eq in V.THEOREM2_MEMBERS
+                for r in V.verify_theorem2(table, T, eq, *args, tol_ratio=cfg.tol_ratio)]
+    return [r for T in cfg.T for eq in V.THEOREM2_MEMBERS
+            for r in V.sanity_theorem2_exact(table, T, eq, *args)]
 
 
 def _cmd_run(args) -> int:

@@ -11,12 +11,15 @@ with its own panels, acceptance test and sum, and calls the integrand once
 per round on the union of the rows' pending panels; `integrate_adaptive` is
 its one-row case.
 
-`integrate_singular` applies the double-exponential (tanh-sinh) transform,
-doubling the node density per level until two successive levels agree; each
-level reuses the sum of the one before and evaluates only its new nodes.  Node
-positions near the ends are generated from their *distance* to the endpoint,
-so integrands with inverse-square-root blow-ups are never evaluated at the
-endpoints themselves.
+`integrate_singular_rows` applies the double-exponential (tanh-sinh)
+transform to several integrands on one window, doubling the node density per
+level until two successive levels agree; each level reuses the sum of the one
+before and evaluates only its new nodes.  The nodes of a level depend only on
+the window and the level, so the rows run in lockstep with one integrand call
+per level, each row with its own running sum and stop test;
+`integrate_singular` is its one-row case.  Nodes whose position rounds onto
+an endpoint are dropped, so integrands with inverse-square-root blow-ups are
+never evaluated at the endpoints themselves.
 """
 
 from __future__ import annotations
@@ -89,6 +92,16 @@ class QuadratureResult:
     rule: str
 
 
+def _window(name: str, a, b, tol) -> tuple[float, float]:
+    a = float(a)
+    b = float(b)
+    if not a < b:
+        raise DomainError(f"{name} requires a < b, got [{a}, {b}]")
+    if tol <= 0.0:
+        raise DomainError("tolerance must be positive")
+    return a, b
+
+
 def _check_finite(vals: np.ndarray, where: np.ndarray) -> None:
     bad = ~np.isfinite(vals)
     if np.any(bad):
@@ -157,12 +170,7 @@ def integrate_adaptive_rows(
     Raises QuadratureError for the first row (in round, then row order) that
     exhausts its panel budget or meets a non-finite value.
     """
-    a = float(a)
-    b = float(b)
-    if not a < b:
-        raise DomainError(f"integrate_adaptive requires a < b, got [{a}, {b}]")
-    if tol <= 0.0:
-        raise DomainError("tolerance must be positive")
+    a, b = _window("integrate_adaptive", a, b, tol)
 
     edges = [a]
     if breakpoints is not None and len(breakpoints):
@@ -231,25 +239,19 @@ def integrate_adaptive(
                                    max_panels=max_panels)[0]
 
 
-def _tanh_sinh_level(f: Callable, a: float, b: float, level: int,
-                     distance_form: bool) -> float:
-    """The part of the tanh-sinh sum at step h = 2^-level (without the factor
-    (b - a) / 2) that level - 1 lacks: its nodes at odd multiples of h, or
-    every node, the midpoint included, at the first level.  Half the previous
-    level's sum plus this part is the full sum at step h.
-
-    With distance_form the integrand is called as f(x, d_left, d_right) where
-    the distances to the endpoints stay exact long after x itself has rounded
-    onto the endpoint; without it, nodes whose position rounds onto an
-    endpoint are dropped (their weights are negligible by then).
+def _tanh_sinh_level(a: float, b: float, level: int):
+    """The nodes and weights (without the factor (b - a) / 2) of the part of
+    the tanh-sinh sum at step h = 2^-level that level - 1 lacks: its nodes at
+    odd multiples of h, or every node, the midpoint included, at the first
+    level.  Half the previous level's sum plus this part is the full sum at
+    step h.  Nodes whose position rounds onto an endpoint are dropped (their
+    weights are negligible by then).
     """
     h = 2.0 ** (-level)
     r = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
     # w*f decays like exp(tau - (pi/2) sinh tau) even for (dist)^(-1/2)
     # integrands; tau = 4.3 puts the truncated tail below 1e-45
-    kmax = int(np.ceil(4.3 / h))
-    k = np.arange(1, kmax + 1, 1 if level == 1 else 2)
+    k = np.arange(1, int(np.ceil(4.3 / h)) + 1, 1 if level == 1 else 2)
     tau = k * h
     u = 0.5 * np.pi * np.sinh(tau)
     w = h * (0.5 * np.pi) * np.cosh(tau) / np.cosh(u) ** 2
@@ -257,25 +259,58 @@ def _tanh_sinh_level(f: Callable, a: float, b: float, level: int,
     dist = r * delta                       # distance to the near endpoint
     t_right = b - dist
     t_left = a + dist
-    span = b - a
-    if distance_form:
-        keep = w > 0.0
-    else:
-        keep = (t_right < b) & (t_left > a) & (w > 0.0)
-    center = [mid] if level == 1 else []
+    keep = (t_right < b) & (t_left > a) & (w > 0.0)
+    center = [0.5 * (a + b)] if level == 1 else []
     pts = np.concatenate([t_left[keep], center, t_right[keep]])
     wts = np.concatenate([w[keep], [h * 0.5 * np.pi] if center else [], w[keep]])
-    if distance_form:
-        d_keep = dist[keep]
-        far = span - d_keep
-        d_lefts = np.concatenate([d_keep, [r] if center else [], far])
-        d_rights = np.concatenate([far, [r] if center else [], d_keep])
-        vals = np.asarray(f(pts, d_lefts, d_rights), dtype=float)
-    else:
-        vals = np.asarray(f(pts), dtype=float)
-    _check_finite(vals, pts)
-    # a fixed-order sum: a BLAS dot would split long sums across threads
-    return float(np.sum(wts * vals))
+    return pts, wts
+
+
+def integrate_singular_rows(
+    f: Callable,
+    rows: int,
+    a: float,
+    b: float,
+    tol: float,
+    *,
+    max_level: int = 12,
+) -> list[QuadratureResult]:
+    """Tanh-sinh integrals of `rows` integrands on one window, in lockstep.
+
+    `f(x)` returns an array of shape (rows, len(x)): row r is the r-th
+    integrand at the points x.  The nodes of a level depend only on the
+    window and the level, so each level calls `f` once, on its new nodes.
+    Every row keeps its own running sum and stop test, exactly as
+    `integrate_singular` of that row alone would, and ignores the levels
+    after its own stop.  Raises QuadratureError for the first row (in
+    level, then row order) that meets a non-finite value or has not
+    converged by `max_level`.
+    """
+    a, b = _window("integrate_singular", a, b, tol)
+    r = 0.5 * (b - a)
+    acc = [0.0] * rows
+    prev = [0.0] * rows
+    results: list[QuadratureResult | None] = [None] * rows
+    for level in range(1, max_level + 1):
+        pts, wts = _tanh_sinh_level(a, b, level)
+        vals = np.asarray(f(pts), dtype=float).reshape(rows, len(pts))
+        for i in range(rows):
+            if results[i] is not None:
+                continue
+            _check_finite(vals[i], pts)
+            # a fixed-order sum: a BLAS dot would split long sums across threads
+            part = float(np.sum(wts * vals[i]))
+            acc[i] = part if level == 1 else 0.5 * acc[i] + part
+            cur = r * acc[i]
+            diff = abs(cur - prev[i])
+            if level > 1 and diff <= max(tol, 8.0 * _EPS * (1.0 + abs(cur))):
+                results[i] = QuadratureResult(value=cur, error_estimate=diff,
+                                              panels_used=level, rule="tanh-sinh")
+            prev[i] = cur
+        if all(res is not None for res in results):
+            return results
+    raise QuadratureError(
+        f"tanh-sinh did not converge to {tol:.3e} within {max_level} levels on [{a}, {b}]")
 
 
 def integrate_singular(
@@ -285,35 +320,12 @@ def integrate_singular(
     tol: float,
     *,
     max_level: int = 12,
-    distance_form: bool = False,
 ) -> QuadratureResult:
     """Tanh-sinh integral on [a, b], tolerating (dist)^(-1/2) endpoint blow-up.
 
     Levels are refined until two successive sums differ by at most tol (or
     by machine noise relative to the value).  The integrand is never called
-    at a or b.  With distance_form=True the integrand signature is
-    f(x, d_left, d_right); expressing singular factors through the endpoint
-    distances avoids the 1-x cancellation and recovers the last ~1e-8 of
-    mass that position-form integrands cannot see in double precision.
-    `panels_used` reports the number of levels evaluated.
+    at a or b.  `panels_used` reports the number of levels evaluated.  The
+    one-row case of `integrate_singular_rows`.
     """
-    a = float(a)
-    b = float(b)
-    if not a < b:
-        raise DomainError(f"integrate_singular requires a < b, got [{a}, {b}]")
-    if tol <= 0.0:
-        raise DomainError("tolerance must be positive")
-
-    r = 0.5 * (b - a)
-    acc = _tanh_sinh_level(f, a, b, 1, distance_form)
-    prev = r * acc
-    for level in range(2, max_level + 1):
-        acc = 0.5 * acc + _tanh_sinh_level(f, a, b, level, distance_form)
-        cur = r * acc
-        diff = abs(cur - prev)
-        if diff <= max(tol, 8.0 * _EPS * (1.0 + abs(cur))):
-            return QuadratureResult(value=cur, error_estimate=diff,
-                                    panels_used=level, rule="tanh-sinh")
-        prev = cur
-    raise QuadratureError(
-        f"tanh-sinh did not converge to {tol:.3e} within {max_level} levels on [{a}, {b}]")
+    return integrate_singular_rows(f, 1, a, b, tol, max_level=max_level)[0]

@@ -9,7 +9,7 @@ from .bessel import (
     save_zero_cache,
     zero_table,
 )
-from .gamma import gamma_fn, log_gamma, log_gamma_complex
+from .gamma import gamma_fn, log_gamma
 from .orthopoly import PolyFamilySpec, poly_eval, poly_norm_sq, poly_weight
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "load_zero_cache",
     "gamma_fn",
     "log_gamma",
-    "log_gamma_complex",
     "PolyFamilySpec",
     "poly_eval",
     "poly_norm_sq",

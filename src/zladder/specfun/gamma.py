@@ -50,18 +50,6 @@ def _log_gamma_cld(z) -> np.clongdouble:
     return _log_gamma_stirling(w) - shift
 
 
-def log_gamma_complex(z: complex) -> complex:
-    """Principal-branch ln Gamma(z) for Re z > 0.
-
-    Uses recurrence shifts plus the Stirling series; never computes arg Gamma
-    pointwise, so Im ln Gamma is the continuous branch without 2*pi jumps.
-    """
-    z = complex(z)
-    if z.real <= 0.0 and z.imag == 0.0:
-        raise DomainError(f"log_gamma_complex requires Re z > 0 or Im z != 0, got {z}")
-    return complex(_log_gamma_cld(z))
-
-
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for real x > 0."""
     x = float(x)

@@ -10,13 +10,14 @@ Three layers, in increasing dependence on asymptotics:
   sides carry a factor ln T and hold only as T -> infinity; ratios are
   reported and their error trend is checked across a ladder of T values.
 
-The Bessel families (E1_2 per nu, E1_3 per (T, nu), E2_2 per (T, nu) over
-n = 1..max_n) integrate all rows of one window in one
-`integrate_adaptive_rows` call: the integrand evaluates the window's shared
-factors and J_nu at every zero once per round, then forms each row with the
-operations, in the order, that the row's own integrand would use, so every
-row keeps the bits of an integral of that row alone.  Each row of such a
-group records the elapsed time of the whole group.
+Every family integrates the rows of one window in one rows call: E1_2 per
+nu, E1_3 and E2_2 per (T, nu), each E2_4..E2_10 member per T over its
+degrees (tanh-sinh where its weight is singular, GK15 otherwise).  The
+integrand evaluates the window's shared factors and every row's Bessel or
+polynomial values once per call, then forms each row with the operations, in
+the order, that the row's own integrand would use, so every row keeps the
+bits of an integral of that row alone.  Each row of such a group records the
+elapsed time of the whole group (`--timings`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,10 @@ import numpy as np
 
 from .exceptions import DomainError
 from .ladder import LadderTable, check_admissible
-from .quadrature import integrate_adaptive, integrate_adaptive_rows, integrate_singular
+# nothing here calls integrate_adaptive; bench/test_bench.py checks that the
+# benchmark tracer patches this module's binding of it
+from .quadrature import (integrate_adaptive, integrate_adaptive_rows,  # noqa: F401
+                         integrate_singular_rows)
 from .specfun import (PolyFamilySpec, bessel_j, bessel_norm_sq, bessel_zero,
                       poly_eval, poly_norm_sq)
 
@@ -231,13 +235,13 @@ def envelope_23(table: LadderTable, T: float, nu: float, n: int,
 # the integral-equation family E2_4..E2_10 and its exact-substitution
 # sanity layer
 
-# One row per member: eq -> (polynomial family, Jacobi exponents (alpha, beta)
-# of its weight (1 - u)^alpha (1 + u)^beta, or "params" to take them from the
-# job, degree rule: "n" from the job in [1, 16], or a fixed degree).  E2_4 is
+# One entry per member: eq -> (polynomial family, Jacobi exponents (alpha,
+# beta) of its weight (1 - u)^alpha (1 + u)^beta, or "params" to take them from
+# the call, degree rule: "n" for the degrees 1..max_n, or a fixed degree).  E2_4 is
 # the Bessel member on u = phi_1 - T in [0, 1] (U = 1), whose smooth weight u
 # sits in its integrand; the others live on u = phi_1 - T - 1 in [-1, 1]
 # (U = 2), and E2_8 / E2_10 are the n = 0 rows of Chebyshev T / U.
-_THEOREM2_MEMBERS = {
+THEOREM2_MEMBERS = {
     "E2_4": ("bessel", (0.0, 0.0), "n"),
     "E2_5": ("jacobi", "params", "n"),
     "E2_6": ("legendre", (0.0, 0.0), "n"),
@@ -250,80 +254,74 @@ _THEOREM2_MEMBERS = {
 # members whose weight blows up at the ends of the window; their sanity rows
 # are judged against tol_sanity_singular
 SINGULAR_WEIGHT_EQS = frozenset(
-    eq for eq, (_, ab, _) in _THEOREM2_MEMBERS.items() if ab != "params" and min(ab) < 0.0)
+    eq for eq, (_, ab, _) in THEOREM2_MEMBERS.items() if ab != "params" and min(ab) < 0.0)
 
 
-def theorem2_jobs(n_max: int, nu: float, alpha: float, beta: float):
-    """(eq, params) for every member, degrees 1..n_max where the member has one."""
-    for eq, (family, ab, degree) in _THEOREM2_MEMBERS.items():
-        if degree != "n":
-            yield eq, {}
-            continue
-        for n in range(1, n_max + 1):
-            if family == "bessel":
-                yield eq, {"n": n, "nu": nu}
-            elif ab == "params":
-                yield eq, {"n": n, "alpha": alpha, "beta": beta}
-            else:
-                yield eq, {"n": n}
+def _theorem2_pieces(table: LadderTable, T: float, eq: str, max_n: int,
+                     nu: float, alpha: float, beta: float):
+    """(U, rows, integrand builder, smooth) for one member at T.
 
-
-def _theorem2_pieces(table: LadderTable, T: float, eq: str, params: dict):
-    """(U, rhs constant, integrand builder, smooth) for one equation id.
-
-    The builder maps (ts, w) to the member's squared function times its
-    weight times w.  With Jacobi exponents (0, 0) the integrand is smooth on
-    the closed window (GK15 with Z-zero breakpoints); otherwise its weight
-    has an endpoint power and it goes to tanh-sinh.
+    `rows` holds one (params, rhs constant) per degree: 1..max_n, or the
+    member's fixed degree.  The builder maps (ts, w) to the array (rows,
+    len(ts)) of each degree's squared function times its weight times w,
+    each row formed with the operations, in the order, of an integrand of
+    that degree alone.  With Jacobi exponents (0, 0) the integrand is smooth
+    on the closed window (GK15 with Z-zero breakpoints); otherwise its
+    weight has an endpoint power and it goes to tanh-sinh.
     """
-    if eq not in _THEOREM2_MEMBERS:
+    if eq not in THEOREM2_MEMBERS:
         raise DomainError(f"unknown equation id {eq!r}")
-    family, ab, degree = _THEOREM2_MEMBERS[eq]
-    if degree == "n":
-        n = int(params.get("n", 0))
-        if not 1 <= n <= 16:
-            raise DomainError(f"{eq} requires 1 <= n <= 16")
+    if not 1 <= max_n <= 16:
+        raise DomainError(f"{eq} requires 1 <= max_n <= 16")
+    family, ab, degree = THEOREM2_MEMBERS[eq]
+    degrees = range(1, max_n + 1) if degree == "n" else [degree]
+    if ab == "params":
+        ab, extra = (float(alpha), float(beta)), {"alpha": alpha, "beta": beta}
     else:
-        n = degree
-    alpha, beta = (float(params["alpha"]), float(params["beta"])) if ab == "params" else ab
-    smooth = alpha == 0.0 and beta == 0.0
+        extra = {"nu": nu} if family == "bessel" else {}
+    params = [{"n": n, **extra} if degree == "n" else {} for n in degrees]
+    smooth = ab == (0.0, 0.0)
 
     if family == "bessel":
-        nu = float(params.get("nu", 0.0))
-        mu = bessel_zero(nu, n)
+        nu = float(nu)
+        mus = np.array([bessel_zero(nu, n) for n in degrees])
 
         def factor(ts, w):
             u = np.maximum(table.eval(ts) - T, 0.0)
-            return bessel_j(nu, mu * u) ** 2 * u * w
+            return bessel_j(nu, mus[:, None] * u) ** 2 * u * w
 
-        return 1.0, bessel_norm_sq(nu, n), factor, smooth
+        return 1.0, list(zip(params, [bessel_norm_sq(nu, n) for n in degrees])), factor, smooth
 
-    spec = (PolyFamilySpec.jacobi(alpha, beta) if family == "jacobi"
-            else PolyFamilySpec(family))
+    spec = PolyFamilySpec.jacobi(*ab) if family == "jacobi" else PolyFamilySpec(family)
 
     # the weight's arithmetic follows the family, not (alpha, beta): the
     # Chebyshev forms take one square root of the product of the distances
     def factor(ts, w):
         phi = table.eval(ts)
-        p = poly_eval(spec, n, phi - (T + 1.0))
+        p = np.stack([poly_eval(spec, n, phi - (T + 1.0)) for n in degrees])
         if smooth:
             return p * p * w
         d_right = np.maximum((T + 2.0) - phi, 0.0)   # 1 - u
         d_left = np.maximum(phi - T, 0.0)            # 1 + u
         if family == "jacobi":
-            return p * p * d_right ** alpha * d_left ** beta * w
+            return p * p * d_right ** ab[0] * d_left ** ab[1] * w
         rad = d_right * d_left
         if family == "chebyshev_u":
             return p * p * w * np.sqrt(rad)
         return np.where(rad > 0.0, p * p * w / np.sqrt(np.where(rad > 0.0, rad, 1.0)), 0.0)
 
-    return 2.0, poly_norm_sq(spec, n), factor, smooth
+    return 2.0, list(zip(params, [poly_norm_sq(spec, n) for n in degrees])), factor, smooth
 
 
-def _run_theorem2(table: LadderTable, T: float, eq: str, params: dict,
-                  weight: str, quad_tol: float, max_level: int):
+def _theorem2_reports(table: LadderTable, T: float, eq: str, max_n: int, nu: float,
+                      alpha: float, beta: float, quad_tol: float, zeta2: bool,
+                      extra: dict):
+    """The reports of one member at T, its rows integrated together, with
+    the |zeta|^2 weight or (not zeta2) with Ztilde^2; `extra` goes into
+    every row's params."""
+    t0 = time.perf_counter()
     T = float(T)
-    U, const, factor, smooth = _theorem2_pieces(table, T, eq, params)
+    U, rows, factor, smooth = _theorem2_pieces(table, T, eq, max_n, nu, alpha, beta)
     check_admissible(T, U)
     # the nearest doubles whose values lie inside [T, T + U], so a weight
     # singular at the window's ends is never evaluated past them
@@ -334,54 +332,47 @@ def _run_theorem2(table: LadderTable, T: float, eq: str, params: dict,
     while table.eval(b) > T + U:
         b = float(np.nextafter(b, -math.inf))
 
-    if weight == "zeta2":   # |zeta|^2 = Z^2 = Ztilde^2 ln t
-        rhs = const * math.log(T)
-
-        def integrand(ts):
-            return factor(ts, table.ztilde_sq(ts) * np.log(ts))
-    else:  # the exact-substitution weight Ztilde^2
-        rhs = const
-
-        def integrand(ts):
-            return factor(ts, table.ztilde_sq(ts))
+    def integrand(ts):
+        w = table.ztilde_sq(ts)
+        return factor(ts, w * np.log(ts) if zeta2 else w)   # |zeta|^2 = Ztilde^2 ln t
 
     if smooth:
-        res = integrate_adaptive(integrand, a, b, quad_tol,
-                                 breakpoints=table.breakpoints(a, b))
+        results = integrate_adaptive_rows(integrand, len(rows), a, b, quad_tol,
+                                          breakpoints=table.breakpoints(a, b))
     else:
-        res = integrate_singular(integrand, a, b, quad_tol, max_level=max_level)
-    return res, rhs
+        results = integrate_singular_rows(integrand, len(rows), a, b, quad_tol)
+    ev_hash = table.evaluator.config_hash()
+    lhash = table.config_hash()
+    return [_make_report(eq, {**params, "T": T, **extra}, res.value,
+                         const * math.log(T) if zeta2 else const, res.error_estimate,
+                         t0, ev_hash, lhash)
+            for (params, const), res in zip(rows, results)]
 
 
-def verify_theorem2(table: LadderTable, T: float, eq: str, params: dict,
-                    tol_ratio: float = 0.25, quad_tol: float = 1e-6,
-                    max_level: int = 12) -> VerificationReport:
-    """One equation of the E2_4..E2_10 family with the |zeta|^2 weight.
+def verify_theorem2(table: LadderTable, T: float, eq: str, max_n: int,
+                    nu: float = 0.0, alpha: float = 0.5, beta: float = 0.5,
+                    tol_ratio: float = 0.25,
+                    quad_tol: float = 1e-6) -> list[VerificationReport]:
+    """One member of the E2_4..E2_10 family with the |zeta|^2 weight, one
+    report per degree (1..max_n, or the member's fixed degree).
 
     The ladder phi_1 plays the candidate asymptotic solution x(t); the RHS is
-    the classical norm constant times ln T.  `tol_ratio` is recorded in the
+    the classical norm constant times ln T.  `nu` is E2_4's Bessel order and
+    (alpha, beta) E2_5's Jacobi exponents.  `tol_ratio` is recorded in the
     params for downstream judgement of |ratio - 1|.
     """
-    t0 = time.perf_counter()
-    res, rhs = _run_theorem2(table, T, eq, params, "zeta2", quad_tol, max_level)
-    rep = _make_report(eq, {**params, "T": float(T), "tol_ratio": tol_ratio},
-                       res.value, rhs, res.error_estimate, t0,
-                       table.evaluator.config_hash(), table.config_hash())
-    return rep
+    return _theorem2_reports(table, T, eq, max_n, nu, alpha, beta, quad_tol, True,
+                             {"tol_ratio": tol_ratio})
 
 
-def sanity_theorem2_exact(table: LadderTable, T: float, eq: str, params: dict,
-                          quad_tol: float = 1e-8,
-                          max_level: int = 12) -> VerificationReport:
+def sanity_theorem2_exact(table: LadderTable, T: float, eq: str, max_n: int,
+                          nu: float = 0.0, alpha: float = 0.5, beta: float = 0.5,
+                          quad_tol: float = 1e-8) -> list[VerificationReport]:
     """Same integrals with weight Ztilde^2: the change-of-variables identity
     makes the ratio exactly 1 up to quadrature error, isolating the numeric
     stack from the asymptotic ln-xi ~ ln-T step."""
-    t0 = time.perf_counter()
-    res, rhs = _run_theorem2(table, T, eq, params, "ztilde2", quad_tol, max_level)
-    rep = _make_report(eq, {**params, "T": float(T), "weight": "ztilde2"},
-                       res.value, rhs, res.error_estimate, t0,
-                       table.evaluator.config_hash(), table.config_hash())
-    return rep
+    return _theorem2_reports(table, T, eq, max_n, nu, alpha, beta, quad_tol, False,
+                             {"weight": "ztilde2"})
 
 
 def ln_t_placement_shift(ratio: float, T: float, interval: tuple[float, float]) -> float:

@@ -67,15 +67,9 @@ def asymptotic_reports(big_ladder):
     t0 = time.perf_counter()
     reports = V.verify_corollary(big_ladder, t_list, 0.0, 4)
     for T in t_list:
-        for n in range(1, 5):
-            reports.append(V.verify_theorem2(big_ladder, T, "E2_4", {"n": n, "nu": 0.0}))
-            reports.append(V.verify_theorem2(big_ladder, T, "E2_5",
-                                             {"n": n, "alpha": 0.5, "beta": 0.5}))
-            reports.append(V.verify_theorem2(big_ladder, T, "E2_6", {"n": n}))
-            reports.append(V.verify_theorem2(big_ladder, T, "E2_7", {"n": n}))
-            reports.append(V.verify_theorem2(big_ladder, T, "E2_9", {"n": n}))
-        reports.append(V.verify_theorem2(big_ladder, T, "E2_8", {}))
-        reports.append(V.verify_theorem2(big_ladder, T, "E2_10", {}))
+        for eq in V.THEOREM2_MEMBERS:
+            reports.extend(V.verify_theorem2(big_ladder, T, eq, 4, nu=0.0,
+                                             alpha=0.5, beta=0.5))
     return reports, time.perf_counter() - t0
 
 
@@ -161,18 +155,13 @@ def test_criterion_4_substitution_identity(big_ladder):
 def test_criterion_5_sanity_layer(big_ladder):
     T = 5e3
     worst_smooth = worst_singular = 0.0
-    jobs = []
-    for n in range(1, 5):
-        jobs.extend([("E2_5", {"n": n, "alpha": 0.5, "beta": 0.5}),
-                     ("E2_6", {"n": n}), ("E2_7", {"n": n}), ("E2_9", {"n": n})])
-    jobs.extend([("E2_8", {}), ("E2_10", {})])
-    for eq, params in jobs:
-        rep = V.sanity_theorem2_exact(big_ladder, T, eq, params)
-        err = abs(rep.ratio - 1.0)
-        if eq in ("E2_7", "E2_8"):
-            worst_singular = max(worst_singular, err)
-        else:
-            worst_smooth = max(worst_smooth, err)
+    for eq in ("E2_5", "E2_6", "E2_7", "E2_8", "E2_9", "E2_10"):
+        for rep in V.sanity_theorem2_exact(big_ladder, T, eq, 4, alpha=0.5, beta=0.5):
+            err = abs(rep.ratio - 1.0)
+            if eq in ("E2_7", "E2_8"):
+                worst_singular = max(worst_singular, err)
+            else:
+                worst_smooth = max(worst_smooth, err)
     ok = worst_smooth <= 1e-4 and worst_singular <= 1e-3
     _announce(5, ok, f"exact-substitution ratios at T = 5e3, n <= 4: smooth "
                      f"|ratio-1| <= {worst_smooth:.3e} (1e-4), singular <= "

@@ -158,6 +158,26 @@ class TestVerifyVerbs:
         assert code == EXIT_SOFT
         assert out.exists() and out.read_text().strip()  # reports still written
 
+    def test_theorem2_rows_record_tol_ratio(self, capsys, cache_env, tmp_path):
+        # from the flag, and from the INI file
+        code = run_cli("verify", "theorem2", *LADDER_ARGS, "--T", "1000",
+                       "--max-n", "1", "--tol-ratio", "0.01", "--out", "-")
+        captured = capsys.readouterr()
+        rows = [json.loads(line) for line in captured.out.strip().splitlines()]
+        assert code == EXIT_SOFT
+        assert len(rows) == 7
+        assert all(r["params"]["tol_ratio"] == 0.01 for r in rows)
+        fails = [line for line in captured.err.splitlines() if line.startswith("FAIL E2_")]
+        assert fails and all("'tol_ratio': 0.01" in line for line in fails)
+
+        ini = tmp_path / "run.ini"
+        RunConfig(t_lo=1000.0, t_hi=1090.0, tol=1e-9, T=(1000.0,), n_max=1,
+                  tol_ratio=0.5, equations=("theorem2",)).to_ini(ini)
+        assert run_cli("run", "--config", str(ini), "--out", "-") == EXIT_OK
+        rows = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+        assert len(rows) == 7
+        assert all(r["params"]["tol_ratio"] == 0.5 for r in rows)
+
     @pytest.mark.parametrize("family", ["baseline", "theorem1", "corollary",
                                         "theorem2", "sanity"])
     def test_verify_is_run_of_one_family(self, capsys, cache_env, tmp_path, family):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from zladder import (DomainError, QuadratureError, bessel_norm_sq, bessel_zero,
                      bessel_j, integrate_adaptive, integrate_adaptive_rows,
-                     integrate_singular)
+                     integrate_singular, integrate_singular_rows)
 from zladder.quadrature import _XK, _gk15_sums
 
 
@@ -32,6 +32,38 @@ def adaptive_reference(f, a, b, tol, breakpoints=()):
     order = np.argsort(np.concatenate(done_lo), kind="stable")
     return (float(np.sum(np.concatenate(done_val)[order])),
             float(np.sum(np.concatenate(done_err)[order])), len(order), calls)
+
+
+def singular_reference(f, a, b, tol, max_level=12):
+    """The one-integrand tanh-sinh loop as it ran before the rows API:
+    (value, error estimate, levels); raises QuadratureError as it did."""
+    r = 0.5 * (b - a)
+    for level in range(1, max_level + 1):
+        h = 2.0 ** -level
+        tau = h * np.arange(1, math.ceil(4.3 / h) + 1, 1 if level == 1 else 2)
+        u = 0.5 * np.pi * np.sinh(tau)
+        w = h * (0.5 * np.pi) * np.cosh(tau) / np.cosh(u) ** 2
+        dist = r * (2.0 / (1.0 + np.exp(2.0 * u)))
+        t_left, t_right = a + dist, b - dist
+        keep = (t_right < b) & (t_left > a) & (w > 0.0)
+        center = [0.5 * (a + b)] if level == 1 else []
+        pts = np.concatenate([t_left[keep], center, t_right[keep]])
+        wts = np.concatenate([w[keep], [h * 0.5 * np.pi] if center else [], w[keep]])
+        vals = f(pts)
+        if not np.all(np.isfinite(vals)):
+            raise QuadratureError("non-finite")
+        part = float(np.sum(wts * vals))
+        if level == 1:
+            acc = part
+            prev = r * acc
+            continue
+        acc = 0.5 * acc + part
+        cur = r * acc
+        diff = abs(cur - prev)
+        if diff <= max(tol, 8.0 * np.finfo(float).eps * (1.0 + abs(cur))):
+            return cur, diff, level
+        prev = cur
+    raise QuadratureError("did not converge")
 
 
 def damped_wave(c, w, ph, d):
@@ -180,24 +212,6 @@ class TestAdaptiveRows:
 
 
 class TestTanhSinh:
-    def test_arcsine(self):
-        res = integrate_singular(lambda x, dl, dr: 1.0 / np.sqrt(dl * dr),
-                                 -1.0, 1.0, 1e-12, distance_form=True)
-        assert abs(res.value - math.pi) <= 1e-12
-        assert res.panels_used <= 10
-        assert res.rule == "tanh-sinh"
-
-    def test_chebyshev_t2_norm(self):
-        res = integrate_singular(
-            lambda u, dl, dr: (2.0 * u * u - 1.0) ** 2 / np.sqrt(dl * dr),
-            -1.0, 1.0, 1e-12, distance_form=True)
-        assert abs(res.value - math.pi / 2) <= 1e-12
-
-    def test_semicircle(self):
-        res = integrate_singular(lambda u, dl, dr: np.sqrt(dl * dr),
-                                 -1.0, 1.0, 1e-12, distance_form=True)
-        assert abs(res.value - math.pi / 2) <= 1e-12
-
     def test_plain_form_never_hits_endpoints(self):
         seen = []
 
@@ -208,17 +222,13 @@ class TestTanhSinh:
         res = integrate_singular(f, -1.0, 1.0, 1e-10)
         assert all(lo > -1.0 and hi < 1.0 for lo, hi in seen)
         assert abs(res.value - math.pi / 2) <= 1e-9
-
-    def test_general_interval(self):
-        # int_2^5 dx / sqrt(x - 2) = 2 sqrt(3)
-        res = integrate_singular(lambda x, dl, dr: 1.0 / np.sqrt(dl),
-                                 2.0, 5.0, 1e-12, distance_form=True)
-        assert abs(res.value - 2.0 * math.sqrt(3.0)) <= 1e-11
+        assert res.panels_used <= 10
+        assert res.rule == "tanh-sinh"
 
     def test_non_integrable_raises(self):
         with pytest.raises(QuadratureError):
-            integrate_singular(lambda x, dl, dr: 1.0 / (dl * dr),
-                               -1.0, 1.0, 1e-8, distance_form=True)
+            integrate_singular(lambda x: 1.0 / ((1.0 - x) * (1.0 + x)),
+                               -1.0, 1.0, 1e-8)
 
     def test_level_cap(self):
         with pytest.raises(QuadratureError):
@@ -257,3 +267,95 @@ class TestTanhSinh:
         assert len(calls) == level
         full = sum(2 * math.ceil(4.3 * 2 ** k) + 1 for k in range(1, level + 1))
         assert sum(calls) <= 0.6 * full
+
+
+def endpoint_wave(a, b, c, w, ph, p):
+    """c cos(w x + ph) ((x - a)(b - x))^p, with an endpoint power p."""
+    return lambda x: c * np.cos(w * x + ph) * ((x - a) * (b - x)) ** p
+
+
+class TestSingularRows:
+    @settings(max_examples=60, deadline=None)
+    @given(params=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 20.0),
+                                     st.floats(0.0, 6.0), st.sampled_from([-0.5, 0.0, 0.5])),
+                           min_size=1, max_size=5),
+           a=st.floats(-2.0, 2.0), width=st.floats(0.1, 4.0),
+           tol=st.sampled_from([1e-6, 1e-9, 1e-12]))
+    def test_rows_equal_solo_integrals(self, params, a, width, tol):
+        b = a + width
+        fs = [endpoint_wave(a, b, *p) for p in params]
+        calls = []
+
+        def rows_f(x):
+            calls.append(x)
+            return np.stack([f(x) for f in fs])
+
+        try:
+            refs = [singular_reference(f, a, b, tol) for f in fs]
+        except QuadratureError:
+            with pytest.raises(QuadratureError):
+                integrate_singular_rows(rows_f, len(fs), a, b, tol)
+            return
+        got = integrate_singular_rows(rows_f, len(fs), a, b, tol)
+        for f, res, ref in zip(fs, got, refs):
+            solo = integrate_singular(f, a, b, tol)
+            assert (res.value, res.error_estimate, res.panels_used) == \
+                (solo.value, solo.error_estimate, solo.panels_used) == ref
+            assert res.rule == "tanh-sinh"
+        # one call per level, on that level's new nodes, as many levels as
+        # the slowest row needs
+        slow = fs[int(np.argmax([res.panels_used for res in got]))]
+        solo_calls = []
+        integrate_singular(lambda x: solo_calls.append(x) or slow(x), a, b, tol)
+        assert len(calls) == len(solo_calls) == max(res.panels_used for res in got)
+        assert all(np.array_equal(x, y) for x, y in zip(calls, solo_calls))
+
+    def test_finished_rows_ignore_later_levels(self):
+        # row 0 stops first; its values after that are never looked at
+        flat = integrate_singular(np.ones_like, -1.0, 1.0, 1e-10)
+        wave = integrate_singular(lambda x: np.cos(40.0 * x), -1.0, 1.0, 1e-10)
+        assert flat.panels_used < wave.panels_used
+        calls = []
+
+        def rows_f(x):
+            calls.append(len(x))
+            done = len(calls) > flat.panels_used
+            return np.stack([np.full_like(x, np.nan) if done else np.ones_like(x),
+                             np.cos(40.0 * x)])
+
+        assert integrate_singular_rows(rows_f, 2, -1.0, 1.0, 1e-10) == [flat, wave]
+        assert len(calls) == wave.panels_used
+
+    def test_first_non_finite_row_raises(self):
+        # both rows meet NaN at level 2; row 0 (NaN only at x > 0) is checked first
+        calls = []
+
+        def rows_f(x):
+            calls.append(len(x))
+            if len(calls) < 2:
+                return np.stack([np.cos(x), np.cos(x)])
+            return np.stack([np.where(x > 0.0, np.nan, 1.0), np.full_like(x, np.nan)])
+
+        with pytest.raises(QuadratureError, match="non-finite") as info:
+            integrate_singular_rows(rows_f, 2, -1.0, 1.0, 1e-10)
+        assert float(str(info.value).rsplit("=", 1)[1]) > 0.0
+
+    def test_non_finite_before_non_convergence(self):
+        # row 0 would run out of levels; row 1 meets NaN at level 2, first
+        def rows_f(x):
+            bad = np.full_like(x, np.nan) if len(x) < 50 else np.cos(x)
+            return np.stack([np.cos(200.0 * x), bad])
+
+        with pytest.raises(QuadratureError, match="non-finite"):
+            integrate_singular_rows(rows_f, 2, 0.0, 50.0, 1e-13, max_level=3)
+
+    def test_row_level_cap(self):
+        def rows_f(x):
+            return np.stack([np.ones_like(x), np.cos(200.0 * x)])
+
+        with pytest.raises(QuadratureError, match="within 3 levels"):
+            integrate_singular_rows(rows_f, 2, 0.0, 50.0, 1e-13, max_level=3)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            integrate_singular_rows(lambda x: np.stack([x, x]), 2, 1.0, 0.0, 1e-9)

@@ -386,17 +386,17 @@ class TestPolyNorms:
         for m in range(7):
             for n in range(m, 7):
                 if spec.family == "chebyshev_t":
-                    res = integrate_singular(
-                        lambda u, dl, dr, _m=m, _n=n:
-                            poly_eval(spec, _m, u) * poly_eval(spec, _n, u)
-                            / np.sqrt(dl * dr),
-                        -1.0, 1.0, 1e-11, distance_form=True)
+                    # u = cos(theta) takes the weight (1 - u^2)^(-1/2) away
+                    res = integrate_adaptive(
+                        lambda th, _m=m, _n=n:
+                            poly_eval(spec, _m, np.cos(th)) * poly_eval(spec, _n, np.cos(th)),
+                        0.0, math.pi, 1e-11)
                 elif spec.family == "jacobi":
                     res = integrate_singular(
-                        lambda u, dl, dr, _m=m, _n=n:
+                        lambda u, _m=m, _n=n:
                             poly_eval(spec, _m, u) * poly_eval(spec, _n, u)
-                            * dr ** spec.alpha * dl ** spec.beta,
-                        -1.0, 1.0, 1e-11, distance_form=True)
+                            * (1.0 - u) ** spec.alpha * (1.0 + u) ** spec.beta,
+                        -1.0, 1.0, 1e-11)
                 else:
                     res = integrate_adaptive(
                         lambda u, _m=m, _n=n:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from zladder import (DomainError, bessel_j, bessel_norm_sq, bessel_zero,
-                     integrate_adaptive)
+from zladder import (DomainError, PolyFamilySpec, bessel_j, bessel_norm_sq,
+                     bessel_zero, integrate_adaptive, integrate_singular, poly_eval)
 from zladder import verify as V
 
 J_32_PI_HALF_SQ = 0.10132118364233779   # 0.5 * J_{3/2}(pi)^2
@@ -150,49 +150,116 @@ class TestPooledRowsEqualPerRowIntegrals:
             self.assert_rows([r for r in reports if r.params["T"] == T], integrand,
                              a, b, 1e-6, table.breakpoints(a, b))
 
+    @staticmethod
+    def theorem2_integrand(table, T, eq, p, layer):
+        """One E2_4..E2_10 row's integrand as its own job built it before
+        the rows API, and whether it is smooth."""
+        family, ab, degree = V.THEOREM2_MEMBERS[eq]
+        n = p.get("n", degree)
+        alpha, beta = (p["alpha"], p["beta"]) if ab == "params" else ab
+        smooth = alpha == 0.0 and beta == 0.0
+        spec = (PolyFamilySpec.jacobi(alpha, beta) if family == "jacobi"
+                else PolyFamilySpec(family) if family != "bessel" else None)
+
+        def factor(ts, w):
+            phi = table.eval(ts)
+            if family == "bessel":
+                u = np.maximum(phi - T, 0.0)
+                return bessel_j(p["nu"], bessel_zero(p["nu"], n) * u) ** 2 * u * w
+            q = poly_eval(spec, n, phi - (T + 1.0))
+            if smooth:
+                return q * q * w
+            d_right = np.maximum((T + 2.0) - phi, 0.0)
+            d_left = np.maximum(phi - T, 0.0)
+            if family == "jacobi":
+                return q * q * d_right ** alpha * d_left ** beta * w
+            rad = d_right * d_left
+            if family == "chebyshev_u":
+                return q * q * w * np.sqrt(rad)
+            return np.where(rad > 0.0, q * q * w / np.sqrt(np.where(rad > 0.0, rad, 1.0)),
+                            0.0)
+
+        if layer == "zeta2":
+            return (lambda ts: factor(ts, table.ztilde_sq(ts) * np.log(ts))), smooth
+        return (lambda ts: factor(ts, table.ztilde_sq(ts))), smooth
+
+    @pytest.mark.parametrize("layer", ["zeta2", "ztilde2"])
+    @pytest.mark.parametrize("eq,alpha,beta",
+                             [(eq, 0.5, 0.25) for eq in V.THEOREM2_MEMBERS]
+                             + [("E2_5", 0.0, 0.0)],
+                             ids=[*V.THEOREM2_MEMBERS, "E2_5-smooth"])
+    def test_theorem2(self, small_ladder, eq, alpha, beta, layer):
+        table, T = small_ladder, 1000.0
+        if layer == "zeta2":
+            reports, tol = V.verify_theorem2(table, T, eq, 3, 1.0, alpha, beta), 1e-6
+        else:
+            reports, tol = V.sanity_theorem2_exact(table, T, eq, 3, 1.0, alpha, beta), 1e-8
+        assert len(reports) == (1 if eq in ("E2_8", "E2_10") else 3)
+        U = 1.0 if eq == "E2_4" else 2.0
+        a = table.invert(T)
+        while table.eval(a) < T:
+            a = float(np.nextafter(a, math.inf))
+        b = table.invert(T + U)
+        while table.eval(b) > T + U:
+            b = float(np.nextafter(b, -math.inf))
+        for r in reports:
+            f, smooth = self.theorem2_integrand(table, T, eq, r.params, layer)
+            if smooth:
+                res = integrate_adaptive(f, a, b, tol, breakpoints=table.breakpoints(a, b))
+            else:
+                res = integrate_singular(f, a, b, tol)
+            assert (r.lhs, r.quadrature_error) == (res.value, res.error_estimate)
+
     def test_corollary_max_n(self, small_ladder):
         with pytest.raises(DomainError):
             V.verify_corollary(small_ladder, [1000.0], 0.0, 0)
 
 
 class TestSanityLayer:
-    CASES = [("E2_4", {"n": 2, "nu": 0.0}), ("E2_5", {"n": 2, "alpha": 0.5, "beta": 0.5}),
-             ("E2_6", {"n": 1}), ("E2_7", {"n": 1}), ("E2_8", {}),
-             ("E2_9", {"n": 1}), ("E2_10", {})]
+    CASES = [("E2_4", {"max_n": 2, "nu": 0.0}),
+             ("E2_5", {"max_n": 2, "alpha": 0.5, "beta": 0.5}),
+             ("E2_6", {"max_n": 1}), ("E2_7", {"max_n": 1}), ("E2_8", {"max_n": 1}),
+             ("E2_9", {"max_n": 1}), ("E2_10", {"max_n": 1})]
 
-    @pytest.mark.parametrize("eq,params", CASES, ids=[c[0] for c in CASES])
-    def test_exact_substitution(self, small_ladder, eq, params):
-        r = V.sanity_theorem2_exact(small_ladder, 1000.0, eq, params)
+    @pytest.mark.parametrize("eq,kwargs", CASES, ids=[c[0] for c in CASES])
+    def test_exact_substitution(self, small_ladder, eq, kwargs):
+        reports = V.sanity_theorem2_exact(small_ladder, 1000.0, eq, **kwargs)
+        fixed = eq in ("E2_8", "E2_10")
+        assert [r.params.get("n") for r in reports] == \
+            ([None] if fixed else list(range(1, kwargs["max_n"] + 1)))
         thr = 1e-3 if eq in ("E2_7", "E2_8") else 1e-4
-        assert abs(r.ratio - 1.0) <= thr
-        assert r.params["weight"] == "ztilde2"
+        for r in reports:
+            assert abs(r.ratio - 1.0) <= thr
+            assert r.params["weight"] == "ztilde2"
 
     def test_jacobi00_equals_legendre_bitwise(self, small_ladder):
-        r5 = V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_5",
-                                     {"n": 2, "alpha": 0.0, "beta": 0.0})
-        r6 = V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_6", {"n": 2})
-        assert r5.lhs == r6.lhs
+        r5 = V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_5", 2, alpha=0.0, beta=0.0)
+        r6 = V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_6", 2)
+        assert [r.lhs for r in r5] == [r.lhs for r in r6]
 
     def test_invalid_equation(self, small_ladder):
         with pytest.raises(DomainError):
-            V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_11", {})
+            V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_11", 1)
         with pytest.raises(DomainError):
-            V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_6", {"n": 0})
+            V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_6", 0)
         with pytest.raises(DomainError):
-            V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_6", {"n": 17})
+            V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_6", 17)
 
 
 class TestAsymptoticLayer:
-    @pytest.mark.parametrize("eq,params", TestSanityLayer.CASES,
+    @pytest.mark.parametrize("eq,kwargs", TestSanityLayer.CASES,
                              ids=[c[0] for c in TestSanityLayer.CASES])
-    def test_ratio_within_band(self, small_ladder, eq, params):
-        r = V.verify_theorem2(small_ladder, 1000.0, eq, params)
-        assert abs(r.ratio - 1.0) <= 0.3
-        assert r.rhs == pytest.approx(r.rhs)  # finite
-        assert r.quadrature_error < abs(r.rhs)
+    def test_ratio_within_band(self, small_ladder, eq, kwargs):
+        reports = V.verify_theorem2(small_ladder, 1000.0, eq, **kwargs)
+        assert len(reports) == (1 if eq in ("E2_8", "E2_10") else kwargs["max_n"])
+        for r in reports:
+            assert abs(r.ratio - 1.0) <= 0.3
+            assert r.rhs == pytest.approx(r.rhs)  # finite
+            assert r.quadrature_error < abs(r.rhs)
+            assert r.params["tol_ratio"] == 0.25
 
     def test_ln_t_placement(self, small_ladder):
-        r = V.verify_theorem2(small_ladder, 1000.0, "E2_6", {"n": 1})
+        r, = V.verify_theorem2(small_ladder, 1000.0, "E2_6", 1)
         a = small_ladder.invert(1000.0)
         b = small_ladder.invert(1002.0)
         shift = V.ln_t_placement_shift(r.ratio, 1000.0, (a, b))
@@ -223,7 +290,7 @@ class TestEnvelope:
 
 class TestReportSerialization:
     def test_json_line_deterministic(self, small_ladder):
-        r = V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_10", {})
+        r, = V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_10", 1)
         l1 = V.report_json_line(r)
         l2 = V.report_json_line(r)
         assert l1 == l2
@@ -231,7 +298,7 @@ class TestReportSerialization:
         assert '"elapsed"' in V.report_json_line(r, include_timings=True)
 
     def test_sorting_key_stable(self, small_ladder):
-        rows = [V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_10", {}),
-                V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_6", {"n": 1})]
+        rows = [*V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_10", 1),
+                *V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_6", 1)]
         srt = sorted(rows, key=V.sort_key)
         assert [r.equation_id for r in srt] == ["E2_10", "E2_6"]
