@@ -14,7 +14,8 @@ equation apart from its asymptotic rows, as `E2_x/sanity`.
 
 Exit codes: 0 success, 1 exactness-layer failure, 2 asymptotic (soft)
 failure with reports still written, 64 config/usage error (including an
-unreadable input file or an unwritable output path), 65 cache corruption or
+unreadable input file, an unwritable output path, a NaN or out-of-range
+argument and an empty or incomplete t grid), 65 cache corruption or
 mismatch, or a malformed report file, 70 numeric non-convergence.
 
 All numeric output uses full round-trip precision; report files are byte
@@ -249,16 +250,22 @@ def _write_csv(out, header: str, rows) -> None:
 
 
 def _t_grid(args) -> np.ndarray:
+    """The grid --from, --from + --step, ... up to --to."""
+    if args.t_from is None or args.t_to is None:
+        raise DomainError("this target needs --from and --to")
+    if not (args.step > 0.0 and args.t_from <= args.t_to):   # NaN fails
+        raise DomainError(f"need --step > 0 and --from <= --to, have --from "
+                          f"{args.t_from} --to {args.t_to} --step {args.step}")
     return np.arange(args.t_from, args.t_to + 0.5 * args.step, args.step)
 
 
-def _retardation_rows(table, args) -> list:
-    return [(r.t, r.lag, r.expected, r.ratio)
-            for r in retardation_report(table, _t_grid(args))]
+def _retardation_rows(table, ts) -> list:
+    return [(r.t, r.lag, r.expected, r.ratio) for r in retardation_report(table, ts)]
 
 
 def _cmd_ladder_retardation(args) -> int:
-    rows = _retardation_rows(_get_ladder(_config_from_args(args)), args)
+    ts = _t_grid(args)
+    rows = _retardation_rows(_get_ladder(_config_from_args(args)), ts)
     _write_csv(args.out, "t,lag,expected,ratio", rows)
     return EXIT_OK
 
@@ -290,7 +297,7 @@ def _cmd_run(args) -> int:
     if any(e != "baseline" for e in cfg.equations):
         table = _get_ladder(cfg)
         for T in cfg.T:
-            if T < table.phi_lo or T + 2.0 > table.phi_hi:
+            if not (table.phi_lo <= T and T + 2.0 <= table.phi_hi):   # NaN fails
                 raise DomainError(
                     f"plan T = {T} outside ladder range: need phi_lo <= T and "
                     f"T + 2 <= phi_hi, have [{table.phi_lo!r}, {table.phi_hi!r}]")
@@ -316,17 +323,20 @@ def _cmd_verify(args) -> int:
 
 
 def _plot_rows(args, cfg: RunConfig) -> tuple[str, list]:
-    """CSV header and rows of one plot-data target."""
-    if args.what == "z_trace":
+    """CSV header and rows of one plot-data target; the arguments are checked
+    before a ladder is built or loaded."""
+    if args.what != "envelope":
         ts = _t_grid(args)
+    elif args.T is None or not args.points >= 1:
+        raise DomainError("plot-data --what envelope needs --T and --points >= 1")
+    if args.what == "z_trace":
         return "t,z", list(zip(ts.tolist(), cfg.evaluator().z(ts).tolist()))
     table = _get_ladder(cfg)
     if args.what == "ladder":
-        ts = _t_grid(args)
         return "t,phi1,t_minus_phi1", [(t, p, t - p) for t, p in
                                        zip(ts.tolist(), table.eval(ts).tolist())]
     if args.what == "retardation":
-        return "t,lag,expected,ratio", _retardation_rows(table, args)
+        return "t,lag,expected,ratio", _retardation_rows(table, ts)
     grid = np.linspace(table.invert(args.T), table.invert(args.T + 1.0), args.points)
     return "t,envelope,abs_z", V.envelope_23(table, args.T, args.nu_single, args.n, grid)
 

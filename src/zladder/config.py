@@ -60,6 +60,43 @@ def cache_root() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "zladder")
 
 
+# (section, key, (parse, write)) of every INI field, in file order; a blank
+# value takes the default, and None is written blank
+_INT = (int, str)
+_FLOAT = (float, repr)
+_TEXT = (str, str)
+_FLOATS = (lambda raw: tuple(float(x) for x in raw.split()),
+           lambda xs: " ".join(map(repr, xs)))
+_WORDS = (lambda raw: tuple(raw.split()), " ".join)
+_BOOL = (lambda raw: raw.lower() in ("1", "true", "yes", "on"),
+         lambda on: "true" if on else "false")
+_INI_FIELDS = (
+    ("evaluator", "rs_correction_order", _INT),
+    ("evaluator", "oracle_terms", _INT),
+    ("evaluator", "t_min_rs", _FLOAT),
+    ("ladder", "t_lo", _FLOAT),
+    ("ladder", "t_hi", _FLOAT),
+    ("ladder", "anchor_t0", _FLOAT),
+    ("ladder", "tol", _FLOAT),
+    ("ladder", "h", _FLOAT),
+    ("ladder", "cache", _TEXT),
+    ("plan", "equations", _WORDS),
+    ("plan", "T", _FLOATS),
+    ("plan", "nu", _FLOATS),
+    ("plan", "n_max", _INT),
+    ("plan", "alpha", _FLOAT),
+    ("plan", "beta", _FLOAT),
+    ("plan", "tol_exact", _FLOAT),
+    ("plan", "tol_sanity", _FLOAT),
+    ("plan", "tol_sanity_singular", _FLOAT),
+    ("plan", "tol_ratio", _FLOAT),
+    ("plan", "tol_baseline", _FLOAT),
+    ("output", "format", _TEXT),
+    ("output", "path", _TEXT),
+    ("output", "timings", _BOOL),
+)
+
+
 @dataclass
 class RunConfig:
     # evaluator
@@ -93,7 +130,7 @@ class RunConfig:
     def __post_init__(self):
         for name in ("tol", "tol_exact", "tol_sanity", "tol_sanity_singular",
                      "tol_ratio", "tol_baseline"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:   # NaN is not
                 raise DomainError(f"config: {name} must be positive")
         if list(self.T) != sorted(self.T):
             raise DomainError("config: T list must be sorted ascending")
@@ -116,78 +153,28 @@ class RunConfig:
         except (OSError, configparser.Error) as exc:
             raise DomainError(f"config parse error in {path}: {exc}") from exc
         values: dict = {}
-
-        def grab(section, key, conv):
-            if parser.has_option(section, key):
-                raw = parser.get(section, key).strip()
-                if raw:
-                    try:
-                        values[key] = conv(raw)
-                    except ValueError as exc:
-                        raise DomainError(
-                            f"config parse error: [{section}] {key} = {raw!r}") from exc
-
-        floats = lambda raw: tuple(float(x) for x in raw.split())
-        words = lambda raw: tuple(raw.split())
-        grab("evaluator", "rs_correction_order", int)
-        grab("evaluator", "oracle_terms", int)
-        grab("evaluator", "t_min_rs", float)
-        grab("ladder", "t_lo", float)
-        grab("ladder", "t_hi", float)
-        grab("ladder", "anchor_t0", float)
-        grab("ladder", "tol", float)
-        grab("ladder", "h", float)
-        grab("ladder", "cache", str)
-        grab("plan", "equations", words)
-        grab("plan", "T", floats)
-        grab("plan", "nu", floats)
-        grab("plan", "n_max", int)
-        grab("plan", "alpha", float)
-        grab("plan", "beta", float)
-        grab("plan", "tol_exact", float)
-        grab("plan", "tol_sanity", float)
-        grab("plan", "tol_sanity_singular", float)
-        grab("plan", "tol_ratio", float)
-        grab("plan", "tol_baseline", float)
-        grab("output", "format", str)
-        grab("output", "path", str)
-        grab("output", "timings", lambda raw: raw.lower() in ("1", "true", "yes", "on"))
+        for section, key, (parse, _) in _INI_FIELDS:
+            raw = parser.get(section, key, fallback="").strip()
+            if raw:
+                try:
+                    values[key] = parse(raw)
+                except ValueError as exc:
+                    raise DomainError(
+                        f"config parse error: [{section}] {key} = {raw!r}") from exc
         if overrides:
             values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
 
     def to_ini(self, path: str) -> None:
         """Write the full configuration; from_ini of the result round-trips."""
-        lines = ["[evaluator]",
-                 f"rs_correction_order = {self.rs_correction_order}",
-                 f"oracle_terms = {self.oracle_terms}",
-                 f"t_min_rs = {self.t_min_rs!r}",
-                 "", "[ladder]",
-                 f"t_lo = {self.t_lo!r}",
-                 f"t_hi = {self.t_hi!r}",
-                 f"anchor_t0 = {'' if self.anchor_t0 is None else repr(self.anchor_t0)}",
-                 f"tol = {self.tol!r}",
-                 f"h = {self.h!r}",
-                 f"cache = {self.cache or ''}",
-                 "", "[plan]",
-                 f"equations = {' '.join(self.equations)}",
-                 f"T = {' '.join(repr(x) for x in self.T)}",
-                 f"nu = {' '.join(repr(x) for x in self.nu)}",
-                 f"n_max = {self.n_max}",
-                 f"alpha = {self.alpha!r}",
-                 f"beta = {self.beta!r}",
-                 f"tol_exact = {self.tol_exact!r}",
-                 f"tol_sanity = {self.tol_sanity!r}",
-                 f"tol_sanity_singular = {self.tol_sanity_singular!r}",
-                 f"tol_ratio = {self.tol_ratio!r}",
-                 f"tol_baseline = {self.tol_baseline!r}",
-                 "", "[output]",
-                 f"format = {self.format}",
-                 f"path = {self.path}",
-                 f"timings = {'true' if self.timings else 'false'}",
-                 ""]
+        lines = []
+        for section, key, (_, write) in _INI_FIELDS:
+            if f"[{section}]" not in lines:
+                lines += ["", f"[{section}]"] if lines else [f"[{section}]"]
+            value = getattr(self, key)
+            lines.append(f"{key} = {'' if value is None else write(value)}")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines))
+            fh.write("\n".join(lines) + "\n")
 
     # -- derived -------------------------------------------------------------
 

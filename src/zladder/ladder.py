@@ -194,7 +194,7 @@ class LadderTable:
     def _panels(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """t flattened, its panel indices and its coordinates on them."""
         flat = np.atleast_1d(np.asarray(t, dtype=float)).astype(float).ravel()
-        if np.any(flat < self.t_lo) or np.any(flat > self.t_hi):
+        if not (np.all(flat >= self.t_lo) and np.all(flat <= self.t_hi)):   # NaN fails
             raise DomainError(f"ladder evaluation outside [{self.t_lo}, {self.t_hi}]")
         k = np.minimum(np.searchsorted(self.edges, flat, side="right") - 1,
                        len(self._half) - 1)
@@ -255,7 +255,7 @@ class LadderTable:
         """
         ya = np.asarray(y, dtype=float)
         flat = np.atleast_1d(ya).astype(float).ravel()
-        if np.any(flat < self.phi[0]) or np.any(flat > self.phi[-1]):
+        if not (np.all(flat >= self.phi[0]) and np.all(flat <= self.phi[-1])):   # NaN fails
             raise DomainError(
                 f"inversion target outside [{self.phi[0]!r}, {self.phi[-1]!r}]")
         out = np.array([self._inverses.get(v) or self._solve_inverse(v)

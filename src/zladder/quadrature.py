@@ -97,7 +97,7 @@ def _window(name: str, a, b, tol) -> tuple[float, float]:
     b = float(b)
     if not a < b:
         raise DomainError(f"{name} requires a < b, got [{a}, {b}]")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError("tolerance must be positive")
     return a, b
 

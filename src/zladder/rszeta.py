@@ -106,7 +106,7 @@ class ZEvaluator:
         Absolute error <= 1e-10 for t >= 50 (measured ~1e-12 at t = 50).
         """
         ta = np.asarray(t, dtype=float)
-        if np.any(ta < 1.0):
+        if not np.all(ta >= 1.0):   # NaN fails
             raise DomainError("theta requires t >= 1")
         inv = 1.0 / ta
         out = (0.5 * ta * (np.log(ta / _TWO_PI) - 1.0) - np.pi / 8.0
@@ -120,7 +120,7 @@ class ZEvaluator:
         absolute accuracy up to t = 1e6.
         """
         ta = np.asarray(t, dtype=float)
-        if np.any(ta <= 0.0):
+        if not np.all(ta > 0.0):
             raise DomainError("theta_oracle requires t > 0")
         flat = np.atleast_1d(ta)
         out = np.empty_like(flat)
@@ -135,7 +135,7 @@ class ZEvaluator:
     def z_rs(self, t) -> float | np.ndarray:
         """Hardy Z(t) by the Riemann-Siegel formula; requires t >= t_min_rs."""
         ta = np.asarray(t, dtype=float)
-        if np.any(ta < self.t_min_rs):
+        if not np.all(ta >= self.t_min_rs):
             raise DomainError(
                 f"z_rs requires t >= t_min_rs = {self.t_min_rs}; use z_oracle below it")
         scalar = ta.ndim == 0
@@ -178,7 +178,7 @@ class ZEvaluator:
     def zeta_half(self, t: float) -> complex:
         """zeta(1/2 + i t) by Euler-Maclaurin with ~max(10, 2t) terms."""
         tf = float(t)
-        if tf <= 0.0:
+        if not tf > 0.0:
             raise DomainError("zeta_half requires t > 0")
         t_ld = _LD(tf)
         s = _CLD(0.5) + _CLD(1j) * _CLD(t_ld)
@@ -220,7 +220,7 @@ class ZEvaluator:
         imaginary residue is asserted below 1e-9 and discarded.
         """
         ta = np.asarray(t, dtype=float)
-        if np.any(ta <= 0.0):
+        if not np.all(ta > 0.0):
             raise DomainError("z_oracle requires t > 0")
         if ta.ndim == 0:
             return self._z_oracle_scalar(float(ta))

@@ -169,10 +169,10 @@ def bessel_j(nu: float, x) -> float | np.ndarray:
     1e-10 (x <= 200) contracts.  Accepts scalars or arrays in x.
     """
     nu = float(nu)
-    if nu <= -1.0:
+    if not nu > -1.0:   # NaN fails
         raise DomainError(f"bessel_j requires nu > -1, got {nu}")
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0) or np.any(xa > 200.0):
+    if not (np.all(xa >= 0.0) and np.all(xa <= 200.0)):
         raise DomainError("bessel_j requires 0 <= x <= 200")
     return _bessel_j_any(nu, xa) if xa.ndim else float(_bessel_j_any(nu, xa))
 
@@ -269,7 +269,7 @@ def bessel_zero(nu: float, n: int) -> float:
     """n-th positive zero mu_n of J_nu, cached; |J_nu(result)| <= 1e-12."""
     nu = float(nu)
     n = int(n)
-    if nu <= -1.0:
+    if not nu > -1.0:
         raise DomainError(f"bessel_zero requires nu > -1, got {nu}")
     if not 1 <= n <= 64:
         raise DomainError(f"bessel_zero requires 1 <= n <= 64, got {n}")

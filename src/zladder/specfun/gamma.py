@@ -53,7 +53,7 @@ def _log_gamma_cld(z) -> np.clongdouble:
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for real x > 0."""
     x = float(x)
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     w = _LD(x)
     shift = _LD(0.0)

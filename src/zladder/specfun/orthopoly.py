@@ -23,7 +23,7 @@ class PolyFamilySpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise DomainError(f"unknown polynomial family {self.family!r}")
-        if self.family == "jacobi" and (self.alpha <= -1.0 or self.beta <= -1.0):
+        if self.family == "jacobi" and not (self.alpha > -1.0 and self.beta > -1.0):
             raise DomainError("jacobi parameters must satisfy alpha, beta > -1")
 
     @classmethod

@@ -10,6 +10,12 @@ Three layers, in increasing dependence on asymptotics:
   sides carry a factor ln T and hold only as T -> infinity; ratios are
   reported and their error trend is checked across a ladder of T values.
 
+The ladder families E1_3, E2_2 and E2_4..E2_10 are the entries of one member
+table, `LADDER_MEMBERS`, and one executor does their work: it finds the
+window (the preimage of [T, T + U]), builds the integrand, makes one rows
+call and writes the reports.  E2_4 is E2_2 at one nu (the plan's nu[0]), bit
+for bit, and its sanity rows are E1_3's diagonal under the same weight.
+
 Every family integrates the rows of one window in one rows call: E1_2 per
 nu, E1_3 and E2_2 per (T, nu), each E2_4..E2_10 member per T over its
 degrees (tanh-sinh where its weight is singular, GK15 otherwise).  The
@@ -120,8 +126,9 @@ def verify_bessel_baseline(nu: float, max_n: int, tol: float = 1e-9,
 
 
 # ---------------------------------------------------------------------------
-# the ladder-weighted Bessel orthogonality system (E1_3) and the
-# segment-distance diagnostic (E1_4)
+# the ladder-weighted Bessel orthogonality system (E1_3) with the
+# segment-distance diagnostic (E1_4), and the |zeta|^2-weighted Bessel
+# diagonal (E2_2): both are rows of the member table below
 
 def verify_theorem1(table: LadderTable, T: float, nu: float, max_n: int,
                     tol: float = 1e-4,
@@ -135,75 +142,23 @@ def verify_theorem1(table: LadderTable, T: float, nu: float, max_n: int,
     T = float(T)
     if T < 1e3:
         raise DomainError("verify_theorem1 requires T >= 1e3 (working range)")
-    if not 1 <= max_n <= 16:
-        raise DomainError("verify_theorem1 requires 1 <= max_n <= 16")
-    ev_hash = table.evaluator.config_hash()
-    lhash = table.config_hash()
-    a = table.invert(T)
-    b = table.invert(T + 1.0)
-    zeros = table.breakpoints(a, b)
-    mus = np.array([bessel_zero(nu, k) for k in range(1, max_n + 1)])
-    pairs, mi, ni = _gram_pairs(max_n)
+    reports = _member_reports(table, T, "E1_3", max_n, nu, 0.0, 0.0, quad_tol, False,
+                              {"tol": tol})
     t0 = time.perf_counter()
-
-    def integrand(ts):
-        u = np.maximum(table.eval(ts) - T, 0.0)
-        zt = table.ztilde_sq(ts)
-        j = bessel_j(nu, mus[:, None] * u)
-        return j[mi] * j[ni] * u * zt
-
-    results = integrate_adaptive_rows(integrand, len(pairs), a, b, quad_tol,
-                                      breakpoints=zeros)
-    reports = []
-    for (m, n), res in zip(pairs, results):
-        if m == n:
-            eq, rhs = "E1_3_diag", bessel_norm_sq(nu, n)
-        else:
-            eq, rhs = "E1_3_offdiag", 0.0
-        reports.append(_make_report(
-            eq, {"T": T, "nu": nu, "m": m, "n": n, "tol": tol},
-            res.value, rhs, res.error_estimate, t0, ev_hash, lhash))
-
-    t0 = time.perf_counter()
-    dist = a - 1.0  # segments [0,1] and [a,b] with a >> 1
+    dist = table.invert(T) - 1.0  # segments [0,1] and [a,b] with a >> 1
     reports.append(_make_report("E1_4", {"T": T, "nu": nu}, dist, T, 0.0, t0,
-                                ev_hash, lhash))
+                                table.evaluator.config_hash(), table.config_hash()))
     return reports
 
-
-# ---------------------------------------------------------------------------
-# the |zeta|^2-weighted Bessel diagonal (E2_2)
 
 def verify_corollary(table: LadderTable, T_list, nu: float, max_n: int,
                      quad_tol: float = 1e-6) -> list[VerificationReport]:
     """The E2_2 integrals: |zeta(1/2+it)|^2-weighted Bessel diagonals against
     0.5 J_{nu+1}(mu_n)^2 ln T for n = 1..max_n, one report per (T, n) (ratio
     -> 1 as T grows); the rows n of one T are integrated together."""
-    if not 1 <= max_n <= 64:
-        raise DomainError("verify_corollary requires 1 <= max_n <= 64")
-    mus = np.array([bessel_zero(nu, n) for n in range(1, max_n + 1)])
-    norms = [bessel_norm_sq(nu, n) for n in range(1, max_n + 1)]
-    ev_hash = table.evaluator.config_hash()
-    lhash = table.config_hash()
-    reports = []
-    for T in sorted(float(x) for x in np.atleast_1d(np.asarray(T_list, dtype=float))):
-        t0 = time.perf_counter()
-        a = table.invert(T)
-        b = table.invert(T + 1.0)
-        zeros = table.breakpoints(a, b)
-
-        def integrand(ts):
-            u = np.maximum(table.eval(ts) - T, 0.0)
-            zt = table.ztilde_sq(ts)
-            return bessel_j(nu, mus[:, None] * u) ** 2 * u * zt * np.log(ts)
-
-        results = integrate_adaptive_rows(integrand, max_n, a, b, quad_tol,
-                                          breakpoints=zeros)
-        for n, (norm, res) in enumerate(zip(norms, results), start=1):
-            reports.append(_make_report(
-                "E2_2", {"T": T, "nu": nu, "n": n},
-                res.value, norm * math.log(T), res.error_estimate, t0, ev_hash, lhash))
-    return reports
+    Ts = sorted(np.atleast_1d(np.asarray(T_list, dtype=float)).tolist())
+    return [r for T in Ts for r in _member_reports(table, T, "E2_2", max_n, nu, 0.0, 0.0,
+                                                   quad_tol, True, {})]
 
 
 def ratio_trend_nonincreasing(reports: list[VerificationReport]) -> bool:
@@ -232,105 +187,119 @@ def envelope_23(table: LadderTable, T: float, nu: float, n: int,
 
 
 # ---------------------------------------------------------------------------
-# the integral-equation family E2_4..E2_10 and its exact-substitution
-# sanity layer
+# the member table of every ladder family: E1_3, E2_2 and the integral-equation
+# family E2_4..E2_10 with its exact-substitution sanity layer
 
-# One entry per member: eq -> (polynomial family, Jacobi exponents (alpha,
-# beta) of its weight (1 - u)^alpha (1 + u)^beta, or "params" to take them from
-# the call, degree rule: "n" for the degrees 1..max_n, or a fixed degree).  E2_4 is
-# the Bessel member on u = phi_1 - T in [0, 1] (U = 1), whose smooth weight u
-# sits in its integrand; the others live on u = phi_1 - T - 1 in [-1, 1]
-# (U = 2), and E2_8 / E2_10 are the n = 0 rows of Chebyshev T / U.
-THEOREM2_MEMBERS = {
-    "E2_4": ("bessel", (0.0, 0.0), "n"),
-    "E2_5": ("jacobi", "params", "n"),
-    "E2_6": ("legendre", (0.0, 0.0), "n"),
-    "E2_7": ("chebyshev_t", (-0.5, -0.5), "n"),
-    "E2_8": ("chebyshev_t", (-0.5, -0.5), 0),
-    "E2_9": ("chebyshev_u", (0.5, 0.5), "n"),
-    "E2_10": ("chebyshev_u", (0.5, 0.5), 0),
+# One entry per member: eq -> (function family, Jacobi exponents (alpha, beta)
+# of its weight (1 - u)^alpha (1 + u)^beta or "params" to take them from the
+# call, degree rule, largest max_n).  The degree rule is "n" for the degrees
+# 1..max_n, "pairs" for the unordered (m, n) with m <= n <= max_n (rows
+# E1_3_diag and E1_3_offdiag), or a fixed degree.  The Bessel members live on
+# u = phi_1 - T in [0, 1] (U = 1), with their smooth weight u in the
+# integrand: E1_3 is the Gram system under Ztilde^2, E2_2 the diagonal under
+# |zeta|^2, and E2_4 is E2_2 at one nu (the plan's nu[0]) in either layer.
+# The others live on u = phi_1 - T - 1 in [-1, 1] (U = 2), and E2_8 / E2_10
+# are the n = 0 rows of Chebyshev T / U.  The caller picks the weight.
+LADDER_MEMBERS = {
+    "E1_3": ("bessel", (0.0, 0.0), "pairs", 16),
+    "E2_2": ("bessel", (0.0, 0.0), "n", 64),
+    "E2_4": ("bessel", (0.0, 0.0), "n", 16),
+    "E2_5": ("jacobi", "params", "n", 16),
+    "E2_6": ("legendre", (0.0, 0.0), "n", 16),
+    "E2_7": ("chebyshev_t", (-0.5, -0.5), "n", 16),
+    "E2_8": ("chebyshev_t", (-0.5, -0.5), 0, 16),
+    "E2_9": ("chebyshev_u", (0.5, 0.5), "n", 16),
+    "E2_10": ("chebyshev_u", (0.5, 0.5), 0, 16),
 }
+
+# the integral-equation family, which `verify_theorem2` and
+# `sanity_theorem2_exact` take
+THEOREM2_MEMBERS = {eq: m for eq, m in LADDER_MEMBERS.items() if eq not in ("E1_3", "E2_2")}
 
 # members whose weight blows up at the ends of the window; their sanity rows
 # are judged against tol_sanity_singular
 SINGULAR_WEIGHT_EQS = frozenset(
-    eq for eq, (_, ab, _) in THEOREM2_MEMBERS.items() if ab != "params" and min(ab) < 0.0)
+    eq for eq, (_, ab, *_) in THEOREM2_MEMBERS.items() if ab != "params" and min(ab) < 0.0)
 
 
-def _theorem2_pieces(table: LadderTable, T: float, eq: str, max_n: int,
-                     nu: float, alpha: float, beta: float):
+def _member_pieces(table: LadderTable, T: float, eq: str, max_n: int,
+                   nu: float, alpha: float, beta: float):
     """(U, rows, integrand builder, smooth) for one member at T.
 
-    `rows` holds one (params, rhs constant) per degree: 1..max_n, or the
-    member's fixed degree.  The builder maps (ts, w) to the array (rows,
-    len(ts)) of each degree's squared function times its weight times w,
-    each row formed with the operations, in the order, of an integrand of
-    that degree alone.  With Jacobi exponents (0, 0) the integrand is smooth
-    on the closed window (GK15 with Z-zero breakpoints); otherwise its
-    weight has an endpoint power and it goes to tanh-sinh.
+    `rows` holds one (equation id, params, rhs constant) per degree or pair.
+    The builder maps (ts, w) to the array (rows, len(ts)) of each row's
+    product of functions times its weight times w, each row formed with the
+    operations, in the order, of an integrand of that row alone.  With
+    Jacobi exponents (0, 0) the integrand is smooth on the closed window
+    (GK15 with Z-zero breakpoints); otherwise its weight has an endpoint
+    power and it goes to tanh-sinh.
     """
-    if eq not in THEOREM2_MEMBERS:
-        raise DomainError(f"unknown equation id {eq!r}")
-    if not 1 <= max_n <= 16:
-        raise DomainError(f"{eq} requires 1 <= max_n <= 16")
-    family, ab, degree = THEOREM2_MEMBERS[eq]
-    degrees = range(1, max_n + 1) if degree == "n" else [degree]
+    family, ab, rule, cap = LADDER_MEMBERS[eq]
+    if not 1 <= max_n <= cap:
+        raise DomainError(f"{eq} requires 1 <= max_n <= {cap}")
+    degrees = [rule] if isinstance(rule, int) else range(1, max_n + 1)
+    if rule == "pairs":
+        pairs, mi, ni = _gram_pairs(max_n)
+    else:   # row k is degree k's square
+        mi = ni = np.arange(len(degrees))
     if ab == "params":
         ab, extra = (float(alpha), float(beta)), {"alpha": alpha, "beta": beta}
     else:
         extra = {"nu": nu} if family == "bessel" else {}
-    params = [{"n": n, **extra} if degree == "n" else {} for n in degrees]
     smooth = ab == (0.0, 0.0)
 
     if family == "bessel":
-        nu = float(nu)
+        U, nu = 1.0, float(nu)
         mus = np.array([bessel_zero(nu, n) for n in degrees])
-
-        def factor(ts, w):
-            u = np.maximum(table.eval(ts) - T, 0.0)
-            return bessel_j(nu, mus[:, None] * u) ** 2 * u * w
-
-        return 1.0, list(zip(params, [bessel_norm_sq(nu, n) for n in degrees])), factor, smooth
-
-    spec = PolyFamilySpec.jacobi(*ab) if family == "jacobi" else PolyFamilySpec(family)
+        norms = [bessel_norm_sq(nu, n) for n in degrees]
+    else:
+        U = 2.0
+        spec = PolyFamilySpec.jacobi(*ab) if family == "jacobi" else PolyFamilySpec(family)
+        norms = [poly_norm_sq(spec, n) for n in degrees]
 
     # the weight's arithmetic follows the family, not (alpha, beta): the
     # Chebyshev forms take one square root of the product of the distances
     def factor(ts, w):
         phi = table.eval(ts)
+        if family == "bessel":
+            u = np.maximum(phi - T, 0.0)
+            j = bessel_j(nu, mus[:, None] * u)
+            return j[mi] * j[ni] * u * w
         p = np.stack([poly_eval(spec, n, phi - (T + 1.0)) for n in degrees])
+        pp = p[mi] * p[ni]
         if smooth:
-            return p * p * w
+            return pp * w
         d_right = np.maximum((T + 2.0) - phi, 0.0)   # 1 - u
         d_left = np.maximum(phi - T, 0.0)            # 1 + u
         if family == "jacobi":
-            return p * p * d_right ** ab[0] * d_left ** ab[1] * w
+            return pp * d_right ** ab[0] * d_left ** ab[1] * w
         rad = d_right * d_left
         if family == "chebyshev_u":
-            return p * p * w * np.sqrt(rad)
-        return np.where(rad > 0.0, p * p * w / np.sqrt(np.where(rad > 0.0, rad, 1.0)), 0.0)
+            return pp * w * np.sqrt(rad)
+        return np.where(rad > 0.0, pp * w / np.sqrt(np.where(rad > 0.0, rad, 1.0)), 0.0)
 
-    return 2.0, list(zip(params, [poly_norm_sq(spec, n) for n in degrees])), factor, smooth
+    if rule == "pairs":
+        rows = [(f"{eq}_diag", {"m": m, "n": n, **extra}, norms[n - 1]) if m == n
+                else (f"{eq}_offdiag", {"m": m, "n": n, **extra}, 0.0) for m, n in pairs]
+    elif rule == "n":
+        rows = [(eq, {"n": n, **extra}, c) for n, c in zip(degrees, norms)]
+    else:
+        rows = [(eq, {}, norms[0])]
+    return U, rows, factor, smooth
 
 
-def _theorem2_reports(table: LadderTable, T: float, eq: str, max_n: int, nu: float,
-                      alpha: float, beta: float, quad_tol: float, zeta2: bool,
-                      extra: dict):
-    """The reports of one member at T, its rows integrated together, with
-    the |zeta|^2 weight or (not zeta2) with Ztilde^2; `extra` goes into
-    every row's params."""
+def _member_reports(table: LadderTable, T: float, eq: str, max_n: int, nu: float,
+                    alpha: float, beta: float, quad_tol: float, zeta2: bool,
+                    extra: dict):
+    """The reports of one member at T, its rows integrated together over the
+    preimage of [T, T + U], with the |zeta|^2 weight or (not zeta2) with
+    Ztilde^2; `extra` goes into every row's params."""
     t0 = time.perf_counter()
     T = float(T)
-    U, rows, factor, smooth = _theorem2_pieces(table, T, eq, max_n, nu, alpha, beta)
+    U, rows, factor, smooth = _member_pieces(table, T, eq, max_n, nu, alpha, beta)
     check_admissible(T, U)
-    # the nearest doubles whose values lie inside [T, T + U], so a weight
-    # singular at the window's ends is never evaluated past them
     a = table.invert(T)
-    while table.eval(a) < T:
-        a = float(np.nextafter(a, math.inf))
     b = table.invert(T + U)
-    while table.eval(b) > T + U:
-        b = float(np.nextafter(b, -math.inf))
 
     def integrand(ts):
         w = table.ztilde_sq(ts)
@@ -340,13 +309,25 @@ def _theorem2_reports(table: LadderTable, T: float, eq: str, max_n: int, nu: flo
         results = integrate_adaptive_rows(integrand, len(rows), a, b, quad_tol,
                                           breakpoints=table.breakpoints(a, b))
     else:
+        # the nearest doubles whose values lie inside [T, T + U], so a weight
+        # singular at the window's ends is never evaluated past them
+        while table.eval(a) < T:
+            a = float(np.nextafter(a, math.inf))
+        while table.eval(b) > T + U:
+            b = float(np.nextafter(b, -math.inf))
         results = integrate_singular_rows(integrand, len(rows), a, b, quad_tol)
     ev_hash = table.evaluator.config_hash()
     lhash = table.config_hash()
-    return [_make_report(eq, {**params, "T": T, **extra}, res.value,
+    return [_make_report(row_eq, {**params, "T": T, **extra}, res.value,
                          const * math.log(T) if zeta2 else const, res.error_estimate,
                          t0, ev_hash, lhash)
-            for (params, const), res in zip(rows, results)]
+            for (row_eq, params, const), res in zip(rows, results)]
+
+
+def _theorem2_reports(table: LadderTable, T: float, eq: str, *args):
+    if eq not in THEOREM2_MEMBERS:
+        raise DomainError(f"unknown equation id {eq!r}")
+    return _member_reports(table, T, eq, *args)
 
 
 def verify_theorem2(table: LadderTable, T: float, eq: str, max_n: int,

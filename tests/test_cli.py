@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from zladder.cli import (EXIT_CACHE, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
-                         EXIT_SOFT, main)
+from zladder.cli import (EXIT_CACHE, EXIT_CONFIG, EXIT_HARD, EXIT_NUMERIC,
+                         EXIT_OK, EXIT_SOFT, main)
 from zladder.config import RunConfig
 
 
@@ -253,6 +253,14 @@ class TestRun:
         with pytest.raises(DomainError):
             RunConfig(T=(2000.0, 1000.0))
 
+    @pytest.mark.parametrize("field", ["tol", "tol_exact", "tol_sanity",
+                                       "tol_sanity_singular", "tol_ratio", "tol_baseline"])
+    @pytest.mark.parametrize("value", [0.0, -1e-9, float("nan")])
+    def test_tolerance_must_be_positive(self, field, value):
+        from zladder import DomainError
+        with pytest.raises(DomainError, match=field):
+            RunConfig(**{field: value})
+
 
 class TestPlotData:
     def test_ladder_columns(self, capsys, cache_env):
@@ -343,3 +351,105 @@ class TestReportSummary:
         assert run_cli("plot-data", "--what", "z_trace", "--from", "100", "--to", "101",
                        "--out", str(out)) == EXIT_CONFIG
         assert "no-such-dir" in capsys.readouterr().err
+
+
+# Every verb with each documented exit code it can return.  In the args,
+# BROKEN names a file that is not a cache or report, TIGHT an INI file whose
+# sanity tolerances no row meets, and ZEROS a fresh Bessel-zero cache file.
+# A ladder that cannot reach its tolerance makes every ladder verb exit 70.
+UNREACHABLE = ["--t-lo", "1000", "--t-hi", "1001", "--anchor", "1000.5", "--tol", "1e-300"]
+PLAN = [*LADDER_ARGS, "--T", "1000", "--nu", "0", "--max-n", "1", "--out", "-"]
+EXIT_CASES = [
+    ("z eval", ["--t", "100"], EXIT_OK),
+    ("z eval", ["--t", "nan"], EXIT_CONFIG),
+    ("z eval", ["--t", "nan", "--oracle"], EXIT_CONFIG),
+    ("specfun zeros", ["--nu", "0", "--count", "2", "--cache-file", "ZEROS"], EXIT_OK),
+    ("specfun zeros", ["--nu", "nan", "--count", "2", "--cache-file", "ZEROS"], EXIT_CONFIG),
+    ("specfun zeros", ["--nu", "0", "--count", "2", "--cache-file", "BROKEN"], EXIT_CACHE),
+    ("ladder build", LADDER_ARGS, EXIT_OK),
+    ("ladder build", ["--t-lo", "1090", "--t-hi", "1000"], EXIT_CONFIG),
+    ("ladder build", [*LADDER_ARGS, "--cache", "BROKEN"], EXIT_CACHE),
+    ("ladder build", UNREACHABLE, EXIT_NUMERIC),
+    ("ladder query", [*LADDER_ARGS, "--t", "1010"], EXIT_OK),
+    ("ladder query", [*LADDER_ARGS, "--t", "nan"], EXIT_CONFIG),
+    ("ladder query", [*LADDER_ARGS, "--t", "1010", "--cache", "BROKEN"], EXIT_CACHE),
+    ("ladder query", [*UNREACHABLE, "--t", "1000.7"], EXIT_NUMERIC),
+    ("ladder invert", [*LADDER_ARGS, "--y", "1000"], EXIT_OK),
+    ("ladder invert", [*LADDER_ARGS, "--y", "nan"], EXIT_CONFIG),
+    ("ladder invert", [*LADDER_ARGS, "--y", "1000", "--cache", "BROKEN"], EXIT_CACHE),
+    ("ladder invert", [*UNREACHABLE, "--y", "1000"], EXIT_NUMERIC),
+    ("ladder retardation", [*LADDER_ARGS, "--from", "1010", "--to", "1060"], EXIT_OK),
+    ("ladder retardation", [*LADDER_ARGS, "--from", "1010", "--to", "1060", "--step", "0"],
+     EXIT_CONFIG),
+    ("ladder retardation", [*LADDER_ARGS, "--from", "2000", "--to", "1000"], EXIT_CONFIG),
+    ("ladder retardation", [*LADDER_ARGS, "--from", "1010", "--to", "1060", "--cache",
+                            "BROKEN"], EXIT_CACHE),
+    ("ladder retardation", [*UNREACHABLE, "--from", "1000", "--to", "1001"], EXIT_NUMERIC),
+    ("verify baseline", ["--nu", "0", "--max-n", "2", "--out", "-"], EXIT_OK),
+    ("verify baseline", ["--nu", "0", "--max-n", "2", "--tol-baseline", "1e-30",
+                         "--out", "-"], EXIT_HARD),
+    ("verify baseline", ["--nu", "0", "--max-n", "2", "--tol-baseline", "nan",
+                         "--out", "-"], EXIT_CONFIG),
+    ("verify theorem1", PLAN, EXIT_OK),
+    ("verify theorem1", [*PLAN, "--tol-exact", "1e-30"], EXIT_HARD),
+    ("verify theorem1", [*PLAN, "--tol-exact", "nan"], EXIT_CONFIG),
+    ("verify theorem1", [*PLAN, "--cache", "BROKEN"], EXIT_CACHE),
+    ("verify theorem1", [*UNREACHABLE, "--T", "1000", "--out", "-"], EXIT_NUMERIC),
+    ("verify corollary", PLAN, EXIT_OK),
+    ("verify corollary", [*PLAN, "--tol-ratio", "1e-9"], EXIT_SOFT),
+    ("verify corollary", [*PLAN, "--tol-ratio", "nan"], EXIT_CONFIG),
+    ("verify corollary", [*PLAN, "--cache", "BROKEN"], EXIT_CACHE),
+    ("verify corollary", [*UNREACHABLE, "--T", "1000", "--out", "-"], EXIT_NUMERIC),
+    ("verify theorem2", PLAN, EXIT_OK),
+    ("verify theorem2", [*PLAN, "--tol-ratio", "1e-9"], EXIT_SOFT),
+    ("verify theorem2", [*PLAN, "--T", "nan"], EXIT_CONFIG),
+    ("verify theorem2", [*PLAN, "--cache", "BROKEN"], EXIT_CACHE),
+    ("verify theorem2", [*UNREACHABLE, "--T", "1000", "--out", "-"], EXIT_NUMERIC),
+    ("verify sanity", PLAN, EXIT_OK),
+    ("verify sanity", [*PLAN, "--config", "TIGHT"], EXIT_HARD),
+    ("verify sanity", [*PLAN, "--alpha", "nan"], EXIT_CONFIG),
+    ("verify sanity", [*PLAN, "--cache", "BROKEN"], EXIT_CACHE),
+    ("verify sanity", [*UNREACHABLE, "--T", "1000", "--out", "-"], EXIT_NUMERIC),
+    ("plot-data", ["--what", "ladder", *LADDER_ARGS, "--from", "1005", "--to", "1006"],
+     EXIT_OK),
+    ("plot-data", ["--what", "ladder", *LADDER_ARGS], EXIT_CONFIG),
+    ("plot-data", ["--what", "envelope", *LADDER_ARGS], EXIT_CONFIG),
+    ("plot-data", ["--what", "envelope", *LADDER_ARGS, "--T", "950", "--points", "-3"],
+     EXIT_CONFIG),
+    ("plot-data", ["--what", "z_trace", "--from", "100", "--to", "101", "--step", "nan"],
+     EXIT_CONFIG),
+    ("plot-data", ["--what", "ladder", *LADDER_ARGS, "--from", "1005", "--to", "1006",
+                   "--cache", "BROKEN"], EXIT_CACHE),
+    ("plot-data", ["--what", "ladder", *UNREACHABLE, "--from", "1000", "--to", "1001"],
+     EXIT_NUMERIC),
+    ("run", [*PLAN, "--equations", "baseline", "sanity"], EXIT_OK),
+    ("run", [*PLAN, "--equations", "theorem1", "corollary", "--tol-exact", "1e-30"],
+     EXIT_HARD),
+    ("run", [*PLAN, "--equations", "theorem1", "corollary", "--tol-ratio", "1e-9"],
+     EXIT_SOFT),
+    ("run", [*PLAN, "--T", "5000"], EXIT_CONFIG),
+    ("run", [*PLAN, "--cache", "BROKEN"], EXIT_CACHE),
+    ("run", [*UNREACHABLE, "--T", "1000", "--out", "-"], EXIT_NUMERIC),
+    ("report", ["ZEROS"], EXIT_CONFIG),     # no such file
+    ("report", ["BROKEN"], EXIT_CACHE),
+]
+
+
+@pytest.fixture(scope="module")
+def shared_cache_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("cache")
+
+
+@pytest.mark.parametrize("verb,args,expected", EXIT_CASES,
+                         ids=[f"{v}-{c}-{i}" for i, (v, _, c) in enumerate(EXIT_CASES)])
+def test_verb_exit_code(capsys, monkeypatch, tmp_path, shared_cache_root,
+                        verb, args, expected):
+    monkeypatch.setenv("ZLADDER_CACHE_ROOT", str(shared_cache_root))
+    files = {"BROKEN": tmp_path / "broken", "TIGHT": tmp_path / "tight.ini",
+             "ZEROS": tmp_path / "zeros.json"}
+    files["BROKEN"].write_text("{broken\n")
+    files["TIGHT"].write_text("[plan]\ntol_sanity = 1e-30\ntol_sanity_singular = 1e-30\n")
+    argv = [*verb.split(), *(str(files.get(a, a)) for a in args)]
+    assert run_cli(*argv) == expected
+    if expected in (EXIT_CONFIG, EXIT_CACHE, EXIT_NUMERIC):
+        assert "error" in capsys.readouterr().err

@@ -292,6 +292,13 @@ class TestEval:
         with pytest.raises(DomainError):
             small_ladder.ztilde_sq(1090.5)
 
+    @pytest.mark.parametrize("t", [math.nan, [1010.0, math.nan]])
+    def test_nan_rejected(self, small_ladder, t):
+        with pytest.raises(DomainError):
+            small_ladder.eval(t)
+        with pytest.raises(DomainError):
+            small_ladder.ztilde_sq(t)
+
 
 class TestEvalSharedHeads:
     """Every point gets the bits it gets alone, in any batch, and no call
@@ -345,6 +352,11 @@ class TestEvalSharedHeads:
 
 
 class TestInvert:
+    @pytest.mark.parametrize("y", [math.nan, [1000.0, math.nan]])
+    def test_nan_rejected(self, small_ladder, y):
+        with pytest.raises(DomainError):
+            small_ladder.invert(y)
+
     def test_anchor_roundtrip(self, small_ladder):
         t = small_ladder.invert(small_ladder.anchor_value)
         assert abs(t - small_ladder.anchor_t0) <= 1e-9

@@ -143,6 +143,8 @@ class TestAdaptive:
             integrate_adaptive(lambda x: x, 1.0, 0.0, 1e-9)
         with pytest.raises(DomainError):
             integrate_adaptive(lambda x: x, 0.0, 1.0, -1e-9)
+        with pytest.raises(DomainError):
+            integrate_adaptive(lambda x: x, 0.0, 1.0, math.nan)
 
 
 class TestAdaptiveRows:

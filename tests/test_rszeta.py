@@ -79,6 +79,12 @@ class TestTheta:
         with pytest.raises(DomainError):
             ev.theta_oracle(-3.0)
 
+    @pytest.mark.parametrize("fn", ["theta", "theta_oracle", "z_rs", "z_oracle", "z"])
+    def test_nan_rejected(self, ev, fn):
+        for t in (math.nan, np.array([1000.0, math.nan])):
+            with pytest.raises(DomainError):
+                getattr(ev, fn)(t)
+
 
 class TestZOracle:
     def test_first_zero(self, ev):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from zladder import (DomainError, PoleError, PolyFamilySpec, bessel_j,
                      bessel_norm_sq, bessel_zero, gamma_fn, integrate_adaptive,
-                     integrate_singular, poly_eval, poly_norm_sq, poly_weight)
+                     integrate_singular, log_gamma, poly_eval, poly_norm_sq, poly_weight)
 from zladder.specfun import load_zero_cache, save_zero_cache, zero_table
 from zladder.specfun.bessel import (BesselZeroTable, _bessel_j_any, _bessel_miller,
                                     _bessel_series, _dd_add, _dd_div, _dd_mul,
@@ -136,6 +136,20 @@ class TestBesselJ:
             bessel_j(0.0, -0.1)
         with pytest.raises(DomainError):
             bessel_j(0.0, 201.0)
+
+    @pytest.mark.parametrize("nu,x", [(0.0, math.nan), (0.0, [1.0, math.nan]),
+                                      (math.nan, 1.0)])
+    def test_nan_rejected(self, nu, x):
+        with pytest.raises(DomainError):
+            bessel_j(nu, x)
+
+    def test_nan_order_rejected_by_other_entry_points(self):
+        with pytest.raises(DomainError):
+            bessel_zero(math.nan, 1)
+        with pytest.raises(DomainError):
+            PolyFamilySpec.jacobi(math.nan, 0.5)
+        with pytest.raises(DomainError):
+            log_gamma(math.nan)
 
 
 class TestBesselJBatchInvariance:

@@ -102,6 +102,19 @@ class TestPooledRowsEqualPerRowIntegrals:
             res = integrate_adaptive(integrand(r.params), a, b, tol, breakpoints=breakpoints)
             assert (r.lhs, r.quadrature_error) == (res.value, res.error_estimate)
 
+    @staticmethod
+    def window(table, T, U, smooth):
+        """The one window rule: the preimage of [T, T + U]; a weight singular
+        at its ends moves each end inward to the nearest double whose value
+        lies inside [T, T + U]."""
+        a, b = table.invert(T), table.invert(T + U)
+        if not smooth:
+            while table.eval(a) < T:
+                a = float(np.nextafter(a, math.inf))
+            while table.eval(b) > T + U:
+                b = float(np.nextafter(b, -math.inf))
+        return a, b
+
     @pytest.mark.parametrize("nu", [0.0, 1.0])
     def test_baseline(self, nu):
         def integrand(p):
@@ -127,7 +140,7 @@ class TestPooledRowsEqualPerRowIntegrals:
                 return jj * u * table.ztilde_sq(ts)
             return f
 
-        a, b = table.invert(T), table.invert(T + 1.0)
+        a, b = self.window(table, T, 1.0, True)
         rows = [r for r in theorem1_reports if r.equation_id != "E1_4"]
         assert len(rows) == 6
         self.assert_rows(rows, integrand, a, b, 1e-9, table.breakpoints(a, b))
@@ -143,10 +156,11 @@ class TestPooledRowsEqualPerRowIntegrals:
 
                 def f(ts):
                     u = np.maximum(table.eval(ts) - T, 0.0)
-                    return bessel_j(1.0, mu * u) ** 2 * u * table.ztilde_sq(ts) * np.log(ts)
+                    zeta2 = table.ztilde_sq(ts) * np.log(ts)
+                    return bessel_j(1.0, mu * u) ** 2 * u * zeta2
                 return f
 
-            a, b = table.invert(T), table.invert(T + 1.0)
+            a, b = self.window(table, T, 1.0, True)
             self.assert_rows([r for r in reports if r.params["T"] == T], integrand,
                              a, b, 1e-6, table.breakpoints(a, b))
 
@@ -154,7 +168,7 @@ class TestPooledRowsEqualPerRowIntegrals:
     def theorem2_integrand(table, T, eq, p, layer):
         """One E2_4..E2_10 row's integrand as its own job built it before
         the rows API, and whether it is smooth."""
-        family, ab, degree = V.THEOREM2_MEMBERS[eq]
+        family, ab, degree, _ = V.THEOREM2_MEMBERS[eq]
         n = p.get("n", degree)
         alpha, beta = (p["alpha"], p["beta"]) if ab == "params" else ab
         smooth = alpha == 0.0 and beta == 0.0
@@ -189,26 +203,39 @@ class TestPooledRowsEqualPerRowIntegrals:
                              + [("E2_5", 0.0, 0.0)],
                              ids=[*V.THEOREM2_MEMBERS, "E2_5-smooth"])
     def test_theorem2(self, small_ladder, eq, alpha, beta, layer):
-        table, T = small_ladder, 1000.0
+        # at T = 995 the window rule moves a singular weight's ends inward:
+        # both ends of [T, T + 1] and the left end of [T, T + 2]
+        table, T = small_ladder, 995.0
         if layer == "zeta2":
             reports, tol = V.verify_theorem2(table, T, eq, 3, 1.0, alpha, beta), 1e-6
         else:
             reports, tol = V.sanity_theorem2_exact(table, T, eq, 3, 1.0, alpha, beta), 1e-8
         assert len(reports) == (1 if eq in ("E2_8", "E2_10") else 3)
         U = 1.0 if eq == "E2_4" else 2.0
-        a = table.invert(T)
-        while table.eval(a) < T:
-            a = float(np.nextafter(a, math.inf))
-        b = table.invert(T + U)
-        while table.eval(b) > T + U:
-            b = float(np.nextafter(b, -math.inf))
+        assert self.window(table, T, U, False)[0] != table.invert(T)
         for r in reports:
             f, smooth = self.theorem2_integrand(table, T, eq, r.params, layer)
+            a, b = self.window(table, T, U, smooth)
             if smooth:
                 res = integrate_adaptive(f, a, b, tol, breakpoints=table.breakpoints(a, b))
             else:
                 res = integrate_singular(f, a, b, tol)
             assert (r.lhs, r.quadrature_error) == (res.value, res.error_estimate)
+
+    @pytest.mark.parametrize("T", [995.0, 1000.0])
+    def test_e2_4_is_e2_2(self, small_ladder, T):
+        r4 = V.verify_theorem2(small_ladder, T, "E2_4", 3, nu=1.0)
+        r2 = V.verify_corollary(small_ladder, [T], 1.0, 3)
+        fields = lambda r: (r.lhs, r.rhs, r.ratio, r.quadrature_error, r.params["n"],
+                            r.params["nu"])
+        assert [fields(r) for r in r4] == [fields(r) for r in r2]
+
+    def test_e2_4_sanity_is_e1_3_diagonal(self, small_ladder):
+        r4 = V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_4", 3, nu=1.0, quad_tol=1e-9)
+        r1 = [r for r in V.verify_theorem1(small_ladder, 1000.0, 1.0, 3)
+              if r.equation_id == "E1_3_diag"]
+        fields = lambda r: (r.lhs, r.rhs, r.quadrature_error, r.params["n"])
+        assert [fields(r) for r in r4] == [fields(r) for r in r1]
 
     def test_corollary_max_n(self, small_ladder):
         with pytest.raises(DomainError):
