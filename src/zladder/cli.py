@@ -198,6 +198,8 @@ def _cmd_z_eval(args) -> int:
 
 
 def _cmd_specfun_zeros(args) -> int:
+    if not 1 <= args.count <= 64:
+        raise DomainError(f"need 1 <= --count <= 64, have --count {args.count}")
     cache_file = args.cache_file or os.path.join(cache_root(), "bessel-zeros.json")
     if os.path.exists(cache_file):
         load_zero_cache(cache_file)

@@ -9,6 +9,11 @@ after the build calls Z.  Panels have width h, with edges at anchor_t0 and at
 the RS/oracle seam, and are halved until the degree-16 interpolant through
 the nested 17 points agrees to the panel's share of the tolerance.  `save` and
 `load` keep checkpoints and coefficients in a versioned, validated `.npz`.
+
+`eval` and `ztilde_sq` of one float run on Python floats (one panel's column
+through the same Clenshaw routine), with the IEEE operations of the array
+path in the same order, so a point has the same bits either way; `invert`'s
+Newton solve runs on them.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 import zipfile
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -138,22 +144,26 @@ def _antiderivative(coef: np.ndarray, half: np.ndarray) -> np.ndarray:
     sq[0] *= 2.0
     anti = np.zeros((2 * n, c.shape[1]))
     anti[1:] = (sq[:-2] - sq[2:]) / (4.0 * np.arange(1, 2 * n))[:, None]
-    anti[0] = -_clenshaw(anti, slice(None), np.full(c.shape[1], -1.0))
+    anti[0] = -_clenshaw(anti, np.full(c.shape[1], -1.0), slice(None))
     return anti * half
 
 
-def _clenshaw(cols: np.ndarray, k, x: np.ndarray) -> np.ndarray:
-    """sum_j cols[j, k] T_j(x), pointwise; gathers one column per step."""
+def _clenshaw(cols, x, k=None):
+    """sum_j cols[j][k] T_j(x), pointwise.  With k, `cols` is a (terms,
+    panels) array, x an array, and one column is gathered per step; without,
+    `cols` is one column of Python floats and x a float.  Both paths run the
+    same IEEE operations in the same order, so a point keeps its bits."""
+    head = cols[0] if k is None else cols[0][k]
+    rest = cols[:0:-1] if k is None else (row[k] for row in cols[:0:-1])
     x2 = 2.0 * x
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for row in cols[:0:-1]:
-        b1, b2 = x2 * b1 - b2 + row[k], b1
-    return x * b1 - b2 + cols[0][k]
+    b1 = b2 = 0.0
+    for c in rest:
+        b1, b2 = x2 * b1 - b2 + c, b1
+    return x * b1 - b2 + head
 
 
 def _steps(anti: np.ndarray) -> np.ndarray:   # whole-panel integrals
-    return _clenshaw(anti, slice(None), np.ones(anti.shape[1]))
+    return _clenshaw(anti, np.ones(anti.shape[1]), slice(None))
 
 
 class LadderTable:
@@ -173,7 +183,6 @@ class LadderTable:
         self._mid = 0.5 * (self.edges[:-1] + self.edges[1:])
         self._half = 0.5 * (self.edges[1:] - self.edges[:-1])
         self._breakpoints: dict[tuple[float, float], np.ndarray] = {}
-        self._inverses: dict[float, float] = {}
 
     @property
     def phi_lo(self) -> float:
@@ -191,6 +200,10 @@ class LadderTable:
     def _anti(self) -> np.ndarray:
         return _antiderivative(self.coef, self._half)
 
+    @cached_property
+    def _edge_list(self) -> list[float]:
+        return self.edges.tolist()
+
     def _panels(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """t flattened, its panel indices and its coordinates on them."""
         flat = np.atleast_1d(np.asarray(t, dtype=float)).astype(float).ravel()
@@ -199,6 +212,13 @@ class LadderTable:
         k = np.minimum(np.searchsorted(self.edges, flat, side="right") - 1,
                        len(self._half) - 1)
         return flat, k, (flat - self._mid[k]) / self._half[k]
+
+    def _panel(self, t: float) -> tuple[int, float]:
+        """`_panels` for one float t: its panel index and coordinate there."""
+        if not self.t_lo <= t <= self.t_hi:   # NaN fails
+            raise DomainError(f"ladder evaluation outside [{self.t_lo}, {self.t_hi}]")
+        k = min(bisect_right(self._edge_list, t) - 1, len(self._half) - 1)
+        return k, (float(t) - self._mid.item(k)) / self._half.item(k)
 
     def breakpoints(self, a: float, b: float) -> np.ndarray:
         """Real roots of the panels' p in [a, b] (the zeros of Z) and the
@@ -226,16 +246,29 @@ class LadderTable:
     def ztilde_sq(self, t) -> float | np.ndarray:
         """p(t)^2, the stored derivative of phi_1 (Ztilde^2 to the build
         tolerance); t in [t_lo, t_hi]."""
+        if isinstance(t, float):
+            k, x = self._panel(t)
+            v = _clenshaw(self.coef[k].tolist(), x)
+            return v * v
         flat, k, x = self._panels(t)
-        out = _clenshaw(self.coef.T, k, x) ** 2
+        out = _clenshaw(self.coef.T, x, k) ** 2
         return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
     def eval(self, t) -> float | np.ndarray:
         """phi_1(t): the stored value at a checkpoint, else the left one plus
         the antiderivative of p^2 on the panel, clamped to the right one.
         Each point is evaluated on its own: its bits ignore the batch."""
+        if isinstance(t, float):
+            k, x = self._panel(t)
+            if t == self.t_hi:
+                return self.phi_hi
+            lo = self.phi.item(k)
+            if t == self._edge_list[k]:
+                return lo
+            v = lo + _clenshaw(self._anti[:, k].tolist(), x)
+            return min(max(v, lo), self.phi.item(k + 1))
         flat, k, x = self._panels(t)
-        out = self.phi[k] + _clenshaw(self._anti, k, x)
+        out = self.phi[k] + _clenshaw(self._anti, x, k)
         out = np.minimum(np.maximum(out, self.phi[k]), self.phi[k + 1])
         exact = self.edges[k] == flat
         out[exact] = self.phi[k[exact]]
@@ -248,25 +281,23 @@ class LadderTable:
         double t to the next where Ztilde^2 ulp(t) > 2e-10, near t ~ 1e5).
         Raises `ConvergenceError` when the solve finds neither.
 
-        Each scalar inverse is solved once per y and memoized in the table
-        (verification jobs re-invert the same T and T + U), so a repeated y
-        returns the identical float; a y whose solve raises raises again.
-        Threads racing on a new y may both solve it, with equal results.
+        A solve is deterministic, so a repeated y returns the identical float.
         """
         ya = np.asarray(y, dtype=float)
         flat = np.atleast_1d(ya).astype(float).ravel()
         if not (np.all(flat >= self.phi[0]) and np.all(flat <= self.phi[-1])):   # NaN fails
             raise DomainError(
-                f"inversion target outside [{self.phi[0]!r}, {self.phi[-1]!r}]")
-        out = np.array([self._inverses.get(v) or self._solve_inverse(v)
-                        for v in map(float, flat)])
+                f"inversion target outside [{self.phi_lo}, {self.phi_hi}]")
+        out = np.array([self._solve_inverse(v) for v in flat.tolist()])
         return float(out[0]) if ya.ndim == 0 else out.reshape(np.shape(ya))
 
     def _solve_inverse(self, y: float) -> float:
-        j = np.searchsorted(self.phi, y, side="left")
-        if j < len(self.phi) and self.phi[j] == y:
-            return float(self.edges[j])
-        lo, hi = float(self.edges[j - 1]), float(self.edges[j])
+        """Newton on Python floats through the single-point `eval` and
+        `ztilde_sq`, then the best of the nine doubles around its result."""
+        j = int(np.searchsorted(self.phi, y, side="left"))
+        if j < len(self.phi) and self.phi.item(j) == y:
+            return self.edges.item(j)
+        lo, hi = self.edges.item(j - 1), self.edges.item(j)
         t = 0.5 * (lo + hi)
         for _ in range(80):
             ft = self.eval(t) - y
@@ -275,24 +306,24 @@ class LadderTable:
             # a step below two ulps of t is left to the search below
             slope = self.ztilde_sq(t)
             step = ft / slope if slope > 1e-18 else math.inf
-            if abs(step) <= 2.0 * np.spacing(t) or hi - lo <= 4.0 * np.spacing(hi):
+            if abs(step) <= 2.0 * math.ulp(t) or hi - lo <= 4.0 * math.ulp(hi):
                 break
             t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
         # the best double among t and its four neighbours on either side
         below, above = [t], [t]
         for _ in range(4):
-            below.append(float(np.nextafter(below[-1], -math.inf)))
-            above.append(float(np.nextafter(above[-1], math.inf)))
-        cands = np.array([c for c in below[:0:-1] + above if self.t_lo <= c <= self.t_hi])
-        vals = self.eval(cands)
-        best = int(np.argmin(np.abs(vals - y)))
-        resid = abs(vals[best] - y)
+            below.append(math.nextafter(below[-1], -math.inf))
+            above.append(math.nextafter(above[-1], math.inf))
+        cands = [c for c in below[:0:-1] + above if self.t_lo <= c <= self.t_hi]
+        vals = [self.eval(c) for c in cands]
+        resids = [abs(v - y) for v in vals]
+        best = resids.index(min(resids))
+        resid = resids[best]
         # no double comes closer when the neighbours' values bracket y
         nearest = 0 < best < len(cands) - 1 and vals[best - 1] <= y <= vals[best + 1]
         if not (resid <= 1e-10 or nearest):
             raise ConvergenceError(f"ladder inversion stalled at |phi - y| = {resid:.2e}")
-        t = self._inverses[y] = float(cands[best])
-        return t
+        return cands[best]
 
     def save(self, path) -> None:
         """Write the table to `path`, under exactly that name, as a version-3
@@ -523,13 +554,10 @@ def retardation_report(table: LadderTable, sample_ts,
     ts = np.atleast_1d(np.asarray(sample_ts, dtype=float))
     if prime_pi is None or prime_pi.limit < ts.max():
         prime_pi = PrimePi.up_to(max(int(ts.max()) + 10, 100))
-    rows = []
-    for t in ts:
-        lag = float(t - table.eval(float(t)))
-        expected = ONE_MINUS_C * prime_pi.count(float(t))
-        rows.append(RetardationRow(t=float(t), lag=lag, expected=expected,
-                                   ratio=lag / expected if expected else math.inf))
-    return rows
+    lags = ts - table.eval(ts)
+    expected = ONE_MINUS_C * prime_pi.count(ts)
+    return [RetardationRow(t=t, lag=lag, expected=e, ratio=lag / e if e else math.inf)
+            for t, lag, e in zip(ts.tolist(), lags.tolist(), expected.tolist())]
 
 
 def log_stability_check(table: LadderTable, T: float, U: float = 1.0) -> float:

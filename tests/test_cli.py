@@ -75,6 +75,15 @@ class TestSpecfunZeros:
         assert out == "" and "bessel zero cache" in err
         assert path.read_bytes() == body
 
+    @pytest.mark.parametrize("count", ["0", "65", "70"])
+    def test_count_checked_first(self, capsys, tmp_path, count):
+        path = tmp_path / "zeros.json"
+        assert run_cli("specfun", "zeros", "--nu", "0", "--count", count,
+                       "--cache-file", str(path)) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and f"--count {count}" in err
+        assert not path.exists()
+
 
 class TestLadderVerbs:
     def test_build_query_invert(self, capsys, cache_env):
@@ -432,6 +441,9 @@ EXIT_CASES = [
     ("run", [*UNREACHABLE, "--T", "1000", "--out", "-"], EXIT_NUMERIC),
     ("report", ["ZEROS"], EXIT_CONFIG),     # no such file
     ("report", ["BROKEN"], EXIT_CACHE),
+    # appended, so the positional ids of the cases above stay as they were
+    ("specfun zeros", ["--nu", "0", "--count", "0", "--cache-file", "ZEROS"], EXIT_CONFIG),
+    ("specfun zeros", ["--nu", "0", "--count", "65", "--cache-file", "ZEROS"], EXIT_CONFIG),
 ]
 
 

@@ -285,19 +285,66 @@ class TestEval:
         assert abs(inc - res.value) <= 1e-9
 
     def test_domain(self, small_ladder):
-        with pytest.raises(DomainError):
-            small_ladder.eval(999.0)
-        with pytest.raises(DomainError):
-            small_ladder.eval(1090.5)
-        with pytest.raises(DomainError):
-            small_ladder.ztilde_sq(1090.5)
+        for t in (999.0, 1090.5, np.float64(999.0), np.array(1090.5), [1010.0, 1090.5]):
+            for fn in (small_ladder.eval, small_ladder.ztilde_sq):
+                with pytest.raises(DomainError, match=r"outside \[1000.0, 1090.0\]"):
+                    fn(t)
 
-    @pytest.mark.parametrize("t", [math.nan, [1010.0, math.nan]])
+    @pytest.mark.parametrize("t", [math.nan, [1010.0, math.nan],
+                                   pytest.param(np.float64(math.nan), id="float64"),
+                                   pytest.param(np.array(math.nan), id="0d")])
     def test_nan_rejected(self, small_ladder, t):
         with pytest.raises(DomainError):
             small_ladder.eval(t)
         with pytest.raises(DomainError):
             small_ladder.ztilde_sq(t)
+
+
+@pytest.fixture(scope="module")
+def seam_ladder(ev):
+    """A ladder across the RS/oracle seam at t = 50."""
+    return build_ladder(ev, 40.0, 60.0, anchor_t0=47.7, tol=1e-8)
+
+
+def _special_ts(table):
+    """Every checkpoint, its neighbouring doubles and the evaluator seam,
+    inside the ladder domain."""
+    e = table.edges
+    ts = np.concatenate([e, np.nextafter(e, -math.inf), np.nextafter(e, math.inf),
+                         [table.evaluator.t_min_rs]])
+    return np.unique(ts[(ts >= table.t_lo) & (ts <= table.t_hi)])
+
+
+def _assert_one_bits(table, ts):
+    """eval and ztilde_sq give each t the same bits on a float, an
+    np.float64, a 0-d array and in the batch `ts`."""
+    for fn in (table.eval, table.ztilde_sq):
+        batch = fn(ts)
+        for t, want in zip(ts.tolist(), batch.tolist()):
+            got = [fn(t), fn(np.float64(t)), fn(np.array(t))]
+            assert all(type(v) is float for v in got), t
+            assert {v.hex() for v in got} == {want.hex()}, (fn.__name__, t)
+
+
+class TestSinglePoint:
+    """The float path of eval and ztilde_sq keeps the array path's bits."""
+
+    @pytest.mark.parametrize("name", ["small_ladder", "seam_ladder", "shifted"])
+    def test_checkpoints_neighbours_and_seam(self, request, name):
+        table = (shifted(request.getfixturevalue("small_ladder"), 40) if name == "shifted"
+                 else request.getfixturevalue(name))
+        ts = _special_ts(table)
+        assert table.t_lo in ts and table.t_hi in ts
+        assert (table.evaluator.t_min_rs in ts) == (name == "seam_ladder")
+        _assert_one_bits(table, ts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_uniform(self, small_ladder, seam_ladder, us):
+        for table in (small_ladder, seam_ladder):
+            u = np.asarray(us)
+            ts = np.minimum(table.t_lo + u * (table.t_hi - table.t_lo), table.t_hi)
+            _assert_one_bits(table, ts)
 
 
 class TestEvalSharedHeads:
@@ -377,6 +424,14 @@ class TestInvert:
         with pytest.raises(DomainError):
             small_ladder.invert(small_ladder.phi_hi + 1.0)
 
+    @pytest.mark.parametrize("y", [math.nan, np.float64(2000.0), np.array([0.0])])
+    def test_range_message_prints_floats(self, small_ladder, y):
+        with pytest.raises(DomainError) as err:
+            small_ladder.invert(y)
+        assert str(err.value) == (f"inversion target outside "
+                                  f"[{small_ladder.phi_lo}, {small_ladder.phi_hi}]")
+        assert "np." not in str(err.value)
+
 
 @pytest.fixture(scope="module")
 def ladder_near_1e5(ev):
@@ -406,7 +461,55 @@ def _meets_contract(table, y):
             or (len(near) == 3 and vals[0] <= y <= vals[2]))
 
 
+def _reference_inverse(table, y):
+    """The numpy Newton solve `invert` ran before it moved to Python floats,
+    every evaluation through the array path (one point per call for the
+    Newton steps, one batch for the nine candidates)."""
+    def eval1(t):
+        return float(table.eval(np.array([t]))[0])
+
+    j = np.searchsorted(table.phi, y, side="left")
+    if j < len(table.phi) and table.phi[j] == y:
+        return float(table.edges[j])
+    lo, hi = float(table.edges[j - 1]), float(table.edges[j])
+    t = 0.5 * (lo + hi)
+    for _ in range(80):
+        ft = eval1(t) - y
+        lo, hi = (lo, t) if ft > 0.0 else (t, hi)
+        slope = float(table.ztilde_sq(np.array([t]))[0])
+        step = ft / slope if slope > 1e-18 else math.inf
+        if abs(step) <= 2.0 * np.spacing(t) or hi - lo <= 4.0 * np.spacing(hi):
+            break
+        t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
+    cands = _neighbours(table, t)
+    vals = table.eval(cands)
+    best = int(np.argmin(np.abs(vals - y)))
+    resid = abs(vals[best] - y)
+    nearest = 0 < best < len(cands) - 1 and vals[best - 1] <= y <= vals[best + 1]
+    if not (resid <= 1e-10 or nearest):
+        raise ConvergenceError(f"ladder inversion stalled at |phi - y| = {resid:.2e}")
+    return float(cands[best])
+
+
+def _outcome(solve, table, y):
+    try:
+        return solve(table, y).hex()
+    except ConvergenceError as exc:
+        return f"raised {exc}"
+
+
 class TestInvertContract:
+    @pytest.mark.parametrize("name", ["small_ladder", "ladder_near_1e5"])
+    def test_equals_reference_solve(self, request, rng, name):
+        # 2000 stratified y plus every checkpoint value
+        table = request.getfixturevalue(name)
+        m = 2000
+        u = (np.arange(m) + rng.random(m)) / m
+        ys = np.concatenate([table.phi_lo + u * (table.phi_hi - table.phi_lo), table.phi])
+        for y in np.minimum(ys, table.phi_hi).tolist():
+            assert (_outcome(LadderTable.invert, table, y)
+                    == _outcome(_reference_inverse, table, y)), y
+
     def test_former_silent_miss(self, ladder_near_1e5):
         # the Gauss-panel ladder's 8 eps |y| stop rule returned a t with
         # |phi_1(t) - y| = 1.46e-10 here, without an error
@@ -433,18 +536,14 @@ class TestInvertMemo:
     def table(self, ev):
         return build_ladder(ev, 1000.0, 1030.0, tol=1e-9)
 
-    def test_repeat_is_identical_and_free(self, table, monkeypatch):
+    def test_repeat_is_identical_and_free(self, table):
+        # a repeated y is solved again, to the same bits
         y = table.anchor_value + 3.217
         first = table.invert(y)
-        calls = []
-        real = table.eval
-        monkeypatch.setattr(table, "eval", lambda t: calls.append(t) or real(t))
         again = table.invert(y)
         assert again.hex() == first.hex()
-        assert calls == []
         many = table.invert(np.array([y, y]))
         assert [v.hex() for v in many.tolist()] == [first.hex()] * 2
-        assert calls == []
 
     def test_raise_is_not_memoized(self, table, monkeypatch):
         y = table.anchor_value + 5.5
