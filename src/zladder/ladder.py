@@ -33,6 +33,7 @@ from .exceptions import (AdmissibilityError, CacheError, ConvergenceError,
                          DomainError, ToleranceNotMetError)
 from .quadrature import integrate_adaptive
 from .rszeta import ZEvaluator
+from .specfun.orthopoly import _clenshaw
 
 EULER_C = 0.5772156649015329
 ONE_MINUS_C = 1.0 - EULER_C
@@ -146,20 +147,6 @@ def _antiderivative(coef: np.ndarray, half: np.ndarray) -> np.ndarray:
     anti[1:] = (sq[:-2] - sq[2:]) / (4.0 * np.arange(1, 2 * n))[:, None]
     anti[0] = -_clenshaw(anti, np.full(c.shape[1], -1.0), slice(None))
     return anti * half
-
-
-def _clenshaw(cols, x, k=None):
-    """sum_j cols[j][k] T_j(x), pointwise.  With k, `cols` is a (terms,
-    panels) array, x an array, and one column is gathered per step; without,
-    `cols` is one column of Python floats and x a float.  Both paths run the
-    same IEEE operations in the same order, so a point keeps its bits."""
-    head = cols[0] if k is None else cols[0][k]
-    rest = cols[:0:-1] if k is None else (row[k] for row in cols[:0:-1])
-    x2 = 2.0 * x
-    b1 = b2 = 0.0
-    for c in rest:
-        b1, b2 = x2 * b1 - b2 + c, b1
-    return x * b1 - b2 + head
 
 
 def _steps(anti: np.ndarray) -> np.ndarray:   # whole-panel integrals
@@ -293,14 +280,16 @@ class LadderTable:
 
     def _solve_inverse(self, y: float) -> float:
         """Newton on Python floats through the single-point `eval` and
-        `ztilde_sq`, then the best of the nine doubles around its result."""
+        `ztilde_sq`, then the best of the nine doubles around its result;
+        each point is evaluated once (the result's value comes from Newton)."""
         j = int(np.searchsorted(self.phi, y, side="left"))
         if j < len(self.phi) and self.phi.item(j) == y:
             return self.edges.item(j)
         lo, hi = self.edges.item(j - 1), self.edges.item(j)
         t = 0.5 * (lo + hi)
         for _ in range(80):
-            ft = self.eval(t) - y
+            vt = self.eval(t)
+            ft = vt - y
             lo, hi = (lo, t) if ft > 0.0 else (t, hi)
             # Newton step on the stored derivative, safeguarded by the bracket;
             # a step below two ulps of t is left to the search below
@@ -309,13 +298,15 @@ class LadderTable:
             if abs(step) <= 2.0 * math.ulp(t) or hi - lo <= 4.0 * math.ulp(hi):
                 break
             t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
+        else:
+            vt = self.eval(t)
         # the best double among t and its four neighbours on either side
         below, above = [t], [t]
         for _ in range(4):
             below.append(math.nextafter(below[-1], -math.inf))
             above.append(math.nextafter(above[-1], math.inf))
         cands = [c for c in below[:0:-1] + above if self.t_lo <= c <= self.t_hi]
-        vals = [self.eval(c) for c in cands]
+        vals = [vt if c == t else self.eval(c) for c in cands]
         resids = [abs(v - y) for v in vals]
         best = resids.index(min(resids))
         resid = resids[best]

@@ -3,6 +3,7 @@
 from .bessel import (
     BesselZeroTable,
     bessel_j,
+    bessel_j_proxy,
     bessel_norm_sq,
     bessel_zero,
     load_zero_cache,
@@ -15,6 +16,7 @@ from .orthopoly import PolyFamilySpec, poly_eval, poly_norm_sq, poly_weight
 __all__ = [
     "BesselZeroTable",
     "bessel_j",
+    "bessel_j_proxy",
     "bessel_norm_sq",
     "bessel_zero",
     "zero_table",

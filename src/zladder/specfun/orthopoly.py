@@ -1,4 +1,6 @@
-"""Jacobi, Legendre and Chebyshev polynomials with their weighted norms."""
+"""Jacobi, Legendre and Chebyshev polynomials with their weighted norms, and
+the Clenshaw sum of a Chebyshev series that the ladder panels and the Bessel
+proxies evaluate."""
 
 from __future__ import annotations
 
@@ -132,3 +134,17 @@ def poly_norm_sq(spec: PolyFamilySpec, n: int) -> float:
              + log_gamma(n + a + 1.0) + log_gamma(n + b + 1.0)
              - log_gamma(n + 1.0) - log_gamma(n + a + b + 1.0))
     return float(np.exp(log_h))
+
+
+def _clenshaw(cols, x, k=None):
+    """sum_j cols[j][k] T_j(x), pointwise.  With k, `cols` is a (terms,
+    panels) array, x an array, and one column is gathered per step; without,
+    `cols` is one column of Python floats and x a float.  Both paths run the
+    same IEEE operations in the same order, so a point keeps its bits."""
+    head = cols[0] if k is None else cols[0][k]
+    rest = cols[:0:-1] if k is None else (row[k] for row in cols[:0:-1])
+    x2 = 2.0 * x
+    b1 = b2 = 0.0
+    for c in rest:
+        b1, b2 = x2 * b1 - b2 + c, b1
+    return x * b1 - b2 + head

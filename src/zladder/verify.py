@@ -24,6 +24,11 @@ polynomial values once per call, then forms each row with the operations, in
 the order, that the row's own integrand would use, so every row keeps the
 bits of an integral of that row alone.  Each row of such a group records the
 elapsed time of the whole group (`--timings`).
+
+The ladder integrands take J_nu(mu_n u) from the per-(nu, n) Chebyshev
+proxies of `specfun.bessel_j_proxy`, all rows in one Clenshaw recurrence;
+E1_2 and the envelope table keep the direct series of `bessel_j`, so the
+classical baseline stays an independent reference.
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ from .ladder import LadderTable, check_admissible
 # benchmark tracer patches this module's binding of it
 from .quadrature import (integrate_adaptive, integrate_adaptive_rows,  # noqa: F401
                          integrate_singular_rows)
-from .specfun import (PolyFamilySpec, bessel_j, bessel_norm_sq, bessel_zero,
-                      poly_eval, poly_norm_sq)
+from .specfun import (PolyFamilySpec, bessel_j, bessel_j_proxy, bessel_norm_sq,
+                      bessel_zero, poly_eval, poly_norm_sq)
 
 
 @dataclass
@@ -249,8 +254,8 @@ def _member_pieces(table: LadderTable, T: float, eq: str, max_n: int,
     smooth = ab == (0.0, 0.0)
 
     if family == "bessel":
-        U, nu = 1.0, float(nu)
-        mus = np.array([bessel_zero(nu, n) for n in degrees])
+        U = 1.0
+        bessel_rows = bessel_j_proxy(nu, degrees)
         norms = [bessel_norm_sq(nu, n) for n in degrees]
     else:
         U = 2.0
@@ -263,7 +268,7 @@ def _member_pieces(table: LadderTable, T: float, eq: str, max_n: int,
         phi = table.eval(ts)
         if family == "bessel":
             u = np.maximum(phi - T, 0.0)
-            j = bessel_j(nu, mus[:, None] * u)
+            j = bessel_rows(u)
             return j[mi] * j[ni] * u * w
         p = np.stack([poly_eval(spec, n, phi - (T + 1.0)) for n in degrees])
         pp = p[mi] * p[ni]

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -347,6 +348,30 @@ class TestSinglePoint:
             _assert_one_bits(table, ts)
 
 
+# (t, eval(t), ztilde_sq(t)) on small_ladder as float.hex: the checkpoints
+# t_lo and 1017, interior points and t_hi.  The float and the array path share
+# one Clenshaw recurrence, so comparing them cannot see a change to it.
+PINNED_BITS = [
+    (1000.0, "0x1.ce4c5754fac48p+9", "0x1.272c107ae82c7p-3"),
+    (1017.0, "0x1.d73cddfe1bbfdp+9", "0x1.2e50a654f0cd7p-2"),
+    (1003.25, "0x1.ceb641375367fp+9", "0x1.ea258c6b07f9ep-12"),
+    (1024.6, "0x1.dce1b5d913fe1p+9", "0x1.cd719de73aadep+1"),
+    (1041.123456789, "0x1.e1596fc5aa845p+9", "0x1.61d8474b3c2a7p+0"),
+    (1059.9999, "0x1.e987ca187858dp+9", "0x1.68dc9d6c22b96p-4"),
+    (1077.5, "0x1.f2e98a5839156p+9", "0x1.5cea5904b5a4dp+0"),
+    (1090.0, "0x1.f7d35db192596p+9", "0x1.22ed319c1641ep-4"),
+]
+
+
+@pytest.mark.parametrize("column", [1, 2], ids=["eval", "ztilde_sq"])
+def test_pinned_bits(small_ladder, column):
+    fn = small_ladder.eval if column == 1 else small_ladder.ztilde_sq
+    ts = [row[0] for row in PINNED_BITS]
+    want = [row[column] for row in PINNED_BITS]
+    assert [fn(t).hex() for t in ts] == want
+    assert [v.hex() for v in fn(np.array(ts)).tolist()] == want
+
+
 class TestEvalSharedHeads:
     """Every point gets the bits it gets alone, in any batch, and no call
     after the build evaluates Z. (The name is kept from the per-panel Gauss
@@ -509,6 +534,23 @@ class TestInvertContract:
         for y in np.minimum(ys, table.phi_hi).tolist():
             assert (_outcome(LadderTable.invert, table, y)
                     == _outcome(_reference_inverse, table, y)), y
+
+    def test_each_point_evaluated_once(self, small_ladder, rng, monkeypatch):
+        # a Newton step takes one eval and one ztilde_sq; the best-double
+        # search takes the last iterate's value from Newton and evaluates
+        # only its eight neighbours
+        table = small_ladder
+        calls = collections.Counter()
+        for name in ("eval", "ztilde_sq"):
+            def counted(t, _fn=getattr(table, name), _name=name):
+                calls[_name] += 1
+                return _fn(t)
+            monkeypatch.setattr(table, name, counted)
+        for y in rng.uniform(table.phi[1], table.phi[-2], 100).tolist():
+            calls.clear()
+            table.invert(y)
+            assert calls["ztilde_sq"] >= 1
+            assert calls["eval"] == calls["ztilde_sq"] + 8, y
 
     def test_former_silent_miss(self, ladder_near_1e5):
         # the Gauss-panel ladder's 8 eps |y| stop rule returned a t with

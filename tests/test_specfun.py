@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from zladder import (DomainError, PoleError, PolyFamilySpec, bessel_j,
                      bessel_norm_sq, bessel_zero, gamma_fn, integrate_adaptive,
                      integrate_singular, log_gamma, poly_eval, poly_norm_sq, poly_weight)
-from zladder.specfun import load_zero_cache, save_zero_cache, zero_table
+from zladder.specfun import bessel_j_proxy, load_zero_cache, save_zero_cache, zero_table
 from zladder.specfun.bessel import (BesselZeroTable, _bessel_j_any, _bessel_miller,
                                     _bessel_series, _dd_add, _dd_div, _dd_mul,
                                     _two_prod, _two_sum)
@@ -290,6 +290,21 @@ class TestBesselZeros:
         save_zero_cache(path)
         assert load_zero_cache(path) >= 1
 
+    def test_loaded_zeros_drop_the_norms_and_proxies_of_the_old_ones(self, tmp_path):
+        nu = 6.75   # an order no other test touches
+        old = bessel_norm_sq(nu, 1)
+        zero_table(nu, 1).proxy_coefs([1])
+        fresh = BesselZeroTable(nu=nu)
+        fresh.extend_to(2)
+        nudged = [float(np.nextafter(fresh.zeros[0], math.inf)), fresh.zeros[1]]
+        path = tmp_path / "zeros.json"
+        path.write_text(json.dumps({"version": 1, "tables": {repr(nu): {"zeros": nudged}}}))
+        assert load_zero_cache(path) == 1
+        table = zero_table(nu, 2)
+        assert table.zeros == nudged and not table.proxies
+        j = float(_bessel_j_any(nu + 1.0, np.float64(nudged[0])))
+        assert bessel_norm_sq(nu, 1) == 0.5 * j * j != old
+
 
 class TestSeriesBitwise:
     """The scalar loop for single points and the scalar term divisor give
@@ -336,6 +351,88 @@ class TestBesselNorm:
             res = integrate_adaptive(
                 lambda x, _mu=mu: bessel_j(nu, _mu * x) ** 2 * x, 0.0, 1.0, 1e-12)
             assert abs(res.value - bessel_norm_sq(nu, n)) <= 1e-10
+
+    def test_computed_once_per_order_and_zero(self, monkeypatch):
+        from zladder.specfun import bessel as B
+        first = bessel_norm_sq(3.25, 2)
+
+        def no_series(nu, x):
+            raise AssertionError("norm recomputed")
+        monkeypatch.setattr(B, "_bessel_j_any", no_series)
+        assert bessel_norm_sq(3.25, 2) == first
+
+
+# the grid of the proxy bounds: 8000 u in [0, 1], its ends again and a point
+# just past 1, where the integrands' u = phi_1 - T can land by rounding
+PROXY_GRID = np.concatenate([np.linspace(0.0, 1.0, 8000), [0.0, 1.0, 1.0 + 1e-9]])
+# (nu, largest n, bound on max |proxy - J|): (mu u / 2)^nu amplifies the
+# rounding of the Chebyshev sum, to ~1e-13 at nu = 2.5, n = 16
+PROXY_BOUNDS = [(0.0, 4, 5e-15), (1.0, 4, 5e-15), (0.0, 16, 5e-14), (0.5, 16, 5e-14),
+                (1.0, 16, 5e-14), (2.5, 16, 2e-13)]
+
+
+def proxy_errors(nu, max_n, reference):
+    """max |proxy - reference(nu, mu_n u)| over PROXY_GRID for n = 1..max_n."""
+    ns = range(1, max_n + 1)
+    got = bessel_j_proxy(nu, ns)(PROXY_GRID)
+    return [np.max(np.abs(row - reference(nu, bessel_zero(nu, n) * PROXY_GRID)))
+            for n, row in zip(ns, got)]
+
+
+class TestBesselProxy:
+    @pytest.mark.parametrize("nu,max_n,bound", PROXY_BOUNDS)
+    def test_against_series(self, nu, max_n, bound):
+        assert max(proxy_errors(nu, max_n, bessel_j)) <= bound
+
+    @pytest.mark.parametrize("nu,max_n,bound", PROXY_BOUNDS)
+    def test_against_scipy_jv(self, nu, max_n, bound):
+        special = pytest.importorskip("scipy.special")
+        assert max(proxy_errors(nu, max_n, special.jv)) <= bound
+
+    @pytest.mark.parametrize("nu,want", [(0.0, 1.0), (1.0, 0.0), (2.5, 0.0), (-0.5, math.inf)])
+    def test_at_zero_follows_bessel_j(self, nu, want):
+        got = bessel_j_proxy(nu, [1, 3])(np.array([0.0, 0.5]))
+        assert got[:, 0].tolist() == [want, want] == [bessel_j(nu, 0.0)] * 2
+
+    @pytest.mark.parametrize("nu", [0.0, 2.5])
+    def test_rows_keep_their_bits_together(self, nu, rng):
+        u = rng.uniform(0.0, 1.0, 50)
+        together = bessel_j_proxy(nu, [4, 1, 16, 2])(u)
+        for n, row in zip([4, 1, 16, 2], together):
+            assert row.tobytes() == bessel_j_proxy(nu, [n])(u)[0].tobytes()
+
+    def test_built_once_and_alone_as_together(self):
+        ns = [6, 1, 3, 2, 5, 4]
+        together, alone = BesselZeroTable(nu=4.5), BesselZeroTable(nu=4.5)
+        together.extend_to(6)
+        alone.extend_to(6)
+        coefs = together.proxy_coefs(ns)
+        assert together.proxy_coefs([3])[0] is coefs[2]
+        assert not coefs[2].flags.writeable
+        for n, c in zip(ns, coefs):
+            assert alone.proxy_coefs([n])[0].tobytes() == c.tobytes()
+
+    def test_a_series_that_does_not_chop_raises(self, monkeypatch):
+        from zladder import ConvergenceError
+        from zladder.specfun import bessel as B
+        monkeypatch.setattr(B, "_PROXY_MAX_DEGREE", 32)
+        table = BesselZeroTable(nu=0.0)
+        table.extend_to(16)
+        with pytest.raises(ConvergenceError, match="did not chop by degree 32"):
+            table.proxy_coefs([1, 16])
+        assert not table.proxies
+        assert len(table.proxy_coefs([1])[0]) <= 17
+
+
+class TestBesselJOracle:
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5])
+    def test_against_scipy_jv(self, nu):
+        # the documented contract: 1e-12 for x <= 50, 1e-10 for x <= 200
+        special = pytest.importorskip("scipy.special")
+        x = np.linspace(0.0, 200.0, 4001)
+        err = np.abs(bessel_j(nu, x) - special.jv(nu, x))
+        assert np.max(err[x <= 50.0]) <= 1e-12
+        assert np.max(err) <= 1e-10
 
 
 class TestPolynomials:
