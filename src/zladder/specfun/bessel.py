@@ -16,12 +16,15 @@ append-only per-nu tables.  Beside each zero mu_n the table keeps, once
 computed, the norm 0.5 J_{nu+1}(mu_n)^2 and the Chebyshev proxy of
 u -> J_nu(mu_n u) on [0, 1] that `bessel_j_proxy` evaluates for the ladder
 integrands at the cost of one Clenshaw sum (Trefethen, Approximation Theory
-and Approximation Practice, SIAM 2013, ch. 8 and 10).
+and Approximation Practice, SIAM 2013, ch. 8 and 10), for the (nu, n) whose
+amplified rounding stays within bessel_j's contract; the others keep the
+series.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -39,7 +42,9 @@ _ZERO_CACHE_VERSION = 1
 
 _PROXY_MIN_DEGREE = 16
 _PROXY_MAX_DEGREE = 512
-_PROXY_CHOP_TOL = 64.0 * np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
+_PROXY_CHOP_TOL = 4.0 * _EPS
+_PROXY_MAX_ERROR = 1e-12   # bessel_j's contract for x <= 50
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +95,7 @@ def _series_converged_scalar(th: float, sh: float) -> bool:
     return abs(th) <= 1e-37 * max(1.0, abs(sh))
 
 
-def _bessel_series(nu: float, x: np.ndarray) -> np.ndarray:
+def _bessel_series(nu: float, x: np.ndarray, scaled: bool = False) -> np.ndarray:
     """Ascending series, double-double terms; x <= ~40 elementwise, x > 0.
 
     A single point runs the term loop on Python floats: the same IEEE
@@ -98,8 +103,15 @@ def _bessel_series(nu: float, x: np.ndarray) -> np.ndarray:
     fraction of the per-call cost of 1-element arrays (the zero finder's
     Newton steps are all single points).  The term divisor r (nu + r) is one
     scalar double-double pair per term on either path.
+
+    `scaled` gives J_nu(x) / (x/2)^nu instead, for x >= 0: the series from
+    t_0 = 1, divided by Gamma(nu + 1), so no power of x can underflow.
     """
     half = 0.5 * x
+    if scaled:
+        s = _series_sum(nu, half, np.ones_like(half), np.zeros_like(half),
+                        _series_converged)
+        return s / gamma_fn(nu + 1.0)
     t0 = half ** nu / gamma_fn(nu + 1.0)
     if x.size == 1:
         return np.array([_series_sum(nu, float(half[0]), float(t0[0]), 0.0,
@@ -125,8 +137,9 @@ def _series_sum(nu, half, t0, zero, converged):
     return sh + sl
 
 
-def _bessel_miller(nu: float, x: float) -> float:
-    """Downward recurrence with series normalization; x > ~40, scalar."""
+def _bessel_miller(nu: float, x: float, scaled: bool = False) -> float:
+    """Downward recurrence with series normalization; x > ~40, scalar;
+    `scaled` gives J_nu(x) / (x/2)^nu."""
     m_start = int(np.ceil(1.3 * x + 60.0))
     u_next = 0.0
     u = 1e-280
@@ -150,7 +163,7 @@ def _bessel_miller(nu: float, x: float) -> float:
         s += (nu + 2 * k) * e * us[2 * k]
         e *= (nu + k) / (k + 1.0)
         k += 1
-    return float(us[0] * (0.5 * x) ** nu / s)
+    return float(us[0] / s) if scaled else float(us[0] * (0.5 * x) ** nu / s)
 
 
 def _j_at_zero(nu: float) -> float:
@@ -287,48 +300,47 @@ class BesselZeroTable:
     def proxy_coefs(self, ns) -> list[np.ndarray]:
         """The read-only Chebyshev coefficients, in s = 2 u^2 - 1, of
         g(u) = J_nu(mu_n u) / (mu_n u / 2)^nu on 0 <= u <= 1, for each n of
-        `ns`; the ones not held yet are built together."""
-        missing = [n for n in dict.fromkeys(ns) if n not in self.proxies]
-        if missing:
-            mus = [self.zeros[n - 1] for n in missing]
-            self.proxies.update(zip(missing, _proxy_coefficients(self.nu, mus)))
+        `ns`; none is kept unless all the missing ones build."""
+        self.proxies.update({n: _proxy_coefficients(self.nu, self.zeros[n - 1])
+                             for n in dict.fromkeys(ns) if n not in self.proxies})
         return [self.proxies[n] for n in ns]
 
     def to_dict(self) -> dict:
         return {"zeros": list(self.zeros), "residual_bound": self.residual_bound}
 
 
-def _proxy_coefficients(nu: float, mus: list[float]) -> list[np.ndarray]:
-    """Chebyshev coefficients of g(u) = J_nu(mu u) / (mu u / 2)^nu in s, per mu.
+def _bessel_j_scaled(nu: float, x: np.ndarray) -> np.ndarray:
+    """J_nu(x) / (x/2)^nu elementwise for 0 <= x <= ~200: 1 / Gamma(nu + 1)
+    at 0, finite for every nu > -1 (no power of x is formed)."""
+    out = np.empty_like(x)
+    small = x <= _SERIES_MAX_X
+    if np.any(small):
+        out[small] = _bessel_series(nu, x[small], scaled=True)
+    out[~small] = [_bessel_miller(nu, float(v), scaled=True) for v in x[~small]]
+    return out
+
+
+def _proxy_coefficients(nu: float, mu: float) -> np.ndarray:
+    """Chebyshev coefficients of g(u) = J_nu(mu u) / (mu u / 2)^nu in s.
 
     g is even and entire, so it is a series in s = 2 u^2 - 1.  It is sampled
-    from `bessel_j` at the Chebyshev-Lobatto points s_j = cos(pi j / N),
-    where u_j = cos(pi j / 2N), and the coefficients are their DCT-I, taken
-    as the FFT of the even extension.  N doubles from 16 until the series
-    chops (Aurentz & Trefethen, ACM TOMS 43, 2017): the largest coefficient
-    of its last quarter, the noise floor, is within `_PROXY_CHOP_TOL` of the
-    largest one.  The coefficients past the last one above that floor are
-    cut.  One `bessel_j` call samples every mu not chopped yet at 2N points,
-    whose even ones are the N points, so it serves two degrees; a point's
-    J_nu ignores its batch, so each mu gets the coefficients it would alone.
+    by the scaled series and recurrence at the Chebyshev-Lobatto points
+    s_j = cos(pi j / N), where u_j = cos(pi j / 2N), and the coefficients are
+    their DCT-I, taken as the FFT of the even extension.  N doubles from 16
+    until the series chops (Aurentz & Trefethen, ACM TOMS 43, 2017): the
+    largest coefficient of its last quarter, the noise floor, is within
+    `_PROXY_CHOP_TOL` of the largest sample, so what is cut stays a few eps
+    of g(0).  The coefficients past the last one above that floor are cut.
     """
-    out = {}
     n = _PROXY_MIN_DEGREE
-    while len(out) < len(mus):
-        todo = [i for i in range(len(mus)) if i not in out]
-        if 2 * n > _PROXY_MAX_DEGREE:
-            raise ConvergenceError(f"the Chebyshev proxy of J_{nu}(mu u) did not chop by "
-                                   f"degree {_PROXY_MAX_DEGREE} for mu = {mus[todo[0]]}")
-        x = np.array([mus[i] for i in todo])[:, None] * np.cos(
-            np.pi * np.arange(2 * n + 1) / (4 * n))
-        for i, g in zip(todo, bessel_j(nu, x) / (0.5 * x) ** nu):
-            c = _chopped(g[::2], n)
-            if c is None:
-                c = _chopped(g, 2 * n)
-            if c is not None:
-                out[i] = c
-        n *= 4
-    return [out[i] for i in range(len(mus))]
+    while n <= _PROXY_MAX_DEGREE:
+        x = mu * np.cos(np.pi * np.arange(n + 1) / (2 * n))
+        c = _chopped(_bessel_j_scaled(nu, x), n)
+        if c is not None:
+            return c
+        n *= 2
+    raise ConvergenceError(f"the Chebyshev proxy of J_{nu}(mu u) did not chop by "
+                           f"degree {_PROXY_MAX_DEGREE} for mu = {mu}")
 
 
 def _chopped(g: np.ndarray, n: int) -> np.ndarray | None:
@@ -339,7 +351,7 @@ def _chopped(g: np.ndarray, n: int) -> np.ndarray | None:
     c[[0, -1]] *= 0.5
     mag = np.abs(c)
     floor = mag[3 * n // 4:].max()
-    if floor > _PROXY_CHOP_TOL * mag.max():
+    if floor > _PROXY_CHOP_TOL * np.abs(g).max():
         return None
     c = c[:np.flatnonzero(mag > floor)[-1] + 1]
     c.flags.writeable = False
@@ -377,34 +389,58 @@ def bessel_norm_sq(nu: float, n: int) -> float:
     return zero_table(nu, n).norm_sq(int(n))
 
 
+def _proxied(nu: float, mu: float) -> bool:
+    """Whether the proxy of u -> J_nu(mu u) stands in for `bessel_j`.
+
+    The proxy's error in g is a few eps of g(0) = 1 / Gamma(nu + 1), and the
+    factor (mu u / 2)^nu carries it into J, so its absolute error is about
+    eps (mu/2)^nu / Gamma(nu + 1) at u = 1.  The proxy serves where that
+    stays within `_PROXY_MAX_ERROR`, inside `bessel_j`'s domain (mu <= 200);
+    for nu < 0 the factor blows up at u = 0 instead, so those orders keep
+    the direct series.
+    """
+    if not (0.0 <= nu and mu <= 200.0):
+        return False
+    gain = math.exp(nu * math.log(0.5 * mu) - math.lgamma(nu + 1.0))
+    return _EPS * gain <= _PROXY_MAX_ERROR
+
+
 def bessel_j_proxy(nu: float, ns):
     """The map u -> J_nu(mu_n u), one row per n of `ns`, for an array u in
     [0, 1] (u a little past 1 is an extrapolation of the same polynomial).
 
-    Each row is the (nu, n) proxy's Chebyshev sum at s = 2 u^2 - 1 times
-    (mu_n u / 2)^nu, with J_nu(0) by `bessel_j`'s rule.  All rows run through
+    A row is the (nu, n) proxy's Chebyshev sum at s = 2 u^2 - 1 times
+    (mu_n u / 2)^nu, with J_nu(0) by `bessel_j`'s rule, where `_proxied`
+    admits it, and `bessel_j` itself elsewhere.  The proxied rows run through
     one Clenshaw recurrence, the shorter ones padded with zero coefficients,
     which leaves their bits alone: a row has the bits it has evaluated alone.
-    A proxy is within 5e-15 of `bessel_j` for nu in {0, 1} and n <= 4, and
-    within 5e-14 for n <= 16; at nu = 2.5, n = 16 the factor (mu u / 2)^nu
-    amplifies the rounding of the sum to ~1e-13.
+    A proxy is within 5e-15 of `bessel_j` for nu in {0, 1} and n <= 4, within
+    5e-14 for n <= 16, and within `_PROXY_MAX_ERROR` over the whole admitted
+    range.
     """
     nu = float(nu)
     ns = list(ns)
     table = zero_table(nu, max(ns))
-    coefs = table.proxy_coefs(ns)
-    cols = np.zeros((max(len(c) for c in coefs), len(ns)))
+    mus = [table.zeros[n - 1] for n in ns]
+    fast = [i for i, mu in enumerate(mus) if _proxied(nu, mu)]
+    direct = [i for i in range(len(ns)) if i not in fast]
+    coefs = table.proxy_coefs([ns[i] for i in fast])
+    cols = np.zeros((max((len(c) for c in coefs), default=0), len(fast)))
     for i, c in enumerate(coefs):
         cols[:len(c), i] = c
-    mus = np.array([table.zeros[n - 1] for n in ns])[:, None]
+    fast_mus = np.array([mus[i] for i in fast])[:, None]
     at_zero = _j_at_zero(nu)
 
     def rows(u):
-        x = mus * u
-        # each step takes the coefficient of every row as a column
-        g = _clenshaw(cols, 2.0 * u * u - 1.0, (slice(None), None))
-        with np.errstate(divide="ignore"):   # 0 ** nu for nu < 0, replaced below
-            return np.where(x == 0.0, at_zero, g * (0.5 * x) ** nu)
+        out = np.empty((len(ns),) + np.shape(u))
+        if fast:
+            x = fast_mus * u
+            # each step takes the coefficient of every row as a column
+            g = _clenshaw(cols, 2.0 * u * u - 1.0, (slice(None), None))
+            out[fast] = np.where(x == 0.0, at_zero, g * (0.5 * x) ** nu)
+        for i in direct:
+            out[i] = bessel_j(nu, mus[i] * u)
+        return out
     return rows
 
 

@@ -26,9 +26,10 @@ bits of an integral of that row alone.  Each row of such a group records the
 elapsed time of the whole group (`--timings`).
 
 The ladder integrands take J_nu(mu_n u) from the per-(nu, n) Chebyshev
-proxies of `specfun.bessel_j_proxy`, all rows in one Clenshaw recurrence;
-E1_2 and the envelope table keep the direct series of `bessel_j`, so the
-classical baseline stays an independent reference.
+proxies of `specfun.bessel_j_proxy`, all proxied rows in one Clenshaw
+recurrence (a (nu, n) whose proxy would lose more than bessel_j's contract
+keeps the series); E1_2 and the envelope table keep the direct series of
+`bessel_j`, so the classical baseline stays an independent reference.
 """
 
 from __future__ import annotations

@@ -211,6 +211,16 @@ class TestVerifyVerbs:
         assert code == EXIT_CONFIG
         assert "5000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family,rows", [("theorem1", 4), ("corollary", 2)])
+    def test_high_order_rows(self, capsys, cache_env, family, rows):
+        # (mu u / 2)^25 underflows near u = 0; every row is still written
+        code = run_cli("verify", family, *LADDER_ARGS, "--T", "1000", "--nu", "25",
+                       "--max-n", "2", "--out", "-")
+        assert code == EXIT_OK
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == rows
+        assert all(json.loads(line)["params"]["nu"] == 25.0 for line in out)
+
 
 class TestRun:
     def write_config(self, path, **plan):

@@ -10,6 +10,7 @@ from zladder import (DomainError, PoleError, PolyFamilySpec, bessel_j,
                      bessel_norm_sq, bessel_zero, gamma_fn, integrate_adaptive,
                      integrate_singular, log_gamma, poly_eval, poly_norm_sq, poly_weight)
 from zladder.specfun import bessel_j_proxy, load_zero_cache, save_zero_cache, zero_table
+from zladder.specfun import bessel as B
 from zladder.specfun.bessel import (BesselZeroTable, _bessel_j_any, _bessel_miller,
                                     _bessel_series, _dd_add, _dd_div, _dd_mul,
                                     _two_prod, _two_sum)
@@ -353,7 +354,6 @@ class TestBesselNorm:
             assert abs(res.value - bessel_norm_sq(nu, n)) <= 1e-10
 
     def test_computed_once_per_order_and_zero(self, monkeypatch):
-        from zladder.specfun import bessel as B
         first = bessel_norm_sq(3.25, 2)
 
         def no_series(nu, x):
@@ -401,20 +401,63 @@ class TestBesselProxy:
         for n, row in zip([4, 1, 16, 2], together):
             assert row.tobytes() == bessel_j_proxy(nu, [n])(u)[0].tobytes()
 
-    def test_built_once_and_alone_as_together(self):
-        ns = [6, 1, 3, 2, 5, 4]
-        together, alone = BesselZeroTable(nu=4.5), BesselZeroTable(nu=4.5)
-        together.extend_to(6)
-        alone.extend_to(6)
-        coefs = together.proxy_coefs(ns)
-        assert together.proxy_coefs([3])[0] is coefs[2]
+    def test_built_once_and_read_only(self):
+        table = BesselZeroTable(nu=4.5)
+        table.extend_to(6)
+        coefs = table.proxy_coefs([6, 1, 3])
+        assert table.proxy_coefs([3])[0] is coefs[2]
         assert not coefs[2].flags.writeable
-        for n, c in zip(ns, coefs):
-            assert alone.proxy_coefs([n])[0].tobytes() == c.tobytes()
+
+    # (nu, the largest n whose proxy `_proxied` admits): past it the
+    # amplified rounding eps (mu/2)^nu / Gamma(nu + 1) exceeds 1e-12, or
+    # (nu <= 1.5) mu_64 leaves bessel_j's domain
+    @pytest.mark.parametrize("nu,last", [(0.0, 63), (1.0, 63), (2.5, 28), (5.0, 6),
+                                         (19.0, 1)])
+    def test_at_the_edge_of_the_admitted_range(self, nu, last):
+        special = pytest.importorskip("scipy.special")
+        table = zero_table(nu, 64)
+        admitted = [n for n in range(1, 65) if B._proxied(nu, table.zeros[n - 1])]
+        assert admitted == list(range(1, last + 1))
+        u = np.concatenate([np.linspace(0.0, 1.0, 2000), [1.0 + 1e-9]])
+        x = table.zeros[last - 1] * u
+        row = bessel_j_proxy(nu, [last])(u)[0]
+        assert np.max(np.abs(row - bessel_j(nu, x))) <= 1e-12
+        assert np.max(np.abs(row - special.jv(nu, x))) <= 1e-12
+
+    @pytest.mark.parametrize("nu,ns", [(-0.5, [3, 1]), (5.0, [7, 1, 6]), (25.0, [2, 1])])
+    def test_rows_past_the_range_are_bessel_j(self, nu, ns, rng):
+        u = np.concatenate([[0.0], rng.uniform(0.0, 1.0, 50), [1.0]])
+        table = zero_table(nu, max(ns))
+        for n, row in zip(ns, bessel_j_proxy(nu, ns)(u)):
+            mu = table.zeros[n - 1]
+            if B._proxied(nu, mu):
+                assert row.tobytes() == bessel_j_proxy(nu, [n])(u)[0].tobytes()
+            else:
+                assert row.tobytes() == bessel_j(nu, mu * u).tobytes()
+
+    def test_past_mu_200_raises_as_bessel_j(self):
+        row = bessel_j_proxy(0.0, [64])
+        assert bessel_zero(0.0, 64) > 200.0
+        assert row(np.array([0.5]))[0, 0] == bessel_j(0.0, bessel_zero(0.0, 64) * 0.5)
+        with pytest.raises(DomainError, match="0 <= x <= 200"):
+            row(np.array([1.0]))
+
+    @pytest.mark.parametrize("nu", [21.0, 25.0, 40.0])
+    def test_high_order_proxy_is_sampled_without_underflow(self, nu):
+        # (mu u / 2)^nu underflows at the Lobatto point u = cos(pi / 2) for
+        # nu >~ 21; g is sampled from the scaled series instead
+        table = zero_table(nu, 2)
+        u = np.linspace(0.05, 1.0, 500)
+        g0 = 1.0 / gamma_fn(nu + 1.0)
+        for mu, c in zip(table.zeros, table.proxy_coefs([1, 2])):
+            assert np.all(np.isfinite(c))
+            g = np.polynomial.chebyshev.chebval(np.array([-1.0, *(2.0 * u * u - 1.0)]), c)
+            assert abs(g[0] - g0) <= 4.0 * B._EPS * g0
+            ref = bessel_j(nu, mu * u) / (0.5 * mu * u) ** nu
+            assert np.max(np.abs(g[1:] - ref)) <= 16.0 * B._EPS * g0
 
     def test_a_series_that_does_not_chop_raises(self, monkeypatch):
         from zladder import ConvergenceError
-        from zladder.specfun import bessel as B
         monkeypatch.setattr(B, "_PROXY_MAX_DEGREE", 32)
         table = BesselZeroTable(nu=0.0)
         table.extend_to(16)
