@@ -272,39 +272,51 @@ def _cmd_ladder_retardation(args) -> int:
     return EXIT_OK
 
 
-def _family_reports(family: str, cfg: RunConfig, table) -> list:
-    """The report rows of one plan family (the verify functions are looked
-    up on the module at call time, so wrappers installed there see them)."""
-    if family == "baseline":
-        return [r for nu in cfg.nu
-                for r in V.verify_bessel_baseline(nu, min(cfg.n_max, 8),
-                                                  tol=cfg.tol_baseline)]
+def _family_sets(family: str, cfg: RunConfig) -> list:
+    """The row sets of one ladder family of the plan."""
     if family == "theorem1":
-        return [r for T in cfg.T for nu in cfg.nu
-                for r in V.verify_theorem1(table, T, nu, cfg.n_max, tol=cfg.tol_exact)]
+        return [s for T in cfg.T for nu in cfg.nu
+                for s in V.theorem1_sets(T, nu, cfg.n_max, tol=cfg.tol_exact)]
     if family == "corollary":
-        return [r for nu in cfg.nu
-                for r in V.verify_corollary(table, cfg.T, nu, cfg.n_max)]
+        return [s for nu in cfg.nu for s in V.corollary_sets(cfg.T, nu, cfg.n_max)]
     args = (cfg.n_max, cfg.nu[0], cfg.alpha, cfg.beta)
     if family == "theorem2":
-        return [r for T in cfg.T for eq in V.THEOREM2_MEMBERS
-                for r in V.verify_theorem2(table, T, eq, *args, tol_ratio=cfg.tol_ratio)]
-    return [r for T in cfg.T for eq in V.THEOREM2_MEMBERS
-            for r in V.sanity_theorem2_exact(table, T, eq, *args)]
+        return [s for T in cfg.T for eq in V.THEOREM2_MEMBERS
+                for s in V.theorem2_sets(T, eq, *args, tol_ratio=cfg.tol_ratio)]
+    return [s for T in cfg.T for eq in V.THEOREM2_MEMBERS
+            for s in V.sanity_sets(T, eq, *args)]
 
 
-def _cmd_run(args) -> int:
-    cfg = _config_from_args(args)
-    table = None
-    if any(e != "baseline" for e in cfg.equations):
+def _plan_reports(cfg: RunConfig) -> list:
+    """The report rows of every plan family, in family order.  The row sets
+    of all ladder families go to one run of the window executor, so each
+    window of the plan is inverted and integrated once for all of them, and
+    every set's arguments are checked before any integration starts."""
+    sets = {i: _family_sets(family, cfg) for i, family in enumerate(cfg.equations)
+            if family != "baseline"}
+    per_set = iter(())
+    if sets:
         table = _get_ladder(cfg)
         for T in cfg.T:
             if not (table.phi_lo <= T and T + 2.0 <= table.phi_hi):   # NaN fails
                 raise DomainError(
                     f"plan T = {T} outside ladder range: need phi_lo <= T and "
                     f"T + 2 <= phi_hi, have [{table.phi_lo!r}, {table.phi_hi!r}]")
-    reports = [r for family in cfg.equations
-               for r in _family_reports(family, cfg, table)]
+        per_set = iter(V.ladder_reports(table, [s for fam in sets.values() for s in fam]))
+    reports = []
+    for i, family in enumerate(cfg.equations):
+        if family == "baseline":
+            reports += [r for nu in cfg.nu
+                        for r in V.verify_bessel_baseline(nu, min(cfg.n_max, 8),
+                                                          tol=cfg.tol_baseline)]
+        else:
+            reports += [r for _ in sets[i] for r in next(per_set)]
+    return reports
+
+
+def _cmd_run(args) -> int:
+    cfg = _config_from_args(args)
+    reports = _plan_reports(cfg)
     _emit_reports(reports, cfg, args.out)
     hard = any(e in _HARD_FAMILIES for e in cfg.equations)
     soft = any(e not in _HARD_FAMILIES for e in cfg.equations)

@@ -221,7 +221,9 @@ class LadderTable:
                 r = chebroots(self.coef[k])
                 x = r.real[(np.abs(r.imag) <= 1e-8) & (np.abs(r.real) <= 1.0 + 1e-9)]
                 pts.append(self._mid[k] + self._half[k] * x)
-            pts = np.unique(np.concatenate(pts))
+            # sorted, not np.unique (whose first call imports numpy.ma, ~40 ms):
+            # exact repeats go with the near ones
+            pts = np.sort(np.concatenate(pts))
             pts = pts[(pts >= key[0]) & (pts <= key[1])]
             pts = pts[np.diff(pts, prepend=-math.inf) > 1e-9]   # found on both sides of an edge
             if key[0] < self.evaluator.t_min_rs < key[1]:

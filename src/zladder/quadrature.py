@@ -7,16 +7,16 @@ final panel set (and hence the result, summed in ascending position order)
 deterministic and independent of evaluation batching.
 `integrate_adaptive_rows` runs the same refinement for several integrands
 that share a window and breakpoints (the rows of a Gram system), each row
-with its own panels, acceptance test and sum, and calls the integrand once
-per round on the union of the rows' pending panels; `integrate_adaptive` is
-its one-row case.
+with its own tolerance, panels, acceptance test and sum, and calls the
+integrand once per round on the union of the rows' pending panels;
+`integrate_adaptive` is its one-row case.
 
 `integrate_singular_rows` applies the double-exponential (tanh-sinh)
 transform to several integrands on one window, doubling the node density per
 level until two successive levels agree; each level reuses the sum of the one
 before and evaluates only its new nodes.  The nodes of a level depend only on
 the window and the level, so the rows run in lockstep with one integrand call
-per level, each row with its own running sum and stop test;
+per level, each row with its own tolerance, running sum and stop test;
 `integrate_singular` is its one-row case.  Nodes whose position rounds onto
 an endpoint are dropped, so integrands with inverse-square-root blow-ups are
 never evaluated at the endpoints themselves.
@@ -92,14 +92,19 @@ class QuadratureResult:
     rule: str
 
 
-def _window(name: str, a, b, tol) -> tuple[float, float]:
+def _window(name: str, a, b, tol, rows: int) -> tuple[float, float, list[float]]:
+    """The window as floats and one tolerance per row (`tol` is one float
+    for every row, or a sequence of one per row)."""
     a = float(a)
     b = float(b)
     if not a < b:
         raise DomainError(f"{name} requires a < b, got [{a}, {b}]")
-    if not tol > 0.0:
+    tols = [float(tol)] * rows if np.ndim(tol) == 0 else [float(t) for t in tol]
+    if len(tols) != rows:
+        raise DomainError(f"{name} needs one tolerance per row: {len(tols)} for {rows} rows")
+    if not all(t > 0.0 for t in tols):   # NaN is not
         raise DomainError("tolerance must be positive")
-    return a, b
+    return a, b, tols
 
 
 def _check_finite(vals: np.ndarray, where: np.ndarray) -> None:
@@ -151,7 +156,7 @@ def integrate_adaptive_rows(
     rows: int,
     a: float,
     b: float,
-    tol: float,
+    tol: float | Sequence[float],
     *,
     breakpoints: Sequence[float] | None = None,
     max_panels: int = 10 ** 6,
@@ -162,15 +167,17 @@ def integrate_adaptive_rows(
     integrand at the points x.  Every row refines on its own exactly as
     `integrate_adaptive` would, with its own pending panels, acceptance
     test, panel budget and ascending-order sum; only the integrand calls are
-    shared.  All pending panels of a round sit at the same bisection depth
-    of the same initial panels, so each round calls `f` once, on the nodes
-    of the union of every unfinished row's pending panels.  Each row's
-    result is bit-identical to a solo `integrate_adaptive` of that row when
-    f's value at a point does not depend on the other points of the batch.
+    shared.  `tol` is one float for every row or one per row; each row's
+    acceptance test uses its own.  All pending panels of a round sit at the
+    same bisection depth of the same initial panels, so each round calls `f`
+    once, on the nodes of the union of every unfinished row's pending
+    panels.  Each row's result is bit-identical to a solo
+    `integrate_adaptive` of that row at its tolerance when f's value at a
+    point does not depend on the other points of the batch.
     Raises QuadratureError for the first row (in round, then row order) that
     exhausts its panel budget or meets a non-finite value.
     """
-    a, b = _window("integrate_adaptive", a, b, tol)
+    a, b, tols = _window("integrate_adaptive", a, b, tol, rows)
 
     edges = [a]
     if breakpoints is not None and len(breakpoints):
@@ -193,7 +200,7 @@ def integrate_adaptive_rows(
             sums, errs, floors = _gk15_sums(row_vals, hw[idx])
             # a panel is done when it meets its width's share of tol, or is
             # already at the roundoff floor (the reported estimate stays honest)
-            ok = errs <= np.maximum(tol * (pend_hi - pend_lo) / span, 1.01 * floors)
+            ok = errs <= np.maximum(tols[r] * (pend_hi - pend_lo) / span, 1.01 * floors)
             done[r].append((pend_lo[ok], sums[ok], errs[ok]))
             lo_bad = pend_lo[~ok]
             hi_bad = pend_hi[~ok]
@@ -204,7 +211,7 @@ def integrate_adaptive_rows(
             if n_panels[r] > max_panels:
                 raise QuadratureError(
                     f"adaptive refinement exceeded {max_panels} panels on [{a}, {b}] "
-                    f"(unresolved error ~ {float(np.sum(errs[~ok])):.3e} vs tol {tol:.3e})")
+                    f"(unresolved error ~ {float(np.sum(errs[~ok])):.3e} vs tol {tols[r]:.3e})")
             mid_bad = 0.5 * (lo_bad + hi_bad)
             pending[r] = (np.concatenate([lo_bad, mid_bad]), np.concatenate([mid_bad, hi_bad]))
 
@@ -271,7 +278,7 @@ def integrate_singular_rows(
     rows: int,
     a: float,
     b: float,
-    tol: float,
+    tol: float | Sequence[float],
     *,
     max_level: int = 12,
 ) -> list[QuadratureResult]:
@@ -280,13 +287,14 @@ def integrate_singular_rows(
     `f(x)` returns an array of shape (rows, len(x)): row r is the r-th
     integrand at the points x.  The nodes of a level depend only on the
     window and the level, so each level calls `f` once, on its new nodes.
-    Every row keeps its own running sum and stop test, exactly as
+    Every row keeps its own running sum and stop test (at its own tolerance:
+    `tol` is one float for every row or one per row), exactly as
     `integrate_singular` of that row alone would, and ignores the levels
     after its own stop.  Raises QuadratureError for the first row (in
     level, then row order) that meets a non-finite value or has not
     converged by `max_level`.
     """
-    a, b = _window("integrate_singular", a, b, tol)
+    a, b, tols = _window("integrate_singular", a, b, tol, rows)
     r = 0.5 * (b - a)
     acc = [0.0] * rows
     prev = [0.0] * rows
@@ -303,14 +311,15 @@ def integrate_singular_rows(
             acc[i] = part if level == 1 else 0.5 * acc[i] + part
             cur = r * acc[i]
             diff = abs(cur - prev[i])
-            if level > 1 and diff <= max(tol, 8.0 * _EPS * (1.0 + abs(cur))):
+            if level > 1 and diff <= max(tols[i], 8.0 * _EPS * (1.0 + abs(cur))):
                 results[i] = QuadratureResult(value=cur, error_estimate=diff,
                                               panels_used=level, rule="tanh-sinh")
             prev[i] = cur
         if all(res is not None for res in results):
             return results
-    raise QuadratureError(
-        f"tanh-sinh did not converge to {tol:.3e} within {max_level} levels on [{a}, {b}]")
+    slow = next(i for i, res in enumerate(results) if res is None)
+    raise QuadratureError(f"tanh-sinh did not converge to {tols[slow]:.3e} within "
+                          f"{max_level} levels on [{a}, {b}]")
 
 
 def integrate_singular(

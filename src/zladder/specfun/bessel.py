@@ -203,11 +203,6 @@ def bessel_j(nu: float, x) -> float | np.ndarray:
     return _bessel_j_any(nu, xa) if xa.ndim else float(_bessel_j_any(nu, xa))
 
 
-def _bessel_j_prime(nu: float, x: float) -> float:
-    # J_nu'(x) = (nu/x) J_nu(x) - J_{nu+1}(x); safe for all nu > -1
-    return (nu / x) * _bessel_j_any(nu, np.float64(x)) - _bessel_j_any(nu + 1.0, np.float64(x))
-
-
 # ---------------------------------------------------------------------------
 # zeros
 
@@ -220,26 +215,29 @@ def _mcmahon_guess(nu: float, n: int) -> float:
             - 32.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0) / (15.0 * e ** 5))
 
 
-def _refine_zero(nu: float, lo: float, hi: float) -> float:
-    """Safeguarded Newton inside the sign-change bracket [lo, hi]."""
+def _refine_zero(nu: float, lo: float, hi: float) -> tuple[float, float | None]:
+    """Safeguarded Newton inside the sign-change bracket [lo, hi]: the zero,
+    and J_nu there when the last step evaluated it (else None).  The
+    derivative J_nu'(x) = (nu/x) J_nu(x) - J_{nu+1}(x), safe for all nu > -1,
+    takes J_nu(x) from the step's own evaluation."""
     flo = _bessel_j_any(nu, np.float64(lo))
     x = 0.5 * (lo + hi)
     for _ in range(100):
         f = float(_bessel_j_any(nu, np.float64(x)))
         if f == 0.0:
-            return x
+            return x, f
         if (f > 0.0) == (flo > 0.0):
             lo = x
         else:
             hi = x
-        step = f / float(_bessel_j_prime(nu, x))
+        step = f / float((nu / x) * f - _bessel_j_any(nu + 1.0, np.float64(x)))
         x_new = x - step
         if x_new == x:   # the step is below half an ulp: x is Newton's fixed point
-            return x
+            return x, f
         if not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
         if abs(x_new - x) <= 1e-15 * x:
-            return x_new
+            return x_new, None
         x = x_new
     raise ConvergenceError(f"bessel zero refinement stalled for nu={nu} in [{lo}, {hi}]")
 
@@ -281,8 +279,10 @@ class BesselZeroTable:
             guess = _mcmahon_guess(self.nu, k)
             start = self.zeros[-1] + 1e-6 if self.zeros else max(self.nu, 0.0) + 1e-3
             lo, hi = _bracket_zero(self.nu, start, guess)
-            zk = _refine_zero(self.nu, lo, hi)
-            resid = abs(float(_bessel_j_any(self.nu, np.float64(zk))))
+            zk, fk = _refine_zero(self.nu, lo, hi)
+            if fk is None:
+                fk = float(_bessel_j_any(self.nu, np.float64(zk)))
+            resid = abs(fk)
             if resid > 1e-12:
                 raise ConvergenceError(
                     f"zero residual {resid:.2e} above 1e-12 for nu={self.nu}, n={k}")

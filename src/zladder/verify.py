@@ -11,19 +11,22 @@ Three layers, in increasing dependence on asymptotics:
   reported and their error trend is checked across a ladder of T values.
 
 The ladder families E1_3, E2_2 and E2_4..E2_10 are the entries of one member
-table, `LADDER_MEMBERS`, and one executor does their work: it finds the
-window (the preimage of [T, T + U]), builds the integrand, makes one rows
-call and writes the reports.  E2_4 is E2_2 at one nu (the plan's nu[0]), bit
-for bit, and its sanity rows are E1_3's diagonal under the same weight.
+table, `LADDER_MEMBERS`, and one window executor, `ladder_reports`, does
+their work.  It takes row sets (`RowSet`: one member's rows at one T in one
+layer, with their own quadrature tolerance) of any number of families,
+checks all their arguments, then groups them by the window they share,
+(T, U, route): the preimage of [T, T + U] on GK15 or on tanh-sinh.  Each
+distinct window end is inverted once, and each group makes one rows call
+whose integrand evaluates phi_1, Ztilde^2 and ln t once per node and the
+Bessel rows once per nu, then forms every row with the operations, in the
+order, that the row's own integrand would use, so every row keeps the bits
+of an integral of that row alone at its own tolerance.  A plan hands the
+executor every ladder family at once; each public family function is the
+executor run on that family's sets alone.  E2_4 is E2_2 at one nu (the
+plan's nu[0]), bit for bit, and its sanity rows are E1_3's diagonal.
 
-Every family integrates the rows of one window in one rows call: E1_2 per
-nu, E1_3 and E2_2 per (T, nu), each E2_4..E2_10 member per T over its
-degrees (tanh-sinh where its weight is singular, GK15 otherwise).  The
-integrand evaluates the window's shared factors and every row's Bessel or
-polynomial values once per call, then forms each row with the operations, in
-the order, that the row's own integrand would use, so every row keeps the
-bits of an integral of that row alone.  Each row of such a group records the
-elapsed time of the whole group (`--timings`).
+E1_2 integrates its rows per nu in one rows call as well.  Each row of such
+a group records the elapsed time of the whole group (`--timings`).
 
 The ladder integrands take J_nu(mu_n u) from the per-(nu, n) Chebyshev
 proxies of `specfun.bessel_j_proxy`, all proxied rows in one Clenshaw
@@ -36,7 +39,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -83,12 +88,12 @@ class VerificationReport:
         return doc
 
 
-def _make_report(eq, params, lhs, rhs, qerr, t0, ev_hash, ladder_hash=None):
+def _make_report(eq, params, lhs, rhs, qerr, elapsed, ev_hash, ladder_hash=None):
     return VerificationReport(
         equation_id=eq, params=params, lhs=float(lhs), rhs=float(rhs),
         ratio=(float(lhs) / float(rhs)) if rhs != 0.0 else None,
         abs_error=abs(float(lhs) - float(rhs)), quadrature_error=float(qerr),
-        elapsed=time.perf_counter() - t0, evaluator_hash=ev_hash,
+        elapsed=elapsed, evaluator_hash=ev_hash,
         ladder_hash=ladder_hash)
 
 
@@ -122,12 +127,13 @@ def verify_bessel_baseline(nu: float, max_n: int, tol: float = 1e-9,
         return j[mi] * j[ni] * x
 
     results = integrate_adaptive_rows(integrand, len(pairs), 0.0, 1.0, quad_tol)
+    elapsed = time.perf_counter() - t0
     reports = []
     for (m, n), res in zip(pairs, results):
         rhs = bessel_norm_sq(nu, n) if m == n else 0.0
         reports.append(_make_report(
             "E1_2", {"nu": nu, "m": m, "n": n, "tol": tol},
-            res.value, rhs, res.error_estimate, t0, "classical"))
+            res.value, rhs, res.error_estimate, elapsed, "classical"))
     return reports
 
 
@@ -135,6 +141,15 @@ def verify_bessel_baseline(nu: float, max_n: int, tol: float = 1e-9,
 # the ladder-weighted Bessel orthogonality system (E1_3) with the
 # segment-distance diagnostic (E1_4), and the |zeta|^2-weighted Bessel
 # diagonal (E2_2): both are rows of the member table below
+
+def theorem1_sets(T: float, nu: float, max_n: int, tol: float = 1e-4,
+                  quad_tol: float = 1e-9) -> list[RowSet]:
+    """The row set of `verify_theorem1`: E1_3 at (T, nu) under Ztilde^2."""
+    T = float(T)
+    if T < 1e3:
+        raise DomainError("verify_theorem1 requires T >= 1e3 (working range)")
+    return [RowSet("E1_3", T, max_n, nu, quad_tol=quad_tol, zeta2=False, extra={"tol": tol})]
+
 
 def verify_theorem1(table: LadderTable, T: float, nu: float, max_n: int,
                     tol: float = 1e-4,
@@ -145,16 +160,13 @@ def verify_theorem1(table: LadderTable, T: float, nu: float, max_n: int,
     Emits E1_3 rows for all unordered (m, n), integrated together, plus the
     E1_4 segment-distance row dist([0,1], [phi^-1(T), phi^-1(T+1)]) / T.
     """
-    T = float(T)
-    if T < 1e3:
-        raise DomainError("verify_theorem1 requires T >= 1e3 (working range)")
-    reports = _member_reports(table, T, "E1_3", max_n, nu, 0.0, 0.0, quad_tol, False,
-                              {"tol": tol})
-    t0 = time.perf_counter()
-    dist = table.invert(T) - 1.0  # segments [0,1] and [a,b] with a >> 1
-    reports.append(_make_report("E1_4", {"T": T, "nu": nu}, dist, T, 0.0, t0,
-                                table.evaluator.config_hash(), table.config_hash()))
-    return reports
+    return _reports(table, theorem1_sets(T, nu, max_n, tol, quad_tol))
+
+
+def corollary_sets(T_list, nu: float, max_n: int, quad_tol: float = 1e-6) -> list[RowSet]:
+    """The row sets of `verify_corollary`: E2_2 at each T, ascending."""
+    Ts = sorted(np.atleast_1d(np.asarray(T_list, dtype=float)).tolist())
+    return [RowSet("E2_2", T, max_n, nu, quad_tol=quad_tol) for T in Ts]
 
 
 def verify_corollary(table: LadderTable, T_list, nu: float, max_n: int,
@@ -162,9 +174,7 @@ def verify_corollary(table: LadderTable, T_list, nu: float, max_n: int,
     """The E2_2 integrals: |zeta(1/2+it)|^2-weighted Bessel diagonals against
     0.5 J_{nu+1}(mu_n)^2 ln T for n = 1..max_n, one report per (T, n) (ratio
     -> 1 as T grows); the rows n of one T are integrated together."""
-    Ts = sorted(np.atleast_1d(np.asarray(T_list, dtype=float)).tolist())
-    return [r for T in Ts for r in _member_reports(table, T, "E2_2", max_n, nu, 0.0, 0.0,
-                                                   quad_tol, True, {})]
+    return _reports(table, corollary_sets(T_list, nu, max_n, quad_tol))
 
 
 def ratio_trend_nonincreasing(reports: list[VerificationReport]) -> bool:
@@ -228,18 +238,96 @@ SINGULAR_WEIGHT_EQS = frozenset(
     eq for eq, (_, ab, *_) in THEOREM2_MEMBERS.items() if ab != "params" and min(ab) < 0.0)
 
 
-def _member_pieces(table: LadderTable, T: float, eq: str, max_n: int,
-                   nu: float, alpha: float, beta: float):
-    """(U, rows, integrand builder, smooth) for one member at T.
+@dataclass
+class RowSet:
+    """One member's rows at one T in one layer, as `ladder_reports` takes them.
+
+    `eq` is a key of LADDER_MEMBERS with degrees 1..max_n (or its fixed
+    degree); `nu` is the Bessel order and (alpha, beta) the Jacobi exponents
+    where the member takes them.  The weight is |zeta|^2 if `zeta2` (the
+    asymptotic layer), else Ztilde^2 (the exactness layer); every row is
+    integrated to `quad_tol`, and `extra` goes into every row's params.  An
+    E1_3 set also writes its E1_4 segment-distance row.
+    """
+
+    eq: str
+    T: float
+    max_n: int
+    nu: float = 0.0
+    alpha: float = 0.5
+    beta: float = 0.5
+    quad_tol: float = 1e-6
+    zeta2: bool = True
+    extra: dict = field(default_factory=dict)
+
+
+class _Nodes:
+    """The values that the members of one window group share at one batch of
+    nodes ts, each computed once, on first use.  `bessel(nu)` holds the rows
+    1..N of J_nu(mu_n u) for the group's largest degree N at nu."""
+
+    def __init__(self, table: LadderTable, T: float, ts: np.ndarray, proxies: dict):
+        self.table, self.T, self.ts, self.proxies = table, T, ts, proxies
+        self._bessel: dict = {}
+        self._poly: dict = {}
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return self.table.eval(self.ts)
+
+    @cached_property
+    def ztilde2(self) -> np.ndarray:
+        return self.table.ztilde_sq(self.ts)
+
+    @cached_property
+    def zeta2(self) -> np.ndarray:
+        return self.ztilde2 * np.log(self.ts)   # |zeta|^2 = Ztilde^2 ln t
+
+    @cached_property
+    def d_left(self) -> np.ndarray:
+        """phi - T, at least 0: the Bessel members' u, and 1 + u of the others."""
+        return np.maximum(self.phi - self.T, 0.0)
+
+    @cached_property
+    def d_right(self) -> np.ndarray:
+        """T + 2 - phi, at least 0: 1 - u of the U = 2 members."""
+        return np.maximum((self.T + 2.0) - self.phi, 0.0)
+
+    def bessel(self, nu: float) -> np.ndarray:
+        j = self._bessel.get(nu)
+        if j is None:
+            j = self._bessel[nu] = self.proxies[nu](self.d_left)
+        return j
+
+    def poly(self, spec: PolyFamilySpec, n: int) -> np.ndarray:
+        p = self._poly.get((spec, n))
+        if p is None:
+            p = self._poly[(spec, n)] = poly_eval(spec, n, self.phi - (self.T + 1.0))
+        return p
+
+
+class _Member(NamedTuple):
+    U: float
+    rows: list
+    factor: Callable
+    smooth: bool
+
+
+def _member_pieces(s: RowSet) -> _Member:
+    """(U, rows, factor, smooth) for one row set.
 
     `rows` holds one (equation id, params, rhs constant) per degree or pair.
-    The builder maps (ts, w) to the array (rows, len(ts)) of each row's
-    product of functions times its weight times w, each row formed with the
-    operations, in the order, of an integrand of that row alone.  With
-    Jacobi exponents (0, 0) the integrand is smooth on the closed window
-    (GK15 with Z-zero breakpoints); otherwise its weight has an endpoint
-    power and it goes to tanh-sinh.
+    `factor(nodes, w)` maps a batch's shared values (`_Nodes`) and the
+    weight w there to the array (rows, len(ts)) of each row's product of
+    functions times its weight times w, each row formed with the operations,
+    in the order, of an integrand of that row alone.  With Jacobi exponents
+    (0, 0) the integrand is smooth on the closed window (GK15 with Z-zero
+    breakpoints); otherwise its weight has an endpoint power and it goes to
+    tanh-sinh.
     """
+    eq, max_n, nu = s.eq, s.max_n, s.nu
+    if eq not in LADDER_MEMBERS:
+        raise DomainError(f"unknown equation id {eq!r}")
     family, ab, rule, cap = LADDER_MEMBERS[eq]
     if not 1 <= max_n <= cap:
         raise DomainError(f"{eq} requires 1 <= max_n <= {cap}")
@@ -249,14 +337,17 @@ def _member_pieces(table: LadderTable, T: float, eq: str, max_n: int,
     else:   # row k is degree k's square
         mi = ni = np.arange(len(degrees))
     if ab == "params":
-        ab, extra = (float(alpha), float(beta)), {"alpha": alpha, "beta": beta}
+        ab, extra = (float(s.alpha), float(s.beta)), {"alpha": s.alpha, "beta": s.beta}
     else:
         extra = {"nu": nu} if family == "bessel" else {}
     smooth = ab == (0.0, 0.0)
 
     if family == "bessel":
         U = 1.0
-        bessel_rows = bessel_j_proxy(nu, degrees)
+        mu = bessel_zero(nu, max_n)
+        if mu > 200.0:
+            raise DomainError(f"{eq} at nu = {nu} with max_n = {max_n}: mu_{max_n} = {mu!r} "
+                              f"lies past bessel_j's domain x <= 200")
         norms = [bessel_norm_sq(nu, n) for n in degrees]
     else:
         U = 2.0
@@ -265,18 +356,15 @@ def _member_pieces(table: LadderTable, T: float, eq: str, max_n: int,
 
     # the weight's arithmetic follows the family, not (alpha, beta): the
     # Chebyshev forms take one square root of the product of the distances
-    def factor(ts, w):
-        phi = table.eval(ts)
+    def factor(nodes, w):
         if family == "bessel":
-            u = np.maximum(phi - T, 0.0)
-            j = bessel_rows(u)
-            return j[mi] * j[ni] * u * w
-        p = np.stack([poly_eval(spec, n, phi - (T + 1.0)) for n in degrees])
+            j = nodes.bessel(nu)   # row k is degree k + 1
+            return j[mi] * j[ni] * nodes.d_left * w
+        p = np.stack([nodes.poly(spec, n) for n in degrees])
         pp = p[mi] * p[ni]
         if smooth:
             return pp * w
-        d_right = np.maximum((T + 2.0) - phi, 0.0)   # 1 - u
-        d_left = np.maximum(phi - T, 0.0)            # 1 + u
+        d_right, d_left = nodes.d_right, nodes.d_left
         if family == "jacobi":
             return pp * d_right ** ab[0] * d_left ** ab[1] * w
         rad = d_right * d_left
@@ -291,49 +379,114 @@ def _member_pieces(table: LadderTable, T: float, eq: str, max_n: int,
         rows = [(eq, {"n": n, **extra}, c) for n, c in zip(degrees, norms)]
     else:
         rows = [(eq, {}, norms[0])]
-    return U, rows, factor, smooth
+    return _Member(U, rows, factor, smooth)
 
 
-def _member_reports(table: LadderTable, T: float, eq: str, max_n: int, nu: float,
-                    alpha: float, beta: float, quad_tol: float, zeta2: bool,
-                    extra: dict):
-    """The reports of one member at T, its rows integrated together over the
-    preimage of [T, T + U], with the |zeta|^2 weight or (not zeta2) with
-    Ztilde^2; `extra` goes into every row's params."""
-    t0 = time.perf_counter()
-    T = float(T)
-    U, rows, factor, smooth = _member_pieces(table, T, eq, max_n, nu, alpha, beta)
-    check_admissible(T, U)
-    a = table.invert(T)
-    b = table.invert(T + U)
+def ladder_reports(table: LadderTable,
+                   sets: list[RowSet]) -> list[list[VerificationReport]]:
+    """The reports of each row set, in the order given: the one executor of
+    the ladder families.
 
-    def integrand(ts):
-        w = table.ztilde_sq(ts)
-        return factor(ts, w * np.log(ts) if zeta2 else w)   # |zeta|^2 = Ztilde^2 ln t
+    Every set's arguments are checked first, so an argument error is raised
+    before any integration starts.  The sets are then grouped by the window
+    they share, (T, U, route): the preimage of [T, T + U], on GK15 with
+    Z-zero breakpoints for a smooth weight or on tanh-sinh, whose ends move
+    inward to the nearest doubles with values inside [T, T + U] so a weight
+    singular there is never evaluated past them.  Each distinct window end
+    is inverted once.  Each group makes one rows call; its integrand
+    evaluates phi_1, Ztilde^2 and ln t once per node and the Bessel rows once
+    per nu, and every row keeps its set's quad_tol and the bits of an
+    integral of that row alone.  Each row records its group's elapsed time.
+    """
+    members = []
+    for s in sets:
+        if not s.quad_tol > 0.0:   # NaN is not
+            raise DomainError("tolerance must be positive")
+        members.append(_member_pieces(s))
+        check_admissible(s.T, members[-1].U)
+    groups: dict[tuple, list[int]] = {}
+    for i, (s, m) in enumerate(zip(sets, members)):
+        groups.setdefault((s.T, m.U, m.smooth), []).append(i)
+    # per group, the Bessel rows 1..N at each nu, N the largest degree there
+    proxies = {}
+    for key, idx in groups.items():
+        top: dict = {}
+        for s in (sets[i] for i in idx if members[i].U == 1.0):   # the Bessel members
+            top[s.nu] = max(top.get(s.nu, 0), s.max_n)
+        proxies[key] = {nu: bessel_j_proxy(nu, range(1, n + 1)) for nu, n in top.items()}
 
-    if smooth:
-        results = integrate_adaptive_rows(integrand, len(rows), a, b, quad_tol,
-                                          breakpoints=table.breakpoints(a, b))
-    else:
-        # the nearest doubles whose values lie inside [T, T + U], so a weight
-        # singular at the window's ends is never evaluated past them
-        while table.eval(a) < T:
-            a = float(np.nextafter(a, math.inf))
-        while table.eval(b) > T + U:
-            b = float(np.nextafter(b, -math.inf))
-        results = integrate_singular_rows(integrand, len(rows), a, b, quad_tol)
+    inverse: dict[float, float] = {}
+    windows = {}
+    for T, U, smooth in groups:
+        for y in (T, T + U):
+            if y not in inverse:
+                inverse[y] = table.invert(y)
+        a, b = inverse[T], inverse[T + U]
+        if not smooth:
+            while table.eval(a) < T:
+                a = float(np.nextafter(a, math.inf))
+            while table.eval(b) > T + U:
+                b = float(np.nextafter(b, -math.inf))
+        windows[T, U, smooth] = a, b
+
     ev_hash = table.evaluator.config_hash()
     lhash = table.config_hash()
-    return [_make_report(row_eq, {**params, "T": T, **extra}, res.value,
-                         const * math.log(T) if zeta2 else const, res.error_estimate,
-                         t0, ev_hash, lhash)
-            for (row_eq, params, const), res in zip(rows, results)]
+    out: list[list[VerificationReport]] = [[] for _ in sets]
+    for key, idx in groups.items():
+        t0 = time.perf_counter()
+        T, U, smooth = key
+        a, b = windows[key]
+
+        def integrand(ts):
+            nodes = _Nodes(table, T, ts, proxies[key])
+            return np.concatenate([members[i].factor(nodes, nodes.zeta2 if sets[i].zeta2
+                                                     else nodes.ztilde2) for i in idx])
+
+        tols = [sets[i].quad_tol for i in idx for _ in members[i].rows]
+        if smooth:
+            results = integrate_adaptive_rows(integrand, len(tols), a, b, tols,
+                                              breakpoints=table.breakpoints(a, b))
+        else:
+            results = integrate_singular_rows(integrand, len(tols), a, b, tols)
+        elapsed = time.perf_counter() - t0
+        results = iter(results)
+        for i in idx:
+            s = sets[i]
+            out[i] = [_make_report(row_eq, {**params, "T": T, **s.extra}, res.value,
+                                   const * math.log(T) if s.zeta2 else const,
+                                   res.error_estimate, elapsed, ev_hash, lhash)
+                      for (row_eq, params, const), res in zip(members[i].rows, results)]
+            if s.eq == "E1_3":   # segments [0, 1] and [a, b] with a >> 1
+                out[i].append(_make_report("E1_4", {"T": T, "nu": s.nu}, inverse[T] - 1.0,
+                                           T, 0.0, elapsed, ev_hash, lhash))
+    return out
 
 
-def _theorem2_reports(table: LadderTable, T: float, eq: str, *args):
+def _reports(table: LadderTable, sets: list[RowSet]) -> list[VerificationReport]:
+    """The reports of the sets of one family call, in order."""
+    return [r for reports in ladder_reports(table, sets) for r in reports]
+
+
+def _theorem2_sets(T: float, eq: str, max_n: int, nu: float, alpha: float, beta: float,
+                   quad_tol: float, zeta2: bool, extra: dict) -> list[RowSet]:
     if eq not in THEOREM2_MEMBERS:
         raise DomainError(f"unknown equation id {eq!r}")
-    return _member_reports(table, T, eq, *args)
+    return [RowSet(eq, float(T), max_n, nu, alpha, beta, quad_tol, zeta2, extra)]
+
+
+def theorem2_sets(T: float, eq: str, max_n: int, nu: float = 0.0, alpha: float = 0.5,
+                  beta: float = 0.5, tol_ratio: float = 0.25,
+                  quad_tol: float = 1e-6) -> list[RowSet]:
+    """The row set of `verify_theorem2`."""
+    return _theorem2_sets(T, eq, max_n, nu, alpha, beta, quad_tol, True,
+                          {"tol_ratio": tol_ratio})
+
+
+def sanity_sets(T: float, eq: str, max_n: int, nu: float = 0.0, alpha: float = 0.5,
+                beta: float = 0.5, quad_tol: float = 1e-8) -> list[RowSet]:
+    """The row set of `sanity_theorem2_exact`."""
+    return _theorem2_sets(T, eq, max_n, nu, alpha, beta, quad_tol, False,
+                          {"weight": "ztilde2"})
 
 
 def verify_theorem2(table: LadderTable, T: float, eq: str, max_n: int,
@@ -348,8 +501,8 @@ def verify_theorem2(table: LadderTable, T: float, eq: str, max_n: int,
     (alpha, beta) E2_5's Jacobi exponents.  `tol_ratio` is recorded in the
     params for downstream judgement of |ratio - 1|.
     """
-    return _theorem2_reports(table, T, eq, max_n, nu, alpha, beta, quad_tol, True,
-                             {"tol_ratio": tol_ratio})
+    return _reports(table, theorem2_sets(T, eq, max_n, nu, alpha, beta, tol_ratio,
+                                               quad_tol))
 
 
 def sanity_theorem2_exact(table: LadderTable, T: float, eq: str, max_n: int,
@@ -358,8 +511,7 @@ def sanity_theorem2_exact(table: LadderTable, T: float, eq: str, max_n: int,
     """Same integrals with weight Ztilde^2: the change-of-variables identity
     makes the ratio exactly 1 up to quadrature error, isolating the numeric
     stack from the asymptotic ln-xi ~ ln-T step."""
-    return _theorem2_reports(table, T, eq, max_n, nu, alpha, beta, quad_tol, False,
-                             {"weight": "ztilde2"})
+    return _reports(table, sanity_sets(T, eq, max_n, nu, alpha, beta, quad_tol))
 
 
 def ln_t_placement_shift(ratio: float, T: float, interval: tuple[float, float]) -> float:

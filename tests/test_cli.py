@@ -38,6 +38,16 @@ class TestZEval:
     def test_bad_t(self, cache_env):
         assert run_cli("z", "eval", "--t", "-5", "--oracle") == EXIT_CONFIG
 
+    def test_oracle_imaginary_residue_exit(self, capsys, cache_env, monkeypatch):
+        # e^{i theta} zeta(1/2 + it) is real; a zeta with the wrong phase
+        # leaves an imaginary residue above 1e-9, a numeric error
+        from zladder.rszeta import ZEvaluator
+        monkeypatch.setattr(ZEvaluator, "zeta_half", lambda self, t: 1j)
+        assert run_cli("z", "eval", "--t", "100", "--oracle") == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error: z_oracle imaginary residue")
+
 
 class TestSpecfunZeros:
     def test_zeros_and_cache(self, capsys, cache_env):
@@ -210,6 +220,16 @@ class TestVerifyVerbs:
                        "--max-n", "1", "--out", "-")
         assert code == EXIT_CONFIG
         assert "5000" in capsys.readouterr().err
+
+    def test_bessel_zero_past_bessel_j_domain(self, capsys, cache_env):
+        # mu_64 of J_0 is 200.28, past bessel_j's x <= 200
+        code = run_cli("verify", "corollary", *LADDER_ARGS, "--T", "1000",
+                       "--max-n", "64", "--out", "-")
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: E2_2 at nu = 0.0 with max_n = 64: mu_64 = 200.")
+        assert "bessel_j's domain" in captured.err
 
     @pytest.mark.parametrize("family,rows", [("theorem1", 4), ("corollary", 2)])
     def test_high_order_rows(self, capsys, cache_env, family, rows):

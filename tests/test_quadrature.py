@@ -212,6 +212,30 @@ class TestAdaptiveRows:
         with pytest.raises(DomainError):
             integrate_adaptive_rows(lambda x: np.stack([x, x]), 2, 1.0, 0.0, 1e-9)
 
+    @settings(max_examples=30, deadline=None)
+    @given(params=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 40.0),
+                                     st.floats(0.0, 6.0), st.floats(0.0, 3.0),
+                                     st.sampled_from([1e-6, 1e-9, 1e-12])),
+                           min_size=1, max_size=5),
+           a=st.floats(-2.0, 2.0), width=st.floats(0.1, 4.0),
+           cuts=st.lists(st.floats(0.0, 1.0), max_size=4))
+    def test_per_row_tolerances(self, params, a, width, cuts):
+        # each row stops at its own tolerance, with the bits of its solo integral
+        b = a + width
+        breaks = [a + c * width for c in cuts]
+        fs = [damped_wave(*p[:4]) for p in params]
+        tols = [p[4] for p in params]
+        got = integrate_adaptive_rows(lambda x: np.stack([f(x) for f in fs]), len(fs),
+                                      a, b, tols, breakpoints=breaks)
+        for f, tol, res in zip(fs, tols, got):
+            assert res == integrate_adaptive(f, a, b, tol, breakpoints=breaks)
+
+    @pytest.mark.parametrize("tols", [[1e-9], [1e-9, 1e-9, 1e-9], [1e-9, 0.0],
+                                      [1e-9, math.nan]])
+    def test_per_row_tolerance_domain(self, tols):
+        with pytest.raises(DomainError):
+            integrate_adaptive_rows(lambda x: np.stack([x, x]), 2, 0.0, 1.0, tols)
+
 
 class TestTanhSinh:
     def test_plain_form_never_hits_endpoints(self):
@@ -361,3 +385,37 @@ class TestSingularRows:
     def test_domain(self):
         with pytest.raises(DomainError):
             integrate_singular_rows(lambda x: np.stack([x, x]), 2, 1.0, 0.0, 1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(params=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 20.0),
+                                     st.floats(0.0, 6.0), st.sampled_from([-0.5, 0.0, 0.5]),
+                                     st.sampled_from([1e-6, 1e-9, 1e-12])),
+                           min_size=1, max_size=5),
+           a=st.floats(-2.0, 2.0), width=st.floats(0.1, 4.0))
+    def test_per_row_tolerances(self, params, a, width):
+        # each row stops at its own tolerance, with the bits of its solo integral
+        b = a + width
+        fs = [endpoint_wave(a, b, *p[:4]) for p in params]
+        tols = [p[4] for p in params]
+        try:
+            solos = [integrate_singular(f, a, b, tol) for f, tol in zip(fs, tols)]
+        except QuadratureError:
+            with pytest.raises(QuadratureError):
+                integrate_singular_rows(lambda x: np.stack([f(x) for f in fs]), len(fs),
+                                        a, b, tols)
+            return
+        got = integrate_singular_rows(lambda x: np.stack([f(x) for f in fs]), len(fs),
+                                      a, b, tols)
+        assert got == solos
+
+    def test_per_row_level_cap_names_the_row_tolerance(self):
+        def rows_f(x):
+            return np.stack([np.ones_like(x), np.cos(200.0 * x)])
+
+        with pytest.raises(QuadratureError, match="converge to 1.000e-13 within 3 levels"):
+            integrate_singular_rows(rows_f, 2, 0.0, 50.0, [1e-6, 1e-13], max_level=3)
+
+    @pytest.mark.parametrize("tols", [[1e-9], [1e-9, -1.0]])
+    def test_per_row_tolerance_domain(self, tols):
+        with pytest.raises(DomainError):
+            integrate_singular_rows(lambda x: np.stack([x, x]), 2, 0.0, 1.0, tols)

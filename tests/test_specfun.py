@@ -213,6 +213,28 @@ class TestBesselZeros:
                 table.extend_to(n)
                 assert count[0] - before <= 45, (nu, n)
 
+    def test_newton_reuses_its_own_j_evaluations(self, monkeypatch):
+        # the Newton derivative takes J_nu(x) from the step's own evaluation,
+        # and the residual of a fixed-point zero is that step's value; the
+        # zeros keep their bits
+        want = {0.0: ["0x1.33d152e971b40p+1", "0x1.6148f5b2c2e45p+2",
+                      "0x1.14eb56cccdecap+3", "0x1.79544008272b6p+3"],
+                1.0: ["0x1.ea75575af6f09p+1", "0x1.c0ff5f3b47250p+2",
+                      "0x1.458d0d0bdfc29p+3", "0x1.aa5baf310e5a2p+3"]}
+        count = [0]
+        real = B._bessel_j_any
+
+        def counted(nu, x):
+            count[0] += 1
+            return real(nu, x)
+
+        monkeypatch.setattr(B, "_bessel_j_any", counted)
+        for nu, hexes in want.items():
+            table = BesselZeroTable(nu=nu)
+            table.extend_to(4)
+            assert [z.hex() for z in table.zeros] == hexes
+        assert count[0] == 160   # 222 when each Newton step evaluated J_nu twice
+
     @pytest.mark.parametrize("nu", [0.0, 1.0])
     def test_residual_at_rounding_level(self, nu):
         table = BesselZeroTable(nu=nu)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zladder import (DomainError, PolyFamilySpec, bessel_j, bessel_norm_sq,
+from zladder import (AdmissibilityError, DomainError, PolyFamilySpec, bessel_j, bessel_norm_sq,
                      bessel_zero, integrate_adaptive, integrate_singular, poly_eval)
 from zladder import verify as V
 from zladder.specfun import bessel_j_proxy
@@ -331,3 +331,82 @@ class TestReportSerialization:
                 *V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_6", 1)]
         srt = sorted(rows, key=V.sort_key)
         assert [r.equation_id for r in srt] == ["E2_10", "E2_6"]
+
+
+class TestWindowExecutor:
+    """One `ladder_reports` run over every ladder family groups the row sets
+    by the window they share and makes one rows call per group; every row
+    keeps the bits it has when its family function is called alone."""
+
+    @staticmethod
+    def family_calls(table, Ts):
+        """(row sets, the same rows from the public function alone) for all
+        five ladder families, nu in {0, 1} and both layers."""
+        calls = []
+        for nu in (0.0, 1.0):
+            calls.append((V.theorem1_sets(1000.0, nu, 3),
+                          lambda nu=nu: V.verify_theorem1(table, 1000.0, nu, 3)))
+            calls.append((V.corollary_sets(Ts, nu, 3),
+                          lambda nu=nu: V.verify_corollary(table, Ts, nu, 3)))
+            for T in Ts:
+                for eq in V.THEOREM2_MEMBERS:
+                    args = (T, eq, 2, nu, 0.5, 0.25)
+                    calls.append((V.theorem2_sets(*args),
+                                  lambda a=args: V.verify_theorem2(table, *a)))
+                    calls.append((V.sanity_sets(*args),
+                                  lambda a=args: V.sanity_theorem2_exact(table, *a)))
+        return calls
+
+    @staticmethod
+    def fields(r):
+        return (r.equation_id, r.params, r.lhs, r.rhs, r.ratio, r.abs_error,
+                r.quadrature_error, r.evaluator_hash, r.ladder_hash)
+
+    def test_grouped_rows_equal_each_family_alone(self, small_ladder, monkeypatch):
+        table, Ts = small_ladder, [995.0, 1000.0]
+        calls = self.family_calls(table, Ts)
+        alone = [[self.fields(r) for r in solo()] for _, solo in calls]
+        rows_calls, inverts = [], []
+        for name in ("integrate_adaptive_rows", "integrate_singular_rows"):
+            real = getattr(V, name)
+            monkeypatch.setattr(V, name, lambda *a, real=real, name=name, **k:
+                                rows_calls.append(name) or real(*a, **k))
+        real_invert = type(table).invert
+        monkeypatch.setattr(type(table), "invert",
+                            lambda self, y: inverts.append(y) or real_invert(self, y))
+        sets = [s for family_sets, _ in calls for s in family_sets]
+        per_set = iter(V.ladder_reports(table, sets))
+        grouped = [[self.fields(r) for s in family_sets for r in next(per_set)]
+                   for family_sets, _ in calls]
+        assert grouped == alone
+        # per T: the U = 1 and U = 2 GK15 windows and the U = 2 tanh-sinh
+        # window, each end inverted once
+        assert sorted(rows_calls) == ["integrate_adaptive_rows"] * 4 + \
+            ["integrate_singular_rows"] * 2
+        assert sorted(inverts) == [995.0, 996.0, 997.0, 1000.0, 1001.0, 1002.0]
+
+    def test_argument_errors_come_before_any_integration(self, small_ladder, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("integrated before the arguments were checked")
+
+        for name in ("integrate_adaptive_rows", "integrate_singular_rows"):
+            monkeypatch.setattr(V, name, no_work)
+        monkeypatch.setattr(type(small_ladder), "invert", no_work)
+        good = V.sanity_sets(1000.0, "E2_7", 2)
+        for bad in (V.RowSet("E2_6", 1000.0, 17), V.RowSet("E2_11", 1000.0, 1),
+                    V.RowSet("E2_2", 1000.0, 2, nu=math.nan),
+                    V.RowSet("E2_5", 1000.0, 2, alpha=-1.0),
+                    V.RowSet("E2_6", 1000.0, 2, quad_tol=0.0),
+                    V.RowSet("E2_6", 0.5, 2)):   # T / ln T < 0 < U: not admissible
+            with pytest.raises((DomainError, AdmissibilityError)):
+                V.ladder_reports(small_ladder, good + [bad])
+
+    def test_bessel_members_stay_inside_bessel_j_domain(self):
+        # mu_64 of J_0 is 200.28: E2_2's last zero lies past bessel_j's domain
+        assert bessel_zero(0.0, 64) > 200.0 > bessel_zero(0.0, 63)
+        with pytest.raises(DomainError, match=r"E2_2 at nu = 0\.0 with max_n = 64"):
+            V.ladder_reports(None, V.corollary_sets([1500.0], 0.0, 64))
+
+    def test_rows_record_their_group_time(self, small_ladder):
+        reports = V.verify_theorem1(small_ladder, 1000.0, 0.0, 2)
+        assert len({r.elapsed for r in reports}) == 1
