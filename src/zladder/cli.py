@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 from . import verify as V
-from .config import RunConfig, cache_root
+from .config import PLAN_EQUATIONS, RunConfig, cache_root
 from .exceptions import (AdmissibilityError, CacheError, ConvergenceError,
                          DomainError, PoleError, PrecisionError,
                          QuadratureError, ReportFormatError,
@@ -48,9 +48,6 @@ EXIT_SOFT = 2
 EXIT_CONFIG = 64
 EXIT_CACHE = 65
 EXIT_NUMERIC = 70
-
-# plan families judged by the exactness layer; the others are asymptotic
-_HARD_FAMILIES = ("baseline", "theorem1", "sanity")
 
 
 def _print_json(doc) -> None:
@@ -104,7 +101,6 @@ def _get_ladder(cfg: RunConfig, rebuild: bool = False) -> LadderTable:
 
 
 def _emit_reports(reports, cfg: RunConfig, out_override=None) -> None:
-    reports = sorted(reports, key=V.sort_key)
     path = out_override or cfg.path
     if cfg.format == "jsonl":
         lines = [V.report_json_line(r, include_timings=cfg.timings) for r in reports]
@@ -129,8 +125,8 @@ def _emit_reports(reports, cfg: RunConfig, out_override=None) -> None:
 # ---------------------------------------------------------------------------
 # judgement (hard = exactness layer, soft = asymptotic layer)
 
-def _is_sanity(report) -> bool:
-    return report.params.get("weight") == "ztilde2"
+def _is_sanity(params: dict) -> bool:
+    return params.get("weight") == "ztilde2"
 
 
 def _hard_failures(reports, cfg: RunConfig) -> list[str]:
@@ -145,7 +141,7 @@ def _hard_failures(reports, cfg: RunConfig) -> list[str]:
         elif r.equation_id == "E1_3_diag":
             if r.abs_error > cfg.tol_exact * (1.0 + r.rhs):
                 fails.append(f"E1_3 diag {r.params}: error = {r.abs_error:.3e}")
-        elif _is_sanity(r):
+        elif _is_sanity(r.params):
             thr = (cfg.tol_sanity_singular if r.equation_id in V.SINGULAR_WEIGHT_EQS
                    else cfg.tol_sanity)
             if r.ratio is None or abs(r.ratio - 1.0) > thr:
@@ -157,12 +153,13 @@ def _hard_failures(reports, cfg: RunConfig) -> list[str]:
 def _soft_failures(reports, cfg: RunConfig) -> list[str]:
     fails = []
     asym = [r for r in reports
-            if r.equation_id.startswith("E2_") and not _is_sanity(r)]
+            if r.equation_id.startswith("E2_") and not _is_sanity(r.params)]
     for r in asym:
         if r.ratio is None or abs(r.ratio - 1.0) > cfg.tol_ratio:
             fails.append(f"{r.equation_id} {r.params}: |ratio-1| = "
                          f"{abs((r.ratio or 0.0) - 1.0):.3e} > {cfg.tol_ratio}")
-    # trend over T for each (eq, nu, alpha, beta, n) group with >= 2 T values
+    # trend over T for each (eq, nu, alpha, beta, n) group with >= 2 T values;
+    # the reports come in sort_key order, so each group ascends in T
     groups: dict = {}
     for r in asym:
         key = (r.equation_id, r.params.get("nu"), r.params.get("alpha"),
@@ -172,7 +169,6 @@ def _soft_failures(reports, cfg: RunConfig) -> list[str]:
     for key, rows in groups.items():
         if len(rows) < 2:
             continue
-        rows.sort(key=lambda r: r.params["T"])
         judged += 1
         ok += V.ratio_trend_nonincreasing(rows)
     if judged and ok < 0.8 * judged:
@@ -288,13 +284,13 @@ def _family_sets(family: str, cfg: RunConfig) -> list:
 
 
 def _plan_reports(cfg: RunConfig) -> list:
-    """The report rows of every plan family, in family order.  The row sets
-    of all ladder families go to one run of the window executor, so each
-    window of the plan is inverted and integrated once for all of them, and
-    every set's arguments are checked before any integration starts."""
-    sets = {i: _family_sets(family, cfg) for i, family in enumerate(cfg.equations)
-            if family != "baseline"}
-    per_set = iter(())
+    """The report rows of every plan family.  The row sets of all ladder
+    families go to one run of the window executor, so each window of the
+    plan is inverted and integrated once for all of them, and every set's
+    arguments are checked before any integration starts."""
+    sets = [s for family in cfg.equations if family != "baseline"
+            for s in _family_sets(family, cfg)]
+    reports = []
     if sets:
         table = _get_ladder(cfg)
         for T in cfg.T:
@@ -302,26 +298,20 @@ def _plan_reports(cfg: RunConfig) -> list:
                 raise DomainError(
                     f"plan T = {T} outside ladder range: need phi_lo <= T and "
                     f"T + 2 <= phi_hi, have [{table.phi_lo!r}, {table.phi_hi!r}]")
-        per_set = iter(V.ladder_reports(table, [s for fam in sets.values() for s in fam]))
-    reports = []
-    for i, family in enumerate(cfg.equations):
-        if family == "baseline":
-            reports += [r for nu in cfg.nu
-                        for r in V.verify_bessel_baseline(nu, min(cfg.n_max, 8),
-                                                          tol=cfg.tol_baseline)]
-        else:
-            reports += [r for _ in sets[i] for r in next(per_set)]
+        reports = V.ladder_reports(table, sets)
+    reports += [r for family in cfg.equations if family == "baseline" for nu in cfg.nu
+                for r in V.verify_bessel_baseline(nu, min(cfg.n_max, 8), tol=cfg.tol_baseline)]
     return reports
 
 
 def _cmd_run(args) -> int:
     cfg = _config_from_args(args)
-    reports = _plan_reports(cfg)
+    # sort_key orders the rows totally, so the report and the FAIL lines do
+    # not depend on the order of --equations
+    reports = sorted(_plan_reports(cfg), key=V.sort_key)
     _emit_reports(reports, cfg, args.out)
-    hard = any(e in _HARD_FAMILIES for e in cfg.equations)
-    soft = any(e not in _HARD_FAMILIES for e in cfg.equations)
-    hard_fails = _hard_failures(reports, cfg) if hard else []
-    soft_fails = _soft_failures(reports, cfg) if soft else []
+    hard_fails = _hard_failures(reports, cfg)
+    soft_fails = _soft_failures(reports, cfg)
     for f in hard_fails + soft_fails:
         print(f"FAIL {f}", file=sys.stderr)
     if hard_fails:
@@ -373,7 +363,7 @@ def _read_report_rows(path) -> list[tuple[str, float | None, float]]:
                     doc = json.loads(line)
                     ratio = doc.get("ratio")
                     key = str(doc["equation_id"])
-                    if (doc.get("params") or {}).get("weight") == "ztilde2":
+                    if _is_sanity(doc.get("params") or {}):
                         key += "/sanity"
                     rows.append((key,
                                  None if ratio is None else float(ratio),
@@ -482,8 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
 
     pv = sub.add_parser("verify", help="run one verification family")
-    pv.add_argument("which", choices=("baseline", "theorem1", "corollary",
-                                      "theorem2", "sanity"))
+    pv.add_argument("which", choices=PLAN_EQUATIONS)
     _add_config_opts(pv)
     _add_ladder_opts(pv)
     _add_plan_opts(pv)
@@ -510,8 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ladder_opts(pr)
     _add_plan_opts(pr)
     _add_output_opts(pr)
-    pr.add_argument("--equations", nargs="+",
-                    choices=("baseline", "theorem1", "corollary", "theorem2", "sanity"))
+    pr.add_argument("--equations", nargs="+", choices=PLAN_EQUATIONS)
     pr.set_defaults(fn=_cmd_run)
 
     pq = sub.add_parser("report", help="summarize a JSON Lines report file")

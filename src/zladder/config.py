@@ -16,7 +16,7 @@ Sections and keys (all optional; defaults shown):
     cache =                ; blank -> <cache_root>/ladder-<ladder config hash>.npz
 
     [plan]
-    equations = baseline theorem1 sanity theorem2 corollary
+    equations = baseline theorem1 corollary theorem2 sanity
     T = 5000 10000 50000   ; ascending
     nu = 0 1
     n_max = 4
@@ -50,7 +50,7 @@ from .exceptions import DomainError
 from .ladder import ladder_config_hash
 from .rszeta import ZEvaluator
 
-_PLAN_EQUATIONS = ("baseline", "theorem1", "corollary", "theorem2", "sanity")
+PLAN_EQUATIONS = ("baseline", "theorem1", "corollary", "theorem2", "sanity")
 
 
 def cache_root() -> str:
@@ -111,7 +111,7 @@ class RunConfig:
     h: float = 1.0
     cache: str | None = None
     # plan
-    equations: tuple[str, ...] = _PLAN_EQUATIONS
+    equations: tuple[str, ...] = PLAN_EQUATIONS
     T: tuple[float, ...] = (5000.0, 10000.0, 50000.0)
     nu: tuple[float, ...] = (0.0, 1.0)
     n_max: int = 4
@@ -135,7 +135,7 @@ class RunConfig:
         if list(self.T) != sorted(self.T):
             raise DomainError("config: T list must be sorted ascending")
         for eq in self.equations:
-            if eq not in _PLAN_EQUATIONS:
+            if eq not in PLAN_EQUATIONS:
                 raise DomainError(f"config: unknown plan equation {eq!r}")
         if self.format not in ("jsonl", "csv"):
             raise DomainError(f"config: unknown output format {self.format!r}")

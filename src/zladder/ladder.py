@@ -169,7 +169,6 @@ class LadderTable:
         self.residual_total = float(residual_total)
         self._mid = 0.5 * (self.edges[:-1] + self.edges[1:])
         self._half = 0.5 * (self.edges[1:] - self.edges[:-1])
-        self._breakpoints: dict[tuple[float, float], np.ndarray] = {}
 
     @property
     def phi_lo(self) -> float:
@@ -209,27 +208,21 @@ class LadderTable:
 
     def breakpoints(self, a: float, b: float) -> np.ndarray:
         """Real roots of the panels' p in [a, b] (the zeros of Z) and the
-        evaluator dispatch seam, for quadrature pre-splits; found once per
-        (a, b) (racing threads find equal ones), returned read-only."""
-        key = (float(a), float(b))
-        pts = self._breakpoints.get(key)
-        if pts is None:
-            k0 = max(int(np.searchsorted(self.edges, key[0], side="right")) - 1, 0)
-            k1 = min(int(np.searchsorted(self.edges, key[1])), len(self._half))
-            pts = [np.empty(0)]
-            for k in range(k0, k1):
-                r = chebroots(self.coef[k])
-                x = r.real[(np.abs(r.imag) <= 1e-8) & (np.abs(r.real) <= 1.0 + 1e-9)]
-                pts.append(self._mid[k] + self._half[k] * x)
-            # sorted, not np.unique (whose first call imports numpy.ma, ~40 ms):
-            # exact repeats go with the near ones
-            pts = np.sort(np.concatenate(pts))
-            pts = pts[(pts >= key[0]) & (pts <= key[1])]
-            pts = pts[np.diff(pts, prepend=-math.inf) > 1e-9]   # found on both sides of an edge
-            if key[0] < self.evaluator.t_min_rs < key[1]:
-                pts = np.sort(np.append(pts, self.evaluator.t_min_rs))
-            pts.flags.writeable = False
-            self._breakpoints[key] = pts
+        evaluator dispatch seam, for quadrature pre-splits."""
+        k0 = max(int(np.searchsorted(self.edges, a, side="right")) - 1, 0)
+        k1 = min(int(np.searchsorted(self.edges, b)), len(self._half))
+        pts = [np.empty(0)]
+        for k in range(k0, k1):
+            r = chebroots(self.coef[k])
+            x = r.real[(np.abs(r.imag) <= 1e-8) & (np.abs(r.real) <= 1.0 + 1e-9)]
+            pts.append(self._mid[k] + self._half[k] * x)
+        # sorted, not np.unique (whose first call imports numpy.ma, ~40 ms):
+        # exact repeats go with the near ones
+        pts = np.sort(np.concatenate(pts))
+        pts = pts[(pts >= a) & (pts <= b)]
+        pts = pts[np.diff(pts, prepend=-math.inf) > 1e-9]   # found on both sides of an edge
+        if a < self.evaluator.t_min_rs < b:
+            pts = np.sort(np.append(pts, self.evaluator.t_min_rs))
         return pts
 
     def ztilde_sq(self, t) -> float | np.ndarray:
@@ -399,7 +392,7 @@ def _base_edges(t_lo: float, t_hi: float, anchor_t0: float, h: float,
 
 def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
                  anchor_t0: float | None = None, tol: float = 1e-8,
-                 h: float = 1.0, prime_pi: PrimePi | None = None) -> LadderTable:
+                 h: float = 1.0) -> LadderTable:
     """Construct phi_1 on [t_lo, t_hi] anchored by the retardation law.
 
     phi_1(t) = anchor_value + int_{anchor_t0}^t p^2, with anchor_value =
@@ -491,8 +484,7 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
     k0 = int(np.searchsorted(edges, anchor_t0, side="left"))
     if not (k0 < len(edges) and edges[k0] == anchor_t0):
         raise ConvergenceError("anchor is not on the checkpoint grid")
-    if prime_pi is None or prime_pi.limit < anchor_t0:
-        prime_pi = PrimePi.up_to(max(int(anchor_t0) + 10, 100))
+    prime_pi = PrimePi.up_to(max(int(anchor_t0) + 10, 100))
     anchor_value = anchor_t0 - ONE_MINUS_C * prime_pi.count(anchor_t0)
     phi = (np.longdouble(anchor_value) + (prefix - prefix[k0])).astype(float)
 
@@ -506,9 +498,10 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
 # module-level operations in terms of a built table
 
 def check_admissible(T: float, U: float) -> None:
-    if not 0.0 < U <= T / math.log(T):
+    """0 < U <= T / ln T, which needs T > 1 (NaN is neither)."""
+    if not (T > 1.0 and 0.0 < U <= T / math.log(T)):
         raise AdmissibilityError(
-            f"U = {U} violates admissibility 0 < U <= T/ln T = {T / math.log(T):.6g}")
+            f"T = {T}, U = {U} violates admissibility T > 1, 0 < U <= T/ln T")
 
 
 def pushforward_integral(table: LadderTable, f, T: float, U: float,
@@ -541,12 +534,10 @@ class RetardationRow:
     ratio: float
 
 
-def retardation_report(table: LadderTable, sample_ts,
-                       prime_pi: PrimePi | None = None) -> list[RetardationRow]:
+def retardation_report(table: LadderTable, sample_ts) -> list[RetardationRow]:
     """Rows (t, t - phi_1(t), (1-c) pi(t), ratio); ratio is 1 at the anchor."""
     ts = np.atleast_1d(np.asarray(sample_ts, dtype=float))
-    if prime_pi is None or prime_pi.limit < ts.max():
-        prime_pi = PrimePi.up_to(max(int(ts.max()) + 10, 100))
+    prime_pi = PrimePi.up_to(max(int(ts.max()) + 10, 100))
     lags = ts - table.eval(ts)
     expected = ONE_MINUS_C * prime_pi.count(ts)
     return [RetardationRow(t=t, lag=lag, expected=e, ratio=lag / e if e else math.inf)

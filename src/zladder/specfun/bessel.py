@@ -170,21 +170,23 @@ def _j_at_zero(nu: float) -> float:
     return 1.0 if nu == 0.0 else (0.0 if nu > 0.0 else np.inf)
 
 
-def _bessel_j_any(nu: float, x: np.ndarray) -> np.ndarray:
-    """Dispatch series / Miller elementwise; no domain cap (internal use)."""
+def _bessel_j_any(nu: float, x: np.ndarray, scaled: bool = False) -> np.ndarray:
+    """Dispatch series / Miller elementwise; no domain cap (internal use).
+    `scaled` gives J_nu(x) / (x/2)^nu, finite for every nu > -1 (no power of
+    x is formed), from the series at x = 0: 1 / Gamma(nu + 1)."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     out = np.empty_like(x)
-    zero = x == 0.0
+    zero = (x == 0.0) & (not scaled)
     if np.any(zero):
         out[zero] = _j_at_zero(nu)
     small = (x <= _SERIES_MAX_X) & ~zero
     if np.any(small):
-        out[small] = _bessel_series(nu, x[small])
+        out[small] = _bessel_series(nu, x[small], scaled)
     large = ~small & ~zero
     if np.any(large):
-        out[large] = [_bessel_miller(nu, float(v)) for v in x[large]]
+        out[large] = [_bessel_miller(nu, float(v), scaled) for v in x[large]]
     return out[0] if scalar else out
 
 
@@ -309,17 +311,6 @@ class BesselZeroTable:
         return {"zeros": list(self.zeros), "residual_bound": self.residual_bound}
 
 
-def _bessel_j_scaled(nu: float, x: np.ndarray) -> np.ndarray:
-    """J_nu(x) / (x/2)^nu elementwise for 0 <= x <= ~200: 1 / Gamma(nu + 1)
-    at 0, finite for every nu > -1 (no power of x is formed)."""
-    out = np.empty_like(x)
-    small = x <= _SERIES_MAX_X
-    if np.any(small):
-        out[small] = _bessel_series(nu, x[small], scaled=True)
-    out[~small] = [_bessel_miller(nu, float(v), scaled=True) for v in x[~small]]
-    return out
-
-
 def _proxy_coefficients(nu: float, mu: float) -> np.ndarray:
     """Chebyshev coefficients of g(u) = J_nu(mu u) / (mu u / 2)^nu in s.
 
@@ -335,7 +326,7 @@ def _proxy_coefficients(nu: float, mu: float) -> np.ndarray:
     n = _PROXY_MIN_DEGREE
     while n <= _PROXY_MAX_DEGREE:
         x = mu * np.cos(np.pi * np.arange(n + 1) / (2 * n))
-        c = _chopped(_bessel_j_scaled(nu, x), n)
+        c = _chopped(_bessel_j_any(nu, x, scaled=True), n)
         if c is not None:
             return c
         n *= 2

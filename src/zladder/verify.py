@@ -20,10 +20,12 @@ distinct window end is inverted once, and each group makes one rows call
 whose integrand evaluates phi_1, Ztilde^2 and ln t once per node and the
 Bessel rows once per nu, then forms every row with the operations, in the
 order, that the row's own integrand would use, so every row keeps the bits
-of an integral of that row alone at its own tolerance.  A plan hands the
-executor every ladder family at once; each public family function is the
-executor run on that family's sets alone.  E2_4 is E2_2 at one nu (the
-plan's nu[0]), bit for bit, and its sanity rows are E1_3's diagonal.
+of an integral of that row alone at its own tolerance.  It returns one flat
+list, set by set.  A plan hands the executor every ladder family at once;
+each public family function is the executor run on that family's sets
+alone, and `sort_key` orders any mix of their reports totally.  E2_4 is
+E2_2 at one nu (the plan's nu[0]), bit for bit, and its sanity rows are
+E1_3's diagonal.
 
 E1_2 integrates its rows per nu in one rows call as well.  Each row of such
 a group records the elapsed time of the whole group (`--timings`).
@@ -160,7 +162,7 @@ def verify_theorem1(table: LadderTable, T: float, nu: float, max_n: int,
     Emits E1_3 rows for all unordered (m, n), integrated together, plus the
     E1_4 segment-distance row dist([0,1], [phi^-1(T), phi^-1(T+1)]) / T.
     """
-    return _reports(table, theorem1_sets(T, nu, max_n, tol, quad_tol))
+    return ladder_reports(table, theorem1_sets(T, nu, max_n, tol, quad_tol))
 
 
 def corollary_sets(T_list, nu: float, max_n: int, quad_tol: float = 1e-6) -> list[RowSet]:
@@ -174,7 +176,7 @@ def verify_corollary(table: LadderTable, T_list, nu: float, max_n: int,
     """The E2_2 integrals: |zeta(1/2+it)|^2-weighted Bessel diagonals against
     0.5 J_{nu+1}(mu_n)^2 ln T for n = 1..max_n, one report per (T, n) (ratio
     -> 1 as T grows); the rows n of one T are integrated together."""
-    return _reports(table, corollary_sets(T_list, nu, max_n, quad_tol))
+    return ladder_reports(table, corollary_sets(T_list, nu, max_n, quad_tol))
 
 
 def ratio_trend_nonincreasing(reports: list[VerificationReport]) -> bool:
@@ -264,7 +266,7 @@ class RowSet:
 class _Nodes:
     """The values that the members of one window group share at one batch of
     nodes ts, each computed once, on first use.  `bessel(nu)` holds the rows
-    1..N of J_nu(mu_n u) for the group's largest degree N at nu."""
+    1..N of J_nu(mu_n u) for the run's largest degree N at nu."""
 
     def __init__(self, table: LadderTable, T: float, ts: np.ndarray, proxies: dict):
         self.table, self.T, self.ts, self.proxies = table, T, ts, proxies
@@ -382,10 +384,9 @@ def _member_pieces(s: RowSet) -> _Member:
     return _Member(U, rows, factor, smooth)
 
 
-def ladder_reports(table: LadderTable,
-                   sets: list[RowSet]) -> list[list[VerificationReport]]:
-    """The reports of each row set, in the order given: the one executor of
-    the ladder families.
+def ladder_reports(table: LadderTable, sets: list[RowSet]) -> list[VerificationReport]:
+    """The reports of the row sets, set by set in the order given: the one
+    executor of the ladder families.
 
     Every set's arguments are checked first, so an argument error is raised
     before any integration starts.  The sets are then grouped by the window
@@ -395,8 +396,9 @@ def ladder_reports(table: LadderTable,
     singular there is never evaluated past them.  Each distinct window end
     is inverted once.  Each group makes one rows call; its integrand
     evaluates phi_1, Ztilde^2 and ln t once per node and the Bessel rows once
-    per nu, and every row keeps its set's quad_tol and the bits of an
-    integral of that row alone.  Each row records its group's elapsed time.
+    per nu (their proxies built once per nu for the whole run), and every row
+    keeps its set's quad_tol and the bits of an integral of that row alone.
+    Each row records its group's elapsed time.
     """
     members = []
     for s in sets:
@@ -407,13 +409,12 @@ def ladder_reports(table: LadderTable,
     groups: dict[tuple, list[int]] = {}
     for i, (s, m) in enumerate(zip(sets, members)):
         groups.setdefault((s.T, m.U, m.smooth), []).append(i)
-    # per group, the Bessel rows 1..N at each nu, N the largest degree there
-    proxies = {}
-    for key, idx in groups.items():
-        top: dict = {}
-        for s in (sets[i] for i in idx if members[i].U == 1.0):   # the Bessel members
+    # the Bessel rows 1..N at each nu, N the largest degree of the run there
+    top: dict = {}
+    for s, m in zip(sets, members):
+        if m.U == 1.0:   # the Bessel members
             top[s.nu] = max(top.get(s.nu, 0), s.max_n)
-        proxies[key] = {nu: bessel_j_proxy(nu, range(1, n + 1)) for nu, n in top.items()}
+    proxies = {nu: bessel_j_proxy(nu, range(1, n + 1)) for nu, n in top.items()}
 
     inverse: dict[float, float] = {}
     windows = {}
@@ -438,7 +439,7 @@ def ladder_reports(table: LadderTable,
         a, b = windows[key]
 
         def integrand(ts):
-            nodes = _Nodes(table, T, ts, proxies[key])
+            nodes = _Nodes(table, T, ts, proxies)
             return np.concatenate([members[i].factor(nodes, nodes.zeta2 if sets[i].zeta2
                                                      else nodes.ztilde2) for i in idx])
 
@@ -459,12 +460,7 @@ def ladder_reports(table: LadderTable,
             if s.eq == "E1_3":   # segments [0, 1] and [a, b] with a >> 1
                 out[i].append(_make_report("E1_4", {"T": T, "nu": s.nu}, inverse[T] - 1.0,
                                            T, 0.0, elapsed, ev_hash, lhash))
-    return out
-
-
-def _reports(table: LadderTable, sets: list[RowSet]) -> list[VerificationReport]:
-    """The reports of the sets of one family call, in order."""
-    return [r for reports in ladder_reports(table, sets) for r in reports]
+    return [r for reports in out for r in reports]
 
 
 def _theorem2_sets(T: float, eq: str, max_n: int, nu: float, alpha: float, beta: float,
@@ -501,7 +497,7 @@ def verify_theorem2(table: LadderTable, T: float, eq: str, max_n: int,
     (alpha, beta) E2_5's Jacobi exponents.  `tol_ratio` is recorded in the
     params for downstream judgement of |ratio - 1|.
     """
-    return _reports(table, theorem2_sets(T, eq, max_n, nu, alpha, beta, tol_ratio,
+    return ladder_reports(table, theorem2_sets(T, eq, max_n, nu, alpha, beta, tol_ratio,
                                                quad_tol))
 
 
@@ -511,7 +507,7 @@ def sanity_theorem2_exact(table: LadderTable, T: float, eq: str, max_n: int,
     """Same integrals with weight Ztilde^2: the change-of-variables identity
     makes the ratio exactly 1 up to quadrature error, isolating the numeric
     stack from the asymptotic ln-xi ~ ln-T step."""
-    return _reports(table, sanity_sets(T, eq, max_n, nu, alpha, beta, quad_tol))
+    return ladder_reports(table, sanity_sets(T, eq, max_n, nu, alpha, beta, quad_tol))
 
 
 def ln_t_placement_shift(ratio: float, T: float, interval: tuple[float, float]) -> float:
@@ -537,7 +533,9 @@ def report_json_line(report: VerificationReport, include_timings: bool = False) 
 
 
 def sort_key(report: VerificationReport):
+    """The report-file order, total over a run's rows: a member's asymptotic
+    row comes before its exactness (sanity) row of the same T and degree."""
     p = report.params
     return (report.equation_id, p.get("T", 0.0), p.get("nu", -2.0),
             p.get("alpha", -2.0), p.get("beta", -2.0),
-            p.get("n", -1), p.get("m", -1))
+            p.get("n", -1), p.get("m", -1), p.get("weight") == "ztilde2")

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from zladder import verify as V
 from zladder.cli import (EXIT_CACHE, EXIT_CONFIG, EXIT_HARD, EXIT_NUMERIC,
-                         EXIT_OK, EXIT_SOFT, main)
+                         EXIT_OK, EXIT_SOFT, _plan_reports, main)
 from zladder.config import RunConfig
 
 
@@ -214,6 +215,28 @@ class TestVerifyVerbs:
         assert fails[0] == fails[1]
         # the tight ratio band makes the asymptotic families fail
         assert bool(fails[0]) == (family in ("corollary", "theorem2"))
+
+    def test_report_does_not_depend_on_family_order(self, capsys, cache_env, tmp_path):
+        # a member's asymptotic and exactness rows share (eq, T, n); sort_key
+        # puts the asymptotic row first whatever the order of --equations
+        plan = [*LADDER_ARGS, "--T", "1000", "--max-n", "1", "--tol-ratio", "1e-9"]
+        for fmt in ("jsonl", "csv"):
+            outs, fails = [], []
+            for order in (("theorem2", "sanity"), ("sanity", "theorem2")):
+                out = tmp_path / f"{order[0]}.{fmt}"
+                assert run_cli("run", *plan, "--equations", *order, "--format", fmt,
+                               "--out", str(out)) == EXIT_SOFT
+                outs.append(out.read_bytes())
+                fails.append([line for line in capsys.readouterr().err.splitlines()
+                              if line.startswith("FAIL")])
+            assert outs[0] == outs[1]
+            assert fails[0] and fails[0] == fails[1]
+
+    def test_plan_rows_have_distinct_sort_keys(self, cache_env):
+        cfg = RunConfig(t_lo=1000.0, t_hi=1090.0, tol=1e-9, T=(1000.0, 1005.0), n_max=2)
+        reports = _plan_reports(cfg)
+        assert len(reports) == 78
+        assert len({V.sort_key(r) for r in reports}) == len(reports)
 
     def test_plan_T_outside_domain(self, capsys, cache_env):
         code = run_cli("verify", "theorem2", *LADDER_ARGS, "--T", "5000",

@@ -375,10 +375,8 @@ class TestWindowExecutor:
         monkeypatch.setattr(type(table), "invert",
                             lambda self, y: inverts.append(y) or real_invert(self, y))
         sets = [s for family_sets, _ in calls for s in family_sets]
-        per_set = iter(V.ladder_reports(table, sets))
-        grouped = [[self.fields(r) for s in family_sets for r in next(per_set)]
-                   for family_sets, _ in calls]
-        assert grouped == alone
+        grouped = [self.fields(r) for r in V.ladder_reports(table, sets)]
+        assert grouped == [row for rows in alone for row in rows]
         # per T: the U = 1 and U = 2 GK15 windows and the U = 2 tanh-sinh
         # window, each end inverted once
         assert sorted(rows_calls) == ["integrate_adaptive_rows"] * 4 + \
@@ -400,6 +398,14 @@ class TestWindowExecutor:
                     V.RowSet("E2_6", 0.5, 2)):   # T / ln T < 0 < U: not admissible
             with pytest.raises((DomainError, AdmissibilityError)):
                 V.ladder_reports(small_ladder, good + [bad])
+
+    def test_T_at_one_is_not_admissible(self, small_ladder, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("inverted before the arguments were checked")
+
+        monkeypatch.setattr(type(small_ladder), "invert", no_work)
+        with pytest.raises(AdmissibilityError):
+            V.ladder_reports(small_ladder, [V.RowSet("E2_6", 1.0, 2)])
 
     def test_bessel_members_stay_inside_bessel_j_domain(self):
         # mu_64 of J_0 is 200.28: E2_2's last zero lies past bessel_j's domain
