@@ -16,9 +16,9 @@ Sections and keys (all optional; defaults shown):
     cache =                ; blank -> <cache_root>/ladder-<ladder config hash>.npz
 
     [plan]
-    equations = baseline theorem1 corollary theorem2 sanity
-    T = 5000 10000 50000   ; ascending
-    nu = 0 1
+    equations = baseline theorem1 corollary theorem2 sanity   ; no repeats
+    T = 5000 10000 50000   ; strictly ascending
+    nu = 0 1               ; no repeats
     n_max = 4
     alpha = 0.5
     beta = 0.5
@@ -132,8 +132,11 @@ class RunConfig:
                      "tol_ratio", "tol_baseline"):
             if not getattr(self, name) > 0.0:   # NaN is not
                 raise DomainError(f"config: {name} must be positive")
-        if list(self.T) != sorted(self.T):
-            raise DomainError("config: T list must be sorted ascending")
+        if not all(lo < hi for lo, hi in zip(self.T, self.T[1:])):
+            raise DomainError("config: T list must be strictly ascending")
+        for name in ("equations", "nu"):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise DomainError(f"config: {name} list repeats an entry")
         for eq in self.equations:
             if eq not in PLAN_EQUATIONS:
                 raise DomainError(f"config: unknown plan equation {eq!r}")

@@ -334,7 +334,7 @@ class LadderTable:
         that is not such a cache, or whose data contradict the configuration
         it records, the evaluator's, or each other."""
         try:
-            with np.load(path, allow_pickle=False) as doc:
+            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as doc:
                 if int(doc["version"]) != _CACHE_VERSION:
                     raise CacheError(f"ladder cache {path} has unsupported version")
                 b = {key: doc[key].item() for key in _CACHE_SCALARS}

@@ -7,8 +7,9 @@ final panel set (and hence the result, summed in ascending position order)
 deterministic and independent of evaluation batching.
 `integrate_adaptive_rows` runs the same refinement for several integrands
 that share a window and breakpoints (the rows of a Gram system), each row
-with its own tolerance, panels, acceptance test and sum, and calls the
-integrand once per round on the union of the rows' pending panels;
+with its own tolerance, acceptance test and sum.  The rows share one list of
+pending panels, with a boolean mask of the panels each row still refines,
+and the integrand is called once per round on every pending panel;
 `integrate_adaptive` is its one-row case.
 
 `integrate_singular_rows` applies the double-exponential (tanh-sinh)
@@ -108,10 +109,10 @@ def _window(name: str, a, b, tol, rows: int) -> tuple[float, float, list[float]]
 
 
 def _check_finite(vals: np.ndarray, where: np.ndarray) -> None:
+    """Raise QuadratureError naming the point `where` of the first non-finite value."""
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        x = where[bad.nonzero()[0][0]] if where.shape == vals.shape else None
-        raise QuadratureError(f"integrand returned a non-finite value near x = {x}")
+        raise QuadratureError(f"integrand returned a non-finite value near x = {where[bad][0]}")
 
 
 def _gk15_sums(vals: np.ndarray, hw: np.ndarray):
@@ -133,24 +134,6 @@ def _gk15_sums(vals: np.ndarray, hw: np.ndarray):
     return hw * resk, err, floor
 
 
-def _union_panels(pending):
-    """The distinct panels of several rows' pending (lo, hi) arrays, in order
-    of first appearance, and for each row the index of its panels in them.
-
-    Keyed by both edges: a panel bisected down to one ulp has a child of zero
-    width that shares its sibling's left edge.
-    """
-    keys = np.stack([np.concatenate([lo for lo, _ in pending]),
-                     np.concatenate([hi for _, hi in pending])], axis=1)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    where = rank[inverse.ravel()]
-    cuts = np.cumsum([len(lo) for lo, _ in pending])[:-1]
-    return keys[first[order], 0], keys[first[order], 1], np.split(where, cuts)
-
-
 def integrate_adaptive_rows(
     f: Callable,
     rows: int,
@@ -165,15 +148,17 @@ def integrate_adaptive_rows(
 
     `f(x)` returns an array of shape (rows, len(x)): row r is the r-th
     integrand at the points x.  Every row refines on its own exactly as
-    `integrate_adaptive` would, with its own pending panels, acceptance
-    test, panel budget and ascending-order sum; only the integrand calls are
-    shared.  `tol` is one float for every row or one per row; each row's
-    acceptance test uses its own.  All pending panels of a round sit at the
-    same bisection depth of the same initial panels, so each round calls `f`
-    once, on the nodes of the union of every unfinished row's pending
-    panels.  Each row's result is bit-identical to a solo
-    `integrate_adaptive` of that row at its tolerance when f's value at a
-    point does not depend on the other points of the batch.
+    `integrate_adaptive` would, with its own acceptance test, panel budget
+    and ascending-order sum; only the integrand calls are shared.  `tol` is
+    one float for every row or one per row.  Every row's panels are nodes of
+    one bisection tree, so the rows share one list of pending panels and a
+    boolean (rows, panels) mask of the panels each row owns.  Each round
+    calls `f` once, on every pending panel; each row accepts or rejects its
+    own, and a panel some row rejected is bisected once, its two children
+    going to the rows that rejected it.  Each row meets its panels in a solo
+    run's order, so its result is bit-identical to a solo
+    `integrate_adaptive` of that row when f's value at a point does not
+    depend on the other points of the batch.
     Raises QuadratureError for the first row (in round, then row order) that
     exhausts its panel budget or meets a non-finite value.
     """
@@ -183,37 +168,37 @@ def integrate_adaptive_rows(
     if breakpoints is not None and len(breakpoints):
         edges.extend(sorted(float(x) for x in breakpoints if a < x < b))
     edges.append(b)
-    pending = {r: (np.array(edges[:-1]), np.array(edges[1:])) for r in range(rows)}
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    owns = np.ones((rows, len(lo)), dtype=bool)
     done: list[list[tuple]] = [[] for _ in range(rows)]   # (lo, value, err) arrays
-    n_panels = [len(edges) - 1] * rows
+    n_panels = [len(lo)] * rows
     span = b - a
 
-    while pending:
-        u_lo, u_hi, gathers = _union_panels(list(pending.values()))
-        mid = 0.5 * (u_lo + u_hi)
-        hw = 0.5 * (u_hi - u_lo)
+    while owns.any():
+        mid = 0.5 * (lo + hi)
+        hw = 0.5 * (hi - lo)
         nodes = mid[:, None] + hw[:, None] * _XK[None, :]
         vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(rows, *nodes.shape)
-        for (r, (pend_lo, pend_hi)), idx in zip(list(pending.items()), gathers):
-            row_vals = vals[r][idx]
-            _check_finite(row_vals, nodes[idx])
-            sums, errs, floors = _gk15_sums(row_vals, hw[idx])
+        rejects = np.zeros_like(owns)
+        for r in np.flatnonzero(owns.any(axis=1)):
+            idx = np.flatnonzero(owns[r])
+            _check_finite(vals[r, idx], nodes[idx])
+            sums, errs, floors = _gk15_sums(vals[r, idx], hw[idx])
             # a panel is done when it meets its width's share of tol, or is
             # already at the roundoff floor (the reported estimate stays honest)
-            ok = errs <= np.maximum(tols[r] * (pend_hi - pend_lo) / span, 1.01 * floors)
-            done[r].append((pend_lo[ok], sums[ok], errs[ok]))
-            lo_bad = pend_lo[~ok]
-            hi_bad = pend_hi[~ok]
-            if len(lo_bad) == 0:
-                del pending[r]
-                continue
-            n_panels[r] += 2 * len(lo_bad)
-            if n_panels[r] > max_panels:
+            ok = errs <= np.maximum(tols[r] * (hi[idx] - lo[idx]) / span, 1.01 * floors)
+            done[r].append((lo[idx][ok], sums[ok], errs[ok]))
+            rejects[r, idx] = ~ok
+            # checked only on a split: a row may start with more panels than the budget
+            n_panels[r] += 2 * int(np.count_nonzero(~ok))
+            if n_panels[r] > max_panels and not ok.all():
                 raise QuadratureError(
                     f"adaptive refinement exceeded {max_panels} panels on [{a}, {b}] "
                     f"(unresolved error ~ {float(np.sum(errs[~ok])):.3e} vs tol {tols[r]:.3e})")
-            mid_bad = 0.5 * (lo_bad + hi_bad)
-            pending[r] = (np.concatenate([lo_bad, mid_bad]), np.concatenate([mid_bad, hi_bad]))
+        # left children, then right children, as a solo run queues them
+        split = rejects.any(axis=0)
+        lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
+        owns = np.concatenate([rejects[:, split], rejects[:, split]], axis=1)
 
     results = []
     for row in done:

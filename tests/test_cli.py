@@ -312,8 +312,9 @@ class TestRun:
 
     def test_unsorted_T_rejected(self, tmp_path):
         from zladder import DomainError
-        with pytest.raises(DomainError):
-            RunConfig(T=(2000.0, 1000.0))
+        for T in [(2000.0, 1000.0), (1000.0, 1000.0)]:
+            with pytest.raises(DomainError):
+                RunConfig(T=T)
 
     @pytest.mark.parametrize("field", ["tol", "tol_exact", "tol_sanity",
                                        "tol_sanity_singular", "tol_ratio", "tol_baseline"])
@@ -497,6 +498,9 @@ EXIT_CASES = [
     # appended, so the positional ids of the cases above stay as they were
     ("specfun zeros", ["--nu", "0", "--count", "0", "--cache-file", "ZEROS"], EXIT_CONFIG),
     ("specfun zeros", ["--nu", "0", "--count", "65", "--cache-file", "ZEROS"], EXIT_CONFIG),
+    ("run", [*PLAN, "--T", "1000", "1000"], EXIT_CONFIG),
+    ("run", [*PLAN, "--equations", "sanity", "sanity"], EXIT_CONFIG),
+    ("run", [*PLAN, "--nu", "0", "0"], EXIT_CONFIG),
 ]
 
 

@@ -135,7 +135,7 @@ class TestAdaptive:
             with np.errstate(divide="ignore"):
                 return 1.0 / (x - 0.5)
 
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError, match=r"near x = 0\.5$"):
             integrate_adaptive(f, 0.0, 1.0, 1e-9)
 
     def test_domain(self):
@@ -205,8 +205,43 @@ class TestAdaptiveRows:
             with np.errstate(divide="ignore"):
                 return np.stack([x, 1.0 / (x - 0.5)])
 
-        with pytest.raises(QuadratureError, match="non-finite"):
+        with pytest.raises(QuadratureError, match=r"non-finite value near x = 0\.5$"):
             integrate_adaptive_rows(rows_f, 2, 0.0, 1.0, 1e-9)
+
+    def test_identical_rows_share_every_node(self):
+        # two copies of a row refine the same panels, so each round's call
+        # gets exactly the nodes of the solo row's call, in its order
+        f = damped_wave(1.0, 25.0, 0.3, 0.5)
+        solo_calls, rows_calls = [], []
+
+        def solo_f(x):
+            solo_calls.append(x.copy())
+            return f(x)
+
+        def rows_f(x):
+            rows_calls.append(x.copy())
+            return np.stack([f(x), f(x)])
+
+        solo = integrate_adaptive(solo_f, 0.0, 3.0, 1e-11, breakpoints=[1.0])
+        got = integrate_adaptive_rows(rows_f, 2, 0.0, 3.0, 1e-11, breakpoints=[1.0])
+        assert got == [solo, solo]
+        assert len(solo_calls) > 2
+        assert len(rows_calls) == len(solo_calls)
+        for x_rows, x_solo in zip(rows_calls, solo_calls):
+            np.testing.assert_array_equal(x_rows, x_solo)
+
+    def test_breakpoint_panels_beyond_budget_all_accepted(self):
+        # the budget charges only the children of rejected panels, so a row
+        # that starts with more panels than max_panels but accepts them all
+        # in the first round returns
+        fs = [lambda x: x, lambda x: 1.0 - x * x]
+        breaks = list(np.linspace(0.0, 2.0, 101)[1:-1])
+        got = integrate_adaptive_rows(lambda x: np.stack([f(x) for f in fs]), 2,
+                                      0.0, 2.0, 1e-9, breakpoints=breaks, max_panels=50)
+        for f, res in zip(fs, got):
+            value, err, panels, n_calls = adaptive_reference(f, 0.0, 2.0, 1e-9, breaks)
+            assert (res.value, res.error_estimate, res.panels_used) == (value, err, panels)
+            assert (panels, n_calls) == (100, 1)
 
     def test_domain(self):
         with pytest.raises(DomainError):
