@@ -10,13 +10,17 @@ A default cache of an older format has another name and is not read, so the
 ladder is rebuilt once; a `--cache` file in an older format (JSON, or a
 version-2 `.npz`) is rejected (exit 65) until `ladder build --rebuild`
 replaces it.  `report` lists the exactness (sanity) rows of an
-equation apart from its asymptotic rows, as `E2_x/sanity`.
+equation apart from its asymptotic rows, as `E2_x/sanity`.  The dest of a
+config flag is the `RunConfig` field it sets (`--out` of `run` and `verify`
+sets `path`), and a flag given wins over the `--config` file.
 
 Exit codes: 0 success, 1 exactness-layer failure, 2 asymptotic (soft)
 failure with reports still written, 64 config/usage error (including an
-unreadable input file, an unwritable output path, a NaN or out-of-range
-argument and an empty or incomplete t grid), 65 cache corruption or
-mismatch, or a malformed report file, 70 numeric non-convergence.
+unknown flag or choice, a missing or malformed value, an unknown INI
+section or key, an unreadable input file, an unwritable output path, a NaN
+or out-of-range argument and an empty or incomplete t grid), 65 cache
+corruption or mismatch, or a malformed report file, 70 numeric
+non-convergence.
 
 All numeric output uses full round-trip precision; report files are byte
 identical across runs of the same configuration, with one BLAS thread or
@@ -30,15 +34,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import verify as V
 from .config import PLAN_EQUATIONS, RunConfig, cache_root
-from .exceptions import (AdmissibilityError, CacheError, ConvergenceError,
-                         DomainError, PoleError, PrecisionError,
-                         QuadratureError, ReportFormatError,
-                         ToleranceNotMetError)
+from .exceptions import (CacheError, ConvergenceError, DomainError,
+                         PrecisionError, ReportFormatError)
 from .ladder import LadderTable, build_ladder, retardation_report
 from .specfun import bessel_zero, load_zero_cache, save_zero_cache, zero_table
 
@@ -57,26 +60,14 @@ def _print_json(doc) -> None:
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
-_LADDER_OVERRIDES = ("t_lo", "t_hi", "anchor_t0", "tol", "h", "cache")
-
-
 def _config_from_args(args) -> RunConfig:
+    """The flags given over the --config file, if any, over the defaults."""
     overrides = {}
-    for name in ("rs_correction_order", "oracle_terms", "t_min_rs",
-                 *_LADDER_OVERRIDES, "n_max", "alpha", "beta",
-                 "tol_exact", "tol_ratio", "tol_baseline",
-                 "format", "path"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            overrides[name] = getattr(args, name)
-    if getattr(args, "T_list", None):
-        overrides["T"] = tuple(args.T_list)
-    if getattr(args, "nu_list", None):
-        overrides["nu"] = tuple(args.nu_list)
-    if getattr(args, "equations", None):
-        overrides["equations"] = tuple(args.equations)
-    if getattr(args, "timings", False):
-        overrides["timings"] = True
-    if getattr(args, "config", None):
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            overrides[f.name] = tuple(value) if isinstance(value, list) else value
+    if args.config:
         return RunConfig.from_ini(args.config, overrides)
     return RunConfig(**overrides)
 
@@ -86,13 +77,9 @@ def _get_ladder(cfg: RunConfig, rebuild: bool = False) -> LadderTable:
     ev = cfg.evaluator()
     if not rebuild and os.path.exists(path):
         table = LadderTable.load(path, ev)  # CacheError propagates (exit 65)
-        wanted = (cfg.t_lo, cfg.t_hi, cfg.anchor(), cfg.h, cfg.tol)
-        have = (table.t_lo, table.t_hi, table.anchor_t0, table.h,
-                table.build_tolerance)
-        if wanted != have:
-            raise CacheError(
-                f"ladder cache {path} was built for {have}, requested {wanted}; "
-                f"refusing to reuse")
+        if table.config_hash() != cfg.ladder_hash():
+            raise CacheError(f"ladder cache {path} has config hash {table.config_hash()}, "
+                             f"requested {cfg.ladder_hash()}; refusing to reuse")
         return table
     table = build_ladder(ev, cfg.t_lo, cfg.t_hi, cfg.anchor(), tol=cfg.tol, h=cfg.h)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -100,8 +87,16 @@ def _get_ladder(cfg: RunConfig, rebuild: bool = False) -> LadderTable:
     return table
 
 
-def _emit_reports(reports, cfg: RunConfig, out_override=None) -> None:
-    path = out_override or cfg.path
+def _write(path, text: str) -> None:
+    """Write text to the file `path`, or to stdout if path is '-' or None."""
+    if path in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _emit_reports(reports, cfg: RunConfig) -> None:
     if cfg.format == "jsonl":
         lines = [V.report_json_line(r, include_timings=cfg.timings) for r in reports]
         text = "\n".join(lines) + ("\n" if lines else "")
@@ -114,12 +109,9 @@ def _emit_reports(reports, cfg: RunConfig, out_override=None) -> None:
             rows.append(f'{r.equation_id},"{params}",{r.lhs!r},{r.rhs!r},'
                         f"{ratio},{r.abs_error!r},{r.quadrature_error!r}")
         text = "\n".join(rows) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {len(reports)} report rows to {path}", file=sys.stderr)
+    _write(cfg.path, text)
+    if cfg.path != "-":
+        print(f"wrote {len(reports)} report rows to {cfg.path}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +228,10 @@ def _cmd_ladder_invert(args) -> int:
 
 
 def _write_csv(out, header: str, rows) -> None:
-    """Write a header and rows of repr'd fields to `out` ('-' or None =
-    stdout).  Callers compute every row first, so a run that fails leaves an
-    existing `out` file as it was."""
+    """Write a header and rows of repr'd fields to `out`.  Callers compute
+    every row first, so a run that fails leaves an existing file as it was."""
     text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
-    if out in (None, "-"):
-        sys.stdout.write(f"{header}\n{text}")
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(f"{header}\n{text}")
+    _write(out, f"{header}\n{text}")
 
 
 def _t_grid(args) -> np.ndarray:
@@ -309,7 +296,7 @@ def _cmd_run(args) -> int:
     # sort_key orders the rows totally, so the report and the FAIL lines do
     # not depend on the order of --equations
     reports = sorted(_plan_reports(cfg), key=V.sort_key)
-    _emit_reports(reports, cfg, args.out)
+    _emit_reports(reports, cfg)
     hard_fails = _hard_failures(reports, cfg)
     soft_fails = _soft_failures(reports, cfg)
     for f in hard_fails + soft_fails:
@@ -321,17 +308,12 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    args.equations = (args.which,)
-    return _cmd_run(args)
-
-
 def _plot_rows(args, cfg: RunConfig) -> tuple[str, list]:
     """CSV header and rows of one plot-data target; the arguments are checked
     before a ladder is built or loaded."""
     if args.what != "envelope":
         ts = _t_grid(args)
-    elif args.T is None or not args.points >= 1:
+    elif args.T_single is None or not args.points >= 1:
         raise DomainError("plot-data --what envelope needs --T and --points >= 1")
     if args.what == "z_trace":
         return "t,z", list(zip(ts.tolist(), cfg.evaluator().z(ts).tolist()))
@@ -341,8 +323,9 @@ def _plot_rows(args, cfg: RunConfig) -> tuple[str, list]:
                                        zip(ts.tolist(), table.eval(ts).tolist())]
     if args.what == "retardation":
         return "t,lag,expected,ratio", _retardation_rows(table, ts)
-    grid = np.linspace(table.invert(args.T), table.invert(args.T + 1.0), args.points)
-    return "t,envelope,abs_z", V.envelope_23(table, args.T, args.nu_single, args.n, grid)
+    T = args.T_single
+    grid = np.linspace(table.invert(T), table.invert(T + 1.0), args.points)
+    return "t,envelope,abs_z", V.envelope_23(table, T, args.nu_single, args.n, grid)
 
 
 def _cmd_plot_data(args) -> int:
@@ -402,6 +385,7 @@ def _add_config_opts(p):
 
 
 def _add_ladder_opts(p):
+    _add_config_opts(p)
     p.add_argument("--t-lo", dest="t_lo", type=float)
     p.add_argument("--t-hi", dest="t_hi", type=float)
     p.add_argument("--anchor", dest="anchor_t0", type=float)
@@ -412,26 +396,32 @@ def _add_ladder_opts(p):
 
 
 def _add_plan_opts(p):
-    p.add_argument("--T", dest="T_list", type=float, nargs="+")
-    p.add_argument("--nu", dest="nu_list", type=float, nargs="+")
+    _add_ladder_opts(p)
+    p.add_argument("--T", dest="T", type=float, nargs="+")
+    p.add_argument("--nu", dest="nu", type=float, nargs="+")
     p.add_argument("--max-n", dest="n_max", type=int)
     p.add_argument("--alpha", dest="alpha", type=float)
     p.add_argument("--beta", dest="beta", type=float)
     p.add_argument("--tol-exact", dest="tol_exact", type=float)
     p.add_argument("--tol-ratio", dest="tol_ratio", type=float)
     p.add_argument("--tol-baseline", dest="tol_baseline", type=float)
-
-
-def _add_output_opts(p):
-    p.add_argument("--out", help="report destination (default from config; '-' = stdout)")
+    p.add_argument("--out", dest="path", help="report path (default from config; '-' = stdout)")
     p.add_argument("--format", dest="format", choices=("jsonl", "csv"))
-    p.add_argument("--timings", action="store_true",
+    p.add_argument("--timings", action="store_true", default=None,
                    help="include elapsed times (breaks byte determinism)")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise DomainError (exit 64), not argparse's exit 2 (the
+    soft failure's code); subparsers are made of the same class."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="zladder",
-                                 description="Jacob's ladders for the Hardy Z-function")
+    ap = _ArgumentParser(prog="zladder",
+                         description="Jacob's ladders for the Hardy Z-function")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     pz = sub.add_parser("z", help="Z-function evaluations")
@@ -455,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("build", _cmd_ladder_build), ("query", _cmd_ladder_query),
                      ("invert", _cmd_ladder_invert), ("retardation", _cmd_ladder_retardation)):
         p = lsub.add_parser(name)
-        _add_config_opts(p)
         _add_ladder_opts(p)
         if name == "build":
             p.add_argument("--rebuild", action="store_true",
@@ -472,12 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
 
     pv = sub.add_parser("verify", help="run one verification family")
-    pv.add_argument("which", choices=PLAN_EQUATIONS)
-    _add_config_opts(pv)
-    _add_ladder_opts(pv)
+    pv.add_argument("equations", nargs=1, choices=PLAN_EQUATIONS, metavar="which")
     _add_plan_opts(pv)
-    _add_output_opts(pv)
-    pv.set_defaults(fn=_cmd_verify)
+    pv.set_defaults(fn=_cmd_run)
 
     pp = sub.add_parser("plot-data", help="emit CSV data for external plotting")
     pp.add_argument("--what", choices=("envelope", "ladder", "retardation", "z_trace"),
@@ -485,20 +471,16 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--from", dest="t_from", type=float)
     pp.add_argument("--to", dest="t_to", type=float)
     pp.add_argument("--step", type=float, default=0.05)
-    pp.add_argument("--T", dest="T", type=float)
+    pp.add_argument("--T", dest="T_single", type=float)
     pp.add_argument("--nu", dest="nu_single", type=float, default=0.0)
     pp.add_argument("--n", type=int, default=1)
     pp.add_argument("--points", type=int, default=1000)
     pp.add_argument("--out")
-    _add_config_opts(pp)
     _add_ladder_opts(pp)
     pp.set_defaults(fn=_cmd_plot_data)
 
     pr = sub.add_parser("run", help="execute a full configured verification plan")
-    _add_config_opts(pr)
-    _add_ladder_opts(pr)
     _add_plan_opts(pr)
-    _add_output_opts(pr)
     pr.add_argument("--equations", nargs="+", choices=PLAN_EQUATIONS)
     pr.set_defaults(fn=_cmd_run)
 
@@ -509,11 +491,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (DomainError, AdmissibilityError, PoleError, OSError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CacheError as exc:
@@ -522,8 +503,7 @@ def main(argv=None) -> int:
     except ReportFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CACHE
-    except (ConvergenceError, QuadratureError, ToleranceNotMetError,
-            PrecisionError) as exc:
+    except (ConvergenceError, PrecisionError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

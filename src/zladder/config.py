@@ -33,7 +33,9 @@ Sections and keys (all optional; defaults shown):
     path = reports.jsonl
     timings = false
 
-Flags win over file values.  The default ladder cache is named by the same
+Keys match case-insensitively (`t` sets T), values are literal (no `%`
+interpolation), and any other section or key is a DomainError that names
+it.  Flags win over file values.  The default ladder cache is named by the same
 hash that `LadderTable.config_hash` records in the cache file and in every
 report row: the ladder domain, anchor, step, tolerance, panel rule and
 evaluator configuration.  Default caches under the names older versions used
@@ -149,23 +151,31 @@ class RunConfig:
 
     @classmethod
     def from_ini(cls, path: str, overrides: dict | None = None) -> "RunConfig":
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)
         except (OSError, configparser.Error) as exc:
             raise DomainError(f"config parse error in {path}: {exc}") from exc
+        # configparser lowercases keys and strips values
+        known = {(section, key.lower()): (key, parse)
+                 for section, key, (parse, _) in _INI_FIELDS}
+        for section in parser.sections():
+            if section not in {s for s, _ in known}:
+                raise DomainError(f"config {path}: unknown section [{section}]")
         values: dict = {}
-        for section, key, (parse, _) in _INI_FIELDS:
-            raw = parser.get(section, key, fallback="").strip()
-            if raw:
-                try:
-                    values[key] = parse(raw)
-                except ValueError as exc:
-                    raise DomainError(
-                        f"config parse error: [{section}] {key} = {raw!r}") from exc
-        if overrides:
-            values.update({k: v for k, v in overrides.items() if v is not None})
+        for section, entries in parser.items():   # DEFAULT first: its keys join every section
+            for name, raw in entries.items():
+                if (section, name) not in known:
+                    raise DomainError(f"config {path}: unknown key [{section}] {name}")
+                key, parse = known[section, name]
+                if raw:
+                    try:
+                        values[key] = parse(raw)
+                    except ValueError as exc:
+                        raise DomainError(
+                            f"config parse error: [{section}] {key} = {raw!r}") from exc
+        values.update(overrides or {})
         return cls(**values)
 
     def to_ini(self, path: str) -> None:
@@ -188,9 +198,12 @@ class RunConfig:
     def anchor(self) -> float:
         return self.anchor_t0 if self.anchor_t0 is not None else self.t_lo + 10.0
 
+    def ladder_hash(self) -> str:
+        """The `LadderTable.config_hash` of the ladder this config builds."""
+        return ladder_config_hash(self.evaluator(), self.t_lo, self.t_hi,
+                                  self.anchor(), self.h, self.tol)
+
     def ladder_cache_path(self) -> str:
         if self.cache:
             return self.cache
-        digest = ladder_config_hash(self.evaluator(), self.t_lo, self.t_hi,
-                                    self.anchor(), self.h, self.tol)
-        return os.path.join(cache_root(), f"ladder-{digest}.npz")
+        return os.path.join(cache_root(), f"ladder-{self.ladder_hash()}.npz")

@@ -408,7 +408,7 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
         raise DomainError("require e + 1 <= t_lo <= anchor_t0 <= t_hi")
     if t_hi - t_lo <= 0 or t_hi - t_lo > 1e6:
         raise DomainError("require 0 < t_hi - t_lo <= 1e6")
-    if tol <= 0.0:
+    if not tol > 0.0:   # NaN fails
         raise DomainError("build tolerance must be positive")
     if not 0.0 < h <= 1.0:
         raise DomainError("base panel width must satisfy 0 < h <= 1")

@@ -30,6 +30,8 @@ _CLD = np.clongdouble
 _LN_PI_LD = np.log(_LD(np.pi))
 
 _MAX_BLOCK = 4_000_000  # cap on len(t) * N per main-sum chunk
+_RS_T_MAX = 1e8        # z_rs's cap on t; see z_rs
+_ORACLE_T_MAX = 1e6    # theta_oracle's and z_oracle's cap on t; see z_oracle
 
 # the remainder tables stacked as rows (term j, coefficient k), and the
 # coefficients the Clenshaw recurrence consumes, highest degree first, as
@@ -95,7 +97,7 @@ class ZEvaluator:
             raise DomainError("rs_correction_order must be in {0,1,2,3,4}")
         if not 2 <= self.oracle_terms <= 11:
             raise DomainError("oracle_terms must be in [2, 11]")
-        if self.t_min_rs < _TWO_PI:
+        if not self.t_min_rs >= _TWO_PI:   # NaN fails
             raise DomainError("t_min_rs must be at least 2*pi")
 
     # -- theta ---------------------------------------------------------------
@@ -117,11 +119,11 @@ class ZEvaluator:
         """theta from the definition -(t/2) ln pi + Im ln Gamma(1/4 + it/2).
 
         Extended-precision log-Gamma keeps the continuous branch and ~1e-15
-        absolute accuracy up to t = 1e6.
+        absolute accuracy up to t = 1e6, which caps t (at inf it turns NaN).
         """
         ta = np.asarray(t, dtype=float)
-        if not np.all(ta > 0.0):
-            raise DomainError("theta_oracle requires t > 0")
+        if not np.all((ta > 0.0) & (ta <= _ORACLE_T_MAX)):
+            raise DomainError(f"theta_oracle requires 0 < t <= {_ORACLE_T_MAX:g}")
         flat = np.atleast_1d(ta)
         out = np.empty_like(flat)
         for i, ti in enumerate(flat):
@@ -133,11 +135,15 @@ class ZEvaluator:
     # -- Riemann-Siegel route ------------------------------------------------
 
     def z_rs(self, t) -> float | np.ndarray:
-        """Hardy Z(t) by the Riemann-Siegel formula; requires t >= t_min_rs."""
+        """Hardy Z(t) by the Riemann-Siegel formula; requires t_min_rs <= t <= 1e8.
+
+        The cap bounds the main sum at 3,989 terms, and the rounding of its
+        double-precision phases, ~4e-7 in Z at 1e8, which grows above it.
+        """
         ta = np.asarray(t, dtype=float)
-        if not np.all(ta >= self.t_min_rs):
-            raise DomainError(
-                f"z_rs requires t >= t_min_rs = {self.t_min_rs}; use z_oracle below it")
+        if not np.all((ta >= self.t_min_rs) & (ta <= _RS_T_MAX)):
+            raise DomainError(f"z_rs requires t_min_rs = {self.t_min_rs} <= t <= "
+                              f"{_RS_T_MAX:g}; use z_oracle below t_min_rs")
         scalar = ta.ndim == 0
         flat = np.atleast_1d(ta).ravel()
         a = np.sqrt(flat / _TWO_PI)
@@ -217,11 +223,12 @@ class ZEvaluator:
         """Hardy Z(t) = Re(e^{i theta} zeta(1/2+it)), Euler-Maclaurin route.
 
         Absolute accuracy ~1e-14 for t <= 1e5 and <= 1e-9 up to t = 1e6; the
-        imaginary residue is asserted below 1e-9 and discarded.
+        imaginary residue is asserted below 1e-9 and discarded.  1e6 caps t:
+        the cost is ~2t terms (~1 s at 1e6), so far above it no call ends.
         """
         ta = np.asarray(t, dtype=float)
-        if not np.all(ta > 0.0):
-            raise DomainError("z_oracle requires t > 0")
+        if not np.all((ta > 0.0) & (ta <= _ORACLE_T_MAX)):
+            raise DomainError(f"z_oracle requires 0 < t <= {_ORACLE_T_MAX:g}")
         if ta.ndim == 0:
             return self._z_oracle_scalar(float(ta))
         flat = ta.ravel()

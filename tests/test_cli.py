@@ -1,12 +1,15 @@
+import argparse
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from zladder import DomainError
 from zladder import verify as V
 from zladder.cli import (EXIT_CACHE, EXIT_CONFIG, EXIT_HARD, EXIT_NUMERIC,
-                         EXIT_OK, EXIT_SOFT, _plan_reports, main)
+                         EXIT_OK, EXIT_SOFT, _plan_reports, build_parser, main)
 from zladder.config import RunConfig
 
 
@@ -316,6 +319,36 @@ class TestRun:
             with pytest.raises(DomainError):
                 RunConfig(T=T)
 
+    @pytest.mark.parametrize("text,named", [
+        ("[plan]\nn_mx = 8\n", "unknown key [plan] n_mx"),
+        ("[plann]\nn_max = 8\n", "unknown section [plann]"),
+        ("[plann]\n", "unknown section [plann]"),
+        ("[DEFAULT]\nn_max = 8\n", "unknown key [DEFAULT] n_max"),
+    ], ids=["key", "section", "empty-section", "default-section"])
+    def test_unknown_ini_setting_named(self, tmp_path, text, named):
+        ini = tmp_path / "typo.ini"
+        ini.write_text(text)
+        with pytest.raises(DomainError) as exc:
+            RunConfig.from_ini(str(ini))
+        assert named in str(exc.value)
+
+    def test_ini_keys_case_insensitive_values_literal(self, tmp_path):
+        ini = tmp_path / "case.ini"
+        ini.write_text("[plan]\nt = 1000 2000\nN_MAX = 2\n[output]\npath = r%1.jsonl\n")
+        cfg = RunConfig.from_ini(str(ini))
+        assert (cfg.T, cfg.n_max, cfg.path) == ((1000.0, 2000.0), 2, "r%1.jsonl")
+
+    @pytest.mark.parametrize("ini,flag,timed", [("timings = true", [], True),
+                                                 ("", ["--timings"], True),
+                                                 ("", [], False)])
+    def test_timings_flag_and_ini(self, cache_env, tmp_path, capsys, ini, flag, timed):
+        path = tmp_path / "t.ini"
+        path.write_text(f"[output]\n{ini}\n")
+        assert run_cli("run", "--config", str(path), "--equations", "baseline",
+                       "--nu", "0", "--max-n", "1", "--out", "-", *flag) == EXIT_OK
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert rows and all(("elapsed" in r) == timed for r in rows)
+
     @pytest.mark.parametrize("field", ["tol", "tol_exact", "tol_sanity",
                                        "tol_sanity_singular", "tol_ratio", "tol_baseline"])
     @pytest.mark.parametrize("value", [0.0, -1e-9, float("nan")])
@@ -416,9 +449,29 @@ class TestReportSummary:
         assert "no-such-dir" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["run", "verify"])
+def test_plan_flags_are_named_by_their_fields(verb):
+    """Each option of a plan verb sets the RunConfig field named by its dest,
+    so the CLI keeps no list of settings of its own."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices[verb]._actions}
+    assert dests - {f.name for f in dataclasses.fields(RunConfig)} == {"help", "config"}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["verify", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: zladder" in capsys.readouterr().out
+
+
 # Every verb with each documented exit code it can return.  In the args,
 # BROKEN names a file that is not a cache or report, TIGHT an INI file whose
-# sanity tolerances no row meets, and ZEROS a fresh Bessel-zero cache file.
+# sanity tolerances no row meets, ZEROS a fresh Bessel-zero cache file, TYPO
+# and SECTION INI files with an unknown key and an unknown section, and
+# PERCENT an INI file with a `%` in a value.
 # A ladder that cannot reach its tolerance makes every ladder verb exit 70.
 UNREACHABLE = ["--t-lo", "1000", "--t-hi", "1001", "--anchor", "1000.5", "--tol", "1e-300"]
 PLAN = [*LADDER_ARGS, "--T", "1000", "--nu", "0", "--max-n", "1", "--out", "-"]
@@ -501,6 +554,17 @@ EXIT_CASES = [
     ("run", [*PLAN, "--T", "1000", "1000"], EXIT_CONFIG),
     ("run", [*PLAN, "--equations", "sanity", "sanity"], EXIT_CONFIG),
     ("run", [*PLAN, "--nu", "0", "0"], EXIT_CONFIG),
+    ("z eval", ["--t", "1000", "--t-min-rs", "nan"], EXIT_CONFIG),
+    ("z eval", ["--t", "inf"], EXIT_CONFIG),
+    ("z eval", ["--t", "1e300"], EXIT_CONFIG),
+    ("z eval", ["--t", "inf", "--oracle"], EXIT_CONFIG),
+    ("run", [*PLAN, "--bogus"], EXIT_CONFIG),
+    ("verify nonsense", PLAN, EXIT_CONFIG),
+    ("ladder query", LADDER_ARGS, EXIT_CONFIG),      # no --t
+    ("run", [*PLAN, "--max-n", "abc"], EXIT_CONFIG),
+    ("run", [*PLAN, "--config", "TYPO"], EXIT_CONFIG),
+    ("run", [*PLAN, "--config", "SECTION"], EXIT_CONFIG),
+    ("run", [*PLAN, "--equations", "baseline", "--config", "PERCENT"], EXIT_OK),
 ]
 
 
@@ -515,10 +579,17 @@ def test_verb_exit_code(capsys, monkeypatch, tmp_path, shared_cache_root,
                         verb, args, expected):
     monkeypatch.setenv("ZLADDER_CACHE_ROOT", str(shared_cache_root))
     files = {"BROKEN": tmp_path / "broken", "TIGHT": tmp_path / "tight.ini",
-             "ZEROS": tmp_path / "zeros.json"}
+             "ZEROS": tmp_path / "zeros.json", "TYPO": tmp_path / "typo.ini",
+             "SECTION": tmp_path / "section.ini", "PERCENT": tmp_path / "percent.ini"}
     files["BROKEN"].write_text("{broken\n")
     files["TIGHT"].write_text("[plan]\ntol_sanity = 1e-30\ntol_sanity_singular = 1e-30\n")
+    files["TYPO"].write_text("[plan]\nn_mx = 8\n")
+    files["SECTION"].write_text("[plann]\nn_max = 8\n")
+    files["PERCENT"].write_text("[output]\npath = r%1.jsonl\n")
     argv = [*verb.split(), *(str(files.get(a, a)) for a in args)]
     assert run_cli(*argv) == expected
+    err = capsys.readouterr().err
     if expected in (EXIT_CONFIG, EXIT_CACHE, EXIT_NUMERIC):
-        assert "error" in capsys.readouterr().err
+        assert "error" in err
+    if expected == EXIT_CONFIG:     # one line, no usage text
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -148,8 +148,9 @@ class TestBuild:
             build_ladder(ev, 1000.0, 900.0)
         with pytest.raises(DomainError):
             build_ladder(ev, 1000.0, 1100.0, anchor_t0=999.0)
-        with pytest.raises(DomainError):
-            build_ladder(ev, 1000.0, 1100.0, tol=-1.0)
+        for tol in (-1.0, math.nan):
+            with pytest.raises(DomainError):
+                build_ladder(ev, 1000.0, 1100.0, tol=tol)
         for h in (0.0, -1.0, 1.5):
             with pytest.raises(DomainError):
                 build_ladder(ev, 1000.0, 1100.0, h=h)

@@ -85,6 +85,21 @@ class TestTheta:
             with pytest.raises(DomainError):
                 getattr(ev, fn)(t)
 
+    # Above the caps the RS main sum's length overflows int64 (Z = NaN at inf
+    # and 1e300) or needs ~30 GiB (1e20); the oracle overflows at inf and
+    # never ends at 1e300, and theta_oracle turns NaN at inf.
+    @pytest.mark.parametrize("fn,t", [("z_rs", math.inf), ("z_rs", 1e300), ("z_rs", 1.0000001e8),
+                                      ("z", math.inf), ("z", 1e300),
+                                      ("z_oracle", math.inf), ("z_oracle", 1.0000001e6),
+                                      ("theta_oracle", math.inf), ("theta_oracle", 1e300)])
+    def test_t_above_cap_rejected(self, ev, fn, t):
+        for arg in (t, np.array([1000.0, t])):
+            with pytest.raises(DomainError, match="t <= 1e"):
+                getattr(ev, fn)(arg)
+
+    def test_rs_cap_is_inclusive(self, ev):
+        assert math.isfinite(ev.z_rs(1e8)) and math.isfinite(ev.z(1e8))
+
 
 class TestZOracle:
     def test_first_zero(self, ev):
@@ -156,8 +171,9 @@ class TestZRs:
             ZEvaluator(rs_correction_order=7)
         with pytest.raises(DomainError):
             ZEvaluator(oracle_terms=1)
-        with pytest.raises(DomainError):
-            ZEvaluator(t_min_rs=1.0)
+        for t_min_rs in (1.0, math.nan):
+            with pytest.raises(DomainError):
+                ZEvaluator(t_min_rs=t_min_rs)
 
 
 class TestRemainderClenshaw:
