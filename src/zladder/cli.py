@@ -18,9 +18,9 @@ Exit codes: 0 success, 1 exactness-layer failure, 2 asymptotic (soft)
 failure with reports still written, 64 config/usage error (including an
 unknown flag or choice, a missing or malformed value, an unknown INI
 section or key, an unreadable input file, an unwritable output path, a NaN
-or out-of-range argument and an empty or incomplete t grid), 65 cache
-corruption or mismatch, or a malformed report file, 70 numeric
-non-convergence.
+or out-of-range argument, and an empty, incomplete or oversized t grid or
+`--points`), 65 cache corruption or mismatch, or a malformed report file, 70
+numeric non-convergence.
 
 All numeric output uses full round-trip precision; report files are byte
 identical across runs of the same configuration, with one BLAS thread or
@@ -51,6 +51,8 @@ EXIT_SOFT = 2
 EXIT_CONFIG = 64
 EXIT_CACHE = 65
 EXIT_NUMERIC = 70
+
+MAX_GRID_POINTS = 10 ** 6   # of a plot-data or retardation grid
 
 
 def _print_json(doc) -> None:
@@ -101,13 +103,16 @@ def _emit_reports(reports, cfg: RunConfig) -> None:
         lines = [V.report_json_line(r, include_timings=cfg.timings) for r in reports]
         text = "\n".join(lines) + ("\n" if lines else "")
     else:
-        rows = ["equation_id,params,lhs,rhs,ratio,abs_error,quadrature_error"]
+        # --timings adds an elapsed column, as it adds the field to JSONL
+        rows = ["equation_id,params,lhs,rhs,ratio,abs_error,quadrature_error"
+                + (",elapsed" if cfg.timings else "")]
         for r in reports:
             params = json.dumps({k: r.params[k] for k in sorted(r.params)},
                                 separators=(",", ":")).replace('"', "'")
             ratio = "" if r.ratio is None else repr(r.ratio)
             rows.append(f'{r.equation_id},"{params}",{r.lhs!r},{r.rhs!r},'
-                        f"{ratio},{r.abs_error!r},{r.quadrature_error!r}")
+                        f"{ratio},{r.abs_error!r},{r.quadrature_error!r}"
+                        + (f",{r.elapsed!r}" if cfg.timings else ""))
         text = "\n".join(rows) + "\n"
     _write(cfg.path, text)
     if cfg.path != "-":
@@ -235,12 +240,16 @@ def _write_csv(out, header: str, rows) -> None:
 
 
 def _t_grid(args) -> np.ndarray:
-    """The grid --from, --from + --step, ... up to --to."""
+    """The grid --from, --from + --step, ... up to --to, of at most
+    `MAX_GRID_POINTS` points."""
     if args.t_from is None or args.t_to is None:
         raise DomainError("this target needs --from and --to")
     if not (args.step > 0.0 and args.t_from <= args.t_to):   # NaN fails
         raise DomainError(f"need --step > 0 and --from <= --to, have --from "
                           f"{args.t_from} --to {args.t_to} --step {args.step}")
+    if not (args.t_to - args.t_from) / args.step < MAX_GRID_POINTS - 1:   # inf fails
+        raise DomainError(f"the grid --from {args.t_from} --to {args.t_to} --step "
+                          f"{args.step} has more than {MAX_GRID_POINTS} points")
     return np.arange(args.t_from, args.t_to + 0.5 * args.step, args.step)
 
 
@@ -313,8 +322,9 @@ def _plot_rows(args, cfg: RunConfig) -> tuple[str, list]:
     before a ladder is built or loaded."""
     if args.what != "envelope":
         ts = _t_grid(args)
-    elif args.T_single is None or not args.points >= 1:
-        raise DomainError("plot-data --what envelope needs --T and --points >= 1")
+    elif args.T_single is None or not 1 <= args.points <= MAX_GRID_POINTS:
+        raise DomainError(f"plot-data --what envelope needs --T and "
+                          f"1 <= --points <= {MAX_GRID_POINTS}")
     if args.what == "z_trace":
         return "t,z", list(zip(ts.tolist(), cfg.evaluator().z(ts).tolist()))
     table = _get_ladder(cfg)

@@ -153,6 +153,35 @@ def _steps(anti: np.ndarray) -> np.ndarray:   # whole-panel integrals
     return _clenshaw(anti, np.ones(anti.shape[1]), slice(None))
 
 
+def _gram(degrees: np.ndarray) -> np.ndarray:
+    """int_{-1}^{1} T_i T_j for degrees i, j of one parity: from
+    T_i T_j = (T_{i+j} + T_{|i-j|}) / 2 and int_{-1}^{1} T_k = 2 / (1 - k^2)
+    for even k."""
+    s, d = np.add.outer(degrees, degrees), np.subtract.outer(degrees, degrees)
+    return 1.0 / (1.0 - s * s) + 1.0 / (1.0 - d * d)
+
+
+_GRAM_BY_PARITY = [_gram(np.arange(p, _DEGREE + 1, 2, dtype=float)) for p in (0, 1)]
+_GRAM_CHUNK = 4096   # panels per block of the quadratic form
+
+
+def _square_integrals(coef: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """int_lo^hi p^2 on each panel as the quadratic form half c^T G c, with G
+    the Gram matrix of the T_j on [-1, 1].  G couples only degrees of one
+    parity, so the form is the sum of its even and its odd block; each is
+    summed in a fixed order, elementwise over blocks of panels (no BLAS)."""
+    out = np.zeros(len(coef))
+    for lo in range(0, len(coef), _GRAM_CHUNK):
+        c = np.ascontiguousarray(coef[lo:lo + _GRAM_CHUNK].T)
+        for parity, gram in enumerate(_GRAM_BY_PARITY):
+            cp = c[parity::2]
+            gc = np.zeros_like(cp)
+            for j, cj in enumerate(cp):
+                gc += gram[:, j:j + 1] * cj
+            out[lo:lo + _GRAM_CHUNK] += (cp * gc).sum(axis=0)
+    return out * half
+
+
 class LadderTable:
     """Monotone checkpointed representation of phi_1 over [t_lo, t_hi]:
     checkpoints `edges`, values `phi` there, and per panel the Chebyshev
@@ -169,6 +198,12 @@ class LadderTable:
         self.residual_total = float(residual_total)
         self._mid = 0.5 * (self.edges[:-1] + self.edges[1:])
         self._half = 0.5 * (self.edges[1:] - self.edges[:-1])
+        # the antiderivative of p^2, one row per panel, built on first use
+        # (racing threads write equal bits; a row is read only once built);
+        # the float path's rows as lists
+        self._anti = np.empty((len(self._half), 2 * _DEGREE + 2))
+        self._built = np.zeros(len(self._half), dtype=bool)
+        self._anti_lists: dict[int, list[float]] = {}
 
     @property
     def phi_lo(self) -> float:
@@ -182,9 +217,24 @@ class LadderTable:
         return ladder_config_hash(self.evaluator, self.t_lo, self.t_hi,
                                   self.anchor_t0, self.h, self.build_tolerance)
 
-    @cached_property
-    def _anti(self) -> np.ndarray:
-        return _antiderivative(self.coef, self._half)
+    def _anti_rows(self, k: np.ndarray) -> np.ndarray:
+        """The antiderivative table, with the rows of the panels `k` built.
+        A panel's row does not depend on the others built with it."""
+        if not self._built[k].all():
+            new = np.zeros_like(self._built)
+            new[k] = True
+            new &= ~self._built
+            todo = np.flatnonzero(new)
+            self._anti[todo] = _antiderivative(self.coef[todo], self._half[todo]).T
+            self._built[todo] = True
+        return self._anti
+
+    def _anti_list(self, k: int) -> list[float]:
+        """Panel k's antiderivative coefficients as Python floats."""
+        row = self._anti_lists.get(k)
+        if row is None:
+            row = self._anti_lists[k] = self._anti_rows(np.array([k]))[k].tolist()
+        return row
 
     @cached_property
     def _edge_list(self) -> list[float]:
@@ -247,10 +297,10 @@ class LadderTable:
             lo = self.phi.item(k)
             if t == self._edge_list[k]:
                 return lo
-            v = lo + _clenshaw(self._anti[:, k].tolist(), x)
+            v = lo + _clenshaw(self._anti_list(k), x)
             return min(max(v, lo), self.phi.item(k + 1))
         flat, k, x = self._panels(t)
-        out = self.phi[k] + _clenshaw(self._anti, x, k)
+        out = self.phi[k] + _clenshaw(self._anti_rows(k).T, x, k)
         out = np.minimum(np.maximum(out, self.phi[k]), self.phi[k + 1])
         exact = self.edges[k] == flat
         out[exact] = self.phi[k[exact]]
@@ -369,7 +419,8 @@ class LadderTable:
                              "the anchor value")
         ulps = np.spacing(np.maximum(np.abs(phi[:-1]), np.abs(phi[1:])))
         if not (np.all(np.diff(phi) >= 0.0)
-                and np.all(np.abs(np.diff(phi) - _steps(table._anti)) <= 4.0 * ulps)):
+                and np.all(np.abs(np.diff(phi) - _square_integrals(coef, table._half))
+                           <= 4.0 * ulps)):
             raise CacheError("ladder cache values decrease or disagree with the "
                              "integrals of their panel polynomials")
         return table

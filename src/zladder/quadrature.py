@@ -158,7 +158,11 @@ def integrate_adaptive_rows(
     going to the rows that rejected it.  Each row meets its panels in a solo
     run's order, so its result is bit-identical to a solo
     `integrate_adaptive` of that row when f's value at a point does not
-    depend on the other points of the batch.
+    depend on the other points of the batch.  That also rests on the batch
+    shape of the panel sums: `_gk15_sums` forms them through BLAS
+    (`vals @ _WK`), whose bits for a panel change with the number of panels
+    in the call, and each row's call holds exactly the panels of its solo
+    round, not the pooled batch.
     Raises QuadratureError for the first row (in round, then row order) that
     exhausts its panel budget or meets a non-finite value.
     """

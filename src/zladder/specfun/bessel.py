@@ -217,36 +217,37 @@ def _mcmahon_guess(nu: float, n: int) -> float:
             - 32.0 * (mu - 1.0) * (83.0 * mu * mu - 982.0 * mu + 3779.0) / (15.0 * e ** 5))
 
 
-def _refine_zero(nu: float, lo: float, hi: float) -> tuple[float, float | None]:
-    """Safeguarded Newton inside the sign-change bracket [lo, hi]: the zero,
-    and J_nu there when the last step evaluated it (else None).  The
-    derivative J_nu'(x) = (nu/x) J_nu(x) - J_{nu+1}(x), safe for all nu > -1,
-    takes J_nu(x) from the step's own evaluation."""
-    flo = _bessel_j_any(nu, np.float64(lo))
-    x = 0.5 * (lo + hi)
+def _refine_zero(nu: float, lo: float, hi: float, x: float,
+                 f_lo_positive: bool) -> tuple[float, float, float]:
+    """Safeguarded Newton from x inside the sign-change bracket [lo, hi],
+    where J_nu(lo) > 0 iff `f_lo_positive`: the zero, J_nu and J_{nu+1}
+    there.  The derivative J_nu'(x) = (nu/x) J_nu(x) - J_{nu+1}(x), safe for
+    all nu > -1, takes J_nu(x) from the step's own evaluation, and the
+    iteration ends at Newton's fixed point: the double a step rounds back to."""
     for _ in range(100):
         f = float(_bessel_j_any(nu, np.float64(x)))
+        g = float(_bessel_j_any(nu + 1.0, np.float64(x)))
         if f == 0.0:
-            return x, f
-        if (f > 0.0) == (flo > 0.0):
+            return x, f, g
+        if (f > 0.0) == f_lo_positive:
             lo = x
         else:
             hi = x
-        step = f / float((nu / x) * f - _bessel_j_any(nu + 1.0, np.float64(x)))
-        x_new = x - step
+        x_new = x - f / ((nu / x) * f - g)
         if x_new == x:   # the step is below half an ulp: x is Newton's fixed point
-            return x, f
+            return x, f, g
         if not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-15 * x:
-            return x_new, None
+            if x_new in (lo, hi):   # the bracket is two adjacent doubles
+                return x, f, g
         x = x_new
     raise ConvergenceError(f"bessel zero refinement stalled for nu={nu} in [{lo}, {hi}]")
 
 
-def _bracket_zero(nu: float, start: float, guess: float) -> tuple[float, float]:
-    """First sign change of J_nu at or beyond `start`, seeded near `guess`."""
-    lo = max(start, guess - 1.0)
+def _bracket_zero(nu: float, start: float) -> tuple[float, float]:
+    """First sign change of J_nu at or beyond `start`, by steps of 0.25, well
+    below the spacing of the zeros (about pi)."""
+    lo = start
     f_lo = float(_bessel_j_any(nu, np.float64(lo)))
     step = 0.25
     x = lo
@@ -259,6 +260,41 @@ def _bracket_zero(nu: float, start: float, guess: float) -> tuple[float, float]:
             return x, x_next
         x, f_lo = x_next, f_next
     raise ConvergenceError(f"no sign change found for nu={nu} beyond {start}")
+
+
+def _first_zero_floor(nu: float) -> float:
+    """A point below j_{nu,1}: Rayleigh's sum sum_k j_{nu,k}^-4 =
+    1 / (16 (nu+1)^2 (nu+2)) bounds j_{nu,1} from below, and j_{nu,1} > nu
+    for nu > 0 (Watson, Treatise, 15.3 and 15.51)."""
+    return max(nu, (16.0 * (nu + 1.0) ** 2 * (nu + 2.0)) ** 0.25)
+
+
+def _spacing_floor(nu: float, x0: float) -> float:
+    """A lower bound on the distance of consecutive zeros of J_nu beyond
+    x0 > 0: sqrt(x) J_nu solves u'' + (1 + (1/4 - nu^2) / x^2) u = 0, so by
+    Sturm's comparison with u'' + q u = 0, q its coefficient's largest value
+    on [x0, inf), they are at least pi / sqrt(q) apart."""
+    return math.pi / math.sqrt(1.0 + max(0.0, 0.25 - nu * nu) / (x0 * x0))
+
+
+def _mcmahon_bracket(nu: float, k: int, prev: float | None):
+    """(lo, hi, guess): the bracket [guess - 0.05, guess + 0.05] around
+    McMahon's guess for the k-th zero, if it provably holds that zero; else
+    None.  J_nu has the sign (-1)^(k-1) between the (k-1)-th zero `prev` (or,
+    for k = 1, a point below the first) and the k-th, so a bracket whose ends
+    carry (-1)^(k-1) and (-1)^k holds an odd number of zeros, and the stretch
+    below it an even number, which is none when it is shorter than two
+    spacings of the zeros (one for k = 1, whose stretch does not start at a
+    zero)."""
+    guess = _mcmahon_guess(nu, k)
+    lo, hi = guess - 0.05, guess + 0.05
+    base = _first_zero_floor(nu) if prev is None else prev
+    reach = (1.0 if prev is None else 2.0) * _spacing_floor(nu, base)
+    sign = 1.0 if k % 2 else -1.0   # of J_nu just below the k-th zero
+    if (base < lo < base + reach and sign * float(_bessel_j_any(nu, np.float64(lo))) > 0.0
+            and sign * float(_bessel_j_any(nu, np.float64(hi))) < 0.0):
+        return lo, hi, guess
+    return None
 
 
 @dataclass
@@ -278,17 +314,23 @@ class BesselZeroTable:
     def extend_to(self, n: int) -> None:
         while len(self.zeros) < n:
             k = len(self.zeros) + 1
-            guess = _mcmahon_guess(self.nu, k)
-            start = self.zeros[-1] + 1e-6 if self.zeros else max(self.nu, 0.0) + 1e-3
-            lo, hi = _bracket_zero(self.nu, start, guess)
-            zk, fk = _refine_zero(self.nu, lo, hi)
-            if fk is None:
-                fk = float(_bessel_j_any(self.nu, np.float64(zk)))
+            prev = self.zeros[-1] if self.zeros else None
+            bracket = _mcmahon_bracket(self.nu, k, prev)
+            if bracket is None:
+                start = prev + 1e-6 if prev is not None else _first_zero_floor(self.nu)
+                lo, hi = _bracket_zero(self.nu, start)
+                bracket = lo, hi, 0.5 * (lo + hi)
+            zk, fk, gk = _refine_zero(self.nu, *bracket, k % 2 == 1)
             resid = abs(fk)
             if resid > 1e-12:
                 raise ConvergenceError(
                     f"zero residual {resid:.2e} above 1e-12 for nu={self.nu}, n={k}")
+            if (gk > 0.0) != (k % 2 == 1):
+                raise ConvergenceError(
+                    f"the zero found for nu={self.nu}, n={k} at {zk!r} is not the "
+                    f"{k}-th: J_(nu+1) there has the wrong sign")
             self.zeros.append(zk)
+            self.norms[k] = 0.5 * gk * gk
             self.residual_bound = max(self.residual_bound, resid)
 
     def norm_sq(self, n: int) -> float:
@@ -303,16 +345,19 @@ class BesselZeroTable:
         """The read-only Chebyshev coefficients, in s = 2 u^2 - 1, of
         g(u) = J_nu(mu_n u) / (mu_n u / 2)^nu on 0 <= u <= 1, for each n of
         `ns`; none is kept unless all the missing ones build."""
-        self.proxies.update({n: _proxy_coefficients(self.nu, self.zeros[n - 1])
-                             for n in dict.fromkeys(ns) if n not in self.proxies})
+        missing = [n for n in dict.fromkeys(ns) if n not in self.proxies]
+        if missing:
+            self.proxies.update(zip(missing, _proxy_coefficients(
+                self.nu, [self.zeros[n - 1] for n in missing])))
         return [self.proxies[n] for n in ns]
 
     def to_dict(self) -> dict:
         return {"zeros": list(self.zeros), "residual_bound": self.residual_bound}
 
 
-def _proxy_coefficients(nu: float, mu: float) -> np.ndarray:
-    """Chebyshev coefficients of g(u) = J_nu(mu u) / (mu u / 2)^nu in s.
+def _proxy_coefficients(nu: float, mus) -> list[np.ndarray]:
+    """Chebyshev coefficients of g(u) = J_nu(mu u) / (mu u / 2)^nu in s, one
+    array per mu of `mus`.
 
     g is even and entire, so it is a series in s = 2 u^2 - 1.  It is sampled
     by the scaled series and recurrence at the Chebyshev-Lobatto points
@@ -322,16 +367,35 @@ def _proxy_coefficients(nu: float, mu: float) -> np.ndarray:
     largest coefficient of its last quarter, the noise floor, is within
     `_PROXY_CHOP_TOL` of the largest sample, so what is cut stays a few eps
     of g(0).  The coefficients past the last one above that floor are cut.
+    The points nest, the degree-N ones being the even ones of degree 2N: one
+    call of the sampler draws degree 32 for every mu, and each later degree
+    only its new points for the mus still open; a point has the bits it has
+    sampled alone.
     """
     n = _PROXY_MIN_DEGREE
-    while n <= _PROXY_MAX_DEGREE:
-        x = mu * np.cos(np.pi * np.arange(n + 1) / (2 * n))
-        c = _chopped(_bessel_j_any(nu, x, scaled=True), n)
-        if c is not None:
-            return c
+    mu = np.asarray(mus, dtype=float)[:, None]
+    rows = np.arange(len(mu))   # the mus still open, one row of g each
+    # the first call draws degree 2n at once; degree n reads its even points
+    g = _bessel_j_any(nu, mu * np.cos(np.pi * np.arange(2 * n + 1) / (4 * n)), scaled=True)
+    out = [None] * len(mu)
+    while True:
+        for i, row in zip(rows.tolist(), g[:, ::(g.shape[1] - 1) // n]):
+            out[i] = _chopped(row, n)
+        still = np.array([out[i] is None for i in rows.tolist()], dtype=bool)
+        if not still.any():
+            return out
+        if n >= _PROXY_MAX_DEGREE:
+            raise ConvergenceError(
+                f"the Chebyshev proxy of J_{nu}(mu u) did not chop by degree "
+                f"{_PROXY_MAX_DEGREE} for mu = {mu.item(rows[still][0])}")
         n *= 2
-    raise ConvergenceError(f"the Chebyshev proxy of J_{nu}(mu u) did not chop by "
-                           f"degree {_PROXY_MAX_DEGREE} for mu = {mu}")
+        rows, g = rows[still], g[still]
+        if g.shape[1] < n + 1:   # draw the odd points of degree n
+            both = np.empty((len(rows), n + 1))
+            both[:, ::2] = g
+            both[:, 1::2] = _bessel_j_any(
+                nu, mu[rows] * np.cos(np.pi * np.arange(1, n, 2) / (2 * n)), scaled=True)
+            g = both
 
 
 def _chopped(g: np.ndarray, n: int) -> np.ndarray | None:
@@ -454,7 +518,8 @@ def load_zero_cache(path) -> int:
 
     Raises `CacheError`, merging nothing, unless the file is UTF-8 JSON of
     the current version whose tables are keyed by a finite nu > -1 and hold
-    finite, positive, strictly increasing zeros z with |J_nu(z)| <= 1e-12.
+    finite, positive, strictly increasing zeros z with |J_nu(z)| <= 1e-12,
+    the k-th with J_{nu+1}(z) of the sign (-1)^(k+1), as the k-th zero has.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -475,11 +540,15 @@ def load_zero_cache(path) -> int:
                 raise CacheError(f"bessel zero cache {path}: table {key!r} is not "
                                  f"finite, positive, increasing zeros of an order "
                                  f"nu > -1")
-            for zk in zeros:   # the residual test `extend_to` applies
+            for k, zk in enumerate(zeros, 1):   # the tests `extend_to` applies
                 resid = abs(float(_bessel_j_any(nu, np.float64(zk))))
                 if not resid <= 1e-12:
                     raise CacheError(f"bessel zero cache {path}: table {key!r} holds "
                                      f"{zk!r}, where |J_nu| = {resid:.2e} > 1e-12")
+                if (float(_bessel_j_any(nu + 1.0, np.float64(zk))) > 0.0) != (k % 2 == 1):
+                    raise CacheError(f"bessel zero cache {path}: table {key!r} holds "
+                                     f"{zk!r} as zero {k}, but J_(nu+1) there has "
+                                     f"the sign of another zero's")
             tables.append((nu, zeros, bound))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CacheError(f"bessel zero cache {path} is malformed: {exc}") from exc

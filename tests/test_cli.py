@@ -241,6 +241,20 @@ class TestVerifyVerbs:
         assert len(reports) == 78
         assert len({V.sort_key(r) for r in reports}) == len(reports)
 
+    def test_plan_integrates_only_the_panels_it_touches(self, cache_env, monkeypatch):
+        # the paper's fixed plan: its windows and inversions touch a dozen of
+        # the ladder's 6000 panels, and only those get an antiderivative
+        import zladder.cli as C
+        tables = []
+        real = C._get_ladder
+        monkeypatch.setattr(C, "_get_ladder", lambda cfg: tables.append(real(cfg)) or tables[-1])
+        cfg = RunConfig(t_lo=1000.0, t_hi=7000.0, tol=1e-8, T=(1500.0, 3000.0, 6000.0),
+                        n_max=4)
+        assert len(_plan_reports(cfg)) == 242
+        (table,) = tables
+        assert len(table.coef) >= 6000
+        assert 0 < np.count_nonzero(table._built) <= 50
+
     def test_plan_T_outside_domain(self, capsys, cache_env):
         code = run_cli("verify", "theorem2", *LADDER_ARGS, "--T", "5000",
                        "--max-n", "1", "--out", "-")
@@ -348,6 +362,16 @@ class TestRun:
                        "--nu", "0", "--max-n", "1", "--out", "-", *flag) == EXIT_OK
         rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert rows and all(("elapsed" in r) == timed for r in rows)
+
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_csv_timings_add_an_elapsed_column(self, cache_env, capsys, timed):
+        assert run_cli("run", "--equations", "baseline", "--nu", "0", "--max-n", "2",
+                       "--out", "-", "--format", "csv", *(["--timings"] * timed)) == EXIT_OK
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.endswith("quadrature_error" + ",elapsed" * timed)
+        assert len(rows) == 3
+        if timed:
+            assert all(float(row.rsplit(",", 1)[1]) >= 0.0 for row in rows)
 
     @pytest.mark.parametrize("field", ["tol", "tol_exact", "tol_sanity",
                                        "tol_sanity_singular", "tol_ratio", "tol_baseline"])
@@ -565,6 +589,12 @@ EXIT_CASES = [
     ("run", [*PLAN, "--config", "TYPO"], EXIT_CONFIG),
     ("run", [*PLAN, "--config", "SECTION"], EXIT_CONFIG),
     ("run", [*PLAN, "--equations", "baseline", "--config", "PERCENT"], EXIT_OK),
+    # grids past MAX_GRID_POINTS are refused before anything is allocated
+    ("plot-data", ["--what", "z_trace", "--from", "100", "--to", "1e12"], EXIT_CONFIG),
+    ("plot-data", ["--what", "envelope", *LADDER_ARGS, "--T", "1005",
+                   "--points", "1000000000000"], EXIT_CONFIG),
+    ("ladder retardation", [*LADDER_ARGS, "--from", "1010", "--to", "1e12", "--step", "1"],
+     EXIT_CONFIG),
 ]
 
 

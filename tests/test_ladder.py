@@ -17,15 +17,21 @@ from zladder import (AdmissibilityError, CacheError, ConvergenceError,
 FIRST_ZETA_ZERO = 14.134725141734695
 
 
-def shifted(table, k0):
-    """The same ladder with phi_1 moved to 0 at checkpoint k0, so values in
-    the panels next to k0 show their partial integrals to the last bits."""
+def fresh(table, phi=None):
+    """The same ladder in a new table, with no panel's antiderivative built
+    (and with the values `phi`, if given)."""
     return LadderTable(
         evaluator=table.evaluator, t_lo=table.t_lo, t_hi=table.t_hi,
         anchor_t0=table.anchor_t0, anchor_value=table.anchor_value, h=table.h,
         build_tolerance=table.build_tolerance, edges=table.edges,
-        phi=table.phi - table.phi[k0], coef=table.coef,
+        phi=table.phi if phi is None else phi, coef=table.coef,
         residual_total=table.residual_total)
+
+
+def shifted(table, k0):
+    """The same ladder with phi_1 moved to 0 at checkpoint k0, so values in
+    the panels next to k0 show their partial integrals to the last bits."""
+    return fresh(table, table.phi - table.phi[k0])
 
 
 def points_in_panels(table, panels, per_panel, rng):
@@ -410,6 +416,105 @@ class TestEvalSharedHeads:
         table.invert(table.anchor_value + 3.5)
         table.breakpoints(1001.0, 1009.0)
         pushforward_integral(table, lambda x: np.ones_like(x), 950.0, 1.0)
+
+
+class TestPanelsOnFirstUse:
+    """A panel's antiderivative is built when a point first lands on it, and
+    a point's bits do not depend on which call built it."""
+
+    def test_load_builds_none(self, ev, small_ladder, tmp_path):
+        path = tmp_path / "ladder.npz"
+        small_ladder.save(path)
+        table = LadderTable.load(path, ev)
+        assert not table._built.any() and not table._anti_lists
+
+    def test_only_the_panels_touched(self, small_ladder):
+        table = fresh(small_ladder)
+        mid = 0.5 * (table.edges[:-1] + table.edges[1:])
+        table.eval(mid[[7, 5, 7]])
+        assert np.flatnonzero(table._built).tolist() == [5, 7]
+        table.eval(float(mid[9]))
+        table.ztilde_sq(mid[20:30])   # p itself needs no antiderivative
+        assert np.flatnonzero(table._built).tolist() == [5, 7, 9]
+        assert sorted(table._anti_lists) == [9]
+
+    def _cases(self, table, rng):
+        ts = np.concatenate([_special_ts(table), rng.uniform(table.t_lo, table.t_hi, 300)])
+        ys = rng.uniform(table.phi_lo, table.phi_hi, 40)
+        return ts, ys
+
+    def _bits(self, table, ts, ys, order):
+        """eval of ts as a batch and one at a time, and invert of ys, as hex,
+        with the panels first touched in the given order."""
+        def batch():
+            return [v.hex() for v in table.eval(ts).tolist()]
+
+        def single(step=1):
+            return [table.eval(t).hex() for t in ts.tolist()[::step]][::step]
+
+        def inverse(step=1):
+            return [table.invert(y).hex() for y in ys.tolist()[::step]][::step]
+
+        if order == "batch":
+            return batch(), single(), inverse()
+        if order == "scalar":
+            one = single()
+            return batch(), one, inverse()
+        if order == "invert":
+            inv = inverse()
+            return batch(), single(), inv
+        one, inv = single(-1), inverse(-1)   # from the top panel down
+        return batch(), one, inv
+
+    @pytest.mark.parametrize("order", ["batch", "scalar", "invert", "reverse"])
+    def test_order_of_first_touch(self, small_ladder, rng, order):
+        ts, ys = self._cases(small_ladder, rng)
+        up_front = fresh(small_ladder)
+        up_front._anti_rows(np.arange(len(up_front.coef)))
+        want = self._bits(up_front, ts, ys, "batch")
+        assert want[0] == want[1]
+        assert self._bits(fresh(small_ladder), ts, ys, order) == want
+
+    def test_four_threads(self, small_ladder, rng):
+        # the threads race to build the same panels (more threads than cores,
+        # a switch every few bytecodes); other bits or a lost row would show
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+        ts, ys = self._cases(small_ladder, rng)
+        ref = fresh(small_ladder)
+        want = self._bits(ref, ts, ys, "batch")
+        table = fresh(small_ladder)
+
+        def work(i):
+            part, targets = ts[i::4], ys[i::4]
+            return ([v.hex() for v in table.eval(part).tolist()],
+                    [table.eval(t).hex() for t in part.tolist()],
+                    [table.invert(y).hex() for y in targets.tolist()])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                parts = [f.result(timeout=120) for f in [pool.submit(work, i)
+                                                         for i in range(4)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(table._built, ref._built)
+        assert np.array_equal(table._anti[table._built], ref._anti[ref._built])
+        for i, (batch, single, inverse) in enumerate(parts):
+            assert batch == single == want[0][i::4]
+            assert inverse == want[2][i::4]
+
+    def test_load_check_is_the_integral_of_p_squared(self, small_ladder):
+        # the check's quadratic form and the antiderivative the values come
+        # from agree to an ulp of phi on every panel
+        from zladder.ladder import _antiderivative, _square_integrals, _steps
+        t = small_ladder
+        gram = _square_integrals(t.coef, t._half)
+        steps = _steps(_antiderivative(t.coef, t._half))
+        ulps = np.spacing(np.maximum(np.abs(t.phi[:-1]), np.abs(t.phi[1:])))
+        assert np.all(np.abs(gram - steps) <= ulps)
+        assert np.all(np.abs(np.diff(t.phi) - gram) <= ulps)
 
 
 class TestInvert:

@@ -44,14 +44,16 @@ def bessel_series_arrays(nu, x):
 
 
 # zeros and weighted norms 0.5 J_{nu+1}(mu_n)^2, n = 1..8, as computed by the
-# all-array series; the scalar series must reproduce them bit for bit
+# all-array series; the scalar series must reproduce them bit for bit.  Each
+# zero is within one ulp of mpmath's (TestBesselZerosOracle)
 SERIES_ZEROS_HEX = {
     0.0: ("0x1.33d152e971b40p+1", "0x1.6148f5b2c2e45p+2", "0x1.14eb56cccdecap+3",
           "0x1.79544008272b6p+3", "0x1.ddca13ef271d2p+3", "0x1.212313f8a19f6p+4",
           "0x1.5362dd173f792p+4", "0x1.85a3b930156ddp+4"),
-    0.5: ("0x1.921fb54442d1cp+1", "0x1.921fb54442d1cp+2", "0x1.2d97c7f3321d6p+3",
-          "0x1.921fb54442d1cp+3", "0x1.f6a7a29553866p+3", "0x1.2d97c7f3321d6p+4",
-          "0x1.5fdbbe9bba779p+4", "0x1.921fb54442d1cp+4"),
+    # fl(n pi), the double nearest each zero n pi of J_{1/2}
+    0.5: ("0x1.921fb54442d18p+1", "0x1.921fb54442d18p+2", "0x1.2d97c7f3321d2p+3",
+          "0x1.921fb54442d18p+3", "0x1.f6a7a2955385ep+3", "0x1.2d97c7f3321d2p+4",
+          "0x1.5fdbbe9bba775p+4", "0x1.921fb54442d18p+4"),
     1.0: ("0x1.ea75575af6f09p+1", "0x1.c0ff5f3b47250p+2", "0x1.458d0d0bdfc29p+3",
           "0x1.aa5baf310e5a2p+3", "0x1.0787b360508c5p+4", "0x1.39da8e7416ca4p+4",
           "0x1.6c294e3d4d8acp+4", "0x1.9e7570dcea106p+4"),
@@ -63,9 +65,9 @@ SERIES_NORMS_HEX = {
     0.0: ("0x1.13fb82b08fffap-3", "0x1.da3c464bca650p-5", "0x1.2dd1bd44addbap-5",
           "0x1.baad01348404dp-6", "0x1.5d7b804dbff9bp-6", "0x1.20b40c3df4550p-6",
           "0x1.ebdd7e9225923p-7", "0x1.ac661bd646900p-7"),
-    0.5: ("0x1.9f02f6222c713p-4", "0x1.9f02f6222c714p-5", "0x1.14aca416c84b7p-5",
-          "0x1.9f02f6222c713p-6", "0x1.4c025e81bd271p-6", "0x1.14aca416c84b5p-6",
-          "0x1.da4c87027bef2p-7", "0x1.9f02f6222c714p-7"),
+    0.5: ("0x1.9f02f6222c721p-4", "0x1.9f02f6222c723p-5", "0x1.14aca416c84bfp-5",
+          "0x1.9f02f6222c721p-6", "0x1.4c025e81bd281p-6", "0x1.14aca416c84bfp-6",
+          "0x1.da4c87027bf03p-7", "0x1.9f02f6222c723p-7"),
     1.0: ("0x1.4c37724e892aep-4", "0x1.70ecade2cdd64p-5", "0x1.fecab94c703e9p-6",
           "0x1.8699f314b5179p-6", "0x1.3c33383b8714ap-6", "0x1.099b947b444f9p-6",
           "0x1.c9f1b18b8cdf8p-7", "0x1.926f85302dd03p-7"),
@@ -233,7 +235,9 @@ class TestBesselZeros:
             table = BesselZeroTable(nu=nu)
             table.extend_to(4)
             assert [z.hex() for z in table.zeros] == hexes
-        assert count[0] == 160   # 222 when each Newton step evaluated J_nu twice
+        # 160 when Newton started at the middle of a scanned bracket, 222
+        # when each of its steps evaluated J_nu twice
+        assert count[0] == 62
 
     @pytest.mark.parametrize("nu", [0.0, 1.0])
     def test_residual_at_rounding_level(self, nu):
@@ -327,6 +331,54 @@ class TestBesselZeros:
         assert table.zeros == nudged and not table.proxies
         j = float(_bessel_j_any(nu + 1.0, np.float64(nudged[0])))
         assert bessel_norm_sq(nu, 1) == 0.5 * j * j != old
+
+
+class TestBesselZerosOracle:
+    """The zeros against mpmath's, and the k-th zero is the k-th however far
+    McMahon's guess is off."""
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5, 5.0])
+    def test_within_one_ulp(self, nu):
+        mpmath = pytest.importorskip("mpmath")
+        table = BesselZeroTable(nu=nu)
+        table.extend_to(64)
+        for k, z in enumerate(table.zeros, 1):
+            ref = mpmath.besseljzero(mpmath.mpf(nu), k)
+            assert abs(mpmath.mpf(z) - ref) <= math.ulp(z), (nu, k)
+
+    @pytest.mark.parametrize("nu", [10.0, 25.0, 40.0])
+    def test_large_orders(self, nu):
+        # McMahon's guess overshoots j_{nu,1} by more than 1 from nu ~ 20, and
+        # a scan from guess - 1 took j_{25,2} = 35.56 for j_{25,1} = 30.78
+        mpmath = pytest.importorskip("mpmath")
+        table = BesselZeroTable(nu=nu)
+        table.extend_to(16)
+        for k, z in enumerate(table.zeros, 1):
+            ref = mpmath.besseljzero(mpmath.mpf(nu), k)
+            assert abs(mpmath.mpf(z) - ref) <= 1e-12 * ref, (nu, k)
+
+    @pytest.mark.parametrize("ahead", [1, 2, 5])
+    def test_a_guess_zeros_ahead_is_not_taken(self, monkeypatch, ahead):
+        want = BesselZeroTable(nu=0.0)
+        want.extend_to(6)
+        real = B._mcmahon_guess
+        monkeypatch.setattr(B, "_mcmahon_guess", lambda nu, k: real(nu, k + ahead))
+        got = BesselZeroTable(nu=0.0)
+        got.extend_to(6)
+        assert all(abs(a - b) <= 2.0 * math.ulp(b) for a, b in zip(got.zeros, want.zeros))
+
+    def test_cache_shifted_by_one_zero_is_rejected(self, tmp_path):
+        # the zeros a finder that skipped j_{nu,1} wrote: still zeros, in order
+        from zladder import CacheError
+        nu = 23.5   # an order no other test touches
+        fresh = BesselZeroTable(nu=nu)
+        fresh.extend_to(4)
+        path = tmp_path / "zeros.json"
+        path.write_text(json.dumps({"version": 1, "tables": {
+            repr(nu): {"zeros": fresh.zeros[1:]}}}))
+        with pytest.raises(CacheError, match="sign"):
+            load_zero_cache(path)
+        assert float(nu) not in B._TABLES
 
 
 class TestSeriesBitwise:
@@ -477,6 +529,38 @@ class TestBesselProxy:
             assert abs(g[0] - g0) <= 4.0 * B._EPS * g0
             ref = bessel_j(nu, mu * u) / (0.5 * mu * u) ** nu
             assert np.max(np.abs(g[1:] - ref)) <= 16.0 * B._EPS * g0
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5, 5.0])
+    def test_sampled_together_as_one_at_a_time(self, nu):
+        # each mu alone, every degree's points in one call of the sampler
+        def alone(mu):
+            n = B._PROXY_MIN_DEGREE
+            while True:
+                x = mu * np.cos(np.pi * np.arange(n + 1) / (2 * n))
+                c = B._chopped(_bessel_j_any(nu, x, scaled=True), n)
+                if c is not None:
+                    return c
+                n *= 2
+
+        table = BesselZeroTable(nu=nu)
+        table.extend_to(16)
+        together = table.proxy_coefs(range(16, 0, -1))
+        assert [c.tobytes() for c in together] == [alone(z).tobytes()
+                                                   for z in table.zeros[::-1]]
+
+    def test_one_sampler_call_per_order(self, monkeypatch):
+        table = BesselZeroTable(nu=0.0)
+        table.extend_to(4)
+        calls = []
+        real = B._bessel_j_any
+
+        def counted(nu, x, scaled=False):
+            calls.append(np.size(x))
+            return real(nu, x, scaled)
+
+        monkeypatch.setattr(B, "_bessel_j_any", counted)
+        table.proxy_coefs([1, 2, 3, 4])
+        assert calls == [4 * 33]   # degree 32 for all four; 16 reads its even points
 
     def test_a_series_that_does_not_chop_raises(self, monkeypatch):
         from zladder import ConvergenceError
