@@ -3,16 +3,17 @@
 Verbs: `z eval`, `specfun zeros`, `ladder build|query|invert|retardation`,
 `verify baseline|theorem1|corollary|theorem2|sanity`, `plot-data`, `run`,
 `report`.  `verify F` is `run --equations F`: the same reports, the same
-judgement and the same exit code.  Ladder verbs and plans cache the ladder
-(checkpoints and panel coefficients) in `<cache root>/ladder-<ladder config
-hash>.npz` unless `--cache` names a file (written under exactly that name).
-A default cache of an older format has another name and is not read, so the
-ladder is rebuilt once; a `--cache` file in an older format (JSON, or a
-version-2 `.npz`) is rejected (exit 65) until `ladder build --rebuild`
-replaces it.  `report` lists the exactness (sanity) rows of an
-equation apart from its asymptotic rows, as `E2_x/sanity`.  The dest of a
-config flag is the `RunConfig` field it sets (`--out` of `run` and `verify`
-sets `path`), and a flag given wins over the `--config` file.
+judgement and the same exit code.  Plan row sets come from `verify.FAMILIES`,
+and every row that `verify.is_sanity` picks out is judged at `tol_sanity`.
+Ladder verbs and plans cache the ladder (checkpoints and panel coefficients)
+in `<cache root>/ladder-<ladder config hash>.npz` unless `--cache` names a
+file (written under exactly that name).  A default cache of an older format
+has another name and is not read, so the ladder is rebuilt once; a `--cache`
+file in an older format (JSON, or a version-2 `.npz`) is rejected (exit 65)
+until `ladder build --rebuild` replaces it.  `report` lists the sanity rows
+of an equation apart from its asymptotic rows, as `E2_x/sanity`.  The dest
+of a config flag is the `RunConfig` field it sets (`--out` of `run` and
+`verify` sets `path`), and a flag given wins over the `--config` file.
 
 Exit codes: 0 success, 1 exactness-layer failure, 2 asymptotic (soft)
 failure with reports still written, 64 config/usage error (including an
@@ -122,10 +123,6 @@ def _emit_reports(reports, cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 # judgement (hard = exactness layer, soft = asymptotic layer)
 
-def _is_sanity(params: dict) -> bool:
-    return params.get("weight") == "ztilde2"
-
-
 def _hard_failures(reports, cfg: RunConfig) -> list[str]:
     fails = []
     for r in reports:
@@ -138,10 +135,8 @@ def _hard_failures(reports, cfg: RunConfig) -> list[str]:
         elif r.equation_id == "E1_3_diag":
             if r.abs_error > cfg.tol_exact * (1.0 + r.rhs):
                 fails.append(f"E1_3 diag {r.params}: error = {r.abs_error:.3e}")
-        elif _is_sanity(r.params):
-            thr = (cfg.tol_sanity_singular if r.equation_id in V.SINGULAR_WEIGHT_EQS
-                   else cfg.tol_sanity)
-            if r.ratio is None or abs(r.ratio - 1.0) > thr:
+        elif V.is_sanity(r.params):
+            if r.ratio is None or abs(r.ratio - 1.0) > cfg.tol_sanity:
                 fails.append(f"sanity {r.equation_id} {r.params}: "
                              f"|ratio-1| = {abs((r.ratio or 0.0) - 1.0):.3e}")
     return fails
@@ -150,7 +145,7 @@ def _hard_failures(reports, cfg: RunConfig) -> list[str]:
 def _soft_failures(reports, cfg: RunConfig) -> list[str]:
     fails = []
     asym = [r for r in reports
-            if r.equation_id.startswith("E2_") and not _is_sanity(r.params)]
+            if r.equation_id.startswith("E2_") and not V.is_sanity(r.params)]
     for r in asym:
         if r.ratio is None or abs(r.ratio - 1.0) > cfg.tol_ratio:
             fails.append(f"{r.equation_id} {r.params}: |ratio-1| = "
@@ -264,28 +259,14 @@ def _cmd_ladder_retardation(args) -> int:
     return EXIT_OK
 
 
-def _family_sets(family: str, cfg: RunConfig) -> list:
-    """The row sets of one ladder family of the plan."""
-    if family == "theorem1":
-        return [s for T in cfg.T for nu in cfg.nu
-                for s in V.theorem1_sets(T, nu, cfg.n_max, tol=cfg.tol_exact)]
-    if family == "corollary":
-        return [s for nu in cfg.nu for s in V.corollary_sets(cfg.T, nu, cfg.n_max)]
-    args = (cfg.n_max, cfg.nu[0], cfg.alpha, cfg.beta)
-    if family == "theorem2":
-        return [s for T in cfg.T for eq in V.THEOREM2_MEMBERS
-                for s in V.theorem2_sets(T, eq, *args, tol_ratio=cfg.tol_ratio)]
-    return [s for T in cfg.T for eq in V.THEOREM2_MEMBERS
-            for s in V.sanity_sets(T, eq, *args)]
-
-
 def _plan_reports(cfg: RunConfig) -> list:
     """The report rows of every plan family.  The row sets of all ladder
     families go to one run of the window executor, so each window of the
     plan is inverted and integrated once for all of them, and every set's
     arguments are checked before any integration starts."""
     sets = [s for family in cfg.equations if family != "baseline"
-            for s in _family_sets(family, cfg)]
+            for s in V.family_sets(family, cfg.T, cfg.nu, cfg.n_max, alpha=cfg.alpha,
+                                   beta=cfg.beta, tol=cfg.tol_exact, tol_ratio=cfg.tol_ratio)]
     reports = []
     if sets:
         table = _get_ladder(cfg)
@@ -356,7 +337,7 @@ def _read_report_rows(path) -> list[tuple[str, float | None, float]]:
                     doc = json.loads(line)
                     ratio = doc.get("ratio")
                     key = str(doc["equation_id"])
-                    if _is_sanity(doc.get("params") or {}):
+                    if V.is_sanity(doc.get("params") or {}):
                         key += "/sanity"
                     rows.append((key,
                                  None if ratio is None else float(ratio),

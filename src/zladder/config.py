@@ -23,8 +23,7 @@ Sections and keys (all optional; defaults shown):
     alpha = 0.5
     beta = 0.5
     tol_exact = 1e-4
-    tol_sanity = 1e-4
-    tol_sanity_singular = 1e-3
+    tol_sanity = 1e-4      ; every exact-substitution (sanity) row
     tol_ratio = 0.25
     tol_baseline = 1e-9
 
@@ -51,8 +50,9 @@ from dataclasses import dataclass
 from .exceptions import DomainError
 from .ladder import ladder_config_hash
 from .rszeta import ZEvaluator
+from .verify import FAMILIES
 
-PLAN_EQUATIONS = ("baseline", "theorem1", "corollary", "theorem2", "sanity")
+PLAN_EQUATIONS = ("baseline", *FAMILIES)   # E1_2 and the ladder families
 
 
 def cache_root() -> str:
@@ -62,40 +62,34 @@ def cache_root() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "zladder")
 
 
-# (section, key, (parse, write)) of every INI field, in file order; a blank
-# value takes the default, and None is written blank
-_INT = (int, str)
-_FLOAT = (float, repr)
-_TEXT = (str, str)
-_FLOATS = (lambda raw: tuple(float(x) for x in raw.split()),
-           lambda xs: " ".join(map(repr, xs)))
-_WORDS = (lambda raw: tuple(raw.split()), " ".join)
-_BOOL = (lambda raw: raw.lower() in ("1", "true", "yes", "on"),
-         lambda on: "true" if on else "false")
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in raw.split())
+
+
+# (section, key, parse) of every INI field; a blank value takes the default
 _INI_FIELDS = (
-    ("evaluator", "rs_correction_order", _INT),
-    ("evaluator", "oracle_terms", _INT),
-    ("evaluator", "t_min_rs", _FLOAT),
-    ("ladder", "t_lo", _FLOAT),
-    ("ladder", "t_hi", _FLOAT),
-    ("ladder", "anchor_t0", _FLOAT),
-    ("ladder", "tol", _FLOAT),
-    ("ladder", "h", _FLOAT),
-    ("ladder", "cache", _TEXT),
-    ("plan", "equations", _WORDS),
-    ("plan", "T", _FLOATS),
-    ("plan", "nu", _FLOATS),
-    ("plan", "n_max", _INT),
-    ("plan", "alpha", _FLOAT),
-    ("plan", "beta", _FLOAT),
-    ("plan", "tol_exact", _FLOAT),
-    ("plan", "tol_sanity", _FLOAT),
-    ("plan", "tol_sanity_singular", _FLOAT),
-    ("plan", "tol_ratio", _FLOAT),
-    ("plan", "tol_baseline", _FLOAT),
-    ("output", "format", _TEXT),
-    ("output", "path", _TEXT),
-    ("output", "timings", _BOOL),
+    ("evaluator", "rs_correction_order", int),
+    ("evaluator", "oracle_terms", int),
+    ("evaluator", "t_min_rs", float),
+    ("ladder", "t_lo", float),
+    ("ladder", "t_hi", float),
+    ("ladder", "anchor_t0", float),
+    ("ladder", "tol", float),
+    ("ladder", "h", float),
+    ("ladder", "cache", str),
+    ("plan", "equations", lambda raw: tuple(raw.split())),
+    ("plan", "T", _floats),
+    ("plan", "nu", _floats),
+    ("plan", "n_max", int),
+    ("plan", "alpha", float),
+    ("plan", "beta", float),
+    ("plan", "tol_exact", float),
+    ("plan", "tol_sanity", float),
+    ("plan", "tol_ratio", float),
+    ("plan", "tol_baseline", float),
+    ("output", "format", str),
+    ("output", "path", str),
+    ("output", "timings", lambda raw: raw.lower() in ("1", "true", "yes", "on")),
 )
 
 
@@ -121,7 +115,6 @@ class RunConfig:
     beta: float = 0.5
     tol_exact: float = 1e-4
     tol_sanity: float = 1e-4
-    tol_sanity_singular: float = 1e-3
     tol_ratio: float = 0.25
     tol_baseline: float = 1e-9
     # output
@@ -130,8 +123,7 @@ class RunConfig:
     timings: bool = False
 
     def __post_init__(self):
-        for name in ("tol", "tol_exact", "tol_sanity", "tol_sanity_singular",
-                     "tol_ratio", "tol_baseline"):
+        for name in ("tol", "tol_exact", "tol_sanity", "tol_ratio", "tol_baseline"):
             if not getattr(self, name) > 0.0:   # NaN is not
                 raise DomainError(f"config: {name} must be positive")
         if not all(lo < hi for lo, hi in zip(self.T, self.T[1:])):
@@ -158,8 +150,7 @@ class RunConfig:
         except (OSError, configparser.Error) as exc:
             raise DomainError(f"config parse error in {path}: {exc}") from exc
         # configparser lowercases keys and strips values
-        known = {(section, key.lower()): (key, parse)
-                 for section, key, (parse, _) in _INI_FIELDS}
+        known = {(section, key.lower()): (key, parse) for section, key, parse in _INI_FIELDS}
         for section in parser.sections():
             if section not in {s for s, _ in known}:
                 raise DomainError(f"config {path}: unknown section [{section}]")
@@ -177,17 +168,6 @@ class RunConfig:
                             f"config parse error: [{section}] {key} = {raw!r}") from exc
         values.update(overrides or {})
         return cls(**values)
-
-    def to_ini(self, path: str) -> None:
-        """Write the full configuration; from_ini of the result round-trips."""
-        lines = []
-        for section, key, (_, write) in _INI_FIELDS:
-            if f"[{section}]" not in lines:
-                lines += ["", f"[{section}]"] if lines else [f"[{section}]"]
-            value = getattr(self, key)
-            lines.append(f"{key} = {'' if value is None else write(value)}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
 
     # -- derived -------------------------------------------------------------
 

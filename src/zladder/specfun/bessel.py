@@ -1,4 +1,5 @@
-"""Bessel functions J_nu (nu > -1), their positive zeros, and weighted norms.
+"""Bessel functions J_nu (-1 < nu <= NU_MAX = 100), their positive zeros,
+and weighted norms.
 
 Evaluation strategy
 -------------------
@@ -9,6 +10,10 @@ Evaluation strategy
 * x > 40: Miller's downward three-term recurrence in the order, normalized
   by the series  sum_k c_k J_{nu+2k}(x) = (x/2)^nu  with
   c_0 = Gamma(nu+1), c_k = (nu+2k) Gamma(nu+k) / k!.
+
+The terms of that normalization overflow at high order (J is 6.5e-2 off at
+nu = 131.25, and the zeros out to the 64th fail past nu = 120), so orders
+above NU_MAX = 100 are rejected, and a zero cache holding one is refused.
 
 Zeros are located from McMahon's asymptotic guess with a safeguarded
 Newton iteration inside a maintained sign-change bracket, and cached in
@@ -45,6 +50,8 @@ _PROXY_MAX_DEGREE = 512
 _EPS = float(np.finfo(float).eps)
 _PROXY_CHOP_TOL = 4.0 * _EPS
 _PROXY_MAX_ERROR = 1e-12   # bessel_j's contract for x <= 50
+
+NU_MAX = 100.0   # the largest order bessel_j and bessel_zero take
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +198,14 @@ def _bessel_j_any(nu: float, x: np.ndarray, scaled: bool = False) -> np.ndarray:
 
 
 def bessel_j(nu: float, x) -> float | np.ndarray:
-    """J_nu(x) for nu > -1 and 0 <= x <= 200.
+    """J_nu(x) for -1 < nu <= NU_MAX and 0 <= x <= 200.
 
     Absolute accuracy is ~1e-15, comfortably below the 1e-12 (x <= 50) and
     1e-10 (x <= 200) contracts.  Accepts scalars or arrays in x.
     """
     nu = float(nu)
-    if not nu > -1.0:   # NaN fails
-        raise DomainError(f"bessel_j requires nu > -1, got {nu}")
+    if not -1.0 < nu <= NU_MAX:   # NaN fails
+        raise DomainError(f"bessel_j requires -1 < nu <= {NU_MAX:g}, got {nu}")
     xa = np.asarray(x, dtype=float)
     if not (np.all(xa >= 0.0) and np.all(xa <= 200.0)):
         raise DomainError("bessel_j requires 0 <= x <= 200")
@@ -421,8 +428,8 @@ def bessel_zero(nu: float, n: int) -> float:
     """n-th positive zero mu_n of J_nu, cached; |J_nu(result)| <= 1e-12."""
     nu = float(nu)
     n = int(n)
-    if not nu > -1.0:
-        raise DomainError(f"bessel_zero requires nu > -1, got {nu}")
+    if not -1.0 < nu <= NU_MAX:   # NaN fails
+        raise DomainError(f"bessel_zero requires -1 < nu <= {NU_MAX:g}, got {nu}")
     if not 1 <= n <= 64:
         raise DomainError(f"bessel_zero requires 1 <= n <= 64, got {n}")
     with _TABLES_LOCK:
@@ -517,7 +524,7 @@ def load_zero_cache(path) -> int:
     """Merge a cache file into the in-memory tables; returns tables loaded.
 
     Raises `CacheError`, merging nothing, unless the file is UTF-8 JSON of
-    the current version whose tables are keyed by a finite nu > -1 and hold
+    the current version whose tables are keyed by a nu in (-1, NU_MAX] and hold
     finite, positive, strictly increasing zeros z with |J_nu(z)| <= 1e-12,
     the k-th with J_{nu+1}(z) of the sign (-1)^(k+1), as the k-th zero has.
     """
@@ -535,11 +542,11 @@ def load_zero_cache(path) -> int:
             zeros = [float(z) for z in payload["zeros"]]
             bound = float(payload.get("residual_bound", 0.0))
             z = np.array(zeros)
-            if not (np.isfinite(nu) and nu > -1.0 and np.all(np.isfinite(z))
+            if not (-1.0 < nu <= NU_MAX and np.all(np.isfinite(z))
                     and np.all(z > 0.0) and np.all(np.diff(z) > 0.0)):
                 raise CacheError(f"bessel zero cache {path}: table {key!r} is not "
                                  f"finite, positive, increasing zeros of an order "
-                                 f"nu > -1")
+                                 f"-1 < nu <= {NU_MAX:g}")
             for k, zk in enumerate(zeros, 1):   # the tests `extend_to` applies
                 resid = abs(float(_bessel_j_any(nu, np.float64(zk))))
                 if not resid <= 1e-12:

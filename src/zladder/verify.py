@@ -21,11 +21,12 @@ whose integrand evaluates phi_1, Ztilde^2 and ln t once per node and the
 Bessel rows once per nu, then forms every row with the operations, in the
 order, that the row's own integrand would use, so every row keeps the bits
 of an integral of that row alone at its own tolerance.  It returns one flat
-list, set by set.  A plan hands the executor every ladder family at once;
-each public family function is the executor run on that family's sets
-alone, and `sort_key` orders any mix of their reports totally.  E2_4 is
-E2_2 at one nu (the plan's nu[0]), bit for bit, and its sanity rows are
-E1_3's diagonal.
+list, set by set.  A plan hands the executor the sets of every family of the
+table `FAMILIES` (`family_sets`) at once; each public family function is the
+executor run on that family's sets alone, `is_sanity` tells the sanity rows
+apart, and `sort_key` orders any mix of their reports totally.  E2_4 is E2_2
+at one nu (the plan's nu[0]), bit for bit, and its sanity rows are E1_3's
+diagonal.
 
 E1_2 integrates its rows per nu in one rows call as well.  Each row of such
 a group records the elapsed time of the whole group (`--timings`).
@@ -140,52 +141,6 @@ def verify_bessel_baseline(nu: float, max_n: int, tol: float = 1e-9,
 
 
 # ---------------------------------------------------------------------------
-# the ladder-weighted Bessel orthogonality system (E1_3) with the
-# segment-distance diagnostic (E1_4), and the |zeta|^2-weighted Bessel
-# diagonal (E2_2): both are rows of the member table below
-
-def theorem1_sets(T: float, nu: float, max_n: int, tol: float = 1e-4,
-                  quad_tol: float = 1e-9) -> list[RowSet]:
-    """The row set of `verify_theorem1`: E1_3 at (T, nu) under Ztilde^2."""
-    T = float(T)
-    if T < 1e3:
-        raise DomainError("verify_theorem1 requires T >= 1e3 (working range)")
-    return [RowSet("E1_3", T, max_n, nu, quad_tol=quad_tol, zeta2=False, extra={"tol": tol})]
-
-
-def verify_theorem1(table: LadderTable, T: float, nu: float, max_n: int,
-                    tol: float = 1e-4,
-                    quad_tol: float = 1e-9) -> list[VerificationReport]:
-    """Weighted orthogonality of J_nu(mu_n (phi_1(t) - T)) on the preimage
-    of [T, T+1] under the weight (phi_1(t) - T) Ztilde^2(t).
-
-    Emits E1_3 rows for all unordered (m, n), integrated together, plus the
-    E1_4 segment-distance row dist([0,1], [phi^-1(T), phi^-1(T+1)]) / T.
-    """
-    return ladder_reports(table, theorem1_sets(T, nu, max_n, tol, quad_tol))
-
-
-def corollary_sets(T_list, nu: float, max_n: int, quad_tol: float = 1e-6) -> list[RowSet]:
-    """The row sets of `verify_corollary`: E2_2 at each T, ascending."""
-    Ts = sorted(np.atleast_1d(np.asarray(T_list, dtype=float)).tolist())
-    return [RowSet("E2_2", T, max_n, nu, quad_tol=quad_tol) for T in Ts]
-
-
-def verify_corollary(table: LadderTable, T_list, nu: float, max_n: int,
-                     quad_tol: float = 1e-6) -> list[VerificationReport]:
-    """The E2_2 integrals: |zeta(1/2+it)|^2-weighted Bessel diagonals against
-    0.5 J_{nu+1}(mu_n)^2 ln T for n = 1..max_n, one report per (T, n) (ratio
-    -> 1 as T grows); the rows n of one T are integrated together."""
-    return ladder_reports(table, corollary_sets(T_list, nu, max_n, quad_tol))
-
-
-def ratio_trend_nonincreasing(reports: list[VerificationReport]) -> bool:
-    """Whether |ratio - 1| is nonincreasing along the given report sequence."""
-    errs = [abs(r.ratio - 1.0) for r in reports if r.ratio is not None]
-    return all(e2 <= e1 for e1, e2 in zip(errs, errs[1:]))
-
-
-# ---------------------------------------------------------------------------
 # the modulated-oscillation envelope table
 
 def envelope_23(table: LadderTable, T: float, nu: float, n: int,
@@ -230,14 +185,22 @@ LADDER_MEMBERS = {
     "E2_10": ("chebyshev_u", (0.5, 0.5), 0, 16),
 }
 
-# the integral-equation family, which `verify_theorem2` and
-# `sanity_theorem2_exact` take
+# the integral-equation family, the members of theorem2 and sanity
 THEOREM2_MEMBERS = {eq: m for eq, m in LADDER_MEMBERS.items() if eq not in ("E1_3", "E2_2")}
 
-# members whose weight blows up at the ends of the window; their sanity rows
-# are judged against tol_sanity_singular
-SINGULAR_WEIGHT_EQS = frozenset(
-    eq for eq, (_, ab, *_) in THEOREM2_MEMBERS.items() if ab != "params" and min(ab) < 0.0)
+
+# The plan families of ladder rows (the plan's "baseline", E1_2, needs no
+# ladder): family -> (members, the zeta2 and default quad_tol of their RowSets,
+# every_nu: at every nu of the plan or only the first, the params their rows
+# record, with defaults).  theorem1 is E1_3 with its segment-distance row E1_4,
+# corollary E2_2, and theorem2 and sanity the integral-equation family in
+# either layer; the weight param marks the sanity rows (`is_sanity`).
+FAMILIES = {
+    "theorem1": (("E1_3",), False, 1e-9, True, {"tol": 1e-4}),
+    "corollary": (("E2_2",), True, 1e-6, True, {}),
+    "theorem2": (tuple(THEOREM2_MEMBERS), True, 1e-6, False, {"tol_ratio": 0.25}),
+    "sanity": (tuple(THEOREM2_MEMBERS), False, 1e-8, False, {"weight": "ztilde2"}),
+}
 
 
 @dataclass
@@ -261,6 +224,35 @@ class RowSet:
     quad_tol: float = 1e-6
     zeta2: bool = True
     extra: dict = field(default_factory=dict)
+
+
+def family_sets(family: str, T_list, nu_list, max_n: int, *, alpha: float = 0.5,
+                beta: float = 0.5, quad_tol: float | None = None, eqs=None,
+                **recorded) -> list[RowSet]:
+    """The row sets of one family of FAMILIES: one per T (ascending), nu and
+    member (all, or those of `eqs`).  `recorded` sets the params the family
+    records (tol of theorem1, tol_ratio of theorem2) and is ignored
+    otherwise; `ladder_reports` checks the rest."""
+    if family not in FAMILIES:
+        raise DomainError(f"unknown plan family {family!r}")
+    members, zeta2, default_tol, every_nu, params = FAMILIES[family]
+    for eq in eqs or ():
+        if eq not in members:
+            raise DomainError(f"unknown equation id {eq!r}")
+    Ts = sorted(float(T) for T in T_list)
+    if "E1_3" in members and not all(T >= 1e3 for T in Ts):   # NaN fails
+        raise DomainError("theorem1 requires T >= 1e3 (working range)")
+    extra = {k: recorded.get(k, v) for k, v in params.items()}
+    return [RowSet(eq, T, max_n, nu, alpha, beta,
+                   default_tol if quad_tol is None else quad_tol, zeta2, extra)
+            for T in Ts for nu in (nu_list if every_nu else nu_list[:1])
+            for eq in (eqs or members)]
+
+
+def is_sanity(params: dict) -> bool:
+    """Whether a row with these params is an exact-substitution (sanity) row,
+    which `cli` judges at tol_sanity and `zladder report` lists as E2_x/sanity."""
+    return params.get("weight") == "ztilde2"
 
 
 class _Nodes:
@@ -463,32 +455,32 @@ def ladder_reports(table: LadderTable, sets: list[RowSet]) -> list[VerificationR
     return [r for reports in out for r in reports]
 
 
-def _theorem2_sets(T: float, eq: str, max_n: int, nu: float, alpha: float, beta: float,
-                   quad_tol: float, zeta2: bool, extra: dict) -> list[RowSet]:
-    if eq not in THEOREM2_MEMBERS:
-        raise DomainError(f"unknown equation id {eq!r}")
-    return [RowSet(eq, float(T), max_n, nu, alpha, beta, quad_tol, zeta2, extra)]
+def verify_theorem1(table: LadderTable, T: float, nu: float, max_n: int,
+                    tol: float = 1e-4,
+                    quad_tol: float | None = None) -> list[VerificationReport]:
+    """Weighted orthogonality of J_nu(mu_n (phi_1(t) - T)) on the preimage
+    of [T, T+1] under the weight (phi_1(t) - T) Ztilde^2(t).
+
+    Emits E1_3 rows for all unordered (m, n), integrated together, plus the
+    E1_4 segment-distance row dist([0,1], [phi^-1(T), phi^-1(T+1)]) / T.
+    """
+    return ladder_reports(table, family_sets("theorem1", [T], [nu], max_n,
+                                             quad_tol=quad_tol, tol=tol))
 
 
-def theorem2_sets(T: float, eq: str, max_n: int, nu: float = 0.0, alpha: float = 0.5,
-                  beta: float = 0.5, tol_ratio: float = 0.25,
-                  quad_tol: float = 1e-6) -> list[RowSet]:
-    """The row set of `verify_theorem2`."""
-    return _theorem2_sets(T, eq, max_n, nu, alpha, beta, quad_tol, True,
-                          {"tol_ratio": tol_ratio})
-
-
-def sanity_sets(T: float, eq: str, max_n: int, nu: float = 0.0, alpha: float = 0.5,
-                beta: float = 0.5, quad_tol: float = 1e-8) -> list[RowSet]:
-    """The row set of `sanity_theorem2_exact`."""
-    return _theorem2_sets(T, eq, max_n, nu, alpha, beta, quad_tol, False,
-                          {"weight": "ztilde2"})
+def verify_corollary(table: LadderTable, T_list, nu: float, max_n: int,
+                     quad_tol: float | None = None) -> list[VerificationReport]:
+    """The E2_2 integrals: |zeta(1/2+it)|^2-weighted Bessel diagonals against
+    0.5 J_{nu+1}(mu_n)^2 ln T for n = 1..max_n, one report per (T, n) (ratio
+    -> 1 as T grows); the rows n of one T are integrated together."""
+    return ladder_reports(table, family_sets("corollary", T_list, [nu], max_n,
+                                             quad_tol=quad_tol))
 
 
 def verify_theorem2(table: LadderTable, T: float, eq: str, max_n: int,
                     nu: float = 0.0, alpha: float = 0.5, beta: float = 0.5,
                     tol_ratio: float = 0.25,
-                    quad_tol: float = 1e-6) -> list[VerificationReport]:
+                    quad_tol: float | None = None) -> list[VerificationReport]:
     """One member of the E2_4..E2_10 family with the |zeta|^2 weight, one
     report per degree (1..max_n, or the member's fixed degree).
 
@@ -497,17 +489,25 @@ def verify_theorem2(table: LadderTable, T: float, eq: str, max_n: int,
     (alpha, beta) E2_5's Jacobi exponents.  `tol_ratio` is recorded in the
     params for downstream judgement of |ratio - 1|.
     """
-    return ladder_reports(table, theorem2_sets(T, eq, max_n, nu, alpha, beta, tol_ratio,
-                                               quad_tol))
+    return ladder_reports(table, family_sets("theorem2", [T], [nu], max_n, alpha=alpha,
+                                             beta=beta, quad_tol=quad_tol, eqs=[eq],
+                                             tol_ratio=tol_ratio))
 
 
 def sanity_theorem2_exact(table: LadderTable, T: float, eq: str, max_n: int,
                           nu: float = 0.0, alpha: float = 0.5, beta: float = 0.5,
-                          quad_tol: float = 1e-8) -> list[VerificationReport]:
+                          quad_tol: float | None = None) -> list[VerificationReport]:
     """Same integrals with weight Ztilde^2: the change-of-variables identity
     makes the ratio exactly 1 up to quadrature error, isolating the numeric
     stack from the asymptotic ln-xi ~ ln-T step."""
-    return ladder_reports(table, sanity_sets(T, eq, max_n, nu, alpha, beta, quad_tol))
+    return ladder_reports(table, family_sets("sanity", [T], [nu], max_n, alpha=alpha,
+                                             beta=beta, quad_tol=quad_tol, eqs=[eq]))
+
+
+def ratio_trend_nonincreasing(reports: list[VerificationReport]) -> bool:
+    """Whether |ratio - 1| is nonincreasing along the given report sequence."""
+    errs = [abs(r.ratio - 1.0) for r in reports if r.ratio is not None]
+    return all(e2 <= e1 for e1, e2 in zip(errs, errs[1:]))
 
 
 def ln_t_placement_shift(ratio: float, T: float, interval: tuple[float, float]) -> float:
@@ -538,4 +538,4 @@ def sort_key(report: VerificationReport):
     p = report.params
     return (report.equation_id, p.get("T", 0.0), p.get("nu", -2.0),
             p.get("alpha", -2.0), p.get("beta", -2.0),
-            p.get("n", -1), p.get("m", -1), p.get("weight") == "ztilde2")
+            p.get("n", -1), p.get("m", -1), is_sanity(p))

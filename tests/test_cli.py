@@ -173,6 +173,27 @@ class TestVerifyVerbs:
         assert run_cli("verify", "sanity", *LADDER_ARGS, "--T", "1000",
                        "--max-n", "1", "--out", "-") == EXIT_OK
 
+    def test_singular_weight_sanity_row_judged_at_tol_sanity(self, capsys, cache_env,
+                                                             monkeypatch):
+        # an E2_7 sanity row 2e-4 off fails at the default tol_sanity of 1e-4,
+        # like the sanity row of any other member
+        real = V.ladder_reports
+
+        def off(table, sets):
+            reports = real(table, sets)
+            for r in reports:
+                if r.equation_id == "E2_7":
+                    r.lhs = r.rhs * (1.0 + 2e-4)
+                    r.ratio = r.lhs / r.rhs
+            return reports
+
+        monkeypatch.setattr(V, "ladder_reports", off)
+        assert run_cli("verify", "sanity", *LADDER_ARGS, "--T", "1000",
+                       "--max-n", "1", "--out", "-") == EXIT_HARD
+        fails = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("FAIL")]
+        assert len(fails) == 1 and fails[0].startswith("FAIL sanity E2_7 ")
+
     def test_theorem2_soft_failure_exit(self, capsys, cache_env, tmp_path):
         out = tmp_path / "reports.jsonl"
         code = run_cli("verify", "theorem2", *LADDER_ARGS, "--T", "1000",
@@ -194,8 +215,9 @@ class TestVerifyVerbs:
         assert fails and all("'tol_ratio': 0.01" in line for line in fails)
 
         ini = tmp_path / "run.ini"
-        RunConfig(t_lo=1000.0, t_hi=1090.0, tol=1e-9, T=(1000.0,), n_max=1,
-                  tol_ratio=0.5, equations=("theorem2",)).to_ini(ini)
+        ini.write_text("[ladder]\nt_lo = 1000.0\nt_hi = 1090.0\ntol = 1e-9\n"
+                       "[plan]\nequations = theorem2\nT = 1000.0\nn_max = 1\n"
+                       "tol_ratio = 0.5\n")
         assert run_cli("run", "--config", str(ini), "--out", "-") == EXIT_OK
         rows = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
         assert len(rows) == 7
@@ -283,19 +305,42 @@ class TestVerifyVerbs:
 
 
 class TestRun:
-    def write_config(self, path, **plan):
-        cfg = RunConfig(t_lo=1000.0, t_hi=1090.0, tol=1e-9,
-                        T=(1000.0,), nu=(0.0,), n_max=plan.get("n_max", 1),
-                        equations=plan.get("equations", ("baseline", "sanity")),
-                        path=plan.get("out", "reports.jsonl"))
-        cfg.to_ini(path)
-        return cfg
+    def write_config(self, path, equations="baseline sanity"):
+        path.write_text("[ladder]\nt_lo = 1000.0\nt_hi = 1090.0\ntol = 1e-9\n\n"
+                        f"[plan]\nequations = {equations}\nT = 1000.0\nnu = 0.0\n"
+                        "n_max = 1\n")
 
-    def test_config_roundtrip(self, tmp_path):
+    def test_from_ini_sets_every_key(self, tmp_path):
+        # every RunConfig field from its key, each away from its default, so
+        # every parser is exercised
         path = tmp_path / "run.ini"
-        cfg = self.write_config(path)
-        again = RunConfig.from_ini(str(path))
-        assert again == cfg
+        path.write_text(
+            "[evaluator]\nrs_correction_order = 3\noracle_terms = 6\nt_min_rs = 40.0\n"
+            "[ladder]\nt_lo = 1001.0\nt_hi = 1090.0\nanchor_t0 = 1005.0\ntol = 1e-9\n"
+            "h = 0.5\ncache = c.npz\n"
+            "[plan]\nequations = baseline sanity\nT = 1000.0 1005.0\nnu = 0.0 2.5\n"
+            "n_max = 2\nalpha = 0.25\nbeta = 0.75\ntol_exact = 1e-5\ntol_sanity = 2e-5\n"
+            "tol_ratio = 0.5\ntol_baseline = 1e-10\n"
+            "[output]\nformat = csv\npath = r.csv\ntimings = true\n")
+        want = RunConfig(rs_correction_order=3, oracle_terms=6, t_min_rs=40.0, t_lo=1001.0,
+                         t_hi=1090.0, anchor_t0=1005.0, tol=1e-9, h=0.5, cache="c.npz",
+                         equations=("baseline", "sanity"), T=(1000.0, 1005.0),
+                         nu=(0.0, 2.5), n_max=2, alpha=0.25, beta=0.75, tol_exact=1e-5,
+                         tol_sanity=2e-5, tol_ratio=0.5, tol_baseline=1e-10,
+                         format="csv", path="r.csv", timings=True)
+        assert RunConfig.from_ini(str(path)) == want
+        default = RunConfig()
+        assert all(getattr(want, f.name) != getattr(default, f.name)
+                   for f in dataclasses.fields(RunConfig))
+
+    def test_removed_sanity_singular_key_exits_64(self, capsys, tmp_path):
+        # every sanity row is judged at tol_sanity; the old key is unknown
+        ini = tmp_path / "old.ini"
+        ini.write_text("[plan]\ntol_sanity_singular = 1e-3\n")
+        assert run_cli("run", "--config", str(ini), "--out", "-") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "tol_sanity_singular" in err
 
     def test_run_deterministic_reports(self, cache_env, tmp_path):
         ini = tmp_path / "run.ini"
@@ -308,7 +353,7 @@ class TestRun:
 
     def test_run_baseline_only_plan(self, cache_env, tmp_path, capsys):
         ini = tmp_path / "base.ini"
-        self.write_config(ini, equations=("baseline",))
+        self.write_config(ini, equations="baseline")
         code = run_cli("run", "--config", str(ini), "--out", "-")
         assert code == EXIT_OK
         rows = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
@@ -373,8 +418,8 @@ class TestRun:
         if timed:
             assert all(float(row.rsplit(",", 1)[1]) >= 0.0 for row in rows)
 
-    @pytest.mark.parametrize("field", ["tol", "tol_exact", "tol_sanity",
-                                       "tol_sanity_singular", "tol_ratio", "tol_baseline"])
+    @pytest.mark.parametrize("field", ["tol", "tol_exact", "tol_sanity", "tol_ratio",
+                                       "tol_baseline"])
     @pytest.mark.parametrize("value", [0.0, -1e-9, float("nan")])
     def test_tolerance_must_be_positive(self, field, value):
         from zladder import DomainError
@@ -595,6 +640,9 @@ EXIT_CASES = [
                    "--points", "1000000000000"], EXIT_CONFIG),
     ("ladder retardation", [*LADDER_ARGS, "--from", "1010", "--to", "1e12", "--step", "1"],
      EXIT_CONFIG),
+    # Bessel orders past NU_MAX = 100, where J's normalization would overflow
+    ("verify baseline", ["--nu", "170", "--max-n", "1", "--out", "-"], EXIT_CONFIG),
+    ("specfun zeros", ["--nu", "inf", "--count", "1"], EXIT_CONFIG),
 ]
 
 
@@ -612,7 +660,7 @@ def test_verb_exit_code(capsys, monkeypatch, tmp_path, shared_cache_root,
              "ZEROS": tmp_path / "zeros.json", "TYPO": tmp_path / "typo.ini",
              "SECTION": tmp_path / "section.ini", "PERCENT": tmp_path / "percent.ini"}
     files["BROKEN"].write_text("{broken\n")
-    files["TIGHT"].write_text("[plan]\ntol_sanity = 1e-30\ntol_sanity_singular = 1e-30\n")
+    files["TIGHT"].write_text("[plan]\ntol_sanity = 1e-30\n")
     files["TYPO"].write_text("[plan]\nn_mx = 8\n")
     files["SECTION"].write_text("[plann]\nn_max = 8\n")
     files["PERCENT"].write_text("[output]\npath = r%1.jsonl\n")

@@ -583,6 +583,41 @@ class TestBesselJOracle:
         assert np.max(err[x <= 50.0]) <= 1e-12
         assert np.max(err) <= 1e-10
 
+    def test_orders_up_to_the_cap(self):
+        # the same contract at every 3.125 of the order up to NU_MAX = 100;
+        # Miller's normalization overflows past nu ~ 131 (6.5e-2 off at 131.25)
+        special = pytest.importorskip("scipy.special")
+        x = np.arange(0.0, 201.0, 1.0)
+        for nu in np.arange(0.0, B.NU_MAX + 1.0, 3.125):
+            err = np.abs(bessel_j(nu, x) - special.jv(nu, x))
+            assert np.max(err[x <= 50.0]) <= 1e-12, nu
+            assert np.max(err) <= 1e-10, nu
+        assert nu == B.NU_MAX
+
+    def test_zeros_at_the_cap(self):
+        # the zero finder evaluates J_100 up to its 64th zero, x = 342.7; it
+        # fails past nu = 120
+        special = pytest.importorskip("scipy.special")
+        zs = np.array([bessel_zero(B.NU_MAX, k) for k in range(1, 65)])
+        ref = special.jn_zeros(int(B.NU_MAX), 64)
+        assert np.max(np.abs(zs - ref) / ref) <= 1e-15
+
+    @pytest.mark.parametrize("nu", [float(np.nextafter(100.0, math.inf)), 132.0, 170.0,
+                                    1e300, math.inf])
+    def test_orders_past_the_cap_rejected(self, nu):
+        assert B.NU_MAX == 100.0
+        with pytest.raises(DomainError, match="nu <= 100"):
+            bessel_j(nu, 1.0)
+        with pytest.raises(DomainError, match="nu <= 100"):
+            bessel_zero(nu, 1)
+
+    def test_cache_of_an_order_past_the_cap_refused(self, tmp_path):
+        from zladder import CacheError
+        path = tmp_path / "zeros.json"
+        path.write_text(json.dumps({"version": 1, "tables": {"170.0": {"zeros": [180.0]}}}))
+        with pytest.raises(CacheError, match="nu <= 100"):
+            load_zero_cache(path)
+
 
 class TestPolynomials:
     def test_legendre_constant(self):

@@ -256,9 +256,8 @@ class TestSanityLayer:
         fixed = eq in ("E2_8", "E2_10")
         assert [r.params.get("n") for r in reports] == \
             ([None] if fixed else list(range(1, kwargs["max_n"] + 1)))
-        thr = 1e-3 if eq in ("E2_7", "E2_8") else 1e-4
         for r in reports:
-            assert abs(r.ratio - 1.0) <= thr
+            assert abs(r.ratio - 1.0) <= 1e-4
             assert r.params["weight"] == "ztilde2"
 
     def test_jacobi00_equals_legendre_bitwise(self, small_ladder):
@@ -344,17 +343,18 @@ class TestWindowExecutor:
         five ladder families, nu in {0, 1} and both layers."""
         calls = []
         for nu in (0.0, 1.0):
-            calls.append((V.theorem1_sets(1000.0, nu, 3),
+            calls.append((V.family_sets("theorem1", [1000.0], [nu], 3),
                           lambda nu=nu: V.verify_theorem1(table, 1000.0, nu, 3)))
-            calls.append((V.corollary_sets(Ts, nu, 3),
+            calls.append((V.family_sets("corollary", Ts, [nu], 3),
                           lambda nu=nu: V.verify_corollary(table, Ts, nu, 3)))
             for T in Ts:
                 for eq in V.THEOREM2_MEMBERS:
                     args = (T, eq, 2, nu, 0.5, 0.25)
-                    calls.append((V.theorem2_sets(*args),
-                                  lambda a=args: V.verify_theorem2(table, *a)))
-                    calls.append((V.sanity_sets(*args),
-                                  lambda a=args: V.sanity_theorem2_exact(table, *a)))
+                    for family, solo in (("theorem2", V.verify_theorem2),
+                                         ("sanity", V.sanity_theorem2_exact)):
+                        calls.append((V.family_sets(family, [T], [nu], 2, alpha=0.5,
+                                                    beta=0.25, eqs=[eq]),
+                                      lambda a=args, solo=solo: solo(table, *a)))
         return calls
 
     @staticmethod
@@ -390,7 +390,7 @@ class TestWindowExecutor:
         for name in ("integrate_adaptive_rows", "integrate_singular_rows"):
             monkeypatch.setattr(V, name, no_work)
         monkeypatch.setattr(type(small_ladder), "invert", no_work)
-        good = V.sanity_sets(1000.0, "E2_7", 2)
+        good = V.family_sets("sanity", [1000.0], [0.0], 2, eqs=["E2_7"])
         for bad in (V.RowSet("E2_6", 1000.0, 17), V.RowSet("E2_11", 1000.0, 1),
                     V.RowSet("E2_2", 1000.0, 2, nu=math.nan),
                     V.RowSet("E2_5", 1000.0, 2, alpha=-1.0),
@@ -411,8 +411,53 @@ class TestWindowExecutor:
         # mu_64 of J_0 is 200.28: E2_2's last zero lies past bessel_j's domain
         assert bessel_zero(0.0, 64) > 200.0 > bessel_zero(0.0, 63)
         with pytest.raises(DomainError, match=r"E2_2 at nu = 0\.0 with max_n = 64"):
-            V.ladder_reports(None, V.corollary_sets([1500.0], 0.0, 64))
+            V.ladder_reports(None, V.family_sets("corollary", [1500.0], [0.0], 64))
 
     def test_rows_record_their_group_time(self, small_ladder):
         reports = V.verify_theorem1(small_ladder, 1000.0, 0.0, 2)
         assert len({r.elapsed for r in reports}) == 1
+
+
+class TestFamilyTable:
+    """`FAMILIES` and `family_sets`: the one place that says which row sets a
+    plan family makes, and `is_sanity`, the one test of a sanity row."""
+
+    def test_plan_equations_are_the_baseline_and_the_table(self):
+        from zladder.config import PLAN_EQUATIONS
+        assert PLAN_EQUATIONS == ("baseline", "theorem1", "corollary", "theorem2", "sanity")
+        assert PLAN_EQUATIONS[1:] == tuple(V.FAMILIES)
+
+    @pytest.mark.parametrize("family,members,zeta2,quad_tol,nus,extra", [
+        ("theorem1", ("E1_3",), False, 1e-9, (0.0, 1.0), {"tol": 1e-5}),
+        ("corollary", ("E2_2",), True, 1e-6, (0.0, 1.0), {}),
+        ("theorem2", tuple(V.THEOREM2_MEMBERS), True, 1e-6, (0.0,), {"tol_ratio": 0.5}),
+        ("sanity", tuple(V.THEOREM2_MEMBERS), False, 1e-8, (0.0,), {"weight": "ztilde2"}),
+    ])
+    def test_sets(self, family, members, zeta2, quad_tol, nus, extra):
+        sets = V.family_sets(family, [1500.0, 1000.0], [0.0, 1.0], 3, alpha=0.25,
+                             beta=0.75, tol=1e-5, tol_ratio=0.5)
+        assert [(s.T, s.nu, s.eq) for s in sets] == \
+            [(T, nu, eq) for T in (1000.0, 1500.0) for nu in nus for eq in members]
+        for s in sets:
+            assert (s.max_n, s.alpha, s.beta, s.quad_tol, s.zeta2, s.extra) == \
+                (3, 0.25, 0.75, quad_tol, zeta2, extra)
+            assert V.is_sanity(s.extra) == (family == "sanity")
+        assert V.family_sets(family, [1000.0], [0.0], 1, quad_tol=1e-7)[0].quad_tol == 1e-7
+
+    def test_recorded_defaults(self):
+        assert V.family_sets("theorem1", [1000.0], [0.0], 1)[0].extra == {"tol": 1e-4}
+        assert V.family_sets("theorem2", [1000.0], [0.0], 1)[0].extra == {"tol_ratio": 0.25}
+
+    def test_argument_errors(self):
+        with pytest.raises(DomainError, match="unknown plan family"):
+            V.family_sets("baseline", [1000.0], [0.0], 1)
+        with pytest.raises(DomainError, match="unknown equation id 'E2_2'"):
+            V.family_sets("sanity", [1000.0], [0.0], 1, eqs=["E2_2"])
+        for T in (999.0, math.nan):
+            with pytest.raises(DomainError, match="T >= 1e3"):
+                V.family_sets("theorem1", [1000.0, T], [0.0], 1)
+
+    def test_is_sanity(self):
+        assert V.is_sanity({"weight": "ztilde2", "T": 1000.0})
+        assert not V.is_sanity({"tol_ratio": 0.25})
+        assert not V.is_sanity({})
