@@ -10,10 +10,14 @@ the RS/oracle seam, and are halved until the degree-16 interpolant through
 the nested 17 points agrees to the panel's share of the tolerance.  `save` and
 `load` keep checkpoints and coefficients in a versioned, validated `.npz`.
 
-`eval` and `ztilde_sq` of one float run on Python floats (one panel's column
-through the same Clenshaw routine), with the IEEE operations of the array
-path in the same order, so a point has the same bits either way; `invert`'s
-Newton solve runs on them.
+`eval` and `ztilde_sq` of one float run on Python floats (one panel's cached
+column through the same Clenshaw routine), with the IEEE operations of the
+array path in the same order, so a point has the same bits either way.
+`invert` solves on the one panel whose checkpoint values bracket y, with
+those operations: a Newton step takes phi_1 and p from one fused Clenshaw
+pass over the panel's two columns (`_clenshaw_pair`, each recurrence in its
+own order), a neighbour double phi_1 from one pass, and a point not strictly
+inside the panel goes through `eval` and `ztilde_sq`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 import zipfile
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,7 +37,7 @@ from .exceptions import (AdmissibilityError, CacheError, ConvergenceError,
                          DomainError, ToleranceNotMetError)
 from .quadrature import integrate_adaptive
 from .rszeta import ZEvaluator
-from .specfun.orthopoly import _clenshaw
+from .specfun.orthopoly import _clenshaw, _clenshaw_pair
 
 EULER_C = 0.5772156649015329
 ONE_MINUS_C = 1.0 - EULER_C
@@ -200,10 +204,11 @@ class LadderTable:
         self._half = 0.5 * (self.edges[1:] - self.edges[:-1])
         # the antiderivative of p^2, one row per panel, built on first use
         # (racing threads write equal bits; a row is read only once built);
-        # the float path's rows as lists
+        # the float path's rows of it and of p as lists
         self._anti = np.empty((len(self._half), 2 * _DEGREE + 2))
         self._built = np.zeros(len(self._half), dtype=bool)
         self._anti_lists: dict[int, list[float]] = {}
+        self._coef_lists: dict[int, list[float]] = {}
 
     @property
     def phi_lo(self) -> float:
@@ -236,9 +241,20 @@ class LadderTable:
             row = self._anti_lists[k] = self._anti_rows(np.array([k]))[k].tolist()
         return row
 
+    def _coef_list(self, k: int) -> list[float]:
+        """Panel k's coefficients of p as Python floats."""
+        row = self._coef_lists.get(k)
+        if row is None:
+            row = self._coef_lists[k] = self.coef[k].tolist()
+        return row
+
     @cached_property
     def _edge_list(self) -> list[float]:
         return self.edges.tolist()
+
+    @cached_property
+    def _phi_list(self) -> list[float]:
+        return self.phi.tolist()
 
     def _panels(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """t flattened, its panel indices and its coordinates on them."""
@@ -280,7 +296,7 @@ class LadderTable:
         tolerance); t in [t_lo, t_hi]."""
         if isinstance(t, float):
             k, x = self._panel(t)
-            v = _clenshaw(self.coef[k].tolist(), x)
+            v = _clenshaw(self._coef_list(k), x)
             return v * v
         flat, k, x = self._panels(t)
         out = _clenshaw(self.coef.T, x, k) ** 2
@@ -309,57 +325,82 @@ class LadderTable:
 
     def invert(self, y) -> float | np.ndarray:
         """The double t nearest phi_1^{-1}(y): |phi_1(t) - y| <= 1e-10, or no
-        double comes closer to y (phi_1 can rise by more than 2e-10 from one
-        double t to the next where Ztilde^2 ulp(t) > 2e-10, near t ~ 1e5).
+        double in [t_lo, t_hi] comes closer to y (phi_1 can rise by more than
+        2e-10 from one double t to the next where Ztilde^2 ulp(t) > 2e-10,
+        near t ~ 1e5).
         Raises `ConvergenceError` when the solve finds neither.
 
         A solve is deterministic, so a repeated y returns the identical float.
         """
-        ya = np.asarray(y, dtype=float)
-        flat = np.atleast_1d(ya).astype(float).ravel()
-        if not (np.all(flat >= self.phi[0]) and np.all(flat <= self.phi[-1])):   # NaN fails
+        ys = ([float(y)] if isinstance(y, float)
+              else np.asarray(y, dtype=float).ravel().tolist())
+        lo, hi = self._phi_list[0], self._phi_list[-1]
+        if not all(lo <= v <= hi for v in ys):   # NaN fails
             raise DomainError(
                 f"inversion target outside [{self.phi_lo}, {self.phi_hi}]")
-        out = np.array([self._solve_inverse(v) for v in flat.tolist()])
-        return float(out[0]) if ya.ndim == 0 else out.reshape(np.shape(ya))
+        out = [self._solve_inverse(v) for v in ys]
+        return out[0] if np.ndim(y) == 0 else np.array(out, dtype=float).reshape(np.shape(y))
 
     def _solve_inverse(self, y: float) -> float:
-        """Newton on Python floats through the single-point `eval` and
-        `ztilde_sq`, then the best of the nine doubles around its result;
-        each point is evaluated once (the result's value comes from Newton)."""
-        j = int(np.searchsorted(self.phi, y, side="left"))
-        if j < len(self.phi) and self.phi.item(j) == y:
-            return self.edges.item(j)
-        lo, hi = self.edges.item(j - 1), self.edges.item(j)
+        """Newton on Python floats on the panel k whose checkpoint values
+        bracket y, then the best of the nine doubles around its result.  A
+        point strictly inside panel k takes phi_1 and p from the panel's
+        lists with the IEEE operations of the single-point `eval` and
+        `ztilde_sq` (both from one fused Clenshaw pass on a Newton step, phi_1
+        alone on a neighbour); any other point goes through those two.  Each
+        point is evaluated once (the result's value comes from Newton)."""
+        phis, edges = self._phi_list, self._edge_list
+        j = bisect_left(phis, y)
+        if phis[j] == y:
+            return edges[j]
+        k = j - 1
+        lo, hi = e_lo, e_hi = edges[k], edges[j]
+        base, top = phis[k], phis[j]
+        mid, half = self._mid.item(k), self._half.item(k)
+        anti, coef = self._anti_list(k), self._coef_list(k)
+
+        def value(c: float) -> float:   # phi_1(c), as `eval` gives it
+            if e_lo < c < e_hi:
+                return min(max(base + _clenshaw(anti, (c - mid) / half), base), top)
+            return self.eval(c)
+
         t = 0.5 * (lo + hi)
         for _ in range(80):
-            vt = self.eval(t)
+            if e_lo < t < e_hi:
+                a, p = _clenshaw_pair(anti, coef, (t - mid) / half)
+                vt, slope = min(max(base + a, base), top), p * p
+            else:
+                vt, slope = self.eval(t), self.ztilde_sq(t)
             ft = vt - y
             lo, hi = (lo, t) if ft > 0.0 else (t, hi)
             # Newton step on the stored derivative, safeguarded by the bracket;
             # a step below two ulps of t is left to the search below
-            slope = self.ztilde_sq(t)
             step = ft / slope if slope > 1e-18 else math.inf
             if abs(step) <= 2.0 * math.ulp(t) or hi - lo <= 4.0 * math.ulp(hi):
                 break
             t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
         else:
-            vt = self.eval(t)
+            vt = value(t)
         # the best double among t and its four neighbours on either side
         below, above = [t], [t]
         for _ in range(4):
             below.append(math.nextafter(below[-1], -math.inf))
             above.append(math.nextafter(above[-1], math.inf))
         cands = [c for c in below[:0:-1] + above if self.t_lo <= c <= self.t_hi]
-        vals = [vt if c == t else self.eval(c) for c in cands]
+        vals = [vt if c == t else value(c) for c in cands]
         resids = [abs(v - y) for v in vals]
         best = resids.index(min(resids))
         resid = resids[best]
-        # no double comes closer when the neighbours' values bracket y
-        nearest = 0 < best < len(cands) - 1 and vals[best - 1] <= y <= vals[best + 1]
-        if not (resid <= 1e-10 or nearest):
+        # no double comes closer when y lies between the values of the best's
+        # two neighbours, or, at a domain end, between the end's value and its
+        # inner neighbour's
+        at = cands[best]
+        under = vals[best - 1] if best > 0 else vals[0] if at == self.t_lo else math.inf
+        over = (vals[best + 1] if best + 1 < len(vals)
+                else vals[-1] if at == self.t_hi else -math.inf)
+        if not (resid <= 1e-10 or under <= y <= over):
             raise ConvergenceError(f"ladder inversion stalled at |phi - y| = {resid:.2e}")
-        return cands[best]
+        return at
 
     def save(self, path) -> None:
         """Write the table to `path`, under exactly that name, as a version-3

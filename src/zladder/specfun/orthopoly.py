@@ -148,3 +148,19 @@ def _clenshaw(cols, x, k=None):
     for c in rest:
         b1, b2 = x2 * b1 - b2 + c, b1
     return x * b1 - b2 + head
+
+
+def _clenshaw_pair(a, c, x):
+    """(_clenshaw(a, x), _clenshaw(c, x)) for columns of Python floats with
+    len(c) <= len(a), in one loop: the first len(a) - len(c) steps run a's
+    recurrence alone, the rest run both side by side, and each recurrence
+    keeps its own operations in its own order, so both keep their bits."""
+    m = len(c)
+    x2 = 2.0 * x
+    a1 = a2 = c1 = c2 = 0.0
+    for u in a[:m - 1:-1]:
+        a1, a2 = x2 * a1 - a2 + u, a1
+    for u, v in zip(a[m - 1:0:-1], c[:0:-1]):
+        a1, a2 = x2 * a1 - a2 + u, a1
+        c1, c2 = x2 * c1 - c2 + v, c1
+    return x * a1 - a2 + a[0], x * c1 - c2 + c[0]

@@ -13,6 +13,8 @@ from zladder import (AdmissibilityError, CacheError, ConvergenceError,
                      bessel_j, bessel_norm_sq, bessel_zero, build_ladder,
                      check_admissible, integrate_adaptive, log_stability_check,
                      pushforward_integral, retardation_report, ztilde_sq)
+from zladder import ladder as ladder_mod
+from zladder.specfun.orthopoly import _clenshaw, _clenshaw_pair
 
 FIRST_ZETA_ZERO = 14.134725141734695
 
@@ -557,6 +559,27 @@ def ladder_near_1e5(ev):
     return build_ladder(ev, 99990.0, 100000.0, tol=1e-8)
 
 
+@pytest.fixture(scope="module")
+def query_ladder(ev):
+    """The benchmark's query band, where phi_1 rises by up to ~1e-9 per ulp."""
+    return build_ladder(ev, 99500.0, 100000.0, tol=1e-8)
+
+
+@pytest.fixture(scope="module")
+def one_ulp_panel(small_ladder):
+    """small_ladder with checkpoint 41 moved to the double after checkpoint 40,
+    so panel 40 is one ulp wide and a Newton midpoint there is a checkpoint."""
+    edges = small_ladder.edges.copy()
+    edges[41] = np.nextafter(edges[40], math.inf)
+    return LadderTable(
+        evaluator=small_ladder.evaluator, t_lo=small_ladder.t_lo,
+        t_hi=small_ladder.t_hi, anchor_t0=small_ladder.anchor_t0,
+        anchor_value=small_ladder.anchor_value, h=small_ladder.h,
+        build_tolerance=small_ladder.build_tolerance, edges=edges,
+        phi=small_ladder.phi, coef=small_ladder.coef,
+        residual_total=small_ladder.residual_total)
+
+
 def _neighbours(table, t, count=4):
     """t and up to `count` neighbouring doubles on either side, inside the
     ladder domain, ascending."""
@@ -565,6 +588,17 @@ def _neighbours(table, t, count=4):
         below.append(float(np.nextafter(below[-1], -math.inf)))
         above.append(float(np.nextafter(above[-1], math.inf)))
     return np.array([u for u in below[:0:-1] + above if table.t_lo <= u <= table.t_hi])
+
+
+def _brackets(table, cands, vals, best, y):
+    """Whether no double comes closer to y than cands[best]: y lies between
+    the values of its two neighbours, or, at a domain end, between the end's
+    value and its inner neighbour's."""
+    under = (vals[best - 1] if best > 0
+             else vals[0] if cands[0] == table.t_lo else math.inf)
+    over = (vals[best + 1] if best + 1 < len(vals)
+            else vals[-1] if cands[-1] == table.t_hi else -math.inf)
+    return under <= y <= over
 
 
 def _meets_contract(table, y):
@@ -576,8 +610,8 @@ def _meets_contract(table, y):
         return True
     near = _neighbours(table, t, 1)
     vals = table.eval(near)
-    return (abs(table.eval(t) - y) <= 1e-10
-            or (len(near) == 3 and vals[0] <= y <= vals[2]))
+    best = int(np.flatnonzero(near == t)[0])
+    return abs(table.eval(t) - y) <= 1e-10 or _brackets(table, near, vals, best, y)
 
 
 def _reference_inverse(table, y):
@@ -604,8 +638,7 @@ def _reference_inverse(table, y):
     vals = table.eval(cands)
     best = int(np.argmin(np.abs(vals - y)))
     resid = abs(vals[best] - y)
-    nearest = 0 < best < len(cands) - 1 and vals[best - 1] <= y <= vals[best + 1]
-    if not (resid <= 1e-10 or nearest):
+    if not (resid <= 1e-10 or _brackets(table, cands, vals, best, y)):
         raise ConvergenceError(f"ladder inversion stalled at |phi - y| = {resid:.2e}")
     return float(cands[best])
 
@@ -617,34 +650,88 @@ def _outcome(solve, table, y):
         return f"raised {exc}"
 
 
+def _within_ulps(values, count):
+    """Each value and the `count` doubles on either side of it."""
+    out = []
+    for v in values:
+        below = above = v
+        out.append(v)
+        for _ in range(count):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            out += [below, above]
+    return out
+
+
+def _newton_onto_roots(table, roots):
+    """For each zero r of p, the y whose first Newton step from the midpoint
+    m of r's panel lands on r: y = phi_1(m) - p(m)^2 (m - r).  There the
+    slope p^2 is below 1e-18, so Newton bisects.  Only the y inside the
+    panel's range of phi_1 are kept, so the solve stays on that panel."""
+    k = np.searchsorted(table.edges, roots, side="right") - 1
+    mid = 0.5 * (table.edges[k] + table.edges[k + 1])
+    ys = table.eval(mid) - table.ztilde_sq(mid) * (mid - roots)
+    return ys[(table.phi[k] < ys) & (ys < table.phi[k + 1])]
+
+
 class TestInvertContract:
-    @pytest.mark.parametrize("name", ["small_ladder", "ladder_near_1e5"])
-    def test_equals_reference_solve(self, request, rng, name):
-        # 2000 stratified y plus every checkpoint value
+    @pytest.mark.parametrize("name", ["small_ladder", "ladder_near_1e5", "query_ladder",
+                                      "one_ulp_panel"])
+    def test_equals_reference_solve(self, request, rng, monkeypatch, name):
+        # 2000 stratified y, every checkpoint value, a sample of them moved
+        # by up to 4 ulps (their inverses have neighbours across a
+        # checkpoint), and y that Newton takes onto a zero of p
         table = request.getfixturevalue(name)
         m = 2000
         u = (np.arange(m) + rng.random(m)) / m
-        ys = np.concatenate([table.phi_lo + u * (table.phi_hi - table.phi_lo), table.phi])
-        for y in np.minimum(ys, table.phi_hi).tolist():
+        phi = table.phi.tolist()
+        roots = table.breakpoints(table.t_lo, table.t_hi)
+        ys = np.concatenate([table.phi_lo + u * (table.phi_hi - table.phi_lo), phi,
+                             _within_ulps(phi[::max(len(phi) // 20, 1)] + phi[-1:], 4),
+                             _newton_onto_roots(table, roots[::max(len(roots) // 20, 1)])])
+        ys = np.clip(ys, table.phi_lo, table.phi_hi)
+
+        hits = collections.Counter()
+        for attr in ("eval", "ztilde_sq"):
+            def counted(t, _fn=getattr(table, attr), _attr=attr):
+                hits[_attr] += isinstance(t, float)   # the reference passes arrays
+                return _fn(t)
+            monkeypatch.setattr(table, attr, counted)
+
+        def pair(a, c, x, _fn=ladder_mod._clenshaw_pair):
+            out = _fn(a, c, x)
+            hits["bisect"] += out[1] * out[1] <= 1e-18
+            return out
+        monkeypatch.setattr(ladder_mod, "_clenshaw_pair", pair)
+
+        for y in ys.tolist():
             assert (_outcome(LadderTable.invert, table, y)
                     == _outcome(_reference_inverse, table, y)), y
+        # a neighbour off the panel goes through eval alone, a Newton
+        # iterate off it (only where a panel is one ulp wide) through eval
+        # and ztilde_sq
+        assert hits["eval"] > hits["ztilde_sq"]
+        assert (hits["ztilde_sq"] > 0) == (name == "one_ulp_panel")
+        assert hits["bisect"] > 0
 
     def test_each_point_evaluated_once(self, small_ladder, rng, monkeypatch):
-        # a Newton step takes one eval and one ztilde_sq; the best-double
-        # search takes the last iterate's value from Newton and evaluates
-        # only its eight neighbours
+        # a Newton step takes one fused pass for phi_1 and p; the best-double
+        # search takes the last iterate's value from Newton and makes one
+        # Clenshaw pass for each of its eight neighbours; eval and ztilde_sq
+        # are not called for points inside the bracketing panel
         table = small_ladder
         calls = collections.Counter()
-        for name in ("eval", "ztilde_sq"):
-            def counted(t, _fn=getattr(table, name), _name=name):
+        for owner, name in ((ladder_mod, "_clenshaw"), (ladder_mod, "_clenshaw_pair"),
+                            (table, "eval"), (table, "ztilde_sq")):
+            def counted(*args, _fn=getattr(owner, name), _name=name):
                 calls[_name] += 1
-                return _fn(t)
-            monkeypatch.setattr(table, name, counted)
+                return _fn(*args)
+            monkeypatch.setattr(owner, name, counted)
         for y in rng.uniform(table.phi[1], table.phi[-2], 100).tolist():
             calls.clear()
             table.invert(y)
-            assert calls["ztilde_sq"] >= 1
-            assert calls["eval"] == calls["ztilde_sq"] + 8, y
+            assert calls["_clenshaw_pair"] >= 1, y
+            assert calls["_clenshaw"] == 8, y
+            assert calls["eval"] == calls["ztilde_sq"] == 0, y
 
     def test_former_silent_miss(self, ladder_near_1e5):
         # the Gauss-panel ladder's 8 eps |y| stop rule returned a t with
@@ -666,6 +753,37 @@ class TestInvertContract:
         y = min(table.phi_lo + u * (table.phi_hi - table.phi_lo), table.phi_hi)
         assert _meets_contract(table, y)
 
+    @pytest.mark.parametrize("end", ["top", "bottom"])
+    def test_domain_end_is_nearest(self, ev, end):
+        # near 1e5 phi_1 rises by 7.7e-10 per ulp at these ends, and y lies
+        # 0.3 of that from the end's value: the end is the nearest double in
+        # the domain, though 2.3e-10 away (this used to raise)
+        if end == "top":
+            table = build_ladder(ev, 99682.78, 99702.78, tol=1e-8)
+            t, inner, sign = table.t_hi, -math.inf, -1.0
+        else:
+            table = build_ladder(ev, 99702.78, 99722.78, anchor_t0=99702.78)
+            t, inner, sign = table.t_lo, math.inf, 1.0
+        step = table.ztilde_sq(t) * math.ulp(t)
+        assert step > 2e-10
+        y = table.eval(t) + sign * 0.3 * step
+        assert table.invert(y) == t
+        assert sign * (table.eval(math.nextafter(t, inner)) - y) >= 0.0
+        assert _meets_contract(table, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_clenshaw_pair_is_two_clenshaws(data):
+    n = data.draw(st.integers(1, 66))
+    m = data.draw(st.integers(1, n))
+    coef = st.floats(allow_nan=False, allow_infinity=False)
+    a = data.draw(st.lists(coef, min_size=n, max_size=n))
+    c = data.draw(st.lists(coef, min_size=m, max_size=m))
+    x = data.draw(st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)))
+    got = _clenshaw_pair(a, c, x)
+    assert [v.hex() for v in got] == [_clenshaw(a, x).hex(), _clenshaw(c, x).hex()]
+
 
 class TestInvertMemo:
     @pytest.fixture
@@ -682,14 +800,24 @@ class TestInvertMemo:
         assert [v.hex() for v in many.tolist()] == [first.hex()] * 2
 
     def test_raise_is_not_memoized(self, table, monkeypatch):
+        # phi_1 seen through +-1e-9 noise: no t meets 1e-10.  The noise goes
+        # on each Clenshaw pass for phi_1 that invert makes: the fused one of
+        # a Newton step and the single one of a neighbour
         y = table.anchor_value + 5.5
-        real = table.eval
         flip = itertools.count()
 
-        def noisy(t):   # phi_1 seen through +-1e-9 noise: no t meets 1e-10
-            return real(t) + (1e-9 if next(flip) % 2 else -1e-9)
+        def noise():
+            return 1e-9 if next(flip) % 2 else -1e-9
 
-        monkeypatch.setattr(table, "eval", noisy)
+        def noisy_pair(a, c, x, _fn=ladder_mod._clenshaw_pair):
+            v, p = _fn(a, c, x)
+            return v + noise(), p
+
+        def noisy_single(cols, x, k=None, _fn=ladder_mod._clenshaw):
+            return _fn(cols, x, k) + noise()
+
+        monkeypatch.setattr(ladder_mod, "_clenshaw_pair", noisy_pair)
+        monkeypatch.setattr(ladder_mod, "_clenshaw", noisy_single)
         for _ in range(2):
             with pytest.raises(ConvergenceError):
                 table.invert(y)
