@@ -175,12 +175,14 @@ def _cmd_z_eval(args) -> int:
     cfg = _config_from_args(args)
     ev = cfg.evaluator()
     t = args.t
-    if args.oracle:
+    # Z comes from the oracle below t_min_rs, as in ev.z, and theta with it:
+    # the asymptotic series is vouched for only at t >= 50
+    if args.oracle or t < ev.t_min_rs:
         theta = ev.theta_oracle(t)
         z = ev.z_oracle(t)
     else:
         theta = ev.theta(t)
-        z = ev.z(t)
+        z = ev.z_rs(t)
     _print_json({"t": t, "theta": theta, "z": z, "z_sq": z * z})
     return EXIT_OK
 

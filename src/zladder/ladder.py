@@ -50,7 +50,9 @@ _CACHE_SCALARS = ("config_hash", "t_lo", "t_hi", "anchor_t0", "h", "tol",
                   "anchor_value", "residual_total")
 
 _DEGREE = 32                 # of p on every panel; the check uses DEGREE / 2
-_BUILD_CHUNK = 3000          # panels per evaluation batch
+# panels per evaluation batch; it also fixes the batches Z is evaluated in,
+# and with them Z's bits (see ZEvaluator), so changing it moves ladder bits
+_BUILD_CHUNK = 3000
 _MAX_SPLIT_ROUNDS = 30
 _PANEL_RULE = "cheb32-lobatto+cheb16"
 

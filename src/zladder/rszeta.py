@@ -29,7 +29,11 @@ _LD = np.longdouble
 _CLD = np.clongdouble
 _LN_PI_LD = np.log(_LD(np.pi))
 
-_MAX_BLOCK = 4_000_000  # cap on len(t) * N per main-sum chunk
+# z_rs sums a chunk of _MAX_BLOCK // n_max points over one padded length
+# n_max, which fixes its bits (see ZEvaluator); it does not cap memory: the
+# chunk streams through one tile of _TILE // n_max rows, which stays in L2
+_MAX_BLOCK = 4_000_000
+_TILE = 1 << 15
 _RS_T_MAX = 1e8        # z_rs's cap on t; see z_rs
 _ORACLE_T_MAX = 1e6    # theta_oracle's and z_oracle's cap on t; see z_oracle
 
@@ -77,11 +81,14 @@ class ZEvaluator:
     """Immutable evaluator configuration.
 
     Results are deterministic functions of (config, t) up to rounding: z_rs
-    sums the main series of a batch out to the longest length floor(sqrt(t/2pi))
-    among the points evaluated together, so a value can move by a few ulps
-    (measured <= 4e-15 on [1e3, 7e3]) with the other points in its batch.  A
-    batch whose points share that length gives bit-for-bit the scalar
-    results; theta, the remainder terms and the oracle route are elementwise.
+    splits a batch into chunks of _MAX_BLOCK // n_max points, and sums the
+    main series of every point of a chunk out to the chunk's longest length
+    n_max = floor(sqrt(t/2pi)).  numpy's pairwise sum groups the terms by that
+    padded length, so the chunks define the bits: a value can move by a few
+    ulps (measured <= 4e-15 on [1e3, 7e3]) with the other points in its
+    chunk.  A batch whose points share that length gives bit-for-bit the
+    scalar results; theta, the remainder terms and the oracle route are
+    elementwise.  Memory is one tile of ~_TILE terms, whatever the chunk.
 
     rs_correction_order counts Riemann-Siegel remainder terms beyond the main
     sum (0..4; four terms keep |z_rs - z_oracle| below ~6e-7 on [1e2, 1e5],
@@ -139,6 +146,8 @@ class ZEvaluator:
 
         The cap bounds the main sum at 3,989 terms, and the rounding of its
         double-precision phases, ~4e-7 in Z at 1e8, which grows above it.
+        A term past a point's own length is padding: it never reaches cos
+        and sums as 0.0.
         """
         ta = np.asarray(t, dtype=float)
         if not np.all((ta >= self.t_min_rs) & (ta <= _RS_T_MAX)):
@@ -157,13 +166,22 @@ class ZEvaluator:
             n_max = int(n_len[start:stop].max())
             block = max(1, _MAX_BLOCK // max(n_max, 1))
             stop = min(stop, start + block)
-            sl = slice(start, stop)
-            n_max = int(n_len[sl].max())
+            n_max = int(n_len[start:stop].max())
             n = np.arange(1, n_max + 1, dtype=float)
-            phases = theta_t[sl, None] - flat[sl, None] * np.log(n)[None, :]
-            terms = np.cos(phases) * (1.0 / np.sqrt(n))[None, :]
-            terms[n[None, :] > n_len[sl, None]] = 0.0
-            out[sl] = 2.0 * terms.sum(axis=1)
+            ln_n = np.log(n)
+            weight = 1.0 / np.sqrt(n)
+            rows = max(1, _TILE // n_max)
+            buf = np.empty((min(rows, stop - start), n_max))
+            for lo in range(start, stop, rows):
+                hi = min(stop, lo + rows)
+                terms = buf[:hi - lo]
+                live = n <= n_len[lo:hi, None]
+                np.multiply(flat[lo:hi, None], ln_n, out=terms)
+                np.subtract(theta_t[lo:hi, None], terms, out=terms)
+                np.cos(terms, out=terms, where=live)
+                terms *= weight
+                terms[~live] = 0.0
+                out[lo:hi] = 2.0 * terms.sum(axis=1)
             start = stop
 
         if self.rs_correction_order > 0:

@@ -39,6 +39,25 @@ class TestZEval:
         doc = json.loads(capsys.readouterr().out)
         assert doc["z"] == pytest.approx(2.6926970566644632, abs=1e-12)
 
+    @pytest.mark.parametrize("t", [1.0, 0.5, 5.0, 49.5])
+    def test_theta_follows_z_below_t_min_rs(self, capsys, cache_env, ev, t):
+        # the asymptotic theta is vouched for only at t >= 50 (2.2e-2 off at
+        # t = 1), so below t_min_rs theta comes from the oracle, as Z does
+        assert run_cli("z", "eval", "--t", str(t)) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["theta"] == ev.theta_oracle(t)
+        assert doc["z"] == ev.z_oracle(t)
+
+    @pytest.mark.parametrize("t, line", [
+        ("50", '{"t":50.0,"theta":26.46136607016018,"z":-0.3407334335599845,'
+               '"z_sq":0.11609927274557635}'),
+        ("1000", '{"t":1000.0,"theta":2034.5464280380315,"z":0.9977946421258187,'
+                 '"z_sq":0.9955941478549906}'),
+    ])
+    def test_main_route_bytes(self, capsys, cache_env, t, line):
+        assert run_cli("z", "eval", "--t", t) == EXIT_OK
+        assert capsys.readouterr().out == line + "\n"
+
     def test_bad_t(self, cache_env):
         assert run_cli("z", "eval", "--t", "-5", "--oracle") == EXIT_CONFIG
 

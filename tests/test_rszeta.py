@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zladder import DomainError, ZEvaluator
 from zladder._rs_terms import RS_TERM_TABLES
-from zladder.rszeta import _CLENSHAW_CHUNK, _rs_terms
+from zladder.rszeta import _CLENSHAW_CHUNK, _MAX_BLOCK, _TILE, _rs_terms
 
 # first two sign changes of Z, located by bisection on the oracle path
 ZERO_1 = 14.134725141734695
@@ -27,6 +30,38 @@ def cheb_row(coeffs, p):
 def rs_fraction(ts):
     a = np.sqrt(ts / (2.0 * np.pi))
     return a, np.floor(a)
+
+
+def z_rs_untiled(ev, t):
+    """z_rs as it was before its main sum was tiled: each chunk of
+    _MAX_BLOCK // n_max points forms its whole (points, n_max) array of
+    phases, then of cosines, then of terms.  The reference the tiled kernel
+    must match bit for bit."""
+    flat = np.atleast_1d(np.asarray(t, dtype=float))
+    a = np.sqrt(flat / (2.0 * np.pi))
+    n_len = np.floor(a).astype(np.int64)
+    theta_t = np.atleast_1d(np.asarray(ev.theta(flat), dtype=float))
+    out = np.empty_like(flat)
+    start = 0
+    while start < flat.size:
+        n_max = int(n_len[start:].max())
+        stop = min(flat.size, start + max(1, _MAX_BLOCK // n_max))
+        sl = slice(start, stop)
+        n_max = int(n_len[sl].max())
+        n = np.arange(1, n_max + 1, dtype=float)
+        phases = theta_t[sl, None] - flat[sl, None] * np.log(n)[None, :]
+        terms = np.cos(phases) * (1.0 / np.sqrt(n))[None, :]
+        terms[n[None, :] > n_len[sl, None]] = 0.0
+        out[sl] = 2.0 * terms.sum(axis=1)
+        start = stop
+    if ev.rs_correction_order > 0:
+        corr = np.zeros_like(flat)
+        fac = np.ones_like(flat)
+        for row in _rs_terms(a - n_len, ev.rs_correction_order):
+            corr += row * fac
+            fac = fac * (1.0 / a)
+        out += np.where(n_len % 2 == 1, 1.0, -1.0) * corr / np.sqrt(a)
+    return out
 
 
 def bisect(f, lo, hi, iters=80):
@@ -202,6 +237,71 @@ class TestRemainderClenshaw:
         sign = np.where(n % 2 == 1, 1.0, -1.0)
         want = ZEvaluator(rs_correction_order=0).z_rs(ts) + sign * corr / np.sqrt(a)
         assert np.array_equal(ZEvaluator(rs_correction_order=order).z_rs(ts), want)
+
+
+class TestTiledMainSum:
+    """The main sum streams each chunk through one tile of _TILE // n_max
+    rows; the chunks, not the tiles, set the bits."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(size=st.sampled_from(["one", "tile-1", "tile", "tile+1", "tiles+1"]),
+           log_hi=st.floats(math.log10(50.0), 8.0),
+           spread=st.floats(0.0, 1.0),
+           ordered=st.booleans(),
+           order=st.integers(0, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(size="tile+1", log_hi=math.log10(7000.0), spread=6.0 / 7.0,
+             ordered=False, order=4, seed=0)
+    def test_matches_untiled_bit_for_bit(self, size, log_hi, spread, ordered,
+                                         order, seed):
+        # t in [t_lo, t_hi] with t_hi itself drawn, so the tile holds
+        # _TILE // n_max rows of n_max = floor(sqrt(t_hi/2pi)) and, when the
+        # spread crosses a length, rows of several lengths
+        t_hi = min(max(10.0 ** log_hi, 50.0), 1e8)
+        t_lo = t_hi - spread * (t_hi - 50.0)
+        rows = _TILE // int(math.floor(math.sqrt(t_hi / (2.0 * math.pi))))
+        m = {"one": 1, "tile-1": rows - 1, "tile": rows, "tile+1": rows + 1,
+             "tiles+1": 3 * rows + 1}[size]
+        ts = np.random.default_rng(seed).uniform(t_lo, t_hi, m)
+        ts[0] = t_hi
+        if ordered:
+            ts.sort()
+        ev = ZEvaluator(rs_correction_order=order)
+        got = ev.z_rs(ts)
+        assert np.array_equal(got, z_rs_untiled(ev, ts))
+        if m == 1:
+            assert ev.z_rs(t_hi) == got[0]
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_chunk_edges_match_untiled(self, ev, delta):
+        # n_len = 126 sets chunks of _MAX_BLOCK // 126 = 31,746 points; one
+        # point in ten, shuffled in, has a shorter sum.  The last point has
+        # n_len = 60, and its value summed alone differs from its value
+        # padded to 126 terms, so it shows on which side of a chunk edge it
+        # fell.
+        top, last = 2.0 * np.pi * 126.5 ** 2, 23002.0
+        assert ev.z_rs(last) != ev.z_rs(np.array([top, last]))[1]
+        m = _MAX_BLOCK // 126 + delta
+        rng = np.random.default_rng(126 + delta)
+        ts = rng.uniform(2.0 * np.pi * 126 ** 2, 2.0 * np.pi * 127 ** 2, m)
+        short = rng.random(m) < 0.1
+        ts[short] = rng.uniform(1e3, 2.0 * np.pi * 126 ** 2, short.sum())
+        ts[[0, -1]] = top, last
+        assert np.array_equal(ev.z_rs(ts), z_rs_untiled(ev, ts))
+
+    @pytest.mark.parametrize("lo, hi, m, bound_mb", [
+        (99000.0, 99500.0, 16500, 4.0),     # a build batch at 1e5: 47.8 MB untiled
+        (1e8 - 1e3, 1e8, 3000, 2.0),        # n_max = 3,989: 121.9 MB untiled
+    ])
+    def test_one_call_peak_memory(self, ev, lo, hi, m, bound_mb):
+        ts = np.random.default_rng(m).uniform(lo, hi, m)
+        tracemalloc.start()
+        try:
+            ev.z_rs(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 1e6
 
 
 class TestZetaSqMod:
