@@ -24,9 +24,9 @@ or out-of-range argument, and an empty, incomplete or oversized t grid or
 numeric non-convergence.
 
 All numeric output uses full round-trip precision; report files are byte
-identical across runs of the same configuration, with one BLAS thread or
-two alike (timings are only included on request, since they are inherently
-nondeterministic).
+identical across runs of the same configuration, and no report sum goes
+through BLAS (timings are only included on request, since they are
+inherently nondeterministic).
 """
 
 from __future__ import annotations

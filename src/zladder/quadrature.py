@@ -78,9 +78,9 @@ _WG = np.array([
     0.27970539148927666790146777142378,
     0.12948496616886969327061143267908,
 ])
-_GAUSS_IDX = np.arange(1, 15, 2)
 
 _EPS = np.finfo(float).eps
+_NON_FINITE = "integrand returned a non-finite value near x = {}"
 
 
 @dataclass
@@ -93,36 +93,36 @@ class QuadratureResult:
     rule: str
 
 
-def _window(name: str, a, b, tol, rows: int) -> tuple[float, float, list[float]]:
-    """The window as floats and one tolerance per row (`tol` is one float
-    for every row, or a sequence of one per row)."""
-    a = float(a)
-    b = float(b)
+def _window(name: str, a, b, tol, rows: int) -> tuple[float, float, np.ndarray]:
+    """The window as floats and an array of one tolerance per row (`tol` is
+    one float for every row, or a sequence of one per row)."""
+    a, b = float(a), float(b)
     if not a < b:
         raise DomainError(f"{name} requires a < b, got [{a}, {b}]")
-    tols = [float(tol)] * rows if np.ndim(tol) == 0 else [float(t) for t in tol]
+    tols = np.full(rows, float(tol)) if np.ndim(tol) == 0 else np.array(tol, dtype=float)
     if len(tols) != rows:
         raise DomainError(f"{name} needs one tolerance per row: {len(tols)} for {rows} rows")
-    if not all(t > 0.0 for t in tols):   # NaN is not
+    if not np.all(tols > 0.0):   # NaN is not
         raise DomainError("tolerance must be positive")
     return a, b, tols
 
 
-def _check_finite(vals: np.ndarray, where: np.ndarray) -> None:
-    """Raise QuadratureError naming the point `where` of the first non-finite value."""
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        raise QuadratureError(f"integrand returned a non-finite value near x = {where[bad][0]}")
+def _node_sum(vals: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k w[k] vals[..., k] left to right: a cell's bits ignore the batch."""
+    acc = vals[..., 0] * w[0]
+    for k in range(1, len(w)):
+        acc += vals[..., k] * w[k]
+    return acc
 
 
 def _gk15_sums(vals: np.ndarray, hw: np.ndarray):
     """Kronrod sums and error estimates of panels of half-widths `hw`, from
-    their integrand values `vals` (one row of 15 per panel)."""
-    resk = vals @ _WK
-    resg = vals[:, _GAUSS_IDX] @ _WG
+    their integrand values `vals` (shape (..., panels, 15))."""
+    resk = _node_sum(vals, _WK)
+    resg = _node_sum(vals[..., 1::2], _WG)
     reskh = 0.5 * resk
-    resabs = np.abs(vals) @ _WK
-    resasc = np.abs(vals - reskh[:, None]) @ _WK
+    resabs = _node_sum(np.abs(vals), _WK)
+    resasc = _node_sum(np.abs(vals - reskh[..., None]), _WK)
     diff = np.abs(resk - resg)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = np.where(resasc > 0.0,
@@ -153,16 +153,12 @@ def integrate_adaptive_rows(
     one float for every row or one per row.  Every row's panels are nodes of
     one bisection tree, so the rows share one list of pending panels and a
     boolean (rows, panels) mask of the panels each row owns.  Each round
-    calls `f` once, on every pending panel; each row accepts or rejects its
-    own, and a panel some row rejected is bisected once, its two children
-    going to the rows that rejected it.  Each row meets its panels in a solo
-    run's order, so its result is bit-identical to a solo
-    `integrate_adaptive` of that row when f's value at a point does not
-    depend on the other points of the batch.  That also rests on the batch
-    shape of the panel sums: `_gk15_sums` forms them through BLAS
-    (`vals @ _WK`), whose bits for a panel change with the number of panels
-    in the call, and each row's call holds exactly the panels of its solo
-    round, not the pooled batch.
+    calls `f` once, on every pending panel, and judges every (row, panel)
+    cell at once; a panel some row rejected is bisected once, its two
+    children going to the rows that rejected it.  Values on panels a row
+    does not own are never looked at.  A row's result is bit-identical to a
+    solo `integrate_adaptive` of that row when f's value at a point does not
+    depend on the other points of the batch.
     Raises QuadratureError for the first row (in round, then row order) that
     exhausts its panel budget or meets a non-finite value.
     """
@@ -174,8 +170,8 @@ def integrate_adaptive_rows(
     edges.append(b)
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     owns = np.ones((rows, len(lo)), dtype=bool)
-    done: list[list[tuple]] = [[] for _ in range(rows)]   # (lo, value, err) arrays
-    n_panels = [len(lo)] * rows
+    done = [(np.zeros(0, dtype=np.intp), lo[:0], lo[:0], lo[:0])]   # (row, lo, value, err)
+    n_panels = np.full(rows, len(lo))
     span = b - a
 
     while owns.any():
@@ -183,35 +179,39 @@ def integrate_adaptive_rows(
         hw = 0.5 * (hi - lo)
         nodes = mid[:, None] + hw[:, None] * _XK[None, :]
         vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(rows, *nodes.shape)
-        rejects = np.zeros_like(owns)
-        for r in np.flatnonzero(owns.any(axis=1)):
-            idx = np.flatnonzero(owns[r])
-            _check_finite(vals[r, idx], nodes[idx])
-            sums, errs, floors = _gk15_sums(vals[r, idx], hw[idx])
-            # a panel is done when it meets its width's share of tol, or is
-            # already at the roundoff floor (the reported estimate stays honest)
-            ok = errs <= np.maximum(tols[r] * (hi[idx] - lo[idx]) / span, 1.01 * floors)
-            done[r].append((lo[idx][ok], sums[ok], errs[ok]))
-            rejects[r, idx] = ~ok
-            # checked only on a split: a row may start with more panels than the budget
-            n_panels[r] += 2 * int(np.count_nonzero(~ok))
-            if n_panels[r] > max_panels and not ok.all():
-                raise QuadratureError(
-                    f"adaptive refinement exceeded {max_panels} panels on [{a}, {b}] "
-                    f"(unresolved error ~ {float(np.sum(errs[~ok])):.3e} vs tol {tols[r]:.3e})")
+        fine = np.isfinite(vals)
+        bad = ~fine & owns[:, :, None]
+        vals = np.where(fine & owns[:, :, None], vals, 0.0)
+        sums, errs, floors = _gk15_sums(vals, hw)
+        # a panel is done when it meets its width's share of tol, or is
+        # already at the roundoff floor (the reported estimate stays honest)
+        ok = errs <= np.maximum(tols[:, None] * (hi - lo) / span, 1.01 * floors)
+        rejects = owns & ~ok
+        # checked only on a split: a row may start with more panels than the budget
+        n_panels += 2 * np.count_nonzero(rejects, axis=1)
+        failed = bad.any(axis=(1, 2)) | ((n_panels > max_panels) & rejects.any(axis=1))
+        if failed.any():
+            r = int(np.argmax(failed))
+            if bad[r].any():
+                raise QuadratureError(_NON_FINITE.format(nodes[bad[r]][0]))
+            raise QuadratureError(
+                f"adaptive refinement exceeded {max_panels} panels on [{a}, {b}] (unresolved "
+                f"error ~ {float(np.sum(errs[r, rejects[r]])):.3e} vs tol {tols[r]:.3e})")
+        accept = owns & ok
+        row, panel = np.nonzero(accept)
+        done.append((row, lo[panel], sums[accept], errs[accept]))
         # left children, then right children, as a solo run queues them
         split = rejects.any(axis=0)
         lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])
         owns = np.concatenate([rejects[:, split], rejects[:, split]], axis=1)
 
-    results = []
-    for row in done:
-        lo_all, val_all, err_all = (np.concatenate(part) for part in zip(*row))
-        order = np.argsort(lo_all, kind="stable")
-        results.append(QuadratureResult(
-            value=float(np.sum(val_all[order])), error_estimate=float(np.sum(err_all[order])),
-            panels_used=len(lo_all), rule="gk15-adaptive"))
-    return results
+    row, lo, val, err = (np.concatenate(part) for part in zip(*done))
+    order = np.lexsort((lo, row))   # stable: by row, then ascending lo
+    val, err = val[order], err[order]
+    ends = np.searchsorted(row[order], np.arange(rows + 1)).tolist()
+    return [QuadratureResult(value=float(np.sum(val[i:j])), error_estimate=float(np.sum(err[i:j])),
+                             panels_used=j - i, rule="gk15-adaptive")
+            for i, j in zip(ends[:-1], ends[1:])]
 
 
 def integrate_adaptive(
@@ -285,28 +285,28 @@ def integrate_singular_rows(
     """
     a, b, tols = _window("integrate_singular", a, b, tol, rows)
     r = 0.5 * (b - a)
-    acc = [0.0] * rows
-    prev = [0.0] * rows
-    results: list[QuadratureResult | None] = [None] * rows
+    acc = prev = np.zeros(rows)
+    running = np.ones(rows, dtype=bool)
+    value, error, levels = np.zeros(rows), np.zeros(rows), np.zeros(rows, dtype=int)
     for level in range(1, max_level + 1):
         pts, wts = _tanh_sinh_level(a, b, level)
         vals = np.asarray(f(pts), dtype=float).reshape(rows, len(pts))
-        for i in range(rows):
-            if results[i] is not None:
-                continue
-            _check_finite(vals[i], pts)
-            # a fixed-order sum: a BLAS dot would split long sums across threads
-            part = float(np.sum(wts * vals[i]))
-            acc[i] = part if level == 1 else 0.5 * acc[i] + part
-            cur = r * acc[i]
-            diff = abs(cur - prev[i])
-            if level > 1 and diff <= max(tols[i], 8.0 * _EPS * (1.0 + abs(cur))):
-                results[i] = QuadratureResult(value=cur, error_estimate=diff,
-                                              panels_used=level, rule="tanh-sinh")
-            prev[i] = cur
-        if all(res is not None for res in results):
-            return results
-    slow = next(i for i, res in enumerate(results) if res is None)
+        bad = ~np.isfinite(vals) & running[:, None]
+        if bad.any():   # the first bad point of the first bad row
+            raise QuadratureError(_NON_FINITE.format(pts[np.argwhere(bad)[0, 1]]))
+        # a fixed-order sum per row, each with the bits of its row alone (no BLAS)
+        part = (wts * np.where(running[:, None], vals, 0.0)).sum(axis=1)
+        acc = part if level == 1 else 0.5 * acc + part
+        cur = r * acc
+        diff = np.abs(cur - prev)
+        stop = running & (level > 1) & (diff <= np.maximum(tols, 8.0 * _EPS * (1.0 + np.abs(cur))))
+        value[stop], error[stop], levels[stop] = cur[stop], diff[stop], level
+        running &= ~stop
+        if not running.any():
+            return [QuadratureResult(value=v, error_estimate=e, panels_used=n, rule="tanh-sinh")
+                    for v, e, n in zip(value.tolist(), error.tolist(), levels.tolist())]
+        prev = cur
+    slow = int(np.argmax(running))
     raise QuadratureError(f"tanh-sinh did not converge to {tols[slow]:.3e} within "
                           f"{max_level} levels on [{a}, {b}]")
 

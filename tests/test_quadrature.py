@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,29 @@ class TestAdaptive:
             integrate_adaptive(lambda x: x, 0.0, 1.0, math.nan)
 
 
+class TestGK15Sums:
+    @staticmethod
+    def bits(sums):
+        return np.stack(sums).view(np.int64)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(8, 300), rows=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_a_panel_has_its_bits_in_any_batch(self, n, rows, seed):
+        # a panel's Kronrod sum, error and floor are the same alone, in
+        # blocks of 7, in the whole batch and as a cell of (rows, panels)
+        rng = np.random.default_rng(seed)
+        vals = rng.standard_normal((rows, n, 15)) * 10.0 ** rng.uniform(-3, 3, (rows, n, 1))
+        hw = 10.0 ** rng.uniform(-4, 1, n)
+        cells = self.bits(_gk15_sums(vals, hw))
+        for r in range(rows):
+            alone = np.concatenate([self.bits(_gk15_sums(vals[r, i:i + 1], hw[i:i + 1]))
+                                    for i in range(n)], axis=1)
+            blocks = np.concatenate([self.bits(_gk15_sums(vals[r, i:i + 7], hw[i:i + 7]))
+                                     for i in range(0, n, 7)], axis=1)
+            for got in (blocks, self.bits(_gk15_sums(vals[r], hw)), cells[:, r]):
+                np.testing.assert_array_equal(got, alone)
+
+
 class TestAdaptiveRows:
     @settings(max_examples=60, deadline=None)
     @given(params=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 40.0),
@@ -207,6 +231,56 @@ class TestAdaptiveRows:
 
         with pytest.raises(QuadratureError, match=r"non-finite value near x = 0\.5$"):
             integrate_adaptive_rows(rows_f, 2, 0.0, 1.0, 1e-9)
+
+    def test_budget_before_a_later_rows_non_finite(self):
+        # in round 1, row 0 splits past its budget and row 1 meets inf at
+        # the panel's midpoint: the first row in row order raises
+        def rows_f(x):
+            with np.errstate(divide="ignore"):
+                return np.stack([np.cos(50.0 * x), 1.0 / (x - 0.5)])
+
+        with pytest.raises(QuadratureError, match="exceeded 2 panels"):
+            integrate_adaptive_rows(rows_f, 2, 0.0, 1.0, 1e-300, max_panels=2)
+        with pytest.raises(QuadratureError, match=r"non-finite value near x = 0\.5$"):
+            integrate_adaptive_rows(lambda x: rows_f(x)[::-1], 2, 0.0, 1.0, 1e-300,
+                                    max_panels=2)
+
+    def test_non_finite_off_a_rows_panels_is_ignored(self):
+        # row 0 accepts its panels in round 1 and then returns inf and -inf
+        # by turns, on panels it does not own: no error and no warning
+        calls = []
+
+        def rows_f(x):
+            calls.append(len(x))
+            junk = np.where(np.arange(len(x)) % 2, np.inf, -np.inf)
+            return np.stack([x if len(calls) == 1 else junk, np.cos(30.0 * x)])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = integrate_adaptive_rows(rows_f, 2, 0.0, 2.0, 1e-10, breakpoints=[1.0])
+        assert len(calls) > 2
+        assert got == [integrate_adaptive(f, 0.0, 2.0, 1e-10, breakpoints=[1.0])
+                       for f in (lambda x: x, lambda x: np.cos(30.0 * x))]
+
+    def test_rows_splitting_different_panels_equal_solo(self):
+        # each row refines a bump of its own, so every round pools panels
+        # that only some rows own; each row keeps its solo bits
+        fs = [lambda x, c=c: np.exp(-300.0 * (x - c) ** 2) * np.cos(9.0 * x)
+              for c in (0.3, 1.1, 1.7)]
+        calls = []
+
+        def rows_f(x):
+            calls.append(len(x))
+            return np.stack([f(x) for f in fs])
+
+        got = integrate_adaptive_rows(rows_f, len(fs), 0.0, 2.0, 1e-13, breakpoints=[1.0])
+        for f, res in zip(fs, got):
+            solo_calls = []
+            solo = integrate_adaptive(lambda x: solo_calls.append(len(x)) or f(x), 0.0, 2.0,
+                                      1e-13, breakpoints=[1.0])
+            assert res == solo
+            # the pooled calls held panels this row did not own
+            assert sum(calls) > sum(solo_calls)
 
     def test_identical_rows_share_every_node(self):
         # two copies of a row refine the same panels, so each round's call
@@ -385,6 +459,23 @@ class TestSingularRows:
                              np.cos(40.0 * x)])
 
         assert integrate_singular_rows(rows_f, 2, -1.0, 1.0, 1e-10) == [flat, wave]
+        assert len(calls) == wave.panels_used
+
+    def test_finished_rows_may_turn_infinite_without_warnings(self):
+        # row 0 stops first and then returns +-inf: no error and no warning
+        flat = integrate_singular(np.ones_like, -1.0, 1.0, 1e-10)
+        wave = integrate_singular(lambda x: np.cos(40.0 * x), -1.0, 1.0, 1e-10)
+        calls = []
+
+        def rows_f(x):
+            calls.append(len(x))
+            done = len(calls) > flat.panels_used
+            return np.stack([np.where(x < 0.0, np.inf, -np.inf) if done else np.ones_like(x),
+                             np.cos(40.0 * x)])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert integrate_singular_rows(rows_f, 2, -1.0, 1.0, 1e-10) == [flat, wave]
         assert len(calls) == wave.panels_used
 
     def test_first_non_finite_row_raises(self):
