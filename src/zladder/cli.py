@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -329,7 +330,8 @@ def _cmd_plot_data(args) -> int:
 
 def _read_report_rows(path) -> list[tuple[str, float | None, float]]:
     """(key, ratio, abs_error) per nonblank line of a JSONL report; the key
-    is the equation id, with "/sanity" appended on exactness rows."""
+    is the equation id, with "/sanity" appended on exactness rows.  A row
+    with a non-finite ratio or abs_error is malformed (NaN hides in a max)."""
     rows = []
     lineno = 1
     with open(path, "r", encoding="utf-8") as fh:
@@ -337,13 +339,15 @@ def _read_report_rows(path) -> list[tuple[str, float | None, float]]:
             for line in fh:
                 if line.strip():
                     doc = json.loads(line)
-                    ratio = doc.get("ratio")
+                    ratio = None if doc.get("ratio") is None else float(doc["ratio"])
+                    abs_error = float(doc["abs_error"])
+                    for name, value in (("ratio", ratio), ("abs_error", abs_error)):
+                        if value is not None and not math.isfinite(value):
+                            raise ValueError(f"{name} is {value}")
                     key = str(doc["equation_id"])
                     if V.is_sanity(doc.get("params") or {}):
                         key += "/sanity"
-                    rows.append((key,
-                                 None if ratio is None else float(ratio),
-                                 float(doc["abs_error"])))
+                    rows.append((key, ratio, abs_error))
                 lineno += 1
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ReportFormatError(

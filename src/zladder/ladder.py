@@ -10,14 +10,14 @@ the RS/oracle seam, and are halved until the degree-16 interpolant through
 the nested 17 points agrees to the panel's share of the tolerance.  `save` and
 `load` keep checkpoints and coefficients in a versioned, validated `.npz`.
 
-`eval` and `ztilde_sq` of one float run on Python floats (one panel's cached
-column through the same Clenshaw routine), with the IEEE operations of the
-array path in the same order, so a point has the same bits either way.
-`invert` solves on the one panel whose checkpoint values bracket y, with
-those operations: a Newton step takes phi_1 and p from one fused Clenshaw
-pass over the panel's two columns (`_clenshaw_pair`, each recurrence in its
-own order), a neighbour double phi_1 from one pass, and a point not strictly
-inside the panel goes through `eval` and `ztilde_sq`.
+`eval` and `ztilde_sq` of one float run on Python floats (one panel's columns,
+cached in the order the Clenshaw recurrence takes them), with the IEEE
+operations of the array path in the same order, so a point has the same
+bits either way.  `invert` solves on the one panel whose checkpoint values
+bracket y, with those operations: a Newton step takes phi_1 and p from one
+fused Clenshaw pass over the panel's two columns (the first, at x = 0.0,
+one operation a step), a neighbour double phi_1 from one pass, and a point
+not strictly inside the panel goes through `eval` and `ztilde_sq`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from .exceptions import (AdmissibilityError, CacheError, ConvergenceError,
                          DomainError, ToleranceNotMetError)
 from .quadrature import integrate_adaptive
 from .rszeta import ZEvaluator
-from .specfun.orthopoly import _clenshaw, _clenshaw_pair
+from .specfun.orthopoly import (_clenshaw, _clenshaw_fused, _clenshaw_fused_at_zero,
+                                _clenshaw_rev)
 
 EULER_C = 0.5772156649015329
 ONE_MINUS_C = 1.0 - EULER_C
@@ -206,11 +207,10 @@ class LadderTable:
         self._half = 0.5 * (self.edges[1:] - self.edges[:-1])
         # the antiderivative of p^2, one row per panel, built on first use
         # (racing threads write equal bits; a row is read only once built);
-        # the float path's rows of it and of p as lists
+        # the float path's columns, per panel (see `_columns`)
         self._anti = np.empty((len(self._half), 2 * _DEGREE + 2))
         self._built = np.zeros(len(self._half), dtype=bool)
-        self._anti_lists: dict[int, list[float]] = {}
-        self._coef_lists: dict[int, list[float]] = {}
+        self._cols: dict[int, tuple] = {}
 
     @property
     def phi_lo(self) -> float:
@@ -236,19 +236,19 @@ class LadderTable:
             self._built[todo] = True
         return self._anti
 
-    def _anti_list(self, k: int) -> list[float]:
-        """Panel k's antiderivative coefficients as Python floats."""
-        row = self._anti_lists.get(k)
-        if row is None:
-            row = self._anti_lists[k] = self._anti_rows(np.array([k]))[k].tolist()
-        return row
-
-    def _coef_list(self, k: int) -> list[float]:
-        """Panel k's coefficients of p as Python floats."""
-        row = self._coef_lists.get(k)
-        if row is None:
-            row = self._coef_lists[k] = self.coef[k].tolist()
-        return row
+    def _columns(self, k: int) -> tuple:
+        """Panel k's antiderivative a and coefficients c of p as Python
+        floats, as the Clenshaw kernels take them: each one's reversed tail
+        and head, then the fused pass's lead of a and its (a, c) pairs."""
+        cols = self._cols.get(k)
+        if cols is None:
+            if not self._built.item(k):
+                self._anti_rows(np.array([k]))
+            a, c = self._anti[k, ::-1].tolist(), self.coef[k, ::-1].tolist()   # reversed
+            m = len(c)
+            cols = self._cols[k] = (a[:-1], a[-1], c[:-1], c[-1], a[:-m],
+                                    list(zip(a[-m:-1], c[:-1])))
+        return cols
 
     @cached_property
     def _edge_list(self) -> list[float]:
@@ -298,7 +298,7 @@ class LadderTable:
         tolerance); t in [t_lo, t_hi]."""
         if isinstance(t, float):
             k, x = self._panel(t)
-            v = _clenshaw(self._coef_list(k), x)
+            v = _clenshaw_rev(*self._columns(k)[2:4], x)
             return v * v
         flat, k, x = self._panels(t)
         out = _clenshaw(self.coef.T, x, k) ** 2
@@ -315,7 +315,7 @@ class LadderTable:
             lo = self.phi.item(k)
             if t == self._edge_list[k]:
                 return lo
-            v = lo + _clenshaw(self._anti_list(k), x)
+            v = lo + _clenshaw_rev(*self._columns(k)[:2], x)
             return min(max(v, lo), self.phi.item(k + 1))
         flat, k, x = self._panels(t)
         out = self.phi[k] + _clenshaw(self._anti_rows(k).T, x, k)
@@ -334,12 +334,14 @@ class LadderTable:
 
         A solve is deterministic, so a repeated y returns the identical float.
         """
-        ys = ([float(y)] if isinstance(y, float)
-              else np.asarray(y, dtype=float).ravel().tolist())
         lo, hi = self._phi_list[0], self._phi_list[-1]
+        scalar = isinstance(y, float)
+        ys = (float(y),) if scalar else np.asarray(y, dtype=float).ravel().tolist()
         if not all(lo <= v <= hi for v in ys):   # NaN fails
             raise DomainError(
                 f"inversion target outside [{self.phi_lo}, {self.phi_hi}]")
+        if scalar:
+            return self._solve_inverse(ys[0])
         out = [self._solve_inverse(v) for v in ys]
         return out[0] if np.ndim(y) == 0 else np.array(out, dtype=float).reshape(np.shape(y))
 
@@ -347,10 +349,11 @@ class LadderTable:
         """Newton on Python floats on the panel k whose checkpoint values
         bracket y, then the best of the nine doubles around its result.  A
         point strictly inside panel k takes phi_1 and p from the panel's
-        lists with the IEEE operations of the single-point `eval` and
-        `ztilde_sq` (both from one fused Clenshaw pass on a Newton step, phi_1
-        alone on a neighbour); any other point goes through those two.  Each
-        point is evaluated once (the result's value comes from Newton)."""
+        columns with the IEEE operations of the single-point `eval` and
+        `ztilde_sq` (both from one fused Clenshaw pass on a Newton step, the
+        first one at x = 0.0; phi_1 alone on a neighbour); any other point
+        goes through those two.  Each point is evaluated once (the result's
+        value comes from Newton)."""
         phis, edges = self._phi_list, self._edge_list
         j = bisect_left(phis, y)
         if phis[j] == y:
@@ -359,18 +362,15 @@ class LadderTable:
         lo, hi = e_lo, e_hi = edges[k], edges[j]
         base, top = phis[k], phis[j]
         mid, half = self._mid.item(k), self._half.item(k)
-        anti, coef = self._anti_list(k), self._coef_list(k)
-
-        def value(c: float) -> float:   # phi_1(c), as `eval` gives it
-            if e_lo < c < e_hi:
-                return min(max(base + _clenshaw(anti, (c - mid) / half), base), top)
-            return self.eval(c)
+        rest, head, _, p0, lead, pairs = self._columns(k)
 
         t = 0.5 * (lo + hi)
         for _ in range(80):
             if e_lo < t < e_hi:
-                a, p = _clenshaw_pair(anti, coef, (t - mid) / half)
-                vt, slope = min(max(base + a, base), top), p * p
+                a, p = (_clenshaw_fused_at_zero(lead, pairs, head, p0) if t == mid   # x = 0.0
+                        else _clenshaw_fused(lead, pairs, head, p0, (t - mid) / half))
+                vt, slope = base + a, p * p   # vt clamped as by min/max in `eval`:
+                vt = base if vt < base else top if vt > top else vt
             else:
                 vt, slope = self.eval(t), self.ztilde_sq(t)
             ft = vt - y
@@ -382,14 +382,23 @@ class LadderTable:
                 break
             t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
         else:
-            vt = value(t)
+            vt = self.eval(t)
         # the best double among t and its four neighbours on either side
         below, above = [t], [t]
         for _ in range(4):
             below.append(math.nextafter(below[-1], -math.inf))
             above.append(math.nextafter(above[-1], math.inf))
         cands = [c for c in below[:0:-1] + above if self.t_lo <= c <= self.t_hi]
-        vals = [vt if c == t else value(c) for c in cands]
+        vals = []
+        for c in cands:
+            if c == t:
+                v = vt
+            elif e_lo < c < e_hi:   # phi_1(c), as `eval` gives it
+                v = base + _clenshaw_rev(rest, head, (c - mid) / half)
+                v = base if v < base else top if v > top else v
+            else:
+                v = self.eval(c)
+            vals.append(v)
         resids = [abs(v - y) for v in vals]
         best = resids.index(min(resids))
         resid = resids[best]

@@ -4,6 +4,7 @@ proxies evaluate."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,13 +137,21 @@ def poly_norm_sq(spec: PolyFamilySpec, n: int) -> float:
     return float(np.exp(log_h))
 
 
-def _clenshaw(cols, x, k=None):
-    """sum_j cols[j][k] T_j(x), pointwise.  With k, `cols` is a (terms,
-    panels) array, x an array, and one column is gathered per step; without,
-    `cols` is one column of Python floats and x a float.  Both paths run the
-    same IEEE operations in the same order, so a point keeps its bits."""
-    head = cols[0] if k is None else cols[0][k]
-    rest = cols[:0:-1] if k is None else (row[k] for row in cols[:0:-1])
+def _clenshaw(cols, x, k):
+    """sum_j cols[j][k] T_j(x), pointwise, for a (terms, panels) array `cols`
+    and an array x, one column gathered per step.  The kernels below run the
+    same IEEE operations in the same order on Python floats, so a point
+    keeps its bits either way."""
+    x2 = 2.0 * x
+    b1 = b2 = 0.0
+    for row in cols[:0:-1]:
+        b1, b2 = x2 * b1 - b2 + row[k], b1
+    return x * b1 - b2 + cols[0][k]
+
+
+def _clenshaw_rev(rest, head, x):
+    """`_clenshaw` of one column c of Python floats, held as `rest =
+    c[:0:-1]` and `head = c[0]`, at a float x."""
     x2 = 2.0 * x
     b1 = b2 = 0.0
     for c in rest:
@@ -150,17 +159,34 @@ def _clenshaw(cols, x, k=None):
     return x * b1 - b2 + head
 
 
-def _clenshaw_pair(a, c, x):
-    """(_clenshaw(a, x), _clenshaw(c, x)) for columns of Python floats with
-    len(c) <= len(a), in one loop: the first len(a) - len(c) steps run a's
-    recurrence alone, the rest run both side by side, and each recurrence
-    keeps its own operations in its own order, so both keep their bits."""
-    m = len(c)
+def _clenshaw_fused(lead, pairs, a0, c0, x):
+    """`_clenshaw` of two columns a and c, m = len(c) <= len(a), in one loop,
+    held as `lead = a[:m - 1:-1]`, `pairs = list(zip(a[m - 1:0:-1],
+    c[:0:-1]))`, `a0 = a[0]` and `c0 = c[0]`.  Each recurrence keeps its own
+    operations in its own order, so both keep their bits."""
     x2 = 2.0 * x
     a1 = a2 = c1 = c2 = 0.0
-    for u in a[:m - 1:-1]:
+    for u in lead:
         a1, a2 = x2 * a1 - a2 + u, a1
-    for u, v in zip(a[m - 1:0:-1], c[:0:-1]):
+    for u, v in pairs:
         a1, a2 = x2 * a1 - a2 + u, a1
         c1, c2 = x2 * c1 - c2 + v, c1
-    return x * a1 - a2 + a[0], x * c1 - c2 + c[0]
+    return x * a1 - a2 + a0, x * c1 - c2 + c0
+
+
+def _clenshaw_fused_at_zero(lead, pairs, a0, c0):
+    """`_clenshaw_fused` at x = 0.0, one operation a step: while b1 is finite,
+    x2 * b1 - b2 + c and c - b2 are the same real number, rounded once, so
+    they differ at most in the sign of a zero, which no later nonzero step
+    sees.  A zero result, or any after an overflow (where the full
+    recurrence turns to NaN), is taken from the full pass."""
+    a1 = a2 = c1 = c2 = 0.0
+    for u in lead:
+        a1, a2 = u - a2, a1
+    for u, v in pairs:
+        a1, a2 = u - a2, a1
+        c1, c2 = v - c2, c1
+    a, c = a0 - a2, c0 - c2
+    if a and c and math.isfinite(a1 + a2 + c1 + c2):
+        return a, c
+    return _clenshaw_fused(lead, pairs, a0, c0, 0.0)

@@ -21,6 +21,8 @@ from zladder import verify as V
 from zladder.cli import (EXIT_CACHE, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
                          EXIT_SOFT, main as cli_main)
 
+from oracles import ln_t_placement_shift
+
 SEED = 20260811
 
 
@@ -204,7 +206,7 @@ def test_criterion_7_structure_diagnostics(big_ladder, asymptotic_reports):
            and r.params["T"] == 1e5 and r.params["n"] == 1][0]
     a = big_ladder.invert(1e5)
     b = big_ladder.invert(1e5 + 1.0)
-    shift = V.ln_t_placement_shift(cor.ratio, 1e5, (a, b))
+    shift = ln_t_placement_shift(cor.ratio, 1e5, (a, b))
     shift_ok = shift <= 2.0 / math.log(1e5)
 
     rows = retardation_report(big_ladder,

@@ -530,6 +530,19 @@ class TestReportSummary:
         assert run_cli("report", str(path)) == EXIT_CACHE
         assert "not a report row" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["ratio", "abs_error"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_row_exit(self, capsys, tmp_path, field, value):
+        # json.loads takes these; max(0.0, nan) is 0.0, so a NaN row would
+        # read as a perfect one in the summary
+        row = {"equation_id": "E1_2", "ratio": 1.0, "abs_error": 0.0}
+        path = tmp_path / "nan.jsonl"
+        path.write_text(json.dumps(row) + "\n" + json.dumps({**row, field: float(value)}) + "\n")
+        assert value in path.read_text()
+        assert run_cli("report", str(path)) == EXIT_CACHE
+        err = capsys.readouterr().err
+        assert "line 2: not a report row" in err and field in err
+
     def test_unwritable_out_exit(self, capsys, cache_env, tmp_path):
         out = tmp_path / "no-such-dir" / "z.csv"
         assert run_cli("plot-data", "--what", "z_trace", "--from", "100", "--to", "101",

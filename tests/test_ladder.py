@@ -14,7 +14,8 @@ from zladder import (AdmissibilityError, CacheError, ConvergenceError,
                      check_admissible, integrate_adaptive, log_stability_check,
                      pushforward_integral, retardation_report, ztilde_sq)
 from zladder import ladder as ladder_mod
-from zladder.specfun.orthopoly import _clenshaw, _clenshaw_pair
+from zladder.specfun.orthopoly import (_clenshaw, _clenshaw_fused,
+                                       _clenshaw_fused_at_zero, _clenshaw_rev)
 
 FIRST_ZETA_ZERO = 14.134725141734695
 
@@ -428,7 +429,7 @@ class TestPanelsOnFirstUse:
         path = tmp_path / "ladder.npz"
         small_ladder.save(path)
         table = LadderTable.load(path, ev)
-        assert not table._built.any() and not table._anti_lists
+        assert not table._built.any() and not table._cols
 
     def test_only_the_panels_touched(self, small_ladder):
         table = fresh(small_ladder)
@@ -438,7 +439,7 @@ class TestPanelsOnFirstUse:
         table.eval(float(mid[9]))
         table.ztilde_sq(mid[20:30])   # p itself needs no antiderivative
         assert np.flatnonzero(table._built).tolist() == [5, 7, 9]
-        assert sorted(table._anti_lists) == [9]
+        assert sorted(table._cols) == [9]
 
     def _cases(self, table, rng):
         ts = np.concatenate([_special_ts(table), rng.uniform(table.t_lo, table.t_hi, 300)])
@@ -697,11 +698,12 @@ class TestInvertContract:
                 return _fn(t)
             monkeypatch.setattr(table, attr, counted)
 
-        def pair(a, c, x, _fn=ladder_mod._clenshaw_pair):
-            out = _fn(a, c, x)
-            hits["bisect"] += out[1] * out[1] <= 1e-18
-            return out
-        monkeypatch.setattr(ladder_mod, "_clenshaw_pair", pair)
+        for kernel in ("_clenshaw_fused", "_clenshaw_fused_at_zero"):
+            def fused(*args, _fn=getattr(ladder_mod, kernel)):
+                out = _fn(*args)
+                hits["bisect"] += out[1] * out[1] <= 1e-18
+                return out
+            monkeypatch.setattr(ladder_mod, kernel, fused)
 
         for y in ys.tolist():
             assert (_outcome(LadderTable.invert, table, y)
@@ -714,13 +716,16 @@ class TestInvertContract:
         assert hits["bisect"] > 0
 
     def test_each_point_evaluated_once(self, small_ladder, rng, monkeypatch):
-        # a Newton step takes one fused pass for phi_1 and p; the best-double
-        # search takes the last iterate's value from Newton and makes one
-        # Clenshaw pass for each of its eight neighbours; eval and ztilde_sq
-        # are not called for points inside the bracketing panel
+        # a Newton step takes one fused pass for phi_1 and p, the first one,
+        # at the panel midpoint, the x = 0 pass; the best-double search takes
+        # the last iterate's value from Newton and makes one Clenshaw pass
+        # for each of its eight neighbours; eval, ztilde_sq and the general
+        # Clenshaw routine are not called for points inside the panel
         table = small_ladder
         calls = collections.Counter()
-        for owner, name in ((ladder_mod, "_clenshaw"), (ladder_mod, "_clenshaw_pair"),
+        for owner, name in ((ladder_mod, "_clenshaw"), (ladder_mod, "_clenshaw_rev"),
+                            (ladder_mod, "_clenshaw_fused"),
+                            (ladder_mod, "_clenshaw_fused_at_zero"),
                             (table, "eval"), (table, "ztilde_sq")):
             def counted(*args, _fn=getattr(owner, name), _name=name):
                 calls[_name] += 1
@@ -729,9 +734,9 @@ class TestInvertContract:
         for y in rng.uniform(table.phi[1], table.phi[-2], 100).tolist():
             calls.clear()
             table.invert(y)
-            assert calls["_clenshaw_pair"] >= 1, y
-            assert calls["_clenshaw"] == 8, y
-            assert calls["eval"] == calls["ztilde_sq"] == 0, y
+            assert calls["_clenshaw_fused_at_zero"] == 1, y
+            assert calls["_clenshaw_rev"] == 8, y
+            assert calls["_clenshaw"] == calls["eval"] == calls["ztilde_sq"] == 0, y
 
     def test_former_silent_miss(self, ladder_near_1e5):
         # the Gauss-panel ladder's 8 eps |y| stop rule returned a t with
@@ -772,17 +777,43 @@ class TestInvertContract:
         assert _meets_contract(table, y)
 
 
+def _array_clenshaw(col, x):
+    """The bits of the array path, `_clenshaw`, for one column at one x (its
+    overflow warnings silenced: the properties cover overflowed sums)."""
+    with np.errstate(all="ignore"):
+        return float(_clenshaw(np.array(col)[:, None], np.array([x]), 0)[0]).hex()
+
+
+def _columns(data):
+    """Two finite coefficient lists a and c, 1 <= len(c) <= len(a) <= 66,
+    with +-0.0 entries likely, in the fused kernels' Clenshaw order."""
+    n = data.draw(st.integers(1, 66))
+    m = data.draw(st.integers(1, n))
+    coef = st.one_of(st.sampled_from([0.0, -0.0]),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    a = data.draw(st.lists(coef, min_size=n, max_size=n))
+    c = data.draw(st.lists(coef, min_size=m, max_size=m))
+    return a, c, (a[:m - 1:-1], list(zip(a[m - 1:0:-1], c[:0:-1])), a[0], c[0])
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_clenshaw_pair_is_two_clenshaws(data):
-    n = data.draw(st.integers(1, 66))
-    m = data.draw(st.integers(1, n))
-    coef = st.floats(allow_nan=False, allow_infinity=False)
-    a = data.draw(st.lists(coef, min_size=n, max_size=n))
-    c = data.draw(st.lists(coef, min_size=m, max_size=m))
-    x = data.draw(st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)))
-    got = _clenshaw_pair(a, c, x)
-    assert [v.hex() for v in got] == [_clenshaw(a, x).hex(), _clenshaw(c, x).hex()]
+    a, c, fused = _columns(data)
+    x = data.draw(st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1.0]), st.floats(-1.0, 1.0)))
+    want = [_array_clenshaw(a, x), _array_clenshaw(c, x)]
+    assert [v.hex() for v in _clenshaw_fused(*fused, x)] == want
+    assert _clenshaw_rev(a[:0:-1], a[0], x).hex() == want[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_clenshaw_at_zero_is_clenshaw(data):
+    # one operation a step at x = 0.0, the bits of the full recurrence, signed
+    # zeros and overflows included
+    a, c, fused = _columns(data)
+    got = _clenshaw_fused_at_zero(*fused)
+    assert [v.hex() for v in got] == [_array_clenshaw(a, 0.0), _array_clenshaw(c, 0.0)]
 
 
 class TestInvertMemo:
@@ -802,22 +833,24 @@ class TestInvertMemo:
     def test_raise_is_not_memoized(self, table, monkeypatch):
         # phi_1 seen through +-1e-9 noise: no t meets 1e-10.  The noise goes
         # on each Clenshaw pass for phi_1 that invert makes: the fused one of
-        # a Newton step and the single one of a neighbour
+        # a Newton step, the x = 0 one of the first step included, and the
+        # single one of a neighbour
         y = table.anchor_value + 5.5
         flip = itertools.count()
 
         def noise():
             return 1e-9 if next(flip) % 2 else -1e-9
 
-        def noisy_pair(a, c, x, _fn=ladder_mod._clenshaw_pair):
-            v, p = _fn(a, c, x)
-            return v + noise(), p
+        for kernel in ("_clenshaw_fused", "_clenshaw_fused_at_zero"):
+            def noisy_fused(*args, _fn=getattr(ladder_mod, kernel)):
+                v, p = _fn(*args)
+                return v + noise(), p
+            monkeypatch.setattr(ladder_mod, kernel, noisy_fused)
 
-        def noisy_single(cols, x, k=None, _fn=ladder_mod._clenshaw):
-            return _fn(cols, x, k) + noise()
+        def noisy_single(rest, head, x, _fn=ladder_mod._clenshaw_rev):
+            return _fn(rest, head, x) + noise()
 
-        monkeypatch.setattr(ladder_mod, "_clenshaw_pair", noisy_pair)
-        monkeypatch.setattr(ladder_mod, "_clenshaw", noisy_single)
+        monkeypatch.setattr(ladder_mod, "_clenshaw_rev", noisy_single)
         for _ in range(2):
             with pytest.raises(ConvergenceError):
                 table.invert(y)
