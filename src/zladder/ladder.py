@@ -15,9 +15,10 @@ cached in the order the Clenshaw recurrence takes them), with the IEEE
 operations of the array path in the same order, so a point has the same
 bits either way.  `invert` solves on the one panel whose checkpoint values
 bracket y, with those operations: a Newton step takes phi_1 and p from one
-fused Clenshaw pass over the panel's two columns (the first, at x = 0.0,
-one operation a step), a neighbour double phi_1 from one pass, and a point
-not strictly inside the panel goes through `eval` and `ztilde_sq`.
+fused Clenshaw pass over the panel's two columns, a neighbour double that
+Newton did not visit takes phi_1 from one pass, and a point not strictly
+inside the panel goes through `eval` and `ztilde_sq`.  The recurrences are
+`specfun.orthopoly`'s.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from .exceptions import (AdmissibilityError, CacheError, ConvergenceError,
                          DomainError, ToleranceNotMetError)
 from .quadrature import integrate_adaptive
 from .rszeta import ZEvaluator
-from .specfun.orthopoly import (_clenshaw, _clenshaw_fused, _clenshaw_fused_at_zero,
-                                _clenshaw_rev)
+from .specfun.orthopoly import _clenshaw, _clenshaw_fused, _clenshaw_rev
 
 EULER_C = 0.5772156649015329
 ONE_MINUS_C = 1.0 - EULER_C
@@ -350,10 +350,10 @@ class LadderTable:
         bracket y, then the best of the nine doubles around its result.  A
         point strictly inside panel k takes phi_1 and p from the panel's
         columns with the IEEE operations of the single-point `eval` and
-        `ztilde_sq` (both from one fused Clenshaw pass on a Newton step, the
-        first one at x = 0.0; phi_1 alone on a neighbour); any other point
-        goes through those two.  Each point is evaluated once (the result's
-        value comes from Newton)."""
+        `ztilde_sq` (both from one fused Clenshaw pass on a Newton step;
+        phi_1 alone on a neighbour); any other point goes through those two.
+        Each point is evaluated once: a neighbour that Newton already visited
+        takes its value from there."""
         phis, edges = self._phi_list, self._edge_list
         j = bisect_left(phis, y)
         if phis[j] == y:
@@ -364,15 +364,16 @@ class LadderTable:
         mid, half = self._mid.item(k), self._half.item(k)
         rest, head, _, p0, lead, pairs = self._columns(k)
 
-        t = 0.5 * (lo + hi)
+        seen = {}   # phi_1 of each point evaluated so far
+        t = 0.5 * (lo + hi)   # the midpoint: x = 0.0 on the first step
         for _ in range(80):
             if e_lo < t < e_hi:
-                a, p = (_clenshaw_fused_at_zero(lead, pairs, head, p0) if t == mid   # x = 0.0
-                        else _clenshaw_fused(lead, pairs, head, p0, (t - mid) / half))
+                a, p = _clenshaw_fused(lead, pairs, head, p0, (t - mid) / half)
                 vt, slope = base + a, p * p   # vt clamped as by min/max in `eval`:
                 vt = base if vt < base else top if vt > top else vt
             else:
                 vt, slope = self.eval(t), self.ztilde_sq(t)
+            seen[t] = vt
             ft = vt - y
             lo, hi = (lo, t) if ft > 0.0 else (t, hi)
             # Newton step on the stored derivative, safeguarded by the bracket;
@@ -381,8 +382,6 @@ class LadderTable:
             if abs(step) <= 2.0 * math.ulp(t) or hi - lo <= 4.0 * math.ulp(hi):
                 break
             t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
-        else:
-            vt = self.eval(t)
         # the best double among t and its four neighbours on either side
         below, above = [t], [t]
         for _ in range(4):
@@ -391,8 +390,8 @@ class LadderTable:
         cands = [c for c in below[:0:-1] + above if self.t_lo <= c <= self.t_hi]
         vals = []
         for c in cands:
-            if c == t:
-                v = vt
+            if c in seen:
+                v = seen[c]
             elif e_lo < c < e_hi:   # phi_1(c), as `eval` gives it
                 v = base + _clenshaw_rev(rest, head, (c - mid) / half)
                 v = base if v < base else top if v > top else v

@@ -23,6 +23,7 @@ import numpy as np
 from ._rs_terms import RS_TERM_TABLES
 from .exceptions import DomainError, PrecisionError
 from .specfun.gamma import _BERNOULLI_2K, _log_gamma_cld
+from .specfun.orthopoly import _clenshaw
 
 _TWO_PI = 2.0 * np.pi
 _LD = np.longdouble
@@ -37,42 +38,24 @@ _TILE = 1 << 15
 _RS_T_MAX = 1e8        # z_rs's cap on t; see z_rs
 _ORACLE_T_MAX = 1e6    # theta_oracle's and z_oracle's cap on t; see z_oracle
 
-# the remainder tables stacked as rows (term j, coefficient k), and the
-# coefficients the Clenshaw recurrence consumes, highest degree first, as
-# (term, 1) columns ready to broadcast over a block of points
+# the remainder tables stacked as rows (term j, coefficient k)
 _RS_CHEB = np.stack(RS_TERM_TABLES)
-_RS_CHEB_STEPS = np.ascontiguousarray(_RS_CHEB[:, :0:-1].T[:, :, None])
 _CLENSHAW_CHUNK = 8192  # points per block: amortizes call overhead, stays in L2
 
 
 def _rs_terms(p: np.ndarray, order: int) -> np.ndarray:
     """C_0(p)..C_{order-1}(p) on p in [0, 1] as an (order, len(p)) array.
 
-    One Clenshaw pass serves every table at once, in place on rotating
-    buffers.  Each element sees the same operations in the same order as a
-    per-table recurrence (b <- (2u b0 - b1) + c_k, then u b0 - b1 + c_0), so
-    the rows are bit-for-bit those of evaluating each table on its own.
+    One `_clenshaw` pass per block of points serves every table at once, as
+    (order, 1) columns broadcast over the block.  Each element sees the same
+    operations in the same order as a per-table recurrence, so the rows are
+    bit-for-bit those of evaluating each table on its own.
     """
     out = np.empty((order, p.size))
-    steps = _RS_CHEB_STEPS[:, :order]
-    c0 = _RS_CHEB[:order, :1]
-    bufs = np.empty((3, order, min(p.size, _CLENSHAW_CHUNK)))
-    for start in range(0, p.size, _CLENSHAW_CHUNK):
-        stop = min(p.size, start + _CLENSHAW_CHUNK)
-        b0, b1, b2 = bufs[:, :, :stop - start]
-        u = 2.0 * p[start:stop] - 1.0
-        u2 = 2.0 * u
-        b0.fill(0.0)
-        b1.fill(0.0)
-        for c in steps:
-            np.multiply(u2, b0, out=b2)
-            b2 -= b1
-            b2 += c
-            b0, b1, b2 = b2, b0, b1
-        res = out[:, start:stop]
-        np.multiply(u, b0, out=res)
-        res -= b1
-        res += c0
+    cols = _RS_CHEB[:order].T
+    for s in range(0, p.size, _CLENSHAW_CHUNK):
+        e = s + _CLENSHAW_CHUNK
+        out[:, s:e] = _clenshaw(cols, 2.0 * p[s:e] - 1.0, (slice(None), None))
     return out
 
 

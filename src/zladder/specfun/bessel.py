@@ -86,7 +86,7 @@ def _dd_mul(xh, xl, yh, yl):
 
 def _dd_div(xh, xl, yh, yl):
     qh = xh / yh
-    th, tl = _dd_mul(qh, np.zeros_like(qh) if hasattr(qh, "shape") else 0.0, yh, yl)
+    th, tl = _dd_mul(qh, 0.0, yh, yl)
     rh, rl = _dd_add(xh, xl, -th, -tl)
     return _two_sum(qh, (rh + rl) / yh)
 

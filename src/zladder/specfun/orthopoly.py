@@ -1,10 +1,10 @@
 """Jacobi, Legendre and Chebyshev polynomials with their weighted norms, and
-the Clenshaw sum of a Chebyshev series that the ladder panels and the Bessel
-proxies evaluate."""
+the one home of the Clenshaw sum of a Chebyshev series, which the
+Riemann-Siegel remainder terms, the ladder panels and the Bessel proxies
+evaluate."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,10 +138,11 @@ def poly_norm_sq(spec: PolyFamilySpec, n: int) -> float:
 
 
 def _clenshaw(cols, x, k):
-    """sum_j cols[j][k] T_j(x), pointwise, for a (terms, panels) array `cols`
-    and an array x, one column gathered per step.  The kernels below run the
-    same IEEE operations in the same order on Python floats, so a point
-    keeps its bits either way."""
+    """sum_j cols[j][k] T_j(x), pointwise, for a (terms, ...) array `cols`
+    (terms by panels, or by tables) and an array x, `row[k]` gathered per
+    step.  The kernels below run the same IEEE operations in the same order
+    on Python floats, so a point keeps its bits either way; they are the
+    only copies of the recurrence."""
     x2 = 2.0 * x
     b1 = b2 = 0.0
     for row in cols[:0:-1]:
@@ -173,20 +174,3 @@ def _clenshaw_fused(lead, pairs, a0, c0, x):
         c1, c2 = x2 * c1 - c2 + v, c1
     return x * a1 - a2 + a0, x * c1 - c2 + c0
 
-
-def _clenshaw_fused_at_zero(lead, pairs, a0, c0):
-    """`_clenshaw_fused` at x = 0.0, one operation a step: while b1 is finite,
-    x2 * b1 - b2 + c and c - b2 are the same real number, rounded once, so
-    they differ at most in the sign of a zero, which no later nonzero step
-    sees.  A zero result, or any after an overflow (where the full
-    recurrence turns to NaN), is taken from the full pass."""
-    a1 = a2 = c1 = c2 = 0.0
-    for u in lead:
-        a1, a2 = u - a2, a1
-    for u, v in pairs:
-        a1, a2 = u - a2, a1
-        c1, c2 = v - c2, c1
-    a, c = a0 - a2, c0 - c2
-    if a and c and math.isfinite(a1 + a2 + c1 + c2):
-        return a, c
-    return _clenshaw_fused(lead, pairs, a0, c0, 0.0)

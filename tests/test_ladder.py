@@ -14,8 +14,7 @@ from zladder import (AdmissibilityError, CacheError, ConvergenceError,
                      check_admissible, integrate_adaptive, log_stability_check,
                      pushforward_integral, retardation_report, ztilde_sq)
 from zladder import ladder as ladder_mod
-from zladder.specfun.orthopoly import (_clenshaw, _clenshaw_fused,
-                                       _clenshaw_fused_at_zero, _clenshaw_rev)
+from zladder.specfun.orthopoly import _clenshaw, _clenshaw_fused, _clenshaw_rev
 
 FIRST_ZETA_ZERO = 14.134725141734695
 
@@ -698,12 +697,11 @@ class TestInvertContract:
                 return _fn(t)
             monkeypatch.setattr(table, attr, counted)
 
-        for kernel in ("_clenshaw_fused", "_clenshaw_fused_at_zero"):
-            def fused(*args, _fn=getattr(ladder_mod, kernel)):
-                out = _fn(*args)
-                hits["bisect"] += out[1] * out[1] <= 1e-18
-                return out
-            monkeypatch.setattr(ladder_mod, kernel, fused)
+        def fused(*args, _fn=ladder_mod._clenshaw_fused):
+            out = _fn(*args)
+            hits["bisect"] += out[1] * out[1] <= 1e-18
+            return out
+        monkeypatch.setattr(ladder_mod, "_clenshaw_fused", fused)
 
         for y in ys.tolist():
             assert (_outcome(LadderTable.invert, table, y)
@@ -716,27 +714,56 @@ class TestInvertContract:
         assert hits["bisect"] > 0
 
     def test_each_point_evaluated_once(self, small_ladder, rng, monkeypatch):
-        # a Newton step takes one fused pass for phi_1 and p, the first one,
-        # at the panel midpoint, the x = 0 pass; the best-double search takes
-        # the last iterate's value from Newton and makes one Clenshaw pass
-        # for each of its eight neighbours; eval, ztilde_sq and the general
-        # Clenshaw routine are not called for points inside the panel
+        # a Newton step takes one fused pass for phi_1 and p, the first one at
+        # the panel midpoint (x = 0.0); the best-double search makes one
+        # Clenshaw pass for each of the last iterate's eight neighbours that
+        # Newton did not visit; eval, ztilde_sq and the general Clenshaw
+        # routine are not called for points inside the panel
         table = small_ladder
         calls = collections.Counter()
-        for owner, name in ((ladder_mod, "_clenshaw"), (ladder_mod, "_clenshaw_rev"),
-                            (ladder_mod, "_clenshaw_fused"),
-                            (ladder_mod, "_clenshaw_fused_at_zero"),
-                            (table, "eval"), (table, "ztilde_sq")):
+        newton, single = _record_x(monkeypatch)
+        for owner, name in ((ladder_mod, "_clenshaw"), (table, "eval"),
+                            (table, "ztilde_sq")):
             def counted(*args, _fn=getattr(owner, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(owner, name, counted)
         for y in rng.uniform(table.phi[1], table.phi[-2], 100).tolist():
-            calls.clear()
+            newton.clear()
+            single.clear()
             table.invert(y)
-            assert calls["_clenshaw_fused_at_zero"] == 1, y
-            assert calls["_clenshaw_rev"] == 8, y
+            k = int(np.searchsorted(table.phi, y)) - 1
+            mid, half = table._mid.item(k), table._half.item(k)
+            t = mid + half * newton[-1]   # the last iterate, to within an ulp
+            while (t - mid) / half < newton[-1]:
+                t = math.nextafter(t, math.inf)
+            while (t - mid) / half > newton[-1]:
+                t = math.nextafter(t, -math.inf)
+            assert (t - mid) / half == newton[-1], y
+            near = [t, t]
+            for _ in range(4):
+                near += [math.nextafter(near[-2], -math.inf), math.nextafter(near[-1], math.inf)]
+            unvisited = {(c - mid) / half for c in near[2:]} - set(newton)
+            assert newton[0] == 0.0, y
+            assert len(set(newton)) == len(newton), y
+            assert sorted(single) == sorted(unvisited), y
             assert calls["_clenshaw"] == calls["eval"] == calls["ztilde_sq"] == 0, y
+
+    def test_no_point_evaluated_twice(self, query_ladder, monkeypatch):
+        # CI's 2,000 stratified y: no solve makes a second Clenshaw pass at an
+        # x it has evaluated (a neighbour of the last iterate that is an
+        # earlier iterate takes the iterate's value)
+        table = query_ladder
+        newton, single = _record_x(monkeypatch)
+        m = 2000
+        u = (np.arange(m) + np.random.default_rng(1).random(m)) / m
+        ys = np.minimum(table.phi_lo + u * (table.phi_hi - table.phi_lo), table.phi_hi)
+        for y in ys.tolist():
+            newton.clear()
+            single.clear()
+            table.invert(y)
+            xs = newton + single
+            assert len(set(xs)) == len(xs), y
 
     def test_former_silent_miss(self, ladder_near_1e5):
         # the Gauss-panel ladder's 8 eps |y| stop rule returned a t with
@@ -777,6 +804,24 @@ class TestInvertContract:
         assert _meets_contract(table, y)
 
 
+def _record_x(monkeypatch):
+    """Wrap the ladder's fused and single Clenshaw kernels; the two lists
+    they return collect the x of each pass."""
+    newton, single = [], []
+
+    def fused(lead, pairs, a0, c0, x, _fn=ladder_mod._clenshaw_fused):
+        newton.append(x)
+        return _fn(lead, pairs, a0, c0, x)
+
+    def rev(rest, head, x, _fn=ladder_mod._clenshaw_rev):
+        single.append(x)
+        return _fn(rest, head, x)
+
+    monkeypatch.setattr(ladder_mod, "_clenshaw_fused", fused)
+    monkeypatch.setattr(ladder_mod, "_clenshaw_rev", rev)
+    return newton, single
+
+
 def _array_clenshaw(col, x):
     """The bits of the array path, `_clenshaw`, for one column at one x (its
     overflow warnings silenced: the properties cover overflowed sums)."""
@@ -806,16 +851,6 @@ def test_clenshaw_pair_is_two_clenshaws(data):
     assert _clenshaw_rev(a[:0:-1], a[0], x).hex() == want[0]
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_clenshaw_at_zero_is_clenshaw(data):
-    # one operation a step at x = 0.0, the bits of the full recurrence, signed
-    # zeros and overflows included
-    a, c, fused = _columns(data)
-    got = _clenshaw_fused_at_zero(*fused)
-    assert [v.hex() for v in got] == [_array_clenshaw(a, 0.0), _array_clenshaw(c, 0.0)]
-
-
 class TestInvertMemo:
     @pytest.fixture
     def table(self, ev):
@@ -833,19 +868,18 @@ class TestInvertMemo:
     def test_raise_is_not_memoized(self, table, monkeypatch):
         # phi_1 seen through +-1e-9 noise: no t meets 1e-10.  The noise goes
         # on each Clenshaw pass for phi_1 that invert makes: the fused one of
-        # a Newton step, the x = 0 one of the first step included, and the
-        # single one of a neighbour
+        # a Newton step and the single one of a neighbour
         y = table.anchor_value + 5.5
         flip = itertools.count()
 
         def noise():
             return 1e-9 if next(flip) % 2 else -1e-9
 
-        for kernel in ("_clenshaw_fused", "_clenshaw_fused_at_zero"):
-            def noisy_fused(*args, _fn=getattr(ladder_mod, kernel)):
-                v, p = _fn(*args)
-                return v + noise(), p
-            monkeypatch.setattr(ladder_mod, kernel, noisy_fused)
+        def noisy_fused(*args, _fn=ladder_mod._clenshaw_fused):
+            v, p = _fn(*args)
+            return v + noise(), p
+
+        monkeypatch.setattr(ladder_mod, "_clenshaw_fused", noisy_fused)
 
         def noisy_single(rest, head, x, _fn=ladder_mod._clenshaw_rev):
             return _fn(rest, head, x) + noise()
