@@ -1,4 +1,4 @@
-"""Atomic replacement of cache files."""
+"""Atomic replacement of the ladder cache file."""
 
 from __future__ import annotations
 
@@ -8,9 +8,9 @@ import threading
 
 
 @contextlib.contextmanager
-def atomic_writer(path, binary: bool = False):
-    """Yield a handle (text, or bytes when `binary`) whose contents replace
-    `path` only on clean exit.
+def atomic_writer(path):
+    """Yield a binary handle whose contents replace `path` only on clean
+    exit.
 
     The data goes to a temporary file in the same directory, which
     `os.replace` then renames over `path`; a write that fails halfway leaves
@@ -21,7 +21,7 @@ def atomic_writer(path, binary: bool = False):
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
-        with (open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")) as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -2,12 +2,15 @@
 
 Verbs: `z eval`, `specfun zeros`, `ladder build|query|invert|retardation`,
 `verify baseline|theorem1|corollary|theorem2|sanity`, `plot-data`, `run`,
-`report`.  `verify F` is `run --equations F`: the same reports, the same
-judgement and the same exit code.  Plan row sets come from `verify.FAMILIES`,
-and every row that `verify.is_sanity` picks out is judged at `tol_sanity`.
-Ladder verbs and plans cache the ladder (checkpoints and panel coefficients)
-in `<cache root>/ladder-<ladder config hash>.npz` unless `--cache` names a
-file (written under exactly that name).  A default cache of an older format
+`report`.  Z comes from the one fixed `ZEvaluator`, which no flag or INI
+key configures, and `specfun zeros` reads and writes no file: its output
+depends only on --nu and --count.  `verify F` is `run --equations F`: the
+same reports, the same judgement and the same exit code.  Plan row sets come
+from `verify.FAMILIES`, and every row that `verify.is_sanity` picks out is
+judged at `tol_sanity`.  Ladder verbs and plans cache the ladder
+(checkpoints and panel coefficients) in
+`<cache root>/ladder-<ladder config hash>.npz` unless `--cache` names a file
+(written under exactly that name), the one file format zladder keeps.  A default cache of an older format
 has another name and is not read, so the ladder is rebuilt once; a `--cache`
 file in an older format (JSON, or a version-2 `.npz`) is rejected (exit 65)
 until `ladder build --rebuild` replaces it.  `report` lists the sanity rows
@@ -41,11 +44,12 @@ from dataclasses import fields
 import numpy as np
 
 from . import verify as V
-from .config import PLAN_EQUATIONS, RunConfig, cache_root
+from .config import PLAN_EQUATIONS, RunConfig
 from .exceptions import (CacheError, ConvergenceError, DomainError,
                          PrecisionError, ReportFormatError)
 from .ladder import LadderTable, build_ladder, retardation_report
-from .specfun import bessel_zero, load_zero_cache, save_zero_cache, zero_table
+from .rszeta import ZEvaluator
+from .specfun import bessel_zero, zero_table
 
 EXIT_OK = 0
 EXIT_HARD = 1
@@ -78,7 +82,7 @@ def _config_from_args(args) -> RunConfig:
 
 def _get_ladder(cfg: RunConfig, rebuild: bool = False) -> LadderTable:
     path = cfg.ladder_cache_path()
-    ev = cfg.evaluator()
+    ev = ZEvaluator()
     if not rebuild and os.path.exists(path):
         table = LadderTable.load(path, ev)  # CacheError propagates (exit 65)
         if table.config_hash() != cfg.ladder_hash():
@@ -173,8 +177,8 @@ def _soft_failures(reports, cfg: RunConfig) -> list[str]:
 # subcommand implementations
 
 def _cmd_z_eval(args) -> int:
-    cfg = _config_from_args(args)
-    ev = cfg.evaluator()
+    _config_from_args(args)   # a bad --config file is still a usage error
+    ev = ZEvaluator()
     t = args.t
     # Z comes from the oracle below t_min_rs, as in ev.z, and theta with it:
     # the asymptotic series is vouched for only at t >= 50
@@ -191,15 +195,9 @@ def _cmd_z_eval(args) -> int:
 def _cmd_specfun_zeros(args) -> int:
     if not 1 <= args.count <= 64:
         raise DomainError(f"need 1 <= --count <= 64, have --count {args.count}")
-    cache_file = args.cache_file or os.path.join(cache_root(), "bessel-zeros.json")
-    if os.path.exists(cache_file):
-        load_zero_cache(cache_file)
     zeros = [bessel_zero(args.nu, k) for k in range(1, args.count + 1)]
-    table = zero_table(args.nu, args.count)
-    os.makedirs(os.path.dirname(cache_file) or ".", exist_ok=True)
-    save_zero_cache(cache_file)
     _print_json({"nu": args.nu, "zeros": zeros,
-                 "residual_bound": table.residual_bound, "cache": cache_file})
+                 "residual_bound": zero_table(args.nu, args.count).residual_bound})
     return EXIT_OK
 
 
@@ -310,7 +308,7 @@ def _plot_rows(args, cfg: RunConfig) -> tuple[str, list]:
         raise DomainError(f"plot-data --what envelope needs --T and "
                           f"1 <= --points <= {MAX_GRID_POINTS}")
     if args.what == "z_trace":
-        return "t,z", list(zip(ts.tolist(), cfg.evaluator().z(ts).tolist()))
+        return "t,z", list(zip(ts.tolist(), ZEvaluator().z(ts).tolist()))
     table = _get_ladder(cfg)
     if args.what == "ladder":
         return "t,phi1,t_minus_phi1", [(t, p, t - p) for t, p in
@@ -374,15 +372,8 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_config_opts(p):
-    p.add_argument("--config", help="INI configuration file")
-    p.add_argument("--rs-correction-order", dest="rs_correction_order", type=int)
-    p.add_argument("--oracle-terms", dest="oracle_terms", type=int)
-    p.add_argument("--t-min-rs", dest="t_min_rs", type=float)
-
-
 def _add_ladder_opts(p):
-    _add_config_opts(p)
+    p.add_argument("--config", help="INI configuration file")
     p.add_argument("--t-lo", dest="t_lo", type=float)
     p.add_argument("--t-hi", dest="t_hi", type=float)
     p.add_argument("--anchor", dest="anchor_t0", type=float)
@@ -426,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe = zsub.add_parser("eval", help="print theta, Z, Z^2 at t as a JSON line")
     pe.add_argument("--t", type=float, required=True)
     pe.add_argument("--oracle", action="store_true", help="use the oracle path")
-    _add_config_opts(pe)
+    pe.add_argument("--config", help="INI configuration file")
     pe.set_defaults(fn=_cmd_z_eval)
 
     ps = sub.add_parser("specfun", help="special function utilities")
@@ -434,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     pz2 = ssub.add_parser("zeros", help="Bessel zeros mu_n")
     pz2.add_argument("--nu", type=float, required=True)
     pz2.add_argument("--count", type=int, required=True)
-    pz2.add_argument("--cache-file", dest="cache_file")
     pz2.set_defaults(fn=_cmd_specfun_zeros)
 
     pl = sub.add_parser("ladder", help="build/query the Jacob's ladder")

@@ -2,11 +2,6 @@
 
 Sections and keys (all optional; defaults shown):
 
-    [evaluator]
-    rs_correction_order = 4
-    oracle_terms = 8
-    t_min_rs = 50.0
-
     [ladder]
     t_lo = 1000.0
     t_hi = 2000.0
@@ -36,8 +31,9 @@ Keys match case-insensitively (`t` sets T), values are literal (no `%`
 interpolation), and any other section or key is a DomainError that names
 it.  Flags win over file values.  The default ladder cache is named by the same
 hash that `LadderTable.config_hash` records in the cache file and in every
-report row: the ladder domain, anchor, step, tolerance, panel rule and
-evaluator configuration.  Default caches under the names older versions used
+report row: the ladder domain, anchor, step, tolerance, panel rule and the
+fixed configuration of the one Z evaluator (`ZEvaluator.config_hash`), which
+no file or flag sets.  Default caches under the names older versions used
 (JSON files) are not read; the ladder is rebuilt once as `ladder-<hash>.npz`.
 """
 
@@ -68,9 +64,6 @@ def _floats(raw: str) -> tuple[float, ...]:
 
 # (section, key, parse) of every INI field; a blank value takes the default
 _INI_FIELDS = (
-    ("evaluator", "rs_correction_order", int),
-    ("evaluator", "oracle_terms", int),
-    ("evaluator", "t_min_rs", float),
     ("ladder", "t_lo", float),
     ("ladder", "t_hi", float),
     ("ladder", "anchor_t0", float),
@@ -95,10 +88,6 @@ _INI_FIELDS = (
 
 @dataclass
 class RunConfig:
-    # evaluator
-    rs_correction_order: int = 4
-    oracle_terms: int = 8
-    t_min_rs: float = 50.0
     # ladder
     t_lo: float = 1000.0
     t_hi: float = 2000.0
@@ -171,16 +160,12 @@ class RunConfig:
 
     # -- derived -------------------------------------------------------------
 
-    def evaluator(self) -> ZEvaluator:
-        return ZEvaluator(rs_correction_order=self.rs_correction_order,
-                          oracle_terms=self.oracle_terms, t_min_rs=self.t_min_rs)
-
     def anchor(self) -> float:
         return self.anchor_t0 if self.anchor_t0 is not None else self.t_lo + 10.0
 
     def ladder_hash(self) -> str:
         """The `LadderTable.config_hash` of the ladder this config builds."""
-        return ladder_config_hash(self.evaluator(), self.t_lo, self.t_hi,
+        return ladder_config_hash(ZEvaluator(), self.t_lo, self.t_hi,
                                   self.anchor(), self.h, self.tol)
 
     def ladder_cache_path(self) -> str:

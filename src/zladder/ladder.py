@@ -54,6 +54,9 @@ _DEGREE = 32                 # of p on every panel; the check uses DEGREE / 2
 # panels per evaluation batch; it also fixes the batches Z is evaluated in,
 # and with them Z's bits (see ZEvaluator), so changing it moves ladder bits
 _BUILD_CHUNK = 3000
+# panels whose antiderivative rows a cold scalar lookup builds in one call:
+# the call's overhead, not its rows, dominates (one row ~0.4 ms, 64 ~0.8 ms)
+_ANTI_BLOCK = 64
 _MAX_SPLIT_ROUNDS = 30
 _PANEL_RULE = "cheb32-lobatto+cheb16"
 
@@ -239,11 +242,14 @@ class LadderTable:
     def _columns(self, k: int) -> tuple:
         """Panel k's antiderivative a and coefficients c of p as Python
         floats, as the Clenshaw kernels take them: each one's reversed tail
-        and head, then the fused pass's lead of a and its (a, c) pairs."""
+        and head, then the fused pass's lead of a and its (a, c) pairs.  A
+        panel not yet built is built with the rest of its aligned block of
+        `_ANTI_BLOCK` panels."""
         cols = self._cols.get(k)
         if cols is None:
             if not self._built.item(k):
-                self._anti_rows(np.array([k]))
+                lo = k - k % _ANTI_BLOCK
+                self._anti_rows(np.arange(lo, min(lo + _ANTI_BLOCK, len(self._half))))
             a, c = self._anti[k, ::-1].tolist(), self.coef[k, ::-1].tolist()   # reversed
             m = len(c)
             cols = self._cols[k] = (a[:-1], a[-1], c[:-1], c[-1], a[:-m],
@@ -426,7 +432,7 @@ class LadderTable:
             "anchor_value": self.anchor_value, "residual_total": self.residual_total,
             "edges": self.edges, "phi": self.phi, "coef": self.coef,
         }
-        with atomic_writer(path, binary=True) as fh:
+        with atomic_writer(path) as fh:
             np.savez(fh, **fields)
 
     @classmethod

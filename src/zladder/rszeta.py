@@ -3,7 +3,7 @@
 Two independent evaluation routes are provided and cross-checked in tests:
 
 * the Riemann-Siegel route (`z_rs`): main sum of length floor(sqrt(t/2pi))
-  plus up to four remainder terms C_0..C_3 read from frozen Chebyshev tables;
+  plus the four remainder terms C_0..C_3 read from frozen Chebyshev tables;
 * the oracle route (`z_oracle`): Euler-Maclaurin summation of zeta(1/2+it)
   with ~2t terms and Bernoulli corrections, carried out in extended precision,
   then rotated by e^{i theta(t)}.
@@ -61,11 +61,11 @@ def _rs_terms(p: np.ndarray, order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ZEvaluator:
-    """Immutable evaluator configuration.
+    """The one Hardy Z evaluator; its configuration is fixed.
 
-    Results are deterministic functions of (config, t) up to rounding: z_rs
-    splits a batch into chunks of _MAX_BLOCK // n_max points, and sums the
-    main series of every point of a chunk out to the chunk's longest length
+    Results are deterministic functions of t up to rounding: z_rs splits a
+    batch into chunks of _MAX_BLOCK // n_max points, and sums the main series
+    of every point of a chunk out to the chunk's longest length
     n_max = floor(sqrt(t/2pi)).  numpy's pairwise sum groups the terms by that
     padded length, so the chunks define the bits: a value can move by a few
     ulps (measured <= 4e-15 on [1e3, 7e3]) with the other points in its
@@ -73,22 +73,15 @@ class ZEvaluator:
     scalar results; theta, the remainder terms and the oracle route are
     elementwise.  Memory is one tile of ~_TILE terms, whatever the chunk.
 
-    rs_correction_order counts Riemann-Siegel remainder terms beyond the main
-    sum (0..4; four terms keep |z_rs - z_oracle| below ~6e-7 on [1e2, 1e5],
-    a single term is only good to ~3e-3).
+    z_rs adds the four Riemann-Siegel remainder terms C_0..C_3 to the main
+    sum, which keeps |z_rs - z_oracle| below ~6e-7 on [1e2, 1e5].  The three
+    class constants below are that configuration: `config_hash` names them,
+    and the ladder cache records them and refuses a file holding others.
     """
 
-    rs_correction_order: int = 4
-    oracle_terms: int = 8
-    t_min_rs: float = 50.0
-
-    def __post_init__(self):
-        if self.rs_correction_order not in (0, 1, 2, 3, 4):
-            raise DomainError("rs_correction_order must be in {0,1,2,3,4}")
-        if not 2 <= self.oracle_terms <= 11:
-            raise DomainError("oracle_terms must be in [2, 11]")
-        if not self.t_min_rs >= _TWO_PI:   # NaN fails
-            raise DomainError("t_min_rs must be at least 2*pi")
+    rs_correction_order = 4   # remainder terms of z_rs
+    oracle_terms = 8          # Bernoulli corrections of zeta_half
+    t_min_rs = 50.0           # z takes z_rs from here up, z_oracle below
 
     # -- theta ---------------------------------------------------------------
 
@@ -167,16 +160,15 @@ class ZEvaluator:
                 out[lo:hi] = 2.0 * terms.sum(axis=1)
             start = stop
 
-        if self.rs_correction_order > 0:
-            rows = _rs_terms(a - n_len, self.rs_correction_order)
-            corr = np.zeros_like(flat)
-            fac = np.ones_like(flat)
-            inv_a = 1.0 / a
-            for row in rows:
-                corr += row * fac
-                fac = fac * inv_a
-            sign = np.where(n_len % 2 == 1, 1.0, -1.0)
-            out += sign * corr / np.sqrt(a)
+        rows = _rs_terms(a - n_len, self.rs_correction_order)
+        corr = np.zeros_like(flat)
+        fac = np.ones_like(flat)
+        inv_a = 1.0 / a
+        for row in rows:
+            corr += row * fac
+            fac = fac * inv_a
+        sign = np.where(n_len % 2 == 1, 1.0, -1.0)
+        out += sign * corr / np.sqrt(a)
         out = out.reshape(ta.shape) if ta.ndim else out
         return float(out[0]) if scalar else out
 
@@ -239,8 +231,8 @@ class ZEvaluator:
     # -- combined ----------------------------------------------------------------
 
     def z(self, t) -> float | np.ndarray:
-        """Z(t) by the configured best path: Riemann-Siegel above t_min_rs,
-        the Euler-Maclaurin oracle below."""
+        """Z(t) by Riemann-Siegel from t_min_rs up, the Euler-Maclaurin
+        oracle below."""
         ta = np.asarray(t, dtype=float)
         if ta.ndim == 0:
             return self.z_rs(ta) if float(ta) >= self.t_min_rs else self.z_oracle(ta)

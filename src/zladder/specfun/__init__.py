@@ -6,8 +6,6 @@ from .bessel import (
     bessel_j_proxy,
     bessel_norm_sq,
     bessel_zero,
-    load_zero_cache,
-    save_zero_cache,
     zero_table,
 )
 from .gamma import gamma_fn, log_gamma
@@ -20,8 +18,6 @@ __all__ = [
     "bessel_norm_sq",
     "bessel_zero",
     "zero_table",
-    "save_zero_cache",
-    "load_zero_cache",
     "gamma_fn",
     "log_gamma",
     "PolyFamilySpec",

@@ -13,11 +13,11 @@ Evaluation strategy
 
 The terms of that normalization overflow at high order (J is 6.5e-2 off at
 nu = 131.25, and the zeros out to the 64th fail past nu = 120), so orders
-above NU_MAX = 100 are rejected, and a zero cache holding one is refused.
+above NU_MAX = 100 are rejected.
 
 Zeros are located from McMahon's asymptotic guess with a safeguarded
-Newton iteration inside a maintained sign-change bracket, and cached in
-append-only per-nu tables.  Beside each zero mu_n the table keeps, once
+Newton iteration inside a maintained sign-change bracket, and kept in
+append-only per-nu tables in memory (nothing is written to disk).  Beside each zero mu_n the table keeps, once
 computed, the norm 0.5 J_{nu+1}(mu_n)^2 and the Chebyshev proxy of
 u -> J_nu(mu_n u) on [0, 1] that `bessel_j_proxy` evaluates for the ladder
 integrands at the cost of one Clenshaw sum (Trefethen, Approximation Theory
@@ -28,22 +28,19 @@ series.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._atomic import atomic_writer
-from ..exceptions import CacheError, ConvergenceError, DomainError
+from ..exceptions import ConvergenceError, DomainError
 from .gamma import gamma_fn
 from .orthopoly import _clenshaw
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
 _SERIES_MAX_X = 40.0
-_ZERO_CACHE_VERSION = 1
 
 _PROXY_MIN_DEGREE = 16
 _PROXY_MAX_DEGREE = 512
@@ -358,9 +355,6 @@ class BesselZeroTable:
                 self.nu, [self.zeros[n - 1] for n in missing])))
         return [self.proxies[n] for n in ns]
 
-    def to_dict(self) -> dict:
-        return {"zeros": list(self.zeros), "residual_bound": self.residual_bound}
-
 
 def _proxy_coefficients(nu: float, mus) -> list[np.ndarray]:
     """Chebyshev coefficients of g(u) = J_nu(mu u) / (mu u / 2)^nu in s, one
@@ -504,67 +498,3 @@ def bessel_j_proxy(nu: float, ns):
             out[i] = bessel_j(nu, mus[i] * u)
         return out
     return rows
-
-
-# ---------------------------------------------------------------------------
-# cache persistence (versioned JSON keyed by nu as decimal string)
-
-def save_zero_cache(path) -> None:
-    with _TABLES_LOCK:
-        doc = {
-            "version": _ZERO_CACHE_VERSION,
-            "tables": {repr(nu): t.to_dict() for nu, t in sorted(_TABLES.items())},
-        }
-    with atomic_writer(path) as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
-def load_zero_cache(path) -> int:
-    """Merge a cache file into the in-memory tables; returns tables loaded.
-
-    Raises `CacheError`, merging nothing, unless the file is UTF-8 JSON of
-    the current version whose tables are keyed by a nu in (-1, NU_MAX] and hold
-    finite, positive, strictly increasing zeros z with |J_nu(z)| <= 1e-12,
-    the k-th with J_{nu+1}(z) of the sign (-1)^(k+1), as the k-th zero has.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # also a file that is not UTF-8
-            raise CacheError(f"bessel zero cache {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != _ZERO_CACHE_VERSION:
-        raise CacheError(f"bessel zero cache {path} has unsupported version")
-    tables = []
-    try:
-        for key, payload in doc.get("tables", {}).items():
-            nu = float(key)
-            zeros = [float(z) for z in payload["zeros"]]
-            bound = float(payload.get("residual_bound", 0.0))
-            z = np.array(zeros)
-            if not (-1.0 < nu <= NU_MAX and np.all(np.isfinite(z))
-                    and np.all(z > 0.0) and np.all(np.diff(z) > 0.0)):
-                raise CacheError(f"bessel zero cache {path}: table {key!r} is not "
-                                 f"finite, positive, increasing zeros of an order "
-                                 f"-1 < nu <= {NU_MAX:g}")
-            for k, zk in enumerate(zeros, 1):   # the tests `extend_to` applies
-                resid = abs(float(_bessel_j_any(nu, np.float64(zk))))
-                if not resid <= 1e-12:
-                    raise CacheError(f"bessel zero cache {path}: table {key!r} holds "
-                                     f"{zk!r}, where |J_nu| = {resid:.2e} > 1e-12")
-                if (float(_bessel_j_any(nu + 1.0, np.float64(zk))) > 0.0) != (k % 2 == 1):
-                    raise CacheError(f"bessel zero cache {path}: table {key!r} holds "
-                                     f"{zk!r} as zero {k}, but J_(nu+1) there has "
-                                     f"the sign of another zero's")
-            tables.append((nu, zeros, bound))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise CacheError(f"bessel zero cache {path} is malformed: {exc}") from exc
-    with _TABLES_LOCK:
-        for nu, zeros, bound in tables:
-            table = _TABLES.setdefault(nu, BesselZeroTable(nu=nu))
-            if len(zeros) > len(table.zeros):
-                table.zeros = zeros
-                table.residual_bound = max(table.residual_bound, bound)
-                table.norms.clear()
-                table.proxies.clear()
-    return len(tables)

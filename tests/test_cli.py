@@ -1,16 +1,18 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from zladder import DomainError
+from zladder import BesselZeroTable, DomainError, bessel_j
 from zladder import verify as V
 from zladder.cli import (EXIT_CACHE, EXIT_CONFIG, EXIT_HARD, EXIT_NUMERIC,
                          EXIT_OK, EXIT_SOFT, _plan_reports, build_parser, main)
 from zladder.config import RunConfig
+from zladder.specfun import bessel as bessel_mod
 
 
 @pytest.fixture()
@@ -74,15 +76,37 @@ class TestZEval:
 
 class TestSpecfunZeros:
     def test_zeros_and_cache(self, capsys, cache_env):
+        # the zeros come from the in-memory per-nu table; no file is written
         assert run_cli("specfun", "zeros", "--nu", "0", "--count", "3") == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"nu", "zeros", "residual_bound"}
         assert doc["zeros"][0] == pytest.approx(2.404825557695773, abs=1e-9)
         assert doc["residual_bound"] <= 1e-12
-        assert os.path.exists(doc["cache"])
-        # second invocation loads the cache file
+        # a second invocation extends the same table
         assert run_cli("specfun", "zeros", "--nu", "0", "--count", "5") == EXIT_OK
         doc2 = json.loads(capsys.readouterr().out)
         assert doc2["zeros"][:3] == doc["zeros"]
+        assert not (cache_env / "cache").exists()
+
+    def test_output_depends_only_on_nu_and_count(self, capsys, cache_env, monkeypatch):
+        # a zero file in the cache root, as older versions kept, holding the
+        # first zero of J_0 one ulp low: it passes |J| <= 1e-12, so a reader
+        # would print it.  The verb, with no table of J_0 in memory yet,
+        # prints the computed bits and writes no file.
+        want = BesselZeroTable(nu=0.0)
+        want.extend_to(2)
+        root = cache_env / "cache"
+        root.mkdir()
+        stale = math.nextafter(want.zeros[0], 0.0)
+        assert abs(bessel_j(0.0, stale)) <= 1e-12
+        body = json.dumps({"version": 1, "tables": {"0.0": {"zeros": [stale]}}})
+        (root / "bessel-zeros.json").write_text(body)
+        monkeypatch.setattr(bessel_mod, "_TABLES", {})
+        assert run_cli("specfun", "zeros", "--nu", "0", "--count", "2") == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert [z.hex() for z in doc["zeros"]] == [z.hex() for z in want.zeros]
+        assert sorted(p.name for p in root.iterdir()) == ["bessel-zeros.json"]
+        assert (root / "bessel-zeros.json").read_text() == body
 
     @pytest.mark.parametrize("body", [
         b'{"version":1,"tables":{"0.0":{}}}',
@@ -99,23 +123,26 @@ class TestSpecfunZeros:
         b'{"version":1,"tables":[]}',
         b'{"version":2,"tables":{}}',
     ])
-    def test_malformed_cache_exit(self, capsys, tmp_path, body):
-        path = tmp_path / "zeros.json"
+    def test_malformed_cache_exit(self, capsys, cache_env, body):
+        # a malformed zero file that an older version left in the cache root
+        # is not read: the verb exits 0 with its usual output, and the file
+        # stays as it was
+        assert run_cli("specfun", "zeros", "--nu", "0", "--count", "2") == EXIT_OK
+        want = capsys.readouterr().out
+        path = cache_env / "cache" / "bessel-zeros.json"
+        path.parent.mkdir()
         path.write_bytes(body)
-        assert run_cli("specfun", "zeros", "--nu", "0", "--count", "2",
-                       "--cache-file", str(path)) == EXIT_CACHE
+        assert run_cli("specfun", "zeros", "--nu", "0", "--count", "2") == EXIT_OK
         out, err = capsys.readouterr()
-        assert out == "" and "bessel zero cache" in err
+        assert out == want and err == ""
         assert path.read_bytes() == body
 
     @pytest.mark.parametrize("count", ["0", "65", "70"])
-    def test_count_checked_first(self, capsys, tmp_path, count):
-        path = tmp_path / "zeros.json"
-        assert run_cli("specfun", "zeros", "--nu", "0", "--count", count,
-                       "--cache-file", str(path)) == EXIT_CONFIG
+    def test_count_checked_first(self, capsys, cache_env, count):
+        assert run_cli("specfun", "zeros", "--nu", "0", "--count", count) == EXIT_CONFIG
         out, err = capsys.readouterr()
         assert out == "" and f"--count {count}" in err
-        assert not path.exists()
+        assert not (cache_env / "cache").exists()
 
 
 class TestLadderVerbs:
@@ -284,8 +311,10 @@ class TestVerifyVerbs:
 
     def test_plan_integrates_only_the_panels_it_touches(self, cache_env, monkeypatch):
         # the paper's fixed plan: its windows and inversions touch a dozen of
-        # the ladder's 6000 panels, and only those get an antiderivative
+        # the ladder's 6000 panels, in four aligned blocks of _ANTI_BLOCK
+        # panels, and only those blocks get an antiderivative
         import zladder.cli as C
+        from zladder.ladder import _ANTI_BLOCK
         tables = []
         real = C._get_ladder
         monkeypatch.setattr(C, "_get_ladder", lambda cfg: tables.append(real(cfg)) or tables[-1])
@@ -294,7 +323,9 @@ class TestVerifyVerbs:
         assert len(_plan_reports(cfg)) == 242
         (table,) = tables
         assert len(table.coef) >= 6000
-        assert 0 < np.count_nonzero(table._built) <= 50
+        blocks = np.unique(np.flatnonzero(table._built) // _ANTI_BLOCK)
+        assert 0 < len(blocks) <= 4
+        assert np.count_nonzero(table._built) <= len(blocks) * _ANTI_BLOCK
 
     def test_plan_T_outside_domain(self, capsys, cache_env):
         code = run_cli("verify", "theorem2", *LADDER_ARGS, "--T", "5000",
@@ -334,19 +365,17 @@ class TestRun:
         # every parser is exercised
         path = tmp_path / "run.ini"
         path.write_text(
-            "[evaluator]\nrs_correction_order = 3\noracle_terms = 6\nt_min_rs = 40.0\n"
             "[ladder]\nt_lo = 1001.0\nt_hi = 1090.0\nanchor_t0 = 1005.0\ntol = 1e-9\n"
             "h = 0.5\ncache = c.npz\n"
             "[plan]\nequations = baseline sanity\nT = 1000.0 1005.0\nnu = 0.0 2.5\n"
             "n_max = 2\nalpha = 0.25\nbeta = 0.75\ntol_exact = 1e-5\ntol_sanity = 2e-5\n"
             "tol_ratio = 0.5\ntol_baseline = 1e-10\n"
             "[output]\nformat = csv\npath = r.csv\ntimings = true\n")
-        want = RunConfig(rs_correction_order=3, oracle_terms=6, t_min_rs=40.0, t_lo=1001.0,
-                         t_hi=1090.0, anchor_t0=1005.0, tol=1e-9, h=0.5, cache="c.npz",
-                         equations=("baseline", "sanity"), T=(1000.0, 1005.0),
-                         nu=(0.0, 2.5), n_max=2, alpha=0.25, beta=0.75, tol_exact=1e-5,
-                         tol_sanity=2e-5, tol_ratio=0.5, tol_baseline=1e-10,
-                         format="csv", path="r.csv", timings=True)
+        want = RunConfig(t_lo=1001.0, t_hi=1090.0, anchor_t0=1005.0, tol=1e-9, h=0.5,
+                         cache="c.npz", equations=("baseline", "sanity"),
+                         T=(1000.0, 1005.0), nu=(0.0, 2.5), n_max=2, alpha=0.25,
+                         beta=0.75, tol_exact=1e-5, tol_sanity=2e-5, tol_ratio=0.5,
+                         tol_baseline=1e-10, format="csv", path="r.csv", timings=True)
         assert RunConfig.from_ini(str(path)) == want
         default = RunConfig()
         assert all(getattr(want, f.name) != getattr(default, f.name)
@@ -570,9 +599,10 @@ def test_help_exits_zero(capsys, argv):
 
 # Every verb with each documented exit code it can return.  In the args,
 # BROKEN names a file that is not a cache or report, TIGHT an INI file whose
-# sanity tolerances no row meets, ZEROS a fresh Bessel-zero cache file, TYPO
-# and SECTION INI files with an unknown key and an unknown section, and
-# PERCENT an INI file with a `%` in a value.
+# sanity tolerances no row meets, ZEROS a file that does not exist, TYPO
+# and SECTION INI files with an unknown key and an unknown section, PERCENT
+# an INI file with a `%` in a value, and EVALUATOR an INI file with the
+# removed [evaluator] section.
 # A ladder that cannot reach its tolerance makes every ladder verb exit 70.
 UNREACHABLE = ["--t-lo", "1000", "--t-hi", "1001", "--anchor", "1000.5", "--tol", "1e-300"]
 PLAN = [*LADDER_ARGS, "--T", "1000", "--nu", "0", "--max-n", "1", "--out", "-"]
@@ -580,9 +610,10 @@ EXIT_CASES = [
     ("z eval", ["--t", "100"], EXIT_OK),
     ("z eval", ["--t", "nan"], EXIT_CONFIG),
     ("z eval", ["--t", "nan", "--oracle"], EXIT_CONFIG),
-    ("specfun zeros", ["--nu", "0", "--count", "2", "--cache-file", "ZEROS"], EXIT_OK),
-    ("specfun zeros", ["--nu", "nan", "--count", "2", "--cache-file", "ZEROS"], EXIT_CONFIG),
-    ("specfun zeros", ["--nu", "0", "--count", "2", "--cache-file", "BROKEN"], EXIT_CACHE),
+    ("specfun zeros", ["--nu", "0", "--count", "2"], EXIT_OK),
+    ("specfun zeros", ["--nu", "nan", "--count", "2"], EXIT_CONFIG),
+    # the removed zero-file flag is an unknown flag
+    ("specfun zeros", ["--nu", "0", "--count", "2", "--cache-file", "BROKEN"], EXIT_CONFIG),
     ("ladder build", LADDER_ARGS, EXIT_OK),
     ("ladder build", ["--t-lo", "1090", "--t-hi", "1000"], EXIT_CONFIG),
     ("ladder build", [*LADDER_ARGS, "--cache", "BROKEN"], EXIT_CACHE),
@@ -650,12 +681,12 @@ EXIT_CASES = [
     ("report", ["ZEROS"], EXIT_CONFIG),     # no such file
     ("report", ["BROKEN"], EXIT_CACHE),
     # appended, so the positional ids of the cases above stay as they were
-    ("specfun zeros", ["--nu", "0", "--count", "0", "--cache-file", "ZEROS"], EXIT_CONFIG),
-    ("specfun zeros", ["--nu", "0", "--count", "65", "--cache-file", "ZEROS"], EXIT_CONFIG),
+    ("specfun zeros", ["--nu", "0", "--count", "0"], EXIT_CONFIG),
+    ("specfun zeros", ["--nu", "0", "--count", "65"], EXIT_CONFIG),
     ("run", [*PLAN, "--T", "1000", "1000"], EXIT_CONFIG),
     ("run", [*PLAN, "--equations", "sanity", "sanity"], EXIT_CONFIG),
     ("run", [*PLAN, "--nu", "0", "0"], EXIT_CONFIG),
-    ("z eval", ["--t", "1000", "--t-min-rs", "nan"], EXIT_CONFIG),
+    ("z eval", ["--t", "1000", "--t-min-rs", "50"], EXIT_CONFIG),   # removed flag
     ("z eval", ["--t", "inf"], EXIT_CONFIG),
     ("z eval", ["--t", "1e300"], EXIT_CONFIG),
     ("z eval", ["--t", "inf", "--oracle"], EXIT_CONFIG),
@@ -675,6 +706,11 @@ EXIT_CASES = [
     # Bessel orders past NU_MAX = 100, where J's normalization would overflow
     ("verify baseline", ["--nu", "170", "--max-n", "1", "--out", "-"], EXIT_CONFIG),
     ("specfun zeros", ["--nu", "inf", "--count", "1"], EXIT_CONFIG),
+    # the evaluator is fixed: its removed flags and INI section are unknown
+    ("z eval", ["--t", "1000", "--rs-correction-order", "4"], EXIT_CONFIG),
+    ("ladder build", [*LADDER_ARGS, "--oracle-terms", "8"], EXIT_CONFIG),
+    ("run", [*PLAN, "--t-min-rs", "50"], EXIT_CONFIG),
+    ("run", [*PLAN, "--config", "EVALUATOR"], EXIT_CONFIG),
 ]
 
 
@@ -690,12 +726,14 @@ def test_verb_exit_code(capsys, monkeypatch, tmp_path, shared_cache_root,
     monkeypatch.setenv("ZLADDER_CACHE_ROOT", str(shared_cache_root))
     files = {"BROKEN": tmp_path / "broken", "TIGHT": tmp_path / "tight.ini",
              "ZEROS": tmp_path / "zeros.json", "TYPO": tmp_path / "typo.ini",
-             "SECTION": tmp_path / "section.ini", "PERCENT": tmp_path / "percent.ini"}
+             "SECTION": tmp_path / "section.ini", "PERCENT": tmp_path / "percent.ini",
+             "EVALUATOR": tmp_path / "evaluator.ini"}
     files["BROKEN"].write_text("{broken\n")
     files["TIGHT"].write_text("[plan]\ntol_sanity = 1e-30\n")
     files["TYPO"].write_text("[plan]\nn_mx = 8\n")
     files["SECTION"].write_text("[plann]\nn_max = 8\n")
     files["PERCENT"].write_text("[output]\npath = r%1.jsonl\n")
+    files["EVALUATOR"].write_text("[evaluator]\nrs_correction_order = 4\n")
     argv = [*verb.split(), *(str(files.get(a, a)) for a in args)]
     assert run_cli(*argv) == expected
     err = capsys.readouterr().err
@@ -703,3 +741,5 @@ def test_verb_exit_code(capsys, monkeypatch, tmp_path, shared_cache_root,
         assert "error" in err
     if expected == EXIT_CONFIG:     # one line, no usage text
         assert err.startswith("error: ") and err.count("\n") == 1
+    if "EVALUATOR" in args:
+        assert "unknown section [evaluator]" in err

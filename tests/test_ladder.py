@@ -431,14 +431,41 @@ class TestPanelsOnFirstUse:
         assert not table._built.any() and not table._cols
 
     def test_only_the_panels_touched(self, small_ladder):
+        # a batch builds the panels its points land on; a float builds the
+        # aligned block of _ANTI_BLOCK panels around its own
         table = fresh(small_ladder)
+        block = ladder_mod._ANTI_BLOCK
+        assert len(table.coef) > block + 9
         mid = 0.5 * (table.edges[:-1] + table.edges[1:])
         table.eval(mid[[7, 5, 7]])
         assert np.flatnonzero(table._built).tolist() == [5, 7]
-        table.eval(float(mid[9]))
+        table.eval(float(mid[block + 9]))
         table.ztilde_sq(mid[20:30])   # p itself needs no antiderivative
-        assert np.flatnonzero(table._built).tolist() == [5, 7, 9]
-        assert sorted(table._cols) == [9]
+        assert np.flatnonzero(table._built).tolist() == [
+            5, 7, *range(block, min(2 * block, len(table.coef)))]
+        assert sorted(table._cols) == [block + 9]
+
+    def test_cold_inverts_build_aligned_blocks(self, query_ladder, monkeypatch):
+        # 300 stratified inverts on a table no batch has warmed: each block
+        # of _ANTI_BLOCK panels is built in one call, and every inverse has
+        # the bits of a table whose panels were all built up front
+        m = 300
+        u = (np.arange(m) + np.random.default_rng(1).random(m)) / m
+        ys = (query_ladder.phi_lo + u * (query_ladder.phi_hi - query_ladder.phi_lo)).tolist()
+        warm = fresh(query_ladder)
+        warm._anti_rows(np.arange(len(warm.coef)))
+        want = [warm.invert(y).hex() for y in ys]
+        calls = []
+
+        def counted(coef, half, _fn=ladder_mod._antiderivative):
+            calls.append(len(half))
+            return _fn(coef, half)
+
+        monkeypatch.setattr(ladder_mod, "_antiderivative", counted)
+        cold = fresh(query_ladder)
+        assert [cold.invert(y).hex() for y in ys] == want
+        assert len(calls) <= math.ceil(len(cold.coef) / ladder_mod._ANTI_BLOCK)
+        assert sum(calls) == np.count_nonzero(cold._built)
 
     def _cases(self, table, rng):
         ts = np.concatenate([_special_ts(table), rng.uniform(table.t_lo, table.t_hi, 300)])
@@ -501,8 +528,13 @@ class TestPanelsOnFirstUse:
                                                          for i in range(4)]]
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(table._built, ref._built)
-        assert np.array_equal(table._anti[table._built], ref._anti[ref._built])
+        # a float on a cold panel builds its whole block, so which panels
+        # are built depends on the threads' order; every row the reference
+        # built is, and every row built has the bits of an up-front build
+        full = fresh(small_ladder)
+        full._anti_rows(np.arange(len(full.coef)))
+        assert table._built[ref._built].all()
+        assert np.array_equal(table._anti[table._built], full._anti[table._built])
         for i, (batch, single, inverse) in enumerate(parts):
             assert batch == single == want[0][i::4]
             assert inverse == want[2][i::4]
@@ -1024,12 +1056,19 @@ class TestCache:
         small_ladder.save(tmp_path / "b.npz")
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
 
-    def test_rejects_other_evaluator(self, small_ladder, tmp_path):
+    def test_rejects_other_evaluator(self, ev, small_ladder, tmp_path):
+        # a cache records the evaluator configuration it was built with; one
+        # of another configuration is refused
         path = tmp_path / "ladder.npz"
         small_ladder.save(path)
-        other = ZEvaluator(rs_correction_order=2)
-        with pytest.raises(CacheError):
-            LadderTable.load(path, other)
+        with np.load(path) as doc:
+            saved = dict(doc)
+        for key, value in (("rs_correction_order", 2), ("oracle_terms", 6),
+                           ("t_min_rs", 40.0)):
+            assert saved[key].item() == getattr(ev, key) != value
+            np.savez(path, **{**saved, key: np.asarray(value)})
+            with pytest.raises(CacheError, match="different evaluator config"):
+                LadderTable.load(path, ev)
 
     def test_rejects_corruption(self, ev, small_ladder, tmp_path):
         path = tmp_path / "ladder.npz"

@@ -1,3 +1,5 @@
+import contextlib
+import hashlib
 import math
 import tracemalloc
 
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zladder import DomainError, ZEvaluator
+from zladder import rszeta
 from zladder._rs_terms import RS_TERM_TABLES
 from zladder.rszeta import _CLENSHAW_CHUNK, _MAX_BLOCK, _TILE, _rs_terms
 
@@ -32,11 +35,11 @@ def rs_fraction(ts):
     return a, np.floor(a)
 
 
-def z_rs_untiled(ev, t):
-    """z_rs as it was before its main sum was tiled: each chunk of
-    _MAX_BLOCK // n_max points forms its whole (points, n_max) array of
-    phases, then of cosines, then of terms.  The reference the tiled kernel
-    must match bit for bit."""
+def z_rs_untiled(ev, t, order=ZEvaluator.rs_correction_order):
+    """z_rs as it was before its main sum was tiled, with its first `order`
+    remainder terms: each chunk of _MAX_BLOCK // n_max points forms its whole
+    (points, n_max) array of phases, then of cosines, then of terms.  The
+    reference the tiled kernel must match bit for bit."""
     flat = np.atleast_1d(np.asarray(t, dtype=float))
     a = np.sqrt(flat / (2.0 * np.pi))
     n_len = np.floor(a).astype(np.int64)
@@ -54,14 +57,28 @@ def z_rs_untiled(ev, t):
         terms[n[None, :] > n_len[sl, None]] = 0.0
         out[sl] = 2.0 * terms.sum(axis=1)
         start = stop
-    if ev.rs_correction_order > 0:
+    if order > 0:
         corr = np.zeros_like(flat)
         fac = np.ones_like(flat)
-        for row in _rs_terms(a - n_len, ev.rs_correction_order):
+        for row in _rs_terms(a - n_len, order):
             corr += row * fac
             fac = fac * (1.0 / a)
         out += np.where(n_len % 2 == 1, 1.0, -1.0) * corr / np.sqrt(a)
     return out
+
+
+@contextlib.contextmanager
+def remainder_terms(order):
+    """z_rs with only its first `order` remainder terms: the later rows of
+    `_rs_terms` read as zeros, and a zero term adds nothing to the sum."""
+    def rows(p, n, _fn=rszeta._rs_terms):
+        out = _fn(p, n)
+        out[order:] = 0.0
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rszeta, "_rs_terms", rows)
+        yield
 
 
 def bisect(f, lo, hi, iters=80):
@@ -192,23 +209,32 @@ class TestZRs:
             ev.z_rs(20.0)
 
     def test_correction_orders_improve(self, ev, rng):
+        # each remainder term z_rs adds brings it closer to the oracle
         ts = np.exp(rng.uniform(np.log(1e2), np.log(1e4), 40))
         ref = ev.z_oracle(ts)
         errs = {}
         for order in (0, 1, 4):
-            e = ZEvaluator(rs_correction_order=order)
-            errs[order] = np.max(np.abs(e.z_rs(ts) - ref))
+            with remainder_terms(order):
+                errs[order] = np.max(np.abs(ev.z_rs(ts) - ref))
         assert errs[4] < errs[1] < errs[0]
         assert errs[4] <= 1e-5
+        assert np.max(np.abs(ev.z_rs(ts) - ref)) == errs[4]
 
     def test_invalid_config(self):
-        with pytest.raises(DomainError):
-            ZEvaluator(rs_correction_order=7)
-        with pytest.raises(DomainError):
-            ZEvaluator(oracle_terms=1)
-        for t_min_rs in (1.0, math.nan):
-            with pytest.raises(DomainError):
-                ZEvaluator(t_min_rs=t_min_rs)
+        # the configuration is fixed: any argument, valid before or not, is
+        # refused
+        for kwargs in ({"rs_correction_order": 7}, {"oracle_terms": 1},
+                       {"t_min_rs": 1.0}, {"t_min_rs": math.nan},
+                       {"rs_correction_order": 4}):
+            with pytest.raises(TypeError):
+                ZEvaluator(**kwargs)
+
+    def test_fixed_configuration(self, ev):
+        # the hash that every report row and the ladder cache's name carry
+        # keeps its payload
+        assert ev == ZEvaluator()
+        payload = b"ZEvaluator(rs_correction_order=4,oracle_terms=8,t_min_rs=50.0)"
+        assert ev.config_hash() == hashlib.sha256(payload).hexdigest()[:16]
 
 
 class TestRemainderClenshaw:
@@ -226,7 +252,7 @@ class TestRemainderClenshaw:
                     (order, j)
 
     @pytest.mark.parametrize("order", range(1, 5))
-    def test_z_rs_bitwise_against_per_table_remainder(self, order):
+    def test_z_rs_bitwise_against_per_table_remainder(self, ev, order):
         ts = np.random.default_rng(order).uniform(50.0, 1.1e5, 2049)
         a, n = rs_fraction(ts)
         corr = np.zeros_like(ts)
@@ -235,8 +261,9 @@ class TestRemainderClenshaw:
             corr += cheb_row(RS_TERM_TABLES[j], a - n) * fac
             fac = fac * (1.0 / a)
         sign = np.where(n % 2 == 1, 1.0, -1.0)
-        want = ZEvaluator(rs_correction_order=0).z_rs(ts) + sign * corr / np.sqrt(a)
-        assert np.array_equal(ZEvaluator(rs_correction_order=order).z_rs(ts), want)
+        want = z_rs_untiled(ev, ts, order=0) + sign * corr / np.sqrt(a)
+        with remainder_terms(order):
+            assert np.array_equal(ev.z_rs(ts), want)
 
 
 class TestTiledMainSum:
@@ -266,11 +293,12 @@ class TestTiledMainSum:
         ts[0] = t_hi
         if ordered:
             ts.sort()
-        ev = ZEvaluator(rs_correction_order=order)
-        got = ev.z_rs(ts)
-        assert np.array_equal(got, z_rs_untiled(ev, ts))
-        if m == 1:
-            assert ev.z_rs(t_hi) == got[0]
+        ev = ZEvaluator()
+        with remainder_terms(order):
+            got = ev.z_rs(ts)
+            assert np.array_equal(got, z_rs_untiled(ev, ts, order))
+            if m == 1:
+                assert ev.z_rs(t_hi) == got[0]
 
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     def test_chunk_edges_match_untiled(self, ev, delta):

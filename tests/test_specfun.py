@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 from zladder import (DomainError, PoleError, PolyFamilySpec, bessel_j,
                      bessel_norm_sq, bessel_zero, gamma_fn, integrate_adaptive,
                      integrate_singular, log_gamma, poly_eval, poly_norm_sq, poly_weight)
-from zladder.specfun import bessel_j_proxy, load_zero_cache, save_zero_cache, zero_table
+from zladder.specfun import bessel_j_proxy, zero_table
 from zladder.specfun import bessel as B
 from zladder.specfun.bessel import (BesselZeroTable, _bessel_j_any, _bessel_miller,
                                     _bessel_series, _dd_add, _dd_div, _dd_mul,
@@ -262,77 +261,6 @@ class TestBesselZeros:
         with pytest.raises(DomainError):
             bessel_zero(0, 65)
 
-    def test_cache_roundtrip(self, tmp_path):
-        bessel_zero(2.0, 6)
-        path = tmp_path / "zeros.json"
-        save_zero_cache(path)
-        doc = json.loads(path.read_text())
-        assert doc["version"] == 1
-        assert "2.0" in doc["tables"]
-        assert load_zero_cache(path) >= 1
-
-    def test_failed_write_keeps_previous_cache(self, tmp_path, monkeypatch):
-        bessel_zero(2.0, 6)
-        path = tmp_path / "zeros.json"
-        save_zero_cache(path)
-        before = path.read_bytes()
-
-        def half_then_fail(doc, fh, **kw):
-            text = json.dumps(doc, **kw)
-            fh.write(text[: len(text) // 2])
-            raise OSError("simulated full disk")
-
-        monkeypatch.setattr(json, "dump", half_then_fail)
-        with pytest.raises(OSError, match="simulated"):
-            save_zero_cache(path)
-        monkeypatch.undo()
-        assert path.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["zeros.json"]
-        assert load_zero_cache(path) >= 1
-
-    def test_cache_rejects_garbage(self, tmp_path):
-        from zladder import CacheError
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(CacheError):
-            load_zero_cache(path)
-        path.write_text('{"version": 99, "tables": {}}')
-        with pytest.raises(CacheError):
-            load_zero_cache(path)
-
-    def test_cache_rejects_non_zeros_and_merges_nothing(self, tmp_path):
-        from zladder import CacheError
-        good = zero_table(0.0, 3).zeros[:3]
-        nu = 7.25   # an order no other test touches
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 1, "tables": {
-            "0.0": {"zeros": good},
-            repr(nu): {"zeros": [bessel_zero(nu, 1), bessel_zero(nu, 1) + 1e-6]}}}))
-        before = len(zero_table(nu, 1).zeros)
-        with pytest.raises(CacheError, match="1e-12"):
-            load_zero_cache(path)
-        assert len(zero_table(nu, 1).zeros) == before
-        # the deep zeros a cache may hold (x > 200) pass the same check
-        bessel_zero(10.0, 64)
-        save_zero_cache(path)
-        assert load_zero_cache(path) >= 1
-
-    def test_loaded_zeros_drop_the_norms_and_proxies_of_the_old_ones(self, tmp_path):
-        nu = 6.75   # an order no other test touches
-        old = bessel_norm_sq(nu, 1)
-        zero_table(nu, 1).proxy_coefs([1])
-        fresh = BesselZeroTable(nu=nu)
-        fresh.extend_to(2)
-        nudged = [float(np.nextafter(fresh.zeros[0], math.inf)), fresh.zeros[1]]
-        path = tmp_path / "zeros.json"
-        path.write_text(json.dumps({"version": 1, "tables": {repr(nu): {"zeros": nudged}}}))
-        assert load_zero_cache(path) == 1
-        table = zero_table(nu, 2)
-        assert table.zeros == nudged and not table.proxies
-        j = float(_bessel_j_any(nu + 1.0, np.float64(nudged[0])))
-        assert bessel_norm_sq(nu, 1) == 0.5 * j * j != old
-
-
 class TestBesselZerosOracle:
     """The zeros against mpmath's, and the k-th zero is the k-th however far
     McMahon's guess is off."""
@@ -366,20 +294,6 @@ class TestBesselZerosOracle:
         got = BesselZeroTable(nu=0.0)
         got.extend_to(6)
         assert all(abs(a - b) <= 2.0 * math.ulp(b) for a, b in zip(got.zeros, want.zeros))
-
-    def test_cache_shifted_by_one_zero_is_rejected(self, tmp_path):
-        # the zeros a finder that skipped j_{nu,1} wrote: still zeros, in order
-        from zladder import CacheError
-        nu = 23.5   # an order no other test touches
-        fresh = BesselZeroTable(nu=nu)
-        fresh.extend_to(4)
-        path = tmp_path / "zeros.json"
-        path.write_text(json.dumps({"version": 1, "tables": {
-            repr(nu): {"zeros": fresh.zeros[1:]}}}))
-        with pytest.raises(CacheError, match="sign"):
-            load_zero_cache(path)
-        assert float(nu) not in B._TABLES
-
 
 class TestSeriesBitwise:
     """The scalar loop for single points and the scalar term divisor give
@@ -610,14 +524,6 @@ class TestBesselJOracle:
             bessel_j(nu, 1.0)
         with pytest.raises(DomainError, match="nu <= 100"):
             bessel_zero(nu, 1)
-
-    def test_cache_of_an_order_past_the_cap_refused(self, tmp_path):
-        from zladder import CacheError
-        path = tmp_path / "zeros.json"
-        path.write_text(json.dumps({"version": 1, "tables": {"170.0": {"zeros": [180.0]}}}))
-        with pytest.raises(CacheError, match="nu <= 100"):
-            load_zero_cache(path)
-
 
 class TestPolynomials:
     def test_legendre_constant(self):
