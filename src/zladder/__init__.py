@@ -11,28 +11,25 @@ from .exceptions import (AdmissibilityError, CacheError, ConvergenceError,
                          QuadratureError, ReportFormatError,
                          ToleranceNotMetError, ZladderError)
 from .ladder import (EULER_C, LadderTable, PrimePi, RetardationRow,
-                     build_ladder, check_admissible, log_stability_check,
-                     pushforward_integral, retardation_report, ztilde_sq)
+                     build_ladder, check_admissible, retardation_report)
 from .quadrature import (QuadratureResult, integrate_adaptive,
                          integrate_adaptive_rows, integrate_singular,
                          integrate_singular_rows)
 from .rszeta import ZEvaluator
 from .specfun import (BesselZeroTable, PolyFamilySpec, bessel_j,
                       bessel_norm_sq, bessel_zero, gamma_fn, log_gamma,
-                      poly_eval, poly_norm_sq, poly_weight)
+                      poly_eval, poly_norm_sq)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ZEvaluator",
     "LadderTable", "PrimePi", "RetardationRow", "build_ladder",
-    "pushforward_integral", "retardation_report",
-    "log_stability_check", "ztilde_sq", "check_admissible", "EULER_C",
+    "retardation_report", "check_admissible", "EULER_C",
     "QuadratureResult", "integrate_adaptive", "integrate_adaptive_rows",
     "integrate_singular", "integrate_singular_rows",
     "BesselZeroTable", "PolyFamilySpec", "bessel_j", "bessel_norm_sq",
     "bessel_zero", "gamma_fn", "log_gamma", "poly_eval", "poly_norm_sq",
-    "poly_weight",
     "ZladderError", "DomainError", "PoleError", "PrecisionError",
     "ConvergenceError", "QuadratureError", "ToleranceNotMetError",
     "AdmissibilityError", "CacheError", "ReportFormatError",

@@ -3,28 +3,30 @@
 Verbs: `z eval`, `specfun zeros`, `ladder build|query|invert|retardation`,
 `verify baseline|theorem1|corollary|theorem2|sanity`, `plot-data`, `run`,
 `report`.  Z comes from the one fixed `ZEvaluator`, which no flag or INI
-key configures, and `specfun zeros` reads and writes no file: its output
-depends only on --nu and --count.  `verify F` is `run --equations F`: the
-same reports, the same judgement and the same exit code.  Plan row sets come
-from `verify.FAMILIES`, and every row that `verify.is_sanity` picks out is
-judged at `tol_sanity`.  Ladder verbs and plans cache the ladder
-(checkpoints and panel coefficients) in
+key configures, so `z eval` takes no config file; `specfun zeros` reads and
+writes no file: its output depends only on --nu and --count.  A ladder's
+base panels have the fixed width 1 and are halved as its tolerance needs.
+`verify F` is `run --equations F`: the same reports, the same judgement and
+the same exit code.  Plan row sets come from `verify.FAMILIES`, and every
+row that `verify.is_sanity` picks out is judged at `tol_sanity`.  Ladder
+verbs and plans cache the ladder (checkpoints and panel coefficients) in
 `<cache root>/ladder-<ladder config hash>.npz` unless `--cache` names a file
-(written under exactly that name), the one file format zladder keeps.  A default cache of an older format
-has another name and is not read, so the ladder is rebuilt once; a `--cache`
-file in an older format (JSON, or a version-2 `.npz`) is rejected (exit 65)
-until `ladder build --rebuild` replaces it.  `report` lists the sanity rows
-of an equation apart from its asymptotic rows, as `E2_x/sanity`.  The dest
-of a config flag is the `RunConfig` field it sets (`--out` of `run` and
-`verify` sets `path`), and a flag given wins over the `--config` file.
+(written under exactly that name), the one file format zladder keeps.  A
+default cache of an older format has another name and is not read, so the
+ladder is rebuilt once; a `--cache` file in an older format (JSON, or a
+version-2 `.npz`) is rejected (exit 65) until `ladder build --rebuild`
+replaces it.  `report` lists the sanity rows of an equation apart from its
+asymptotic rows, as `E2_x/sanity`.  The dest of a config flag is the
+`RunConfig` field it sets (`--out` of `run` and `verify` sets `path`), and a
+flag given wins over the `--config` file.  A flag matches only whole.
 
 Exit codes: 0 success, 1 exactness-layer failure, 2 asymptotic (soft)
 failure with reports still written, 64 config/usage error (including an
-unknown flag or choice, a missing or malformed value, an unknown INI
-section or key, an unreadable input file, an unwritable output path, a NaN
-or out-of-range argument, and an empty, incomplete or oversized t grid or
-`--points`), 65 cache corruption or mismatch, or a malformed report file, 70
-numeric non-convergence.
+unknown flag, a prefix of a flag among them, an unknown choice, a missing or
+malformed value, an unknown INI section or key, an unreadable input file, an
+unwritable output path, a NaN or out-of-range argument, and an empty,
+incomplete or oversized t grid or `--points`), 65 cache corruption or
+mismatch, or a malformed report file, 70 numeric non-convergence.
 
 All numeric output uses full round-trip precision; report files are byte
 identical across runs of the same configuration, and no report sum goes
@@ -89,7 +91,7 @@ def _get_ladder(cfg: RunConfig, rebuild: bool = False) -> LadderTable:
             raise CacheError(f"ladder cache {path} has config hash {table.config_hash()}, "
                              f"requested {cfg.ladder_hash()}; refusing to reuse")
         return table
-    table = build_ladder(ev, cfg.t_lo, cfg.t_hi, cfg.anchor(), tol=cfg.tol, h=cfg.h)
+    table = build_ladder(ev, cfg.t_lo, cfg.t_hi, cfg.anchor(), tol=cfg.tol)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     table.save(path)
     return table
@@ -177,7 +179,6 @@ def _soft_failures(reports, cfg: RunConfig) -> list[str]:
 # subcommand implementations
 
 def _cmd_z_eval(args) -> int:
-    _config_from_args(args)   # a bad --config file is still a usage error
     ev = ZEvaluator()
     t = args.t
     # Z comes from the oracle below t_min_rs, as in ev.z, and theta with it:
@@ -237,7 +238,8 @@ def _write_csv(out, header: str, rows) -> None:
 
 def _t_grid(args) -> np.ndarray:
     """The grid --from, --from + --step, ... up to --to, of at most
-    `MAX_GRID_POINTS` points."""
+    `MAX_GRID_POINTS` points; a last point that rounding puts past --to is
+    --to itself."""
     if args.t_from is None or args.t_to is None:
         raise DomainError("this target needs --from and --to")
     if not (args.step > 0.0 and args.t_from <= args.t_to):   # NaN fails
@@ -246,16 +248,14 @@ def _t_grid(args) -> np.ndarray:
     if not (args.t_to - args.t_from) / args.step < MAX_GRID_POINTS - 1:   # inf fails
         raise DomainError(f"the grid --from {args.t_from} --to {args.t_to} --step "
                           f"{args.step} has more than {MAX_GRID_POINTS} points")
-    return np.arange(args.t_from, args.t_to + 0.5 * args.step, args.step)
-
-
-def _retardation_rows(table, ts) -> list:
-    return [(r.t, r.lag, r.expected, r.ratio) for r in retardation_report(table, ts)]
+    return np.minimum(np.arange(args.t_from, args.t_to + 0.5 * args.step, args.step),
+                      args.t_to)
 
 
 def _cmd_ladder_retardation(args) -> int:
     ts = _t_grid(args)
-    rows = _retardation_rows(_get_ladder(_config_from_args(args)), ts)
+    rows = [(r.t, r.lag, r.expected, r.ratio)
+            for r in retardation_report(_get_ladder(_config_from_args(args)), ts)]
     _write_csv(args.out, "t,lag,expected,ratio", rows)
     return EXIT_OK
 
@@ -313,8 +313,6 @@ def _plot_rows(args, cfg: RunConfig) -> tuple[str, list]:
     if args.what == "ladder":
         return "t,phi1,t_minus_phi1", [(t, p, t - p) for t, p in
                                        zip(ts.tolist(), table.eval(ts).tolist())]
-    if args.what == "retardation":
-        return "t,lag,expected,ratio", _retardation_rows(table, ts)
     T = args.T_single
     grid = np.linspace(table.invert(T), table.invert(T + 1.0), args.points)
     return "t,envelope,abs_z", V.envelope_23(table, T, args.nu_single, args.n, grid)
@@ -378,8 +376,6 @@ def _add_ladder_opts(p):
     p.add_argument("--t-hi", dest="t_hi", type=float)
     p.add_argument("--anchor", dest="anchor_t0", type=float)
     p.add_argument("--tol", dest="tol", type=float)
-    p.add_argument("--h", dest="h", type=float,
-                   help="base panel width, 0 < h <= 1 (default 1)")
     p.add_argument("--cache", dest="cache")
 
 
@@ -401,7 +397,11 @@ def _add_plan_opts(p):
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Usage errors raise DomainError (exit 64), not argparse's exit 2 (the
-    soft failure's code); subparsers are made of the same class."""
+    soft failure's code), and flags match only whole; subparsers are made of
+    the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise DomainError(f"{self.prog}: {message}")
@@ -417,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe = zsub.add_parser("eval", help="print theta, Z, Z^2 at t as a JSON line")
     pe.add_argument("--t", type=float, required=True)
     pe.add_argument("--oracle", action="store_true", help="use the oracle path")
-    pe.add_argument("--config", help="INI configuration file")
     pe.set_defaults(fn=_cmd_z_eval)
 
     ps = sub.add_parser("specfun", help="special function utilities")
@@ -453,8 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(fn=_cmd_run)
 
     pp = sub.add_parser("plot-data", help="emit CSV data for external plotting")
-    pp.add_argument("--what", choices=("envelope", "ladder", "retardation", "z_trace"),
-                    required=True)
+    pp.add_argument("--what", choices=("envelope", "ladder", "z_trace"), required=True)
     pp.add_argument("--from", dest="t_from", type=float)
     pp.add_argument("--to", dest="t_to", type=float)
     pp.add_argument("--step", type=float, default=0.05)

@@ -7,7 +7,6 @@ Sections and keys (all optional; defaults shown):
     t_hi = 2000.0
     anchor_t0 =            ; blank -> t_lo + 10
     tol = 1e-8
-    h = 1.0                ; base panel width, 0 < h <= 1
     cache =                ; blank -> <cache_root>/ladder-<ladder config hash>.npz
 
     [plan]
@@ -29,12 +28,15 @@ Sections and keys (all optional; defaults shown):
 
 Keys match case-insensitively (`t` sets T), values are literal (no `%`
 interpolation), and any other section or key is a DomainError that names
-it.  Flags win over file values.  The default ladder cache is named by the same
-hash that `LadderTable.config_hash` records in the cache file and in every
-report row: the ladder domain, anchor, step, tolerance, panel rule and the
-fixed configuration of the one Z evaluator (`ZEvaluator.config_hash`), which
-no file or flag sets.  Default caches under the names older versions used
-(JSON files) are not read; the ladder is rebuilt once as `ladder-<hash>.npz`.
+it; so are the removed keys `[ladder] h` (the base panel width is fixed at
+1) and the `[evaluator]` section.  Flags win over file values.  The default
+ladder cache is named by the same hash that `LadderTable.config_hash`
+records in the cache file and in every report row: the ladder domain,
+anchor, tolerance, the fixed base panel width and panel rule, and the fixed
+configuration of the one Z evaluator (`ZEvaluator.config_hash`); no file or
+flag sets the fixed parts.  Default caches under the names older versions
+used (JSON files) are not read; the ladder is rebuilt once as
+`ladder-<hash>.npz`.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ _INI_FIELDS = (
     ("ladder", "t_hi", float),
     ("ladder", "anchor_t0", float),
     ("ladder", "tol", float),
-    ("ladder", "h", float),
     ("ladder", "cache", str),
     ("plan", "equations", lambda raw: tuple(raw.split())),
     ("plan", "T", _floats),
@@ -93,7 +94,6 @@ class RunConfig:
     t_hi: float = 2000.0
     anchor_t0: float | None = None
     tol: float = 1e-8
-    h: float = 1.0
     cache: str | None = None
     # plan
     equations: tuple[str, ...] = PLAN_EQUATIONS
@@ -166,7 +166,7 @@ class RunConfig:
     def ladder_hash(self) -> str:
         """The `LadderTable.config_hash` of the ladder this config builds."""
         return ladder_config_hash(ZEvaluator(), self.t_lo, self.t_hi,
-                                  self.anchor(), self.h, self.tol)
+                                  self.anchor(), self.tol)
 
     def ladder_cache_path(self) -> str:
         if self.cache:

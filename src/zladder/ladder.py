@@ -1,14 +1,14 @@
 """Jacob's ladder phi_1: construction from d(phi_1)/dt = Ztilde^2, evaluation,
-inversion, the pushforward (change-of-variables) integral, and the retardation
-diagnostic against (1 - c) * pi(t).
+inversion, and the retardation diagnostic against (1 - c) * pi(t).
 
 On each panel a degree-32 Chebyshev polynomial p interpolates Z / sqrt(ln t)
 at the 33 Chebyshev-Lobatto points; phi_1' = p^2 >= 0, and phi_1 is its exact
 integral, a Clenshaw sum between the checkpoints (panel edges), so nothing
-after the build calls Z.  Panels have width h, with edges at anchor_t0 and at
-the RS/oracle seam, and are halved until the degree-16 interpolant through
-the nested 17 points agrees to the panel's share of the tolerance.  `save` and
-`load` keep checkpoints and coefficients in a versioned, validated `.npz`.
+after the build calls Z.  Panels have width `_BASE_H` = 1, with edges at
+anchor_t0 and at the RS/oracle seam, and are halved until the degree-16
+interpolant through the nested 17 points agrees to the panel's share of the
+tolerance, so no other base width is offered.  `save` and `load` keep
+checkpoints and coefficients in a versioned, validated `.npz`.
 
 `eval` and `ztilde_sq` of one float run on Python floats (one panel's columns,
 cached in the order the Clenshaw recurrence takes them), with the IEEE
@@ -36,7 +36,6 @@ from numpy.polynomial.chebyshev import chebroots
 from ._atomic import atomic_writer
 from .exceptions import (AdmissibilityError, CacheError, ConvergenceError,
                          DomainError, ToleranceNotMetError)
-from .quadrature import integrate_adaptive
 from .rszeta import ZEvaluator
 from .specfun.orthopoly import _clenshaw, _clenshaw_fused, _clenshaw_rev
 
@@ -50,6 +49,7 @@ _CACHE_SCALARS = ("config_hash", "t_lo", "t_hi", "anchor_t0", "h", "tol",
                   "rs_correction_order", "oracle_terms", "t_min_rs",
                   "anchor_value", "residual_total")
 
+_BASE_H = 1.0                # width of the base panels, before any halving
 _DEGREE = 32                 # of p on every panel; the check uses DEGREE / 2
 # panels per evaluation batch; it also fixes the batches Z is evaluated in,
 # and with them Z's bits (see ZEvaluator), so changing it moves ladder bits
@@ -62,24 +62,14 @@ _PANEL_RULE = "cheb32-lobatto+cheb16"
 
 
 def ladder_config_hash(evaluator: ZEvaluator, t_lo: float, t_hi: float,
-                       anchor_t0: float, h: float, tol: float) -> str:
+                       anchor_t0: float, tol: float) -> str:
     """Hash of the configuration that determines a built ladder.  Cache
     files are named by it and carry it, and every report row records it."""
     payload = (f"ladder(t_lo={float(t_lo)!r},t_hi={float(t_hi)!r},"
-               f"anchor={float(anchor_t0)!r},h={float(h)!r},"
+               f"anchor={float(anchor_t0)!r},h={_BASE_H!r},"
                f"tol={float(tol)!r},rule={_PANEL_RULE},"
                f"z={evaluator.config_hash()})")
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def ztilde_sq(evaluator: ZEvaluator, t) -> float | np.ndarray:
-    """Ztilde^2(t) = Z(t)^2 / ln t, the ladder derivative model; t > e."""
-    ta = np.asarray(t, dtype=float)
-    if np.any(ta <= _E):
-        raise DomainError("ztilde_sq requires t > e")
-    zv = evaluator.z(ta if ta.ndim else float(ta))
-    out = zv * zv / np.log(ta)
-    return out if ta.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -198,11 +188,11 @@ class LadderTable:
     coefficients `coef` of p, with phi_1' = p^2 between checkpoints."""
 
     def __init__(self, *, evaluator, t_lo, t_hi, anchor_t0, anchor_value,
-                 h, build_tolerance, edges, phi, coef, residual_total):
+                 build_tolerance, edges, phi, coef, residual_total):
         self.evaluator = evaluator
         self.t_lo, self.t_hi = float(t_lo), float(t_hi)
         self.anchor_t0, self.anchor_value = float(anchor_t0), float(anchor_value)
-        self.h, self.build_tolerance = float(h), float(build_tolerance)
+        self.build_tolerance = float(build_tolerance)
         self.edges, self.phi, self.coef = (np.asarray(a, dtype=float)
                                            for a in (edges, phi, coef))
         self.residual_total = float(residual_total)
@@ -225,7 +215,7 @@ class LadderTable:
 
     def config_hash(self) -> str:
         return ladder_config_hash(self.evaluator, self.t_lo, self.t_hi,
-                                  self.anchor_t0, self.h, self.build_tolerance)
+                                  self.anchor_t0, self.build_tolerance)
 
     def _anti_rows(self, k: np.ndarray) -> np.ndarray:
         """The antiderivative table, with the rows of the panels `k` built.
@@ -420,13 +410,13 @@ class LadderTable:
 
     def save(self, path) -> None:
         """Write the table to `path`, under exactly that name, as a version-3
-        `.npz` of the checkpoints, panel coefficients and configuration;
-        replaced atomically."""
+        `.npz` of the checkpoints, panel coefficients and configuration
+        (with the fixed `_BASE_H` as `h`); replaced atomically."""
         ev = self.evaluator
         fields = {
             "version": _CACHE_VERSION, "config_hash": self.config_hash(),
             "t_lo": self.t_lo, "t_hi": self.t_hi, "anchor_t0": self.anchor_t0,
-            "h": self.h, "tol": self.build_tolerance,
+            "h": _BASE_H, "tol": self.build_tolerance,
             "rs_correction_order": ev.rs_correction_order,
             "oracle_terms": ev.oracle_terms, "t_min_rs": ev.t_min_rs,
             "anchor_value": self.anchor_value, "residual_total": self.residual_total,
@@ -447,15 +437,16 @@ class LadderTable:
                 b = {key: doc[key].item() for key in _CACHE_SCALARS}
                 table = cls(evaluator=evaluator, t_lo=b["t_lo"], t_hi=b["t_hi"],
                             anchor_t0=b["anchor_t0"], anchor_value=b["anchor_value"],
-                            h=b["h"], build_tolerance=b["tol"], edges=doc["edges"],
+                            build_tolerance=b["tol"], edges=doc["edges"],
                             phi=doc["phi"], coef=doc["coef"],
                             residual_total=b["residual_total"])
         except (OSError, EOFError, KeyError, TypeError, ValueError, AttributeError,
                 zipfile.BadZipFile) as exc:
             raise CacheError(f"ladder cache {path} unreadable: {exc}") from exc
-        if (evaluator.rs_correction_order, evaluator.oracle_terms, evaluator.t_min_rs) != \
-                (b["rs_correction_order"], b["oracle_terms"], b["t_min_rs"]):
-            raise CacheError("ladder cache was built with a different evaluator config")
+        if (evaluator.rs_correction_order, evaluator.oracle_terms, evaluator.t_min_rs,
+                _BASE_H) != (b["rs_correction_order"], b["oracle_terms"], b["t_min_rs"], b["h"]):
+            raise CacheError("ladder cache was built with a different evaluator config "
+                             "or base panel width")
         if b["config_hash"] != table.config_hash():
             raise CacheError("ladder cache config hash mismatch; refusing to reuse")
         edges, phi, coef = table.edges, table.phi, table.coef
@@ -483,14 +474,14 @@ class LadderTable:
         return table
 
 
-def _base_edges(t_lo: float, t_hi: float, anchor_t0: float, h: float,
-                seam: float) -> np.ndarray:
-    """Checkpoint grid of step h through anchor_t0, clamped to [t_lo, t_hi]
-    (inner points that rounding puts at or past an end are dropped), plus
-    the RS/oracle seam, where the computed Ztilde^2 jumps ~1e-7."""
-    n_down = int(math.ceil((anchor_t0 - t_lo) / h - 1e-12))
-    n_up = int(math.ceil((t_hi - anchor_t0) / h - 1e-12))
-    inner = anchor_t0 + h * np.arange(-n_down + 1, n_up, dtype=float)
+def _base_edges(t_lo: float, t_hi: float, anchor_t0: float, seam: float) -> np.ndarray:
+    """Checkpoint grid of step `_BASE_H` through anchor_t0, clamped to
+    [t_lo, t_hi] (inner points that rounding puts at or past an end are
+    dropped), plus the RS/oracle seam, where the computed Ztilde^2 jumps
+    ~1e-7."""
+    n_down = int(math.ceil((anchor_t0 - t_lo) / _BASE_H - 1e-12))
+    n_up = int(math.ceil((t_hi - anchor_t0) / _BASE_H - 1e-12))
+    inner = anchor_t0 + _BASE_H * np.arange(-n_down + 1, n_up, dtype=float)
     inner = inner[(inner > t_lo) & (inner < t_hi)]
     edges = np.concatenate([[t_lo], inner, [t_hi]])
     if t_lo < seam < t_hi and seam not in edges:
@@ -499,16 +490,16 @@ def _base_edges(t_lo: float, t_hi: float, anchor_t0: float, h: float,
 
 
 def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
-                 anchor_t0: float | None = None, tol: float = 1e-8,
-                 h: float = 1.0) -> LadderTable:
+                 anchor_t0: float | None = None, tol: float = 1e-8) -> LadderTable:
     """Construct phi_1 on [t_lo, t_hi] anchored by the retardation law.
 
     phi_1(t) = anchor_value + int_{anchor_t0}^t p^2, with anchor_value =
     anchor_t0 - (1 - c) pi(anchor_t0), where p interpolates Z / sqrt(ln t) at
     33 Chebyshev-Lobatto points per panel.  A panel is checked by the
     integral of the interpolant through the nested 17 points against its
-    width's share of `tol`; round 0 is the base grid of step h, and each
-    later round holds the halves of the panels that failed the round before.
+    width's share of `tol`; round 0 is the base grid of step `_BASE_H`, and
+    each later round holds the halves of the panels that failed the round
+    before.
     """
     t_lo, t_hi = float(t_lo), float(t_hi)
     anchor_t0 = t_lo + 10.0 if anchor_t0 is None else float(anchor_t0)
@@ -518,10 +509,8 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
         raise DomainError("require 0 < t_hi - t_lo <= 1e6")
     if not tol > 0.0:   # NaN fails
         raise DomainError("build tolerance must be positive")
-    if not 0.0 < h <= 1.0:
-        raise DomainError("base panel width must satisfy 0 < h <= 1")
 
-    base = _base_edges(t_lo, t_hi, anchor_t0, h, seam=evaluator.t_min_rs)
+    base = _base_edges(t_lo, t_hi, anchor_t0, seam=evaluator.t_min_rs)
     n_base = len(base) - 1
     span = t_hi - t_lo
     eps = np.finfo(float).eps
@@ -598,7 +587,7 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
 
     return LadderTable(
         evaluator=evaluator, t_lo=t_lo, t_hi=t_hi, anchor_t0=anchor_t0,
-        anchor_value=float(anchor_value), h=h, build_tolerance=tol,
+        anchor_value=float(anchor_value), build_tolerance=tol,
         edges=edges, phi=phi, coef=coef_fin, residual_total=certified)
 
 
@@ -610,28 +599,6 @@ def check_admissible(T: float, U: float) -> None:
     if not (T > 1.0 and 0.0 < U <= T / math.log(T)):
         raise AdmissibilityError(
             f"T = {T}, U = {U} violates admissibility T > 1, 0 < U <= T/ln T")
-
-
-def pushforward_integral(table: LadderTable, f, T: float, U: float,
-                         tol: float = 1e-9) -> float:
-    """int_{phi^-1(T)}^{phi^-1(T+U)} f(phi_1(t)) Ztilde^2(t) dt.
-
-    By change of variables this equals int_T^{T+U} f(x) dx up to numerical
-    error; the identity is what the exactness layer of the verification
-    suite leans on.
-    """
-    T = float(T)
-    U = float(U)
-    check_admissible(T, U)
-    a = table.invert(T)
-    b = table.invert(T + U)
-
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        return f(table.eval(ts)) * table.ztilde_sq(ts)
-
-    res = integrate_adaptive(integrand, a, b, tol,
-                             breakpoints=table.breakpoints(a, b))
-    return res.value
 
 
 @dataclass(frozen=True)
@@ -650,18 +617,3 @@ def retardation_report(table: LadderTable, sample_ts) -> list[RetardationRow]:
     expected = ONE_MINUS_C * prime_pi.count(ts)
     return [RetardationRow(t=t, lag=lag, expected=e, ratio=lag / e if e else math.inf)
             for t, lag, e in zip(ts.tolist(), lags.tolist(), expected.tolist())]
-
-
-def log_stability_check(table: LadderTable, T: float, U: float = 1.0) -> float:
-    """max over xi in [phi^-1(T), phi^-1(T+U)] of |ln xi - ln T| * ln T.
-
-    Monotone in xi, so the maximum is at an endpoint.  A degenerate interval
-    (U <= 0) reports 0 by convention.
-    """
-    T = float(T)
-    if U <= 0.0:
-        return 0.0
-    a = table.invert(T)
-    b = table.invert(T + U)
-    ln_t = math.log(T)
-    return max(abs(math.log(a) - ln_t), abs(math.log(b) - ln_t)) * ln_t

@@ -9,7 +9,7 @@ from .bessel import (
     zero_table,
 )
 from .gamma import gamma_fn, log_gamma
-from .orthopoly import PolyFamilySpec, poly_eval, poly_norm_sq, poly_weight
+from .orthopoly import PolyFamilySpec, poly_eval, poly_norm_sq
 
 __all__ = [
     "BesselZeroTable",
@@ -23,5 +23,4 @@ __all__ = [
     "PolyFamilySpec",
     "poly_eval",
     "poly_norm_sq",
-    "poly_weight",
 ]

@@ -33,18 +33,6 @@ class PolyFamilySpec:
     def jacobi(cls, alpha: float, beta: float) -> "PolyFamilySpec":
         return cls("jacobi", float(alpha), float(beta))
 
-    @classmethod
-    def legendre(cls) -> "PolyFamilySpec":
-        return cls("legendre")
-
-    @classmethod
-    def chebyshev_t(cls) -> "PolyFamilySpec":
-        return cls("chebyshev_t")
-
-    @classmethod
-    def chebyshev_u(cls) -> "PolyFamilySpec":
-        return cls("chebyshev_u")
-
 
 def _check_degree(n: int) -> int:
     n = int(n)
@@ -105,18 +93,6 @@ def poly_eval(spec: PolyFamilySpec, n: int, u) -> float | np.ndarray:
                 p, p_prev = (c2 * (c3 * ua + c4) * p - c5 * p_prev) / c1, p
             out = p
     return float(out[0]) if scalar else out
-
-
-def poly_weight(spec: PolyFamilySpec, u) -> np.ndarray:
-    """The family's classical weight on (-1, 1)."""
-    ua = np.asarray(u, dtype=float)
-    if spec.family == "legendre":
-        return np.ones_like(ua)
-    if spec.family == "chebyshev_t":
-        return 1.0 / np.sqrt(1.0 - ua * ua)
-    if spec.family == "chebyshev_u":
-        return np.sqrt(1.0 - ua * ua)
-    return (1.0 - ua) ** spec.alpha * (1.0 + ua) ** spec.beta
 
 
 def poly_norm_sq(spec: PolyFamilySpec, n: int) -> float:

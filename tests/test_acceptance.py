@@ -15,13 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from zladder import (CacheError, LadderTable, build_ladder, log_stability_check,
-                     pushforward_integral, retardation_report)
+from zladder import CacheError, LadderTable, build_ladder, retardation_report
 from zladder import verify as V
 from zladder.cli import (EXIT_CACHE, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
                          EXIT_SOFT, main as cli_main)
 
-from oracles import ln_t_placement_shift
+from oracles import ln_t_placement_shift, log_stability_check, pushforward_integral
 
 SEED = 20260811
 

@@ -169,6 +169,17 @@ class TestLadderVerbs:
         first = lines[1].split(",")
         assert float(first[3]) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("verb", [["ladder", "retardation"], ["plot-data", "--what", "ladder"]],
+                             ids=["ladder retardation", "plot-data ladder"])
+    def test_grid_ends_at_to(self, capsys, cache_env, verb):
+        # 1000 + 10 * 0.1 rounds to 1001.0000000000002, past the ladder's end
+        assert run_cli(*verb, "--t-lo", "1000", "--t-hi", "1001", "--anchor", "1000.5",
+                       "--tol", "1e-8", "--from", "1000", "--to", "1001",
+                       "--step", "0.1") == EXIT_OK
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == 11
+        assert float(rows[-1].split(",")[0]) == 1001.0
+
     def test_cache_corruption_exit(self, capsys, cache_env):
         assert run_cli("ladder", "build", *LADDER_ARGS) == EXIT_OK
         built = json.loads(capsys.readouterr().out)
@@ -366,12 +377,12 @@ class TestRun:
         path = tmp_path / "run.ini"
         path.write_text(
             "[ladder]\nt_lo = 1001.0\nt_hi = 1090.0\nanchor_t0 = 1005.0\ntol = 1e-9\n"
-            "h = 0.5\ncache = c.npz\n"
+            "cache = c.npz\n"
             "[plan]\nequations = baseline sanity\nT = 1000.0 1005.0\nnu = 0.0 2.5\n"
             "n_max = 2\nalpha = 0.25\nbeta = 0.75\ntol_exact = 1e-5\ntol_sanity = 2e-5\n"
             "tol_ratio = 0.5\ntol_baseline = 1e-10\n"
             "[output]\nformat = csv\npath = r.csv\ntimings = true\n")
-        want = RunConfig(t_lo=1001.0, t_hi=1090.0, anchor_t0=1005.0, tol=1e-9, h=0.5,
+        want = RunConfig(t_lo=1001.0, t_hi=1090.0, anchor_t0=1005.0, tol=1e-9,
                          cache="c.npz", equations=("baseline", "sanity"),
                          T=(1000.0, 1005.0), nu=(0.0, 2.5), n_max=2, alpha=0.25,
                          beta=0.75, tol_exact=1e-5, tol_sanity=2e-5, tol_ratio=0.5,
@@ -498,11 +509,9 @@ class TestPlotData:
             fh.write("{broken")
         out = cache_env / "ladder.csv"
         out.write_text("t,phi1,t_minus_phi1\n1005.0,1.0,2.0\n")
-        for what in ("ladder", "retardation"):
-            assert run_cli("plot-data", "--what", what, *LADDER_ARGS, "--from", "1005",
-                           "--to", "1006", "--step", "0.5",
-                           "--out", str(out)) == EXIT_CACHE
-            assert out.read_text() == "t,phi1,t_minus_phi1\n1005.0,1.0,2.0\n"
+        assert run_cli("plot-data", "--what", "ladder", *LADDER_ARGS, "--from", "1005",
+                       "--to", "1006", "--step", "0.5", "--out", str(out)) == EXIT_CACHE
+        assert out.read_text() == "t,phi1,t_minus_phi1\n1005.0,1.0,2.0\n"
         assert run_cli("ladder", "retardation", *LADDER_ARGS, "--from", "1010",
                        "--to", "1060", "--out", str(out)) == EXIT_CACHE
         assert out.read_text() == "t,phi1,t_minus_phi1\n1005.0,1.0,2.0\n"
@@ -601,116 +610,162 @@ def test_help_exits_zero(capsys, argv):
 # BROKEN names a file that is not a cache or report, TIGHT an INI file whose
 # sanity tolerances no row meets, ZEROS a file that does not exist, TYPO
 # and SECTION INI files with an unknown key and an unknown section, PERCENT
-# an INI file with a `%` in a value, and EVALUATOR an INI file with the
-# removed [evaluator] section.
+# an INI file with a `%` in a value, EVALUATOR an INI file with the
+# removed [evaluator] section, and STEP one with the removed [ladder] h.
 # A ladder that cannot reach its tolerance makes every ladder verb exit 70.
+
+
+def exit_case(verb, args, code, id=None):
+    """One EXIT_CASES row, with its test id: `id`, or else the verb and its
+    args, so deleting a row renames no other case.  The rows written when the
+    ids were positions keep their `{verb}-{code}-{position}` ids."""
+    return pytest.param(verb, args, code, id=id or " ".join([verb, *args]))
+
+
 UNREACHABLE = ["--t-lo", "1000", "--t-hi", "1001", "--anchor", "1000.5", "--tol", "1e-300"]
 PLAN = [*LADDER_ARGS, "--T", "1000", "--nu", "0", "--max-n", "1", "--out", "-"]
 EXIT_CASES = [
-    ("z eval", ["--t", "100"], EXIT_OK),
-    ("z eval", ["--t", "nan"], EXIT_CONFIG),
-    ("z eval", ["--t", "nan", "--oracle"], EXIT_CONFIG),
-    ("specfun zeros", ["--nu", "0", "--count", "2"], EXIT_OK),
-    ("specfun zeros", ["--nu", "nan", "--count", "2"], EXIT_CONFIG),
+    exit_case("z eval", ["--t", "100"], EXIT_OK, "z eval-0-0"),
+    exit_case("z eval", ["--t", "nan"], EXIT_CONFIG, "z eval-64-1"),
+    exit_case("z eval", ["--t", "nan", "--oracle"], EXIT_CONFIG, "z eval-64-2"),
+    exit_case("specfun zeros", ["--nu", "0", "--count", "2"], EXIT_OK, "specfun zeros-0-3"),
+    exit_case("specfun zeros", ["--nu", "nan", "--count", "2"], EXIT_CONFIG, "specfun zeros-64-4"),
     # the removed zero-file flag is an unknown flag
-    ("specfun zeros", ["--nu", "0", "--count", "2", "--cache-file", "BROKEN"], EXIT_CONFIG),
-    ("ladder build", LADDER_ARGS, EXIT_OK),
-    ("ladder build", ["--t-lo", "1090", "--t-hi", "1000"], EXIT_CONFIG),
-    ("ladder build", [*LADDER_ARGS, "--cache", "BROKEN"], EXIT_CACHE),
-    ("ladder build", UNREACHABLE, EXIT_NUMERIC),
-    ("ladder query", [*LADDER_ARGS, "--t", "1010"], EXIT_OK),
-    ("ladder query", [*LADDER_ARGS, "--t", "nan"], EXIT_CONFIG),
-    ("ladder query", [*LADDER_ARGS, "--t", "1010", "--cache", "BROKEN"], EXIT_CACHE),
-    ("ladder query", [*UNREACHABLE, "--t", "1000.7"], EXIT_NUMERIC),
-    ("ladder invert", [*LADDER_ARGS, "--y", "1000"], EXIT_OK),
-    ("ladder invert", [*LADDER_ARGS, "--y", "nan"], EXIT_CONFIG),
-    ("ladder invert", [*LADDER_ARGS, "--y", "1000", "--cache", "BROKEN"], EXIT_CACHE),
-    ("ladder invert", [*UNREACHABLE, "--y", "1000"], EXIT_NUMERIC),
-    ("ladder retardation", [*LADDER_ARGS, "--from", "1010", "--to", "1060"], EXIT_OK),
-    ("ladder retardation", [*LADDER_ARGS, "--from", "1010", "--to", "1060", "--step", "0"],
-     EXIT_CONFIG),
-    ("ladder retardation", [*LADDER_ARGS, "--from", "2000", "--to", "1000"], EXIT_CONFIG),
-    ("ladder retardation", [*LADDER_ARGS, "--from", "1010", "--to", "1060", "--cache",
-                            "BROKEN"], EXIT_CACHE),
-    ("ladder retardation", [*UNREACHABLE, "--from", "1000", "--to", "1001"], EXIT_NUMERIC),
-    ("verify baseline", ["--nu", "0", "--max-n", "2", "--out", "-"], EXIT_OK),
-    ("verify baseline", ["--nu", "0", "--max-n", "2", "--tol-baseline", "1e-30",
-                         "--out", "-"], EXIT_HARD),
-    ("verify baseline", ["--nu", "0", "--max-n", "2", "--tol-baseline", "nan",
-                         "--out", "-"], EXIT_CONFIG),
-    ("verify theorem1", PLAN, EXIT_OK),
-    ("verify theorem1", [*PLAN, "--tol-exact", "1e-30"], EXIT_HARD),
-    ("verify theorem1", [*PLAN, "--tol-exact", "nan"], EXIT_CONFIG),
-    ("verify theorem1", [*PLAN, "--cache", "BROKEN"], EXIT_CACHE),
-    ("verify theorem1", [*UNREACHABLE, "--T", "1000", "--out", "-"], EXIT_NUMERIC),
-    ("verify corollary", PLAN, EXIT_OK),
-    ("verify corollary", [*PLAN, "--tol-ratio", "1e-9"], EXIT_SOFT),
-    ("verify corollary", [*PLAN, "--tol-ratio", "nan"], EXIT_CONFIG),
-    ("verify corollary", [*PLAN, "--cache", "BROKEN"], EXIT_CACHE),
-    ("verify corollary", [*UNREACHABLE, "--T", "1000", "--out", "-"], EXIT_NUMERIC),
-    ("verify theorem2", PLAN, EXIT_OK),
-    ("verify theorem2", [*PLAN, "--tol-ratio", "1e-9"], EXIT_SOFT),
-    ("verify theorem2", [*PLAN, "--T", "nan"], EXIT_CONFIG),
-    ("verify theorem2", [*PLAN, "--cache", "BROKEN"], EXIT_CACHE),
-    ("verify theorem2", [*UNREACHABLE, "--T", "1000", "--out", "-"], EXIT_NUMERIC),
-    ("verify sanity", PLAN, EXIT_OK),
-    ("verify sanity", [*PLAN, "--config", "TIGHT"], EXIT_HARD),
-    ("verify sanity", [*PLAN, "--alpha", "nan"], EXIT_CONFIG),
-    ("verify sanity", [*PLAN, "--cache", "BROKEN"], EXIT_CACHE),
-    ("verify sanity", [*UNREACHABLE, "--T", "1000", "--out", "-"], EXIT_NUMERIC),
-    ("plot-data", ["--what", "ladder", *LADDER_ARGS, "--from", "1005", "--to", "1006"],
-     EXIT_OK),
-    ("plot-data", ["--what", "ladder", *LADDER_ARGS], EXIT_CONFIG),
-    ("plot-data", ["--what", "envelope", *LADDER_ARGS], EXIT_CONFIG),
-    ("plot-data", ["--what", "envelope", *LADDER_ARGS, "--T", "950", "--points", "-3"],
-     EXIT_CONFIG),
-    ("plot-data", ["--what", "z_trace", "--from", "100", "--to", "101", "--step", "nan"],
-     EXIT_CONFIG),
-    ("plot-data", ["--what", "ladder", *LADDER_ARGS, "--from", "1005", "--to", "1006",
-                   "--cache", "BROKEN"], EXIT_CACHE),
-    ("plot-data", ["--what", "ladder", *UNREACHABLE, "--from", "1000", "--to", "1001"],
-     EXIT_NUMERIC),
-    ("run", [*PLAN, "--equations", "baseline", "sanity"], EXIT_OK),
-    ("run", [*PLAN, "--equations", "theorem1", "corollary", "--tol-exact", "1e-30"],
-     EXIT_HARD),
-    ("run", [*PLAN, "--equations", "theorem1", "corollary", "--tol-ratio", "1e-9"],
-     EXIT_SOFT),
-    ("run", [*PLAN, "--T", "5000"], EXIT_CONFIG),
-    ("run", [*PLAN, "--cache", "BROKEN"], EXIT_CACHE),
-    ("run", [*UNREACHABLE, "--T", "1000", "--out", "-"], EXIT_NUMERIC),
-    ("report", ["ZEROS"], EXIT_CONFIG),     # no such file
-    ("report", ["BROKEN"], EXIT_CACHE),
-    # appended, so the positional ids of the cases above stay as they were
-    ("specfun zeros", ["--nu", "0", "--count", "0"], EXIT_CONFIG),
-    ("specfun zeros", ["--nu", "0", "--count", "65"], EXIT_CONFIG),
-    ("run", [*PLAN, "--T", "1000", "1000"], EXIT_CONFIG),
-    ("run", [*PLAN, "--equations", "sanity", "sanity"], EXIT_CONFIG),
-    ("run", [*PLAN, "--nu", "0", "0"], EXIT_CONFIG),
-    ("z eval", ["--t", "1000", "--t-min-rs", "50"], EXIT_CONFIG),   # removed flag
-    ("z eval", ["--t", "inf"], EXIT_CONFIG),
-    ("z eval", ["--t", "1e300"], EXIT_CONFIG),
-    ("z eval", ["--t", "inf", "--oracle"], EXIT_CONFIG),
-    ("run", [*PLAN, "--bogus"], EXIT_CONFIG),
-    ("verify nonsense", PLAN, EXIT_CONFIG),
-    ("ladder query", LADDER_ARGS, EXIT_CONFIG),      # no --t
-    ("run", [*PLAN, "--max-n", "abc"], EXIT_CONFIG),
-    ("run", [*PLAN, "--config", "TYPO"], EXIT_CONFIG),
-    ("run", [*PLAN, "--config", "SECTION"], EXIT_CONFIG),
-    ("run", [*PLAN, "--equations", "baseline", "--config", "PERCENT"], EXIT_OK),
+    exit_case("specfun zeros", ["--nu", "0", "--count", "2", "--cache-file", "BROKEN"],
+              EXIT_CONFIG, "specfun zeros-64-5"),
+    exit_case("ladder build", LADDER_ARGS, EXIT_OK, "ladder build-0-6"),
+    exit_case("ladder build", ["--t-lo", "1090", "--t-hi", "1000"],
+              EXIT_CONFIG, "ladder build-64-7"),
+    exit_case("ladder build", [*LADDER_ARGS, "--cache", "BROKEN"],
+              EXIT_CACHE, "ladder build-65-8"),
+    exit_case("ladder build", UNREACHABLE, EXIT_NUMERIC, "ladder build-70-9"),
+    exit_case("ladder query", [*LADDER_ARGS, "--t", "1010"], EXIT_OK, "ladder query-0-10"),
+    exit_case("ladder query", [*LADDER_ARGS, "--t", "nan"], EXIT_CONFIG, "ladder query-64-11"),
+    exit_case("ladder query", [*LADDER_ARGS, "--t", "1010", "--cache", "BROKEN"],
+              EXIT_CACHE, "ladder query-65-12"),
+    exit_case("ladder query", [*UNREACHABLE, "--t", "1000.7"], EXIT_NUMERIC, "ladder query-70-13"),
+    exit_case("ladder invert", [*LADDER_ARGS, "--y", "1000"], EXIT_OK, "ladder invert-0-14"),
+    exit_case("ladder invert", [*LADDER_ARGS, "--y", "nan"], EXIT_CONFIG, "ladder invert-64-15"),
+    exit_case("ladder invert", [*LADDER_ARGS, "--y", "1000", "--cache", "BROKEN"],
+              EXIT_CACHE, "ladder invert-65-16"),
+    exit_case("ladder invert", [*UNREACHABLE, "--y", "1000"], EXIT_NUMERIC, "ladder invert-70-17"),
+    exit_case("ladder retardation", [*LADDER_ARGS, "--from", "1010", "--to", "1060"],
+              EXIT_OK, "ladder retardation-0-18"),
+    exit_case("ladder retardation", [*LADDER_ARGS, "--from", "1010", "--to", "1060",
+                                     "--step", "0"],
+              EXIT_CONFIG, "ladder retardation-64-19"),
+    exit_case("ladder retardation", [*LADDER_ARGS, "--from", "2000", "--to", "1000"],
+              EXIT_CONFIG, "ladder retardation-64-20"),
+    exit_case("ladder retardation", [*LADDER_ARGS, "--from", "1010", "--to", "1060", "--cache",
+                                     "BROKEN"], EXIT_CACHE, "ladder retardation-65-21"),
+    exit_case("ladder retardation", [*UNREACHABLE, "--from", "1000", "--to", "1001"],
+              EXIT_NUMERIC, "ladder retardation-70-22"),
+    exit_case("verify baseline", ["--nu", "0", "--max-n", "2", "--out", "-"],
+              EXIT_OK, "verify baseline-0-23"),
+    exit_case("verify baseline", ["--nu", "0", "--max-n", "2", "--tol-baseline", "1e-30",
+                                  "--out", "-"], EXIT_HARD, "verify baseline-1-24"),
+    exit_case("verify baseline", ["--nu", "0", "--max-n", "2", "--tol-baseline", "nan",
+                                  "--out", "-"], EXIT_CONFIG, "verify baseline-64-25"),
+    exit_case("verify theorem1", PLAN, EXIT_OK, "verify theorem1-0-26"),
+    exit_case("verify theorem1", [*PLAN, "--tol-exact", "1e-30"],
+              EXIT_HARD, "verify theorem1-1-27"),
+    exit_case("verify theorem1", [*PLAN, "--tol-exact", "nan"],
+              EXIT_CONFIG, "verify theorem1-64-28"),
+    exit_case("verify theorem1", [*PLAN, "--cache", "BROKEN"],
+              EXIT_CACHE, "verify theorem1-65-29"),
+    exit_case("verify theorem1", [*UNREACHABLE, "--T", "1000", "--out", "-"],
+              EXIT_NUMERIC, "verify theorem1-70-30"),
+    exit_case("verify corollary", PLAN, EXIT_OK, "verify corollary-0-31"),
+    exit_case("verify corollary", [*PLAN, "--tol-ratio", "1e-9"],
+              EXIT_SOFT, "verify corollary-2-32"),
+    exit_case("verify corollary", [*PLAN, "--tol-ratio", "nan"],
+              EXIT_CONFIG, "verify corollary-64-33"),
+    exit_case("verify corollary", [*PLAN, "--cache", "BROKEN"],
+              EXIT_CACHE, "verify corollary-65-34"),
+    exit_case("verify corollary", [*UNREACHABLE, "--T", "1000", "--out", "-"],
+              EXIT_NUMERIC, "verify corollary-70-35"),
+    exit_case("verify theorem2", PLAN, EXIT_OK, "verify theorem2-0-36"),
+    exit_case("verify theorem2", [*PLAN, "--tol-ratio", "1e-9"],
+              EXIT_SOFT, "verify theorem2-2-37"),
+    exit_case("verify theorem2", [*PLAN, "--T", "nan"], EXIT_CONFIG, "verify theorem2-64-38"),
+    exit_case("verify theorem2", [*PLAN, "--cache", "BROKEN"],
+              EXIT_CACHE, "verify theorem2-65-39"),
+    exit_case("verify theorem2", [*UNREACHABLE, "--T", "1000", "--out", "-"],
+              EXIT_NUMERIC, "verify theorem2-70-40"),
+    exit_case("verify sanity", PLAN, EXIT_OK, "verify sanity-0-41"),
+    exit_case("verify sanity", [*PLAN, "--config", "TIGHT"], EXIT_HARD, "verify sanity-1-42"),
+    exit_case("verify sanity", [*PLAN, "--alpha", "nan"], EXIT_CONFIG, "verify sanity-64-43"),
+    exit_case("verify sanity", [*PLAN, "--cache", "BROKEN"], EXIT_CACHE, "verify sanity-65-44"),
+    exit_case("verify sanity", [*UNREACHABLE, "--T", "1000", "--out", "-"],
+              EXIT_NUMERIC, "verify sanity-70-45"),
+    exit_case("plot-data", ["--what", "ladder", *LADDER_ARGS, "--from", "1005", "--to", "1006"],
+              EXIT_OK, "plot-data-0-46"),
+    exit_case("plot-data", ["--what", "ladder", *LADDER_ARGS], EXIT_CONFIG, "plot-data-64-47"),
+    exit_case("plot-data", ["--what", "envelope", *LADDER_ARGS], EXIT_CONFIG, "plot-data-64-48"),
+    exit_case("plot-data", ["--what", "envelope", *LADDER_ARGS, "--T", "950", "--points", "-3"],
+              EXIT_CONFIG, "plot-data-64-49"),
+    exit_case("plot-data", ["--what", "z_trace", "--from", "100", "--to", "101", "--step", "nan"],
+              EXIT_CONFIG, "plot-data-64-50"),
+    exit_case("plot-data", ["--what", "ladder", *LADDER_ARGS, "--from", "1005", "--to", "1006",
+                            "--cache", "BROKEN"], EXIT_CACHE, "plot-data-65-51"),
+    exit_case("plot-data", ["--what", "ladder", *UNREACHABLE, "--from", "1000", "--to", "1001"],
+              EXIT_NUMERIC, "plot-data-70-52"),
+    exit_case("run", [*PLAN, "--equations", "baseline", "sanity"], EXIT_OK, "run-0-53"),
+    exit_case("run", [*PLAN, "--equations", "theorem1", "corollary", "--tol-exact", "1e-30"],
+              EXIT_HARD, "run-1-54"),
+    exit_case("run", [*PLAN, "--equations", "theorem1", "corollary", "--tol-ratio", "1e-9"],
+              EXIT_SOFT, "run-2-55"),
+    exit_case("run", [*PLAN, "--T", "5000"], EXIT_CONFIG, "run-64-56"),
+    exit_case("run", [*PLAN, "--cache", "BROKEN"], EXIT_CACHE, "run-65-57"),
+    exit_case("run", [*UNREACHABLE, "--T", "1000", "--out", "-"], EXIT_NUMERIC, "run-70-58"),
+    exit_case("report", ["ZEROS"], EXIT_CONFIG, "report-64-59"),     # no such file
+    exit_case("report", ["BROKEN"], EXIT_CACHE, "report-65-60"),
+    exit_case("specfun zeros", ["--nu", "0", "--count", "0"], EXIT_CONFIG, "specfun zeros-64-61"),
+    exit_case("specfun zeros", ["--nu", "0", "--count", "65"], EXIT_CONFIG, "specfun zeros-64-62"),
+    exit_case("run", [*PLAN, "--T", "1000", "1000"], EXIT_CONFIG, "run-64-63"),
+    exit_case("run", [*PLAN, "--equations", "sanity", "sanity"], EXIT_CONFIG, "run-64-64"),
+    exit_case("run", [*PLAN, "--nu", "0", "0"], EXIT_CONFIG, "run-64-65"),
+    exit_case("z eval", ["--t", "1000", "--t-min-rs", "50"],
+              EXIT_CONFIG, "z eval-64-66"),   # removed flag
+    exit_case("z eval", ["--t", "inf"], EXIT_CONFIG, "z eval-64-67"),
+    exit_case("z eval", ["--t", "1e300"], EXIT_CONFIG, "z eval-64-68"),
+    exit_case("z eval", ["--t", "inf", "--oracle"], EXIT_CONFIG, "z eval-64-69"),
+    exit_case("run", [*PLAN, "--bogus"], EXIT_CONFIG, "run-64-70"),
+    exit_case("verify nonsense", PLAN, EXIT_CONFIG, "verify nonsense-64-71"),
+    exit_case("ladder query", LADDER_ARGS, EXIT_CONFIG, "ladder query-64-72"),      # no --t
+    exit_case("run", [*PLAN, "--max-n", "abc"], EXIT_CONFIG, "run-64-73"),
+    exit_case("run", [*PLAN, "--config", "TYPO"], EXIT_CONFIG, "run-64-74"),
+    exit_case("run", [*PLAN, "--config", "SECTION"], EXIT_CONFIG, "run-64-75"),
+    exit_case("run", [*PLAN, "--equations", "baseline", "--config", "PERCENT"],
+              EXIT_OK, "run-0-76"),
     # grids past MAX_GRID_POINTS are refused before anything is allocated
-    ("plot-data", ["--what", "z_trace", "--from", "100", "--to", "1e12"], EXIT_CONFIG),
-    ("plot-data", ["--what", "envelope", *LADDER_ARGS, "--T", "1005",
-                   "--points", "1000000000000"], EXIT_CONFIG),
-    ("ladder retardation", [*LADDER_ARGS, "--from", "1010", "--to", "1e12", "--step", "1"],
-     EXIT_CONFIG),
+    exit_case("plot-data", ["--what", "z_trace", "--from", "100", "--to", "1e12"],
+              EXIT_CONFIG, "plot-data-64-77"),
+    exit_case("plot-data", ["--what", "envelope", *LADDER_ARGS, "--T", "1005",
+                            "--points", "1000000000000"], EXIT_CONFIG, "plot-data-64-78"),
+    exit_case("ladder retardation", [*LADDER_ARGS, "--from", "1010", "--to", "1e12",
+                                     "--step", "1"],
+              EXIT_CONFIG, "ladder retardation-64-79"),
     # Bessel orders past NU_MAX = 100, where J's normalization would overflow
-    ("verify baseline", ["--nu", "170", "--max-n", "1", "--out", "-"], EXIT_CONFIG),
-    ("specfun zeros", ["--nu", "inf", "--count", "1"], EXIT_CONFIG),
+    exit_case("verify baseline", ["--nu", "170", "--max-n", "1", "--out", "-"],
+              EXIT_CONFIG, "verify baseline-64-80"),
+    exit_case("specfun zeros", ["--nu", "inf", "--count", "1"],
+              EXIT_CONFIG, "specfun zeros-64-81"),
     # the evaluator is fixed: its removed flags and INI section are unknown
-    ("z eval", ["--t", "1000", "--rs-correction-order", "4"], EXIT_CONFIG),
-    ("ladder build", [*LADDER_ARGS, "--oracle-terms", "8"], EXIT_CONFIG),
-    ("run", [*PLAN, "--t-min-rs", "50"], EXIT_CONFIG),
-    ("run", [*PLAN, "--config", "EVALUATOR"], EXIT_CONFIG),
+    exit_case("z eval", ["--t", "1000", "--rs-correction-order", "4"],
+              EXIT_CONFIG, "z eval-64-82"),
+    exit_case("ladder build", [*LADDER_ARGS, "--oracle-terms", "8"],
+              EXIT_CONFIG, "ladder build-64-83"),
+    exit_case("run", [*PLAN, "--t-min-rs", "50"], EXIT_CONFIG, "run-64-84"),
+    exit_case("run", [*PLAN, "--config", "EVALUATOR"], EXIT_CONFIG, "run-64-85"),
+    # removed flags, key and choice; a flag matches whole, never as a prefix
+    exit_case("ladder build", [*LADDER_ARGS, "--h", "0.5"], EXIT_CONFIG),
+    exit_case("ladder build", [*LADDER_ARGS, "--config", "STEP"], EXIT_CONFIG),
+    exit_case("z eval", ["--t", "1000", "--config", "TIGHT"], EXIT_CONFIG),
+    exit_case("plot-data", ["--what", "retardation", *LADDER_ARGS, "--from", "1010",
+                            "--to", "1060"], EXIT_CONFIG),
+    exit_case("run", [*LADDER_ARGS, "--T", "1000", "--nu", "0", "--max", "4", "--out", "-"],
+              EXIT_CONFIG),
 ]
 
 
@@ -719,21 +774,26 @@ def shared_cache_root(tmp_path_factory):
     return tmp_path_factory.mktemp("cache")
 
 
-@pytest.mark.parametrize("verb,args,expected", EXIT_CASES,
-                         ids=[f"{v}-{c}-{i}" for i, (v, _, c) in enumerate(EXIT_CASES)])
+def test_exit_case_ids_are_unique():
+    ids = [case.id for case in EXIT_CASES]
+    assert len(set(ids)) == len(ids)
+
+
+@pytest.mark.parametrize("verb,args,expected", EXIT_CASES)
 def test_verb_exit_code(capsys, monkeypatch, tmp_path, shared_cache_root,
                         verb, args, expected):
     monkeypatch.setenv("ZLADDER_CACHE_ROOT", str(shared_cache_root))
     files = {"BROKEN": tmp_path / "broken", "TIGHT": tmp_path / "tight.ini",
              "ZEROS": tmp_path / "zeros.json", "TYPO": tmp_path / "typo.ini",
              "SECTION": tmp_path / "section.ini", "PERCENT": tmp_path / "percent.ini",
-             "EVALUATOR": tmp_path / "evaluator.ini"}
+             "EVALUATOR": tmp_path / "evaluator.ini", "STEP": tmp_path / "step.ini"}
     files["BROKEN"].write_text("{broken\n")
     files["TIGHT"].write_text("[plan]\ntol_sanity = 1e-30\n")
     files["TYPO"].write_text("[plan]\nn_mx = 8\n")
     files["SECTION"].write_text("[plann]\nn_max = 8\n")
     files["PERCENT"].write_text("[output]\npath = r%1.jsonl\n")
     files["EVALUATOR"].write_text("[evaluator]\nrs_correction_order = 4\n")
+    files["STEP"].write_text("[ladder]\nh = 0.5\n")
     argv = [*verb.split(), *(str(files.get(a, a)) for a in args)]
     assert run_cli(*argv) == expected
     err = capsys.readouterr().err
@@ -743,3 +803,5 @@ def test_verb_exit_code(capsys, monkeypatch, tmp_path, shared_cache_root,
         assert err.startswith("error: ") and err.count("\n") == 1
     if "EVALUATOR" in args:
         assert "unknown section [evaluator]" in err
+    if "STEP" in args:
+        assert "unknown key [ladder] h" in err

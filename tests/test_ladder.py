@@ -11,10 +11,11 @@ from zladder import (AdmissibilityError, CacheError, ConvergenceError,
                      DomainError, EULER_C,
                      LadderTable, PrimePi, ToleranceNotMetError, ZEvaluator,
                      bessel_j, bessel_norm_sq, bessel_zero, build_ladder,
-                     check_admissible, integrate_adaptive, log_stability_check,
-                     pushforward_integral, retardation_report, ztilde_sq)
+                     check_admissible, integrate_adaptive, retardation_report)
 from zladder import ladder as ladder_mod
 from zladder.specfun.orthopoly import _clenshaw, _clenshaw_fused, _clenshaw_rev
+
+from oracles import log_stability_check, pushforward_integral, ztilde_sq
 
 FIRST_ZETA_ZERO = 14.134725141734695
 
@@ -24,7 +25,7 @@ def fresh(table, phi=None):
     (and with the values `phi`, if given)."""
     return LadderTable(
         evaluator=table.evaluator, t_lo=table.t_lo, t_hi=table.t_hi,
-        anchor_t0=table.anchor_t0, anchor_value=table.anchor_value, h=table.h,
+        anchor_t0=table.anchor_t0, anchor_value=table.anchor_value,
         build_tolerance=table.build_tolerance, edges=table.edges,
         phi=table.phi if phi is None else phi, coef=table.coef,
         residual_total=table.residual_total)
@@ -107,8 +108,8 @@ class TestBuild:
         assert small_ladder.anchor_t0 == small_ladder.t_lo + 10.0
 
     def test_checkpoint_step(self, small_ladder):
-        assert small_ladder.h == 1.0
-        assert np.max(np.diff(small_ladder.edges)) <= small_ladder.h + 1e-12
+        assert ladder_mod._BASE_H == 1.0
+        assert np.max(np.diff(small_ladder.edges)) <= ladder_mod._BASE_H + 1e-12
 
     # phi_1 of the Gauss-7 half-pair build (rule "gauss7-halves+richardson",
     # h = 0.05) at a few points; the spectral table must agree within tol
@@ -159,19 +160,10 @@ class TestBuild:
         for tol in (-1.0, math.nan):
             with pytest.raises(DomainError):
                 build_ladder(ev, 1000.0, 1100.0, tol=tol)
-        for h in (0.0, -1.0, 1.5):
-            with pytest.raises(DomainError):
-                build_ladder(ev, 1000.0, 1100.0, h=h)
 
     def test_unreachable_tolerance(self, ev):
         with pytest.raises(ToleranceNotMetError):
             build_ladder(ev, 1000.0, 1001.0, anchor_t0=1000.5, tol=1e-300)
-
-    def test_halving_h_stable(self, ev):
-        coarse = build_ladder(ev, 1000.0, 1020.0, anchor_t0=1010.0, tol=1e-9, h=1.0)
-        fine = build_ladder(ev, 1000.0, 1020.0, anchor_t0=1010.0, tol=1e-9, h=0.5)
-        assert len(fine.edges) == 2 * len(coarse.edges) - 1
-        assert abs(coarse.eval(1020.0) - fine.eval(1020.0)) <= 1e-9
 
     def test_domain_straddling_rs_threshold(self, ev):
         # the computed Ztilde^2 jumps ~1e-7 where the evaluator switches from
@@ -606,7 +598,7 @@ def one_ulp_panel(small_ladder):
     return LadderTable(
         evaluator=small_ladder.evaluator, t_lo=small_ladder.t_lo,
         t_hi=small_ladder.t_hi, anchor_t0=small_ladder.anchor_t0,
-        anchor_value=small_ladder.anchor_value, h=small_ladder.h,
+        anchor_value=small_ladder.anchor_value,
         build_tolerance=small_ladder.build_tolerance, edges=edges,
         phi=small_ladder.phi, coef=small_ladder.coef,
         residual_total=small_ladder.residual_total)
@@ -1070,6 +1062,18 @@ class TestCache:
             with pytest.raises(CacheError, match="different evaluator config"):
                 LadderTable.load(path, ev)
 
+    def test_rejects_other_base_width(self, ev, small_ladder, tmp_path):
+        # the base panel width is fixed; a cache that records another one
+        # (as older versions could build) is refused, though its config hash
+        # no longer depends on the stored width
+        path = tmp_path / "ladder.npz"
+        small_ladder.save(path)
+        with np.load(path) as doc:
+            assert doc["h"].item() == 1.0
+        rewrite_cache(path, h=np.asarray(0.5))
+        with pytest.raises(CacheError, match="base panel width"):
+            LadderTable.load(path, ev)
+
     def test_rejects_corruption(self, ev, small_ladder, tmp_path):
         path = tmp_path / "ladder.npz"
         small_ladder.save(path)
@@ -1085,7 +1089,7 @@ class TestCache:
         path.write_text(json.dumps({
             "version": 1, "config_hash": b.config_hash(),
             "builder": {"t_lo": b.t_lo, "t_hi": b.t_hi, "anchor_t0": b.anchor_t0,
-                        "h": b.h, "tol": b.build_tolerance,
+                        "h": 1.0, "tol": b.build_tolerance,
                         "rs_correction_order": ev.rs_correction_order,
                         "oracle_terms": ev.oracle_terms, "t_min_rs": ev.t_min_rs},
             "anchor_value": b.anchor_value, "base_step_count": 200,
