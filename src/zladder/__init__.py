@@ -7,11 +7,10 @@ polynomials, at both the exact (change-of-variables) and asymptotic layers.
 """
 
 from .exceptions import (AdmissibilityError, CacheError, ConvergenceError,
-                         DomainError, PoleError, PrecisionError,
-                         QuadratureError, ReportFormatError,
-                         ToleranceNotMetError, ZladderError)
-from .ladder import (EULER_C, LadderTable, PrimePi, RetardationRow,
-                     build_ladder, check_admissible, retardation_report)
+                         DomainError, PrecisionError, QuadratureError,
+                         ReportFormatError, ToleranceNotMetError, ZladderError)
+from .ladder import (EULER_C, LadderTable, RetardationRow, build_ladder,
+                     check_admissible, prime_pi, retardation_report)
 from .quadrature import (QuadratureResult, integrate_adaptive,
                          integrate_adaptive_rows, integrate_singular,
                          integrate_singular_rows)
@@ -24,13 +23,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ZEvaluator",
-    "LadderTable", "PrimePi", "RetardationRow", "build_ladder",
+    "LadderTable", "RetardationRow", "build_ladder", "prime_pi",
     "retardation_report", "check_admissible", "EULER_C",
     "QuadratureResult", "integrate_adaptive", "integrate_adaptive_rows",
     "integrate_singular", "integrate_singular_rows",
     "BesselZeroTable", "PolyFamilySpec", "bessel_j", "bessel_norm_sq",
     "bessel_zero", "gamma_fn", "log_gamma", "poly_eval", "poly_norm_sq",
-    "ZladderError", "DomainError", "PoleError", "PrecisionError",
+    "ZladderError", "DomainError", "PrecisionError",
     "ConvergenceError", "QuadratureError", "ToleranceNotMetError",
     "AdmissibilityError", "CacheError", "ReportFormatError",
     "__version__",

@@ -51,7 +51,7 @@ from .exceptions import (CacheError, ConvergenceError, DomainError,
                          PrecisionError, ReportFormatError)
 from .ladder import LadderTable, build_ladder, retardation_report
 from .rszeta import ZEvaluator
-from .specfun import bessel_zero, zero_table
+from .specfun import zero_table
 
 EXIT_OK = 0
 EXIT_HARD = 1
@@ -196,9 +196,9 @@ def _cmd_z_eval(args) -> int:
 def _cmd_specfun_zeros(args) -> int:
     if not 1 <= args.count <= 64:
         raise DomainError(f"need 1 <= --count <= 64, have --count {args.count}")
-    zeros = [bessel_zero(args.nu, k) for k in range(1, args.count + 1)]
-    _print_json({"nu": args.nu, "zeros": zeros,
-                 "residual_bound": zero_table(args.nu, args.count).residual_bound})
+    table = zero_table(args.nu, args.count)
+    _print_json({"nu": args.nu, "zeros": table.zeros[:args.count],
+                 "residual_bound": table.residual_bound})
     return EXIT_OK
 
 
@@ -307,6 +307,8 @@ def _plot_rows(args, cfg: RunConfig) -> tuple[str, list]:
     elif args.T_single is None or not 1 <= args.points <= MAX_GRID_POINTS:
         raise DomainError(f"plot-data --what envelope needs --T and "
                           f"1 <= --points <= {MAX_GRID_POINTS}")
+    else:
+        V.check_bessel_order(args.nu_single)
     if args.what == "z_trace":
         return "t,z", list(zip(ts.tolist(), ZEvaluator().z(ts).tolist()))
     table = _get_ladder(cfg)

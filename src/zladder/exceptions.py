@@ -9,10 +9,6 @@ class DomainError(ZladderError, ValueError):
     """An argument lies outside the documented domain of an operation."""
 
 
-class PoleError(DomainError):
-    """Gamma evaluated at a nonpositive integer."""
-
-
 class PrecisionError(ZladderError, ArithmeticError):
     """An internal accuracy assertion failed (e.g. residual imaginary part)."""
 

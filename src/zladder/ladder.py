@@ -1,5 +1,5 @@
 """Jacob's ladder phi_1: construction from d(phi_1)/dt = Ztilde^2, evaluation,
-inversion, and the retardation diagnostic against (1 - c) * pi(t).
+inversion, and the retardation diagnostic against (1 - c) pi(t) (`prime_pi`).
 
 On each panel a degree-32 Chebyshev polynomial p interpolates Z / sqrt(ln t)
 at the 33 Chebyshev-Lobatto points; phi_1' = p^2 >= 0, and phi_1 is its exact
@@ -27,7 +27,7 @@ import hashlib
 import math
 import zipfile
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -72,34 +72,19 @@ def ladder_config_hash(evaluator: ZEvaluator, t_lo: float, t_hi: float,
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class PrimePi:
-    """Prime-counting queries backed by a sieve-produced sorted prime array."""
-
-    limit: int
-    primes: np.ndarray = field(repr=False)
-
-    @classmethod
-    def up_to(cls, limit: int) -> "PrimePi":
-        limit = int(limit)
-        if limit < 2:
-            raise DomainError("PrimePi limit must be >= 2")
-        if limit > 10 ** 8:
-            raise DomainError("PrimePi limit capped at 1e8")
-        sieve = np.ones(limit + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, math.isqrt(limit) + 1):
-            if sieve[p]:
-                sieve[p * p:: p] = False
-        return cls(limit=limit, primes=np.nonzero(sieve)[0].astype(np.int64))
-
-    def count(self, t) -> int | np.ndarray:
-        """pi(t) = #{primes <= t}."""
-        ta = np.asarray(t, dtype=float)
-        if np.any(ta > self.limit):
-            raise DomainError(f"PrimePi limit {self.limit} does not cover t = {ta.max()}")
-        counts = np.searchsorted(self.primes, ta, side="right")
-        return counts if ta.ndim else int(counts)
+def prime_pi(t) -> int | np.ndarray:
+    """pi(t) = #{primes <= t} for 0 <= t <= 1e8, from one sieve up to max(t)."""
+    ta = np.asarray(t, dtype=float)
+    if not np.all((ta >= 0.0) & (ta <= 1e8)):   # NaN fails
+        raise DomainError("prime_pi requires 0 <= t <= 1e8")
+    limit = int(ta.max(initial=0.0))
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p:: p] = False
+    counts = np.searchsorted(np.flatnonzero(sieve), ta, side="right")
+    return counts if ta.ndim else int(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +566,7 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
     k0 = int(np.searchsorted(edges, anchor_t0, side="left"))
     if not (k0 < len(edges) and edges[k0] == anchor_t0):
         raise ConvergenceError("anchor is not on the checkpoint grid")
-    prime_pi = PrimePi.up_to(max(int(anchor_t0) + 10, 100))
-    anchor_value = anchor_t0 - ONE_MINUS_C * prime_pi.count(anchor_t0)
+    anchor_value = anchor_t0 - ONE_MINUS_C * prime_pi(anchor_t0)
     phi = (np.longdouble(anchor_value) + (prefix - prefix[k0])).astype(float)
 
     return LadderTable(
@@ -612,8 +596,7 @@ class RetardationRow:
 def retardation_report(table: LadderTable, sample_ts) -> list[RetardationRow]:
     """Rows (t, t - phi_1(t), (1-c) pi(t), ratio); ratio is 1 at the anchor."""
     ts = np.atleast_1d(np.asarray(sample_ts, dtype=float))
-    prime_pi = PrimePi.up_to(max(int(ts.max()) + 10, 100))
     lags = ts - table.eval(ts)
-    expected = ONE_MINUS_C * prime_pi.count(ts)
+    expected = ONE_MINUS_C * prime_pi(ts)
     return [RetardationRow(t=t, lag=lag, expected=e, ratio=lag / e if e else math.inf)
             for t, lag, e in zip(ts.tolist(), lags.tolist(), expected.tolist())]

@@ -59,6 +59,12 @@ def _rs_terms(p: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
+def _theta_ld(t) -> np.longdouble:
+    """theta(t) = Im ln Gamma(1/4 + it/2) - (t/2) ln pi, in extended precision."""
+    half_t = _LD(float(t)) / 2
+    return _log_gamma_cld(_CLD(0.25) + _CLD(1j) * _CLD(half_t)).imag - half_t * _LN_PI_LD
+
+
 @dataclass(frozen=True)
 class ZEvaluator:
     """The one Hardy Z evaluator; its configuration is fixed.
@@ -107,12 +113,7 @@ class ZEvaluator:
         ta = np.asarray(t, dtype=float)
         if not np.all((ta > 0.0) & (ta <= _ORACLE_T_MAX)):
             raise DomainError(f"theta_oracle requires 0 < t <= {_ORACLE_T_MAX:g}")
-        flat = np.atleast_1d(ta)
-        out = np.empty_like(flat)
-        for i, ti in enumerate(flat):
-            half_t = _LD(ti) / 2
-            lg = _log_gamma_cld(_CLD(0.25) + _CLD(1j) * _CLD(half_t))
-            out[i] = float(lg.imag - half_t * _LN_PI_LD)
+        out = np.array([float(_theta_ld(ti)) for ti in ta.ravel()])
         return out.reshape(ta.shape) if ta.ndim else float(out[0])
 
     # -- Riemann-Siegel route ------------------------------------------------
@@ -202,10 +203,8 @@ class ZEvaluator:
         return complex(res)
 
     def _z_oracle_scalar(self, t: float) -> float:
-        t_ld = _LD(float(t))
         zeta = self.zeta_half(t)
-        lg = _log_gamma_cld(_CLD(0.25) + _CLD(1j) * _CLD(t_ld / 2))
-        theta_ld = lg.imag - (t_ld / 2) * _LN_PI_LD
+        theta_ld = _theta_ld(t)
         zval = (np.cos(theta_ld) + _CLD(1j) * np.sin(theta_ld)) * _CLD(zeta)
         if abs(float(zval.imag)) > 1e-9:
             raise PrecisionError(

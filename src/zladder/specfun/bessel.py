@@ -17,13 +17,14 @@ above NU_MAX = 100 are rejected.
 
 Zeros are located from McMahon's asymptotic guess with a safeguarded
 Newton iteration inside a maintained sign-change bracket, and kept in
-append-only per-nu tables in memory (nothing is written to disk).  Beside each zero mu_n the table keeps, once
-computed, the norm 0.5 J_{nu+1}(mu_n)^2 and the Chebyshev proxy of
-u -> J_nu(mu_n u) on [0, 1] that `bessel_j_proxy` evaluates for the ladder
-integrands at the cost of one Clenshaw sum (Trefethen, Approximation Theory
-and Approximation Practice, SIAM 2013, ch. 8 and 10), for the (nu, n) whose
-amplified rounding stays within bessel_j's contract; the others keep the
-series.
+append-only per-nu tables in memory (nothing is written to disk), which
+`zero_table` alone validates, locks and extends.  Beside each zero mu_n the
+table keeps the norm 0.5 J_{nu+1}(mu_n)^2, found with it, and once asked for
+the Chebyshev proxy of u -> J_nu(mu_n u) on [0, 1] that `bessel_j_proxy`
+evaluates for the ladder integrands at the cost of one Clenshaw sum
+(Trefethen, Approximation Theory and Approximation Practice, SIAM 2013, ch. 8
+and 10), for the (nu, n) whose amplified rounding stays within bessel_j's
+contract; the others keep the series.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import ConvergenceError, DomainError
-from .gamma import gamma_fn
+from .gamma import gamma_fn, log_gamma
 from .orthopoly import _clenshaw
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
@@ -303,13 +304,13 @@ def _mcmahon_bracket(nu: float, k: int, prev: float | None):
 
 @dataclass
 class BesselZeroTable:
-    """Append-only cache of the positive zeros of J_nu, with the norm and the
-    Chebyshev proxy of each zero's J_nu(mu_n u) once they are asked for
-    (racing threads compute equal ones)."""
+    """Append-only cache of the positive zeros of J_nu, with the norm of each
+    zero, found with it, and the Chebyshev proxy of its J_nu(mu_n u) once it
+    is asked for (racing threads compute equal ones)."""
 
     nu: float
-    zeros: list[float] = field(default_factory=list)
-    residual_bound: float = 0.0
+    zeros: list[float] = field(default_factory=list, init=False)
+    residual_bound: float = field(default=0.0, init=False)
     norms: dict[int, float] = field(default_factory=dict, init=False, repr=False,
                                     compare=False)
     proxies: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False,
@@ -336,14 +337,6 @@ class BesselZeroTable:
             self.zeros.append(zk)
             self.norms[k] = 0.5 * gk * gk
             self.residual_bound = max(self.residual_bound, resid)
-
-    def norm_sq(self, n: int) -> float:
-        """0.5 J_{nu+1}(mu_n)^2 for a zero the table holds."""
-        norm = self.norms.get(n)
-        if norm is None:
-            j = float(_bessel_j_any(self.nu + 1.0, np.float64(self.zeros[n - 1])))
-            norm = self.norms[n] = 0.5 * j * j
-        return norm
 
     def proxy_coefs(self, ns) -> list[np.ndarray]:
         """The read-only Chebyshev coefficients, in s = 2 u^2 - 1, of
@@ -418,8 +411,8 @@ _TABLES: dict[float, BesselZeroTable] = {}
 _TABLES_LOCK = threading.Lock()
 
 
-def bessel_zero(nu: float, n: int) -> float:
-    """n-th positive zero mu_n of J_nu, cached; |J_nu(result)| <= 1e-12."""
+def zero_table(nu: float, n: int) -> BesselZeroTable:
+    """The cache table for nu, extended to hold at least n zeros."""
     nu = float(nu)
     n = int(n)
     if not -1.0 < nu <= NU_MAX:   # NaN fails
@@ -429,20 +422,17 @@ def bessel_zero(nu: float, n: int) -> float:
     with _TABLES_LOCK:
         table = _TABLES.setdefault(nu, BesselZeroTable(nu=nu))
         table.extend_to(n)
-        return table.zeros[n - 1]
+        return table
 
 
-def zero_table(nu: float, n: int) -> BesselZeroTable:
-    """The (extended) cache table for nu, covering at least n zeros."""
-    bessel_zero(nu, n)
-    with _TABLES_LOCK:
-        return _TABLES[float(nu)]
+def bessel_zero(nu: float, n: int) -> float:
+    """n-th positive zero mu_n of J_nu, cached; |J_nu(result)| <= 1e-12."""
+    return zero_table(nu, n).zeros[int(n) - 1]
 
 
 def bessel_norm_sq(nu: float, n: int) -> float:
-    """Weighted L2 norm square of J_nu(mu_n x) on [0,1]: 0.5 * J_{nu+1}(mu_n)^2,
-    computed once per (nu, n)."""
-    return zero_table(nu, n).norm_sq(int(n))
+    """Weighted L2 norm square of J_nu(mu_n x) on [0,1]: 0.5 * J_{nu+1}(mu_n)^2."""
+    return zero_table(nu, n).norms[int(n)]
 
 
 def _proxied(nu: float, mu: float) -> bool:
@@ -457,7 +447,7 @@ def _proxied(nu: float, mu: float) -> bool:
     """
     if not (0.0 <= nu and mu <= 200.0):
         return False
-    gain = math.exp(nu * math.log(0.5 * mu) - math.lgamma(nu + 1.0))
+    gain = math.exp(nu * math.log(0.5 * mu) - log_gamma(nu + 1.0))
     return _EPS * gain <= _PROXY_MAX_ERROR
 
 

@@ -1,19 +1,17 @@
 """Gamma function and log-Gamma via Stirling's asymptotic series.
 
-The complex log-Gamma is evaluated on the principal branch by shifting the
-argument with the recurrence ln G(z) = ln G(z+1) - ln z until |z| is large
-enough for the Stirling series, then summing Bernoulli corrections.  Working
-in extended precision keeps the imaginary part (needed for the theta-function
-oracle) accurate to well below 1e-12 even for |z| ~ 1e5.
+ln Gamma has one driver, `_log_gamma_cld`: it shifts the argument with the
+recurrence ln G(z) = ln G(z+1) - ln z until |z| is large enough for the
+Stirling series, then sums Bernoulli corrections, in extended precision, which
+keeps the imaginary part (the theta oracle's) well below 1e-12 off even for
+|z| ~ 1e5.  `log_gamma` is its real part; `gamma_fn` shifts by a product.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from ..exceptions import DomainError, PoleError
+from ..exceptions import DomainError
 
 # B_{2k} as exact integer ratios, k = 1..11
 _BERNOULLI_2K = (
@@ -51,41 +49,24 @@ def _log_gamma_cld(z) -> np.clongdouble:
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for real x > 0."""
+    """ln Gamma(x) for real x > 0, the real part of `_log_gamma_cld(x)`."""
     x = float(x)
     if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    w = _LD(x)
-    shift = _LD(0.0)
-    while w < _STIRLING_RADIUS:
-        shift = shift + np.log(w)
-        w = w + 1
-    return float(_log_gamma_stirling(_CLD(w)).real - shift)
+    return float(_log_gamma_cld(x).real)
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma(x) for real x, |x| <= 200, to <= 1e-12 relative accuracy.
+    """Gamma(x) for real 0 < x <= 200, to <= 1e-12 relative accuracy.
 
-    Negative non-integer arguments go through the reflection formula.
     Values overflow to inf for x > ~171.6 (double range).
     """
     x = float(x)
-    if x != x:
-        raise DomainError("gamma_fn got NaN")
-    if abs(x) > 200.0:
-        raise DomainError(f"gamma_fn restricted to |x| <= 200, got {x}")
-    if x <= 0.0 and x == math.floor(x):
-        raise PoleError(f"gamma_fn pole at nonpositive integer x = {x}")
-    if x > 0.0:
-        w = _LD(x)
-        shift = _LD(1.0)
-        while w < _STIRLING_RADIUS:
-            shift = shift * w
-            w = w + 1
-        return float(np.exp(_log_gamma_stirling(_CLD(w)).real) / shift)
-    # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x), with sin(pi x)
-    # computed from the exactly reduced fractional part (accurate near poles)
-    n = math.floor(x + 0.5)
-    f = x - n  # in [-0.5, 0.5), exact
-    s = math.sin(math.pi * f) * (1.0 if n % 2 == 0 else -1.0)
-    return float(math.pi / (s * _LD(gamma_fn(1.0 - x))))
+    if not 0.0 < x <= 200.0:   # NaN fails
+        raise DomainError(f"gamma_fn requires 0 < x <= 200, got {x}")
+    w = _LD(x)
+    shift = _LD(1.0)
+    while w < _STIRLING_RADIUS:
+        shift = shift * w
+        w = w + 1
+    return float(np.exp(_log_gamma_stirling(_CLD(w)).real) / shift)

@@ -35,7 +35,10 @@ The ladder integrands take J_nu(mu_n u) from the per-(nu, n) Chebyshev
 proxies of `specfun.bessel_j_proxy`, all proxied rows in one Clenshaw
 recurrence (a (nu, n) whose proxy would lose more than bessel_j's contract
 keeps the series); E1_2 and the envelope table keep the direct series of
-`bessel_j`, so the classical baseline stays an independent reference.
+`bessel_j`, so the classical baseline stays an independent reference.  The
+Bessel families take nu >= -1/2 (`check_bessel_order`: below it u J_nu(mu u)^2
+is unbounded at u = 0); a node at distance 0 from a window end adds 0 to a
+Bessel row and to a row whose weight has a negative power of that distance.
 """
 
 from __future__ import annotations
@@ -108,6 +111,21 @@ def _gram_pairs(max_n: int):
     return pairs, mi, ni
 
 
+def check_bessel_order(*nus: float) -> None:
+    """Refuse an order the Bessel families do not hold at: below nu = -1/2,
+    u J_nu(mu u)^2 is unbounded at u = 0 and no quadrature of theirs ends."""
+    for nu in nus:
+        if not nu >= -0.5:   # NaN fails
+            raise DomainError(f"the Bessel families require nu >= -0.5 (u J_nu(mu u)^2 "
+                              f"is unbounded at u = 0 below it), got nu = {nu}")
+
+
+def _off_zero(u: np.ndarray) -> np.ndarray:
+    """u with its zeros set to its largest value (1 if all are 0): J_nu is finite
+    there, and a batch of J's series takes the terms it took before."""
+    return np.where(u > 0.0, u, u.max() or 1.0)
+
+
 # ---------------------------------------------------------------------------
 # classical Bessel orthogonality baseline (E1_2)
 
@@ -121,6 +139,7 @@ def verify_bessel_baseline(nu: float, max_n: int, tol: float = 1e-9,
     """
     if not 1 <= max_n <= 8:
         raise DomainError("verify_bessel_baseline requires 1 <= max_n <= 8")
+    check_bessel_order(nu)
     mus = np.array([bessel_zero(nu, k) for k in range(1, max_n + 1)])
     pairs, mi, ni = _gram_pairs(max_n)
     t0 = time.perf_counter()
@@ -145,7 +164,9 @@ def verify_bessel_baseline(nu: float, max_n: int, tol: float = 1e-9,
 
 def envelope_23(table: LadderTable, T: float, nu: float, n: int,
                 t_grid) -> list[tuple[float, float, float]]:
-    """Rows (t, |J_nu[mu_n(phi_1(t)-T)]| sqrt(phi_1(t)-T), |Z(t)|) for plotting."""
+    """Rows (t, |J_nu[mu_n(phi_1(t)-T)]| sqrt(phi_1(t)-T), |Z(t)|) for plotting;
+    at phi_1(t) <= T, the limit: sqrt(2 / (pi mu_n)) at nu = -1/2, else 0."""
+    check_bessel_order(nu)
     T = float(T)
     a = table.invert(T)
     b = table.invert(T + 1.0)
@@ -154,7 +175,8 @@ def envelope_23(table: LadderTable, T: float, nu: float, n: int,
         raise DomainError("envelope grid must lie within the preimage of [T, T+1]")
     mu = bessel_zero(nu, n)
     u = np.maximum(table.eval(ts) - T, 0.0)
-    env = np.abs(bessel_j(nu, mu * u)) * np.sqrt(u)
+    env = np.where(u > 0.0, np.abs(bessel_j(nu, mu * _off_zero(u))) * np.sqrt(u),
+                   math.sqrt(2.0 / (math.pi * mu)) if nu == -0.5 else 0.0)
     absz = np.abs(table.evaluator.z(ts))
     return [(float(t), float(e), float(z)) for t, e, z in zip(ts, env, absz)]
 
@@ -242,11 +264,13 @@ def family_sets(family: str, T_list, nu_list, max_n: int, *, alpha: float = 0.5,
     Ts = sorted(float(T) for T in T_list)
     if "E1_3" in members and not all(T >= 1e3 for T in Ts):   # NaN fails
         raise DomainError("theorem1 requires T >= 1e3 (working range)")
+    nus = nu_list if every_nu else nu_list[:1]
+    if any(LADDER_MEMBERS[eq][0] == "bessel" for eq in eqs or members):
+        check_bessel_order(*nus)
     extra = {k: recorded.get(k, v) for k, v in params.items()}
     return [RowSet(eq, T, max_n, nu, alpha, beta,
                    default_tol if quad_tol is None else quad_tol, zeta2, extra)
-            for T in Ts for nu in (nu_list if every_nu else nu_list[:1])
-            for eq in (eqs or members)]
+            for T in Ts for nu in nus for eq in (eqs or members)]
 
 
 def is_sanity(params: dict) -> bool:
@@ -290,7 +314,7 @@ class _Nodes:
     def bessel(self, nu: float) -> np.ndarray:
         j = self._bessel.get(nu)
         if j is None:
-            j = self._bessel[nu] = self.proxies[nu](self.d_left)
+            j = self._bessel[nu] = self.proxies[nu](_off_zero(self.d_left))
         return j
 
     def poly(self, spec: PolyFamilySpec, n: int) -> np.ndarray:
@@ -348,23 +372,28 @@ def _member_pieces(s: RowSet) -> _Member:
         spec = PolyFamilySpec.jacobi(*ab) if family == "jacobi" else PolyFamilySpec(family)
         norms = [poly_norm_sq(spec, n) for n in degrees]
 
-    # the weight's arithmetic follows the family, not (alpha, beta): the
-    # Chebyshev forms take one square root of the product of the distances
+    # A node whose distance to a window end rounds to 0 gets 0: the limit of
+    # u J_nu(mu u)^2 for nu > -1/2, and where a negative power would be inf.
+    # The weight's arithmetic follows the family, not (alpha, beta): the
+    # Chebyshev forms take one square root of the product of the distances.
     def factor(nodes, w):
+        d_left = nodes.d_left
         if family == "bessel":
             j = nodes.bessel(nu)   # row k is degree k + 1
-            return j[mi] * j[ni] * nodes.d_left * w
+            return np.where(d_left > 0.0, j[mi] * j[ni] * d_left * w, 0.0)
         p = np.stack([nodes.poly(spec, n) for n in degrees])
         pp = p[mi] * p[ni]
         if smooth:
             return pp * w
-        d_right, d_left = nodes.d_right, nodes.d_left
-        if family == "jacobi":
-            return pp * d_right ** ab[0] * d_left ** ab[1] * w
+        d_right = nodes.d_right
         rad = d_right * d_left
         if family == "chebyshev_u":
             return pp * w * np.sqrt(rad)
-        return np.where(rad > 0.0, pp * w / np.sqrt(np.where(rad > 0.0, rad, 1.0)), 0.0)
+        inside = rad > 0.0
+        if family == "jacobi":
+            return np.where(inside, pp * np.where(inside, d_right, 1.0) ** ab[0]
+                            * np.where(inside, d_left, 1.0) ** ab[1] * w, 0.0)
+        return np.where(inside, pp * w / np.sqrt(np.where(inside, rad, 1.0)), 0.0)
 
     if rule == "pairs":
         rows = [(f"{eq}_diag", {"m": m, "n": n, **extra}, norms[n - 1]) if m == n

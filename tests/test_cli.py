@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from zladder import BesselZeroTable, DomainError, bessel_j
+from zladder import cli as cli_mod
 from zladder import verify as V
 from zladder.cli import (EXIT_CACHE, EXIT_CONFIG, EXIT_HARD, EXIT_NUMERIC,
                          EXIT_OK, EXIT_SOFT, _plan_reports, build_parser, main)
@@ -364,6 +365,47 @@ class TestVerifyVerbs:
         assert len(out) == rows
         assert all(json.loads(line)["params"]["nu"] == 25.0 for line in out)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", ["theorem2", "sanity"])
+    @pytest.mark.parametrize("alpha,beta", [(-0.5, -0.5), (0.3, -0.4)])
+    def test_negative_jacobi_exponent(self, capsys, cache_env, family, alpha, beta):
+        # at T = 941 an E2_5 node's distance to a window end rounds to 0,
+        # where d ** beta with beta < 0 was inf (exit 70); it gets 0 instead
+        code = run_cli("verify", family, *LADDER_ARGS, "--T", "941", "--max-n", "4",
+                       "--alpha", str(alpha), "--beta", str(beta), "--out", "-")
+        assert code == EXIT_OK
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        e25 = [r for r in rows if r["equation_id"] == "E2_5"]
+        assert len(e25) == 4
+        if family == "sanity":
+            assert all(abs(r["ratio"] - 1.0) <= RunConfig().tol_sanity for r in rows)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family,T", [("theorem1", "1000"), ("corollary", "941"),
+                                          ("theorem2", "941"), ("sanity", "941")])
+    def test_negative_bessel_order(self, capsys, cache_env, family, T):
+        # J_nu(0) = inf for -1/2 < nu < 0 met d_left = 0 (inf * 0, exit 70);
+        # the rows take 0 there, the limit of u J_nu(mu u)^2
+        code = run_cli("verify", family, *LADDER_ARGS, "--T", T, "--nu", "-0.3",
+                       "--max-n", "4", "--out", "-")
+        assert code == EXIT_OK
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert rows and all(math.isfinite(r["lhs"]) for r in rows)
+
+    @pytest.mark.parametrize("family", ["baseline", *V.FAMILIES])
+    def test_order_below_minus_half_refused_first(self, capsys, cache_env, monkeypatch,
+                                                  family):
+        def no_ladder(cfg, rebuild=False):
+            raise AssertionError("a ladder was built before the order was checked")
+
+        monkeypatch.setattr(cli_mod, "_get_ladder", no_ladder)
+        code = run_cli("verify", family, *LADDER_ARGS, "--T", "1000", "--nu", "-0.7",
+                       "--max-n", "1", "--out", "-")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: the Bessel families require nu >= -0.5 (u J_nu(mu u)^2 is unbounded "
+            "at u = 0 below it), got nu = -0.7\n")
+
 
 class TestRun:
     def write_config(self, path, equations="baseline sanity"):
@@ -502,6 +544,17 @@ class TestPlotData:
         assert lines[0] == "t,envelope,abs_z"
         assert len(lines) == 1001
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nu", ["-0.5", "-0.3", "0"])
+    def test_envelope_finite_at_negative_orders(self, capsys, cache_env, nu):
+        # phi_1 of the grid's first point, the computed preimage of T = 941,
+        # lies below T: the envelope there is its limit u -> 0, not nan
+        for points in (50, 1):
+            assert run_cli("plot-data", "--what", "envelope", *LADDER_ARGS, "--T", "941",
+                           "--nu", nu, "--points", str(points)) == EXIT_OK
+            rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+            assert len(rows) == points and all(math.isfinite(float(e)) for _, e, _ in rows)
+
     def test_failed_run_keeps_existing_out(self, capsys, cache_env):
         assert run_cli("ladder", "build", *LADDER_ARGS) == EXIT_OK
         built = json.loads(capsys.readouterr().out)
@@ -617,13 +670,22 @@ def test_help_exits_zero(capsys, argv):
 
 def exit_case(verb, args, code, id=None):
     """One EXIT_CASES row, with its test id: `id`, or else the verb and its
-    args, so deleting a row renames no other case.  The rows written when the
-    ids were positions keep their `{verb}-{code}-{position}` ids."""
-    return pytest.param(verb, args, code, id=id or " ".join([verb, *args]))
+    args, each spliced list of SPLICES named by its key, so deleting a row or
+    editing a list renames no other case.  The rows written when the ids
+    were positions keep their `{verb}-{code}-{position}` ids, and the rows
+    written when the ids spelled the lists out keep those ids."""
+    words, i = [verb], 0
+    while i < len(args):
+        token = next((k for k, run in SPLICES.items() if args[i:i + len(run)] == run), None)
+        words.append(token or args[i])
+        i += len(SPLICES[token]) if token else 1
+    return pytest.param(verb, args, code, id=id or " ".join(words))
 
 
 UNREACHABLE = ["--t-lo", "1000", "--t-hi", "1001", "--anchor", "1000.5", "--tol", "1e-300"]
 PLAN = [*LADDER_ARGS, "--T", "1000", "--nu", "0", "--max-n", "1", "--out", "-"]
+# PLAN first: it starts with LADDER_ARGS
+SPLICES = {"PLAN": PLAN, "UNREACHABLE": UNREACHABLE, "LADDER_ARGS": LADDER_ARGS}
 EXIT_CASES = [
     exit_case("z eval", ["--t", "100"], EXIT_OK, "z eval-0-0"),
     exit_case("z eval", ["--t", "nan"], EXIT_CONFIG, "z eval-64-1"),
@@ -759,13 +821,27 @@ EXIT_CASES = [
     exit_case("run", [*PLAN, "--t-min-rs", "50"], EXIT_CONFIG, "run-64-84"),
     exit_case("run", [*PLAN, "--config", "EVALUATOR"], EXIT_CONFIG, "run-64-85"),
     # removed flags, key and choice; a flag matches whole, never as a prefix
-    exit_case("ladder build", [*LADDER_ARGS, "--h", "0.5"], EXIT_CONFIG),
-    exit_case("ladder build", [*LADDER_ARGS, "--config", "STEP"], EXIT_CONFIG),
+    exit_case("ladder build", [*LADDER_ARGS, "--h", "0.5"], EXIT_CONFIG,
+              "ladder build --t-lo 1000 --t-hi 1090 --tol 1e-9 --h 0.5"),
+    exit_case("ladder build", [*LADDER_ARGS, "--config", "STEP"], EXIT_CONFIG,
+              "ladder build --t-lo 1000 --t-hi 1090 --tol 1e-9 --config STEP"),
     exit_case("z eval", ["--t", "1000", "--config", "TIGHT"], EXIT_CONFIG),
     exit_case("plot-data", ["--what", "retardation", *LADDER_ARGS, "--from", "1010",
-                            "--to", "1060"], EXIT_CONFIG),
+                            "--to", "1060"], EXIT_CONFIG,
+              "plot-data --what retardation --t-lo 1000 --t-hi 1090 --tol 1e-9 "
+              "--from 1010 --to 1060"),
     exit_case("run", [*LADDER_ARGS, "--T", "1000", "--nu", "0", "--max", "4", "--out", "-"],
-              EXIT_CONFIG),
+              EXIT_CONFIG, "run --t-lo 1000 --t-hi 1090 --tol 1e-9 --T 1000 --nu 0 --max 4 "
+                           "--out -"),
+    # Bessel orders below -1/2, where u J_nu(mu u)^2 is unbounded at u = 0
+    exit_case("verify baseline", ["--nu", "-0.7", "--max-n", "2", "--out", "-"], EXIT_CONFIG),
+    exit_case("verify theorem1", [*PLAN, "--nu", "-0.7"], EXIT_CONFIG),
+    exit_case("verify corollary", [*PLAN, "--nu", "-0.7"], EXIT_CONFIG),
+    exit_case("verify theorem2", [*PLAN, "--nu", "-0.7"], EXIT_CONFIG),
+    exit_case("verify sanity", [*PLAN, "--nu", "-0.7"], EXIT_CONFIG),
+    exit_case("run", [*PLAN, "--nu", "0", "-0.7"], EXIT_CONFIG),
+    exit_case("plot-data", ["--what", "envelope", *LADDER_ARGS, "--T", "1005",
+                            "--nu", "-0.7"], EXIT_CONFIG),
 ]
 
 

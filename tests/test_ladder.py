@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from zladder import (AdmissibilityError, CacheError, ConvergenceError,
                      DomainError, EULER_C,
-                     LadderTable, PrimePi, ToleranceNotMetError, ZEvaluator,
+                     LadderTable, ToleranceNotMetError, ZEvaluator,
                      bessel_j, bessel_norm_sq, bessel_zero, build_ladder,
-                     check_admissible, integrate_adaptive, retardation_report)
+                     check_admissible, integrate_adaptive, prime_pi,
+                     retardation_report)
 from zladder import ladder as ladder_mod
 from zladder.specfun.orthopoly import _clenshaw, _clenshaw_fused, _clenshaw_rev
 
@@ -54,27 +55,26 @@ def no_z(self, t):
 
 class TestPrimePi:
     def test_small_values(self):
-        pp = PrimePi.up_to(1000)
-        assert pp.count(2) == 1
-        assert pp.count(10) == 4
-        assert pp.count(100) == 25
-        assert pp.count(1000) == 168
+        assert prime_pi(2) == 1
+        assert prime_pi(10) == 4
+        assert prime_pi(100) == 25
+        assert prime_pi(1000) == 168
+        assert prime_pi(1000.5) == 168
+        assert prime_pi(0) == prime_pi(1.9) == 0
 
     def test_large(self):
-        pp = PrimePi.up_to(100000)
-        assert pp.count(100000) == 9592
+        assert prime_pi(100000) == 9592
 
     def test_nondecreasing(self):
-        pp = PrimePi.up_to(500)
-        counts = pp.count(np.arange(2, 501))
+        counts = prime_pi(np.arange(2, 501))
         assert np.all(np.diff(counts) >= 0)
+        # one sieve serves the batch: each count is that of its own call
+        assert counts.tolist() == [prime_pi(t) for t in range(2, 501)]
 
     def test_domain(self):
-        pp = PrimePi.up_to(100)
-        with pytest.raises(DomainError):
-            pp.count(101)
-        with pytest.raises(DomainError):
-            PrimePi.up_to(1)
+        for t in (-1.0, 1e8 + 1.0, math.nan, [10.0, math.inf]):
+            with pytest.raises(DomainError):
+                prime_pi(t)
 
 
 class TestZtildeSq:
@@ -98,8 +98,7 @@ class TestZtildeSq:
 
 class TestBuild:
     def test_anchor_value(self, small_ladder):
-        pp = PrimePi.up_to(2000)
-        expected = small_ladder.anchor_t0 - (1.0 - EULER_C) * pp.count(
+        expected = small_ladder.anchor_t0 - (1.0 - EULER_C) * prime_pi(
             small_ladder.anchor_t0)
         assert small_ladder.anchor_value == expected
         assert small_ladder.eval(small_ladder.anchor_t0) == expected
@@ -997,8 +996,7 @@ class TestRetardation:
 
     def test_expected_uses_prime_counts(self, small_ladder):
         rows = retardation_report(small_ladder, [1013.0])
-        pp = PrimePi.up_to(2000)
-        assert rows[0].expected == (1.0 - EULER_C) * pp.count(1013.0)
+        assert rows[0].expected == (1.0 - EULER_C) * prime_pi(1013.0)
 
     def test_ratios_moderate(self, small_ladder):
         ts = np.linspace(1005.0, 1085.0, 9)

@@ -117,6 +117,11 @@ class TestTheta:
             d = np.abs(ev.theta(ts) - ev.theta_oracle(ts))
             assert d.max() <= 1e-9
 
+    def test_oracle_takes_any_shape(self, ev):
+        ts = np.array([[50.0, 100.0], [1e3, 1e4]])
+        assert ev.theta_oracle(ts).tolist() == \
+            [[ev.theta_oracle(t) for t in row] for row in ts.tolist()]
+
     def test_sign_change_near_first_gram_point(self, ev):
         # theta crosses zero at ~17.84560; just below it is negative
         assert ev.theta_oracle(17.8455) < 0.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zladder import (DomainError, PoleError, PolyFamilySpec, bessel_j,
+from zladder import (DomainError, PolyFamilySpec, bessel_j,
                      bessel_norm_sq, bessel_zero, gamma_fn, integrate_adaptive,
                      integrate_singular, log_gamma, poly_eval, poly_norm_sq)
 from zladder.specfun import bessel_j_proxy, zero_table
@@ -96,15 +96,35 @@ class TestGamma:
     def test_recurrence(self, x):
         assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
 
-    def test_reflection(self):
-        assert gamma_fn(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-12)
-
     def test_poles_and_domain(self):
-        for x in (0.0, -1.0, -7.0):
-            with pytest.raises(PoleError):
+        # the callers pass nu + 1 with nu > -1: no reflection, no pole check
+        for x in (0.0, -0.5, -1.0, -7.0, 201.0, math.nan):
+            with pytest.raises(DomainError):
                 gamma_fn(x)
-        with pytest.raises(DomainError):
-            gamma_fn(201.0)
+        assert gamma_fn(200.0) == math.inf
+
+
+class TestLogGamma:
+    # float.hex of log_gamma recorded while it still had a Stirling shift
+    # loop of its own; it is now the real part of the complex driver
+    PINNED = {0.25: "0x1.49bbd81c16efbp+0", 0.5: "0x1.250d048e7a1bdp-1",
+              1.0: "0x1.0000000000000p-59", 1.5: "-0x1.eeb95b094c191p-4",
+              3.25: "0x1.df216e434a8ecp-1", 7.5: "0x1.e233060e41f7fp+2",
+              15.999: "0x1.be5830437b97cp+4", 16.0: "0x1.be636a63fd346p+4",
+              50.5: "0x1.2509dbdb0dd3cp+7", 101.0: "0x1.6bbd47b7669b6p+8"}
+
+    @pytest.mark.parametrize("x", sorted(PINNED))
+    def test_bits_pinned(self, x):
+        assert log_gamma(x).hex() == self.PINNED[x]
+
+    @pytest.mark.parametrize("x", [0.25, 0.5, 3.25, 7.5, 50.5, 101.0])
+    def test_against_math_lgamma(self, x):
+        assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-14, abs=1e-15)
+
+    def test_domain(self):
+        for x in (0.0, -1.5, math.nan):
+            with pytest.raises(DomainError):
+                log_gamma(x)
 
 
 class TestBesselJ:

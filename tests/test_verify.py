@@ -317,6 +317,22 @@ class TestEnvelope:
         with pytest.raises(DomainError):
             V.envelope_23(small_ladder, 950.0, 0.0, 1, [1000.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nu", [-0.5, -0.3, 0.0, 1.0])
+    def test_limit_at_u_zero(self, small_ladder, nu):
+        # |J_nu(mu u)| sqrt(u) -> sqrt(2 / (pi mu)) at nu = -1/2, and 0 above
+        T = 950.0
+        a = small_ladder.invert(T) - 1e-10
+        assert small_ladder.eval(a) < T
+        rows = V.envelope_23(small_ladder, T, nu, 2, [a, small_ladder.invert(T + 0.5)])
+        mu = bessel_zero(nu, 2)
+        assert rows[0][1] == (math.sqrt(2.0 / (math.pi * mu)) if nu == -0.5 else 0.0)
+        assert rows[1][1] > 0.0
+
+    def test_order_below_minus_half_refused(self, small_ladder):
+        with pytest.raises(DomainError, match="nu >= -0.5"):
+            V.envelope_23(small_ladder, 950.0, -0.7, 1, [small_ladder.invert(950.5)])
+
 
 class TestReportSerialization:
     def test_json_line_deterministic(self, small_ladder):
@@ -415,6 +431,14 @@ class TestWindowExecutor:
         with pytest.raises(DomainError, match=r"E2_2 at nu = 0\.0 with max_n = 64"):
             V.ladder_reports(None, V.family_sets("corollary", [1500.0], [0.0], 64))
 
+    def test_e2_2_cap_serves_negative_orders(self):
+        # mu_64 is 199.49 at nu = -1/2 and 200.28 at nu = 0: the cap of 64 is
+        # reached only below nu = 0, which the Bessel families admit to -1/2
+        rows = V._member_pieces(V.RowSet("E2_2", 1500.0, 64, nu=-0.5)).rows
+        assert [params["n"] for _, params, _ in rows] == list(range(1, 65))
+        with pytest.raises(DomainError, match=r"mu_64 = 200\.2"):
+            V._member_pieces(V.RowSet("E2_2", 1500.0, 64, nu=0.0))
+
     def test_rows_record_their_group_time(self, small_ladder):
         reports = V.verify_theorem1(small_ladder, 1000.0, 0.0, 2)
         assert len({r.elapsed for r in reports}) == 1
@@ -458,6 +482,14 @@ class TestFamilyTable:
         for T in (999.0, math.nan):
             with pytest.raises(DomainError, match="T >= 1e3"):
                 V.family_sets("theorem1", [1000.0, T], [0.0], 1)
+        for family in V.FAMILIES:
+            for nu in (-0.7, math.nan):
+                with pytest.raises(DomainError, match=r"nu >= -0\.5"):
+                    V.family_sets(family, [1000.0], [nu], 1)
+        # a member set without a Bessel member takes no order
+        assert V.family_sets("sanity", [1000.0], [-0.7], 1, eqs=["E2_6"])
+        with pytest.raises(DomainError, match=r"nu >= -0\.5"):
+            V.verify_bessel_baseline(-0.7, 1)
 
     def test_is_sanity(self):
         assert V.is_sanity({"weight": "ztilde2", "T": 1000.0})
