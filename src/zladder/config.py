@@ -42,6 +42,7 @@ used (JSON files) are not read; the ladder is rebuilt once as
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass
 
@@ -113,8 +114,8 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("tol", "tol_exact", "tol_sanity", "tol_ratio", "tol_baseline"):
-            if not getattr(self, name) > 0.0:   # NaN is not
-                raise DomainError(f"config: {name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:   # NaN is not
+                raise DomainError(f"config: {name} must be positive and finite")
         if not all(lo < hi for lo, hi in zip(self.T, self.T[1:])):
             raise DomainError("config: T list must be strictly ascending")
         for name in ("equations", "nu"):

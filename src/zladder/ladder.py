@@ -492,8 +492,8 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
         raise DomainError("require e + 1 <= t_lo <= anchor_t0 <= t_hi")
     if t_hi - t_lo <= 0 or t_hi - t_lo > 1e6:
         raise DomainError("require 0 < t_hi - t_lo <= 1e6")
-    if not tol > 0.0:   # NaN fails
-        raise DomainError("build tolerance must be positive")
+    if not 0.0 < tol < math.inf:   # NaN fails
+        raise DomainError("build tolerance must be positive and finite")
 
     base = _base_edges(t_lo, t_hi, anchor_t0, seam=evaluator.t_min_rs)
     n_base = len(base) - 1

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +34,14 @@ _LN_PI_LD = np.log(_LD(np.pi))
 
 # z_rs sums a chunk of _MAX_BLOCK // n_max points over one padded length
 # n_max, which fixes its bits (see ZEvaluator); it does not cap memory: the
-# chunk streams through one tile of _TILE // n_max rows, which stays in L2
+# chunk streams through tiles of _TILE // n_max rows, which stay in L2, dealt
+# to _WORKERS threads, one per CPU this process may run on (up to
+# _MAX_WORKERS; `taskset -c 0` leaves one), each with a tile buffer of its own
 _MAX_BLOCK = 4_000_000
 _TILE = 1 << 15
+_MAX_WORKERS = 4
+_WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 _RS_T_MAX = 1e8        # z_rs's cap on t; see z_rs
 _ORACLE_T_MAX = 1e6    # theta_oracle's and z_oracle's cap on t; see z_oracle
 
@@ -59,6 +66,51 @@ def _rs_terms(p: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
+def _main_sums(out, tiles, t, theta_t, n_len, n, ln_n, weight) -> None:
+    """out[lo:hi] = the main sums of t[lo:hi], each padded to n.size terms,
+    for each (lo, hi) of `tiles`, through one buffer of the largest tile's
+    rows.  Each row is summed on its own, so its bits do not depend on its
+    tile."""
+    buf = np.empty((max(hi - lo for lo, hi in tiles), n.size))
+    for lo, hi in tiles:
+        terms = buf[:hi - lo]
+        # against int64 lengths, numpy would cast through ~130 kB of buffers
+        live = n <= n_len[lo:hi, None].astype(float)
+        np.multiply(t[lo:hi, None], ln_n, out=terms)
+        np.subtract(theta_t[lo:hi, None], terms, out=terms)
+        np.cos(terms, out=terms, where=live)
+        terms *= weight
+        terms[~live] = 0.0
+        out[lo:hi] = 2.0 * terms.sum(axis=1)
+
+
+def _deal(work, shares) -> None:
+    """work(share) for every share: the first on the calling thread, each
+    other on a thread of its own.  Every started thread is joined before
+    this returns or raises; then the first exception any share raised is
+    raised here."""
+    errors = []
+
+    def run(share):
+        try:
+            work(share)
+        except BaseException as exc:   # re-raised below, in the caller
+            errors.append(exc)
+
+    threads = []
+    try:
+        for share in shares[1:]:
+            thread = threading.Thread(target=run, args=(share,))
+            thread.start()
+            threads.append(thread)
+        run(shares[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _theta_ld(t) -> np.longdouble:
     """theta(t) = Im ln Gamma(1/4 + it/2) - (t/2) ln pi, in extended precision."""
     half_t = _LD(float(t)) / 2
@@ -77,7 +129,10 @@ class ZEvaluator:
     ulps (measured <= 4e-15 on [1e3, 7e3]) with the other points in its
     chunk.  A batch whose points share that length gives bit-for-bit the
     scalar results; theta, the remainder terms and the oracle route are
-    elementwise.  Memory is one tile of ~_TILE terms, whatever the chunk.
+    elementwise.  A chunk's tiles are dealt to up to _MAX_WORKERS threads,
+    one per CPU the process may run on, and each output row is written by
+    one tile, so the bits do not depend on the worker count.  Memory is one
+    tile of ~_TILE terms per worker, whatever the chunk.
 
     z_rs adds the four Riemann-Siegel remainder terms C_0..C_3 to the main
     sum, which keeps |z_rs - z_oracle| below ~6e-7 on [1e2, 1e5].  The three
@@ -148,17 +203,10 @@ class ZEvaluator:
             ln_n = np.log(n)
             weight = 1.0 / np.sqrt(n)
             rows = max(1, _TILE // n_max)
-            buf = np.empty((min(rows, stop - start), n_max))
-            for lo in range(start, stop, rows):
-                hi = min(stop, lo + rows)
-                terms = buf[:hi - lo]
-                live = n <= n_len[lo:hi, None]
-                np.multiply(flat[lo:hi, None], ln_n, out=terms)
-                np.subtract(theta_t[lo:hi, None], terms, out=terms)
-                np.cos(terms, out=terms, where=live)
-                terms *= weight
-                terms[~live] = 0.0
-                out[lo:hi] = 2.0 * terms.sum(axis=1)
+            tiles = [(lo, min(stop, lo + rows)) for lo in range(start, stop, rows)]
+            k = min(_WORKERS, len(tiles))
+            _deal(lambda share: _main_sums(out, share, flat, theta_t, n_len, n, ln_n, weight),
+                  [tiles[w::k] for w in range(k)])
             start = stop
 
         rows = _rs_terms(a - n_len, self.rs_correction_order)

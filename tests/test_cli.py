@@ -521,7 +521,7 @@ class TestRun:
 
     @pytest.mark.parametrize("field", ["tol", "tol_exact", "tol_sanity", "tol_ratio",
                                        "tol_baseline"])
-    @pytest.mark.parametrize("value", [0.0, -1e-9, float("nan")])
+    @pytest.mark.parametrize("value", [0.0, -1e-9, float("nan"), float("inf")])
     def test_tolerance_must_be_positive(self, field, value):
         from zladder import DomainError
         with pytest.raises(DomainError, match=field):
@@ -742,6 +742,14 @@ EXIT_CASES = [
               EXIT_SOFT, "verify corollary-2-32"),
     exit_case("verify corollary", [*PLAN, "--tol-ratio", "nan"],
               EXIT_CONFIG, "verify corollary-64-33"),
+    # an infinite tolerance certifies nothing
+    exit_case("verify corollary", [*PLAN, "--tol-ratio", "inf"], EXIT_CONFIG),
+    exit_case("verify theorem2", [*PLAN, "--tol-ratio", "inf"], EXIT_CONFIG),
+    exit_case("verify theorem1", [*PLAN, "--tol-exact", "inf"], EXIT_CONFIG),
+    exit_case("verify baseline", ["--nu", "0", "--max-n", "2", "--tol-baseline", "inf",
+                                  "--out", "-"], EXIT_CONFIG),
+    exit_case("ladder build", ["--t-lo", "1000", "--t-hi", "1090", "--tol", "inf"],
+              EXIT_CONFIG),
     exit_case("verify corollary", [*PLAN, "--cache", "BROKEN"],
               EXIT_CACHE, "verify corollary-65-34"),
     exit_case("verify corollary", [*UNREACHABLE, "--T", "1000", "--out", "-"],

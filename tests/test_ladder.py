@@ -156,8 +156,8 @@ class TestBuild:
             build_ladder(ev, 1000.0, 900.0)
         with pytest.raises(DomainError):
             build_ladder(ev, 1000.0, 1100.0, anchor_t0=999.0)
-        for tol in (-1.0, math.nan):
-            with pytest.raises(DomainError):
+        for tol in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="positive and finite"):
                 build_ladder(ev, 1000.0, 1100.0, tol=tol)
 
     def test_unreachable_tolerance(self, ev):

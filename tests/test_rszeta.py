@@ -1,6 +1,9 @@
 import contextlib
 import hashlib
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from zladder import DomainError, ZEvaluator
 from zladder import rszeta
+from zladder.ladder import build_ladder
 from zladder._rs_terms import RS_TERM_TABLES
 from zladder.rszeta import _CLENSHAW_CHUNK, _MAX_BLOCK, _TILE, _rs_terms
 
@@ -65,6 +69,26 @@ def z_rs_untiled(ev, t, order=ZEvaluator.rs_correction_order):
             fac = fac * (1.0 / a)
         out += np.where(n_len % 2 == 1, 1.0, -1.0) * corr / np.sqrt(a)
     return out
+
+
+def tile_rows(t_hi):
+    """The rows of z_rs's tiles in a chunk whose longest point is t_hi."""
+    return _TILE // int(math.floor(math.sqrt(t_hi / (2.0 * math.pi))))
+
+
+def chunk_edge_batch(delta):
+    """_MAX_BLOCK // 126 + delta points with n_len = 126, which sets chunks
+    of _MAX_BLOCK // 126 = 31,746 points; one point in ten, shuffled in, has
+    a shorter sum.  The last point has n_len = 60, and its value summed
+    alone differs from its value padded to 126 terms, so it shows on which
+    side of a chunk edge it fell."""
+    m = _MAX_BLOCK // 126 + delta
+    rng = np.random.default_rng(126 + delta)
+    ts = rng.uniform(2.0 * np.pi * 126 ** 2, 2.0 * np.pi * 127 ** 2, m)
+    short = rng.random(m) < 0.1
+    ts[short] = rng.uniform(1e3, 2.0 * np.pi * 126 ** 2, short.sum())
+    ts[[0, -1]] = 2.0 * np.pi * 126.5 ** 2, 23002.0
+    return ts
 
 
 @contextlib.contextmanager
@@ -273,7 +297,7 @@ class TestRemainderClenshaw:
 
 class TestTiledMainSum:
     """The main sum streams each chunk through one tile of _TILE // n_max
-    rows; the chunks, not the tiles, set the bits."""
+    rows per worker; the chunks, not the tiles, set the bits."""
 
     @settings(max_examples=120, deadline=None)
     @given(size=st.sampled_from(["one", "tile-1", "tile", "tile+1", "tiles+1"]),
@@ -291,7 +315,7 @@ class TestTiledMainSum:
         # spread crosses a length, rows of several lengths
         t_hi = min(max(10.0 ** log_hi, 50.0), 1e8)
         t_lo = t_hi - spread * (t_hi - 50.0)
-        rows = _TILE // int(math.floor(math.sqrt(t_hi / (2.0 * math.pi))))
+        rows = tile_rows(t_hi)
         m = {"one": 1, "tile-1": rows - 1, "tile": rows, "tile+1": rows + 1,
              "tiles+1": 3 * rows + 1}[size]
         ts = np.random.default_rng(seed).uniform(t_lo, t_hi, m)
@@ -307,19 +331,9 @@ class TestTiledMainSum:
 
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     def test_chunk_edges_match_untiled(self, ev, delta):
-        # n_len = 126 sets chunks of _MAX_BLOCK // 126 = 31,746 points; one
-        # point in ten, shuffled in, has a shorter sum.  The last point has
-        # n_len = 60, and its value summed alone differs from its value
-        # padded to 126 terms, so it shows on which side of a chunk edge it
-        # fell.
-        top, last = 2.0 * np.pi * 126.5 ** 2, 23002.0
+        ts = chunk_edge_batch(delta)
+        top, last = ts[[0, -1]]
         assert ev.z_rs(last) != ev.z_rs(np.array([top, last]))[1]
-        m = _MAX_BLOCK // 126 + delta
-        rng = np.random.default_rng(126 + delta)
-        ts = rng.uniform(2.0 * np.pi * 126 ** 2, 2.0 * np.pi * 127 ** 2, m)
-        short = rng.random(m) < 0.1
-        ts[short] = rng.uniform(1e3, 2.0 * np.pi * 126 ** 2, short.sum())
-        ts[[0, -1]] = top, last
         assert np.array_equal(ev.z_rs(ts), z_rs_untiled(ev, ts))
 
     @pytest.mark.parametrize("lo, hi, m, bound_mb", [
@@ -335,6 +349,92 @@ class TestTiledMainSum:
         finally:
             tracemalloc.stop()
         assert peak <= bound_mb * 1e6
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda w: f"workers={w}")
+def workers(request, monkeypatch):
+    """z_rs with its worker count forced, whatever the CPUs of the process."""
+    monkeypatch.setattr(rszeta, "_WORKERS", request.param)
+    return request.param
+
+
+class TestWorkers:
+    """The tiles of a chunk are dealt to _WORKERS threads, the calling
+    thread one of them; the bits do not depend on how many there are, and
+    no thread outlives the call."""
+
+    @pytest.mark.parametrize("size", ["one", "tile-1", "tile+1", "tiles+1"])
+    def test_matches_untiled_bit_for_bit(self, ev, workers, size):
+        # t from 99,500 down to 1e3: every tile after the first pads its
+        # rows past its own longest sum, out to the chunk's
+        rows = tile_rows(99500.0)
+        m = {"one": 1, "tile-1": rows - 1, "tile+1": rows + 1, "tiles+1": 3 * rows + 1}[size]
+        ts = np.sort(np.random.default_rng(m).uniform(1e3, 99500.0, m))[::-1].copy()
+        ts[0] = 99500.0
+        assert np.array_equal(ev.z_rs(ts), z_rs_untiled(ev, ts))
+
+    def test_chunk_edges_match_untiled(self, ev, workers):
+        ts = chunk_edge_batch(1)
+        assert np.array_equal(ev.z_rs(ts), z_rs_untiled(ev, ts))
+
+    def test_more_workers_than_cores_switching_fast(self, ev, monkeypatch):
+        # the interpreter hands the lock on every microsecond; each row is
+        # still written once, by its own tile
+        monkeypatch.setattr(rszeta, "_WORKERS", 8)
+        ts = np.random.default_rng(8).uniform(1e3, 99500.0, 20 * tile_rows(99500.0))
+        ts[0] = 99500.0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = ev.z_rs(ts)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, z_rs_untiled(ev, ts))
+
+    def test_ladder_bytes(self, ev, tmp_path, monkeypatch):
+        saved = []
+        for count in (1, 3):
+            monkeypatch.setattr(rszeta, "_WORKERS", count)
+            path = tmp_path / f"ladder-{count}.npz"
+            build_ladder(ev, 1000.0, 1100.0).save(path)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
+
+    def test_no_thread_outlives_a_call(self, ev, monkeypatch):
+        monkeypatch.setattr(rszeta, "_WORKERS", 3)
+        seen = set()
+
+        def main_sums(*args, _fn=rszeta._main_sums):
+            seen.add(threading.get_ident())
+            _fn(*args)
+
+        monkeypatch.setattr(rszeta, "_main_sums", main_sums)
+        before = threading.active_count()
+        ev.z_rs(np.linspace(99000.0, 99500.0, 3 * tile_rows(99500.0) + 1))
+        assert len(seen) == 3
+        assert threading.active_count() == before
+
+    def test_worker_exception_reaches_caller(self, ev, monkeypatch):
+        # the second worker raises at once; the third finishes its share
+        # 0.2 s later, and the caller waits for it before raising
+        monkeypatch.setattr(rszeta, "_WORKERS", 3)
+        rows = tile_rows(99500.0)
+        done = []
+
+        def main_sums(out, tiles, *args, _fn=rszeta._main_sums):
+            if tiles[0][0] == rows:
+                raise RuntimeError("tile failed")
+            if tiles[0][0] == 2 * rows:
+                time.sleep(0.2)
+            _fn(out, tiles, *args)
+            done.append(tiles[0][0])
+
+        monkeypatch.setattr(rszeta, "_main_sums", main_sums)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="tile failed"):
+            ev.z_rs(np.linspace(99000.0, 99500.0, 3 * rows + 1))
+        assert sorted(done) == [0, 2 * rows]
+        assert threading.active_count() == before
 
 
 class TestZetaSqMod:
