@@ -2,30 +2,31 @@
 
 Verbs: `z eval`, `specfun zeros`, `ladder build|query|invert|retardation`,
 `verify baseline|theorem1|corollary|theorem2|sanity`, `plot-data`, `run`,
-`report`.  Z comes from the one fixed `ZEvaluator`, which no flag or INI
-key configures, so `z eval` takes no config file; `specfun zeros` reads and
-writes no file: its output depends only on --nu and --count.  A ladder's
-base panels have the fixed width 1 and are halved as its tolerance needs.
-`verify F` is `run --equations F`: the same reports, the same judgement and
-the same exit code.  Plan row sets come from `verify.FAMILIES`, and every
-row that `verify.is_sanity` picks out is judged at `tol_sanity`.  Ladder
-verbs and plans cache the ladder (checkpoints and panel coefficients) in
-`<cache root>/ladder-<ladder config hash>.npz` unless `--cache` names a file
-(written under exactly that name), the one file format zladder keeps.  A
-default cache of an older format has another name and is not read, so the
-ladder is rebuilt once; a `--cache` file in an older format (JSON, or a
-version-2 `.npz`) is rejected (exit 65) until `ladder build --rebuild`
-replaces it.  `report` lists the sanity rows of an equation apart from its
-asymptotic rows, as `E2_x/sanity`.  The dest of a config flag is the
-`RunConfig` field it sets (`--out` of `run` and `verify` sets `path`), and a
-flag given wins over the `--config` file.  A flag matches only whole.
+`report`.  Flags are the one way to set up a run: the dest of a config flag
+is the `RunConfig` field it sets (`--out` of `run` and `verify` sets
+`path`), and a flag matches only whole.  Z comes from the one fixed
+`ZEvaluator`, which no flag configures; `specfun zeros` reads and writes no
+file: its output depends only on --nu and --count.  A ladder is fixed by
+--t-lo, --t-hi and --tol: its anchor is the rule `min(t_lo + 10, t_hi)`, and
+its base panels have the fixed width 1 and are halved as its tolerance
+needs.  `verify F` is `run --equations F`: the same reports, the same
+judgement and the same exit code.  Plan row sets come from
+`verify.FAMILIES`, and every row that `verify.is_sanity` picks out is judged
+at `tol_exact`.  Ladder verbs and plans cache the ladder (checkpoints and
+panel coefficients) in `<cache root>/ladder-<ladder config hash>.npz` unless
+`--cache` names a file (written under exactly that name), the one file
+format zladder keeps.  A default cache of an older format has another name
+and is not read, so the ladder is rebuilt once; a `--cache` file in an older
+format (JSON, or a version-2 `.npz`) is rejected (exit 65) until `ladder
+build --rebuild` replaces it.  `report` lists the sanity rows of an equation
+apart from its asymptotic rows, as `E2_x/sanity`.
 
 Exit codes: 0 success, 1 exactness-layer failure, 2 asymptotic (soft)
 failure with reports still written, 64 config/usage error (including an
 unknown flag, a prefix of a flag among them, an unknown choice, a missing or
-malformed value, an unknown INI section or key, an unreadable input file, an
-unwritable output path, a NaN or out-of-range argument, and an empty,
-incomplete or oversized t grid or `--points`), 65 cache corruption or
+malformed value, an unreadable input file, an unwritable output path, a NaN
+or out-of-range argument, a plan T whose window leaves the ladder's range,
+and an empty, incomplete or oversized t grid or `--points`), 65 cache corruption or
 mismatch, or a malformed report file, 70 numeric non-convergence.
 
 All numeric output uses full round-trip precision; report files are byte
@@ -71,15 +72,13 @@ def _print_json(doc) -> None:
 # configuration plumbing
 
 def _config_from_args(args) -> RunConfig:
-    """The flags given over the --config file, if any, over the defaults."""
-    overrides = {}
+    """The flags given, over the defaults."""
+    given = {}
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
-            overrides[f.name] = tuple(value) if isinstance(value, list) else value
-    if args.config:
-        return RunConfig.from_ini(args.config, overrides)
-    return RunConfig(**overrides)
+            given[f.name] = tuple(value) if isinstance(value, list) else value
+    return RunConfig(**given)
 
 
 def _get_ladder(cfg: RunConfig, rebuild: bool = False) -> LadderTable:
@@ -91,7 +90,7 @@ def _get_ladder(cfg: RunConfig, rebuild: bool = False) -> LadderTable:
             raise CacheError(f"ladder cache {path} has config hash {table.config_hash()}, "
                              f"requested {cfg.ladder_hash()}; refusing to reuse")
         return table
-    table = build_ladder(ev, cfg.t_lo, cfg.t_hi, cfg.anchor(), tol=cfg.tol)
+    table = build_ladder(ev, cfg.t_lo, cfg.t_hi, tol=cfg.tol)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     table.save(path)
     return table
@@ -143,7 +142,7 @@ def _hard_failures(reports, cfg: RunConfig) -> list[str]:
             if r.abs_error > cfg.tol_exact * (1.0 + r.rhs):
                 fails.append(f"E1_3 diag {r.params}: error = {r.abs_error:.3e}")
         elif V.is_sanity(r.params):
-            if r.ratio is None or abs(r.ratio - 1.0) > cfg.tol_sanity:
+            if r.ratio is None or abs(r.ratio - 1.0) > cfg.tol_exact:
                 fails.append(f"sanity {r.equation_id} {r.params}: "
                              f"|ratio-1| = {abs((r.ratio or 0.0) - 1.0):.3e}")
     return fails
@@ -264,19 +263,14 @@ def _plan_reports(cfg: RunConfig) -> list:
     """The report rows of every plan family.  The row sets of all ladder
     families go to one run of the window executor, so each window of the
     plan is inverted and integrated once for all of them, and every set's
-    arguments are checked before any integration starts."""
+    arguments, its window inside the ladder's range among them, are checked
+    before any integration starts."""
     sets = [s for family in cfg.equations if family != "baseline"
             for s in V.family_sets(family, cfg.T, cfg.nu, cfg.n_max, alpha=cfg.alpha,
                                    beta=cfg.beta, tol=cfg.tol_exact, tol_ratio=cfg.tol_ratio)]
     reports = []
     if sets:
-        table = _get_ladder(cfg)
-        for T in cfg.T:
-            if not (table.phi_lo <= T and T + 2.0 <= table.phi_hi):   # NaN fails
-                raise DomainError(
-                    f"plan T = {T} outside ladder range: need phi_lo <= T and "
-                    f"T + 2 <= phi_hi, have [{table.phi_lo!r}, {table.phi_hi!r}]")
-        reports = V.ladder_reports(table, sets)
+        reports = V.ladder_reports(_get_ladder(cfg), sets)
     reports += [r for family in cfg.equations if family == "baseline" for nu in cfg.nu
                 for r in V.verify_bessel_baseline(nu, min(cfg.n_max, 8), tol=cfg.tol_baseline)]
     return reports
@@ -373,10 +367,8 @@ def _cmd_report(args) -> int:
 # parser
 
 def _add_ladder_opts(p):
-    p.add_argument("--config", help="INI configuration file")
     p.add_argument("--t-lo", dest="t_lo", type=float)
     p.add_argument("--t-hi", dest="t_hi", type=float)
-    p.add_argument("--anchor", dest="anchor_t0", type=float)
     p.add_argument("--tol", dest="tol", type=float)
     p.add_argument("--cache", dest="cache")
 
@@ -391,7 +383,7 @@ def _add_plan_opts(p):
     p.add_argument("--tol-exact", dest="tol_exact", type=float)
     p.add_argument("--tol-ratio", dest="tol_ratio", type=float)
     p.add_argument("--tol-baseline", dest="tol_baseline", type=float)
-    p.add_argument("--out", dest="path", help="report path (default from config; '-' = stdout)")
+    p.add_argument("--out", dest="path", help="report path (default reports.jsonl; '-' = stdout)")
     p.add_argument("--format", dest="format", choices=("jsonl", "csv"))
     p.add_argument("--timings", action="store_true", default=None,
                    help="include elapsed times (breaks byte determinism)")

@@ -5,10 +5,11 @@ On each panel a degree-32 Chebyshev polynomial p interpolates Z / sqrt(ln t)
 at the 33 Chebyshev-Lobatto points; phi_1' = p^2 >= 0, and phi_1 is its exact
 integral, a Clenshaw sum between the checkpoints (panel edges), so nothing
 after the build calls Z.  Panels have width `_BASE_H` = 1, with edges at
-anchor_t0 and at the RS/oracle seam, and are halved until the degree-16
-interpolant through the nested 17 points agrees to the panel's share of the
-tolerance, so no other base width is offered.  `save` and `load` keep
-checkpoints and coefficients in a versioned, validated `.npz`.
+the anchor min(t_lo + 10, t_hi) (`_anchor`) and at the RS/oracle seam, and
+are halved until the degree-16 interpolant through the nested 17 points
+agrees to the panel's share of the tolerance, so no other base width is
+offered.  `save` and `load` keep checkpoints and coefficients in a
+versioned, validated `.npz`.
 
 `eval` and `ztilde_sq` of one float run on Python floats (one panel's columns,
 cached in the order the Clenshaw recurrence takes them), with the IEEE
@@ -61,12 +62,19 @@ _MAX_SPLIT_ROUNDS = 30
 _PANEL_RULE = "cheb32-lobatto+cheb16"
 
 
+def _anchor(t_lo: float, t_hi: float) -> float:
+    """The anchor of the ladder on [t_lo, t_hi]: 10 units above t_lo, or t_hi
+    on a narrower domain."""
+    return min(t_lo + 10.0, t_hi)
+
+
 def ladder_config_hash(evaluator: ZEvaluator, t_lo: float, t_hi: float,
-                       anchor_t0: float, tol: float) -> str:
+                       tol: float) -> str:
     """Hash of the configuration that determines a built ladder.  Cache
     files are named by it and carry it, and every report row records it."""
-    payload = (f"ladder(t_lo={float(t_lo)!r},t_hi={float(t_hi)!r},"
-               f"anchor={float(anchor_t0)!r},h={_BASE_H!r},"
+    t_lo, t_hi = float(t_lo), float(t_hi)
+    payload = (f"ladder(t_lo={t_lo!r},t_hi={t_hi!r},"
+               f"anchor={_anchor(t_lo, t_hi)!r},h={_BASE_H!r},"
                f"tol={float(tol)!r},rule={_PANEL_RULE},"
                f"z={evaluator.config_hash()})")
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -170,17 +178,18 @@ def _square_integrals(coef: np.ndarray, half: np.ndarray) -> np.ndarray:
 class LadderTable:
     """Monotone checkpointed representation of phi_1 over [t_lo, t_hi]:
     checkpoints `edges`, values `phi` there, and per panel the Chebyshev
-    coefficients `coef` of p, with phi_1' = p^2 between checkpoints."""
+    coefficients `coef` of p, with phi_1' = p^2 between checkpoints.  The
+    domain is the span of the checkpoints, and the anchor its `_anchor`."""
 
-    def __init__(self, *, evaluator, t_lo, t_hi, anchor_t0, anchor_value,
-                 build_tolerance, edges, phi, coef, residual_total):
+    def __init__(self, *, evaluator, build_tolerance, edges, phi, coef,
+                 residual_total):
         self.evaluator = evaluator
-        self.t_lo, self.t_hi = float(t_lo), float(t_hi)
-        self.anchor_t0, self.anchor_value = float(anchor_t0), float(anchor_value)
         self.build_tolerance = float(build_tolerance)
         self.edges, self.phi, self.coef = (np.asarray(a, dtype=float)
                                            for a in (edges, phi, coef))
         self.residual_total = float(residual_total)
+        self.t_lo, self.t_hi = float(self.edges[0]), float(self.edges[-1])
+        self.anchor_t0 = _anchor(self.t_lo, self.t_hi)
         self._mid = 0.5 * (self.edges[:-1] + self.edges[1:])
         self._half = 0.5 * (self.edges[1:] - self.edges[:-1])
         # the antiderivative of p^2, one row per panel, built on first use
@@ -198,9 +207,14 @@ class LadderTable:
     def phi_hi(self) -> float:
         return float(self.phi[-1])
 
+    @property
+    def anchor_value(self) -> float:
+        """phi_1 at the anchor checkpoint: anchor_t0 - (1 - c) pi(anchor_t0)."""
+        return self.phi.item(int(np.searchsorted(self.edges, self.anchor_t0)))
+
     def config_hash(self) -> str:
         return ladder_config_hash(self.evaluator, self.t_lo, self.t_hi,
-                                  self.anchor_t0, self.build_tolerance)
+                                  self.build_tolerance)
 
     def _anti_rows(self, k: np.ndarray) -> np.ndarray:
         """The antiderivative table, with the rows of the panels `k` built.
@@ -413,20 +427,19 @@ class LadderTable:
     @classmethod
     def load(cls, path, evaluator: ZEvaluator) -> "LadderTable":
         """The table `save` wrote to `path`.  Raises `CacheError` for a file
-        that is not such a cache, or whose data contradict the configuration
-        it records, the evaluator's, or each other."""
+        that is not such a cache, whose data contradict the configuration it
+        records, the evaluator's, or each other, or whose certificate
+        `residual_total` is not in [0, tol]."""
         try:
             with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as doc:
                 if int(doc["version"]) != _CACHE_VERSION:
                     raise CacheError(f"ladder cache {path} has unsupported version")
                 b = {key: doc[key].item() for key in _CACHE_SCALARS}
-                table = cls(evaluator=evaluator, t_lo=b["t_lo"], t_hi=b["t_hi"],
-                            anchor_t0=b["anchor_t0"], anchor_value=b["anchor_value"],
-                            build_tolerance=b["tol"], edges=doc["edges"],
-                            phi=doc["phi"], coef=doc["coef"],
+                table = cls(evaluator=evaluator, build_tolerance=b["tol"],
+                            edges=doc["edges"], phi=doc["phi"], coef=doc["coef"],
                             residual_total=b["residual_total"])
-        except (OSError, EOFError, KeyError, TypeError, ValueError, AttributeError,
-                zipfile.BadZipFile) as exc:
+        except (OSError, EOFError, KeyError, IndexError, TypeError, ValueError,
+                AttributeError, zipfile.BadZipFile) as exc:
             raise CacheError(f"ladder cache {path} unreadable: {exc}") from exc
         if (evaluator.rs_correction_order, evaluator.oracle_terms, evaluator.t_min_rs,
                 _BASE_H) != (b["rs_correction_order"], b["oracle_terms"], b["t_min_rs"], b["h"]):
@@ -442,14 +455,18 @@ class LadderTable:
         if not all(np.all(np.isfinite(a)) for a in (edges, phi, coef)):
             raise CacheError("ladder cache data are not finite")
         if not (np.all(np.diff(edges) > 0.0)
-                and edges[0] == table.t_lo and edges[-1] == table.t_hi):
+                and (b["t_lo"], b["t_hi"]) == (table.t_lo, table.t_hi)):
             raise CacheError("ladder cache checkpoints do not increase strictly "
                              "from t_lo to t_hi")
         k0 = int(np.searchsorted(edges, table.anchor_t0))
-        if not (k0 < len(edges) and edges[k0] == table.anchor_t0
-                and phi[k0] == table.anchor_value):
+        if not (b["anchor_t0"] == table.anchor_t0 and edges[k0] == table.anchor_t0
+                and phi[k0] == b["anchor_value"]):
             raise CacheError("ladder cache anchor is not a checkpoint holding "
                              "the anchor value")
+        tol, residual = table.build_tolerance, table.residual_total
+        if not (0.0 < tol < math.inf and 0.0 <= residual <= tol):   # NaN fails
+            raise CacheError(f"ladder cache certificate residual_total {residual!r} "
+                             f"is not in [0, tol] for a positive finite tol {tol!r}")
         ulps = np.spacing(np.maximum(np.abs(phi[:-1]), np.abs(phi[1:])))
         if not (np.all(np.diff(phi) >= 0.0)
                 and np.all(np.abs(np.diff(phi) - _square_integrals(coef, table._half))
@@ -460,10 +477,10 @@ class LadderTable:
 
 
 def _base_edges(t_lo: float, t_hi: float, anchor_t0: float, seam: float) -> np.ndarray:
-    """Checkpoint grid of step `_BASE_H` through anchor_t0, clamped to
-    [t_lo, t_hi] (inner points that rounding puts at or past an end are
-    dropped), plus the RS/oracle seam, where the computed Ztilde^2 jumps
-    ~1e-7."""
+    """Checkpoint grid of step `_BASE_H` through anchor_t0, which is so a
+    checkpoint, clamped to [t_lo, t_hi] (inner points that rounding puts at
+    or past an end are dropped), plus the RS/oracle seam, where the computed
+    Ztilde^2 jumps ~1e-7."""
     n_down = int(math.ceil((anchor_t0 - t_lo) / _BASE_H - 1e-12))
     n_up = int(math.ceil((t_hi - anchor_t0) / _BASE_H - 1e-12))
     inner = anchor_t0 + _BASE_H * np.arange(-n_down + 1, n_up, dtype=float)
@@ -475,10 +492,11 @@ def _base_edges(t_lo: float, t_hi: float, anchor_t0: float, seam: float) -> np.n
 
 
 def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
-                 anchor_t0: float | None = None, tol: float = 1e-8) -> LadderTable:
+                 tol: float = 1e-8) -> LadderTable:
     """Construct phi_1 on [t_lo, t_hi] anchored by the retardation law.
 
-    phi_1(t) = anchor_value + int_{anchor_t0}^t p^2, with anchor_value =
+    phi_1(t) = anchor_value + int_{anchor_t0}^t p^2, with the anchor
+    anchor_t0 = min(t_lo + 10, t_hi) (`_anchor`) and anchor_value =
     anchor_t0 - (1 - c) pi(anchor_t0), where p interpolates Z / sqrt(ln t) at
     33 Chebyshev-Lobatto points per panel.  A panel is checked by the
     integral of the interpolant through the nested 17 points against its
@@ -487,14 +505,14 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
     before.
     """
     t_lo, t_hi = float(t_lo), float(t_hi)
-    anchor_t0 = t_lo + 10.0 if anchor_t0 is None else float(anchor_t0)
-    if not (_E + 1.0 <= t_lo <= anchor_t0 <= t_hi):
-        raise DomainError("require e + 1 <= t_lo <= anchor_t0 <= t_hi")
-    if t_hi - t_lo <= 0 or t_hi - t_lo > 1e6:
+    if not _E + 1.0 <= t_lo:   # NaN fails
+        raise DomainError("require e + 1 <= t_lo")
+    if not 0.0 < t_hi - t_lo <= 1e6:   # NaN fails
         raise DomainError("require 0 < t_hi - t_lo <= 1e6")
     if not 0.0 < tol < math.inf:   # NaN fails
         raise DomainError("build tolerance must be positive and finite")
 
+    anchor_t0 = _anchor(t_lo, t_hi)
     base = _base_edges(t_lo, t_hi, anchor_t0, seam=evaluator.t_min_rs)
     n_base = len(base) - 1
     span = t_hi - t_lo
@@ -562,17 +580,12 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
             f"{certified:.3e} (roundoff-noise bound) on [{t_lo}, {t_hi}]")
 
     prefix = np.concatenate([[_LD(0.0)], np.cumsum(val_fin.astype(_LD))])
-    # anchor lands on a checkpoint by construction of the grid
-    k0 = int(np.searchsorted(edges, anchor_t0, side="left"))
-    if not (k0 < len(edges) and edges[k0] == anchor_t0):
-        raise ConvergenceError("anchor is not on the checkpoint grid")
+    k0 = int(np.searchsorted(edges, anchor_t0))   # a checkpoint by `_base_edges`
     anchor_value = anchor_t0 - ONE_MINUS_C * prime_pi(anchor_t0)
     phi = (np.longdouble(anchor_value) + (prefix - prefix[k0])).astype(float)
 
-    return LadderTable(
-        evaluator=evaluator, t_lo=t_lo, t_hi=t_hi, anchor_t0=anchor_t0,
-        anchor_value=float(anchor_value), build_tolerance=tol,
-        edges=edges, phi=phi, coef=coef_fin, residual_total=certified)
+    return LadderTable(evaluator=evaluator, build_tolerance=tol, edges=edges,
+                       phi=phi, coef=coef_fin, residual_total=certified)
 
 
 # ---------------------------------------------------------------------------

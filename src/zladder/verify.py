@@ -275,7 +275,8 @@ def family_sets(family: str, T_list, nu_list, max_n: int, *, alpha: float = 0.5,
 
 def is_sanity(params: dict) -> bool:
     """Whether a row with these params is an exact-substitution (sanity) row,
-    which `cli` judges at tol_sanity and `zladder report` lists as E2_x/sanity."""
+    which `cli` judges at tol_exact, as it judges every exactness row, and
+    `zladder report` lists as E2_x/sanity."""
     return params.get("weight") == "ztilde2"
 
 
@@ -409,9 +410,10 @@ def ladder_reports(table: LadderTable, sets: list[RowSet]) -> list[VerificationR
     """The reports of the row sets, set by set in the order given: the one
     executor of the ladder families.
 
-    Every set's arguments are checked first, so an argument error is raised
-    before any integration starts.  The sets are then grouped by the window
-    they share, (T, U, route): the preimage of [T, T + U], on GK15 with
+    Every set's arguments are checked first, its window [T, T + U] inside
+    [phi_lo, phi_hi] among them, so an argument error is raised before any
+    integration starts.  The sets are then grouped by the window they
+    share, (T, U, route): the preimage of [T, T + U], on GK15 with
     Z-zero breakpoints for a smooth weight or on tanh-sinh, whose ends move
     inward to the nearest doubles with values inside [T, T + U] so a weight
     singular there is never evaluated past them.  Each distinct window end
@@ -426,7 +428,12 @@ def ladder_reports(table: LadderTable, sets: list[RowSet]) -> list[VerificationR
         if not s.quad_tol > 0.0:   # NaN is not
             raise DomainError("tolerance must be positive")
         members.append(_member_pieces(s))
-        check_admissible(s.T, members[-1].U)
+        U = members[-1].U
+        check_admissible(s.T, U)
+        if not (table.phi_lo <= s.T and s.T + U <= table.phi_hi):   # NaN fails
+            raise DomainError(
+                f"plan T = {s.T} outside ladder range: need phi_lo <= T and "
+                f"T + {U:g} <= phi_hi, have [{table.phi_lo!r}, {table.phi_hi!r}]")
     groups: dict[tuple, list[int]] = {}
     for i, (s, m) in enumerate(zip(sets, members)):
         groups.setdefault((s.T, m.U, m.smooth), []).append(i)

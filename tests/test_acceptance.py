@@ -154,7 +154,7 @@ def test_criterion_4_substitution_identity(big_ladder):
 
 
 def test_criterion_5_sanity_layer(big_ladder):
-    # every member at tol_sanity's default of 1e-4, the singular-weight
+    # every member at tol_exact's default of 1e-4, the singular-weight
     # E2_7 and E2_8 too
     T = 5e3
     worst = {}
@@ -276,7 +276,7 @@ def test_criterion_8_engineering(big_ladder, ev, tmp_path, monkeypatch, capsys):
                         "--tol", "1e-9", "--T", "1000", "--max-n", "1",
                         "--tol-ratio", "1e-9", "--out", str(tmp_path / "soft.jsonl")])
     rc_numeric = cli_main(["ladder", "build", "--t-lo", "1000", "--t-hi", "1001",
-                           "--anchor", "1000.5", "--tol", "1e-300"])
+                           "--tol", "1e-300"])
     capsys.readouterr()
     assert cli_main(["ladder", "build", "--t-lo", "1000", "--t-hi", "1090",
                      "--tol", "1e-9"]) == EXIT_OK

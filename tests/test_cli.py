@@ -174,7 +174,7 @@ class TestLadderVerbs:
                              ids=["ladder retardation", "plot-data ladder"])
     def test_grid_ends_at_to(self, capsys, cache_env, verb):
         # 1000 + 10 * 0.1 rounds to 1001.0000000000002, past the ladder's end
-        assert run_cli(*verb, "--t-lo", "1000", "--t-hi", "1001", "--anchor", "1000.5",
+        assert run_cli(*verb, "--t-lo", "1000", "--t-hi", "1001",
                        "--tol", "1e-8", "--from", "1000", "--to", "1001",
                        "--step", "0.1") == EXIT_OK
         rows = capsys.readouterr().out.strip().splitlines()[1:]
@@ -215,7 +215,15 @@ class TestLadderVerbs:
 
     def test_unreachable_tolerance_exit(self, cache_env):
         assert run_cli("ladder", "build", "--t-lo", "1000", "--t-hi", "1001",
-                       "--anchor", "1000.5", "--tol", "1e-300") == EXIT_NUMERIC
+                       "--tol", "1e-300") == EXIT_NUMERIC
+
+    def test_narrow_ladder_anchored_at_t_hi(self, capsys, cache_env):
+        # a ladder narrower than 10 units is anchored at its top checkpoint
+        assert run_cli("ladder", "build", "--t-lo", "1000", "--t-hi", "1005",
+                       "--tol", "1e-8") == EXIT_OK
+        built = json.loads(capsys.readouterr().out)
+        assert (built["t_lo"], built["t_hi"], built["anchor_t0"]) == (1000.0, 1005.0, 1005.0)
+        assert built["phi_hi"] == built["anchor_value"]
 
 
 class TestVerifyVerbs:
@@ -233,8 +241,9 @@ class TestVerifyVerbs:
 
     def test_singular_weight_sanity_row_judged_at_tol_sanity(self, capsys, cache_env,
                                                              monkeypatch):
-        # an E2_7 sanity row 2e-4 off fails at the default tol_sanity of 1e-4,
-        # like the sanity row of any other member
+        # an E2_7 sanity row 2e-4 off fails at the default tol_exact of 1e-4
+        # (the sanity tolerance is tol_exact), like the sanity row of any other
+        # member
         real = V.ladder_reports
 
         def off(table, sets):
@@ -261,7 +270,7 @@ class TestVerifyVerbs:
         assert out.exists() and out.read_text().strip()  # reports still written
 
     def test_theorem2_rows_record_tol_ratio(self, capsys, cache_env, tmp_path):
-        # from the flag, and from the INI file
+        # from the flag, of verify and of run
         code = run_cli("verify", "theorem2", *LADDER_ARGS, "--T", "1000",
                        "--max-n", "1", "--tol-ratio", "0.01", "--out", "-")
         captured = capsys.readouterr()
@@ -272,11 +281,8 @@ class TestVerifyVerbs:
         fails = [line for line in captured.err.splitlines() if line.startswith("FAIL E2_")]
         assert fails and all("'tol_ratio': 0.01" in line for line in fails)
 
-        ini = tmp_path / "run.ini"
-        ini.write_text("[ladder]\nt_lo = 1000.0\nt_hi = 1090.0\ntol = 1e-9\n"
-                       "[plan]\nequations = theorem2\nT = 1000.0\nn_max = 1\n"
-                       "tol_ratio = 0.5\n")
-        assert run_cli("run", "--config", str(ini), "--out", "-") == EXIT_OK
+        assert run_cli("run", *LADDER_ARGS, "--equations", "theorem2", "--T", "1000",
+                       "--max-n", "1", "--tol-ratio", "0.5", "--out", "-") == EXIT_OK
         rows = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
         assert len(rows) == 7
         assert all(r["params"]["tol_ratio"] == 0.5 for r in rows)
@@ -339,6 +345,20 @@ class TestVerifyVerbs:
         assert 0 < len(blocks) <= 4
         assert np.count_nonzero(table._built) <= len(blocks) * _ANTI_BLOCK
 
+    @pytest.mark.parametrize("family,code", [("theorem1", EXIT_OK), ("corollary", EXIT_OK),
+                                             ("theorem2", EXIT_CONFIG)])
+    def test_plan_T_checked_with_each_members_width(self, capsys, cache_env, family, code):
+        # phi_hi of [1000, 1100] is 1020.47: the windows [1019, 1020] of the
+        # U = 1 members fit, E2_5..E2_10's [1019, 1021] does not
+        assert run_cli("verify", family, "--t-lo", "1000", "--t-hi", "1100", "--tol", "1e-8",
+                       "--T", "1019", "--nu", "0", "--max-n", "2", "--out", "-") == code
+        out, err = capsys.readouterr()
+        if code == EXIT_OK:
+            assert len(out.splitlines()) == {"theorem1": 4, "corollary": 2}[family]
+        else:
+            assert out == "" and err.startswith("error: plan T = 1019.0 outside ladder "
+                                                "range: need phi_lo <= T and T + 2 <= phi_hi")
+
     def test_plan_T_outside_domain(self, capsys, cache_env):
         code = run_cli("verify", "theorem2", *LADDER_ARGS, "--T", "5000",
                        "--max-n", "1", "--out", "-")
@@ -378,7 +398,7 @@ class TestVerifyVerbs:
         e25 = [r for r in rows if r["equation_id"] == "E2_5"]
         assert len(e25) == 4
         if family == "sanity":
-            assert all(abs(r["ratio"] - 1.0) <= RunConfig().tol_sanity for r in rows)
+            assert all(abs(r["ratio"] - 1.0) <= RunConfig().tol_exact for r in rows)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("family,T", [("theorem1", "1000"), ("corollary", "941"),
@@ -408,70 +428,45 @@ class TestVerifyVerbs:
 
 
 class TestRun:
-    def write_config(self, path, equations="baseline sanity"):
-        path.write_text("[ladder]\nt_lo = 1000.0\nt_hi = 1090.0\ntol = 1e-9\n\n"
-                        f"[plan]\nequations = {equations}\nT = 1000.0\nnu = 0.0\n"
-                        "n_max = 1\n")
-
-    def test_from_ini_sets_every_key(self, tmp_path):
-        # every RunConfig field from its key, each away from its default, so
-        # every parser is exercised
-        path = tmp_path / "run.ini"
-        path.write_text(
-            "[ladder]\nt_lo = 1001.0\nt_hi = 1090.0\nanchor_t0 = 1005.0\ntol = 1e-9\n"
-            "cache = c.npz\n"
-            "[plan]\nequations = baseline sanity\nT = 1000.0 1005.0\nnu = 0.0 2.5\n"
-            "n_max = 2\nalpha = 0.25\nbeta = 0.75\ntol_exact = 1e-5\ntol_sanity = 2e-5\n"
-            "tol_ratio = 0.5\ntol_baseline = 1e-10\n"
-            "[output]\nformat = csv\npath = r.csv\ntimings = true\n")
-        want = RunConfig(t_lo=1001.0, t_hi=1090.0, anchor_t0=1005.0, tol=1e-9,
-                         cache="c.npz", equations=("baseline", "sanity"),
-                         T=(1000.0, 1005.0), nu=(0.0, 2.5), n_max=2, alpha=0.25,
-                         beta=0.75, tol_exact=1e-5, tol_sanity=2e-5, tol_ratio=0.5,
-                         tol_baseline=1e-10, format="csv", path="r.csv", timings=True)
-        assert RunConfig.from_ini(str(path)) == want
+    def test_flags_set_every_field(self):
+        # every RunConfig field from its flag, each away from its default, so
+        # every flag's parser is exercised
+        args = build_parser().parse_args([
+            "run", "--t-lo", "1001", "--t-hi", "1090", "--tol", "1e-9", "--cache", "c.npz",
+            "--equations", "baseline", "sanity", "--T", "1000", "1005", "--nu", "0", "2.5",
+            "--max-n", "2", "--alpha", "0.25", "--beta", "0.75", "--tol-exact", "1e-5",
+            "--tol-ratio", "0.5", "--tol-baseline", "1e-10", "--format", "csv",
+            "--out", "r.csv", "--timings"])
+        want = RunConfig(t_lo=1001.0, t_hi=1090.0, tol=1e-9, cache="c.npz",
+                         equations=("baseline", "sanity"), T=(1000.0, 1005.0),
+                         nu=(0.0, 2.5), n_max=2, alpha=0.25, beta=0.75, tol_exact=1e-5,
+                         tol_ratio=0.5, tol_baseline=1e-10, format="csv", path="r.csv",
+                         timings=True)
+        assert cli_mod._config_from_args(args) == want
         default = RunConfig()
         assert all(getattr(want, f.name) != getattr(default, f.name)
                    for f in dataclasses.fields(RunConfig))
 
-    def test_removed_sanity_singular_key_exits_64(self, capsys, tmp_path):
-        # every sanity row is judged at tol_sanity; the old key is unknown
-        ini = tmp_path / "old.ini"
-        ini.write_text("[plan]\ntol_sanity_singular = 1e-3\n")
-        assert run_cli("run", "--config", str(ini), "--out", "-") == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "tol_sanity_singular" in err
+    PLAN = [*LADDER_ARGS, "--T", "1000", "--nu", "0", "--max-n", "1"]
 
     def test_run_deterministic_reports(self, cache_env, tmp_path):
-        ini = tmp_path / "run.ini"
         out1 = tmp_path / "r1.jsonl"
         out2 = tmp_path / "r2.jsonl"
-        self.write_config(ini)
-        assert run_cli("run", "--config", str(ini), "--out", str(out1)) == EXIT_OK
-        assert run_cli("run", "--config", str(ini), "--out", str(out2)) == EXIT_OK
+        for out in (out1, out2):
+            assert run_cli("run", *self.PLAN, "--equations", "baseline", "sanity",
+                           "--out", str(out)) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_run_baseline_only_plan(self, cache_env, tmp_path, capsys):
-        ini = tmp_path / "base.ini"
-        self.write_config(ini, equations="baseline")
-        code = run_cli("run", "--config", str(ini), "--out", "-")
+        code = run_cli("run", *self.PLAN, "--equations", "baseline", "--out", "-")
         assert code == EXIT_OK
         rows = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
         assert rows and all(r["equation_id"] == "E1_2" for r in rows)
 
     def test_run_exit_codes(self, cache_env, tmp_path):
-        ini = tmp_path / "bad.ini"
-        self.write_config(ini)
-        text = ini.read_text().replace("T = 1000.0", "T = 80000.0")
-        ini.write_text(text)
-        assert run_cli("run", "--config", str(ini),
+        assert run_cli("run", *LADDER_ARGS, "--T", "80000", "--nu", "0", "--max-n", "1",
+                       "--equations", "baseline", "sanity",
                        "--out", str(tmp_path / "x.jsonl")) == EXIT_CONFIG
-
-    def test_config_parse_error(self, cache_env, tmp_path):
-        ini = tmp_path / "broken.ini"
-        ini.write_text("[plan\nT = oops")
-        assert run_cli("run", "--config", str(ini)) == EXIT_CONFIG
 
     def test_unsorted_T_rejected(self, tmp_path):
         from zladder import DomainError
@@ -479,33 +474,10 @@ class TestRun:
             with pytest.raises(DomainError):
                 RunConfig(T=T)
 
-    @pytest.mark.parametrize("text,named", [
-        ("[plan]\nn_mx = 8\n", "unknown key [plan] n_mx"),
-        ("[plann]\nn_max = 8\n", "unknown section [plann]"),
-        ("[plann]\n", "unknown section [plann]"),
-        ("[DEFAULT]\nn_max = 8\n", "unknown key [DEFAULT] n_max"),
-    ], ids=["key", "section", "empty-section", "default-section"])
-    def test_unknown_ini_setting_named(self, tmp_path, text, named):
-        ini = tmp_path / "typo.ini"
-        ini.write_text(text)
-        with pytest.raises(DomainError) as exc:
-            RunConfig.from_ini(str(ini))
-        assert named in str(exc.value)
-
-    def test_ini_keys_case_insensitive_values_literal(self, tmp_path):
-        ini = tmp_path / "case.ini"
-        ini.write_text("[plan]\nt = 1000 2000\nN_MAX = 2\n[output]\npath = r%1.jsonl\n")
-        cfg = RunConfig.from_ini(str(ini))
-        assert (cfg.T, cfg.n_max, cfg.path) == ((1000.0, 2000.0), 2, "r%1.jsonl")
-
-    @pytest.mark.parametrize("ini,flag,timed", [("timings = true", [], True),
-                                                 ("", ["--timings"], True),
-                                                 ("", [], False)])
-    def test_timings_flag_and_ini(self, cache_env, tmp_path, capsys, ini, flag, timed):
-        path = tmp_path / "t.ini"
-        path.write_text(f"[output]\n{ini}\n")
-        assert run_cli("run", "--config", str(path), "--equations", "baseline",
-                       "--nu", "0", "--max-n", "1", "--out", "-", *flag) == EXIT_OK
+    @pytest.mark.parametrize("flag,timed", [(["--timings"], True), ([], False)])
+    def test_timings_flag(self, cache_env, capsys, flag, timed):
+        assert run_cli("run", "--equations", "baseline", "--nu", "0", "--max-n", "1",
+                       "--out", "-", *flag) == EXIT_OK
         rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert rows and all(("elapsed" in r) == timed for r in rows)
 
@@ -519,8 +491,7 @@ class TestRun:
         if timed:
             assert all(float(row.rsplit(",", 1)[1]) >= 0.0 for row in rows)
 
-    @pytest.mark.parametrize("field", ["tol", "tol_exact", "tol_sanity", "tol_ratio",
-                                       "tol_baseline"])
+    @pytest.mark.parametrize("field", ["tol", "tol_exact", "tol_ratio", "tol_baseline"])
     @pytest.mark.parametrize("value", [0.0, -1e-9, float("nan"), float("inf")])
     def test_tolerance_must_be_positive(self, field, value):
         from zladder import DomainError
@@ -648,7 +619,7 @@ def test_plan_flags_are_named_by_their_fields(verb):
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     dests = {a.dest for a in sub.choices[verb]._actions}
-    assert dests - {f.name for f in dataclasses.fields(RunConfig)} == {"help", "config"}
+    assert dests - {f.name for f in dataclasses.fields(RunConfig)} == {"help"}
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["verify", "--help"]])
@@ -660,12 +631,11 @@ def test_help_exits_zero(capsys, argv):
 
 
 # Every verb with each documented exit code it can return.  In the args,
-# BROKEN names a file that is not a cache or report, TIGHT an INI file whose
-# sanity tolerances no row meets, ZEROS a file that does not exist, TYPO
-# and SECTION INI files with an unknown key and an unknown section, PERCENT
-# an INI file with a `%` in a value, EVALUATOR an INI file with the
-# removed [evaluator] section, and STEP one with the removed [ladder] h.
-# A ladder that cannot reach its tolerance makes every ladder verb exit 70.
+# BROKEN names a file that is not a cache or report and ZEROS a file that
+# does not exist.  TIGHT, TYPO, SECTION, EVALUATOR and STEP are INI files of
+# the kind older versions read with --config; that flag is gone, so each is
+# refused as an unknown flag, whatever it holds.  A ladder that cannot reach
+# its tolerance makes every ladder verb exit 70.
 
 
 def exit_case(verb, args, code, id=None):
@@ -682,7 +652,7 @@ def exit_case(verb, args, code, id=None):
     return pytest.param(verb, args, code, id=id or " ".join(words))
 
 
-UNREACHABLE = ["--t-lo", "1000", "--t-hi", "1001", "--anchor", "1000.5", "--tol", "1e-300"]
+UNREACHABLE = ["--t-lo", "1000", "--t-hi", "1001", "--tol", "1e-300"]
 PLAN = [*LADDER_ARGS, "--T", "1000", "--nu", "0", "--max-n", "1", "--out", "-"]
 # PLAN first: it starts with LADDER_ARGS
 SPLICES = {"PLAN": PLAN, "UNREACHABLE": UNREACHABLE, "LADDER_ARGS": LADDER_ARGS}
@@ -763,7 +733,7 @@ EXIT_CASES = [
     exit_case("verify theorem2", [*UNREACHABLE, "--T", "1000", "--out", "-"],
               EXIT_NUMERIC, "verify theorem2-70-40"),
     exit_case("verify sanity", PLAN, EXIT_OK, "verify sanity-0-41"),
-    exit_case("verify sanity", [*PLAN, "--config", "TIGHT"], EXIT_HARD, "verify sanity-1-42"),
+    exit_case("verify sanity", [*PLAN, "--tol-exact", "1e-30"], EXIT_HARD, "verify sanity-1-42"),
     exit_case("verify sanity", [*PLAN, "--alpha", "nan"], EXIT_CONFIG, "verify sanity-64-43"),
     exit_case("verify sanity", [*PLAN, "--cache", "BROKEN"], EXIT_CACHE, "verify sanity-65-44"),
     exit_case("verify sanity", [*UNREACHABLE, "--T", "1000", "--out", "-"],
@@ -806,8 +776,6 @@ EXIT_CASES = [
     exit_case("run", [*PLAN, "--max-n", "abc"], EXIT_CONFIG, "run-64-73"),
     exit_case("run", [*PLAN, "--config", "TYPO"], EXIT_CONFIG, "run-64-74"),
     exit_case("run", [*PLAN, "--config", "SECTION"], EXIT_CONFIG, "run-64-75"),
-    exit_case("run", [*PLAN, "--equations", "baseline", "--config", "PERCENT"],
-              EXIT_OK, "run-0-76"),
     # grids past MAX_GRID_POINTS are refused before anything is allocated
     exit_case("plot-data", ["--what", "z_trace", "--from", "100", "--to", "1e12"],
               EXIT_CONFIG, "plot-data-64-77"),
@@ -821,14 +789,14 @@ EXIT_CASES = [
               EXIT_CONFIG, "verify baseline-64-80"),
     exit_case("specfun zeros", ["--nu", "inf", "--count", "1"],
               EXIT_CONFIG, "specfun zeros-64-81"),
-    # the evaluator is fixed: its removed flags and INI section are unknown
+    # the evaluator is fixed: its removed flags are unknown
     exit_case("z eval", ["--t", "1000", "--rs-correction-order", "4"],
               EXIT_CONFIG, "z eval-64-82"),
     exit_case("ladder build", [*LADDER_ARGS, "--oracle-terms", "8"],
               EXIT_CONFIG, "ladder build-64-83"),
     exit_case("run", [*PLAN, "--t-min-rs", "50"], EXIT_CONFIG, "run-64-84"),
     exit_case("run", [*PLAN, "--config", "EVALUATOR"], EXIT_CONFIG, "run-64-85"),
-    # removed flags, key and choice; a flag matches whole, never as a prefix
+    # removed flags and choice; a flag matches whole, never as a prefix
     exit_case("ladder build", [*LADDER_ARGS, "--h", "0.5"], EXIT_CONFIG,
               "ladder build --t-lo 1000 --t-hi 1090 --tol 1e-9 --h 0.5"),
     exit_case("ladder build", [*LADDER_ARGS, "--config", "STEP"], EXIT_CONFIG,
@@ -850,6 +818,11 @@ EXIT_CASES = [
     exit_case("run", [*PLAN, "--nu", "0", "-0.7"], EXIT_CONFIG),
     exit_case("plot-data", ["--what", "envelope", *LADDER_ARGS, "--T", "1005",
                             "--nu", "-0.7"], EXIT_CONFIG),
+    # the anchor is a rule, not a flag: a ladder narrower than 10 units
+    # builds, anchored at t_hi (the --config rows are above)
+    exit_case("run", [*PLAN, "--anchor", "1005"], EXIT_CONFIG),
+    exit_case("ladder build", [*LADDER_ARGS, "--anchor", "1005"], EXIT_CONFIG),
+    exit_case("ladder build", ["--t-lo", "1000", "--t-hi", "1005"], EXIT_OK),
 ]
 
 
@@ -869,13 +842,12 @@ def test_verb_exit_code(capsys, monkeypatch, tmp_path, shared_cache_root,
     monkeypatch.setenv("ZLADDER_CACHE_ROOT", str(shared_cache_root))
     files = {"BROKEN": tmp_path / "broken", "TIGHT": tmp_path / "tight.ini",
              "ZEROS": tmp_path / "zeros.json", "TYPO": tmp_path / "typo.ini",
-             "SECTION": tmp_path / "section.ini", "PERCENT": tmp_path / "percent.ini",
+             "SECTION": tmp_path / "section.ini",
              "EVALUATOR": tmp_path / "evaluator.ini", "STEP": tmp_path / "step.ini"}
     files["BROKEN"].write_text("{broken\n")
-    files["TIGHT"].write_text("[plan]\ntol_sanity = 1e-30\n")
+    files["TIGHT"].write_text("[plan]\ntol_exact = 1e-30\n")
     files["TYPO"].write_text("[plan]\nn_mx = 8\n")
     files["SECTION"].write_text("[plann]\nn_max = 8\n")
-    files["PERCENT"].write_text("[output]\npath = r%1.jsonl\n")
     files["EVALUATOR"].write_text("[evaluator]\nrs_correction_order = 4\n")
     files["STEP"].write_text("[ladder]\nh = 0.5\n")
     argv = [*verb.split(), *(str(files.get(a, a)) for a in args)]
@@ -885,7 +857,26 @@ def test_verb_exit_code(capsys, monkeypatch, tmp_path, shared_cache_root,
         assert "error" in err
     if expected == EXIT_CONFIG:     # one line, no usage text
         assert err.startswith("error: ") and err.count("\n") == 1
-    if "EVALUATOR" in args:
-        assert "unknown section [evaluator]" in err
-    if "STEP" in args:
-        assert "unknown key [ladder] h" in err
+    for removed in ("--config", "--anchor"):
+        if removed in args:
+            assert f"unrecognized arguments: {removed}" in err
+
+
+# every verb that builds or loads a ladder, with the arguments it requires
+LADDER_VERBS = {"ladder build": [], "ladder query": ["--t", "1010"],
+                "ladder invert": ["--y", "950"],
+                "ladder retardation": ["--from", "1010", "--to", "1060"],
+                "plot-data": ["--what", "ladder", "--from", "1010", "--to", "1060"],
+                "verify theorem1": ["--T", "1000"], "run": ["--T", "1000"]}
+
+
+@pytest.mark.parametrize("flag", ["--config", "--anchor"])
+@pytest.mark.parametrize("verb", list(LADDER_VERBS))
+def test_removed_setup_flag_is_unknown(capsys, cache_env, verb, flag):
+    # a run is set up by flags alone, and the anchor is a rule: both flags
+    # are unknown, refused before any ladder is built
+    argv = [*verb.split(), *LADDER_ARGS, *LADDER_VERBS[verb], flag, "1005"]
+    assert run_cli(*argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: zladder: unrecognized arguments: {flag} 1005\n"
+    assert not (cache_env / "cache").exists()

@@ -25,10 +25,8 @@ def fresh(table, phi=None):
     """The same ladder in a new table, with no panel's antiderivative built
     (and with the values `phi`, if given)."""
     return LadderTable(
-        evaluator=table.evaluator, t_lo=table.t_lo, t_hi=table.t_hi,
-        anchor_t0=table.anchor_t0, anchor_value=table.anchor_value,
-        build_tolerance=table.build_tolerance, edges=table.edges,
-        phi=table.phi if phi is None else phi, coef=table.coef,
+        evaluator=table.evaluator, build_tolerance=table.build_tolerance,
+        edges=table.edges, phi=table.phi if phi is None else phi, coef=table.coef,
         residual_total=table.residual_total)
 
 
@@ -117,7 +115,8 @@ class TestBuild:
             (1000.0, 924.59641515965), (1001.3495, 925.298029502727),
             (1010.0, 938.5494473683591), (1033.77, 958.4296743274008),
             (1060.5, 979.1448058672838), (1090.0, 1007.6512968029602)]),
-        "seam": ((40.0, 60.0), {"anchor_t0": 47.7, "tol": 1e-8}, [
+        # anchored at 47.7, so the seam at t = 50 lies off the base grid
+        "seam": ((37.7, 60.0), {"tol": 1e-8}, [
             (40.0, 33.21839487544118), (45.3, 36.42828460565548),
             (50.0, 41.488336775898205), (55.55, 46.43543573221908),
             (60.0, 47.949455343840214)]),
@@ -155,20 +154,20 @@ class TestBuild:
         with pytest.raises(DomainError):
             build_ladder(ev, 1000.0, 900.0)
         with pytest.raises(DomainError):
-            build_ladder(ev, 1000.0, 1100.0, anchor_t0=999.0)
+            build_ladder(ev, 1000.0, math.nan)
         for tol in (-1.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="positive and finite"):
                 build_ladder(ev, 1000.0, 1100.0, tol=tol)
 
     def test_unreachable_tolerance(self, ev):
         with pytest.raises(ToleranceNotMetError):
-            build_ladder(ev, 1000.0, 1001.0, anchor_t0=1000.5, tol=1e-300)
+            build_ladder(ev, 1000.0, 1001.0, tol=1e-300)
 
     def test_domain_straddling_rs_threshold(self, ev):
         # the computed Ztilde^2 jumps ~1e-7 where the evaluator switches from
         # the oracle to the Riemann-Siegel path; the seam must sit on a
         # checkpoint edge or no panel polynomial could follow it
-        table = build_ladder(ev, 40.0, 60.0, anchor_t0=47.7, tol=1e-8)
+        table = build_ladder(ev, 37.7, 60.0, tol=1e-8)
         assert ev.t_min_rs in table.edges
         pts = table.breakpoints(45.0, 55.0)
         assert ev.t_min_rs in pts and np.all(np.diff(pts) > 0.0)
@@ -291,8 +290,9 @@ class TestEval:
 
 @pytest.fixture(scope="module")
 def seam_ladder(ev):
-    """A ladder across the RS/oracle seam at t = 50."""
-    return build_ladder(ev, 40.0, 60.0, anchor_t0=47.7, tol=1e-8)
+    """A ladder across the RS/oracle seam at t = 50, which lies off its base
+    grid (anchored at 47.7)."""
+    return build_ladder(ev, 37.7, 60.0, tol=1e-8)
 
 
 def _special_ts(table):
@@ -595,9 +595,7 @@ def one_ulp_panel(small_ladder):
     edges = small_ladder.edges.copy()
     edges[41] = np.nextafter(edges[40], math.inf)
     return LadderTable(
-        evaluator=small_ladder.evaluator, t_lo=small_ladder.t_lo,
-        t_hi=small_ladder.t_hi, anchor_t0=small_ladder.anchor_t0,
-        anchor_value=small_ladder.anchor_value,
+        evaluator=small_ladder.evaluator,
         build_tolerance=small_ladder.build_tolerance, edges=edges,
         phi=small_ladder.phi, coef=small_ladder.coef,
         residual_total=small_ladder.residual_total)
@@ -817,7 +815,7 @@ class TestInvertContract:
             table = build_ladder(ev, 99682.78, 99702.78, tol=1e-8)
             t, inner, sign = table.t_hi, -math.inf, -1.0
         else:
-            table = build_ladder(ev, 99702.78, 99722.78, anchor_t0=99702.78)
+            table = build_ladder(ev, 99702.78, 99722.78)
             t, inner, sign = table.t_lo, math.inf, 1.0
         step = table.ztilde_sq(t) * math.ulp(t)
         assert step > 2e-10
@@ -1164,6 +1162,16 @@ class TestCache:
         }[tamper]()
         rewrite_cache(path, **changes)
         with pytest.raises(CacheError):
+            LadderTable.load(path, ev)
+
+    @pytest.mark.parametrize("residual", [1.0, math.nan, -1.0])
+    def test_rejects_certificate_outside_tolerance(self, ev, small_ladder, tmp_path,
+                                                   residual):
+        # build_ladder never writes a certificate outside [0, tol]
+        path = tmp_path / "ladder.npz"
+        small_ladder.save(path)
+        rewrite_cache(path, residual_total=np.array(residual))
+        with pytest.raises(CacheError, match="certificate residual_total"):
             LadderTable.load(path, ev)
 
     def test_rejects_v2_cache(self, ev, small_ladder, tmp_path):

@@ -405,7 +405,9 @@ class TestWorkers:
         seen = set()
 
         def main_sums(*args, _fn=rszeta._main_sums):
-            seen.add(threading.get_ident())
+            # the Thread, not its ident: an ident is recycled once its thread
+            # exits, so a worker done before the next starts would share it
+            seen.add(threading.current_thread())
             _fn(*args)
 
         monkeypatch.setattr(rszeta, "_main_sums", main_sums)
