@@ -3,7 +3,9 @@
 Two independent evaluation routes are provided and cross-checked in tests:
 
 * the Riemann-Siegel route (`z_rs`): main sum of length floor(sqrt(t/2pi))
-  plus the four remainder terms C_0..C_3 read from frozen Chebyshev tables;
+  plus the four remainder terms C_0..C_3 read from frozen Chebyshev tables,
+  the tiles of the one and the blocks of the other dealt together to one
+  worker thread per CPU;
 * the oracle route (`z_oracle`): Euler-Maclaurin summation of zeta(1/2+it)
   with ~2t terms and Bernoulli corrections, carried out in extended precision,
   then rotated by e^{i theta(t)}.
@@ -35,8 +37,9 @@ _LN_PI_LD = np.log(_LD(np.pi))
 # z_rs sums a chunk of _MAX_BLOCK // n_max points over one padded length
 # n_max, which fixes its bits (see ZEvaluator); it does not cap memory: the
 # chunk streams through tiles of _TILE // n_max rows, which stay in L2, dealt
-# to _WORKERS threads, one per CPU this process may run on (up to
-# _MAX_WORKERS; `taskset -c 0` leaves one), each with a tile buffer of its own
+# with the chunk's remainder blocks to _WORKERS threads, one per CPU this
+# process may run on (up to _MAX_WORKERS; `taskset -c 0` leaves one), each
+# with a tile buffer of its own
 _MAX_BLOCK = 4_000_000
 _TILE = 1 << 15
 _MAX_WORKERS = 4
@@ -47,40 +50,45 @@ _ORACLE_T_MAX = 1e6    # theta_oracle's and z_oracle's cap on t; see z_oracle
 
 # the remainder tables stacked as rows (term j, coefficient k)
 _RS_CHEB = np.stack(RS_TERM_TABLES)
-_CLENSHAW_CHUNK = 8192  # points per block: amortizes call overhead, stays in L2
+_CLENSHAW_CHUNK = 8192  # points per remainder block: amortizes call overhead, stays in L2
 
 
-def _rs_terms(p: np.ndarray, order: int) -> np.ndarray:
-    """C_0(p)..C_{order-1}(p) on p in [0, 1] as an (order, len(p)) array.
+def _rs_terms(rs, blocks, p) -> None:
+    """rs[:, lo:hi] = C_0..C_{r-1} at p[lo:hi] (p in [0, 1], r the rows of
+    rs) for each block (lo, hi) of `blocks`; workers given disjoint blocks
+    share rs.
 
-    One `_clenshaw` pass per block of points serves every table at once, as
-    (order, 1) columns broadcast over the block.  Each element sees the same
-    operations in the same order as a per-table recurrence, so the rows are
-    bit-for-bit those of evaluating each table on its own.
+    One `_clenshaw` pass per block serves every table at once, as (r, 1)
+    columns broadcast over the block.  Each element sees the same operations
+    in the same order as a per-table recurrence, so the rows are bit-for-bit
+    those of evaluating each table on its own, whatever the blocks.
     """
-    out = np.empty((order, p.size))
-    cols = _RS_CHEB[:order].T
-    for s in range(0, p.size, _CLENSHAW_CHUNK):
-        e = s + _CLENSHAW_CHUNK
-        out[:, s:e] = _clenshaw(cols, 2.0 * p[s:e] - 1.0, (slice(None), None))
-    return out
+    cols = _RS_CHEB[:len(rs)].T
+    for lo, hi in blocks:
+        rs[:, lo:hi] = _clenshaw(cols, 2.0 * p[lo:hi] - 1.0, (slice(None), None))
 
 
 def _main_sums(out, tiles, t, theta_t, n_len, n, ln_n, weight) -> None:
     """out[lo:hi] = the main sums of t[lo:hi], each padded to n.size terms,
     for each (lo, hi) of `tiles`, through one buffer of the largest tile's
     rows.  Each row is summed on its own, so its bits do not depend on its
-    tile."""
+    tile.  A tile whose rows all reach n.size has no padding to mask: its
+    cos runs on every term and nothing is zeroed, the same operations on
+    every term the mask would have let through."""
     buf = np.empty((max(hi - lo for lo, hi in tiles), n.size))
     for lo, hi in tiles:
         terms = buf[:hi - lo]
-        # against int64 lengths, numpy would cast through ~130 kB of buffers
-        live = n <= n_len[lo:hi, None].astype(float)
         np.multiply(t[lo:hi, None], ln_n, out=terms)
         np.subtract(theta_t[lo:hi, None], terms, out=terms)
-        np.cos(terms, out=terms, where=live)
-        terms *= weight
-        terms[~live] = 0.0
+        if n_len[lo:hi].min() >= n.size:
+            np.cos(terms, out=terms)
+            terms *= weight
+        else:
+            # against int64 lengths, numpy would cast through ~130 kB of buffers
+            live = n <= n_len[lo:hi, None].astype(float)
+            np.cos(terms, out=terms, where=live)
+            terms *= weight
+            terms[~live] = 0.0
         out[lo:hi] = 2.0 * terms.sum(axis=1)
 
 
@@ -129,10 +137,14 @@ class ZEvaluator:
     ulps (measured <= 4e-15 on [1e3, 7e3]) with the other points in its
     chunk.  A batch whose points share that length gives bit-for-bit the
     scalar results; theta, the remainder terms and the oracle route are
-    elementwise.  A chunk's tiles are dealt to up to _MAX_WORKERS threads,
-    one per CPU the process may run on, and each output row is written by
-    one tile, so the bits do not depend on the worker count.  Memory is one
-    tile of ~_TILE terms per worker, whatever the chunk.
+    elementwise.  A chunk's main-sum tiles and its remainder blocks of up to
+    _CLENSHAW_CHUNK points are dealt to up to _MAX_WORKERS threads, one per
+    CPU the process may run on, so one worker's Clenshaw steps run while
+    another's cos releases the interpreter lock.  Each output row is written
+    by one tile, and each column of the remainder terms by one block, so the
+    bits do not depend on the worker count.  Memory is one tile of ~_TILE
+    terms per worker, plus the remainder terms of the batch and one block's
+    three Clenshaw buffers per worker, whatever the chunk.
 
     z_rs adds the four Riemann-Siegel remainder terms C_0..C_3 to the main
     sum, which keeps |z_rs - z_oracle| below ~6e-7 on [1e2, 1e5].  The three
@@ -191,7 +203,15 @@ class ZEvaluator:
         n_len = np.floor(a).astype(np.int64)
         theta_t = np.atleast_1d(np.asarray(self.theta(flat), dtype=float))
 
+        p = a - n_len
         out = np.empty_like(flat)
+        rs = np.empty((self.rs_correction_order, flat.size))
+
+        def work(share):   # n, ln_n and weight are the current chunk's
+            tiles, blocks = share
+            _rs_terms(rs, blocks, p)
+            _main_sums(out, tiles, flat, theta_t, n_len, n, ln_n, weight)
+
         start = 0
         while start < flat.size:
             stop = flat.size
@@ -204,16 +224,18 @@ class ZEvaluator:
             weight = 1.0 / np.sqrt(n)
             rows = max(1, _TILE // n_max)
             tiles = [(lo, min(stop, lo + rows)) for lo in range(start, stop, rows)]
+            blocks = [(lo, min(stop, lo + _CLENSHAW_CHUNK))
+                      for lo in range(start, stop, _CLENSHAW_CHUNK)]
+            # the remainder blocks are dealt from the last worker down, as
+            # it has the fewest tiles; a chunk of one tile starts no thread
             k = min(_WORKERS, len(tiles))
-            _deal(lambda share: _main_sums(out, share, flat, theta_t, n_len, n, ln_n, weight),
-                  [tiles[w::k] for w in range(k)])
+            _deal(work, [(tiles[w::k], blocks[k - 1 - w::k]) for w in range(k)])
             start = stop
 
-        rows = _rs_terms(a - n_len, self.rs_correction_order)
         corr = np.zeros_like(flat)
         fac = np.ones_like(flat)
         inv_a = 1.0 / a
-        for row in rows:
+        for row in rs:
             corr += row * fac
             fac = fac * inv_a
         sign = np.where(n_len % 2 == 1, 1.0, -1.0)

@@ -823,6 +823,10 @@ EXIT_CASES = [
     exit_case("run", [*PLAN, "--anchor", "1005"], EXIT_CONFIG),
     exit_case("ladder build", [*LADDER_ARGS, "--anchor", "1005"], EXIT_CONFIG),
     exit_case("ladder build", ["--t-lo", "1000", "--t-hi", "1005"], EXIT_OK),
+    # a panel on a seam of z_rs's main sum, t = 2 pi 6^2, is refused with
+    # its seam named
+    exit_case("ladder build", ["--t-lo", "200", "--t-hi", "1100", "--tol", "1e-8"],
+              EXIT_NUMERIC),
 ]
 
 

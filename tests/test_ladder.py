@@ -163,6 +163,22 @@ class TestBuild:
         with pytest.raises(ToleranceNotMetError):
             build_ladder(ev, 1000.0, 1001.0, tol=1e-300)
 
+    def test_refusal_names_the_main_sum_seam(self, ev):
+        # z_rs's main sum takes its 6th term at t = 2 pi 36, where Z jumps by
+        # 3.2e-9: no halving of the panel holding it meets tol 1e-8, and the
+        # refusal names the seam, its jump and a way out; a looser tol builds
+        seam = 2.0 * math.pi * 36
+        below, above = math.nextafter(seam, 0.0), seam
+        assert math.floor(math.sqrt(below / (2.0 * math.pi))) == 5
+        assert math.floor(math.sqrt(above / (2.0 * math.pi))) == 6
+        jump = f"{ev.z_rs(above) - ev.z_rs(below):.1e}"
+        assert jump == "-3.2e-09"
+        with pytest.raises(ToleranceNotMetError, match=r"exhausted \(1 panels") as err:
+            build_ladder(ev, 200.0, 1100.0, tol=1e-8)
+        assert f"(n = 6 at t = 226.19, Z jumps {jump})" in str(err.value)
+        assert "try a t_lo above 226.19 or a looser tol" in str(err.value)
+        build_ladder(ev, 200.0, 1100.0, tol=1e-7)
+
     def test_domain_straddling_rs_threshold(self, ev):
         # the computed Ztilde^2 jumps ~1e-7 where the evaluator switches from
         # the oracle to the Riemann-Siegel path; the seam must sit on a
@@ -870,6 +886,58 @@ def test_clenshaw_pair_is_two_clenshaws(data):
     want = [_array_clenshaw(a, x), _array_clenshaw(c, x)]
     assert [v.hex() for v in _clenshaw_fused(*fused, x)] == want
     assert _clenshaw_rev(a[:0:-1], a[0], x).hex() == want[0]
+
+
+
+def _pinned_clenshaw(cols, xs, k):
+    """`_clenshaw(cols, xs, k)` as hex strings, with its inputs' bytes
+    checked unchanged after the call."""
+    before = cols.tobytes(), xs.tobytes()
+    got = _clenshaw(cols, xs, k)
+    assert (cols.tobytes(), xs.tobytes()) == before
+    return [v.hex() for v in got.ravel().tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("form", ["gather", "slice", "columns"])
+def test_clenshaw_buffers_keep_the_float_bits(data, form):
+    # `_clenshaw` steps through three reused buffers; every point of each of
+    # its index forms (a panel-index gather as in `ztilde_sq`, a slice as in
+    # `_antiderivative`, (slice(None), None) columns as in the remainder
+    # terms) has the bits of `_clenshaw_rev` on its column, the steps over
+    # leading +-0.0 coefficients included
+    terms = data.draw(st.integers(1, 40))
+    width = data.draw(st.integers(1, 4))
+    lead = data.draw(st.integers(0, terms - 1))
+    coef = st.floats(-1e3, 1e3)
+    zero = st.sampled_from([0.0, -0.0])
+    cols = np.array([[data.draw(zero if j >= terms - lead else coef) for _ in range(width)]
+                     for j in range(terms)])
+    xs = np.array(data.draw(st.lists(st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1.0]),
+                                               st.floats(-1.0, 1.0)), min_size=1, max_size=6)))
+    k = np.array(data.draw(st.lists(st.integers(0, width - 1), min_size=len(xs),
+                                    max_size=len(xs))))
+    want = [[_clenshaw_rev(c[:0:-1], c[0], x) for x in xs.tolist()] for c in cols.T.tolist()]
+    if form == "gather":
+        got = _pinned_clenshaw(cols, xs, k)
+        ref = [want[j][i] for i, j in enumerate(k.tolist())]
+    elif form == "slice":
+        got = _pinned_clenshaw(np.ascontiguousarray(cols[:, k]), xs, slice(None))
+        ref = [want[j][i] for i, j in enumerate(k.tolist())]
+    else:
+        got = _pinned_clenshaw(cols, xs, (slice(None), None))
+        ref = [v for row in want for v in row]
+    assert got == [v.hex() for v in ref]
+
+
+@pytest.mark.parametrize("col", [[0.5, -0.25, 0.0, -0.0, -0.0], [-0.0, 0.0, -0.0],
+                                 [0.0], [-0.0], [1.0, -0.0]])
+def test_clenshaw_leading_zero_steps(col):
+    # the signs of zeros that only the leading steps decide
+    xs = np.array([-1.0, -0.3, -0.0, 0.0, 0.7, 1.0])
+    got = _pinned_clenshaw(np.array(col)[:, None], xs, (slice(None), None))
+    assert got == [_clenshaw_rev(col[:0:-1], col[0], x).hex() for x in xs.tolist()]
 
 
 class TestInvertMemo:

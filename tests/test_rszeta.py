@@ -42,8 +42,10 @@ def rs_fraction(ts):
 def z_rs_untiled(ev, t, order=ZEvaluator.rs_correction_order):
     """z_rs as it was before its main sum was tiled, with its first `order`
     remainder terms: each chunk of _MAX_BLOCK // n_max points forms its whole
-    (points, n_max) array of phases, then of cosines, then of terms.  The
-    reference the tiled kernel must match bit for bit."""
+    (points, n_max) array of phases, then of cosines, then of terms, and the
+    remainder terms are summed table by table over the whole batch.  The
+    reference the tiled kernel and its remainder blocks must match bit for
+    bit."""
     flat = np.atleast_1d(np.asarray(t, dtype=float))
     a = np.sqrt(flat / (2.0 * np.pi))
     n_len = np.floor(a).astype(np.int64)
@@ -64,8 +66,8 @@ def z_rs_untiled(ev, t, order=ZEvaluator.rs_correction_order):
     if order > 0:
         corr = np.zeros_like(flat)
         fac = np.ones_like(flat)
-        for row in _rs_terms(a - n_len, order):
-            corr += row * fac
+        for table in RS_TERM_TABLES[:order]:
+            corr += cheb_row(table, a - n_len) * fac
             fac = fac * (1.0 / a)
         out += np.where(n_len % 2 == 1, 1.0, -1.0) * corr / np.sqrt(a)
     return out
@@ -93,12 +95,13 @@ def chunk_edge_batch(delta):
 
 @contextlib.contextmanager
 def remainder_terms(order):
-    """z_rs with only its first `order` remainder terms: the later rows of
-    `_rs_terms` read as zeros, and a zero term adds nothing to the sum."""
-    def rows(p, n, _fn=rszeta._rs_terms):
-        out = _fn(p, n)
-        out[order:] = 0.0
-        return out
+    """z_rs with only its first `order` remainder terms: the later rows
+    `_rs_terms` writes read as zeros, and a zero term adds nothing to the
+    sum."""
+    def rows(rs, blocks, p, _fn=rszeta._rs_terms):
+        _fn(rs, blocks, p)
+        for lo, hi in blocks:
+            rs[order:, lo:hi] = 0.0
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rszeta, "_rs_terms", rows)
@@ -273,9 +276,11 @@ class TestRemainderClenshaw:
         ts = np.random.default_rng(size).uniform(50.0, 1.1e5, size)
         a, n = rs_fraction(ts)
         p = a - n
+        blocks = [(lo, min(size, lo + _CLENSHAW_CHUNK))
+                  for lo in range(0, size, _CLENSHAW_CHUNK)]
         for order in range(5):
-            rows = _rs_terms(p, order)
-            assert rows.shape == (order, size)
+            rows = np.empty((order, size))
+            _rs_terms(rows, blocks, p)
             for j in range(order):
                 assert np.array_equal(rows[j], cheb_row(RS_TERM_TABLES[j], p)), \
                     (order, j)
@@ -359,9 +364,9 @@ def workers(request, monkeypatch):
 
 
 class TestWorkers:
-    """The tiles of a chunk are dealt to _WORKERS threads, the calling
-    thread one of them; the bits do not depend on how many there are, and
-    no thread outlives the call."""
+    """The tiles and remainder blocks of a chunk are dealt to _WORKERS
+    threads, the calling thread one of them; the bits do not depend on how
+    many there are, and no thread outlives the call."""
 
     @pytest.mark.parametrize("size", ["one", "tile-1", "tile+1", "tiles+1"])
     def test_matches_untiled_bit_for_bit(self, ev, workers, size):
@@ -375,6 +380,24 @@ class TestWorkers:
 
     def test_chunk_edges_match_untiled(self, ev, workers):
         ts = chunk_edge_batch(1)
+        assert np.array_equal(ev.z_rs(ts), z_rs_untiled(ev, ts))
+
+    @pytest.mark.parametrize("size", ["chunk-1", "chunk+1", "chunks+1"])
+    @pytest.mark.parametrize("batch", ["full-length", "mixed-descending"])
+    def test_remainder_blocks_match_untiled(self, ev, workers, size, batch):
+        # the remainder terms run in blocks of _CLENSHAW_CHUNK points, dealt
+        # to the workers beside the tiles: on [99000, 99500] every point has
+        # n_len = 125, so every tile is full length; from 99,500 down to 1e3
+        # every tile after the first pads its rows
+        m = {"chunk-1": _CLENSHAW_CHUNK - 1, "chunk+1": _CLENSHAW_CHUNK + 1,
+             "chunks+1": 2 * _CLENSHAW_CHUNK + 1}[size]
+        rng = np.random.default_rng(m)
+        if batch == "full-length":
+            ts = rng.uniform(99000.0, 99500.0, m)
+            assert np.all(np.floor(np.sqrt(ts / (2.0 * np.pi))) == 125)
+        else:
+            ts = np.sort(rng.uniform(1e3, 99500.0, m))[::-1].copy()
+            ts[0] = 99500.0
         assert np.array_equal(ev.z_rs(ts), z_rs_untiled(ev, ts))
 
     def test_more_workers_than_cores_switching_fast(self, ev, monkeypatch):
@@ -436,6 +459,28 @@ class TestWorkers:
         with pytest.raises(RuntimeError, match="tile failed"):
             ev.z_rs(np.linspace(99000.0, 99500.0, 3 * rows + 1))
         assert sorted(done) == [0, 2 * rows]
+        assert threading.active_count() == before
+
+    def test_remainder_block_exception_reaches_caller(self, ev, monkeypatch):
+        # three blocks, one per worker, dealt from the last worker down: the
+        # second worker's block raises at once, the third worker's finishes
+        # 0.2 s later, and the caller waits for it before raising
+        monkeypatch.setattr(rszeta, "_WORKERS", 3)
+        done = []
+
+        def rs_terms(rs, blocks, p, _fn=rszeta._rs_terms):
+            if blocks and blocks[0][0] == _CLENSHAW_CHUNK:
+                raise RuntimeError("block failed")
+            if blocks and blocks[0][0] == 0:
+                time.sleep(0.2)
+            _fn(rs, blocks, p)
+            done.extend(lo for lo, _ in blocks)
+
+        monkeypatch.setattr(rszeta, "_rs_terms", rs_terms)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block failed"):
+            ev.z_rs(np.linspace(99000.0, 99500.0, 2 * _CLENSHAW_CHUNK + 1))
+        assert sorted(done) == [0, 2 * _CLENSHAW_CHUNK]
         assert threading.active_count() == before
 
 
