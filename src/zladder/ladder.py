@@ -44,7 +44,6 @@ EULER_C = 0.5772156649015329
 ONE_MINUS_C = 1.0 - EULER_C
 
 _E = math.e
-_TWO_PI = 2.0 * math.pi
 _LD = np.longdouble
 _CACHE_VERSION = 3
 _CACHE_SCALARS = ("config_hash", "t_lo", "t_hi", "anchor_t0", "h", "tol",
@@ -492,29 +491,6 @@ def _base_edges(t_lo: float, t_hi: float, anchor_t0: float, seam: float) -> np.n
     return edges
 
 
-def _seam_note(evaluator: ZEvaluator, lo: np.ndarray, hi: np.ndarray) -> str:
-    """The seams t_n = 2 pi n^2 of z_rs on the panels [lo, hi] (at most one
-    each: a panel is at most `_BASE_H` wide), where its main sum takes its
-    n-th term and the computed Z jumps by the remainder terms' truncation
-    error, each with its jump, for a refusal message; '' if there is none."""
-    n = np.floor(np.sqrt(hi / _TWO_PI))
-    t_n = _TWO_PI * n * n
-    seams = []
-    for k in sorted(set(n[(lo <= t_n) & (t_n <= hi) & (t_n >= evaluator.t_min_rs)].tolist())):
-        below = above = _TWO_PI * k * k   # stepped to the doubles on either side
-        while math.floor(math.sqrt(below / _TWO_PI)) >= k:
-            below = math.nextafter(below, 0.0)
-        while math.floor(math.sqrt(above / _TWO_PI)) < k:
-            above = math.nextafter(above, math.inf)
-        seams.append(f"n = {k:.0f} at t = {above:.2f}, "
-                     f"Z jumps {evaluator.z_rs(above) - evaluator.z_rs(below):.1e}")
-    if not seams:
-        return ""
-    return (f"; they hold seams t = 2 pi n^2 of the Riemann-Siegel main sum, where "
-            f"Z jumps and no halving converges ({'; '.join(seams)}): try a t_lo "
-            f"above {above:.2f} or a looser tol")
-
-
 def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
                  tol: float = 1e-8) -> LadderTable:
     """Construct phi_1 on [t_lo, t_hi] anchored by the retardation law.
@@ -579,10 +555,14 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
             break
         rounds, panel_total = rounds + 1, panel_total + len(lo)
         if rounds > _MAX_SPLIT_ROUNDS or panel_total > panel_cap:
+            seams = "; ".join(f"n = {n} at t = {t:.2f}, Z jumps {jump:.1e}"
+                              for n, t, jump in evaluator.rs_seams(lo, hi))
             raise ToleranceNotMetError(
                 f"panel refinement exhausted ({len(lo)} panels still above "
                 f"their tolerance share after {rounds - 1} rounds)"
-                + _seam_note(evaluator, lo, hi))
+                + (f"; they hold seams t = 2 pi n^2 of the Riemann-Siegel main "
+                   f"sum, where Z jumps and no halving converges ({seams}): "
+                   f"try a looser tol" if seams else ""))
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
 

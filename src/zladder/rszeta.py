@@ -4,8 +4,7 @@ Two independent evaluation routes are provided and cross-checked in tests:
 
 * the Riemann-Siegel route (`z_rs`): main sum of length floor(sqrt(t/2pi))
   plus the four remainder terms C_0..C_3 read from frozen Chebyshev tables,
-  the tiles of the one and the blocks of the other dealt together to one
-  worker thread per CPU;
+  the sum's tiles and the terms taken in turn by one worker thread per CPU;
 * the oracle route (`z_oracle`): Euler-Maclaurin summation of zeta(1/2+it)
   with ~2t terms and Bernoulli corrections, carried out in extended precision,
   then rotated by e^{i theta(t)}.
@@ -21,6 +20,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,10 +36,10 @@ _LN_PI_LD = np.log(_LD(np.pi))
 
 # z_rs sums a chunk of _MAX_BLOCK // n_max points over one padded length
 # n_max, which fixes its bits (see ZEvaluator); it does not cap memory: the
-# chunk streams through tiles of _TILE // n_max rows, which stay in L2, dealt
-# with the chunk's remainder blocks to _WORKERS threads, one per CPU this
-# process may run on (up to _MAX_WORKERS; `taskset -c 0` leaves one), each
-# with a tile buffer of its own
+# chunk streams through tiles of _TILE // n_max rows, which stay in L2,
+# taken with the chunk's remainder terms by _WORKERS threads, one per CPU
+# this process may run on (up to _MAX_WORKERS; `taskset -c 0` leaves one),
+# each tile in a buffer of its own
 _MAX_BLOCK = 4_000_000
 _TILE = 1 << 15
 _MAX_WORKERS = 4
@@ -50,13 +50,12 @@ _ORACLE_T_MAX = 1e6    # theta_oracle's and z_oracle's cap on t; see z_oracle
 
 # the remainder tables stacked as rows (term j, coefficient k)
 _RS_CHEB = np.stack(RS_TERM_TABLES)
-_CLENSHAW_CHUNK = 8192  # points per remainder block: amortizes call overhead, stays in L2
+_CLENSHAW_CHUNK = 8192  # points per block: amortizes call overhead, stays in L2
 
 
-def _rs_terms(rs, blocks, p) -> None:
+def _rs_terms(rs, lo, hi, p) -> None:
     """rs[:, lo:hi] = C_0..C_{r-1} at p[lo:hi] (p in [0, 1], r the rows of
-    rs) for each block (lo, hi) of `blocks`; workers given disjoint blocks
-    share rs.
+    rs), in blocks of _CLENSHAW_CHUNK points.
 
     One `_clenshaw` pass per block serves every table at once, as (r, 1)
     columns broadcast over the block.  Each element sees the same operations
@@ -64,54 +63,54 @@ def _rs_terms(rs, blocks, p) -> None:
     those of evaluating each table on its own, whatever the blocks.
     """
     cols = _RS_CHEB[:len(rs)].T
-    for lo, hi in blocks:
-        rs[:, lo:hi] = _clenshaw(cols, 2.0 * p[lo:hi] - 1.0, (slice(None), None))
+    for s in range(lo, hi, _CLENSHAW_CHUNK):
+        e = min(hi, s + _CLENSHAW_CHUNK)
+        rs[:, s:e] = _clenshaw(cols, 2.0 * p[s:e] - 1.0, (slice(None), None))
 
 
-def _main_sums(out, tiles, t, theta_t, n_len, n, ln_n, weight) -> None:
-    """out[lo:hi] = the main sums of t[lo:hi], each padded to n.size terms,
-    for each (lo, hi) of `tiles`, through one buffer of the largest tile's
-    rows.  Each row is summed on its own, so its bits do not depend on its
-    tile.  A tile whose rows all reach n.size has no padding to mask: its
-    cos runs on every term and nothing is zeroed, the same operations on
-    every term the mask would have let through."""
-    buf = np.empty((max(hi - lo for lo, hi in tiles), n.size))
-    for lo, hi in tiles:
-        terms = buf[:hi - lo]
-        np.multiply(t[lo:hi, None], ln_n, out=terms)
-        np.subtract(theta_t[lo:hi, None], terms, out=terms)
-        if n_len[lo:hi].min() >= n.size:
-            np.cos(terms, out=terms)
-            terms *= weight
-        else:
-            # against int64 lengths, numpy would cast through ~130 kB of buffers
-            live = n <= n_len[lo:hi, None].astype(float)
-            np.cos(terms, out=terms, where=live)
-            terms *= weight
-            terms[~live] = 0.0
-        out[lo:hi] = 2.0 * terms.sum(axis=1)
+def _main_sums(out, lo, hi, t, theta_t, n_len, n, ln_n, weight) -> None:
+    """out[lo:hi] = the main sums of the tile t[lo:hi], each padded to
+    n.size terms.  Each row is summed on its own, so its bits do not depend
+    on its tile."""
+    terms = np.empty((hi - lo, n.size))
+    # against int64 lengths, numpy would cast through ~130 kB of buffers
+    live = n <= n_len[lo:hi, None].astype(float)
+    np.multiply(t[lo:hi, None], ln_n, out=terms)
+    np.subtract(theta_t[lo:hi, None], terms, out=terms)
+    np.cos(terms, out=terms, where=live)
+    terms *= weight
+    terms[~live] = 0.0
+    out[lo:hi] = 2.0 * terms.sum(axis=1)
 
 
-def _deal(work, shares) -> None:
-    """work(share) for every share: the first on the calling thread, each
-    other on a thread of its own.  Every started thread is joined before
-    this returns or raises; then the first exception any share raised is
-    raised here."""
+def _deal(tasks, k) -> None:
+    """Call each of `tasks` on k threads, the calling thread and k - 1
+    started ones; each thread takes the next task as it finishes its last,
+    so none idles while tasks remain.  Every started thread is joined before
+    this returns or raises; then the first exception a task raised is raised
+    here, and the threads take no new task once one has raised."""
     errors = []
+    lock = threading.Lock()
+    queue = iter(tasks)
 
-    def run(share):
+    def run():
         try:
-            work(share)
+            while not errors:
+                with lock:
+                    task = next(queue, None)
+                if task is None:
+                    return
+                task()
         except BaseException as exc:   # re-raised below, in the caller
             errors.append(exc)
 
     threads = []
     try:
-        for share in shares[1:]:
-            thread = threading.Thread(target=run, args=(share,))
+        for _ in range(k - 1):
+            thread = threading.Thread(target=run)
             thread.start()
             threads.append(thread)
-        run(shares[0])
+        run()
     finally:
         for thread in threads:
             thread.join()
@@ -137,14 +136,14 @@ class ZEvaluator:
     ulps (measured <= 4e-15 on [1e3, 7e3]) with the other points in its
     chunk.  A batch whose points share that length gives bit-for-bit the
     scalar results; theta, the remainder terms and the oracle route are
-    elementwise.  A chunk's main-sum tiles and its remainder blocks of up to
-    _CLENSHAW_CHUNK points are dealt to up to _MAX_WORKERS threads, one per
-    CPU the process may run on, so one worker's Clenshaw steps run while
-    another's cos releases the interpreter lock.  Each output row is written
-    by one tile, and each column of the remainder terms by one block, so the
-    bits do not depend on the worker count.  Memory is one tile of ~_TILE
-    terms per worker, plus the remainder terms of the batch and one block's
-    three Clenshaw buffers per worker, whatever the chunk.
+    elementwise.  A chunk's remainder terms and its main-sum tiles are tasks
+    taken in turn by up to _MAX_WORKERS threads, one per CPU the process may
+    run on, each taking the next as it finishes the last; one worker's
+    Clenshaw steps run while the others' cos releases the interpreter lock.
+    Each output row is written by one tile, and the remainder terms are
+    elementwise, so the bits do not depend on the worker count.  Memory is
+    one tile of ~_TILE terms per worker, plus the remainder terms of the
+    batch and one block's Clenshaw temporaries, whatever the chunk.
 
     z_rs adds the four Riemann-Siegel remainder terms C_0..C_3 to the main
     sum, which keeps |z_rs - z_oracle| below ~6e-7 on [1e2, 1e5].  The three
@@ -191,7 +190,9 @@ class ZEvaluator:
         The cap bounds the main sum at 3,989 terms, and the rounding of its
         double-precision phases, ~4e-7 in Z at 1e8, which grows above it.
         A term past a point's own length is padding: it never reaches cos
-        and sums as 0.0.
+        and sums as 0.0.  The length steps from n - 1 to n at t = 2 pi n^2,
+        where z_rs jumps by the remainder terms' truncation error (see
+        `rs_seams`).
         """
         ta = np.asarray(t, dtype=float)
         if not np.all((ta >= self.t_min_rs) & (ta <= _RS_T_MAX)):
@@ -206,12 +207,6 @@ class ZEvaluator:
         p = a - n_len
         out = np.empty_like(flat)
         rs = np.empty((self.rs_correction_order, flat.size))
-
-        def work(share):   # n, ln_n and weight are the current chunk's
-            tiles, blocks = share
-            _rs_terms(rs, blocks, p)
-            _main_sums(out, tiles, flat, theta_t, n_len, n, ln_n, weight)
-
         start = 0
         while start < flat.size:
             stop = flat.size
@@ -223,13 +218,15 @@ class ZEvaluator:
             ln_n = np.log(n)
             weight = 1.0 / np.sqrt(n)
             rows = max(1, _TILE // n_max)
-            tiles = [(lo, min(stop, lo + rows)) for lo in range(start, stop, rows)]
-            blocks = [(lo, min(stop, lo + _CLENSHAW_CHUNK))
-                      for lo in range(start, stop, _CLENSHAW_CHUNK)]
-            # the remainder blocks are dealt from the last worker down, as
-            # it has the fewest tiles; a chunk of one tile starts no thread
-            k = min(_WORKERS, len(tiles))
-            _deal(work, [(tiles[w::k], blocks[k - 1 - w::k]) for w in range(k)])
+            tiles = range(start, stop, rows)
+            # the remainder terms go first, as one task: its Clenshaw steps
+            # run beside the other workers' cos and never beside each other,
+            # so one worker at a time holds their temporaries; the tiles even
+            # out the ends.  A chunk of one tile starts no thread.
+            tasks = [partial(_rs_terms, rs, start, stop, p)]
+            tasks += [partial(_main_sums, out, lo, min(stop, lo + rows), flat, theta_t,
+                              n_len, n, ln_n, weight) for lo in tiles]
+            _deal(tasks, min(_WORKERS, len(tiles)))
             start = stop
 
         corr = np.zeros_like(flat)
@@ -242,6 +239,29 @@ class ZEvaluator:
         out += sign * corr / np.sqrt(a)
         out = out.reshape(ta.shape) if ta.ndim else out
         return float(out[0]) if scalar else out
+
+    def rs_seams(self, lo, hi) -> list[tuple[int, float, float]]:
+        """The seams of z_rs on the intervals [lo_i, hi_i], in order: each
+        (n, t, jump), where t is the first double at which the main sum has
+        n terms, just above 2 pi n^2, and jump is z_rs(t) minus z_rs at the
+        double below.  The jump is the remainder terms' truncation error
+        (-1.9e-8 at n = 4, -3.2e-9 at n = 6); no finer sampling of t
+        resolves it."""
+        def length(t):   # z_rs's rule
+            return math.floor(math.sqrt(t / _TWO_PI))
+
+        ns = set()
+        for a, b in zip(np.atleast_1d(lo).tolist(), np.atleast_1d(hi).tolist()):
+            ns.update(range(length(max(a, self.t_min_rs)) + 1, length(b) + 1))
+        seams = []
+        for n in sorted(ns):
+            t = _TWO_PI * n * n
+            while length(t) >= n:
+                t = math.nextafter(t, 0.0)
+            while length(t) < n:
+                t = math.nextafter(t, math.inf)
+            seams.append((n, t, self.z_rs(t) - self.z_rs(math.nextafter(t, 0.0))))
+        return seams
 
     # -- oracle route ----------------------------------------------------------
 

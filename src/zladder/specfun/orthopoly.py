@@ -118,22 +118,12 @@ def _clenshaw(cols, x, k):
     (terms by panels, or by tables) and an array x, `row[k]` gathered per
     step.  The kernels below run the same IEEE operations in the same order
     on Python floats, so a point keeps its bits either way; they are the
-    only copies of the recurrence.  b1 and b2 start as +0.0 arrays, the
-    leading zero steps run as written, and each step writes into the third
-    of three buffers, so no step allocates its result and no input is
-    written."""
+    only copies of the recurrence."""
     x2 = 2.0 * x
-    shape = np.broadcast_shapes(np.shape(x), np.shape(cols[0][k]))
-    b1, b2, b0 = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    b1 = b2 = 0.0
     for row in cols[:0:-1]:
-        np.multiply(x2, b1, out=b0)
-        b0 -= b2
-        b0 += row[k]
-        b1, b2, b0 = b0, b1, b2
-    np.multiply(x, b1, out=b0)
-    b0 -= b2
-    b0 += cols[0][k]
-    return b0
+        b1, b2 = x2 * b1 - b2 + row[k], b1
+    return x * b1 - b2 + cols[0][k]
 
 
 def _clenshaw_rev(rest, head, x):

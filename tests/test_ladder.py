@@ -166,17 +166,11 @@ class TestBuild:
     def test_refusal_names_the_main_sum_seam(self, ev):
         # z_rs's main sum takes its 6th term at t = 2 pi 36, where Z jumps by
         # 3.2e-9: no halving of the panel holding it meets tol 1e-8, and the
-        # refusal names the seam, its jump and a way out; a looser tol builds
-        seam = 2.0 * math.pi * 36
-        below, above = math.nextafter(seam, 0.0), seam
-        assert math.floor(math.sqrt(below / (2.0 * math.pi))) == 5
-        assert math.floor(math.sqrt(above / (2.0 * math.pi))) == 6
-        jump = f"{ev.z_rs(above) - ev.z_rs(below):.1e}"
-        assert jump == "-3.2e-09"
+        # refusal names the seam, its jump and a looser tol, which builds
         with pytest.raises(ToleranceNotMetError, match=r"exhausted \(1 panels") as err:
             build_ladder(ev, 200.0, 1100.0, tol=1e-8)
-        assert f"(n = 6 at t = 226.19, Z jumps {jump})" in str(err.value)
-        assert "try a t_lo above 226.19 or a looser tol" in str(err.value)
+        assert str(err.value).endswith(
+            "(n = 6 at t = 226.19, Z jumps -3.2e-09): try a looser tol")
         build_ladder(ev, 200.0, 1100.0, tol=1e-7)
 
     def test_domain_straddling_rs_threshold(self, ev):
@@ -901,12 +895,11 @@ def _pinned_clenshaw(cols, xs, k):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 @pytest.mark.parametrize("form", ["gather", "slice", "columns"])
-def test_clenshaw_buffers_keep_the_float_bits(data, form):
-    # `_clenshaw` steps through three reused buffers; every point of each of
-    # its index forms (a panel-index gather as in `ztilde_sq`, a slice as in
-    # `_antiderivative`, (slice(None), None) columns as in the remainder
-    # terms) has the bits of `_clenshaw_rev` on its column, the steps over
-    # leading +-0.0 coefficients included
+def test_clenshaw_index_forms_keep_the_float_bits(data, form):
+    # every point of each of `_clenshaw`'s index forms (a panel-index gather
+    # as in `ztilde_sq`, a slice as in `_antiderivative`, (slice(None), None)
+    # columns as in the remainder terms) has the bits of `_clenshaw_rev` on
+    # its column, the steps over leading +-0.0 coefficients included
     terms = data.draw(st.integers(1, 40))
     width = data.draw(st.integers(1, 4))
     lead = data.draw(st.integers(0, terms - 1))

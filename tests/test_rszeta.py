@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -98,10 +99,9 @@ def remainder_terms(order):
     """z_rs with only its first `order` remainder terms: the later rows
     `_rs_terms` writes read as zeros, and a zero term adds nothing to the
     sum."""
-    def rows(rs, blocks, p, _fn=rszeta._rs_terms):
-        _fn(rs, blocks, p)
-        for lo, hi in blocks:
-            rs[order:, lo:hi] = 0.0
+    def rows(rs, lo, hi, p, _fn=rszeta._rs_terms):
+        _fn(rs, lo, hi, p)
+        rs[order:, lo:hi] = 0.0
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rszeta, "_rs_terms", rows)
@@ -236,6 +236,20 @@ class TestZRs:
             jump = abs(ev.z_rs(t_star - eps) - ev.z_rs(t_star + eps))
             assert jump <= 1e-4, (n, t_star, jump)
 
+    def test_seams_are_where_the_main_sum_grows(self, ev):
+        # each seam is the first double whose main sum has n terms, with the
+        # jump of z_rs from the double below; none below t_min_rs
+        seams = ev.rs_seams([10.0, 200.0, 300.0], [120.0, 320.0, 305.0])
+        assert [n for n, _, _ in seams] == [3, 4, 6, 7]
+        for n, t, jump in seams:
+            below = math.nextafter(t, 0.0)
+            assert math.floor(math.sqrt(t / (2.0 * math.pi))) == n
+            assert math.floor(math.sqrt(below / (2.0 * math.pi))) == n - 1
+            assert jump == ev.z_rs(t) - ev.z_rs(below)
+        assert [f"{t:.2f} {jump:.1e}" for _, t, jump in seams[1:]] == [
+            "100.53 -1.9e-08", "226.19 -3.2e-09", "307.88 1.6e-09"]
+        assert ev.rs_seams(300.0, 305.0) == []
+
     def test_below_threshold_raises(self, ev):
         with pytest.raises(DomainError):
             ev.z_rs(20.0)
@@ -276,11 +290,9 @@ class TestRemainderClenshaw:
         ts = np.random.default_rng(size).uniform(50.0, 1.1e5, size)
         a, n = rs_fraction(ts)
         p = a - n
-        blocks = [(lo, min(size, lo + _CLENSHAW_CHUNK))
-                  for lo in range(0, size, _CLENSHAW_CHUNK)]
         for order in range(5):
             rows = np.empty((order, size))
-            _rs_terms(rows, blocks, p)
+            _rs_terms(rows, 0, size, p)
             for j in range(order):
                 assert np.array_equal(rows[j], cheb_row(RS_TERM_TABLES[j], p)), \
                     (order, j)
@@ -298,6 +310,23 @@ class TestRemainderClenshaw:
         want = z_rs_untiled(ev, ts, order=0) + sign * corr / np.sqrt(a)
         with remainder_terms(order):
             assert np.array_equal(ev.z_rs(ts), want)
+
+
+PEAK_CASES = [
+    (99000.0, 99500.0, 16500, 4.0),     # a build batch at 1e5: 47.8 MB untiled
+    (1e8 - 1e3, 1e8, 3000, 2.0),        # n_max = 3,989: 121.9 MB untiled
+]
+
+
+def one_call_peak(ev, lo, hi, m):
+    """The peak bytes traced during one z_rs call on m uniform t in [lo, hi]."""
+    ts = np.random.default_rng(m).uniform(lo, hi, m)
+    tracemalloc.start()
+    try:
+        ev.z_rs(ts)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestTiledMainSum:
@@ -341,19 +370,16 @@ class TestTiledMainSum:
         assert ev.z_rs(last) != ev.z_rs(np.array([top, last]))[1]
         assert np.array_equal(ev.z_rs(ts), z_rs_untiled(ev, ts))
 
-    @pytest.mark.parametrize("lo, hi, m, bound_mb", [
-        (99000.0, 99500.0, 16500, 4.0),     # a build batch at 1e5: 47.8 MB untiled
-        (1e8 - 1e3, 1e8, 3000, 2.0),        # n_max = 3,989: 121.9 MB untiled
-    ])
+    @pytest.mark.parametrize("lo, hi, m, bound_mb", PEAK_CASES)
     def test_one_call_peak_memory(self, ev, lo, hi, m, bound_mb):
-        ts = np.random.default_rng(m).uniform(lo, hi, m)
-        tracemalloc.start()
-        try:
-            ev.z_rs(ts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound_mb * 1e6
+        assert one_call_peak(ev, lo, hi, m) <= bound_mb * 1e6
+
+    @pytest.mark.parametrize("lo, hi, m, bound_mb", PEAK_CASES)
+    def test_one_call_peak_memory_most_workers(self, ev, monkeypatch, lo, hi, m, bound_mb):
+        # a host with _MAX_WORKERS CPUs: a tile per worker, and one worker
+        # at a time in the remainder terms' Clenshaw steps
+        monkeypatch.setattr(rszeta, "_WORKERS", rszeta._MAX_WORKERS)
+        assert one_call_peak(ev, lo, hi, m) <= bound_mb * 1e6
 
 
 @pytest.fixture(params=[1, 2, 3], ids=lambda w: f"workers={w}")
@@ -364,9 +390,9 @@ def workers(request, monkeypatch):
 
 
 class TestWorkers:
-    """The tiles and remainder blocks of a chunk are dealt to _WORKERS
-    threads, the calling thread one of them; the bits do not depend on how
-    many there are, and no thread outlives the call."""
+    """The remainder terms and the tiles of a chunk are tasks taken in turn
+    by _WORKERS threads, the calling thread one of them; the bits do not
+    depend on how many there are, and no thread outlives the call."""
 
     @pytest.mark.parametrize("size", ["one", "tile-1", "tile+1", "tiles+1"])
     def test_matches_untiled_bit_for_bit(self, ev, workers, size):
@@ -385,10 +411,10 @@ class TestWorkers:
     @pytest.mark.parametrize("size", ["chunk-1", "chunk+1", "chunks+1"])
     @pytest.mark.parametrize("batch", ["full-length", "mixed-descending"])
     def test_remainder_blocks_match_untiled(self, ev, workers, size, batch):
-        # the remainder terms run in blocks of _CLENSHAW_CHUNK points, dealt
-        # to the workers beside the tiles: on [99000, 99500] every point has
-        # n_len = 125, so every tile is full length; from 99,500 down to 1e3
-        # every tile after the first pads its rows
+        # the remainder terms run in blocks of _CLENSHAW_CHUNK points, one
+        # task beside the tiles: on [99000, 99500] every point has
+        # n_len = 125, so no tile pads a row; from 99,500 down to 1e3 every
+        # tile after the first pads its rows
         m = {"chunk-1": _CLENSHAW_CHUNK - 1, "chunk+1": _CLENSHAW_CHUNK + 1,
              "chunks+1": 2 * _CLENSHAW_CHUNK + 1}[size]
         rng = np.random.default_rng(m)
@@ -424,35 +450,46 @@ class TestWorkers:
         assert saved[0] == saved[1]
 
     def test_no_thread_outlives_a_call(self, ev, monkeypatch):
+        # the first three tiles wait until three threads hold one each, so
+        # every worker sums a tile, whichever took the remainder terms
         monkeypatch.setattr(rszeta, "_WORKERS", 3)
+        rows = tile_rows(99500.0)
+        barrier = threading.Barrier(3)
         seen = set()
 
-        def main_sums(*args, _fn=rszeta._main_sums):
+        def main_sums(out, lo, *args, _fn=rszeta._main_sums):
             # the Thread, not its ident: an ident is recycled once its thread
             # exits, so a worker done before the next starts would share it
             seen.add(threading.current_thread())
-            _fn(*args)
+            if lo < 3 * rows:
+                barrier.wait(timeout=10.0)
+            _fn(out, lo, *args)
 
         monkeypatch.setattr(rszeta, "_main_sums", main_sums)
         before = threading.active_count()
-        ev.z_rs(np.linspace(99000.0, 99500.0, 3 * tile_rows(99500.0) + 1))
+        ts = np.linspace(99000.0, 99500.0, 3 * rows + 1)
+        assert np.array_equal(ev.z_rs(ts), z_rs_untiled(ev, ts))
         assert len(seen) == 3
         assert threading.active_count() == before
 
     def test_worker_exception_reaches_caller(self, ev, monkeypatch):
-        # the second worker raises at once; the third finishes its share
-        # 0.2 s later, and the caller waits for it before raising
+        # three workers each hold one of the first three tiles; the second
+        # tile raises at once, the first finishes 0.1 s later and takes no
+        # new tile, the third finishes 0.2 s later, and the caller waits for
+        # it before raising
         monkeypatch.setattr(rszeta, "_WORKERS", 3)
         rows = tile_rows(99500.0)
+        barrier = threading.Barrier(3)
         done = []
 
-        def main_sums(out, tiles, *args, _fn=rszeta._main_sums):
-            if tiles[0][0] == rows:
+        def main_sums(out, lo, *args, _fn=rszeta._main_sums):
+            if lo < 3 * rows:
+                barrier.wait(timeout=10.0)
+            if lo == rows:
                 raise RuntimeError("tile failed")
-            if tiles[0][0] == 2 * rows:
-                time.sleep(0.2)
-            _fn(out, tiles, *args)
-            done.append(tiles[0][0])
+            time.sleep({0: 0.1, 2 * rows: 0.2}.get(lo, 0.0))
+            _fn(out, lo, *args)
+            done.append(lo)
 
         monkeypatch.setattr(rszeta, "_main_sums", main_sums)
         before = threading.active_count()
@@ -461,27 +498,49 @@ class TestWorkers:
         assert sorted(done) == [0, 2 * rows]
         assert threading.active_count() == before
 
-    def test_remainder_block_exception_reaches_caller(self, ev, monkeypatch):
-        # three blocks, one per worker, dealt from the last worker down: the
-        # second worker's block raises at once, the third worker's finishes
-        # 0.2 s later, and the caller waits for it before raising
+    def test_remainder_exception_reaches_caller(self, ev, monkeypatch):
+        # the remainder terms, the first task, and the first two tiles wait
+        # until three workers hold one each; the remainder terms then raise,
+        # the first tile finishes 0.2 s later, and the caller waits for it
+        # before raising
         monkeypatch.setattr(rszeta, "_WORKERS", 3)
+        rows = tile_rows(99500.0)
+        barrier = threading.Barrier(3)
         done = []
 
-        def rs_terms(rs, blocks, p, _fn=rszeta._rs_terms):
-            if blocks and blocks[0][0] == _CLENSHAW_CHUNK:
-                raise RuntimeError("block failed")
-            if blocks and blocks[0][0] == 0:
-                time.sleep(0.2)
-            _fn(rs, blocks, p)
-            done.extend(lo for lo, _ in blocks)
+        def rs_terms(*args):
+            barrier.wait(timeout=10.0)
+            raise RuntimeError("remainder failed")
+
+        def main_sums(out, lo, *args, _fn=rszeta._main_sums):
+            if lo < 2 * rows:
+                barrier.wait(timeout=10.0)
+            time.sleep(0.2 if lo == 0 else 0.0)
+            _fn(out, lo, *args)
+            done.append(lo)
 
         monkeypatch.setattr(rszeta, "_rs_terms", rs_terms)
+        monkeypatch.setattr(rszeta, "_main_sums", main_sums)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="block failed"):
+        with pytest.raises(RuntimeError, match="remainder failed"):
             ev.z_rs(np.linspace(99000.0, 99500.0, 2 * _CLENSHAW_CHUNK + 1))
-        assert sorted(done) == [0, 2 * _CLENSHAW_CHUNK]
+        assert 0 in done
         assert threading.active_count() == before
+
+    def test_tasks_are_taken_in_turn(self, monkeypatch):
+        # a worker slowed on its first task leaves the others the rest:
+        # no task waits in a share behind it
+        ran = []
+
+        def task(i):
+            if i == 0:
+                time.sleep(0.2)
+            ran.append((i, threading.current_thread()))
+
+        main = threading.current_thread()
+        rszeta._deal([partial(task, i) for i in range(6)], 2)
+        assert sorted(i for i, _ in ran) == list(range(6))
+        assert [i for i, thread in ran if thread is main] in ([0], list(range(1, 6)))
 
 
 class TestZetaSqMod:
