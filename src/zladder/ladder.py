@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebroots
 
 from ._atomic import atomic_writer
 from .exceptions import (AdmissibilityError, CacheError, ConvergenceError,
@@ -268,25 +267,6 @@ class LadderTable:
             raise DomainError(f"ladder evaluation outside [{self.t_lo}, {self.t_hi}]")
         k = min(bisect_right(self._edge_list, t) - 1, len(self._half) - 1)
         return k, (float(t) - self._mid.item(k)) / self._half.item(k)
-
-    def breakpoints(self, a: float, b: float) -> np.ndarray:
-        """Real roots of the panels' p in [a, b] (the zeros of Z) and the
-        evaluator dispatch seam, for quadrature pre-splits."""
-        k0 = max(int(np.searchsorted(self.edges, a, side="right")) - 1, 0)
-        k1 = min(int(np.searchsorted(self.edges, b)), len(self._half))
-        pts = [np.empty(0)]
-        for k in range(k0, k1):
-            r = chebroots(self.coef[k])
-            x = r.real[(np.abs(r.imag) <= 1e-8) & (np.abs(r.real) <= 1.0 + 1e-9)]
-            pts.append(self._mid[k] + self._half[k] * x)
-        # sorted, not np.unique (whose first call imports numpy.ma, ~40 ms):
-        # exact repeats go with the near ones
-        pts = np.sort(np.concatenate(pts))
-        pts = pts[(pts >= a) & (pts <= b)]
-        pts = pts[np.diff(pts, prepend=-math.inf) > 1e-9]   # found on both sides of an edge
-        if a < self.evaluator.t_min_rs < b:
-            pts = np.sort(np.append(pts, self.evaluator.t_min_rs))
-        return pts
 
     def ztilde_sq(self, t) -> float | np.ndarray:
         """p(t)^2, the stored derivative of phi_1 (Ztilde^2 to the build

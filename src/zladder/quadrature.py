@@ -81,6 +81,7 @@ _WG = np.array([
 
 _EPS = np.finfo(float).eps
 _NON_FINITE = "integrand returned a non-finite value near x = {}"
+_MAX_LEVEL = 12   # tanh-sinh levels before a row that has not converged raises
 
 
 @dataclass
@@ -268,8 +269,6 @@ def integrate_singular_rows(
     a: float,
     b: float,
     tol: float | Sequence[float],
-    *,
-    max_level: int = 12,
 ) -> list[QuadratureResult]:
     """Tanh-sinh integrals of `rows` integrands on one window, in lockstep.
 
@@ -281,14 +280,14 @@ def integrate_singular_rows(
     `integrate_singular` of that row alone would, and ignores the levels
     after its own stop.  Raises QuadratureError for the first row (in
     level, then row order) that meets a non-finite value or has not
-    converged by `max_level`.
+    converged by level `_MAX_LEVEL`.
     """
     a, b, tols = _window("integrate_singular", a, b, tol, rows)
     r = 0.5 * (b - a)
     acc = prev = np.zeros(rows)
     running = np.ones(rows, dtype=bool)
     value, error, levels = np.zeros(rows), np.zeros(rows), np.zeros(rows, dtype=int)
-    for level in range(1, max_level + 1):
+    for level in range(1, _MAX_LEVEL + 1):
         pts, wts = _tanh_sinh_level(a, b, level)
         vals = np.asarray(f(pts), dtype=float).reshape(rows, len(pts))
         bad = ~np.isfinite(vals) & running[:, None]
@@ -308,7 +307,7 @@ def integrate_singular_rows(
         prev = cur
     slow = int(np.argmax(running))
     raise QuadratureError(f"tanh-sinh did not converge to {tols[slow]:.3e} within "
-                          f"{max_level} levels on [{a}, {b}]")
+                          f"{_MAX_LEVEL} levels on [{a}, {b}]")
 
 
 def integrate_singular(
@@ -316,8 +315,6 @@ def integrate_singular(
     a: float,
     b: float,
     tol: float,
-    *,
-    max_level: int = 12,
 ) -> QuadratureResult:
     """Tanh-sinh integral on [a, b], tolerating (dist)^(-1/2) endpoint blow-up.
 
@@ -326,4 +323,4 @@ def integrate_singular(
     at a or b.  `panels_used` reports the number of levels evaluated.  The
     one-row case of `integrate_singular_rows`.
     """
-    return integrate_singular_rows(f, 1, a, b, tol, max_level=max_level)[0]
+    return integrate_singular_rows(f, 1, a, b, tol)[0]

@@ -338,7 +338,7 @@ class ZEvaluator:
     def zero_scan(self, a: float, b: float, step: float = 0.05) -> np.ndarray:
         """Zeros of Z on [a, b] located by sign scan at `step` plus bisection.
 
-        Used to pre-split quadrature panels at the oscillation breakpoints.
+        No program code calls it: it is the tests' oracle for the zeros of p.
         """
         if not a < b:
             return np.empty(0)

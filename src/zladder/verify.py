@@ -15,18 +15,18 @@ table, `LADDER_MEMBERS`, and one window executor, `ladder_reports`, does
 their work.  It takes row sets (`RowSet`: one member's rows at one T in one
 layer, with their own quadrature tolerance) of any number of families,
 checks all their arguments, then groups them by the window they share,
-(T, U, route): the preimage of [T, T + U] on GK15 or on tanh-sinh.  Each
-distinct window end is inverted once, and each group makes one rows call
-whose integrand evaluates phi_1, Ztilde^2 and ln t once per node and the
-Bessel rows once per nu, then forms every row with the operations, in the
-order, that the row's own integrand would use, so every row keeps the bits
-of an integral of that row alone at its own tolerance.  It returns one flat
-list, set by set.  A plan hands the executor the sets of every family of the
-table `FAMILIES` (`family_sets`) at once; each public family function is the
-executor run on that family's sets alone, `is_sanity` tells the sanity rows
-apart, and `sort_key` orders any mix of their reports totally.  E2_4 is E2_2
-at one nu (the plan's nu[0]), bit for bit, and its sanity rows are E1_3's
-diagonal.
+(T, U, route): the preimage of [T, T + U] on GK15 (split at the panel
+edges) or on tanh-sinh.  Each distinct window end is inverted once, and
+each group makes one rows call whose integrand evaluates phi_1, Ztilde^2
+and ln t once per node and the Bessel rows once per nu, then forms every
+row with the operations, in the order, that the row's own integrand would
+use, so every row keeps the bits of an integral of that row alone at its
+own tolerance.  It returns one flat list, set by set.  A plan hands the
+executor the sets of every family of the table `FAMILIES` (`family_sets`)
+at once; each public family function is the executor run on that family's
+sets alone, `is_sanity` tells the sanity rows apart, and `sort_key` orders
+any mix of their reports totally.  E2_4 is E2_2 at one nu (the plan's
+nu[0]), bit for bit, and its sanity rows are E1_3's diagonal.
 
 E1_2 integrates its rows per nu in one rows call as well.  Each row of such
 a group records the elapsed time of the whole group (`--timings`).
@@ -340,9 +340,9 @@ def _member_pieces(s: RowSet) -> _Member:
     weight w there to the array (rows, len(ts)) of each row's product of
     functions times its weight times w, each row formed with the operations,
     in the order, of an integrand of that row alone.  With Jacobi exponents
-    (0, 0) the integrand is smooth on the closed window (GK15 with Z-zero
-    breakpoints); otherwise its weight has an endpoint power and it goes to
-    tanh-sinh.
+    (0, 0) the integrand is smooth on each ladder panel (GK15 with the panel
+    edges as breakpoints); otherwise its weight has an endpoint power and it
+    goes to tanh-sinh.
     """
     eq, max_n, nu = s.eq, s.max_n, s.nu
     if eq not in LADDER_MEMBERS:
@@ -413,8 +413,9 @@ def ladder_reports(table: LadderTable, sets: list[RowSet]) -> list[VerificationR
     Every set's arguments are checked first, its window [T, T + U] inside
     [phi_lo, phi_hi] among them, so an argument error is raised before any
     integration starts.  The sets are then grouped by the window they
-    share, (T, U, route): the preimage of [T, T + U], on GK15 with
-    Z-zero breakpoints for a smooth weight or on tanh-sinh, whose ends move
+    share, (T, U, route): the preimage of [T, T + U], on GK15 split at the
+    panel edges inside it for a smooth weight (p^2 joins only there; a zero
+    of Z is a smooth double zero of it) or on tanh-sinh, whose ends move
     inward to the nearest doubles with values inside [T, T + U] so a weight
     singular there is never evaluated past them.  Each distinct window end
     is inverted once.  Each group makes one rows call; its integrand
@@ -473,8 +474,10 @@ def ladder_reports(table: LadderTable, sets: list[RowSet]) -> list[VerificationR
 
         tols = [sets[i].quad_tol for i in idx for _ in members[i].rows]
         if smooth:
+            inner = slice(np.searchsorted(table.edges, a, side="right"),
+                          np.searchsorted(table.edges, b))
             results = integrate_adaptive_rows(integrand, len(tols), a, b, tols,
-                                              breakpoints=table.breakpoints(a, b))
+                                              breakpoints=table.edges[inner])
         else:
             results = integrate_singular_rows(integrand, len(tols), a, b, tols)
         elapsed = time.perf_counter() - t0

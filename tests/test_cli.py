@@ -3,10 +3,13 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import zladder
 from zladder import BesselZeroTable, DomainError, bessel_j
 from zladder import cli as cli_mod
 from zladder import verify as V
@@ -490,6 +493,22 @@ class TestRun:
         assert len(rows) == 3
         if timed:
             assert all(float(row.rsplit(",", 1)[1]) >= 0.0 for row in rows)
+
+    def test_run_imports_no_numpy_polynomial(self, tmp_path):
+        # a run splits its GK15 windows at the ladder's panel edges and finds
+        # no zeros of p, so no root finder (and no LAPACK) is loaded
+        code = (
+            "import sys\n"
+            "from zladder.cli import main\n"
+            f"argv = ['run', *{self.PLAN!r}, '--equations', 'theorem1', 'sanity', '--out', '-']\n"
+            "assert main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n")
+        src = os.path.dirname(os.path.dirname(zladder.__file__))
+        env = {**os.environ, "ZLADDER_CACHE_ROOT": str(tmp_path / "cache"),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert run.stdout.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize("field", ["tol", "tol_exact", "tol_ratio", "tol_baseline"])
     @pytest.mark.parametrize("value", [0.0, -1e-9, float("nan"), float("inf")])

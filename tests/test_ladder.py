@@ -16,7 +16,8 @@ from zladder import (AdmissibilityError, CacheError, ConvergenceError,
 from zladder import ladder as ladder_mod
 from zladder.specfun.orthopoly import _clenshaw, _clenshaw_fused, _clenshaw_rev
 
-from oracles import log_stability_check, pushforward_integral, ztilde_sq
+import oracles
+from oracles import breakpoints, log_stability_check, pushforward_integral, ztilde_sq
 
 FIRST_ZETA_ZERO = 14.134725141734695
 
@@ -179,7 +180,7 @@ class TestBuild:
         # checkpoint edge or no panel polynomial could follow it
         table = build_ladder(ev, 37.7, 60.0, tol=1e-8)
         assert ev.t_min_rs in table.edges
-        pts = table.breakpoints(45.0, 55.0)
+        pts = breakpoints(table, 45.0, 55.0)
         assert ev.t_min_rs in pts and np.all(np.diff(pts) > 0.0)
         v = pushforward_integral(table, lambda x: np.ones_like(x), 34.0, 1.0,
                                  tol=1e-9)
@@ -207,26 +208,35 @@ class TestBuild:
 
 class TestBreakpoints:
     def test_scanned_once_per_interval(self, small_ladder, monkeypatch):
-        import zladder.ladder as L
-
         calls = []
-        real = L.chebroots
+        real = oracles.chebroots
 
         def counting(c):
             calls.append(len(c))
             return real(c)
 
-        monkeypatch.setattr(L, "chebroots", counting)
-        pts = small_ladder.breakpoints(1003.125, 1004.875)
+        monkeypatch.setattr(oracles, "chebroots", counting)
+        pts = breakpoints(small_ladder, 1003.125, 1004.875)
         assert calls == [33, 33]   # the two panels [1003, 1004], [1004, 1005]
         assert len(pts) > 0
+
+    def test_resolves_lehmers_pair(self, ev, monkeypatch):
+        # two zeros 0.038 apart near t = 7005.08, between which Z barely
+        # rises above 0; a finer scan than the default step sees both
+        table = build_ladder(ev, 7000.0, 7010.0, tol=1e-8)
+        scanned = ev.zero_scan(7005.0, 7005.2, step=0.005)
+        monkeypatch.setattr(ZEvaluator, "z", no_z)
+        roots = breakpoints(table, 7005.0, 7005.2)
+        assert len(roots) == len(scanned) == 2
+        assert np.max(np.abs(roots - scanned)) <= 1e-9
+        assert 0.03 < roots[1] - roots[0] < 0.04
 
     @pytest.mark.parametrize("a, b", [(1000.0, 1010.0), (99990.0, 1e5)])
     def test_matches_zero_scan(self, ev, a, b, monkeypatch):
         table = build_ladder(ev, a, b, tol=1e-8)
         scanned = ev.zero_scan(a, b, step=0.05)
         monkeypatch.setattr(ZEvaluator, "z", no_z)
-        roots = table.breakpoints(a, b)
+        roots = breakpoints(table, a, b)
         assert len(roots) == len(scanned) > 5
         assert np.max(np.abs(roots - scanned)) <= 1e-9
 
@@ -249,7 +259,7 @@ class TestEval:
     def test_nondecreasing_through_roots(self, small_ladder):
         # phi_1' = p^2 vanishes at the roots of p, where rounding is most
         # likely to show; dense sorted samples around every root in 20 units
-        roots = small_ladder.breakpoints(1020.0, 1040.0)
+        roots = breakpoints(small_ladder, 1020.0, 1040.0)
         assert len(roots) > 10
         for r in roots:
             ts = np.linspace(max(r - 1e-3, 1020.0), min(r + 1e-3, 1040.0), 4001)
@@ -417,7 +427,7 @@ class TestEvalSharedHeads:
         table.eval(ts)
         table.ztilde_sq(ts)
         table.invert(table.anchor_value + 3.5)
-        table.breakpoints(1001.0, 1009.0)
+        breakpoints(table, 1001.0, 1009.0)
         pushforward_integral(table, lambda x: np.ones_like(x), 950.0, 1.0)
 
 
@@ -715,7 +725,7 @@ class TestInvertContract:
         m = 2000
         u = (np.arange(m) + rng.random(m)) / m
         phi = table.phi.tolist()
-        roots = table.breakpoints(table.t_lo, table.t_hi)
+        roots = breakpoints(table, table.t_lo, table.t_hi)
         ys = np.concatenate([table.phi_lo + u * (table.phi_hi - table.phi_lo), phi,
                              _within_ulps(phi[::max(len(phi) // 20, 1)] + phi[-1:], 4),
                              _newton_onto_roots(table, roots[::max(len(roots) // 20, 1)])])

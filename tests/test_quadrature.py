@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from zladder import (DomainError, QuadratureError, bessel_norm_sq, bessel_zero,
                      bessel_j, integrate_adaptive, integrate_adaptive_rows,
                      integrate_singular, integrate_singular_rows)
+from zladder import quadrature as Q
 from zladder.quadrature import _XK, _gk15_sums
 
 
@@ -365,10 +366,10 @@ class TestTanhSinh:
             integrate_singular(lambda x: 1.0 / ((1.0 - x) * (1.0 + x)),
                                -1.0, 1.0, 1e-8)
 
-    def test_level_cap(self):
+    def test_level_cap(self, monkeypatch):
+        monkeypatch.setattr(Q, "_MAX_LEVEL", 3)
         with pytest.raises(QuadratureError):
-            integrate_singular(lambda x: np.cos(200.0 * x), 0.0, 50.0, 1e-13,
-                               max_level=3)
+            integrate_singular(lambda x: np.cos(200.0 * x), 0.0, 50.0, 1e-13)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -492,21 +493,23 @@ class TestSingularRows:
             integrate_singular_rows(rows_f, 2, -1.0, 1.0, 1e-10)
         assert float(str(info.value).rsplit("=", 1)[1]) > 0.0
 
-    def test_non_finite_before_non_convergence(self):
+    def test_non_finite_before_non_convergence(self, monkeypatch):
         # row 0 would run out of levels; row 1 meets NaN at level 2, first
         def rows_f(x):
             bad = np.full_like(x, np.nan) if len(x) < 50 else np.cos(x)
             return np.stack([np.cos(200.0 * x), bad])
 
+        monkeypatch.setattr(Q, "_MAX_LEVEL", 3)
         with pytest.raises(QuadratureError, match="non-finite"):
-            integrate_singular_rows(rows_f, 2, 0.0, 50.0, 1e-13, max_level=3)
+            integrate_singular_rows(rows_f, 2, 0.0, 50.0, 1e-13)
 
-    def test_row_level_cap(self):
+    def test_row_level_cap(self, monkeypatch):
         def rows_f(x):
             return np.stack([np.ones_like(x), np.cos(200.0 * x)])
 
+        monkeypatch.setattr(Q, "_MAX_LEVEL", 3)
         with pytest.raises(QuadratureError, match="within 3 levels"):
-            integrate_singular_rows(rows_f, 2, 0.0, 50.0, 1e-13, max_level=3)
+            integrate_singular_rows(rows_f, 2, 0.0, 50.0, 1e-13)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -534,12 +537,13 @@ class TestSingularRows:
                                       a, b, tols)
         assert got == solos
 
-    def test_per_row_level_cap_names_the_row_tolerance(self):
+    def test_per_row_level_cap_names_the_row_tolerance(self, monkeypatch):
         def rows_f(x):
             return np.stack([np.ones_like(x), np.cos(200.0 * x)])
 
+        monkeypatch.setattr(Q, "_MAX_LEVEL", 3)
         with pytest.raises(QuadratureError, match="converge to 1.000e-13 within 3 levels"):
-            integrate_singular_rows(rows_f, 2, 0.0, 50.0, [1e-6, 1e-13], max_level=3)
+            integrate_singular_rows(rows_f, 2, 0.0, 50.0, [1e-6, 1e-13])
 
     @pytest.mark.parametrize("tols", [[1e-9], [1e-9, -1.0]])
     def test_per_row_tolerance_domain(self, tols):
