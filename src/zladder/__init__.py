@@ -12,8 +12,7 @@ from .exceptions import (AdmissibilityError, CacheError, ConvergenceError,
 from .ladder import (EULER_C, LadderTable, RetardationRow, build_ladder,
                      check_admissible, prime_pi, retardation_report)
 from .quadrature import (QuadratureResult, integrate_adaptive,
-                         integrate_adaptive_rows, integrate_singular,
-                         integrate_singular_rows)
+                         integrate_adaptive_rows, integrate_singular)
 from .rszeta import ZEvaluator
 from .specfun import (BesselZeroTable, PolyFamilySpec, bessel_j,
                       bessel_norm_sq, bessel_zero, gamma_fn, log_gamma,
@@ -26,7 +25,7 @@ __all__ = [
     "LadderTable", "RetardationRow", "build_ladder", "prime_pi",
     "retardation_report", "check_admissible", "EULER_C",
     "QuadratureResult", "integrate_adaptive", "integrate_adaptive_rows",
-    "integrate_singular", "integrate_singular_rows",
+    "integrate_singular",
     "BesselZeroTable", "PolyFamilySpec", "bessel_j", "bessel_norm_sq",
     "bessel_zero", "gamma_fn", "log_gamma", "poly_eval", "poly_norm_sq",
     "ZladderError", "DomainError", "PrecisionError",

@@ -19,7 +19,10 @@ bracket y, with those operations: a Newton step takes phi_1 and p from one
 fused Clenshaw pass over the panel's two columns, a neighbour double that
 Newton did not visit takes phi_1 from one pass, and a point not strictly
 inside the panel goes through `eval` and `ztilde_sq`.  The recurrences are
-`specfun.orthopoly`'s.
+`specfun.orthopoly`'s.  A verification window works in a panel's own
+coordinate x, which resolves a panel to ~1e-16 at any t: `locate` and
+`solve_rise` find its ends, and `slopes` the mean slope of phi_1 between two
+points without cancellation (`_mean_slopes`).
 """
 
 from __future__ import annotations
@@ -143,6 +146,19 @@ def _antiderivative(coef: np.ndarray, half: np.ndarray) -> np.ndarray:
 
 def _steps(anti: np.ndarray) -> np.ndarray:   # whole-panel integrals
     return _clenshaw(anti, np.ones(anti.shape[1]), slice(None))
+
+
+def _mean_slopes(cols, x0, x, k) -> np.ndarray:
+    """(f(x) - f(x0)) / (x - x0) pointwise (f'(x0) at x = x0) for the
+    Chebyshev series f = sum_j cols[j][k] T_j, from the divided differences
+    D_{j+1} = 2 T_j(x) + 2 x0 D_j - D_{j-1} of the T_j: no two values of f
+    are subtracted, so the error is ~eps |f'|, not eps |f| / |x - x0|."""
+    t_prev, t, d_prev, d = np.ones_like(x), x, np.zeros_like(x), np.ones_like(x)
+    acc = cols[1][k] * d
+    for row in cols[2:]:
+        t_prev, t, d_prev, d = t, 2.0 * x * t - t_prev, d, 2.0 * t + 2.0 * x0 * d - d_prev
+        acc = acc + row[k] * d
+    return acc
 
 
 def _gram(degrees: np.ndarray) -> np.ndarray:
@@ -299,6 +315,41 @@ class LadderTable:
         out[exact] = self.phi[k[exact]]
         out[flat == self.t_hi] = self.phi[-1]
         return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
+
+    def slopes(self, k, x0, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """At the points x0 and x of the panels k (arrays of one shape), in
+        the panel's own coordinate: t at x, the mean slope of phi_1 in x from
+        x0 to x (`_mean_slopes`, so a rise between close points keeps its
+        relative precision), and the slope d(phi_1)/dx = half_k p^2 at x.
+        Each point is evaluated on its own."""
+        p = _clenshaw(self.coef.T, x, k)
+        return (self._mid[k] + self._half[k] * x, _mean_slopes(self._anti_rows(k).T, x0, x, k),
+                self._half[k] * (p * p))
+
+    def locate(self, y: float) -> tuple[int, float]:
+        """phi_1^{-1}(y) in panel coordinates: the panel k with phi[k] <= y <
+        phi[k + 1] (the last at phi_hi) and the x on it where phi_1 = y."""
+        if not self.phi_lo <= y <= self.phi_hi:   # NaN fails
+            raise DomainError(f"ladder location outside [{self.phi_lo}, {self.phi_hi}]")
+        k = min(bisect_right(self._phi_list, y) - 1, len(self._half) - 1)
+        return k, self.solve_rise(k, -1.0, y - self._phi_list[k])
+
+    def solve_rise(self, k: int, x0: float, rise: float) -> float:
+        """The x in [x0, 1] on panel k at which phi_1 has risen by `rise` from
+        x0: Newton inside a bisection bracket, to a step below 4e-16 in x,
+        far finer than the doubles t near the panel at large t."""
+        lo, hi, x = x0, 1.0, 0.5 * (x0 + 1.0)
+        for _ in range(100):
+            _, mean, slope = self.slopes(k, x0, x)
+            over = (x - x0) * float(mean) - rise
+            lo, hi = (lo, x) if over > 0.0 else (x, hi)
+            nxt = x - over / float(slope) if slope > 0.0 else lo
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+            if abs(nxt - x) <= 4e-16:
+                return nxt
+            x = nxt
+        return x
 
     def invert(self, y) -> float | np.ndarray:
         """The double t nearest phi_1^{-1}(y): |phi_1(t) - y| <= 1e-10, or no

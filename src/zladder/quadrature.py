@@ -1,4 +1,4 @@
-"""Numerical integration: adaptive Gauss-Kronrod and tanh-sinh quadrature.
+"""Numerical integration: adaptive Gauss-Kronrod quadrature, the one rule.
 
 `integrate_adaptive` drives a 15-point Kronrod / 7-point Gauss pair with
 bisection refinement and a QUADPACK-style error estimate; panels are accepted
@@ -12,15 +12,10 @@ pending panels, with a boolean mask of the panels each row still refines,
 and the integrand is called once per round on every pending panel;
 `integrate_adaptive` is its one-row case.
 
-`integrate_singular_rows` applies the double-exponential (tanh-sinh)
-transform to several integrands on one window, doubling the node density per
-level until two successive levels agree; each level reuses the sum of the one
-before and evaluates only its new nodes.  The nodes of a level depend only on
-the window and the level, so the rows run in lockstep with one integrand call
-per level, each row with its own tolerance, running sum and stop test;
-`integrate_singular` is its one-row case.  Nodes whose position rounds onto
-an endpoint are dropped, so integrands with inverse-square-root blow-ups are
-never evaluated at the endpoints themselves.
+`integrate_singular` meets an algebraic blow-up at the ends with a change of
+variable, as QUADPACK does, not with a second scheme: GK15 over the halves
+of [a, b], each mapped from its own end by x = end -+ w tau^2.  The ladder
+rows of `verify` map their windows' end pieces by such a power of tau.
 """
 
 from __future__ import annotations
@@ -81,7 +76,7 @@ _WG = np.array([
 
 _EPS = np.finfo(float).eps
 _NON_FINITE = "integrand returned a non-finite value near x = {}"
-_MAX_LEVEL = 12   # tanh-sinh levels before a row that has not converged raises
+_MAX_PANELS = 10 ** 6   # a row's panel budget; it raises once a split passes it
 
 
 @dataclass
@@ -143,7 +138,6 @@ def integrate_adaptive_rows(
     tol: float | Sequence[float],
     *,
     breakpoints: Sequence[float] | None = None,
-    max_panels: int = 10 ** 6,
 ) -> list[QuadratureResult]:
     """Adaptive Gauss-Kronrod integrals of `rows` integrands on one window.
 
@@ -161,7 +155,7 @@ def integrate_adaptive_rows(
     solo `integrate_adaptive` of that row when f's value at a point does not
     depend on the other points of the batch.
     Raises QuadratureError for the first row (in round, then row order) that
-    exhausts its panel budget or meets a non-finite value.
+    exhausts its panel budget (`_MAX_PANELS`) or meets a non-finite value.
     """
     a, b, tols = _window("integrate_adaptive", a, b, tol, rows)
 
@@ -190,13 +184,13 @@ def integrate_adaptive_rows(
         rejects = owns & ~ok
         # checked only on a split: a row may start with more panels than the budget
         n_panels += 2 * np.count_nonzero(rejects, axis=1)
-        failed = bad.any(axis=(1, 2)) | ((n_panels > max_panels) & rejects.any(axis=1))
+        failed = bad.any(axis=(1, 2)) | ((n_panels > _MAX_PANELS) & rejects.any(axis=1))
         if failed.any():
             r = int(np.argmax(failed))
             if bad[r].any():
                 raise QuadratureError(_NON_FINITE.format(nodes[bad[r]][0]))
             raise QuadratureError(
-                f"adaptive refinement exceeded {max_panels} panels on [{a}, {b}] (unresolved "
+                f"adaptive refinement exceeded {_MAX_PANELS} panels on [{a}, {b}] (unresolved "
                 f"error ~ {float(np.sum(errs[r, rejects[r]])):.3e} vs tol {tols[r]:.3e})")
         accept = owns & ok
         row, panel = np.nonzero(accept)
@@ -222,7 +216,6 @@ def integrate_adaptive(
     tol: float,
     *,
     breakpoints: Sequence[float] | None = None,
-    max_panels: int = 10 ** 6,
 ) -> QuadratureResult:
     """Adaptive Gauss-Kronrod integral of a vectorized integrand on [a, b].
 
@@ -232,95 +225,32 @@ def integrate_adaptive(
     case of `integrate_adaptive_rows`: f is called with the same points, in
     the same order, as by a loop over this integral alone.
     """
-    return integrate_adaptive_rows(f, 1, a, b, tol, breakpoints=breakpoints,
-                                   max_panels=max_panels)[0]
+    return integrate_adaptive_rows(f, 1, a, b, tol, breakpoints=breakpoints)[0]
 
 
-def _tanh_sinh_level(a: float, b: float, level: int):
-    """The nodes and weights (without the factor (b - a) / 2) of the part of
-    the tanh-sinh sum at step h = 2^-level that level - 1 lacks: its nodes at
-    odd multiples of h, or every node, the midpoint included, at the first
-    level.  Half the previous level's sum plus this part is the full sum at
-    step h.  Nodes whose position rounds onto an endpoint are dropped (their
-    weights are negligible by then).
+def integrate_singular(f: Callable, a: float, b: float, tol: float) -> QuadratureResult:
+    """GK15 integral on [a, b], tolerating (dist)^(-1/2) endpoint blow-up.
+
+    The halves are x = a + w tau^2 and x = b - w tau^2, tau in [0, 1] and
+    w = (b - a) / 2, in one `integrate_adaptive` over [0, 2] with a
+    breakpoint at 1: f(x) 2 w tau is bounded for a (dist)^(-1/2) f.  f is
+    never called at a or b: a node whose x rounds onto an end counts as
+    non-finite, so a blow-up the map does not tame raises a QuadratureError
+    that names that x.
     """
-    h = 2.0 ** (-level)
-    r = 0.5 * (b - a)
-    # w*f decays like exp(tau - (pi/2) sinh tau) even for (dist)^(-1/2)
-    # integrands; tau = 4.3 puts the truncated tail below 1e-45
-    k = np.arange(1, int(np.ceil(4.3 / h)) + 1, 1 if level == 1 else 2)
-    tau = k * h
-    u = 0.5 * np.pi * np.sinh(tau)
-    w = h * (0.5 * np.pi) * np.cosh(tau) / np.cosh(u) ** 2
-    delta = 2.0 / (1.0 + np.exp(2.0 * u))  # 1 - tanh(u), cancellation-free
-    dist = r * delta                       # distance to the near endpoint
-    t_right = b - dist
-    t_left = a + dist
-    keep = (t_right < b) & (t_left > a) & (w > 0.0)
-    center = [0.5 * (a + b)] if level == 1 else []
-    pts = np.concatenate([t_left[keep], center, t_right[keep]])
-    wts = np.concatenate([w[keep], [h * 0.5 * np.pi] if center else [], w[keep]])
-    return pts, wts
+    a, b, _ = _window("integrate_singular", a, b, tol, 1)
+    w = 0.5 * (b - a)
 
+    def mapped(s):
+        right = s > 1.0
+        tau = np.where(right, 2.0 - s, s)
+        x = np.where(right, b - w * (tau * tau), a + w * (tau * tau))
+        inside = (a < x) & (x < b)
+        vals = np.full(len(x), np.nan)
+        vals[inside] = f(x[inside])
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise QuadratureError(_NON_FINITE.format(x[bad][0]))
+        return vals * (2.0 * w * tau)
 
-def integrate_singular_rows(
-    f: Callable,
-    rows: int,
-    a: float,
-    b: float,
-    tol: float | Sequence[float],
-) -> list[QuadratureResult]:
-    """Tanh-sinh integrals of `rows` integrands on one window, in lockstep.
-
-    `f(x)` returns an array of shape (rows, len(x)): row r is the r-th
-    integrand at the points x.  The nodes of a level depend only on the
-    window and the level, so each level calls `f` once, on its new nodes.
-    Every row keeps its own running sum and stop test (at its own tolerance:
-    `tol` is one float for every row or one per row), exactly as
-    `integrate_singular` of that row alone would, and ignores the levels
-    after its own stop.  Raises QuadratureError for the first row (in
-    level, then row order) that meets a non-finite value or has not
-    converged by level `_MAX_LEVEL`.
-    """
-    a, b, tols = _window("integrate_singular", a, b, tol, rows)
-    r = 0.5 * (b - a)
-    acc = prev = np.zeros(rows)
-    running = np.ones(rows, dtype=bool)
-    value, error, levels = np.zeros(rows), np.zeros(rows), np.zeros(rows, dtype=int)
-    for level in range(1, _MAX_LEVEL + 1):
-        pts, wts = _tanh_sinh_level(a, b, level)
-        vals = np.asarray(f(pts), dtype=float).reshape(rows, len(pts))
-        bad = ~np.isfinite(vals) & running[:, None]
-        if bad.any():   # the first bad point of the first bad row
-            raise QuadratureError(_NON_FINITE.format(pts[np.argwhere(bad)[0, 1]]))
-        # a fixed-order sum per row, each with the bits of its row alone (no BLAS)
-        part = (wts * np.where(running[:, None], vals, 0.0)).sum(axis=1)
-        acc = part if level == 1 else 0.5 * acc + part
-        cur = r * acc
-        diff = np.abs(cur - prev)
-        stop = running & (level > 1) & (diff <= np.maximum(tols, 8.0 * _EPS * (1.0 + np.abs(cur))))
-        value[stop], error[stop], levels[stop] = cur[stop], diff[stop], level
-        running &= ~stop
-        if not running.any():
-            return [QuadratureResult(value=v, error_estimate=e, panels_used=n, rule="tanh-sinh")
-                    for v, e, n in zip(value.tolist(), error.tolist(), levels.tolist())]
-        prev = cur
-    slow = int(np.argmax(running))
-    raise QuadratureError(f"tanh-sinh did not converge to {tols[slow]:.3e} within "
-                          f"{_MAX_LEVEL} levels on [{a}, {b}]")
-
-
-def integrate_singular(
-    f: Callable,
-    a: float,
-    b: float,
-    tol: float,
-) -> QuadratureResult:
-    """Tanh-sinh integral on [a, b], tolerating (dist)^(-1/2) endpoint blow-up.
-
-    Levels are refined until two successive sums differ by at most tol (or
-    by machine noise relative to the value).  The integrand is never called
-    at a or b.  `panels_used` reports the number of levels evaluated.  The
-    one-row case of `integrate_singular_rows`.
-    """
-    return integrate_singular_rows(f, 1, a, b, tol)[0]
+    return integrate_adaptive(mapped, 0.0, 2.0, tol, breakpoints=[1.0])

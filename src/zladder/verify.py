@@ -12,33 +12,32 @@ Three layers, in increasing dependence on asymptotics:
 
 The ladder families E1_3, E2_2 and E2_4..E2_10 are the entries of one member
 table, `LADDER_MEMBERS`, and one window executor, `ladder_reports`, does
-their work.  It takes row sets (`RowSet`: one member's rows at one T in one
-layer, with their own quadrature tolerance) of any number of families,
-checks all their arguments, then groups them by the window they share,
-(T, U, route): the preimage of [T, T + U] on GK15 (split at the panel
-edges) or on tanh-sinh.  Each distinct window end is inverted once, and
-each group makes one rows call whose integrand evaluates phi_1, Ztilde^2
-and ln t once per node and the Bessel rows once per nu, then forms every
-row with the operations, in the order, that the row's own integrand would
-use, so every row keeps the bits of an integral of that row alone at its
-own tolerance.  It returns one flat list, set by set.  A plan hands the
-executor the sets of every family of the table `FAMILIES` (`family_sets`)
+their work with one rule, GK15 (`integrate_adaptive_rows`).  It takes row
+sets (`RowSet`: one member's rows at one T in one layer, with their own
+quadrature tolerance) of any number of families, checks all their
+arguments, then groups them by their window, (T, U, m): the preimage of
+[T, T + U] as ladder panel pieces, the end pieces mapped by tau^m so that
+an endpoint weight (1 -+ u)^gamma is bounded, and u summed from the
+window's own ends (`_Window`).  Each group makes one rows call whose
+integrand evaluates the rises, Ztilde^2 and ln t once per node and the
+Bessel rows once per nu, then forms every row as the row's own integrand
+would, so it keeps the bits of that row's integral alone.  A plan
+hands the executor the sets of every family of `FAMILIES` (`family_sets`)
 at once; each public family function is the executor run on that family's
 sets alone, `is_sanity` tells the sanity rows apart, and `sort_key` orders
 any mix of their reports totally.  E2_4 is E2_2 at one nu (the plan's
-nu[0]), bit for bit, and its sanity rows are E1_3's diagonal.
-
-E1_2 integrates its rows per nu in one rows call as well.  Each row of such
-a group records the elapsed time of the whole group (`--timings`).
+nu[0]), bit for bit, and its sanity rows are E1_3's diagonal.  E1_2
+integrates its rows per nu in one rows call as well; each row records the
+elapsed time of its whole group (`--timings`).
 
 The ladder integrands take J_nu(mu_n u) from the per-(nu, n) Chebyshev
-proxies of `specfun.bessel_j_proxy`, all proxied rows in one Clenshaw
-recurrence (a (nu, n) whose proxy would lose more than bessel_j's contract
-keeps the series); E1_2 and the envelope table keep the direct series of
-`bessel_j`, so the classical baseline stays an independent reference.  The
-Bessel families take nu >= -1/2 (`check_bessel_order`: below it u J_nu(mu u)^2
-is unbounded at u = 0); a node at distance 0 from a window end adds 0 to a
-Bessel row and to a row whose weight has a negative power of that distance.
+proxies of `specfun.bessel_j_proxy` (a (nu, n) whose proxy would lose more
+than bessel_j's contract keeps the series); E1_2 and the envelope table keep
+the direct series of `bessel_j`, an independent reference.  The Bessel
+families take nu >= -1/2 (`check_bessel_order`: below it u J_nu(mu u)^2 is
+unbounded at u = 0), and E2_5 takes alpha, beta >= -0.99 (`_MAX_POWER`); a
+node at distance 0 from a window end adds 0 to a Bessel row and to a row
+whose weight has a negative power of that distance.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -55,8 +53,7 @@ from .exceptions import DomainError
 from .ladder import LadderTable, check_admissible
 # nothing here calls integrate_adaptive; bench/test_bench.py checks that the
 # benchmark tracer patches this module's binding of it
-from .quadrature import (integrate_adaptive, integrate_adaptive_rows,  # noqa: F401
-                         integrate_singular_rows)
+from .quadrature import integrate_adaptive, integrate_adaptive_rows  # noqa: F401
 from .specfun import (PolyFamilySpec, bessel_j, bessel_j_proxy, bessel_norm_sq,
                       bessel_zero, poly_eval, poly_norm_sq)
 
@@ -280,37 +277,78 @@ def is_sanity(params: dict) -> bool:
     return params.get("weight") == "ztilde2"
 
 
+# The largest power of the end map, for Jacobi exponents >= -0.99: tau^100 at
+# GK15's first node is ~1e-237, and past it tau^m leaves the double range.
+_MAX_POWER = 100
+
+
+class _Window:
+    """The preimage of [T, T + U] as pieces of ladder panels, each in its
+    panel's own coordinate x, laid end to end in one coordinate s: piece i
+    holds s in [i, i + 1] with tau = s - i, or i + 1 - s on the right end's
+    piece, so tau = 0 at a window end.  An end piece is x = x_end +- w tau^m
+    (m from `_Member`), a whole panel inside x = -1 + 2 tau.  The left end
+    is `table.locate(T)`, the right end where the rises from it reach U.
+    1 + u (u for U = 1) sums the rises from the left end to a node, 1 - u
+    those from the node to the right end: no checkpoint value and no
+    phi_1 - T enters.  A node's rise from its piece's nearer edge is its
+    exact offset there (from tau, not the rounded x) times the mean slope
+    (`LadderTable.slopes`), so a power of a distance stays smooth in tau.
+    """
+
+    def __init__(self, table: LadderTable, left: tuple[int, float], U: float, m: int):
+        self.table = table
+        rise = lambda k, lo, hi: (hi - lo) * float(table.slopes(k, lo, hi)[1])   # noqa: E731
+        k, xa = left
+        last, x0, before, reach = len(table.edges) - 2, xa, 0.0, rise(k, xa, 1.0)
+        while reach < U and k < last:
+            k, x0, before = k + 1, -1.0, reach
+            reach += rise(k, -1.0, 1.0)
+        xb = table.solve_rise(k, x0, U - before)
+        if k == left[0]:   # one panel: split at its middle, so each end has its piece
+            c = 0.5 * (xa + xb)
+            pieces = [(k, xa, c, m, False), (k, c, xb, m, True)]
+        else:
+            pieces = ([(left[0], xa, 1.0, m, False)]
+                      + [(j, -1.0, 1.0, 1, False) for j in range(left[0] + 1, k)]
+                      + [(k, -1.0, xb, m, True)])
+        panel, self.x_lo, self.x_hi, self.power, self.rev = (np.array(c) for c in zip(*pieces))
+        self.panel, self.w = panel.astype(np.intp), self.x_hi - self.x_lo
+        self.piece_rise = np.array([rise(*p[:3]) for p in pieces])
+        # the rises from the left end to each piece, and from each to the right end
+        self.lead = np.concatenate([[0.0], np.cumsum(self.piece_rise[:-1])])
+        self.tail = np.concatenate([np.cumsum(self.piece_rise[:0:-1])[::-1], [0.0]])
+        self.span, self.breaks = float(len(pieces)), np.arange(1.0, len(pieces))
+
+    def at(self, s: np.ndarray):
+        """At the points s: 1 + u and 1 - u (u and 1 - u for U = 1), each at
+        least 0, t, and d(phi_1)/ds, which is Ztilde^2 dt/ds."""
+        i = np.minimum(s.astype(np.intp), len(self.panel) - 1)
+        rev, m, w, x_lo, x_hi = self.rev[i], self.power[i], self.w[i], self.x_lo[i], self.x_hi[i]
+        tau = np.where(rev, (i + 1) - s, s - i)
+        with np.errstate(divide="ignore"):   # 1 - tau^m without cancellation; 1 at tau = 0
+            q, qbar = tau ** m, -np.expm1(m * np.log1p(tau - 1.0))
+        d_lo, d_hi = w * np.where(rev, qbar, q), w * np.where(rev, q, qbar)
+        lo_near = d_lo <= d_hi
+        x = np.where(lo_near, x_lo + d_lo, x_hi - d_hi)
+        t, mean, slope = self.table.slopes(self.panel[i], np.where(lo_near, x_lo, x_hi), x)
+        near = np.where(lo_near, d_lo, d_hi) * mean
+        far = self.piece_rise[i] - near
+        d_left = self.lead[i] + np.where(lo_near, near, far)
+        d_right = self.tail[i] + np.where(lo_near, far, near)
+        return (np.maximum(d_left, 0.0), np.maximum(d_right, 0.0), t,
+                slope * (m * w * tau ** (m - 1)))
+
+
 class _Nodes:
     """The values that the members of one window group share at one batch of
-    nodes ts, each computed once, on first use.  `bessel(nu)` holds the rows
+    nodes s (`_Window.at`), each computed once.  `bessel(nu)` holds the rows
     1..N of J_nu(mu_n u) for the run's largest degree N at nu."""
 
-    def __init__(self, table: LadderTable, T: float, ts: np.ndarray, proxies: dict):
-        self.table, self.T, self.ts, self.proxies = table, T, ts, proxies
-        self._bessel: dict = {}
-        self._poly: dict = {}
-
-    @cached_property
-    def phi(self) -> np.ndarray:
-        return self.table.eval(self.ts)
-
-    @cached_property
-    def ztilde2(self) -> np.ndarray:
-        return self.table.ztilde_sq(self.ts)
-
-    @cached_property
-    def zeta2(self) -> np.ndarray:
-        return self.ztilde2 * np.log(self.ts)   # |zeta|^2 = Ztilde^2 ln t
-
-    @cached_property
-    def d_left(self) -> np.ndarray:
-        """phi - T, at least 0: the Bessel members' u, and 1 + u of the others."""
-        return np.maximum(self.phi - self.T, 0.0)
-
-    @cached_property
-    def d_right(self) -> np.ndarray:
-        """T + 2 - phi, at least 0: 1 - u of the U = 2 members."""
-        return np.maximum((self.T + 2.0) - self.phi, 0.0)
+    def __init__(self, window: _Window, s: np.ndarray, proxies: dict):
+        self.d_left, self.d_right, t, self.ztilde2 = window.at(s)
+        self.zeta2 = self.ztilde2 * np.log(t)   # |zeta|^2 = Ztilde^2 ln t
+        self.proxies, self._bessel, self._poly = proxies, {}, {}
 
     def bessel(self, nu: float) -> np.ndarray:
         j = self._bessel.get(nu)
@@ -321,7 +359,7 @@ class _Nodes:
     def poly(self, spec: PolyFamilySpec, n: int) -> np.ndarray:
         p = self._poly.get((spec, n))
         if p is None:
-            p = self._poly[(spec, n)] = poly_eval(spec, n, self.phi - (self.T + 1.0))
+            p = self._poly[(spec, n)] = poly_eval(spec, n, 0.5 * (self.d_left - self.d_right))
         return p
 
 
@@ -329,20 +367,20 @@ class _Member(NamedTuple):
     U: float
     rows: list
     factor: Callable
-    smooth: bool
+    m: int
 
 
 def _member_pieces(s: RowSet) -> _Member:
-    """(U, rows, factor, smooth) for one row set.
+    """(U, rows, factor, m) for one row set.
 
     `rows` holds one (equation id, params, rhs constant) per degree or pair.
     `factor(nodes, w)` maps a batch's shared values (`_Nodes`) and the
-    weight w there to the array (rows, len(ts)) of each row's product of
+    weight w there to the array (rows, len(s)) of each row's product of
     functions times its weight times w, each row formed with the operations,
-    in the order, of an integrand of that row alone.  With Jacobi exponents
-    (0, 0) the integrand is smooth on each ladder panel (GK15 with the panel
-    edges as breakpoints); otherwise its weight has an endpoint power and it
-    goes to tanh-sinh.
+    in the order, of an integrand of that row alone.  m, the power of the
+    window's end map, is max(2, ceil(1 / (1 + gamma))) with gamma the
+    member's smallest Jacobi exponent: dist^gamma d(dist)/dtau is then
+    bounded at an end, so GK15 takes every member, smooth or not.
     """
     eq, max_n, nu = s.eq, s.max_n, s.nu
     if eq not in LADDER_MEMBERS:
@@ -372,11 +410,15 @@ def _member_pieces(s: RowSet) -> _Member:
         U = 2.0
         spec = PolyFamilySpec.jacobi(*ab) if family == "jacobi" else PolyFamilySpec(family)
         norms = [poly_norm_sq(spec, n) for n in degrees]
+    # the 1e-9 keeps a rounded 1 / (1 + gamma) = 10.000000000000002 at 10
+    power = max(2, math.ceil(1.0 / (1.0 + min(ab)) - 1e-9))
+    if power > _MAX_POWER:
+        raise DomainError(f"{eq} requires alpha, beta >= -0.99, got ({ab[0]}, {ab[1]}): the "
+                          f"end map's tau^{power} would leave the double range")
 
-    # A node whose distance to a window end rounds to 0 gets 0: the limit of
-    # u J_nu(mu u)^2 for nu > -1/2, and where a negative power would be inf.
-    # The weight's arithmetic follows the family, not (alpha, beta): the
-    # Chebyshev forms take one square root of the product of the distances.
+    # A node at distance 0 from a window end gets 0: the limit of u J_nu(mu u)^2
+    # for nu > -1/2, and where a negative power would be inf.  The weight's
+    # arithmetic follows the family: the Chebyshev forms take one square root.
     def factor(nodes, w):
         d_left = nodes.d_left
         if family == "bessel":
@@ -403,7 +445,7 @@ def _member_pieces(s: RowSet) -> _Member:
         rows = [(eq, {"n": n, **extra}, c) for n, c in zip(degrees, norms)]
     else:
         rows = [(eq, {}, norms[0])]
-    return _Member(U, rows, factor, smooth)
+    return _Member(U, rows, factor, power)
 
 
 def ladder_reports(table: LadderTable, sets: list[RowSet]) -> list[VerificationReport]:
@@ -413,16 +455,11 @@ def ladder_reports(table: LadderTable, sets: list[RowSet]) -> list[VerificationR
     Every set's arguments are checked first, its window [T, T + U] inside
     [phi_lo, phi_hi] among them, so an argument error is raised before any
     integration starts.  The sets are then grouped by the window they
-    share, (T, U, route): the preimage of [T, T + U], on GK15 split at the
-    panel edges inside it for a smooth weight (p^2 joins only there; a zero
-    of Z is a smooth double zero of it) or on tanh-sinh, whose ends move
-    inward to the nearest doubles with values inside [T, T + U] so a weight
-    singular there is never evaluated past them.  Each distinct window end
-    is inverted once.  Each group makes one rows call; its integrand
-    evaluates phi_1, Ztilde^2 and ln t once per node and the Bessel rows once
-    per nu (their proxies built once per nu for the whole run), and every row
-    keeps its set's quad_tol and the bits of an integral of that row alone.
-    Each row records its group's elapsed time.
+    share, (T, U, m) (`_Window`), each T's left end located once.  Each
+    group makes one rows call of GK15 over its window's pieces, with the
+    Bessel proxies built once per nu for the whole run; every row keeps its
+    set's quad_tol and the bits of an integral of that row alone, and
+    records its group's elapsed time.
     """
     members = []
     for s in sets:
@@ -437,51 +474,31 @@ def ladder_reports(table: LadderTable, sets: list[RowSet]) -> list[VerificationR
                 f"T + {U:g} <= phi_hi, have [{table.phi_lo!r}, {table.phi_hi!r}]")
     groups: dict[tuple, list[int]] = {}
     for i, (s, m) in enumerate(zip(sets, members)):
-        groups.setdefault((s.T, m.U, m.smooth), []).append(i)
+        groups.setdefault((s.T, m.U, m.m), []).append(i)
     # the Bessel rows 1..N at each nu, N the largest degree of the run there
     top: dict = {}
     for s, m in zip(sets, members):
         if m.U == 1.0:   # the Bessel members
             top[s.nu] = max(top.get(s.nu, 0), s.max_n)
     proxies = {nu: bessel_j_proxy(nu, range(1, n + 1)) for nu, n in top.items()}
+    lefts = {T: table.locate(T) for T in dict.fromkeys(T for T, _, _ in groups)}
+    inverse: dict[float, float] = {}   # phi_1^{-1}(T) as a double t, for E1_4
 
-    inverse: dict[float, float] = {}
-    windows = {}
-    for T, U, smooth in groups:
-        for y in (T, T + U):
-            if y not in inverse:
-                inverse[y] = table.invert(y)
-        a, b = inverse[T], inverse[T + U]
-        if not smooth:
-            while table.eval(a) < T:
-                a = float(np.nextafter(a, math.inf))
-            while table.eval(b) > T + U:
-                b = float(np.nextafter(b, -math.inf))
-        windows[T, U, smooth] = a, b
-
-    ev_hash = table.evaluator.config_hash()
-    lhash = table.config_hash()
+    ev_hash, lhash = table.evaluator.config_hash(), table.config_hash()
     out: list[list[VerificationReport]] = [[] for _ in sets]
-    for key, idx in groups.items():
+    for (T, U, m), idx in groups.items():
         t0 = time.perf_counter()
-        T, U, smooth = key
-        a, b = windows[key]
+        window = _Window(table, lefts[T], U, m)
 
-        def integrand(ts):
-            nodes = _Nodes(table, T, ts, proxies)
+        def integrand(s):
+            nodes = _Nodes(window, s, proxies)
             return np.concatenate([members[i].factor(nodes, nodes.zeta2 if sets[i].zeta2
                                                      else nodes.ztilde2) for i in idx])
 
         tols = [sets[i].quad_tol for i in idx for _ in members[i].rows]
-        if smooth:
-            inner = slice(np.searchsorted(table.edges, a, side="right"),
-                          np.searchsorted(table.edges, b))
-            results = integrate_adaptive_rows(integrand, len(tols), a, b, tols,
-                                              breakpoints=table.edges[inner])
-        else:
-            results = integrate_singular_rows(integrand, len(tols), a, b, tols)
+        results = iter(integrate_adaptive_rows(integrand, len(tols), 0.0, window.span, tols,
+                                               breakpoints=window.breaks))
         elapsed = time.perf_counter() - t0
-        results = iter(results)
         for i in idx:
             s = sets[i]
             out[i] = [_make_report(row_eq, {**params, "T": T, **s.extra}, res.value,
@@ -489,6 +506,8 @@ def ladder_reports(table: LadderTable, sets: list[RowSet]) -> list[VerificationR
                                    res.error_estimate, elapsed, ev_hash, lhash)
                       for (row_eq, params, const), res in zip(members[i].rows, results)]
             if s.eq == "E1_3":   # segments [0, 1] and [a, b] with a >> 1
+                if T not in inverse:
+                    inverse[T] = table.invert(T)
                 out[i].append(_make_report("E1_4", {"T": T, "nu": s.nu}, inverse[T] - 1.0,
                                            T, 0.0, elapsed, ev_hash, lhash))
     return [r for reports in out for r in reports]

@@ -4,18 +4,17 @@ Run with `pytest tests/test_acceptance.py -v -s`.  The ladder is built once
 per session on [1e3, 1.08e5] at tolerance 1e-8 (the upper end is extended
 beyond 1e5 + 1e2 so that the preimage of [1e5, 1e5 + 2] exists; phi_1 on the
 shared range is the identical construction) and cached under .cache/ to make
-reruns cheap.
+reruns cheap (the `big_ladder` fixture of conftest.py).
 """
 
 import json
 import math
-import os
 import time
 
 import numpy as np
 import pytest
 
-from zladder import CacheError, LadderTable, build_ladder, retardation_report
+from zladder import LadderTable, retardation_report
 from zladder import verify as V
 from zladder.cli import (EXIT_CACHE, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK,
                          EXIT_SOFT, main as cli_main)
@@ -27,38 +26,6 @@ SEED = 20260811
 
 def _announce(num: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num} {'PASS' if ok else 'FAIL'}: {detail}")
-
-
-@pytest.fixture(scope="session")
-def timings():
-    return {}
-
-
-@pytest.fixture(scope="session")
-def big_ladder(ev, timings):
-    cache_dir = os.environ.get(
-        "ZLADDER_TEST_CACHE",
-        os.path.join(os.path.dirname(__file__), "..", ".cache"))
-    path = os.path.join(cache_dir, "acceptance-ladder.npz")
-    meta_path = path + ".meta"
-    if os.path.exists(path):
-        try:
-            table = LadderTable.load(path, ev)
-            timings["build"] = 0.0
-            if os.path.exists(meta_path):
-                with open(meta_path) as fh:
-                    timings["build"] = float(json.load(fh).get("build_seconds", 0.0))
-            return table
-        except CacheError:
-            pass
-    t0 = time.perf_counter()
-    table = build_ladder(ev, 1000.0, 108000.0, tol=1e-8)
-    timings["build"] = time.perf_counter() - t0
-    os.makedirs(cache_dir, exist_ok=True)
-    table.save(path)
-    with open(meta_path, "w") as fh:
-        json.dump({"build_seconds": timings["build"]}, fh)
-    return table
 
 
 @pytest.fixture(scope="session")
@@ -165,6 +132,25 @@ def test_criterion_5_sanity_layer(big_ladder):
     _announce(5, ok, "exact-substitution ratios at T = 5e3, n <= 4, |ratio-1| <= 1e-4: "
                      + ", ".join(f"{eq} {err:.3e}" for eq, err in worst.items()))
     assert ok
+
+
+@pytest.mark.parametrize("T", [1e4, 5e4, 7e4, 1e5])
+def test_singular_weight_sanity_rows_exact(big_ladder, T):
+    # the endpoint-weight members E2_5 and E2_7..E2_10 on the acceptance
+    # ladder: exact to 1e-9 and to each row's own error estimate
+    worst = 0.0
+    for eq in ("E2_5", "E2_7", "E2_8", "E2_9", "E2_10"):
+        for rep in V.sanity_theorem2_exact(big_ladder, T, eq, 4, alpha=0.5, beta=0.5):
+            worst = max(worst, abs(rep.ratio - 1.0))
+            assert abs(rep.lhs - rep.rhs) <= rep.quadrature_error, (eq, rep.params)
+    assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("alpha,beta", [(-0.9, -0.9), (-0.75, 0.3), (-0.6, 0.5), (-0.5, 0.3),
+                                        (0.3, -0.4), (0.3, -0.1), (0.5, 0.5), (2.0, 3.0)])
+def test_jacobi_exponent_sweep_at_1e5(big_ladder, alpha, beta):
+    reports = V.sanity_theorem2_exact(big_ladder, 1e5, "E2_5", 4, alpha=alpha, beta=beta)
+    assert all(abs(r.ratio - 1.0) <= 1e-9 for r in reports)
 
 
 def test_criterion_6_asymptotic_layer(asymptotic_reports):

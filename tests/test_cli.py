@@ -390,10 +390,12 @@ class TestVerifyVerbs:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("family", ["theorem2", "sanity"])
-    @pytest.mark.parametrize("alpha,beta", [(-0.5, -0.5), (0.3, -0.4)])
+    @pytest.mark.parametrize("alpha,beta", [(-0.5, -0.5), (0.3, -0.4), (-0.75, 0.3),
+                                            (-0.9, -0.9)])
     def test_negative_jacobi_exponent(self, capsys, cache_env, family, alpha, beta):
-        # at T = 941 an E2_5 node's distance to a window end rounds to 0,
-        # where d ** beta with beta < 0 was inf (exit 70); it gets 0 instead
+        # the window's end pieces are mapped by tau^m, m = ceil(1 / (1 + gamma))
+        # (4 and 10 for the last two pairs), so the weight's negative power of
+        # the distance to an end stays bounded and every sanity row exact
         code = run_cli("verify", family, *LADDER_ARGS, "--T", "941", "--max-n", "4",
                        "--alpha", str(alpha), "--beta", str(beta), "--out", "-")
         assert code == EXIT_OK

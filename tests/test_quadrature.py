@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from zladder import (DomainError, QuadratureError, bessel_norm_sq, bessel_zero,
                      bessel_j, integrate_adaptive, integrate_adaptive_rows,
-                     integrate_singular, integrate_singular_rows)
+                     integrate_singular)
 from zladder import quadrature as Q
 from zladder.quadrature import _XK, _gk15_sums
 
@@ -34,38 +34,6 @@ def adaptive_reference(f, a, b, tol, breakpoints=()):
     order = np.argsort(np.concatenate(done_lo), kind="stable")
     return (float(np.sum(np.concatenate(done_val)[order])),
             float(np.sum(np.concatenate(done_err)[order])), len(order), calls)
-
-
-def singular_reference(f, a, b, tol, max_level=12):
-    """The one-integrand tanh-sinh loop as it ran before the rows API:
-    (value, error estimate, levels); raises QuadratureError as it did."""
-    r = 0.5 * (b - a)
-    for level in range(1, max_level + 1):
-        h = 2.0 ** -level
-        tau = h * np.arange(1, math.ceil(4.3 / h) + 1, 1 if level == 1 else 2)
-        u = 0.5 * np.pi * np.sinh(tau)
-        w = h * (0.5 * np.pi) * np.cosh(tau) / np.cosh(u) ** 2
-        dist = r * (2.0 / (1.0 + np.exp(2.0 * u)))
-        t_left, t_right = a + dist, b - dist
-        keep = (t_right < b) & (t_left > a) & (w > 0.0)
-        center = [0.5 * (a + b)] if level == 1 else []
-        pts = np.concatenate([t_left[keep], center, t_right[keep]])
-        wts = np.concatenate([w[keep], [h * 0.5 * np.pi] if center else [], w[keep]])
-        vals = f(pts)
-        if not np.all(np.isfinite(vals)):
-            raise QuadratureError("non-finite")
-        part = float(np.sum(wts * vals))
-        if level == 1:
-            acc = part
-            prev = r * acc
-            continue
-        acc = 0.5 * acc + part
-        cur = r * acc
-        diff = abs(cur - prev)
-        if diff <= max(tol, 8.0 * np.finfo(float).eps * (1.0 + abs(cur))):
-            return cur, diff, level
-        prev = cur
-    raise QuadratureError("did not converge")
 
 
 def damped_wave(c, w, ph, d):
@@ -127,10 +95,10 @@ class TestAdaptive:
         assert res.value == pytest.approx(1.0, abs=1e-13)
         assert res.panels_used >= 3
 
-    def test_panel_cap(self):
+    def test_panel_cap(self, monkeypatch):
+        monkeypatch.setattr(Q, "_MAX_PANELS", 64)
         with pytest.raises(QuadratureError):
-            integrate_adaptive(lambda x: np.cos(50.0 * x), 0.0, 10.0, 1e-300,
-                               max_panels=64)
+            integrate_adaptive(lambda x: np.cos(50.0 * x), 0.0, 10.0, 1e-300)
 
     def test_non_finite_integrand(self):
         def f(x):
@@ -218,12 +186,13 @@ class TestAdaptiveRows:
         # two children per bisection, of which panels_used are leaves
         assert sum(calls) == 15 * (2 * wave.panels_used - 2)
 
-    def test_row_panel_budget(self):
+    def test_row_panel_budget(self, monkeypatch):
         def rows_f(x):
             return np.stack([x, np.cos(50.0 * x)])
 
+        monkeypatch.setattr(Q, "_MAX_PANELS", 64)
         with pytest.raises(QuadratureError, match="64 panels"):
-            integrate_adaptive_rows(rows_f, 2, 0.0, 10.0, 1e-300, max_panels=64)
+            integrate_adaptive_rows(rows_f, 2, 0.0, 10.0, 1e-300)
 
     def test_row_non_finite(self):
         def rows_f(x):
@@ -233,18 +202,18 @@ class TestAdaptiveRows:
         with pytest.raises(QuadratureError, match=r"non-finite value near x = 0\.5$"):
             integrate_adaptive_rows(rows_f, 2, 0.0, 1.0, 1e-9)
 
-    def test_budget_before_a_later_rows_non_finite(self):
+    def test_budget_before_a_later_rows_non_finite(self, monkeypatch):
         # in round 1, row 0 splits past its budget and row 1 meets inf at
         # the panel's midpoint: the first row in row order raises
         def rows_f(x):
             with np.errstate(divide="ignore"):
                 return np.stack([np.cos(50.0 * x), 1.0 / (x - 0.5)])
 
+        monkeypatch.setattr(Q, "_MAX_PANELS", 2)
         with pytest.raises(QuadratureError, match="exceeded 2 panels"):
-            integrate_adaptive_rows(rows_f, 2, 0.0, 1.0, 1e-300, max_panels=2)
+            integrate_adaptive_rows(rows_f, 2, 0.0, 1.0, 1e-300)
         with pytest.raises(QuadratureError, match=r"non-finite value near x = 0\.5$"):
-            integrate_adaptive_rows(lambda x: rows_f(x)[::-1], 2, 0.0, 1.0, 1e-300,
-                                    max_panels=2)
+            integrate_adaptive_rows(lambda x: rows_f(x)[::-1], 2, 0.0, 1.0, 1e-300)
 
     def test_non_finite_off_a_rows_panels_is_ignored(self):
         # row 0 accepts its panels in round 1 and then returns inf and -inf
@@ -305,14 +274,15 @@ class TestAdaptiveRows:
         for x_rows, x_solo in zip(rows_calls, solo_calls):
             np.testing.assert_array_equal(x_rows, x_solo)
 
-    def test_breakpoint_panels_beyond_budget_all_accepted(self):
+    def test_breakpoint_panels_beyond_budget_all_accepted(self, monkeypatch):
         # the budget charges only the children of rejected panels, so a row
-        # that starts with more panels than max_panels but accepts them all
+        # that starts with more panels than the budget but accepts them all
         # in the first round returns
         fs = [lambda x: x, lambda x: 1.0 - x * x]
         breaks = list(np.linspace(0.0, 2.0, 101)[1:-1])
+        monkeypatch.setattr(Q, "_MAX_PANELS", 50)
         got = integrate_adaptive_rows(lambda x: np.stack([f(x) for f in fs]), 2,
-                                      0.0, 2.0, 1e-9, breakpoints=breaks, max_panels=50)
+                                      0.0, 2.0, 1e-9, breakpoints=breaks)
         for f, res in zip(fs, got):
             value, err, panels, n_calls = adaptive_reference(f, 0.0, 2.0, 1e-9, breaks)
             assert (res.value, res.error_estimate, res.panels_used) == (value, err, panels)
@@ -348,6 +318,10 @@ class TestAdaptiveRows:
 
 
 class TestTanhSinh:
+    """The contract of `integrate_singular`: (dist)^(-1/2) blow-ups at the
+    ends, and f never called at a or b.  It is GK15 over the two halves of
+    the window, each mapped from its own end by x = end -+ w tau^2."""
+
     def test_plain_form_never_hits_endpoints(self):
         seen = []
 
@@ -358,194 +332,20 @@ class TestTanhSinh:
         res = integrate_singular(f, -1.0, 1.0, 1e-10)
         assert all(lo > -1.0 and hi < 1.0 for lo, hi in seen)
         assert abs(res.value - math.pi / 2) <= 1e-9
-        assert res.panels_used <= 10
-        assert res.rule == "tanh-sinh"
+        assert res.rule == "gk15-adaptive"
+        seen.clear()
+        res = integrate_singular(lambda x: f(x) ** -1.0, -1.0, 1.0, 1e-10)
+        assert all(lo > -1.0 and hi < 1.0 for lo, hi in seen)
+        assert abs(res.value - math.pi) <= 1e-9
+        assert res.error_estimate <= 1e-10
 
     def test_non_integrable_raises(self):
-        with pytest.raises(QuadratureError):
+        # refinement runs towards an end until a node rounds onto it; the
+        # error names that node's x, not its tau
+        with pytest.raises(QuadratureError, match=r"near x = -?1\.0$"):
             integrate_singular(lambda x: 1.0 / ((1.0 - x) * (1.0 + x)),
                                -1.0, 1.0, 1e-8)
-
-    def test_level_cap(self, monkeypatch):
-        monkeypatch.setattr(Q, "_MAX_LEVEL", 3)
-        with pytest.raises(QuadratureError):
-            integrate_singular(lambda x: np.cos(200.0 * x), 0.0, 50.0, 1e-13)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             integrate_singular(lambda x: x, 2.0, 2.0, 1e-9)
-
-    @staticmethod
-    def full_level_sum(f, a, b, level):
-        """The tanh-sinh sum at step 2^-level over every node, recomputed."""
-        h = 2.0 ** -level
-        tau = h * np.arange(-math.ceil(4.3 / h), math.ceil(4.3 / h) + 1)
-        u = 0.5 * math.pi * np.sinh(tau)
-        w = h * 0.5 * math.pi * np.cosh(tau) / np.cosh(u) ** 2
-        x = 0.5 * (a + b) + 0.5 * (b - a) * np.tanh(u)
-        keep = (x > a) & (x < b) & (w > 0.0)
-        return 0.5 * (b - a) * math.fsum(w[keep] * f(x[keep]))
-
-    def test_levels_reuse_the_previous_sum(self):
-        # each level evaluates only its new (odd) nodes; its value is the
-        # recomputed full sum up to rounding
-        calls = []
-
-        def f(x):
-            calls.append(len(x))
-            return np.sqrt((1.0 - x) * (1.0 + x)) * np.exp(x)
-
-        res = integrate_singular(f, -1.0, 1.0, 1e-12)
-        level = res.panels_used
-        ref = self.full_level_sum(lambda x: np.sqrt((1.0 - x) * (1.0 + x)) * np.exp(x),
-                                  -1.0, 1.0, level)
-        assert abs(res.value - ref) <= 1e-14
-        assert len(calls) == level
-        full = sum(2 * math.ceil(4.3 * 2 ** k) + 1 for k in range(1, level + 1))
-        assert sum(calls) <= 0.6 * full
-
-
-def endpoint_wave(a, b, c, w, ph, p):
-    """c cos(w x + ph) ((x - a)(b - x))^p, with an endpoint power p."""
-    return lambda x: c * np.cos(w * x + ph) * ((x - a) * (b - x)) ** p
-
-
-class TestSingularRows:
-    @settings(max_examples=60, deadline=None)
-    @given(params=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 20.0),
-                                     st.floats(0.0, 6.0), st.sampled_from([-0.5, 0.0, 0.5])),
-                           min_size=1, max_size=5),
-           a=st.floats(-2.0, 2.0), width=st.floats(0.1, 4.0),
-           tol=st.sampled_from([1e-6, 1e-9, 1e-12]))
-    def test_rows_equal_solo_integrals(self, params, a, width, tol):
-        b = a + width
-        fs = [endpoint_wave(a, b, *p) for p in params]
-        calls = []
-
-        def rows_f(x):
-            calls.append(x)
-            return np.stack([f(x) for f in fs])
-
-        try:
-            refs = [singular_reference(f, a, b, tol) for f in fs]
-        except QuadratureError:
-            with pytest.raises(QuadratureError):
-                integrate_singular_rows(rows_f, len(fs), a, b, tol)
-            return
-        got = integrate_singular_rows(rows_f, len(fs), a, b, tol)
-        for f, res, ref in zip(fs, got, refs):
-            solo = integrate_singular(f, a, b, tol)
-            assert (res.value, res.error_estimate, res.panels_used) == \
-                (solo.value, solo.error_estimate, solo.panels_used) == ref
-            assert res.rule == "tanh-sinh"
-        # one call per level, on that level's new nodes, as many levels as
-        # the slowest row needs
-        slow = fs[int(np.argmax([res.panels_used for res in got]))]
-        solo_calls = []
-        integrate_singular(lambda x: solo_calls.append(x) or slow(x), a, b, tol)
-        assert len(calls) == len(solo_calls) == max(res.panels_used for res in got)
-        assert all(np.array_equal(x, y) for x, y in zip(calls, solo_calls))
-
-    def test_finished_rows_ignore_later_levels(self):
-        # row 0 stops first; its values after that are never looked at
-        flat = integrate_singular(np.ones_like, -1.0, 1.0, 1e-10)
-        wave = integrate_singular(lambda x: np.cos(40.0 * x), -1.0, 1.0, 1e-10)
-        assert flat.panels_used < wave.panels_used
-        calls = []
-
-        def rows_f(x):
-            calls.append(len(x))
-            done = len(calls) > flat.panels_used
-            return np.stack([np.full_like(x, np.nan) if done else np.ones_like(x),
-                             np.cos(40.0 * x)])
-
-        assert integrate_singular_rows(rows_f, 2, -1.0, 1.0, 1e-10) == [flat, wave]
-        assert len(calls) == wave.panels_used
-
-    def test_finished_rows_may_turn_infinite_without_warnings(self):
-        # row 0 stops first and then returns +-inf: no error and no warning
-        flat = integrate_singular(np.ones_like, -1.0, 1.0, 1e-10)
-        wave = integrate_singular(lambda x: np.cos(40.0 * x), -1.0, 1.0, 1e-10)
-        calls = []
-
-        def rows_f(x):
-            calls.append(len(x))
-            done = len(calls) > flat.panels_used
-            return np.stack([np.where(x < 0.0, np.inf, -np.inf) if done else np.ones_like(x),
-                             np.cos(40.0 * x)])
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert integrate_singular_rows(rows_f, 2, -1.0, 1.0, 1e-10) == [flat, wave]
-        assert len(calls) == wave.panels_used
-
-    def test_first_non_finite_row_raises(self):
-        # both rows meet NaN at level 2; row 0 (NaN only at x > 0) is checked first
-        calls = []
-
-        def rows_f(x):
-            calls.append(len(x))
-            if len(calls) < 2:
-                return np.stack([np.cos(x), np.cos(x)])
-            return np.stack([np.where(x > 0.0, np.nan, 1.0), np.full_like(x, np.nan)])
-
-        with pytest.raises(QuadratureError, match="non-finite") as info:
-            integrate_singular_rows(rows_f, 2, -1.0, 1.0, 1e-10)
-        assert float(str(info.value).rsplit("=", 1)[1]) > 0.0
-
-    def test_non_finite_before_non_convergence(self, monkeypatch):
-        # row 0 would run out of levels; row 1 meets NaN at level 2, first
-        def rows_f(x):
-            bad = np.full_like(x, np.nan) if len(x) < 50 else np.cos(x)
-            return np.stack([np.cos(200.0 * x), bad])
-
-        monkeypatch.setattr(Q, "_MAX_LEVEL", 3)
-        with pytest.raises(QuadratureError, match="non-finite"):
-            integrate_singular_rows(rows_f, 2, 0.0, 50.0, 1e-13)
-
-    def test_row_level_cap(self, monkeypatch):
-        def rows_f(x):
-            return np.stack([np.ones_like(x), np.cos(200.0 * x)])
-
-        monkeypatch.setattr(Q, "_MAX_LEVEL", 3)
-        with pytest.raises(QuadratureError, match="within 3 levels"):
-            integrate_singular_rows(rows_f, 2, 0.0, 50.0, 1e-13)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            integrate_singular_rows(lambda x: np.stack([x, x]), 2, 1.0, 0.0, 1e-9)
-
-    @settings(max_examples=30, deadline=None)
-    @given(params=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 20.0),
-                                     st.floats(0.0, 6.0), st.sampled_from([-0.5, 0.0, 0.5]),
-                                     st.sampled_from([1e-6, 1e-9, 1e-12])),
-                           min_size=1, max_size=5),
-           a=st.floats(-2.0, 2.0), width=st.floats(0.1, 4.0))
-    def test_per_row_tolerances(self, params, a, width):
-        # each row stops at its own tolerance, with the bits of its solo integral
-        b = a + width
-        fs = [endpoint_wave(a, b, *p[:4]) for p in params]
-        tols = [p[4] for p in params]
-        try:
-            solos = [integrate_singular(f, a, b, tol) for f, tol in zip(fs, tols)]
-        except QuadratureError:
-            with pytest.raises(QuadratureError):
-                integrate_singular_rows(lambda x: np.stack([f(x) for f in fs]), len(fs),
-                                        a, b, tols)
-            return
-        got = integrate_singular_rows(lambda x: np.stack([f(x) for f in fs]), len(fs),
-                                      a, b, tols)
-        assert got == solos
-
-    def test_per_row_level_cap_names_the_row_tolerance(self, monkeypatch):
-        def rows_f(x):
-            return np.stack([np.ones_like(x), np.cos(200.0 * x)])
-
-        monkeypatch.setattr(Q, "_MAX_LEVEL", 3)
-        with pytest.raises(QuadratureError, match="converge to 1.000e-13 within 3 levels"):
-            integrate_singular_rows(rows_f, 2, 0.0, 50.0, [1e-6, 1e-13])
-
-    @pytest.mark.parametrize("tols", [[1e-9], [1e-9, -1.0]])
-    def test_per_row_tolerance_domain(self, tols):
-        with pytest.raises(DomainError):
-            integrate_singular_rows(lambda x: np.stack([x, x]), 2, 0.0, 1.0, tols)

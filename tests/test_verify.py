@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zladder import (AdmissibilityError, DomainError, PolyFamilySpec, bessel_j, bessel_norm_sq,
-                     bessel_zero, integrate_adaptive, integrate_singular, poly_eval)
+                     bessel_zero, build_ladder, integrate_adaptive, poly_eval)
 from zladder import verify as V
 from zladder.specfun import bessel_j_proxy
 
@@ -96,8 +96,9 @@ class TestCorollary:
 
 
 class TestPooledRowsEqualPerRowIntegrals:
-    """Each row of a Bessel family integrated together with its siblings is
-    the integral of that row's own integrand, bit for bit.  The ladder rows
+    """Each row of a family integrated together with its siblings is the
+    integral of that row's own integrand, bit for bit: for a ladder row, a
+    one-row GK15 over the same window pieces and end map.  The ladder rows
     take J from the per-(nu, n) proxies, E1_2 from the direct series."""
 
     @staticmethod
@@ -107,23 +108,14 @@ class TestPooledRowsEqualPerRowIntegrals:
             assert (r.lhs, r.quadrature_error) == (res.value, res.error_estimate)
 
     @staticmethod
-    def window(table, T, U, smooth):
-        """The one window rule: the preimage of [T, T + U]; a weight singular
-        at its ends moves each end inward to the nearest double whose value
-        lies inside [T, T + U]."""
-        a, b = table.invert(T), table.invert(T + U)
-        if not smooth:
-            while table.eval(a) < T:
-                a = float(np.nextafter(a, math.inf))
-            while table.eval(b) > T + U:
-                b = float(np.nextafter(b, -math.inf))
-        return a, b
+    def window(table, T, eq, alpha=0.5, beta=0.25):
+        """The window of a member's rows at T: the preimage of [T, T + U] as
+        panel pieces, its end pieces mapped by the member's power m."""
+        member = V._member_pieces(V.RowSet(eq, T, 1, alpha=alpha, beta=beta))
+        return V._Window(table, table.locate(T), member.U, member.m)
 
-    @staticmethod
-    def panel_edges(table, a, b):
-        """The GK15 breakpoints of a window: the ladder's panel edges strictly
-        inside it, where p^2 joins."""
-        return table.edges[(table.edges > a) & (table.edges < b)]
+    def assert_ladder_rows(self, reports, integrand, window, tol):
+        self.assert_rows(reports, integrand, 0.0, window.span, tol, window.breaks)
 
     @pytest.mark.parametrize("nu", [0.0, 1.0])
     def test_baseline(self, nu):
@@ -139,21 +131,21 @@ class TestPooledRowsEqualPerRowIntegrals:
 
     def test_theorem1(self, small_ladder, theorem1_reports):
         T, table = 1000.0, small_ladder
+        window = self.window(table, T, "E1_3")
 
         def integrand(p):
             jm, jn = bessel_j_proxy(0.0, [p["m"]]), bessel_j_proxy(0.0, [p["n"]])
 
-            def f(ts):
-                u = np.maximum(table.eval(ts) - T, 0.0)
+            def f(s):
+                u, _, _, ztilde2 = window.at(s)
                 j = jm(u)[0]
                 jj = j * j if p["m"] == p["n"] else j * jn(u)[0]
-                return jj * u * table.ztilde_sq(ts)
+                return jj * u * ztilde2
             return f
 
-        a, b = self.window(table, T, 1.0, True)
         rows = [r for r in theorem1_reports if r.equation_id != "E1_4"]
         assert len(rows) == 6
-        self.assert_rows(rows, integrand, a, b, 1e-9, self.panel_edges(table, a, b))
+        self.assert_ladder_rows(rows, integrand, window, 1e-9)
 
     def test_corollary(self, small_ladder):
         table = small_ladder
@@ -161,23 +153,23 @@ class TestPooledRowsEqualPerRowIntegrals:
         assert [(r.params["T"], r.params["n"]) for r in reports] == \
             [(T, n) for T in (1000.0, 1001.0) for n in (1, 2, 3)]
         for T in (1000.0, 1001.0):
+            window = self.window(table, T, "E2_2")
+
             def integrand(p):
                 jn = bessel_j_proxy(1.0, [p["n"]])
 
-                def f(ts):
-                    u = np.maximum(table.eval(ts) - T, 0.0)
-                    zeta2 = table.ztilde_sq(ts) * np.log(ts)
-                    return jn(u)[0] ** 2 * u * zeta2
+                def f(s):
+                    u, _, t, ztilde2 = window.at(s)
+                    return jn(u)[0] ** 2 * u * (ztilde2 * np.log(t))
                 return f
 
-            a, b = self.window(table, T, 1.0, True)
-            self.assert_rows([r for r in reports if r.params["T"] == T], integrand,
-                             a, b, 1e-6, self.panel_edges(table, a, b))
+            self.assert_ladder_rows([r for r in reports if r.params["T"] == T], integrand,
+                                    window, 1e-6)
 
     @staticmethod
-    def theorem2_integrand(table, T, eq, p, layer):
-        """One E2_4..E2_10 row's integrand as its own job built it before
-        the rows API, and whether it is smooth."""
+    def theorem2_integrand(window, eq, p, layer):
+        """One E2_4..E2_10 row's integrand on its window, as the row alone
+        would form it."""
         family, ab, degree, _ = V.THEOREM2_MEMBERS[eq]
         n = p.get("n", degree)
         alpha, beta = (p["alpha"], p["beta"]) if ab == "params" else ab
@@ -185,16 +177,15 @@ class TestPooledRowsEqualPerRowIntegrals:
         spec = (PolyFamilySpec.jacobi(alpha, beta) if family == "jacobi"
                 else PolyFamilySpec(family) if family != "bessel" else None)
 
-        def factor(ts, w):
-            phi = table.eval(ts)
+        def f(s):
+            d_left, d_right, t, w = window.at(s)
+            if layer == "zeta2":
+                w = w * np.log(t)
             if family == "bessel":
-                u = np.maximum(phi - T, 0.0)
-                return bessel_j_proxy(p["nu"], [n])(u)[0] ** 2 * u * w
-            q = poly_eval(spec, n, phi - (T + 1.0))
+                return bessel_j_proxy(p["nu"], [n])(d_left)[0] ** 2 * d_left * w
+            q = poly_eval(spec, n, 0.5 * (d_left - d_right))
             if smooth:
                 return q * q * w
-            d_right = np.maximum((T + 2.0) - phi, 0.0)
-            d_left = np.maximum(phi - T, 0.0)
             if family == "jacobi":
                 return q * q * d_right ** alpha * d_left ** beta * w
             rad = d_right * d_left
@@ -202,36 +193,24 @@ class TestPooledRowsEqualPerRowIntegrals:
                 return q * q * w * np.sqrt(rad)
             return np.where(rad > 0.0, q * q * w / np.sqrt(np.where(rad > 0.0, rad, 1.0)),
                             0.0)
-
-        if layer == "zeta2":
-            return (lambda ts: factor(ts, table.ztilde_sq(ts) * np.log(ts))), smooth
-        return (lambda ts: factor(ts, table.ztilde_sq(ts))), smooth
+        return f
 
     @pytest.mark.parametrize("layer", ["zeta2", "ztilde2"])
     @pytest.mark.parametrize("eq,alpha,beta",
                              [(eq, 0.5, 0.25) for eq in V.THEOREM2_MEMBERS]
-                             + [("E2_5", 0.0, 0.0)],
-                             ids=[*V.THEOREM2_MEMBERS, "E2_5-smooth"])
+                             + [("E2_5", 0.0, 0.0), ("E2_5", -0.75, 0.3)],
+                             ids=[*V.THEOREM2_MEMBERS, "E2_5-smooth", "E2_5-m4"])
     def test_theorem2(self, small_ladder, eq, alpha, beta, layer):
-        # at T = 995 the window rule moves a singular weight's ends inward:
-        # both ends of [T, T + 1] and the left end of [T, T + 2]
         table, T = small_ladder, 995.0
         if layer == "zeta2":
             reports, tol = V.verify_theorem2(table, T, eq, 3, 1.0, alpha, beta), 1e-6
         else:
             reports, tol = V.sanity_theorem2_exact(table, T, eq, 3, 1.0, alpha, beta), 1e-8
         assert len(reports) == (1 if eq in ("E2_8", "E2_10") else 3)
-        U = 1.0 if eq == "E2_4" else 2.0
-        assert self.window(table, T, U, False)[0] != table.invert(T)
-        for r in reports:
-            f, smooth = self.theorem2_integrand(table, T, eq, r.params, layer)
-            a, b = self.window(table, T, U, smooth)
-            if smooth:
-                res = integrate_adaptive(f, a, b, tol,
-                                         breakpoints=self.panel_edges(table, a, b))
-            else:
-                res = integrate_singular(f, a, b, tol)
-            assert (r.lhs, r.quadrature_error) == (res.value, res.error_estimate)
+        window = self.window(table, T, eq, alpha, beta)
+        assert window.power[0] == window.power[-1] == (4 if alpha == -0.75 else 2)
+        self.assert_ladder_rows(reports, lambda p: self.theorem2_integrand(window, eq, p, layer),
+                                window, tol)
 
     @pytest.mark.parametrize("T", [995.0, 1000.0])
     def test_e2_4_is_e2_2(self, small_ladder, T):
@@ -281,6 +260,68 @@ class TestSanityLayer:
             V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_6", 0)
         with pytest.raises(DomainError):
             V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_6", 17)
+
+
+# (alpha, beta) of E2_5 with an endpoint power of each sign and size
+EXPONENT_SWEEP = [(-0.9, -0.9), (-0.75, 0.3), (-0.6, 0.5), (-0.5, 0.3), (0.3, -0.4),
+                  (0.3, -0.1), (0.5, 0.5), (2.0, 3.0)]
+
+
+@pytest.fixture(scope="module")
+def plan_ladder(ev):
+    """The golden plan's ladder, [1000, 7000] at tol 1e-8."""
+    return build_ladder(ev, 1000.0, 7000.0, tol=1e-8)
+
+
+def assert_exact(reports, bound):
+    """Each exactness row meets its classical value to `bound` and to its
+    own quadrature error estimate."""
+    for r in reports:
+        assert abs(r.lhs - r.rhs) <= min(bound, r.quadrature_error), (r.equation_id, r.params)
+
+
+class TestEndMap:
+    """E2_5's sanity rows over Jacobi exponents down to -0.99: the end
+    pieces' power m = ceil(1 / (1 + min(alpha, beta))) keeps the weight
+    bounded in tau, so every row is exact to quadrature accuracy."""
+
+    @pytest.mark.parametrize("T", [1500.0, 6000.0])
+    @pytest.mark.parametrize("alpha,beta", EXPONENT_SWEEP)
+    def test_exponent_sweep(self, plan_ladder, T, alpha, beta):
+        reports = V.sanity_theorem2_exact(plan_ladder, T, "E2_5", 4, alpha=alpha, beta=beta)
+        assert len(reports) == 4
+        assert all(abs(r.ratio - 1.0) <= 1e-9 for r in reports)
+        assert_exact(reports, 1e-9)
+
+    def test_high_degrees(self, plan_ladder):
+        for T in (1500.0, 6000.0):
+            reports = V.sanity_theorem2_exact(plan_ladder, T, "E2_5", 16, alpha=-0.6, beta=2.5)
+            assert all(abs(r.ratio - 1.0) <= 1e-9 for r in reports)
+
+    @pytest.mark.parametrize("gamma,m", [(0.5, 2), (0.0, 2), (-0.5, 2), (-0.6, 3),
+                                         (-0.75, 4), (-0.9, 10), (-0.99, 100)])
+    def test_power(self, gamma, m):
+        assert V._member_pieces(V.RowSet("E2_5", 1500.0, 1, alpha=1.0, beta=gamma)).m == m
+
+    def test_power_out_of_range_refused(self, small_ladder):
+        with pytest.raises(DomainError, match=r"alpha, beta >= -0\.99"):
+            V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_5", 1, alpha=-0.995, beta=0.0)
+
+
+class TestLargeT:
+    """The exactness layer at t ~ 1e6, where ulp(t) is 1.2e-10: each row's u
+    comes from the panels' own coordinates, not from phi_1 at a double t."""
+
+    @pytest.fixture(scope="class")
+    def ladder(self, ev):
+        return build_ladder(ev, 1e6, 1e6 + 60.0, tol=1e-8)
+
+    @pytest.mark.parametrize("family", ["sanity", "theorem1"])
+    def test_exact_rows(self, ladder, family):
+        sets = V.family_sets(family, [966814.0, 966834.0], [0.0], 4)
+        reports = [r for r in V.ladder_reports(ladder, sets) if r.equation_id != "E1_4"]
+        assert len(reports) == {"sanity": 44, "theorem1": 20}[family]
+        assert_exact(reports, 1e-10)
 
 
 class TestAsymptoticLayer:
@@ -391,30 +432,33 @@ class TestWindowExecutor:
         table, Ts = small_ladder, [995.0, 1000.0]
         calls = self.family_calls(table, Ts)
         alone = [[self.fields(r) for r in solo()] for _, solo in calls]
-        rows_calls, inverts = [], []
-        for name in ("integrate_adaptive_rows", "integrate_singular_rows"):
-            real = getattr(V, name)
-            monkeypatch.setattr(V, name, lambda *a, real=real, name=name, **k:
-                                rows_calls.append(name) or real(*a, **k))
-        real_invert = type(table).invert
-        monkeypatch.setattr(type(table), "invert",
-                            lambda self, y: inverts.append(y) or real_invert(self, y))
+        rows_calls, located, inverts = [], [], []
+        real_rows = V.integrate_adaptive_rows
+        monkeypatch.setattr(V, "integrate_adaptive_rows",
+                            lambda *a, **k: rows_calls.append(a[3]) or real_rows(*a, **k))
+        for name, seen in (("locate", located), ("invert", inverts)):
+            real = getattr(type(table), name)
+            monkeypatch.setattr(type(table), name,
+                                lambda self, y, real=real, seen=seen: seen.append(y)
+                                or real(self, y))
         sets = [s for family_sets, _ in calls for s in family_sets]
         grouped = [self.fields(r) for r in V.ladder_reports(table, sets)]
         assert grouped == [row for rows in alone for row in rows]
-        # per T: the U = 1 and U = 2 GK15 windows and the U = 2 tanh-sinh
-        # window, each end inverted once
-        assert sorted(rows_calls) == ["integrate_adaptive_rows"] * 4 + \
-            ["integrate_singular_rows"] * 2
-        assert sorted(inverts) == [995.0, 996.0, 997.0, 1000.0, 1001.0, 1002.0]
+        # one rows call per (T, U, m) group: per T, U = 1 and U = 2, both
+        # with m = 2; each T's left end located once, and E1_4's preimage
+        # of T inverted once
+        assert len(rows_calls) == len({(s.T, V._member_pieces(s).U, V._member_pieces(s).m)
+                                       for s in sets}) == 4
+        assert sorted(located) == [995.0, 1000.0]
+        assert inverts == [1000.0]
 
     def test_argument_errors_come_before_any_integration(self, small_ladder, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("integrated before the arguments were checked")
 
-        for name in ("integrate_adaptive_rows", "integrate_singular_rows"):
-            monkeypatch.setattr(V, name, no_work)
-        monkeypatch.setattr(type(small_ladder), "invert", no_work)
+        monkeypatch.setattr(V, "integrate_adaptive_rows", no_work)
+        for name in ("locate", "invert"):
+            monkeypatch.setattr(type(small_ladder), name, no_work)
         good = V.family_sets("sanity", [1000.0], [0.0], 2, eqs=["E2_7"])
         for bad in (V.RowSet("E2_6", 1000.0, 17), V.RowSet("E2_11", 1000.0, 1),
                     V.RowSet("E2_2", 1000.0, 2, nu=math.nan),
