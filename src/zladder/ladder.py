@@ -22,7 +22,8 @@ inside the panel goes through `eval` and `ztilde_sq`.  The recurrences are
 `specfun.orthopoly`'s.  A verification window works in a panel's own
 coordinate x, which resolves a panel to ~1e-16 at any t: `locate` and
 `solve_rise` find its ends, and `slopes` the mean slope of phi_1 between two
-points without cancellation (`_mean_slopes`).
+points without cancellation (`_mean_slopes`), on Python floats for one
+point and with the same bits as on arrays.
 """
 
 from __future__ import annotations
@@ -83,17 +84,21 @@ def ladder_config_hash(evaluator: ZEvaluator, t_lo: float, t_hi: float,
 
 
 def prime_pi(t) -> int | np.ndarray:
-    """pi(t) = #{primes <= t} for 0 <= t <= 1e8, from one sieve up to max(t)."""
+    """pi(t) = #{primes <= t} for 0 <= t <= 1e8, from one sieve of the odd
+    numbers up to max(t): entry i stands for 2 i + 1, and the prime 2 is
+    counted apart."""
     ta = np.asarray(t, dtype=float)
     if not np.all((ta >= 0.0) & (ta <= 1e8)):   # NaN fails
         raise DomainError("prime_pi requires 0 <= t <= 1e8")
     limit = int(ta.max(initial=0.0))
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = False
-    counts = np.searchsorted(np.flatnonzero(sieve), ta, side="right")
+    sieve = np.ones((limit + 1) // 2, dtype=bool)
+    sieve[:1] = False   # 1 is not prime
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if sieve[p // 2]:
+            sieve[p * p // 2::p] = False
+    # the odd primes 2 i + 1 <= t: i <= (t - 1) / 2, exact in doubles for t >= 1
+    odd = np.searchsorted(np.flatnonzero(sieve), (ta - 1.0) / 2.0, side="right")
+    counts = odd + (ta >= 2.0)
     return counts if ta.ndim else int(counts)
 
 
@@ -148,16 +153,19 @@ def _steps(anti: np.ndarray) -> np.ndarray:   # whole-panel integrals
     return _clenshaw(anti, np.ones(anti.shape[1]), slice(None))
 
 
-def _mean_slopes(cols, x0, x, k) -> np.ndarray:
+def _mean_slopes(tail, x0, x):
     """(f(x) - f(x0)) / (x - x0) pointwise (f'(x0) at x = x0) for the
-    Chebyshev series f = sum_j cols[j][k] T_j, from the divided differences
-    D_{j+1} = 2 T_j(x) + 2 x0 D_j - D_{j-1} of the T_j: no two values of f
-    are subtracted, so the error is ~eps |f'|, not eps |f| / |x - x0|."""
-    t_prev, t, d_prev, d = np.ones_like(x), x, np.zeros_like(x), np.ones_like(x)
-    acc = cols[1][k] * d
-    for row in cols[2:]:
-        t_prev, t, d_prev, d = t, 2.0 * x * t - t_prev, d, 2.0 * t + 2.0 * x0 * d - d_prev
-        acc = acc + row[k] * d
+    Chebyshev series f = f_0 + sum_{j >= 1} tail[j - 1] T_j, from the divided
+    differences D_{j+1} = 2 T_j(x) + 2 x0 D_j - D_{j-1} of the T_j: no two
+    values of f are subtracted, so the error is ~eps |f'|, not
+    eps |f| / |x - x0|.  The rows of `tail` and x0, x are arrays of one
+    shape, or all Python floats: the same IEEE operations either way."""
+    x2, x02 = 2.0 * x, 2.0 * x0
+    t_prev, t, d_prev, d = 1.0, x, 0.0, 1.0
+    acc = tail[0] * d
+    for row in tail[1:]:
+        t_prev, t, d_prev, d = t, x2 * t - t_prev, d, 2.0 * t + x02 * d - d_prev
+        acc = acc + row * d
     return acc
 
 
@@ -316,14 +324,22 @@ class LadderTable:
         out[flat == self.t_hi] = self.phi[-1]
         return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
-    def slopes(self, k, x0, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def slopes(self, k, x0, x) -> tuple:
         """At the points x0 and x of the panels k (arrays of one shape), in
         the panel's own coordinate: t at x, the mean slope of phi_1 in x from
         x0 to x (`_mean_slopes`, so a rise between close points keeps its
         relative precision), and the slope d(phi_1)/dx = half_k p^2 at x.
-        Each point is evaluated on its own."""
-        p = _clenshaw(self.coef.T, x, k)
-        return (self._mid[k] + self._half[k] * x, _mean_slopes(self._anti_rows(k).T, x0, x, k),
+        Each point is evaluated on its own, and a float x0 and x on one panel
+        run on the panel's cached columns (`_columns`) as Python floats, with
+        the same bits as a 1-element array."""
+        if isinstance(x, float):
+            rest, _, c_rest, c_head = self._columns(k)[:4]
+            mid, half = self._mid.item(k), self._half.item(k)
+            p = _clenshaw_rev(c_rest, c_head, x)
+            return mid + half * x, _mean_slopes(rest[::-1], x0, x), half * (p * p)
+        rows = self._anti_rows(k)[k].T   # each panel's row gathered once
+        p = _clenshaw(self.coef[k].T, x, slice(None))
+        return (self._mid[k] + self._half[k] * x, _mean_slopes(rows[1:], x0, x),
                 self._half[k] * (p * p))
 
     def locate(self, y: float) -> tuple[int, float]:
@@ -341,9 +357,9 @@ class LadderTable:
         lo, hi, x = x0, 1.0, 0.5 * (x0 + 1.0)
         for _ in range(100):
             _, mean, slope = self.slopes(k, x0, x)
-            over = (x - x0) * float(mean) - rise
+            over = (x - x0) * mean - rise
             lo, hi = (lo, x) if over > 0.0 else (x, hi)
-            nxt = x - over / float(slope) if slope > 0.0 else lo
+            nxt = x - over / slope if slope > 0.0 else lo
             if not lo < nxt < hi:
                 nxt = 0.5 * (lo + hi)
             if abs(nxt - x) <= 4e-16:

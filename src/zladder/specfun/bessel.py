@@ -6,7 +6,9 @@ Evaluation strategy
 * x <= 40: the ascending power series.  Terms and the running sum are carried
   in double-double arithmetic because the series loses ~x/ln(10) digits to
   cancellation; compensated products/sums keep the absolute error near 1e-16
-  over the whole range.
+  over the whole range.  One loop, every double-double step written out,
+  serves arrays and a single point, which runs on Python floats with the
+  same bits (the zero finder's points).
 * x > 40: Miller's downward three-term recurrence in the order, normalized
   by the series  sum_k c_k J_{nu+2k}(x) = (x/2)^nu  with
   c_0 = Gamma(nu+1), c_k = (nu+2k) Gamma(nu+k) / k!.
@@ -53,43 +55,6 @@ NU_MAX = 100.0   # the largest order bessel_j and bessel_zero take
 
 
 # ---------------------------------------------------------------------------
-# double-double primitives (elementwise on ndarrays, or on Python floats)
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a, b):
-    p = a * b
-    a1 = a * _SPLIT
-    ahi = a1 - (a1 - a)
-    alo = a - ahi
-    b1 = b * _SPLIT
-    bhi = b1 - (b1 - b)
-    blo = b - bhi
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
-def _dd_add(xh, xl, yh, yl):
-    sh, sl = _two_sum(xh, yh)
-    return _two_sum(sh, sl + (xl + yl))
-
-
-def _dd_mul(xh, xl, yh, yl):
-    ph, pl = _two_prod(xh, yh)
-    return _two_sum(ph, pl + (xh * yl + xl * yh))
-
-
-def _dd_div(xh, xl, yh, yl):
-    qh = xh / yh
-    th, tl = _dd_mul(qh, 0.0, yh, yl)
-    rh, rl = _dd_add(xh, xl, -th, -tl)
-    return _two_sum(qh, (rh + rl) / yh)
-
-
-# ---------------------------------------------------------------------------
 # J_nu evaluation
 
 def _series_converged(th, sh) -> bool:
@@ -104,39 +69,88 @@ def _bessel_series(nu: float, x: np.ndarray, scaled: bool = False) -> np.ndarray
     """Ascending series, double-double terms; x <= ~40 elementwise, x > 0.
 
     A single point runs the term loop on Python floats: the same IEEE
-    operations in the same order as the array loop, so the same bits, at a
+    operations in the same order as on arrays, so the same bits, at a
     fraction of the per-call cost of 1-element arrays (the zero finder's
-    Newton steps are all single points).  The term divisor r (nu + r) is one
-    scalar double-double pair per term on either path.
+    brackets and Newton steps are all single points).
 
     `scaled` gives J_nu(x) / (x/2)^nu instead, for x >= 0: the series from
     t_0 = 1, divided by Gamma(nu + 1), so no power of x can underflow.
     """
     half = 0.5 * x
-    if scaled:
-        s = _series_sum(nu, half, np.ones_like(half), np.zeros_like(half),
-                        _series_converged)
-        return s / gamma_fn(nu + 1.0)
-    t0 = half ** nu / gamma_fn(nu + 1.0)
+    g = gamma_fn(nu + 1.0)
+    t0 = np.ones_like(half) if scaled else half ** nu / g
     if x.size == 1:
-        return np.array([_series_sum(nu, float(half[0]), float(t0[0]), 0.0,
-                                     _series_converged_scalar)])
-    return _series_sum(nu, half, t0, np.zeros_like(t0), _series_converged)
+        s = np.array([_series_sum(nu, half.item(0), t0.item(0), 0.0,
+                                  _series_converged_scalar)])
+    else:
+        s = _series_sum(nu, half, t0, np.zeros_like(t0), _series_converged)
+    return s / g if scaled else s
 
 
 def _series_sum(nu, half, t0, zero, converged):
     """sum_r t_r, t_r = t_{r-1} (-(x/2)^2) / (r (nu + r)), in double-double;
-    `half`, `t0` and `zero` are all arrays or all floats."""
-    th, tl = t0, zero
-    sh, sl = th, tl
-    qh, ql = _two_prod(half, half)
+    `half`, `t0` and `zero` are all arrays or all floats.  Every step is
+    Dekker's (Numer. Math. 18, 1971), written out: two-sum, two-product (with
+    the splitting constant `_SPLIT`), and the double-double product, quotient
+    and sum built from them, each with its operations in its order.  The
+    divisor r (nu + r) is one pair of Python floats on either path."""
+    a1 = half * _SPLIT   # qh + ql = half^2
+    ahi = a1 - (a1 - half)
+    alo = half - ahi
+    qh = half * half
+    ql = ((ahi * ahi - qh) + ahi * alo + alo * ahi) + alo * alo
+    qhi = qh * _SPLIT   # the split of qh, the same at every term
+    qhi = qhi - (qhi - qh)
+    qlo = qh - qhi
+    th, tl, sh, sl = t0, zero, t0, zero
     r_needed = float(np.max(half, initial=0.0))
     for r in range(1, 701):
-        nrh, nrl = _two_sum(nu, float(r))
-        dh, dl = _dd_mul(float(r), 0.0, nrh, nrl)
-        th, tl = _dd_mul(th, tl, qh, ql)
-        th, tl = _dd_div(th, tl, -dh, -dl)
-        sh, sl = _dd_add(sh, sl, th, tl)
+        fr = float(r)
+        nrh = nu + fr   # nrh + nrl = nu + r
+        bb = nrh - nu
+        nrl = (nu - (nrh - bb)) + (fr - bb)
+        a1, b1 = fr * _SPLIT, nrh * _SPLIT   # yh + yl = -(dh + dl) = -r (nrh + nrl)
+        ahi, bhi = a1 - (a1 - fr), b1 - (b1 - nrh)
+        alo, blo = fr - ahi, nrh - bhi
+        p = fr * nrh
+        e = (((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo) + (fr * nrl + 0.0 * nrh)
+        dh = p + e
+        bb = dh - p
+        yh, yl = -dh, -((p - (dh - bb)) + (e - bb))
+        p = th * qh   # th + tl = (th + tl) (qh + ql)
+        a1 = th * _SPLIT
+        ahi = a1 - (a1 - th)
+        alo = th - ahi
+        e = (((ahi * qhi - p) + ahi * qlo + alo * qhi) + alo * qlo) + (th * ql + tl * qh)
+        th = p + e
+        bb = th - p
+        tl = (p - (th - bb)) + (e - bb)
+        q = th / yh   # th + tl /= yh + yl: first ph + pl = q (yh + yl)
+        p = q * yh
+        a1, b1 = q * _SPLIT, yh * _SPLIT
+        ahi, bhi = a1 - (a1 - q), b1 - (b1 - yh)
+        alo, blo = q - ahi, yh - bhi
+        e = (((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo) + (q * yl + 0.0 * yh)
+        ph = p + e
+        bb = ph - p
+        pl = (p - (ph - bb)) + (e - bb)
+        p, e = -ph, -pl   # rh + rl = (th + tl) - (ph + pl)
+        u = th + p
+        bb = u - th
+        e = ((th - (u - bb)) + (p - bb)) + (tl + e)
+        rh = u + e
+        bb = rh - u
+        rl = (u - (rh - bb)) + (e - bb)
+        e = (rh + rl) / yh   # th + tl = q + (rh + rl) / yh
+        th = q + e
+        bb = th - q
+        tl = (q - (th - bb)) + (e - bb)
+        u = sh + th   # sh + sl += th + tl
+        bb = u - sh
+        e = ((sh - (u - bb)) + (th - bb)) + (sl + tl)
+        sh = u + e
+        bb = sh - u
+        sl = (u - (sh - bb)) + (e - bb)
         if r > r_needed and converged(th, sh):
             break
     return sh + sl

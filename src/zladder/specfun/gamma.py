@@ -5,9 +5,13 @@ recurrence ln G(z) = ln G(z+1) - ln z until |z| is large enough for the
 Stirling series, then sums Bernoulli corrections, in extended precision, which
 keeps the imaginary part (the theta oracle's) well below 1e-12 off even for
 |z| ~ 1e5.  `log_gamma` is its real part; `gamma_fn` shifts by a product.
+Both keep the values they have computed (each is pure), so a Bessel order
+pays for Gamma(nu + 1), and a Jacobi norm for its ln Gammas, once.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +52,7 @@ def _log_gamma_cld(z) -> np.clongdouble:
     return _log_gamma_stirling(w) - shift
 
 
+@lru_cache(maxsize=1024)
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for real x > 0, the real part of `_log_gamma_cld(x)`."""
     x = float(x)
@@ -56,6 +61,7 @@ def log_gamma(x: float) -> float:
     return float(_log_gamma_cld(x).real)
 
 
+@lru_cache(maxsize=1024)
 def gamma_fn(x: float) -> float:
     """Gamma(x) for real 0 < x <= 200, to <= 1e-12 relative accuracy.
 

@@ -296,9 +296,9 @@ class _Window:
     (`LadderTable.slopes`), so a power of a distance stays smooth in tau.
     """
 
-    def __init__(self, table: LadderTable, left: tuple[int, float], U: float, m: int):
+    def __init__(self, table: LadderTable, left: tuple[int, float], U: float, m: float):
         self.table = table
-        rise = lambda k, lo, hi: (hi - lo) * float(table.slopes(k, lo, hi)[1])   # noqa: E731
+        rise = lambda k, lo, hi: (hi - lo) * table.slopes(k, lo, hi)[1]   # noqa: E731
         k, xa = left
         last, x0, before, reach = len(table.edges) - 2, xa, 0.0, rise(k, xa, 1.0)
         while reach < U and k < last:
@@ -367,7 +367,7 @@ class _Member(NamedTuple):
     U: float
     rows: list
     factor: Callable
-    m: int
+    m: float
 
 
 def _member_pieces(s: RowSet) -> _Member:
@@ -378,9 +378,11 @@ def _member_pieces(s: RowSet) -> _Member:
     weight w there to the array (rows, len(s)) of each row's product of
     functions times its weight times w, each row formed with the operations,
     in the order, of an integrand of that row alone.  m, the power of the
-    window's end map, is max(2, ceil(1 / (1 + gamma))) with gamma the
+    window's end map, is ceil(2 (1 + gamma)) / (1 + gamma) with gamma the
     member's smallest Jacobi exponent: dist^gamma d(dist)/dtau is then
-    bounded at an end, so GK15 takes every member, smooth or not.
+    tau^(m (1 + gamma) - 1), an integer power of at least 1, so GK15 takes
+    every member, smooth or not, with no cusp at that end.  m is exactly 2
+    wherever 2 (1 + gamma) is an integer, as for every fixed member.
     """
     eq, max_n, nu = s.eq, s.max_n, s.nu
     if eq not in LADDER_MEMBERS:
@@ -410,8 +412,9 @@ def _member_pieces(s: RowSet) -> _Member:
         U = 2.0
         spec = PolyFamilySpec.jacobi(*ab) if family == "jacobi" else PolyFamilySpec(family)
         norms = [poly_norm_sq(spec, n) for n in degrees]
-    # the 1e-9 keeps a rounded 1 / (1 + gamma) = 10.000000000000002 at 10
-    power = max(2, math.ceil(1.0 / (1.0 + min(ab)) - 1e-9))
+    # m (1 + gamma) is the integer ceil(2 (1 + gamma)), the 1e-9 keeping a
+    # rounded 2 (1 + gamma) = 1.0000000000000002 at 1
+    power = math.ceil(2.0 * (1.0 + min(ab)) - 1e-9) / (1.0 + min(ab))
     if power > _MAX_POWER:
         raise DomainError(f"{eq} requires alpha, beta >= -0.99, got ({ab[0]}, {ab[1]}): the "
                           f"end map's tau^{power} would leave the double range")

@@ -20,6 +20,62 @@ def ln_t_placement_shift(ratio: float, T: float, interval: tuple[float, float]) 
     return abs(ratio) * max(abs(lnT / math.log(a) - 1.0), abs(lnT / math.log(b) - 1.0))
 
 
+# Dekker's double-double primitives (Numer. Math. 18, 1971), elementwise on
+# ndarrays or on Python floats: the steps the program's Bessel series writes
+# out inline, as functions
+_SPLIT = 134217729.0  # 2**27 + 1
+
+
+def two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def two_prod(a, b):
+    p = a * b
+    a1 = a * _SPLIT
+    ahi = a1 - (a1 - a)
+    alo = a - ahi
+    b1 = b * _SPLIT
+    bhi = b1 - (b1 - b)
+    blo = b - bhi
+    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+
+
+def dd_add(xh, xl, yh, yl):
+    sh, sl = two_sum(xh, yh)
+    return two_sum(sh, sl + (xl + yl))
+
+
+def dd_mul(xh, xl, yh, yl):
+    ph, pl = two_prod(xh, yh)
+    return two_sum(ph, pl + (xh * yl + xl * yh))
+
+
+def dd_div(xh, xl, yh, yl):
+    qh = xh / yh
+    th, tl = dd_mul(qh, 0.0, yh, yl)
+    rh, rl = dd_add(xh, xl, -th, -tl)
+    return two_sum(qh, (rh + rl) / yh)
+
+
+def prime_pi(t):
+    """pi(t) = #{primes <= t} for 0 <= t <= 1e8, from a sieve of every
+    integer up to max(t)."""
+    ta = np.asarray(t, dtype=float)
+    if not np.all((ta >= 0.0) & (ta <= 1e8)):   # NaN fails
+        raise DomainError("prime_pi requires 0 <= t <= 1e8")
+    limit = int(ta.max(initial=0.0))
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p:: p] = False
+    counts = np.searchsorted(np.flatnonzero(sieve), ta, side="right")
+    return counts if ta.ndim else int(counts)
+
+
 def ztilde_sq(evaluator, t):
     """Ztilde^2(t) = Z(t)^2 / ln t from the evaluator itself, the model the
     ladder's stored derivative p^2 approximates; t > e."""

@@ -14,9 +14,10 @@ acceptance-scale plan on the acceptance ladder is a second golden report.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from zladder import ZEvaluator, build_ladder
+from zladder import ZEvaluator, build_ladder, ladder
 from zladder.cli import EXIT_OK, main
 from zladder.verify import is_sanity
 
@@ -85,6 +86,21 @@ def test_api_build_has_the_cli_bytes(golden, tmp_path):
     path = tmp_path / "api.npz"
     build_ladder(ZEvaluator(), 1000.0, 7000.0, tol=1e-8).save(path)
     assert path.read_bytes() == golden[LADDER_NAME].read_bytes()
+
+
+def test_plan_takes_no_0d_slopes(golden, tmp_path, monkeypatch):
+    # a window's ends and rises take `slopes` on floats, its nodes on arrays:
+    # no call of the mean-slope recurrence runs on a 0-d array
+    seen = []
+    real = ladder._mean_slopes
+    monkeypatch.setattr(ladder, "_mean_slopes",
+                        lambda tail, x0, x: seen.append((type(x), np.ndim(x)))
+                        or real(tail, x0, x))
+    monkeypatch.setenv("ZLADDER_CACHE_ROOT", str(golden[LADDER_NAME].parent))
+    assert main(["run", *PLAN, "--out", str(tmp_path / "plan.jsonl")]) == EXIT_OK
+    assert (tmp_path / "plan.jsonl").read_bytes() == golden["plan.jsonl"].read_bytes()
+    assert {kind for kind, _ in seen} == {float, np.ndarray}
+    assert (np.ndarray, 0) not in seen
 
 
 def test_report_summary_bits(golden, capsys):

@@ -63,6 +63,14 @@ class TestPrimePi:
 
     def test_large(self):
         assert prime_pi(100000) == 9592
+        assert prime_pi(1e6) == 78498
+        assert prime_pi(1e7) == 664579
+
+    def test_odd_sieve_matches_full_sieve(self):
+        # the program sieves the odd numbers only; the oracle every integer
+        grid = np.arange(0.0, 10000.5, 0.5)
+        assert np.array_equal(prime_pi(grid), oracles.prime_pi(grid))
+        assert [prime_pi(t) for t in (1.0, 2.0, 2.5, 3.0, 8.5, 9.0)] == [0, 1, 1, 2, 4, 4]
 
     def test_nondecreasing(self):
         counts = prime_pi(np.arange(2, 501))
@@ -354,6 +362,23 @@ class TestSinglePoint:
             u = np.asarray(us)
             ts = np.minimum(table.t_lo + u * (table.t_hi - table.t_lo), table.t_hi)
             _assert_one_bits(table, ts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_slopes_on_floats_keep_the_array_bits(small_ladder, data):
+    # a float x0 and x take `slopes`'s float path on the panel's cached
+    # columns; the same point as 1-element arrays takes the vector path
+    # (on two fresh tables, each path builds the panel's rows itself)
+    one, other = ((fresh(small_ladder), fresh(small_ladder)) if data.draw(st.booleans())
+                  else (small_ladder, small_ladder))
+    k = data.draw(st.integers(0, len(small_ladder._half) - 1))
+    x0 = data.draw(st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)))
+    x = data.draw(st.one_of(st.just(x0), st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)))
+    got = one.slopes(k, x0, x)
+    assert all(type(v) is float for v in got)
+    want = other.slopes(np.array([k]), np.array([x0]), np.array([x]))
+    assert [v.hex() for v in got] == [float(v[0]).hex() for v in want]
 
 
 # (t, eval(t), ztilde_sq(t)) on small_ladder as float.hex: the checkpoints

@@ -11,10 +11,9 @@ from zladder import (DomainError, PolyFamilySpec, bessel_j,
 from zladder.specfun import bessel_j_proxy, zero_table
 from zladder.specfun import bessel as B
 from zladder.specfun.bessel import (BesselZeroTable, _bessel_j_any, _bessel_miller,
-                                    _bessel_series, _dd_add, _dd_div, _dd_mul,
-                                    _two_prod, _two_sum)
+                                    _bessel_series)
 
-from oracles import poly_weight
+from oracles import dd_add, dd_div, dd_mul, poly_weight, two_prod, two_sum
 
 J0_ZERO_1 = 2.404825557695773
 J0_ZERO_2 = 5.520078110286311
@@ -23,25 +22,26 @@ NORM_0_1 = 0.13475706197095866   # 0.5 * J_1(j_{0,1})^2
 J_32_PI = 0.4501581580785531     # J_{3/2}(pi) = sqrt(2/pi^2)
 
 
-def bessel_series_arrays(nu, x):
-    """The ascending series as it ran before single points got a scalar loop:
-    every term on full arrays, the divisor r (nu + r) broadcast to arrays."""
+def bessel_series_arrays(nu, x, scaled=False):
+    """The ascending series through Dekker's primitives as functions, every
+    term on full arrays and the divisor r (nu + r) broadcast to arrays: the
+    reference for the program's one loop with those steps written out."""
     half = 0.5 * x
-    t0 = half ** nu / gamma_fn(nu + 1.0)
+    t0 = np.ones_like(half) if scaled else half ** nu / gamma_fn(nu + 1.0)
     th, tl = t0, np.zeros_like(t0)
     sh, sl = th.copy(), tl.copy()
-    qh, ql = _two_prod(half, half)
+    qh, ql = two_prod(half, half)
     r_needed = float(np.max(half, initial=0.0))
     zero = np.zeros_like(t0)
     for r in range(1, 701):
-        nrh, nrl = _two_sum(nu, float(r))
-        dh, dl = _dd_mul(np.full_like(t0, float(r)), zero, nrh + zero, nrl + zero)
-        th, tl = _dd_mul(th, tl, qh + zero, ql + zero)
-        th, tl = _dd_div(th, tl, -dh, -dl)
-        sh, sl = _dd_add(sh, sl, th, tl)
+        nrh, nrl = two_sum(nu, float(r))
+        dh, dl = dd_mul(np.full_like(t0, float(r)), zero, nrh + zero, nrl + zero)
+        th, tl = dd_mul(th, tl, qh + zero, ql + zero)
+        th, tl = dd_div(th, tl, -dh, -dl)
+        sh, sl = dd_add(sh, sl, th, tl)
         if r > r_needed and np.all(np.abs(th) <= 1e-37 * np.maximum(1.0, np.abs(sh))):
             break
-    return sh + sl
+    return (sh + sl) / gamma_fn(nu + 1.0) if scaled else sh + sl
 
 
 # zeros and weighted norms 0.5 J_{nu+1}(mu_n)^2, n = 1..8, as computed by the
@@ -95,6 +95,14 @@ class TestGamma:
     @settings(max_examples=50, deadline=None)
     def test_recurrence(self, x):
         assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
+
+    def test_memo_keeps_the_bits(self):
+        # every value the cache hands out is the unwrapped function's own, on k / 200
+        xs = [k / 200 for k in range(1, 20201)]
+        assert [gamma_fn(x).hex() for x in xs] == [gamma_fn.__wrapped__(x).hex() for x in xs]
+        assert gamma_fn(2.5) is gamma_fn(2.5)
+        xs = xs[::20]
+        assert [log_gamma(x).hex() for x in xs] == [log_gamma.__wrapped__(x).hex() for x in xs]
 
     def test_poles_and_domain(self):
         # the callers pass nu + 1 with nu > -1: no reflection, no pole check
@@ -318,8 +326,9 @@ class TestBesselZerosOracle:
         assert all(abs(a - b) <= 2.0 * math.ulp(b) for a, b in zip(got.zeros, want.zeros))
 
 class TestSeriesBitwise:
-    """The scalar loop for single points and the scalar term divisor give
-    the bits of the all-array series they replaced."""
+    """The one series loop, on Python floats for a single point and on
+    arrays, with its scalar term divisor, gives the bits of the all-array
+    series through Dekker's primitives."""
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5, 10.0])
     @pytest.mark.parametrize("size", [2, 15, 1000])
@@ -328,16 +337,19 @@ class TestSeriesBitwise:
         x = np.concatenate([[40.0], rng.uniform(0.0, 40.0, size - 1)])
         x[x == 0.0] = 1e-3
         assert np.array_equal(_bessel_series(nu, x), bessel_series_arrays(nu, x))
+        assert np.array_equal(_bessel_series(nu, x, True), bessel_series_arrays(nu, x, True))
 
-    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5, 10.0])
+    @pytest.mark.parametrize("nu", [-0.5, -0.25, 0.0, 0.5, 1.0, 2.5, 10.0, 50.0, 99.5])
     def test_single_points(self, nu):
+        # the float loop, each double-double step written out, against the
+        # array loop of its primitives; the scaled series from x = 0 on
         xs = np.concatenate([[1e-300, 1e-8, 0.5, 1.0, 2.404825557695773, 39.999, 40.0],
                              np.random.default_rng(7).uniform(0.0, 40.0, 25)])
-        for x in xs:
+        for scaled, x in [(False, x) for x in xs] + [(True, x) for x in [0.0, *xs]]:
             one = np.array([x])
-            got = _bessel_series(nu, one)
+            got = _bessel_series(nu, one, scaled)
             assert got.shape == (1,)
-            assert got[0].hex() == bessel_series_arrays(nu, one)[0].hex(), x
+            assert got[0].hex() == bessel_series_arrays(nu, one, scaled)[0].hex(), (scaled, x)
 
     @pytest.mark.parametrize("nu", sorted(SERIES_ZEROS_HEX))
     def test_zeros_and_norms(self, nu):

@@ -208,7 +208,9 @@ class TestPooledRowsEqualPerRowIntegrals:
             reports, tol = V.sanity_theorem2_exact(table, T, eq, 3, 1.0, alpha, beta), 1e-8
         assert len(reports) == (1 if eq in ("E2_8", "E2_10") else 3)
         window = self.window(table, T, eq, alpha, beta)
-        assert window.power[0] == window.power[-1] == (4 if alpha == -0.75 else 2)
+        # m (1 + gamma) = ceil(2 (1 + gamma)): 3 / 1.25 for (0.5, 0.25), 1 / 0.25
+        m = {(0.5, 0.25): 2.4, (-0.75, 0.3): 4.0}.get((alpha, beta), 2.0) if eq == "E2_5" else 2.0
+        assert window.power[0] == window.power[-1] == m
         self.assert_ladder_rows(reports, lambda p: self.theorem2_integrand(window, eq, p, layer),
                                 window, tol)
 
@@ -282,8 +284,9 @@ def assert_exact(reports, bound):
 
 class TestEndMap:
     """E2_5's sanity rows over Jacobi exponents down to -0.99: the end
-    pieces' power m = ceil(1 / (1 + min(alpha, beta))) keeps the weight
-    bounded in tau, so every row is exact to quadrature accuracy."""
+    pieces' power m = ceil(2 (1 + gamma)) / (1 + gamma), gamma =
+    min(alpha, beta), makes the weight an integer power of tau at that end,
+    so every row is exact to quadrature accuracy."""
 
     @pytest.mark.parametrize("T", [1500.0, 6000.0])
     @pytest.mark.parametrize("alpha,beta", EXPONENT_SWEEP)
@@ -298,10 +301,24 @@ class TestEndMap:
             reports = V.sanity_theorem2_exact(plan_ladder, T, "E2_5", 16, alpha=-0.6, beta=2.5)
             assert all(abs(r.ratio - 1.0) <= 1e-9 for r in reports)
 
-    @pytest.mark.parametrize("gamma,m", [(0.5, 2), (0.0, 2), (-0.5, 2), (-0.6, 3),
-                                         (-0.75, 4), (-0.9, 10), (-0.99, 100)])
+    def test_no_cusp_at_the_singular_end(self, plan_ladder):
+        # m = 2.5 makes the alpha end's integrand tau^0 times a smooth factor;
+        # m = 3 would leave a tau^0.2 cusp, which GK15 met at ~4e-12
+        for T in (1500.0, 6000.0):
+            reports = V.sanity_theorem2_exact(plan_ladder, T, "E2_5", 4, alpha=-0.6, beta=0.5)
+            assert_exact(reports, 1e-12)
+
+    @pytest.mark.parametrize("gamma,m", [(0.5, 2), (0.0, 2), (-0.5, 2), (-0.6, 2.5),
+                                         (-0.75, 4), (-0.9, 10), (-0.99, 100), (-0.4, 10 / 3),
+                                         (2.0, 2)])
     def test_power(self, gamma, m):
-        assert V._member_pieces(V.RowSet("E2_5", 1500.0, 1, alpha=1.0, beta=gamma)).m == m
+        got = V._member_pieces(V.RowSet("E2_5", 1500.0, 1, alpha=3.0, beta=gamma)).m
+        # m (1 + gamma) = ceil(2 (1 + gamma)); 1 + gamma rounds for -0.9 and -0.99
+        assert got == pytest.approx(m, rel=1e-14)
+        assert got * (1.0 + gamma) == pytest.approx(math.ceil(2.0 * (1.0 + gamma) - 1e-9),
+                                                    rel=1e-15)
+        if m == 2:
+            assert got == 2.0
 
     def test_power_out_of_range_refused(self, small_ladder):
         with pytest.raises(DomainError, match=r"alpha, beta >= -0\.99"):
@@ -444,11 +461,11 @@ class TestWindowExecutor:
         sets = [s for family_sets, _ in calls for s in family_sets]
         grouped = [self.fields(r) for r in V.ladder_reports(table, sets)]
         assert grouped == [row for rows in alone for row in rows]
-        # one rows call per (T, U, m) group: per T, U = 1 and U = 2, both
-        # with m = 2; each T's left end located once, and E1_4's preimage
-        # of T inverted once
+        # one rows call per (T, U, m) group: per T, U = 1 and U = 2 with
+        # m = 2, and E2_5's U = 2 with m = 2.4 for (alpha, beta) = (0.5, 0.25);
+        # each T's left end located once, and E1_4's preimage of T inverted once
         assert len(rows_calls) == len({(s.T, V._member_pieces(s).U, V._member_pieces(s).m)
-                                       for s in sets}) == 4
+                                       for s in sets}) == 6
         assert sorted(located) == [995.0, 1000.0]
         assert inverts == [1000.0]
 
