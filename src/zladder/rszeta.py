@@ -48,8 +48,6 @@ _WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_
 _RS_T_MAX = 1e8        # z_rs's cap on t; see z_rs
 _ORACLE_T_MAX = 1e6    # theta_oracle's and z_oracle's cap on t; see z_oracle
 
-# the remainder tables stacked as rows (term j, coefficient k)
-_RS_CHEB = np.stack(RS_TERM_TABLES)
 _CLENSHAW_CHUNK = 8192  # points per block: amortizes call overhead, stays in L2
 
 
@@ -62,7 +60,7 @@ def _rs_terms(rs, lo, hi, p) -> None:
     in the same order as a per-table recurrence, so the rows are bit-for-bit
     those of evaluating each table on its own, whatever the blocks.
     """
-    cols = _RS_CHEB[:len(rs)].T
+    cols = RS_TERM_TABLES[:len(rs)].T
     for s in range(lo, hi, _CLENSHAW_CHUNK):
         e = min(hi, s + _CLENSHAW_CHUNK)
         rs[:, s:e] = _clenshaw(cols, 2.0 * p[s:e] - 1.0, (slice(None), None))

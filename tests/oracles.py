@@ -76,6 +76,44 @@ def prime_pi(t):
     return counts if ta.ndim else int(counts)
 
 
+def rs_remainder_terms(p):
+    """C_0..C_3(p) of the Riemann-Siegel remainder, p an mpf, from the closed
+    forms in the `zladder._rs_terms` docstring, at mpmath's working
+    precision: Psi's derivatives by `mpmath.diffs`."""
+    import mpmath as mp
+
+    def psi(q):
+        return mp.cos(2 * mp.pi * (q * q - q - mp.mpf(1) / 16)) / mp.cos(2 * mp.pi * q)
+
+    d = list(mp.diffs(psi, p, 9))
+    pi2 = mp.pi ** 2
+    return (d[0],
+            -d[3] / (96 * pi2),
+            d[2] / (64 * pi2) + d[6] / (18432 * pi2 ** 2),
+            -d[1] / (64 * pi2) - d[5] / (3840 * pi2 ** 2) - d[9] / (5308416 * pi2 ** 3))
+
+
+def rs_term_tables(degree: int = 50, dps: int = 40) -> np.ndarray:
+    """The generator of `zladder._rs_terms.RS_TERM_TABLES`: (4, degree + 1)
+    Chebyshev coefficients on p in [0, 1] (in x = 2p - 1) of C_0..C_3,
+    interpolated at the degree + 1 Chebyshev-Gauss nodes from `dps`-digit
+    values of `rs_remainder_terms`.  Nothing here sets an entry to zero: the
+    parity of the generated tables is the closed forms' own."""
+    import mpmath as mp
+
+    n = degree + 1
+    out = np.empty((4, n))
+    with mp.workdps(dps):
+        theta = [mp.pi * (j + mp.mpf(1) / 2) / n for j in range(n)]
+        values = [rs_remainder_terms((1 + mp.cos(th)) / 2) for th in theta]
+        for k in range(n):
+            w = [mp.cos(k * th) for th in theta]
+            for j in range(4):
+                c = 2 * mp.fsum(v[j] * wk for v, wk in zip(values, w)) / n
+                out[j, k] = float(c / 2 if k == 0 else c)
+    return out
+
+
 def ztilde_sq(evaluator, t):
     """Ztilde^2(t) = Z(t)^2 / ln t from the evaluator itself, the model the
     ladder's stored derivative p^2 approximates; t > e."""

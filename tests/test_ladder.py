@@ -203,6 +203,19 @@ class TestBuild:
         finally:
             os.remove(path)
 
+    def test_panel_ending_on_the_rs_seam_takes_the_oracle(self, ev):
+        # its end node is t_min_rs itself, where z_rs is 1.6e-6 off z_oracle:
+        # taken from z_rs, that one node spent 4.0e-10 of the budget
+        table = build_ladder(ev, 45.0, 55.0, tol=1e-8)
+        assert ev.t_min_rs in table.edges
+        assert table.residual_total <= 1e-12
+
+    def test_builds_across_the_rs_seam_at_tight_tol(self, ev):
+        # refused after 30 rounds while the panel ending on t_min_rs mixed
+        # Z's two routes
+        table = build_ladder(ev, 10.0, 1000.0, tol=1e-7)
+        assert table.residual_total <= 1e-7
+
     def test_no_empty_panel_at_top_edge(self, ev):
         # (t_hi - anchor) / h rounds just above 200, so the grid's last inner
         # point lands on t_hi; it must be dropped, not kept as a 0-width panel

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import rs_remainder_terms, rs_term_tables
 from zladder import DomainError, ZEvaluator
 from zladder import rszeta
 from zladder.ladder import build_ladder
@@ -310,6 +311,32 @@ class TestRemainderClenshaw:
         want = z_rs_untiled(ev, ts, order=0) + sign * corr / np.sqrt(a)
         with remainder_terms(order):
             assert np.array_equal(ev.z_rs(ts), want)
+
+
+class TestRemainderTables:
+    """The stored tables against their generator, `oracles.rs_term_tables`."""
+
+    def test_tables_match_their_generator(self):
+        pytest.importorskip("mpmath")
+        generated = rs_term_tables()
+        assert RS_TERM_TABLES.shape == generated.shape == (4, 51)
+        for j in range(4):
+            live, dead = slice(j % 2, None, 2), slice(1 - j % 2, None, 2)
+            assert np.max(np.abs(RS_TERM_TABLES[j, live] - generated[j, live])) <= 1e-30, j
+            # C_j has the parity of j in 2p - 1: the generator's other
+            # entries are fit noise, and the stored ones are exactly zero
+            assert np.all(RS_TERM_TABLES[j, dead] == 0.0), j
+            assert np.max(np.abs(generated[j, dead])) <= 1e-30, j
+
+    def test_series_match_the_closed_forms(self):
+        mp = pytest.importorskip("mpmath")
+        ps = np.array([0.0, 0.03] + [k / 10 for k in range(1, 11)])
+        rows = np.empty((4, ps.size))
+        _rs_terms(rows, 0, ps.size, ps)
+        with mp.workdps(40):
+            want = np.array([[float(c) for c in rs_remainder_terms(mp.mpf(p))]
+                             for p in ps.tolist()]).T
+        assert np.all(np.abs(rows - want) <= 2e-16)
 
 
 PEAK_CASES = [

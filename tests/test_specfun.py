@@ -96,6 +96,23 @@ class TestGamma:
     def test_recurrence(self, x):
         assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
 
+    def test_within_one_ulp_of_mpmath(self):
+        # Gamma is the exponential of the one ln Gamma routine, rounded once
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for x in (k / 200 for k in range(1, 20201)):
+                g = gamma_fn(x)
+                assert abs(mp.mpf(g) - mp.gamma(mp.mpf(x))) <= math.ulp(g), x
+
+    @pytest.mark.parametrize("x,bits", [(1.0, "0x1.0000000000000p+0"),
+                                        (1.5, "0x1.c5bf891b4ef6bp-1"),
+                                        (2.0, "0x1.0000000000000p+0"),
+                                        (3.5, "0x1.a96390899a074p+1")])
+    def test_bits_the_goldens_reach(self, x, bits):
+        # Gamma(nu + 1) for nu = 0, 1/2, 1 (the golden plans) and 5/2 (the
+        # pinned zeros of test_zeros_and_norms)
+        assert gamma_fn.__wrapped__(x).hex() == bits
+
     def test_memo_keeps_the_bits(self):
         # every value the cache hands out is the unwrapped function's own, on k / 200
         xs = [k / 200 for k in range(1, 20201)]
