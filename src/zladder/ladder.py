@@ -572,16 +572,13 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
         Ztilde^2); unresolved structure exceeds it by many orders."""
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         nodes = mid[:, None] + half[:, None] * _X32[None, :]
+        # a panel ending on or below the RS/oracle seam takes the oracle at
+        # every node, its end node on the seam too: Z's two routes differ
+        # there by ~1e-6, a kink no halving of the panel converges on
         low = hi <= evaluator.t_min_rs
-        if np.any(low):
-            # a panel below the RS/oracle seam takes the oracle at every
-            # node, its end node on the seam too: Z's two routes differ
-            # there by ~1e-6, a kink no halving of the panel converges on
-            zs = np.empty_like(nodes)
-            zs[low] = evaluator.z_oracle(nodes[low])
-            zs[~low] = evaluator.z(nodes[~low])
-        else:
-            zs = np.asarray(evaluator.z(nodes.ravel()), dtype=float).reshape(nodes.shape)
+        zs = np.empty_like(nodes)
+        zs[low] = evaluator.z_oracle(nodes[low])
+        zs[~low] = evaluator.z(nodes[~low])
         g = zs / np.sqrt(np.log(nodes))
         coef = _cheb_coef(g, _COEF32)
         value = _steps(_antiderivative(coef, half))

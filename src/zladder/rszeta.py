@@ -151,7 +151,8 @@ class ZEvaluator:
 
     rs_correction_order = 4   # remainder terms of z_rs
     oracle_terms = 8          # Bernoulli corrections of zeta_half
-    t_min_rs = 50.0           # z takes z_rs from here up, z_oracle below
+    t_min_rs = 50.0           # z takes z_rs from here up, z_oracle below;
+                              # a ladder panel ending here takes z_oracle
 
     # -- theta ---------------------------------------------------------------
 
@@ -319,7 +320,12 @@ class ZEvaluator:
 
     def z(self, t) -> float | np.ndarray:
         """Z(t) by Riemann-Siegel from t_min_rs up, the Euler-Maclaurin
-        oracle below."""
+        oracle below.
+
+        `build_ladder` routes by panel, not by point: a panel ending on or
+        below t_min_rs takes z_oracle at every node, the one on t_min_rs too,
+        so no panel holds the routes' ~1e-6 step.
+        """
         ta = np.asarray(t, dtype=float)
         if ta.ndim == 0:
             return self.z_rs(ta) if float(ta) >= self.t_min_rs else self.z_oracle(ta)
