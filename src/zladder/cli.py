@@ -180,14 +180,10 @@ def _soft_failures(reports, cfg: RunConfig) -> list[str]:
 def _cmd_z_eval(args) -> int:
     ev = ZEvaluator()
     t = args.t
-    # Z comes from the oracle below t_min_rs, as in ev.z, and theta with it:
-    # the asymptotic series is vouched for only at t >= 50
-    if args.oracle or t < ev.t_min_rs:
-        theta = ev.theta_oracle(t)
-        z = ev.z_oracle(t)
-    else:
-        theta = ev.theta(t)
-        z = ev.z_rs(t)
+    # theta comes from the oracle wherever ev.z takes Z from it: the
+    # asymptotic series is vouched for only at t >= t_min_rs
+    theta = ev.theta_oracle(t) if args.oracle or t < ev.t_min_rs else ev.theta(t)
+    z = ev.z_oracle(t) if args.oracle else ev.z(t)
     _print_json({"t": t, "theta": theta, "z": z, "z_sq": z * z})
     return EXIT_OK
 

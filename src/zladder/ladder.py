@@ -11,15 +11,16 @@ agrees to the panel's share of the tolerance, so no other base width is
 offered.  `save` and `load` keep checkpoints and coefficients in a
 versioned, validated `.npz`.
 
-`eval` and `ztilde_sq` of one float run on Python floats (one panel's columns,
-cached in the order the Clenshaw recurrence takes them), with the IEEE
-operations of the array path in the same order, so a point has the same
-bits either way.  `invert` solves on the one panel whose checkpoint values
-bracket y, with those operations: a Newton step takes phi_1 and p from one
-fused Clenshaw pass over the panel's two columns, a neighbour double that
-Newton did not visit takes phi_1 from one pass, and a point not strictly
-inside the panel goes through `eval` and `ztilde_sq`.  The recurrences are
-`specfun.orthopoly`'s.  A verification window works in a panel's own
+`eval` of one float runs on Python floats (one panel's columns, cached in
+the order the Clenshaw recurrence takes them), with the IEEE operations of
+the array path in the same order, so a point has the same bits either way.
+`invert` solves on the one panel whose checkpoint values bracket y, with
+those operations: a Newton step takes phi_1 and p from one fused Clenshaw
+pass over the panel's two columns, a neighbour double that Newton did not
+visit takes phi_1 from one pass, and a point not strictly inside the panel
+(a Newton step leaves one only on a panel about one ulp wide) goes through
+`eval` and `ztilde_sq`, which has the array path alone.  The recurrences
+are `specfun.orthopoly`'s.  A verification window works in a panel's own
 coordinate x, which resolves a panel to ~1e-16 at any t: `locate` and
 `solve_rise` find its ends, and `slopes` the mean slope of phi_1 between two
 points without cancellation (`_mean_slopes`), on Python floats for one
@@ -295,10 +296,6 @@ class LadderTable:
     def ztilde_sq(self, t) -> float | np.ndarray:
         """p(t)^2, the stored derivative of phi_1 (Ztilde^2 to the build
         tolerance); t in [t_lo, t_hi]."""
-        if isinstance(t, float):
-            k, x = self._panel(t)
-            v = _clenshaw_rev(*self._columns(k)[2:4], x)
-            return v * v
         flat, k, x = self._panels(t)
         out = _clenshaw(self.coef.T, x, k) ** 2
         return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
@@ -391,9 +388,9 @@ class LadderTable:
         """Newton on Python floats on the panel k whose checkpoint values
         bracket y, then the best of the nine doubles around its result.  A
         point strictly inside panel k takes phi_1 and p from the panel's
-        columns with the IEEE operations of the single-point `eval` and
-        `ztilde_sq` (both from one fused Clenshaw pass on a Newton step;
-        phi_1 alone on a neighbour); any other point goes through those two.
+        columns with the IEEE operations of `eval` and `ztilde_sq` (both
+        from one fused Clenshaw pass on a Newton step; phi_1 alone on a
+        neighbour); any other point goes through those two.
         Each point is evaluated once: a neighbour that Newton already visited
         takes its value from there."""
         phis, edges = self._phi_list, self._edge_list

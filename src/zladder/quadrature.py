@@ -29,50 +29,36 @@ from .exceptions import DomainError, QuadratureError
 
 # Kronrod-15 nodes on [-1, 1] (ascending) with Kronrod weights, and the
 # embedded Gauss-7 weights on the odd-index subset.  Generated from the
-# Legendre Jacobi matrix via Laurie's extension algorithm at 50 digits.
-_XK = np.array([
-    -0.99145537112081263920685469752633,
-    -0.94910791234275852452618968404785,
-    -0.86486442335976907278971278864093,
-    -0.74153118559939443986386477328079,
-    -0.58608723546769113029414483825873,
-    -0.40584515137739716690660641207696,
-    -0.20778495500789846760068940377324,
-    0.0,
-    0.20778495500789846760068940377324,
-    0.40584515137739716690660641207696,
-    0.58608723546769113029414483825873,
-    0.74153118559939443986386477328079,
-    0.86486442335976907278971278864093,
-    0.94910791234275852452618968404785,
-    0.99145537112081263920685469752633,
-])
-_WK = np.array([
-    0.02293532201052922496373200805897,
-    0.06309209262997855329070066318920,
-    0.10479001032225018383987632254152,
-    0.14065325971552591874518959051024,
-    0.16900472663926790282658342659855,
-    0.19035057806478540991325640242101,
-    0.20443294007529889241416199923465,
-    0.20948214108472782801299917489171,
-    0.20443294007529889241416199923465,
-    0.19035057806478540991325640242101,
-    0.16900472663926790282658342659855,
-    0.14065325971552591874518959051024,
-    0.10479001032225018383987632254152,
-    0.06309209262997855329070066318920,
-    0.02293532201052922496373200805897,
-])
-_WG = np.array([
-    0.12948496616886969327061143267908,
-    0.27970539148927666790146777142378,
-    0.38183005050511894495036977548898,
-    0.41795918367346938775510204081633,
-    0.38183005050511894495036977548898,
-    0.27970539148927666790146777142378,
-    0.12948496616886969327061143267908,
-])
+# Legendre Jacobi matrix via Laurie's extension algorithm at 50 digits.  The
+# rule is symmetric, so each table is written from the middle node out and
+# mirrored: nodes -x, weights w.
+_XK, _WK, _WG = (np.concatenate([sign * half[:0:-1], half]) for sign, half in (
+    (-1.0, np.array([
+        0.0,
+        0.20778495500789846760068940377324,
+        0.40584515137739716690660641207696,
+        0.58608723546769113029414483825873,
+        0.74153118559939443986386477328079,
+        0.86486442335976907278971278864093,
+        0.94910791234275852452618968404785,
+        0.99145537112081263920685469752633,
+    ])),
+    (1.0, np.array([
+        0.20948214108472782801299917489171,
+        0.20443294007529889241416199923465,
+        0.19035057806478540991325640242101,
+        0.16900472663926790282658342659855,
+        0.14065325971552591874518959051024,
+        0.10479001032225018383987632254152,
+        0.06309209262997855329070066318920,
+        0.02293532201052922496373200805897,
+    ])),
+    (1.0, np.array([
+        0.41795918367346938775510204081633,
+        0.38183005050511894495036977548898,
+        0.27970539148927666790146777142378,
+        0.12948496616886969327061143267908,
+    ]))))
 
 _EPS = np.finfo(float).eps
 _NON_FINITE = "integrand returned a non-finite value near x = {}"
@@ -86,7 +72,6 @@ class QuadratureResult:
     value: float
     error_estimate: float
     panels_used: int
-    rule: str
 
 
 def _window(name: str, a, b, tol, rows: int) -> tuple[float, float, np.ndarray]:
@@ -205,7 +190,7 @@ def integrate_adaptive_rows(
     val, err = val[order], err[order]
     ends = np.searchsorted(row[order], np.arange(rows + 1)).tolist()
     return [QuadratureResult(value=float(np.sum(val[i:j])), error_estimate=float(np.sum(err[i:j])),
-                             panels_used=j - i, rule="gk15-adaptive")
+                             panels_used=j - i)
             for i, j in zip(ends[:-1], ends[1:])]
 
 

@@ -310,11 +310,8 @@ class ZEvaluator:
         ta = np.asarray(t, dtype=float)
         if not np.all((ta > 0.0) & (ta <= _ORACLE_T_MAX)):
             raise DomainError(f"z_oracle requires 0 < t <= {_ORACLE_T_MAX:g}")
-        if ta.ndim == 0:
-            return self._z_oracle_scalar(float(ta))
-        flat = ta.ravel()
-        out = np.array([self._z_oracle_scalar(ti) for ti in flat])
-        return out.reshape(ta.shape)
+        out = np.array([self._z_oracle_scalar(ti) for ti in ta.ravel().tolist()])
+        return out.reshape(ta.shape) if ta.ndim else float(out[0])
 
     # -- combined ----------------------------------------------------------------
 
@@ -327,15 +324,13 @@ class ZEvaluator:
         so no panel holds the routes' ~1e-6 step.
         """
         ta = np.asarray(t, dtype=float)
-        if ta.ndim == 0:
-            return self.z_rs(ta) if float(ta) >= self.t_min_rs else self.z_oracle(ta)
-        out = np.empty_like(ta, dtype=float)
+        out = np.empty_like(ta)
         hi = ta >= self.t_min_rs
         if np.any(hi):
             out[hi] = self.z_rs(ta[hi])
         if np.any(~hi):
             out[~hi] = self.z_oracle(ta[~hi])
-        return out
+        return out if ta.ndim else float(out)
 
     # -- helpers -------------------------------------------------------------
 

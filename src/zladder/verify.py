@@ -35,9 +35,9 @@ proxies of `specfun.bessel_j_proxy` (a (nu, n) whose proxy would lose more
 than bessel_j's contract keeps the series); E1_2 and the envelope table keep
 the direct series of `bessel_j`, an independent reference.  The Bessel
 families take nu >= -1/2 (`check_bessel_order`: below it u J_nu(mu u)^2 is
-unbounded at u = 0), and E2_5 takes alpha, beta >= -0.99 (`_MAX_POWER`); a
-node at distance 0 from a window end adds 0 to a Bessel row and to a row
-whose weight has a negative power of that distance.
+unbounded at u = 0), E2_5 alpha, beta >= -0.99 (`_MAX_POWER`) whose degree-16
+rows stay finite (`_MAX_WEIGHT_BITS`); a node at distance 0 from a window end
+adds 0 to a Bessel row and to a row whose weight has a negative power of it.
 """
 
 from __future__ import annotations
@@ -126,13 +126,13 @@ def _off_zero(u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # classical Bessel orthogonality baseline (E1_2)
 
-def verify_bessel_baseline(nu: float, max_n: int, tol: float = 1e-9,
-                           quad_tol: float = 1e-12) -> list[VerificationReport]:
+def verify_bessel_baseline(nu: float, max_n: int, tol: float = 1e-9) -> list[VerificationReport]:
     """Gram matrix of {J_nu(mu_n x)} under weight x on [0, 1].
 
     Off-diagonal entries vanish; diagonals equal 0.5 J_{nu+1}(mu_n)^2.
     `tol` is recorded for the caller's judgement; rows are emitted for every
-    unordered pair (m, n) with m <= n <= max_n, integrated together.
+    unordered pair (m, n) with m <= n <= max_n, integrated together to
+    `BASELINE_QUAD_TOL`.
     """
     if not 1 <= max_n <= 8:
         raise DomainError("verify_bessel_baseline requires 1 <= max_n <= 8")
@@ -145,7 +145,7 @@ def verify_bessel_baseline(nu: float, max_n: int, tol: float = 1e-9,
         j = bessel_j(nu, mus[:, None] * x)
         return j[mi] * j[ni] * x
 
-    results = integrate_adaptive_rows(integrand, len(pairs), 0.0, 1.0, quad_tol)
+    results = integrate_adaptive_rows(integrand, len(pairs), 0.0, 1.0, BASELINE_QUAD_TOL)
     elapsed = time.perf_counter() - t0
     reports = []
     for (m, n), res in zip(pairs, results):
@@ -209,7 +209,7 @@ THEOREM2_MEMBERS = {eq: m for eq, m in LADDER_MEMBERS.items() if eq not in ("E1_
 
 
 # The plan families of ladder rows (the plan's "baseline", E1_2, needs no
-# ladder): family -> (members, the zeta2 and default quad_tol of their RowSets,
+# ladder): family -> (members, the zeta2 and quad_tol of their RowSets,
 # every_nu: at every nu of the plan or only the first, the params their rows
 # record, with defaults).  theorem1 is E1_3 with its segment-distance row E1_4,
 # corollary E2_2, and theorem2 and sanity the integral-equation family in
@@ -220,6 +220,7 @@ FAMILIES = {
     "theorem2": (tuple(THEOREM2_MEMBERS), True, 1e-6, False, {"tol_ratio": 0.25}),
     "sanity": (tuple(THEOREM2_MEMBERS), False, 1e-8, False, {"weight": "ztilde2"}),
 }
+BASELINE_QUAD_TOL = 1e-12   # E1_2's, the plan's one family without a ladder
 
 
 @dataclass
@@ -246,15 +247,14 @@ class RowSet:
 
 
 def family_sets(family: str, T_list, nu_list, max_n: int, *, alpha: float = 0.5,
-                beta: float = 0.5, quad_tol: float | None = None, eqs=None,
-                **recorded) -> list[RowSet]:
+                beta: float = 0.5, eqs=None, **recorded) -> list[RowSet]:
     """The row sets of one family of FAMILIES: one per T (ascending), nu and
     member (all, or those of `eqs`).  `recorded` sets the params the family
     records (tol of theorem1, tol_ratio of theorem2) and is ignored
     otherwise; `ladder_reports` checks the rest."""
     if family not in FAMILIES:
         raise DomainError(f"unknown plan family {family!r}")
-    members, zeta2, default_tol, every_nu, params = FAMILIES[family]
+    members, zeta2, quad_tol, every_nu, params = FAMILIES[family]
     for eq in eqs or ():
         if eq not in members:
             raise DomainError(f"unknown equation id {eq!r}")
@@ -265,8 +265,7 @@ def family_sets(family: str, T_list, nu_list, max_n: int, *, alpha: float = 0.5,
     if any(LADDER_MEMBERS[eq][0] == "bessel" for eq in eqs or members):
         check_bessel_order(*nus)
     extra = {k: recorded.get(k, v) for k, v in params.items()}
-    return [RowSet(eq, T, max_n, nu, alpha, beta,
-                   default_tol if quad_tol is None else quad_tol, zeta2, extra)
+    return [RowSet(eq, T, max_n, nu, alpha, beta, quad_tol, zeta2, extra)
             for T in Ts for nu in nus for eq in (eqs or members)]
 
 
@@ -280,6 +279,10 @@ def is_sanity(params: dict) -> bool:
 # The largest power of the end map, for Jacobi exponents >= -0.99: tau^100 at
 # GK15's first node is ~1e-237, and past it tau^m leaves the double range.
 _MAX_POWER = 100
+# The largest exponents: a row's factor forms P^2 (1 - u)^alpha first, at u = -1
+# binom(16 + beta, 16)^2 2^alpha for degree 16 (at u = 1 alpha and beta swap),
+# kept below 2^1016, 2^8 under the double range: alpha < 1011.59 at beta = 0.5.
+_MAX_WEIGHT_BITS = 1016
 
 
 class _Window:
@@ -407,17 +410,22 @@ def _member_pieces(s: RowSet) -> _Member:
         if mu > 200.0:
             raise DomainError(f"{eq} at nu = {nu} with max_n = {max_n}: mu_{max_n} = {mu!r} "
                               f"lies past bessel_j's domain x <= 200")
-        norms = [bessel_norm_sq(nu, n) for n in degrees]
     else:
         U = 2.0
         spec = PolyFamilySpec.jacobi(*ab) if family == "jacobi" else PolyFamilySpec(family)
-        norms = [poly_norm_sq(spec, n) for n in degrees]
+    for far, near in (ab, ab[::-1]):
+        bits = far + 2.0 * sum(math.log2((near + k) / k) for k in range(1, 17))
+        if not bits < _MAX_WEIGHT_BITS:
+            raise DomainError(f"{eq} at (alpha, beta) = ({ab[0]}, {ab[1]}): a degree-16 row "
+                              f"reaches 2^{bits:.6g} at a window end, past 2^{_MAX_WEIGHT_BITS}")
     # m (1 + gamma) is the integer ceil(2 (1 + gamma)), the 1e-9 keeping a
     # rounded 2 (1 + gamma) = 1.0000000000000002 at 1
     power = math.ceil(2.0 * (1.0 + min(ab)) - 1e-9) / (1.0 + min(ab))
     if power > _MAX_POWER:
         raise DomainError(f"{eq} requires alpha, beta >= -0.99, got ({ab[0]}, {ab[1]}): the "
                           f"end map's tau^{power} would leave the double range")
+    norms = [bessel_norm_sq(nu, n) if family == "bessel" else poly_norm_sq(spec, n)
+             for n in degrees]
 
     # A node at distance 0 from a window end gets 0: the limit of u J_nu(mu u)^2
     # for nu > -1/2, and where a negative power would be inf.  The weight's
@@ -517,31 +525,26 @@ def ladder_reports(table: LadderTable, sets: list[RowSet]) -> list[VerificationR
 
 
 def verify_theorem1(table: LadderTable, T: float, nu: float, max_n: int,
-                    tol: float = 1e-4,
-                    quad_tol: float | None = None) -> list[VerificationReport]:
+                    tol: float = 1e-4) -> list[VerificationReport]:
     """Weighted orthogonality of J_nu(mu_n (phi_1(t) - T)) on the preimage
     of [T, T+1] under the weight (phi_1(t) - T) Ztilde^2(t).
 
     Emits E1_3 rows for all unordered (m, n), integrated together, plus the
     E1_4 segment-distance row dist([0,1], [phi^-1(T), phi^-1(T+1)]) / T.
     """
-    return ladder_reports(table, family_sets("theorem1", [T], [nu], max_n,
-                                             quad_tol=quad_tol, tol=tol))
+    return ladder_reports(table, family_sets("theorem1", [T], [nu], max_n, tol=tol))
 
 
-def verify_corollary(table: LadderTable, T_list, nu: float, max_n: int,
-                     quad_tol: float | None = None) -> list[VerificationReport]:
+def verify_corollary(table: LadderTable, T_list, nu: float, max_n: int) -> list[VerificationReport]:
     """The E2_2 integrals: |zeta(1/2+it)|^2-weighted Bessel diagonals against
     0.5 J_{nu+1}(mu_n)^2 ln T for n = 1..max_n, one report per (T, n) (ratio
     -> 1 as T grows); the rows n of one T are integrated together."""
-    return ladder_reports(table, family_sets("corollary", T_list, [nu], max_n,
-                                             quad_tol=quad_tol))
+    return ladder_reports(table, family_sets("corollary", T_list, [nu], max_n))
 
 
 def verify_theorem2(table: LadderTable, T: float, eq: str, max_n: int,
                     nu: float = 0.0, alpha: float = 0.5, beta: float = 0.5,
-                    tol_ratio: float = 0.25,
-                    quad_tol: float | None = None) -> list[VerificationReport]:
+                    tol_ratio: float = 0.25) -> list[VerificationReport]:
     """One member of the E2_4..E2_10 family with the |zeta|^2 weight, one
     report per degree (1..max_n, or the member's fixed degree).
 
@@ -551,18 +554,17 @@ def verify_theorem2(table: LadderTable, T: float, eq: str, max_n: int,
     params for downstream judgement of |ratio - 1|.
     """
     return ladder_reports(table, family_sets("theorem2", [T], [nu], max_n, alpha=alpha,
-                                             beta=beta, quad_tol=quad_tol, eqs=[eq],
-                                             tol_ratio=tol_ratio))
+                                             beta=beta, eqs=[eq], tol_ratio=tol_ratio))
 
 
 def sanity_theorem2_exact(table: LadderTable, T: float, eq: str, max_n: int,
-                          nu: float = 0.0, alpha: float = 0.5, beta: float = 0.5,
-                          quad_tol: float | None = None) -> list[VerificationReport]:
+                          nu: float = 0.0, alpha: float = 0.5,
+                          beta: float = 0.5) -> list[VerificationReport]:
     """Same integrals with weight Ztilde^2: the change-of-variables identity
     makes the ratio exactly 1 up to quadrature error, isolating the numeric
     stack from the asymptotic ln-xi ~ ln-T step."""
     return ladder_reports(table, family_sets("sanity", [T], [nu], max_n, alpha=alpha,
-                                             beta=beta, quad_tol=quad_tol, eqs=[eq]))
+                                             beta=beta, eqs=[eq]))
 
 
 def ratio_trend_nonincreasing(reports: list[VerificationReport]) -> bool:

@@ -61,7 +61,7 @@ def test_criterion_2_bessel_baseline():
     t0 = time.perf_counter()
     worst_off = worst_diag = 0.0
     for nu in (0.0, 0.5, 1.0):
-        for rep in V.verify_bessel_baseline(nu, 6, quad_tol=1e-12):
+        for rep in V.verify_bessel_baseline(nu, 6):
             if rep.rhs == 0.0:
                 worst_off = max(worst_off, abs(rep.lhs))
             else:

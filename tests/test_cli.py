@@ -216,6 +216,20 @@ class TestLadderVerbs:
         ints = RunConfig(t_lo=1000, t_hi=1090, tol=1e-9)
         assert ints.ladder_cache_path() == built["cache"]
 
+    def test_cache_file_of_another_config_exit(self, capsys, cache_env):
+        # a valid --cache file whose ladder another --tol would not build
+        path = str(cache_env / "ladder.npz")
+        assert run_cli("ladder", "build", *LADDER_ARGS, "--cache", path) == EXIT_OK
+        built = json.loads(capsys.readouterr().out)
+        assert run_cli("ladder", "query", "--t-lo", "1000", "--t-hi", "1090", "--tol", "1e-8",
+                       "--t", "1010", "--cache", path) == EXIT_CACHE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"cache error: ladder cache {path} has config hash {built['config_hash']}, "
+            f"requested {RunConfig(t_lo=1000, t_hi=1090, tol=1e-8).ladder_hash()}; "
+            "refusing to reuse\n")
+
     def test_unreachable_tolerance_exit(self, cache_env):
         assert run_cli("ladder", "build", "--t-lo", "1000", "--t-hi", "1001",
                        "--tol", "1e-300") == EXIT_NUMERIC
@@ -406,6 +420,73 @@ class TestVerifyVerbs:
             assert all(abs(r["ratio"] - 1.0) <= RunConfig().tol_exact for r in rows)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family,flag,value,code", [
+        ("theorem2", "--alpha", "1000", EXIT_OK),
+        ("theorem2", "--alpha", "1e4", EXIT_CONFIG), ("theorem2", "--alpha", "inf", EXIT_CONFIG),
+        ("theorem2", "--beta", "1e4", EXIT_CONFIG), ("theorem2", "--beta", "inf", EXIT_CONFIG),
+        ("sanity", "--alpha", "1e4", EXIT_CONFIG)])
+    def test_jacobi_exponent_past_the_weight_bound(self, capsys, cache_env, family, flag,
+                                                   value, code):
+        # an exponent whose degree-16 rows would overflow is a usage error
+        # that names the bound, not a non-finite integrand (exit 70)
+        assert run_cli("verify", family, *LADDER_ARGS, "--T", "941", "--max-n", "4",
+                       flag, value, "--out", "-") == code
+        err = capsys.readouterr().err
+        if code == EXIT_CONFIG:
+            assert err.startswith("error: E2_5 at (alpha, beta) = ") and err.count("\n") == 1
+            assert "past 2^1016" in err
+
+    def test_infinite_exponent_exit_warns_nothing(self, tmp_path):
+        # the same refusal in a fresh interpreter that turns every warning
+        # into an error: one error line, no warning and no traceback
+        src = os.path.dirname(os.path.dirname(zladder.__file__))
+        env = {**os.environ, "ZLADDER_CACHE_ROOT": str(tmp_path / "cache"),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-W", "error", "-m", "zladder.cli", "verify",
+                              "theorem2", *LADDER_ARGS, "--T", "941", "--alpha", "inf",
+                              "--out", "-"], env=env, capture_output=True, text=True)
+        assert run.returncode == EXIT_CONFIG
+        assert run.stderr.startswith("error: E2_5 at (alpha, beta) = (inf, 0.5): ")
+        assert run.stderr.count("\n") == 1 and run.stdout == ""
+
+    def test_offdiagonal_hard_failure_exit(self, capsys, cache_env, monkeypatch):
+        # an E1_3 off-diagonal integral past tol_exact (1e-4) is a hard failure
+        real = V.ladder_reports
+
+        def off(table, sets):
+            reports = real(table, sets)
+            for r in reports:
+                if r.equation_id == "E1_3_offdiag":
+                    r.lhs = -2e-4
+            return reports
+
+        monkeypatch.setattr(V, "ladder_reports", off)
+        assert run_cli("verify", "theorem1", *LADDER_ARGS, "--T", "1000", "--nu", "0",
+                       "--max-n", "2", "--out", "-") == EXIT_HARD
+        fails = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("FAIL")]
+        assert fails == ["FAIL E1_3 offdiag {'m': 1, 'n': 2, 'nu': 0.0, 'T': 1000.0, "
+                         "'tol': 0.0001}: |I| = 2.000e-04"]
+
+    def test_trend_rule_soft_failure_exit(self, capsys, cache_env, monkeypatch):
+        # |ratio - 1| growing with T in every group, each row well inside
+        # tol_ratio, fails the trend rule alone
+        real = V.ladder_reports
+
+        def drift(table, sets):
+            reports = real(table, sets)
+            for r in reports:
+                r.ratio = 1.0 + 1e-3 * r.params["T"] / 1000.0
+            return reports
+
+        monkeypatch.setattr(V, "ladder_reports", drift)
+        assert run_cli("verify", "corollary", *LADDER_ARGS, "--T", "941", "960", "--nu", "0",
+                       "--max-n", "2", "--out", "-") == EXIT_SOFT
+        fails = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("FAIL")]
+        assert fails == ["FAIL ratio-error trend nonincreasing for only 0/2 groups"]
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("family,T", [("theorem1", "1000"), ("corollary", "941"),
                                           ("theorem2", "941"), ("sanity", "941")])
     def test_negative_bessel_order(self, capsys, cache_env, family, T):
@@ -511,6 +592,15 @@ class TestRun:
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert run.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("equations", ("baseline", "theorem3"), "unknown plan equation 'theorem3'"),
+        ("format", "xml", "unknown output format 'xml'"),
+        ("n_max", 0, "n_max must be >= 1")])
+    def test_config_refuses(self, field, value, message):
+        # the API's RunConfig checks what the parser's choices check on the CLI
+        with pytest.raises(DomainError, match=f"^config: {message}$"):
+            RunConfig(**{field: value})
 
     @pytest.mark.parametrize("field", ["tol", "tol_exact", "tol_ratio", "tol_baseline"])
     @pytest.mark.parametrize("value", [0.0, -1e-9, float("nan"), float("inf")])

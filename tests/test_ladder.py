@@ -600,6 +600,16 @@ class TestPanelsOnFirstUse:
         assert np.all(np.abs(np.diff(t.phi) - gram) <= ulps)
 
 
+def test_locate_outside_the_range(small_ladder):
+    table = small_ladder
+    assert table.locate(table.phi_lo)[0] == 0
+    assert table.locate(table.phi_hi)[0] == len(table.edges) - 2
+    for y in (math.nextafter(table.phi_lo, -math.inf), math.nextafter(table.phi_hi, math.inf),
+              math.nan):
+        with pytest.raises(DomainError, match=r"^ladder location outside \["):
+            table.locate(y)
+
+
 class TestInvert:
     @pytest.mark.parametrize("y", [math.nan, [1000.0, math.nan]])
     def test_nan_rejected(self, small_ladder, y):

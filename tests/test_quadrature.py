@@ -46,7 +46,6 @@ class TestAdaptive:
         assert res.value == pytest.approx(0.5, abs=1e-14)
         assert res.panels_used >= 1
         assert res.error_estimate >= 0.0
-        assert res.rule == "gk15-adaptive"
 
     @pytest.mark.parametrize("k", range(13))
     def test_monomials_exact(self, k):
@@ -332,7 +331,6 @@ class TestTanhSinh:
         res = integrate_singular(f, -1.0, 1.0, 1e-10)
         assert all(lo > -1.0 and hi < 1.0 for lo, hi in seen)
         assert abs(res.value - math.pi / 2) <= 1e-9
-        assert res.rule == "gk15-adaptive"
         seen.clear()
         res = integrate_singular(lambda x: f(x) ** -1.0, -1.0, 1.0, 1e-10)
         assert all(lo > -1.0 and hi < 1.0 for lo, hi in seen)

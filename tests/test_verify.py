@@ -223,7 +223,9 @@ class TestPooledRowsEqualPerRowIntegrals:
         assert [fields(r) for r in r4] == [fields(r) for r in r2]
 
     def test_e2_4_sanity_is_e1_3_diagonal(self, small_ladder):
-        r4 = V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_4", 3, nu=1.0, quad_tol=1e-9)
+        # the sanity set of E2_4 at theorem1's tolerance
+        r4 = V.ladder_reports(small_ladder, [V.RowSet("E2_4", 1000.0, 3, nu=1.0, quad_tol=1e-9,
+                                                      zeta2=False)])
         r1 = [r for r in V.verify_theorem1(small_ladder, 1000.0, 1.0, 3)
               if r.equation_id == "E1_3_diag"]
         fields = lambda r: (r.lhs, r.rhs, r.quadrature_error, r.params["n"])
@@ -323,6 +325,44 @@ class TestEndMap:
     def test_power_out_of_range_refused(self, small_ladder):
         with pytest.raises(DomainError, match=r"alpha, beta >= -0\.99"):
             V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_5", 1, alpha=-0.995, beta=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha,beta", [(1011.0, 0.5), (0.5, 1011.0), (795.0, 795.0)])
+    def test_largest_exponents_keep_degree_16_finite(self, plan_ladder, alpha, beta):
+        # the largest integer exponents under the weight bound, at beta = 0.5,
+        # alpha = 0.5 and alpha = beta: every degree-16 row of either layer is
+        # finite, with no overflow warning, and every sanity row exact
+        for T in (1500.0, 6000.0):
+            asym = V.verify_theorem2(plan_ladder, T, "E2_5", 16, alpha=alpha, beta=beta)
+            exact = V.sanity_theorem2_exact(plan_ladder, T, "E2_5", 16, alpha=alpha, beta=beta)
+            assert len(asym) == len(exact) == 16
+            assert all(math.isfinite(r.lhs) and math.isfinite(r.rhs) for r in asym + exact)
+            assert all(abs(r.ratio - 1.0) <= 1e-9 for r in exact)
+
+    @pytest.mark.parametrize("alpha,beta", [(1012.0, 0.5), (0.5, 1012.0), (796.0, 796.0),
+                                            (1e4, 0.5), (math.inf, 0.5), (0.5, math.inf),
+                                            (math.inf, math.inf), (1e308, 1e308)])
+    def test_exponents_past_the_weight_bound_refused(self, small_ladder, alpha, beta):
+        # the bound is the degree cap's, so it refuses at max_n = 1 as well
+        for verify in (V.verify_theorem2, V.sanity_theorem2_exact):
+            with pytest.raises(DomainError, match=r"a degree-16 row reaches .* past 2\^1016"):
+                verify(small_ladder, 1000.0, "E2_5", 1, alpha=alpha, beta=beta)
+
+    def test_weight_bound_as_documented(self):
+        # the largest admitted alpha at beta = 0.5, found double by double
+        def admitted(alpha):
+            try:
+                V._member_pieces(V.RowSet("E2_5", 1500.0, 1, alpha=alpha, beta=0.5))
+            except DomainError:
+                return False
+            return True
+
+        lo, hi = 1011.0, 1012.0
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+        assert admitted(lo) and not admitted(hi)
+        assert 1011.58 < lo < 1011.59
 
 
 class TestLargeT:
@@ -536,7 +576,6 @@ class TestFamilyTable:
             assert (s.max_n, s.alpha, s.beta, s.quad_tol, s.zeta2, s.extra) == \
                 (3, 0.25, 0.75, quad_tol, zeta2, extra)
             assert V.is_sanity(s.extra) == (family == "sanity")
-        assert V.family_sets(family, [1000.0], [0.0], 1, quad_tol=1e-7)[0].quad_tol == 1e-7
 
     def test_recorded_defaults(self):
         assert V.family_sets("theorem1", [1000.0], [0.0], 1)[0].extra == {"tol": 1e-4}
