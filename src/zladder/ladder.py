@@ -15,8 +15,8 @@ versioned, validated `.npz`.
 the order the Clenshaw recurrence takes them), with the IEEE operations of
 the array path in the same order, so a point has the same bits either way.
 `invert` solves on the one panel whose checkpoint values bracket y, with
-those operations: a Newton step takes phi_1 and p from one fused Clenshaw
-pass over the panel's two columns, a neighbour double that Newton did not
+those operations: a Newton step takes phi_1 and p from one Clenshaw pass
+over each of the panel's two columns, a neighbour double that Newton did not
 visit takes phi_1 from one pass, and a point not strictly inside the panel
 (a Newton step leaves one only on a panel about one ulp wide) goes through
 `eval` and `ztilde_sq`, which has the array path alone.  The recurrences
@@ -42,7 +42,7 @@ from ._atomic import atomic_writer
 from .exceptions import (AdmissibilityError, CacheError, ConvergenceError,
                          DomainError, ToleranceNotMetError)
 from .rszeta import ZEvaluator
-from .specfun.orthopoly import _clenshaw, _clenshaw_fused, _clenshaw_rev
+from .specfun.orthopoly import _clenshaw, _clenshaw_rev
 
 EULER_C = 0.5772156649015329
 ONE_MINUS_C = 1.0 - EULER_C
@@ -254,19 +254,16 @@ class LadderTable:
 
     def _columns(self, k: int) -> tuple:
         """Panel k's antiderivative a and coefficients c of p as Python
-        floats, as the Clenshaw kernels take them: each one's reversed tail
-        and head, then the fused pass's lead of a and its (a, c) pairs.  A
-        panel not yet built is built with the rest of its aligned block of
-        `_ANTI_BLOCK` panels."""
+        floats, as `_clenshaw_rev` takes them: each one's reversed tail and
+        head.  A panel not yet built is built with the rest of its aligned
+        block of `_ANTI_BLOCK` panels."""
         cols = self._cols.get(k)
         if cols is None:
             if not self._built.item(k):
                 lo = k - k % _ANTI_BLOCK
                 self._anti_rows(np.arange(lo, min(lo + _ANTI_BLOCK, len(self._half))))
             a, c = self._anti[k, ::-1].tolist(), self.coef[k, ::-1].tolist()   # reversed
-            m = len(c)
-            cols = self._cols[k] = (a[:-1], a[-1], c[:-1], c[-1], a[:-m],
-                                    list(zip(a[-m:-1], c[:-1])))
+            cols = self._cols[k] = (a[:-1], a[-1], c[:-1], c[-1])
         return cols
 
     @cached_property
@@ -330,7 +327,7 @@ class LadderTable:
         run on the panel's cached columns (`_columns`) as Python floats, with
         the same bits as a 1-element array."""
         if isinstance(x, float):
-            rest, _, c_rest, c_head = self._columns(k)[:4]
+            rest, _, c_rest, c_head = self._columns(k)
             mid, half = self._mid.item(k), self._half.item(k)
             p = _clenshaw_rev(c_rest, c_head, x)
             return mid + half * x, _mean_slopes(rest[::-1], x0, x), half * (p * p)
@@ -388,9 +385,9 @@ class LadderTable:
         """Newton on Python floats on the panel k whose checkpoint values
         bracket y, then the best of the nine doubles around its result.  A
         point strictly inside panel k takes phi_1 and p from the panel's
-        columns with the IEEE operations of `eval` and `ztilde_sq` (both
-        from one fused Clenshaw pass on a Newton step; phi_1 alone on a
-        neighbour); any other point goes through those two.
+        columns with the IEEE operations of `eval` and `ztilde_sq` (both on
+        a Newton step, phi_1 alone on a neighbour, each from one
+        `_clenshaw_rev` pass); any other point goes through those two.
         Each point is evaluated once: a neighbour that Newton already visited
         takes its value from there."""
         phis, edges = self._phi_list, self._edge_list
@@ -401,15 +398,15 @@ class LadderTable:
         lo, hi = e_lo, e_hi = edges[k], edges[j]
         base, top = phis[k], phis[j]
         mid, half = self._mid.item(k), self._half.item(k)
-        rest, head, _, p0, lead, pairs = self._columns(k)
+        rest, head, c_rest, c_head = self._columns(k)
 
         seen = {}   # phi_1 of each point evaluated so far
         t = 0.5 * (lo + hi)   # the midpoint: x = 0.0 on the first step
         for _ in range(80):
             if e_lo < t < e_hi:
-                a, p = _clenshaw_fused(lead, pairs, head, p0, (t - mid) / half)
-                vt, slope = base + a, p * p   # vt clamped as by min/max in `eval`:
-                vt = base if vt < base else top if vt > top else vt
+                x = (t - mid) / half
+                vt, p = base + _clenshaw_rev(rest, head, x), _clenshaw_rev(c_rest, c_head, x)
+                vt, slope = base if vt < base else top if vt > top else vt, p * p   # as `eval`
             else:
                 vt, slope = self.eval(t), self.ztilde_sq(t)
             seen[t] = vt

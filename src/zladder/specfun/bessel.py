@@ -7,11 +7,14 @@ Evaluation strategy
   in double-double arithmetic because the series loses ~x/ln(10) digits to
   cancellation; compensated products/sums keep the absolute error near 1e-16
   over the whole range.  One loop, every double-double step written out,
-  serves arrays and a single point, which runs on Python floats with the
-  same bits (the zero finder's points).
-* x > 40: Miller's downward three-term recurrence in the order, normalized
-  by the series  sum_k c_k J_{nu+2k}(x) = (x/2)^nu  with
-  c_0 = Gamma(nu+1), c_k = (nu+2k) Gamma(nu+k) / k!.
+  serves arrays and single points.
+* x > 40: Miller's downward three-term recurrence in the order, from 1e-280
+  (its peak stays below 1e-100 for nu <= 199 and x <= 400, so it is never
+  rescaled), normalized by the series  sum_k c_k J_{nu+2k}(x) = (x/2)^nu
+  with c_0 = Gamma(nu+1), c_k = (nu+2k) Gamma(nu+k) / k!.
+
+A Python float x (the zero finder's points) takes the same route on Python
+floats, with the same bits as in an array, and comes back a float.
 
 The terms of that normalization overflow at high order (J is 6.5e-2 off at
 nu = 131.25, and the zeros out to the 64th fail past nu = 120), so orders
@@ -57,43 +60,30 @@ NU_MAX = 100.0   # the largest order bessel_j and bessel_zero take
 # ---------------------------------------------------------------------------
 # J_nu evaluation
 
-def _series_converged(th, sh) -> bool:
-    return bool(np.all(np.abs(th) <= 1e-37 * np.maximum(1.0, np.abs(sh))))
-
-
-def _series_converged_scalar(th: float, sh: float) -> bool:
-    return abs(th) <= 1e-37 * max(1.0, abs(sh))
-
-
-def _bessel_series(nu: float, x: np.ndarray, scaled: bool = False) -> np.ndarray:
-    """Ascending series, double-double terms; x <= ~40 elementwise, x > 0.
-
-    A single point runs the term loop on Python floats: the same IEEE
-    operations in the same order as on arrays, so the same bits, at a
-    fraction of the per-call cost of 1-element arrays (the zero finder's
-    brackets and Newton steps are all single points).
+def _bessel_series(nu: float, x, scaled: bool = False):
+    """Ascending series, double-double terms; x <= ~40 elementwise, x > 0,
+    an array or a Python float (the zero finder's single points), with the
+    same IEEE operations in the same order, so the same bits, on either.
 
     `scaled` gives J_nu(x) / (x/2)^nu instead, for x >= 0: the series from
     t_0 = 1, divided by Gamma(nu + 1), so no power of x can underflow.
     """
     half = 0.5 * x
     g = gamma_fn(nu + 1.0)
-    t0 = np.ones_like(half) if scaled else half ** nu / g
-    if x.size == 1:
-        s = np.array([_series_sum(nu, half.item(0), t0.item(0), 0.0,
-                                  _series_converged_scalar)])
-    else:
-        s = _series_sum(nu, half, t0, np.zeros_like(t0), _series_converged)
+    # numpy's power, which has the same bits on a float as on an array
+    t0 = 1.0 if scaled else np.power(half, nu) / g
+    s = _series_sum(nu, half, t0 if np.ndim(t0) else float(t0))
     return s / g if scaled else s
 
 
-def _series_sum(nu, half, t0, zero, converged):
-    """sum_r t_r, t_r = t_{r-1} (-(x/2)^2) / (r (nu + r)), in double-double;
-    `half`, `t0` and `zero` are all arrays or all floats.  Every step is
-    Dekker's (Numer. Math. 18, 1971), written out: two-sum, two-product (with
-    the splitting constant `_SPLIT`), and the double-double product, quotient
-    and sum built from them, each with its operations in its order.  The
-    divisor r (nu + r) is one pair of Python floats on either path."""
+def _series_sum(nu, half, t0):
+    """sum_r t_r, t_r = t_{r-1} (-(x/2)^2) / (r (nu + r)), in double-double,
+    for `half` an array or a float and t_0 = `t0`, until every term is below
+    1e-37 of its sum (and of 1).  Every step is Dekker's (Numer. Math. 18,
+    1971), written out: two-sum, two-product (with the splitting constant
+    `_SPLIT`), and the double-double product, quotient and sum built from
+    them, each with its operations in its order.  The divisor r (nu + r) is
+    one pair of Python floats for either."""
     a1 = half * _SPLIT   # qh + ql = half^2
     ahi = a1 - (a1 - half)
     alo = half - ahi
@@ -102,7 +92,7 @@ def _series_sum(nu, half, t0, zero, converged):
     qhi = qh * _SPLIT   # the split of qh, the same at every term
     qhi = qhi - (qhi - qh)
     qlo = qh - qhi
-    th, tl, sh, sl = t0, zero, t0, zero
+    th, tl, sh, sl = t0, 0.0, t0, 0.0
     r_needed = float(np.max(half, initial=0.0))
     for r in range(1, 701):
         fr = float(r)
@@ -151,28 +141,25 @@ def _series_sum(nu, half, t0, zero, converged):
         sh = u + e
         bb = sh - u
         sl = (u - (sh - bb)) + (e - bb)
-        if r > r_needed and converged(th, sh):
-            break
+        if r > r_needed:   # |t_r| <= 1e-37 max(1, |sum|) at every point
+            at = abs(th)
+            done = (at <= 1e-37) | (at <= 1e-37 * abs(sh))   # a bool on floats
+            if done is True or done is not False and done.all():
+                break
     return sh + sl
 
 
 def _bessel_miller(nu: float, x: float, scaled: bool = False) -> float:
     """Downward recurrence with series normalization; x > ~40, scalar;
     `scaled` gives J_nu(x) / (x/2)^nu."""
-    m_start = int(np.ceil(1.3 * x + 60.0))
+    m_start = math.ceil(1.3 * x + 60.0)
     u_next = 0.0
     u = 1e-280
     us = np.empty(m_start + 1)
     us[m_start] = u
     for m in range(m_start, 0, -1):
-        u_prev = (2.0 * (nu + m) / x) * u - u_next
-        u_next = u
-        u = u_prev
+        u, u_next = (2.0 * (nu + m) / x) * u - u_next, u
         us[m - 1] = u
-        if abs(u) > 1e250:
-            us[m - 1:] /= 1e250
-            u /= 1e250
-            u_next /= 1e250
     # normalization series sum_k c_k u_{2k} = (x/2)^nu
     g1 = gamma_fn(nu + 1.0)
     s = g1 * us[0]
@@ -189,13 +176,16 @@ def _j_at_zero(nu: float) -> float:
     return 1.0 if nu == 0.0 else (0.0 if nu > 0.0 else np.inf)
 
 
-def _bessel_j_any(nu: float, x: np.ndarray, scaled: bool = False) -> np.ndarray:
+def _bessel_j_any(nu: float, x, scaled: bool = False):
     """Dispatch series / Miller elementwise; no domain cap (internal use).
     `scaled` gives J_nu(x) / (x/2)^nu, finite for every nu > -1 (no power of
-    x is formed), from the series at x = 0: 1 / Gamma(nu + 1)."""
+    x is formed), from the series at x = 0: 1 / Gamma(nu + 1).  A Python
+    float x takes the same route on floats and gives a float."""
+    if isinstance(x, float):
+        if x == 0.0 and not scaled:
+            return _j_at_zero(nu)
+        return (_bessel_series if x <= _SERIES_MAX_X else _bessel_miller)(nu, x, scaled)
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     out = np.empty_like(x)
     zero = (x == 0.0) & (not scaled)
     if np.any(zero):
@@ -205,8 +195,8 @@ def _bessel_j_any(nu: float, x: np.ndarray, scaled: bool = False) -> np.ndarray:
         out[small] = _bessel_series(nu, x[small], scaled)
     large = ~small & ~zero
     if np.any(large):
-        out[large] = [_bessel_miller(nu, float(v), scaled) for v in x[large]]
-    return out[0] if scalar else out
+        out[large] = [_bessel_miller(nu, v, scaled) for v in x[large].tolist()]
+    return out
 
 
 def bessel_j(nu: float, x) -> float | np.ndarray:
@@ -221,7 +211,7 @@ def bessel_j(nu: float, x) -> float | np.ndarray:
     xa = np.asarray(x, dtype=float)
     if not (np.all(xa >= 0.0) and np.all(xa <= 200.0)):
         raise DomainError("bessel_j requires 0 <= x <= 200")
-    return _bessel_j_any(nu, xa) if xa.ndim else float(_bessel_j_any(nu, xa))
+    return _bessel_j_any(nu, xa if xa.ndim else float(xa))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +234,8 @@ def _refine_zero(nu: float, lo: float, hi: float, x: float,
     all nu > -1, takes J_nu(x) from the step's own evaluation, and the
     iteration ends at Newton's fixed point: the double a step rounds back to."""
     for _ in range(100):
-        f = float(_bessel_j_any(nu, np.float64(x)))
-        g = float(_bessel_j_any(nu + 1.0, np.float64(x)))
+        f = _bessel_j_any(nu, x)
+        g = _bessel_j_any(nu + 1.0, x)
         if f == 0.0:
             return x, f, g
         if (f > 0.0) == f_lo_positive:
@@ -267,12 +257,12 @@ def _bracket_zero(nu: float, start: float) -> tuple[float, float]:
     """First sign change of J_nu at or beyond `start`, by steps of 0.25, well
     below the spacing of the zeros (about pi)."""
     lo = start
-    f_lo = float(_bessel_j_any(nu, np.float64(lo)))
+    f_lo = _bessel_j_any(nu, lo)
     step = 0.25
     x = lo
     for _ in range(4000):
         x_next = x + step
-        f_next = float(_bessel_j_any(nu, np.float64(x_next)))
+        f_next = _bessel_j_any(nu, x_next)
         if f_lo == 0.0:
             return x - 1e-9, x + 1e-9
         if (f_next > 0.0) != (f_lo > 0.0):
@@ -310,8 +300,8 @@ def _mcmahon_bracket(nu: float, k: int, prev: float | None):
     base = _first_zero_floor(nu) if prev is None else prev
     reach = (1.0 if prev is None else 2.0) * _spacing_floor(nu, base)
     sign = 1.0 if k % 2 else -1.0   # of J_nu just below the k-th zero
-    if (base < lo < base + reach and sign * float(_bessel_j_any(nu, np.float64(lo))) > 0.0
-            and sign * float(_bessel_j_any(nu, np.float64(hi))) < 0.0):
+    if (base < lo < base + reach and sign * _bessel_j_any(nu, lo) > 0.0
+            and sign * _bessel_j_any(nu, hi) < 0.0):
         return lo, hi, guess
     return None
 

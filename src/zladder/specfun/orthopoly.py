@@ -1,7 +1,7 @@
 """Jacobi, Legendre and Chebyshev polynomials with their weighted norms, and
-the one home of the Clenshaw sum of a Chebyshev series, which the
-Riemann-Siegel remainder terms, the ladder panels and the Bessel proxies
-evaluate."""
+the one copy of Clenshaw's recurrence for a Chebyshev series, on Python
+floats or arrays, which the Riemann-Siegel remainder terms, the ladder panels
+and the Bessel proxies evaluate."""
 
 from __future__ import annotations
 
@@ -115,38 +115,17 @@ def poly_norm_sq(spec: PolyFamilySpec, n: int) -> float:
 
 def _clenshaw(cols, x, k):
     """sum_j cols[j][k] T_j(x), pointwise, for a (terms, ...) array `cols`
-    (terms by panels, or by tables) and an array x, `row[k]` gathered per
-    step.  The kernels below run the same IEEE operations in the same order
-    on Python floats, so a point keeps its bits either way; they are the
-    only copies of the recurrence."""
-    x2 = 2.0 * x
-    b1 = b2 = 0.0
-    for row in cols[:0:-1]:
-        b1, b2 = x2 * b1 - b2 + row[k], b1
-    return x * b1 - b2 + cols[0][k]
+    (terms by panels, or by tables) and an array x: `_clenshaw_rev` on the
+    rows `row[k]` gathered per step."""
+    return _clenshaw_rev((row[k] for row in cols[:0:-1]), cols[0][k], x)
 
 
 def _clenshaw_rev(rest, head, x):
-    """`_clenshaw` of one column c of Python floats, held as `rest =
-    c[:0:-1]` and `head = c[0]`, at a float x."""
+    """sum_j c_j T_j(x) for a column c held as `rest = c[:0:-1]` and `head =
+    c[0]`, on Python floats or arrays alike: the only copy of the recurrence,
+    so a point keeps its bits on either."""
     x2 = 2.0 * x
     b1 = b2 = 0.0
     for c in rest:
         b1, b2 = x2 * b1 - b2 + c, b1
     return x * b1 - b2 + head
-
-
-def _clenshaw_fused(lead, pairs, a0, c0, x):
-    """`_clenshaw` of two columns a and c, m = len(c) <= len(a), in one loop,
-    held as `lead = a[:m - 1:-1]`, `pairs = list(zip(a[m - 1:0:-1],
-    c[:0:-1]))`, `a0 = a[0]` and `c0 = c[0]`.  Each recurrence keeps its own
-    operations in its own order, so both keep their bits."""
-    x2 = 2.0 * x
-    a1 = a2 = c1 = c2 = 0.0
-    for u in lead:
-        a1, a2 = x2 * a1 - a2 + u, a1
-    for u, v in pairs:
-        a1, a2 = x2 * a1 - a2 + u, a1
-        c1, c2 = x2 * c1 - c2 + v, c1
-    return x * a1 - a2 + a0, x * c1 - c2 + c0
-

@@ -36,7 +36,8 @@ than bessel_j's contract keeps the series); E1_2 and the envelope table keep
 the direct series of `bessel_j`, an independent reference.  The Bessel
 families take nu >= -1/2 (`check_bessel_order`: below it u J_nu(mu u)^2 is
 unbounded at u = 0), E2_5 alpha, beta >= -0.99 (`_MAX_POWER`) whose degree-16
-rows stay finite (`_MAX_WEIGHT_BITS`); a node at distance 0 from a window end
+rows stay finite (`_MAX_WEIGHT_BITS`), the one beside a negative one at most
+20 (`_MAX_BESIDE_NEGATIVE`); a node at distance 0 from a window end
 adds 0 to a Bessel row and to a row whose weight has a negative power of it.
 """
 
@@ -283,6 +284,14 @@ _MAX_POWER = 100
 # binom(16 + beta, 16)^2 2^alpha for degree 16 (at u = 1 alpha and beta swap),
 # kept below 2^1016, 2^8 under the double range: alpha < 1011.59 at beta = 0.5.
 _MAX_WEIGHT_BITS = 1016
+# The largest exponent beside a negative one.  Past it the rows' mass sits in
+# the mapped end piece next to the singular end, where the integrand is large
+# and carries ~1e-12 of relative rounding (the Jacobi recurrence): GK15 can
+# neither meet the row's tolerance there nor reach its roundoff floor, so it
+# refines until its panel budget runs out, or the product overflows.  On the
+# plan ladder at degree 16 the limit was 21.4 at -0.99, 22.6 at -0.9 and 158
+# at -0.75; (-0.99, 100) ran 91 s to exit 70, and (1011, -0.5) overflowed.
+_MAX_BESIDE_NEGATIVE = 20.0
 
 
 class _Window:
@@ -405,6 +414,7 @@ def _member_pieces(s: RowSet) -> _Member:
     smooth = ab == (0.0, 0.0)
 
     if family == "bessel":
+        check_bessel_order(nu)
         U = 1.0
         mu = bessel_zero(nu, max_n)
         if mu > 200.0:
@@ -418,6 +428,9 @@ def _member_pieces(s: RowSet) -> _Member:
         if not bits < _MAX_WEIGHT_BITS:
             raise DomainError(f"{eq} at (alpha, beta) = ({ab[0]}, {ab[1]}): a degree-16 row "
                               f"reaches 2^{bits:.6g} at a window end, past 2^{_MAX_WEIGHT_BITS}")
+    if min(ab) < 0.0 and max(ab) > _MAX_BESIDE_NEGATIVE:
+        raise DomainError(f"{eq} at (alpha, beta) = ({ab[0]}, {ab[1]}): beside a negative "
+                          f"exponent the other must be at most {_MAX_BESIDE_NEGATIVE:g}")
     # m (1 + gamma) is the integer ceil(2 (1 + gamma)), the 1e-9 keeping a
     # rounded 2 (1 + gamma) = 1.0000000000000002 at 1
     power = math.ceil(2.0 * (1.0 + min(ab)) - 1e-9) / (1.0 + min(ab))

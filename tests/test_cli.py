@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -435,6 +436,23 @@ class TestVerifyVerbs:
         if code == EXIT_CONFIG:
             assert err.startswith("error: E2_5 at (alpha, beta) = ") and err.count("\n") == 1
             assert "past 2^1016" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", ["theorem2", "sanity"])
+    @pytest.mark.parametrize("alpha,beta,max_n", [("-0.99", "300", "4"), ("-0.99", "300", "16"),
+                                                  ("1011", "-0.5", "16"), ("-0.99", "100", "16"),
+                                                  ("-0.9", "100", "16")])
+    def test_large_exponent_beside_a_negative_one(self, capsys, cache_env, family, alpha,
+                                                  beta, max_n):
+        # these overflowed (exit 70, or exit 0 with an overflow warning) or
+        # refined for minutes: a usage error that names the bound, at once
+        start = time.perf_counter()
+        assert run_cli("verify", family, *LADDER_ARGS, "--T", "941", "--max-n", max_n,
+                       f"--alpha={alpha}", f"--beta={beta}", "--out", "-") == EXIT_CONFIG
+        assert time.perf_counter() - start < 20.0
+        err = capsys.readouterr().err
+        assert err == (f"error: E2_5 at (alpha, beta) = ({float(alpha)}, {float(beta)}): beside "
+                       f"a negative exponent the other must be at most 20\n")
 
     def test_infinite_exponent_exit_warns_nothing(self, tmp_path):
         # the same refusal in a fresh interpreter that turns every warning

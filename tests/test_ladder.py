@@ -14,7 +14,7 @@ from zladder import (AdmissibilityError, CacheError, ConvergenceError,
                      check_admissible, integrate_adaptive, prime_pi,
                      retardation_report)
 from zladder import ladder as ladder_mod
-from zladder.specfun.orthopoly import _clenshaw, _clenshaw_fused, _clenshaw_rev
+from zladder.specfun.orthopoly import _clenshaw, _clenshaw_rev
 
 import oracles
 from oracles import breakpoints, log_stability_check, pushforward_integral, ztilde_sq
@@ -786,11 +786,11 @@ class TestInvertContract:
                 return _fn(t)
             monkeypatch.setattr(table, attr, counted)
 
-        def fused(*args, _fn=ladder_mod._clenshaw_fused):
-            out = _fn(*args)
-            hits["bisect"] += out[1] * out[1] <= 1e-18
+        def rev(rest, head, x, _fn=ladder_mod._clenshaw_rev):
+            out = _fn(rest, head, x)
+            hits["bisect"] += _is_p_column(rest) and out * out <= 1e-18
             return out
-        monkeypatch.setattr(ladder_mod, "_clenshaw_fused", fused)
+        monkeypatch.setattr(ladder_mod, "_clenshaw_rev", rev)
 
         for y in ys.tolist():
             assert (_outcome(LadderTable.invert, table, y)
@@ -803,14 +803,15 @@ class TestInvertContract:
         assert hits["bisect"] > 0
 
     def test_each_point_evaluated_once(self, small_ladder, rng, monkeypatch):
-        # a Newton step takes one fused pass for phi_1 and p, the first one at
-        # the panel midpoint (x = 0.0); the best-double search makes one
-        # Clenshaw pass for each of the last iterate's eight neighbours that
-        # Newton did not visit; eval, ztilde_sq and the general Clenshaw
-        # routine are not called for points inside the panel
+        # a Newton step takes one Clenshaw pass for phi_1 and one for p at
+        # its x, the first one at the panel midpoint (x = 0.0); the
+        # best-double search makes one phi_1 pass for each of the last
+        # iterate's eight neighbours that Newton did not visit; eval,
+        # ztilde_sq and the general Clenshaw routine are not called for
+        # points inside the panel
         table = small_ladder
         calls = collections.Counter()
-        newton, single = _record_x(monkeypatch)
+        phi, newton = _record_x(monkeypatch)
         for owner, name in ((ladder_mod, "_clenshaw"), (table, "eval"),
                             (table, "ztilde_sq")):
             def counted(*args, _fn=getattr(owner, name), _name=name):
@@ -818,9 +819,11 @@ class TestInvertContract:
                 return _fn(*args)
             monkeypatch.setattr(owner, name, counted)
         for y in rng.uniform(table.phi[1], table.phi[-2], 100).tolist():
+            phi.clear()
             newton.clear()
-            single.clear()
             table.invert(y)
+            assert phi[:len(newton)] == newton, y
+            single = phi[len(newton):]
             k = int(np.searchsorted(table.phi, y)) - 1
             mid, half = table._mid.item(k), table._half.item(k)
             t = mid + half * newton[-1]   # the last iterate, to within an ulp
@@ -843,16 +846,16 @@ class TestInvertContract:
         # x it has evaluated (a neighbour of the last iterate that is an
         # earlier iterate takes the iterate's value)
         table = query_ladder
-        newton, single = _record_x(monkeypatch)
+        phi, newton = _record_x(monkeypatch)
         m = 2000
         u = (np.arange(m) + np.random.default_rng(1).random(m)) / m
         ys = np.minimum(table.phi_lo + u * (table.phi_hi - table.phi_lo), table.phi_hi)
         for y in ys.tolist():
+            phi.clear()
             newton.clear()
-            single.clear()
             table.invert(y)
-            xs = newton + single
-            assert len(set(xs)) == len(xs), y
+            assert phi[:len(newton)] == newton, y   # a Newton step's two passes
+            assert len(set(phi)) == len(phi), y
 
     def test_former_silent_miss(self, ladder_near_1e5):
         # the Gauss-panel ladder's 8 eps |y| stop rule returned a t with
@@ -893,52 +896,23 @@ class TestInvertContract:
         assert _meets_contract(table, y)
 
 
-def _record_x(monkeypatch):
-    """Wrap the ladder's fused and single Clenshaw kernels; the two lists
-    they return collect the x of each pass."""
-    newton, single = [], []
+def _is_p_column(rest) -> bool:
+    """Whether a Clenshaw pass runs over a panel's coefficients of p (degree
+    `_DEGREE`), not over phi_1's, its antiderivative (2 `_DEGREE` + 1)."""
+    return len(rest) == ladder_mod._DEGREE
 
-    def fused(lead, pairs, a0, c0, x, _fn=ladder_mod._clenshaw_fused):
-        newton.append(x)
-        return _fn(lead, pairs, a0, c0, x)
+
+def _record_x(monkeypatch):
+    """Wrap the ladder's Clenshaw kernel; the two lists it returns collect
+    the x of each pass over a panel's phi_1 column and over its p column."""
+    phi, p = [], []
 
     def rev(rest, head, x, _fn=ladder_mod._clenshaw_rev):
-        single.append(x)
+        (p if _is_p_column(rest) else phi).append(x)
         return _fn(rest, head, x)
 
-    monkeypatch.setattr(ladder_mod, "_clenshaw_fused", fused)
     monkeypatch.setattr(ladder_mod, "_clenshaw_rev", rev)
-    return newton, single
-
-
-def _array_clenshaw(col, x):
-    """The bits of the array path, `_clenshaw`, for one column at one x (its
-    overflow warnings silenced: the properties cover overflowed sums)."""
-    with np.errstate(all="ignore"):
-        return float(_clenshaw(np.array(col)[:, None], np.array([x]), 0)[0]).hex()
-
-
-def _columns(data):
-    """Two finite coefficient lists a and c, 1 <= len(c) <= len(a) <= 66,
-    with +-0.0 entries likely, in the fused kernels' Clenshaw order."""
-    n = data.draw(st.integers(1, 66))
-    m = data.draw(st.integers(1, n))
-    coef = st.one_of(st.sampled_from([0.0, -0.0]),
-                     st.floats(allow_nan=False, allow_infinity=False))
-    a = data.draw(st.lists(coef, min_size=n, max_size=n))
-    c = data.draw(st.lists(coef, min_size=m, max_size=m))
-    return a, c, (a[:m - 1:-1], list(zip(a[m - 1:0:-1], c[:0:-1])), a[0], c[0])
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_clenshaw_pair_is_two_clenshaws(data):
-    a, c, fused = _columns(data)
-    x = data.draw(st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 1.0]), st.floats(-1.0, 1.0)))
-    want = [_array_clenshaw(a, x), _array_clenshaw(c, x)]
-    assert [v.hex() for v in _clenshaw_fused(*fused, x)] == want
-    assert _clenshaw_rev(a[:0:-1], a[0], x).hex() == want[0]
-
+    return phi, p
 
 
 def _pinned_clenshaw(cols, xs, k):
@@ -1007,22 +981,17 @@ class TestInvertMemo:
 
     def test_raise_is_not_memoized(self, table, monkeypatch):
         # phi_1 seen through +-1e-9 noise: no t meets 1e-10.  The noise goes
-        # on each Clenshaw pass for phi_1 that invert makes: the fused one of
-        # a Newton step and the single one of a neighbour
+        # on each Clenshaw pass for phi_1 that invert makes, a Newton step's
+        # and a neighbour's, and not on a Newton step's pass for p
         y = table.anchor_value + 5.5
         flip = itertools.count()
 
         def noise():
             return 1e-9 if next(flip) % 2 else -1e-9
 
-        def noisy_fused(*args, _fn=ladder_mod._clenshaw_fused):
-            v, p = _fn(*args)
-            return v + noise(), p
-
-        monkeypatch.setattr(ladder_mod, "_clenshaw_fused", noisy_fused)
-
         def noisy_single(rest, head, x, _fn=ladder_mod._clenshaw_rev):
-            return _fn(rest, head, x) + noise()
+            v = _fn(rest, head, x)
+            return v if _is_p_column(rest) else v + noise()
 
         monkeypatch.setattr(ladder_mod, "_clenshaw_rev", noisy_single)
         for _ in range(2):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zladder import (DomainError, PolyFamilySpec, bessel_j,
+from zladder import (ConvergenceError, DomainError, PolyFamilySpec, bessel_j,
                      bessel_norm_sq, bessel_zero, gamma_fn, integrate_adaptive,
                      integrate_singular, log_gamma, poly_eval, poly_norm_sq)
 from zladder.specfun import bessel_j_proxy, zero_table
@@ -171,6 +171,30 @@ class TestBesselJ:
                 series = _bessel_j_any(nu, np.float64(x))
                 miller = _bessel_miller(nu, float(x))
                 assert abs(series - miller) <= 1e-12
+
+    def test_miller_recurrence_peak_far_below_overflow(self, monkeypatch):
+        # the downward recurrence starts at 1e-280 and is never rescaled: its
+        # peak stays below 1e-100 up to nu = 199 (the largest nu whose
+        # Gamma(nu + 1) gamma_fn admits) and x = 400, past the zero finder's
+        # J_{nu+1} at nu + 1 <= 101 and x up to ~330
+        recorded = []
+
+        class Recording:   # numpy, keeping each array that `empty` makes
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, *args, **kwargs):
+                recorded.append(np.empty(*args, **kwargs))
+                return recorded[-1]
+
+        monkeypatch.setattr(B, "np", Recording())
+        xs = np.linspace(40.0, 400.0, 73).tolist()[1:]
+        with np.errstate(over="ignore", invalid="ignore"):   # Gamma(200) is inf
+            for nu in (101.0, 199.0):
+                for x in xs:
+                    B._bessel_miller(nu, x, scaled=True)
+        assert len(recorded) == 2 * len(xs)
+        assert max(np.max(np.abs(us)) for us in recorded) < 1e-100
 
     def test_large_argument_against_orthogonality_tail(self):
         # J_{1/2}(x) closed form also validates the Miller path
@@ -342,6 +366,55 @@ class TestBesselZerosOracle:
         got.extend_to(6)
         assert all(abs(a - b) <= 2.0 * math.ulp(b) for a, b in zip(got.zeros, want.zeros))
 
+class TestZeroFinderBranches:
+    """The zero finder's exact-zero shortcuts and its refusals, each forced
+    through a patched `_bessel_j_any`."""
+
+    def test_refine_returns_an_exact_zero(self, monkeypatch):
+        # J_nu and J_{nu+1} both exactly 0 at the start: the step's own zero
+        # is returned, before a Newton step divides by a zero derivative
+        monkeypatch.setattr(B, "_bessel_j_any", lambda nu, x: 0.0 if x == 2.5 else 1.0)
+        assert B._refine_zero(0.0, 2.0, 3.0, 2.5, True) == (2.5, 0.0, 0.0)
+
+    def test_refine_stall_raises(self, monkeypatch):
+        # J_0 = -1e300 and J_1 = 1 everywhere: every Newton step leaves the
+        # bracket, and 100 bisections of [1, 1e300] leave it wide
+        monkeypatch.setattr(B, "_bessel_j_any", lambda nu, x: -1e300 if nu == 0.0 else 1.0)
+        with pytest.raises(ConvergenceError, match="refinement stalled for nu=0.0"):
+            B._refine_zero(0.0, 1.0, 1e300, 5e299, True)
+
+    def test_bracket_at_an_exact_zero(self, monkeypatch):
+        # J_0 exactly 0 at the scan's start and positive past it: the
+        # bracket is the 2e-9 around the start, not the step past it
+        monkeypatch.setattr(B, "_bessel_j_any", lambda nu, x: 0.0 if x == 3.0 else 1.0)
+        assert B._bracket_zero(0.0, 3.0) == (3.0 - 1e-9, 3.0 + 1e-9)
+
+    def test_bracket_without_sign_change_raises(self, monkeypatch):
+        monkeypatch.setattr(B, "_bessel_j_any", lambda nu, x: 1.0)
+        with pytest.raises(ConvergenceError, match="no sign change found for nu=0.0 beyond 2.0"):
+            B._bracket_zero(0.0, 2.0)
+
+    def test_residual_refused(self, monkeypatch):
+        # J_0 a step of +-1e-3 at 2.4 inside McMahon's first bracket: the
+        # bracket closes on two adjacent doubles with |J_0| = 1e-3
+        real = B._bessel_j_any
+        monkeypatch.setattr(B, "_bessel_j_any", lambda nu, x: (1e-3 if x < 2.4 else -1e-3)
+                            if nu == 0.0 else real(nu, x))
+        with pytest.raises(ConvergenceError, match=r"zero residual 1\.00e-03 above 1e-12"):
+            BesselZeroTable(nu=0.0).extend_to(1)
+
+    def test_wrong_sign_refused(self, monkeypatch):
+        # J_1 negated: the first zero of J_0 is found, and J_1 there has the
+        # sign of the second's
+        real = B._bessel_j_any
+        monkeypatch.setattr(B, "_bessel_j_any",
+                            lambda nu, x: -real(nu, x) if nu == 1.0 else real(nu, x))
+        table = BesselZeroTable(nu=0.0)
+        with pytest.raises(ConvergenceError, match="is not the 1-th: J_\\(nu\\+1\\) there"):
+            table.extend_to(1)
+        assert table.zeros == []
+
+
 class TestSeriesBitwise:
     """The one series loop, on Python floats for a single point and on
     arrays, with its scalar term divisor, gives the bits of the all-array
@@ -367,6 +440,19 @@ class TestSeriesBitwise:
             got = _bessel_series(nu, one, scaled)
             assert got.shape == (1,)
             assert got[0].hex() == bessel_series_arrays(nu, one, scaled)[0].hex(), (scaled, x)
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0, 2.5, 10.0, 50.0, 99.5])
+    def test_floats_in_floats_out(self, nu):
+        # a Python float takes J at 0, the series or Miller on floats, as the
+        # zero finder passes it, and comes back a float with the bits of the
+        # same point in a 1-element array
+        xs = [0.0, 1e-300, 1e-8, 0.5, 2.404825557695773, 39.999, 40.0, 40.5, 120.0, 199.0,
+              *np.random.default_rng(11).uniform(0.0, 200.0, 20).tolist()]
+        for scaled in (False, True):
+            for x in xs:
+                got = _bessel_j_any(nu, x, scaled)
+                assert type(got) is float, (scaled, x)
+                assert got.hex() == _bessel_j_any(nu, np.array([x]), scaled)[0].hex(), (scaled, x)
 
     @pytest.mark.parametrize("nu", sorted(SERIES_ZEROS_HEX))
     def test_zeros_and_norms(self, nu):

@@ -348,6 +348,21 @@ class TestEndMap:
             with pytest.raises(DomainError, match=r"a degree-16 row reaches .* past 2\^1016"):
                 verify(small_ladder, 1000.0, "E2_5", 1, alpha=alpha, beta=beta)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha,beta", [(-0.99, 20.0), (20.0, -0.99), (-0.9, 20.0)])
+    def test_largest_exponent_beside_a_negative_one(self, plan_ladder, alpha, beta):
+        # 20 beside a negative exponent keeps every degree-16 row finite and
+        # every sanity row exact; one double past it is refused
+        for T in (1500.0, 6000.0):
+            asym = V.verify_theorem2(plan_ladder, T, "E2_5", 16, alpha=alpha, beta=beta)
+            exact = V.sanity_theorem2_exact(plan_ladder, T, "E2_5", 16, alpha=alpha, beta=beta)
+            assert all(math.isfinite(r.lhs) for r in asym + exact)
+            assert all(abs(r.ratio - 1.0) <= 1e-9 for r in exact)
+        past = [math.nextafter(v, math.inf) if v > 0.0 else v for v in (alpha, beta)]
+        with pytest.raises(DomainError, match=r"beside a negative exponent the other must be "
+                                               r"at most 20$"):
+            V._member_pieces(V.RowSet("E2_5", 1500.0, 1, alpha=past[0], beta=past[1]))
+
     def test_weight_bound_as_documented(self):
         # the largest admitted alpha at beta = 0.5, found double by double
         def admitted(alpha):
@@ -524,6 +539,18 @@ class TestWindowExecutor:
                     V.RowSet("E2_6", 0.5, 2)):   # T / ln T < 0 < U: not admissible
             with pytest.raises((DomainError, AdmissibilityError)):
                 V.ladder_reports(small_ladder, good + [bad])
+
+    @pytest.mark.filterwarnings("error")
+    def test_bessel_order_below_minus_half_refused(self, small_ladder, monkeypatch):
+        # the executor refuses the order family_sets refuses, before any
+        # rows call: below -1/2 u J_nu(mu u)^2 is unbounded at u = 0
+        def no_work(*args, **kwargs):
+            raise AssertionError("integrated before the order was checked")
+
+        monkeypatch.setattr(V, "integrate_adaptive_rows", no_work)
+        for eq in ("E2_2", "E1_3", "E2_4"):
+            with pytest.raises(DomainError, match=r"require nu >= -0\.5.*got nu = -0\.8"):
+                V.ladder_reports(small_ladder, [V.RowSet(eq, 1000.0, 2, nu=-0.8)])
 
     def test_T_at_one_is_not_admissible(self, small_ladder, monkeypatch):
         def no_work(*args, **kwargs):
