@@ -41,6 +41,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import fields
 
@@ -387,11 +388,12 @@ def _add_plan_opts(p):
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Usage errors raise DomainError (exit 64), not argparse's exit 2 (the
-    soft failure's code), and flags match only whole; subparsers are made of
-    the same class."""
+    soft failure's code); flags match only whole, `-1e-05` is a value (no flag
+    starts with a digit), and subparsers are made of the same class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise DomainError(f"{self.prog}: {message}")

@@ -347,7 +347,8 @@ class LadderTable:
     def solve_rise(self, k: int, x0: float, rise: float) -> float:
         """The x in [x0, 1] on panel k at which phi_1 has risen by `rise` from
         x0: Newton inside a bisection bracket, to a step below 4e-16 in x,
-        far finer than the doubles t near the panel at large t."""
+        far finer than the doubles t near the panel at large t.  Raises
+        `ConvergenceError` when 100 steps do not get there."""
         lo, hi, x = x0, 1.0, 0.5 * (x0 + 1.0)
         for _ in range(100):
             _, mean, slope = self.slopes(k, x0, x)
@@ -359,7 +360,7 @@ class LadderTable:
             if abs(nxt - x) <= 4e-16:
                 return nxt
             x = nxt
-        return x
+        raise ConvergenceError(f"ladder rise solve stalled on panel {k} in [{lo!r}, {hi!r}]")
 
     def invert(self, y) -> float | np.ndarray:
         """The double t nearest phi_1^{-1}(y): |phi_1(t) - y| <= 1e-10, or no

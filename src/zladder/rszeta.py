@@ -191,17 +191,16 @@ class ZEvaluator:
         A term past a point's own length is padding: it never reaches cos
         and sums as 0.0.  The length steps from n - 1 to n at t = 2 pi n^2,
         where z_rs jumps by the remainder terms' truncation error (see
-        `rs_seams`).
+        `rs_seams`).  A float t runs as a one-point array and returns a float.
         """
         ta = np.asarray(t, dtype=float)
         if not np.all((ta >= self.t_min_rs) & (ta <= _RS_T_MAX)):
             raise DomainError(f"z_rs requires t_min_rs = {self.t_min_rs} <= t <= "
                               f"{_RS_T_MAX:g}; use z_oracle below t_min_rs")
-        scalar = ta.ndim == 0
-        flat = np.atleast_1d(ta).ravel()
+        flat = ta.ravel()
         a = np.sqrt(flat / _TWO_PI)
         n_len = np.floor(a).astype(np.int64)
-        theta_t = np.atleast_1d(np.asarray(self.theta(flat), dtype=float))
+        theta_t = self.theta(flat)
 
         p = a - n_len
         out = np.empty_like(flat)
@@ -236,8 +235,7 @@ class ZEvaluator:
             fac = fac * inv_a
         sign = np.where(n_len % 2 == 1, 1.0, -1.0)
         out += sign * corr / np.sqrt(a)
-        out = out.reshape(ta.shape) if ta.ndim else out
-        return float(out[0]) if scalar else out
+        return out.reshape(ta.shape) if ta.ndim else float(out[0])
 
     def rs_seams(self, lo, hi) -> list[tuple[int, float, float]]:
         """The seams of z_rs on the intervals [lo_i, hi_i], in order: each

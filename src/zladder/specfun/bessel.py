@@ -232,12 +232,11 @@ def _refine_zero(nu: float, lo: float, hi: float, x: float,
     where J_nu(lo) > 0 iff `f_lo_positive`: the zero, J_nu and J_{nu+1}
     there.  The derivative J_nu'(x) = (nu/x) J_nu(x) - J_{nu+1}(x), safe for
     all nu > -1, takes J_nu(x) from the step's own evaluation, and the
-    iteration ends at Newton's fixed point: the double a step rounds back to."""
+    iteration ends at Newton's fixed point: the double a step rounds back to.
+    An exact zero is one (x - 0/(-g) = x; J_nu and J_{nu+1} share no zero)."""
     for _ in range(100):
         f = _bessel_j_any(nu, x)
         g = _bessel_j_any(nu + 1.0, x)
-        if f == 0.0:
-            return x, f, g
         if (f > 0.0) == f_lo_positive:
             lo = x
         else:

@@ -41,71 +41,52 @@ def _check_degree(n: int) -> int:
     return n
 
 
-def _legendre_eval(n, u):
-    if n == 0:
-        return np.ones_like(u)
-    p_prev = np.ones_like(u)
-    p = u.copy()
-    for k in range(1, n):
-        p, p_prev = ((2 * k + 1) * u * p - k * p_prev) / (k + 1), p
-    return p
-
-
 def poly_eval(spec: PolyFamilySpec, n: int, u) -> float | np.ndarray:
-    """Value of the degree-n family member by three-term recurrence.
+    """Value of the degree-n family member by three-term recurrence, on a
+    float or an array of u (a float in, a float out).
 
     Chebyshev values can be cross-checked against the trigonometric closed
     forms T_n(cos a) = cos(n a), U_n(cos a) = sin((n+1)a)/sin(a).
     """
     n = _check_degree(n)
     ua = np.asarray(u, dtype=float)
-    scalar = ua.ndim == 0
-    ua = np.atleast_1d(ua)
 
-    fam = spec.family
-    if fam == "jacobi" and spec.alpha == 0.0 and spec.beta == 0.0:
+    fam, a, b = spec.family, spec.alpha, spec.beta
+    if fam == "jacobi" and a == 0.0 and b == 0.0:
         fam = "legendre"  # P_n^{0,0} = P_n, bitwise
 
-    if fam == "legendre":
-        out = _legendre_eval(n, ua)
+    p = p_prev = np.ones_like(ua)
+    if n == 0:   # degree 0 is 1 in every family
+        pass
+    elif fam == "legendre":
+        p = ua.copy()
+        for k in range(1, n):
+            p, p_prev = ((2 * k + 1) * ua * p - k * p_prev) / (k + 1), p
     elif fam in ("chebyshev_t", "chebyshev_u"):
-        if n == 0:
-            out = np.ones_like(ua)
-        else:
-            p_prev = np.ones_like(ua)
-            p = ua.copy() if fam == "chebyshev_t" else 2.0 * ua
-            for _ in range(n - 1):
-                p, p_prev = 2.0 * ua * p - p_prev, p
-            out = p
+        p = ua.copy() if fam == "chebyshev_t" else 2.0 * ua
+        for _ in range(n - 1):
+            p, p_prev = 2.0 * ua * p - p_prev, p
     else:
-        a, b = spec.alpha, spec.beta
-        if n == 0:
-            out = np.ones_like(ua)
-        else:
-            p_prev = np.ones_like(ua)
-            p = (a + 1.0) + (a + b + 2.0) * (ua - 1.0) / 2.0
-            for k in range(2, n + 1):
-                c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
-                c2 = 2.0 * k + a + b - 1.0
-                c3 = (2.0 * k + a + b) * (2.0 * k + a + b - 2.0)
-                c4 = a * a - b * b
-                c5 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
-                p, p_prev = (c2 * (c3 * ua + c4) * p - c5 * p_prev) / c1, p
-            out = p
-    return float(out[0]) if scalar else out
+        p = (a + 1.0) + (a + b + 2.0) * (ua - 1.0) / 2.0
+        for k in range(2, n + 1):
+            c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
+            c2 = 2.0 * k + a + b - 1.0
+            c3 = (2.0 * k + a + b) * (2.0 * k + a + b - 2.0)
+            c4 = a * a - b * b
+            c5 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
+            p, p_prev = (c2 * (c3 * ua + c4) * p - c5 * p_prev) / c1, p
+    return p if ua.ndim else float(p)
 
 
 def poly_norm_sq(spec: PolyFamilySpec, n: int) -> float:
     """Weighted L2 norm square of the degree-n member on [-1, 1]."""
     n = _check_degree(n)
-    if spec.family == "legendre":
-        return 2.0 / (2.0 * n + 1.0)
     if spec.family == "chebyshev_t":
         return np.pi if n == 0 else np.pi / 2.0
     if spec.family == "chebyshev_u":
         return np.pi / 2.0
     a, b = spec.alpha, spec.beta
-    if a == 0.0 and b == 0.0:
+    if spec.family == "legendre" or a == b == 0.0:   # P_n = P_n^{0,0}
         return 2.0 / (2.0 * n + 1.0)
     log_h = ((a + b + 1.0) * np.log(2.0) - np.log(2.0 * n + a + b + 1.0)
              + log_gamma(n + a + 1.0) + log_gamma(n + b + 1.0)

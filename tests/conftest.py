@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from zladder import CacheError, LadderTable, ZEvaluator, build_ladder
 
@@ -19,6 +20,10 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:   # no libcst: the hook gives up quietly
         pass
+
+# `--hypothesis-profile domain-sweep` selects the long domain sweep of
+# test_domain.py; it is registered here, before the plugin loads it.
+settings.register_profile("domain-sweep")
 
 
 @pytest.fixture(scope="session")

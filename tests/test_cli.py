@@ -627,6 +627,14 @@ class TestRun:
         with pytest.raises(DomainError, match=field):
             RunConfig(**{field: value})
 
+    def test_negative_values_in_any_float_form(self):
+        # argparse alone takes `-1e-05` for a flag and refuses `--alpha -1e-05`
+        args = build_parser().parse_args(["run", "--alpha", "-1e-05", "--beta", "-.5",
+                                          "--nu", "-0.25", "-2.5E-1", "--T", "1e3"])
+        assert (args.alpha, args.beta, args.nu) == (-1e-05, -0.5, [-0.25, -0.25])
+        with pytest.raises(DomainError, match="argument --beta: expected one argument"):
+            build_parser().parse_args(["run", "--beta", "-inf"])
+
 
 class TestPlotData:
     def test_ladder_columns(self, capsys, cache_env):

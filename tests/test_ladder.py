@@ -610,6 +610,15 @@ def test_locate_outside_the_range(small_ladder):
             table.locate(y)
 
 
+def test_solve_rise_that_does_not_converge_raises(small_ladder, monkeypatch):
+    # a zero mean slope and a unit slope: every Newton step is +1e-10, inside
+    # the bracket [x, 1] and never below 4e-16, so 100 steps end unconverged
+    table = fresh(small_ladder)
+    monkeypatch.setattr(table, "slopes", lambda k, x0, x: (0.0, 0.0, 1.0))
+    with pytest.raises(ConvergenceError, match=r"^ladder rise solve stalled on panel 3 "):
+        table.solve_rise(3, -1.0, 1e-10)
+
+
 class TestInvert:
     @pytest.mark.parametrize("y", [math.nan, [1000.0, math.nan]])
     def test_nan_rejected(self, small_ladder, y):

@@ -371,10 +371,18 @@ class TestZeroFinderBranches:
     through a patched `_bessel_j_any`."""
 
     def test_refine_returns_an_exact_zero(self, monkeypatch):
-        # J_nu and J_{nu+1} both exactly 0 at the start: the step's own zero
-        # is returned, before a Newton step divides by a zero derivative
-        monkeypatch.setattr(B, "_bessel_j_any", lambda nu, x: 0.0 if x == 2.5 else 1.0)
-        assert B._refine_zero(0.0, 2.0, 3.0, 2.5, True) == (2.5, 0.0, 0.0)
+        # J_0 exactly 0 and J_1 = 1 at the start: the Newton step x - 0/(-1)
+        # rounds back to x, so the fixed-point exit returns the step's own
+        # zero after one evaluation of the pair
+        calls = []
+
+        def j(nu, x):
+            calls.append((nu, x))
+            return 0.0 if nu == 0.0 else 1.0
+
+        monkeypatch.setattr(B, "_bessel_j_any", j)
+        assert B._refine_zero(0.0, 2.0, 3.0, 2.5, True) == (2.5, 0.0, 1.0)
+        assert calls == [(0.0, 2.5), (1.0, 2.5)]
 
     def test_refine_stall_raises(self, monkeypatch):
         # J_0 = -1e300 and J_1 = 1 everywhere: every Newton step leaves the

@@ -37,6 +37,15 @@ class TestBaseline:
         with pytest.raises(DomainError):
             V.verify_bessel_baseline(0.0, 9)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nu", [1e-7, 2.728067429580452e-07, 1e-6, -0.49, -0.4999999, 0.3])
+    def test_error_within_its_estimate_off_the_integer_orders(self, nu):
+        # x^(1 + 2 nu) is not smooth at x = 0 here: integrated in x itself,
+        # GK15's estimate falls up to 56 times short (nu = 1e-6) and x J_nu^2
+        # overflows near nu = -1/2
+        for r in V.verify_bessel_baseline(nu, 8):
+            assert abs(r.lhs - r.rhs) <= r.quadrature_error, r
+
 
 @pytest.fixture(scope="module")
 def theorem1_reports(small_ladder):
