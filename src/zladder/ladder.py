@@ -11,11 +11,12 @@ agrees to the panel's share of the tolerance, so no other base width is
 offered.  `save` and `load` keep checkpoints and coefficients in a
 versioned, validated `.npz`.
 
-`eval` of one float runs on Python floats (one panel's columns, cached in
-the order the Clenshaw recurrence takes them), with the IEEE operations of
-the array path in the same order, so a point has the same bits either way.
-`invert` solves on the one panel whose checkpoint values bracket y, with
-those operations: a Newton step takes phi_1 and p from one Clenshaw pass
+`eval` of one float runs on Python floats (one panel's columns, read from
+the table's rows on each call in the order the Clenshaw recurrence takes
+them), with the IEEE operations of the array path in the same order, so a
+point has the same bits either way.  `invert` takes one float and solves
+on the one panel whose checkpoint values bracket it, with those
+operations: a Newton step takes phi_1 and p from one Clenshaw pass
 over each of the panel's two columns, a neighbour double that Newton did not
 visit takes phi_1 from one pass, and a point not strictly inside the panel
 (a Newton step leaves one only on a panel about one ulp wide) goes through
@@ -32,9 +33,7 @@ from __future__ import annotations
 import hashlib
 import math
 import zipfile
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -217,11 +216,9 @@ class LadderTable:
         self._mid = 0.5 * (self.edges[:-1] + self.edges[1:])
         self._half = 0.5 * (self.edges[1:] - self.edges[:-1])
         # the antiderivative of p^2, one row per panel, built on first use
-        # (racing threads write equal bits; a row is read only once built);
-        # the float path's columns, per panel (see `_columns`)
+        # (racing threads write equal bits; a row is read only once built)
         self._anti = np.empty((len(self._half), 2 * _DEGREE + 2))
         self._built = np.zeros(len(self._half), dtype=bool)
-        self._cols: dict[int, tuple] = {}
 
     @property
     def phi_lo(self) -> float:
@@ -255,24 +252,14 @@ class LadderTable:
     def _columns(self, k: int) -> tuple:
         """Panel k's antiderivative a and coefficients c of p as Python
         floats, as `_clenshaw_rev` takes them: each one's reversed tail and
-        head.  A panel not yet built is built with the rest of its aligned
-        block of `_ANTI_BLOCK` panels."""
-        cols = self._cols.get(k)
-        if cols is None:
-            if not self._built.item(k):
-                lo = k - k % _ANTI_BLOCK
-                self._anti_rows(np.arange(lo, min(lo + _ANTI_BLOCK, len(self._half))))
-            a, c = self._anti[k, ::-1].tolist(), self.coef[k, ::-1].tolist()   # reversed
-            cols = self._cols[k] = (a[:-1], a[-1], c[:-1], c[-1])
-        return cols
-
-    @cached_property
-    def _edge_list(self) -> list[float]:
-        return self.edges.tolist()
-
-    @cached_property
-    def _phi_list(self) -> list[float]:
-        return self.phi.tolist()
+        head, read from the table's rows on each call, so nothing is kept
+        per panel.  A panel not yet built is built with the rest of its
+        aligned block of `_ANTI_BLOCK` panels."""
+        if not self._built.item(k):
+            lo = k - k % _ANTI_BLOCK
+            self._anti_rows(np.arange(lo, min(lo + _ANTI_BLOCK, len(self._half))))
+        a, c = self._anti[k, ::-1].tolist(), self.coef[k, ::-1].tolist()   # reversed
+        return a[:-1], a[-1], c[:-1], c[-1]
 
     def _panels(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """t flattened, its panel indices and its coordinates on them."""
@@ -287,7 +274,7 @@ class LadderTable:
         """`_panels` for one float t: its panel index and coordinate there."""
         if not self.t_lo <= t <= self.t_hi:   # NaN fails
             raise DomainError(f"ladder evaluation outside [{self.t_lo}, {self.t_hi}]")
-        k = min(bisect_right(self._edge_list, t) - 1, len(self._half) - 1)
+        k = min(int(self.edges.searchsorted(t, side="right")) - 1, len(self._half) - 1)
         return k, (float(t) - self._mid.item(k)) / self._half.item(k)
 
     def ztilde_sq(self, t) -> float | np.ndarray:
@@ -306,7 +293,7 @@ class LadderTable:
             if t == self.t_hi:
                 return self.phi_hi
             lo = self.phi.item(k)
-            if t == self._edge_list[k]:
+            if t == self.edges.item(k):
                 return lo
             v = lo + _clenshaw_rev(*self._columns(k)[:2], x)
             return min(max(v, lo), self.phi.item(k + 1))
@@ -324,8 +311,8 @@ class LadderTable:
         x0 to x (`_mean_slopes`, so a rise between close points keeps its
         relative precision), and the slope d(phi_1)/dx = half_k p^2 at x.
         Each point is evaluated on its own, and a float x0 and x on one panel
-        run on the panel's cached columns (`_columns`) as Python floats, with
-        the same bits as a 1-element array."""
+        run on the panel's columns (`_columns`) as Python floats, with the
+        same bits as a 1-element array."""
         if isinstance(x, float):
             rest, _, c_rest, c_head = self._columns(k)
             mid, half = self._mid.item(k), self._half.item(k)
@@ -341,8 +328,8 @@ class LadderTable:
         phi[k + 1] (the last at phi_hi) and the x on it where phi_1 = y."""
         if not self.phi_lo <= y <= self.phi_hi:   # NaN fails
             raise DomainError(f"ladder location outside [{self.phi_lo}, {self.phi_hi}]")
-        k = min(bisect_right(self._phi_list, y) - 1, len(self._half) - 1)
-        return k, self.solve_rise(k, -1.0, y - self._phi_list[k])
+        k = min(int(self.phi.searchsorted(y, side="right")) - 1, len(self._half) - 1)
+        return k, self.solve_rise(k, -1.0, y - self.phi.item(k))
 
     def solve_rise(self, k: int, x0: float, rise: float) -> float:
         """The x in [x0, 1] on panel k at which phi_1 has risen by `rise` from
@@ -362,42 +349,32 @@ class LadderTable:
             x = nxt
         raise ConvergenceError(f"ladder rise solve stalled on panel {k} in [{lo!r}, {hi!r}]")
 
-    def invert(self, y) -> float | np.ndarray:
-        """The double t nearest phi_1^{-1}(y): |phi_1(t) - y| <= 1e-10, or no
-        double in [t_lo, t_hi] comes closer to y (phi_1 can rise by more than
-        2e-10 from one double t to the next where Ztilde^2 ulp(t) > 2e-10,
-        near t ~ 1e5).
+    def invert(self, y: float) -> float:
+        """The double t nearest phi_1^{-1}(y) for one float y: |phi_1(t) - y|
+        <= 1e-10, or no double in [t_lo, t_hi] comes closer to y (phi_1 can
+        rise by more than 2e-10 from one double t to the next where
+        Ztilde^2 ulp(t) > 2e-10, near t ~ 1e5).
         Raises `ConvergenceError` when the solve finds neither.
 
-        A solve is deterministic, so a repeated y returns the identical float.
-        """
-        lo, hi = self._phi_list[0], self._phi_list[-1]
-        scalar = isinstance(y, float)
-        ys = (float(y),) if scalar else np.asarray(y, dtype=float).ravel().tolist()
-        if not all(lo <= v <= hi for v in ys):   # NaN fails
-            raise DomainError(
-                f"inversion target outside [{self.phi_lo}, {self.phi_hi}]")
-        if scalar:
-            return self._solve_inverse(ys[0])
-        out = [self._solve_inverse(v) for v in ys]
-        return out[0] if np.ndim(y) == 0 else np.array(out, dtype=float).reshape(np.shape(y))
-
-    def _solve_inverse(self, y: float) -> float:
-        """Newton on Python floats on the panel k whose checkpoint values
+        Newton on Python floats on the panel k whose checkpoint values
         bracket y, then the best of the nine doubles around its result.  A
         point strictly inside panel k takes phi_1 and p from the panel's
         columns with the IEEE operations of `eval` and `ztilde_sq` (both on
         a Newton step, phi_1 alone on a neighbour, each from one
         `_clenshaw_rev` pass); any other point goes through those two.
         Each point is evaluated once: a neighbour that Newton already visited
-        takes its value from there."""
-        phis, edges = self._phi_list, self._edge_list
-        j = bisect_left(phis, y)
-        if phis[j] == y:
-            return edges[j]
+        takes its value from there.  A solve is deterministic, so a repeated
+        y returns the identical float.
+        """
+        y = float(y)
+        if not self.phi_lo <= y <= self.phi_hi:   # NaN fails
+            raise DomainError(f"inversion target outside [{self.phi_lo}, {self.phi_hi}]")
+        j = int(self.phi.searchsorted(y, side="left"))
+        if self.phi.item(j) == y:
+            return self.edges.item(j)
         k = j - 1
-        lo, hi = e_lo, e_hi = edges[k], edges[j]
-        base, top = phis[k], phis[j]
+        lo, hi = e_lo, e_hi = self.edges.item(k), self.edges.item(j)
+        base, top = self.phi.item(k), self.phi.item(j)
         mid, half = self._mid.item(k), self._half.item(k)
         rest, head, c_rest, c_head = self._columns(k)
 

@@ -16,12 +16,12 @@ their work with one rule, GK15 (`integrate_adaptive_rows`).  It takes row
 sets (`RowSet`: one member's rows at one T in one layer, with their own
 quadrature tolerance) of any number of families, checks all their
 arguments, then groups them by their window, (T, U, m): the preimage of
-[T, T + U] as ladder panel pieces, the end pieces mapped by tau^m so that
-an endpoint weight (1 -+ u)^gamma is bounded, and u summed from the
-window's own ends (`_Window`).  Each group makes one rows call whose
-integrand evaluates the rises, Ztilde^2 and ln t once per node and the
-Bessel rows once per nu, then forms every row as the row's own integrand
-would, so it keeps the bits of that row's integral alone.  A plan
+[T, T + U] as ladder panel pieces, each end piece mapped by its own power
+tau^m so that that end's weight (1 -+ u)^gamma is bounded, and u summed
+from the window's own ends (`_Window`).  Each group makes one rows call
+whose integrand evaluates the rises, Ztilde^2 and ln t once per node and
+the Bessel rows once per nu, then forms every row as the row's own
+integrand would, so it keeps the bits of that row's integral alone.  A plan
 hands the executor the sets of every family of `FAMILIES` (`family_sets`)
 at once; each public family function is the executor run on that family's
 sets alone, `is_sanity` tells the sanity rows apart, and `sort_key` orders
@@ -284,8 +284,9 @@ class _Window:
     """The preimage of [T, T + U] as pieces of ladder panels, each in its
     panel's own coordinate x, laid end to end in one coordinate s: piece i
     holds s in [i, i + 1] with tau = s - i, or i + 1 - s on the right end's
-    piece, so tau = 0 at a window end.  An end piece is x = x_end +- w tau^m
-    (m from `_Member`), a whole panel inside x = -1 + 2 tau.  The left end
+    piece, so tau = 0 at a window end.  An end piece is x = x_end +- w tau^m,
+    m its end's power (`_Member.m` is the pair, left end first), a whole
+    panel inside x = -1 + 2 tau.  The left end
     is `table.locate(T)`, the right end where the rises from it reach U.
     1 + u (u for U = 1) sums the rises from the left end to a node, 1 - u
     those from the node to the right end: no checkpoint value and no
@@ -294,7 +295,7 @@ class _Window:
     (`LadderTable.slopes`), so a power of a distance stays smooth in tau.
     """
 
-    def __init__(self, table: LadderTable, left: tuple[int, float], U: float, m: float):
+    def __init__(self, table: LadderTable, left: tuple[int, float], U: float, m: tuple):
         self.table = table
         rise = lambda k, lo, hi: (hi - lo) * table.slopes(k, lo, hi)[1]   # noqa: E731
         k, xa = left
@@ -305,11 +306,11 @@ class _Window:
         xb = table.solve_rise(k, x0, U - before)
         if k == left[0]:   # one panel: split at its middle, so each end has its piece
             c = 0.5 * (xa + xb)
-            pieces = [(k, xa, c, m, False), (k, c, xb, m, True)]
+            pieces = [(k, xa, c, m[0], False), (k, c, xb, m[1], True)]
         else:
-            pieces = ([(left[0], xa, 1.0, m, False)]
+            pieces = ([(left[0], xa, 1.0, m[0], False)]
                       + [(j, -1.0, 1.0, 1, False) for j in range(left[0] + 1, k)]
-                      + [(k, -1.0, xb, m, True)])
+                      + [(k, -1.0, xb, m[1], True)])
         panel, self.x_lo, self.x_hi, self.power, self.rev = (np.array(c) for c in zip(*pieces))
         self.panel, self.w = panel.astype(np.intp), self.x_hi - self.x_lo
         self.piece_rise = np.array([rise(*p[:3]) for p in pieces])
@@ -365,7 +366,7 @@ class _Member(NamedTuple):
     U: float
     rows: list
     factor: Callable
-    m: float
+    m: tuple[float, float]
 
 
 def _member_pieces(s: RowSet) -> _Member:
@@ -375,12 +376,13 @@ def _member_pieces(s: RowSet) -> _Member:
     `factor(nodes, w)` maps a batch's shared values (`_Nodes`) and the
     weight w there to the array (rows, len(s)) of each row's product of
     functions times its weight times w, each row formed with the operations,
-    in the order, of an integrand of that row alone.  m, the power of the
-    window's end map, is ceil(2 (1 + gamma)) / (1 + gamma) with gamma the
-    member's smallest Jacobi exponent: dist^gamma d(dist)/dtau is then
+    in the order, of an integrand of that row alone.  m holds the powers of
+    the window's end maps at u = -1 and at u = 1, each ceil(2 (1 + gamma)) /
+    (1 + gamma) with gamma the Jacobi exponent of that end's distance (beta
+    of 1 + u, alpha of 1 - u): dist^gamma d(dist)/dtau is then
     tau^(m (1 + gamma) - 1), an integer power of at least 1, so GK15 takes
-    every member, smooth or not, with no cusp at that end.  m is exactly 2
-    wherever 2 (1 + gamma) is an integer, as for every fixed member.
+    every member, smooth or not, with no cusp at either end.  A power is
+    exactly 2 wherever 2 (1 + gamma) is an integer, as for every fixed member.
     """
     eq, max_n, nu = s.eq, s.max_n, s.nu
     if eq not in LADDER_MEMBERS:
@@ -419,10 +421,10 @@ def _member_pieces(s: RowSet) -> _Member:
                           f"exponent the other must be at most {_MAX_BESIDE_NEGATIVE:g}")
     # m (1 + gamma) is the integer ceil(2 (1 + gamma)), the 1e-9 keeping a
     # rounded 2 (1 + gamma) = 1.0000000000000002 at 1
-    power = math.ceil(2.0 * (1.0 + min(ab)) - 1e-9) / (1.0 + min(ab))
-    if power > _MAX_POWER:
+    power = tuple(math.ceil(2.0 * (1.0 + g) - 1e-9) / (1.0 + g) for g in ab[::-1])
+    if max(power) > _MAX_POWER:
         raise DomainError(f"{eq} requires alpha, beta >= -0.99, got ({ab[0]}, {ab[1]}): the "
-                          f"end map's tau^{power} would leave the double range")
+                          f"end map's tau^{max(power)} would leave the double range")
     norms = [bessel_norm_sq(nu, n) if family == "bessel" else poly_norm_sq(spec, n)
              for n in degrees]
 

@@ -477,12 +477,13 @@ class TestPanelsOnFirstUse:
         path = tmp_path / "ladder.npz"
         small_ladder.save(path)
         table = LadderTable.load(path, ev)
-        assert not table._built.any() and not table._cols
+        assert not table._built.any()
 
     def test_only_the_panels_touched(self, small_ladder):
         # a batch builds the panels its points land on; a float builds the
         # aligned block of _ANTI_BLOCK panels around its own
         table = fresh(small_ladder)
+        state = set(vars(table))
         block = ladder_mod._ANTI_BLOCK
         assert len(table.coef) > block + 9
         mid = 0.5 * (table.edges[:-1] + table.edges[1:])
@@ -492,7 +493,26 @@ class TestPanelsOnFirstUse:
         table.ztilde_sq(mid[20:30])   # p itself needs no antiderivative
         assert np.flatnonzero(table._built).tolist() == [
             5, 7, *range(block, min(2 * block, len(table.coef)))]
-        assert sorted(table._cols) == [block + 9]
+        # the float path reads the table's own rows and keeps nothing else
+        table.invert(float(table.phi[block + 9:block + 11].mean()))
+        assert set(vars(table)) == state
+
+    def test_scalar_path_memory_is_bounded(self, query_ladder):
+        # one invert inside each of 500 panels: the float path keeps no
+        # per-panel copy of a panel's columns (~3.4 KB) nor of the checkpoints
+        import tracemalloc
+        table = fresh(query_ladder)
+        assert len(table.coef) == 500
+        ys = (0.5 * (table.phi[:-1] + table.phi[1:])).tolist()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for y in ys:
+                table.invert(y)
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert grown <= 64 * 1024
 
     def test_cold_inverts_build_aligned_blocks(self, query_ladder, monkeypatch):
         # 300 stratified inverts on a table no batch has warmed: each block
@@ -620,7 +640,7 @@ def test_solve_rise_that_does_not_converge_raises(small_ladder, monkeypatch):
 
 
 class TestInvert:
-    @pytest.mark.parametrize("y", [math.nan, [1000.0, math.nan]])
+    @pytest.mark.parametrize("y", [math.nan, np.array(math.nan)])
     def test_nan_rejected(self, small_ladder, y):
         with pytest.raises(DomainError):
             small_ladder.invert(y)
@@ -645,13 +665,18 @@ class TestInvert:
         with pytest.raises(DomainError):
             small_ladder.invert(small_ladder.phi_hi + 1.0)
 
-    @pytest.mark.parametrize("y", [math.nan, np.float64(2000.0), np.array([0.0])])
+    @pytest.mark.parametrize("y", [math.nan, np.float64(2000.0), np.array(0.0)])
     def test_range_message_prints_floats(self, small_ladder, y):
         with pytest.raises(DomainError) as err:
             small_ladder.invert(y)
         assert str(err.value) == (f"inversion target outside "
                                   f"[{small_ladder.phi_lo}, {small_ladder.phi_hi}]")
         assert "np." not in str(err.value)
+
+    @pytest.mark.parametrize("y", [[1000.0, math.nan], np.array([1000.0])])
+    def test_takes_one_float(self, small_ladder, y):
+        with pytest.raises(TypeError):
+            small_ladder.invert(y)
 
 
 @pytest.fixture(scope="module")
@@ -980,13 +1005,12 @@ class TestInvertMemo:
         return build_ladder(ev, 1000.0, 1030.0, tol=1e-9)
 
     def test_repeat_is_identical_and_free(self, table):
-        # a repeated y is solved again, to the same bits
+        # a repeated y is solved again, to the same bits, as a numpy scalar too
         y = table.anchor_value + 3.217
         first = table.invert(y)
         again = table.invert(y)
         assert again.hex() == first.hex()
-        many = table.invert(np.array([y, y]))
-        assert [v.hex() for v in many.tolist()] == [first.hex()] * 2
+        assert table.invert(np.float64(y)).hex() == first.hex()
 
     def test_raise_is_not_memoized(self, table, monkeypatch):
         # phi_1 seen through +-1e-9 noise: no t meets 1e-10.  The noise goes

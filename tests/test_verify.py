@@ -119,7 +119,7 @@ class TestPooledRowsEqualPerRowIntegrals:
     @staticmethod
     def window(table, T, eq, alpha=0.5, beta=0.25):
         """The window of a member's rows at T: the preimage of [T, T + U] as
-        panel pieces, its end pieces mapped by the member's power m."""
+        panel pieces, each end piece mapped by the member's power there."""
         member = V._member_pieces(V.RowSet(eq, T, 1, alpha=alpha, beta=beta))
         return V._Window(table, table.locate(T), member.U, member.m)
 
@@ -217,9 +217,11 @@ class TestPooledRowsEqualPerRowIntegrals:
             reports, tol = V.sanity_theorem2_exact(table, T, eq, 3, 1.0, alpha, beta), 1e-8
         assert len(reports) == (1 if eq in ("E2_8", "E2_10") else 3)
         window = self.window(table, T, eq, alpha, beta)
-        # m (1 + gamma) = ceil(2 (1 + gamma)): 3 / 1.25 for (0.5, 0.25), 1 / 0.25
-        m = {(0.5, 0.25): 2.4, (-0.75, 0.3): 4.0}.get((alpha, beta), 2.0) if eq == "E2_5" else 2.0
-        assert window.power[0] == window.power[-1] == m
+        # m (1 + gamma) = ceil(2 (1 + gamma)) at each end, gamma = beta at the
+        # left and alpha at the right: 3 / 1.25 for 0.25, 3 / 1.3 for 0.3, 1 / 0.25
+        powers = {(0.5, 0.25): (2.4, 2.0), (-0.75, 0.3): (3.0 / 1.3, 4.0)}
+        m = powers.get((alpha, beta), (2.0, 2.0)) if eq == "E2_5" else (2.0, 2.0)
+        assert (window.power[0], window.power[-1]) == m
         self.assert_ladder_rows(reports, lambda p: self.theorem2_integrand(window, eq, p, layer),
                                 window, tol)
 
@@ -294,10 +296,10 @@ def assert_exact(reports, bound):
 
 
 class TestEndMap:
-    """E2_5's sanity rows over Jacobi exponents down to -0.99: the end
-    pieces' power m = ceil(2 (1 + gamma)) / (1 + gamma), gamma =
-    min(alpha, beta), makes the weight an integer power of tau at that end,
-    so every row is exact to quadrature accuracy."""
+    """E2_5's sanity rows over Jacobi exponents down to -0.99: each end
+    piece's power m = ceil(2 (1 + gamma)) / (1 + gamma), gamma that end's
+    exponent (beta at u = -1, alpha at u = 1), makes the weight an integer
+    power of tau at that end, so every row is exact to quadrature accuracy."""
 
     @pytest.mark.parametrize("T", [1500.0, 6000.0])
     @pytest.mark.parametrize("alpha,beta", EXPONENT_SWEEP)
@@ -323,13 +325,29 @@ class TestEndMap:
                                          (-0.75, 4), (-0.9, 10), (-0.99, 100), (-0.4, 10 / 3),
                                          (2.0, 2)])
     def test_power(self, gamma, m):
-        got = V._member_pieces(V.RowSet("E2_5", 1500.0, 1, alpha=3.0, beta=gamma)).m
+        # gamma at the u = -1 end (beta) and at the u = 1 end (alpha), beside 3
+        left, three = V._member_pieces(V.RowSet("E2_5", 1500.0, 1, alpha=3.0, beta=gamma)).m
+        three_, right = V._member_pieces(V.RowSet("E2_5", 1500.0, 1, alpha=gamma, beta=3.0)).m
+        assert three == three_ == 2.0 and left == right
         # m (1 + gamma) = ceil(2 (1 + gamma)); 1 + gamma rounds for -0.9 and -0.99
-        assert got == pytest.approx(m, rel=1e-14)
-        assert got * (1.0 + gamma) == pytest.approx(math.ceil(2.0 * (1.0 + gamma) - 1e-9),
-                                                    rel=1e-15)
+        assert left == pytest.approx(m, rel=1e-14)
+        assert left * (1.0 + gamma) == pytest.approx(math.ceil(2.0 * (1.0 + gamma) - 1e-9),
+                                                     rel=1e-15)
         if m == 2:
-            assert got == 2.0
+            assert left == 2.0
+
+    def test_each_end_takes_its_own_power(self, ev):
+        # T = phi_lo, so the left end piece is panel 0's, which rises only
+        # 0.0096: with beta's end mapped by alpha's power, tau^100, its
+        # integrand was tau^525, whose mass lies past GK15's last node, and
+        # the degree-16 row was off by 7.2e-5 against an estimate of 1.1e-9
+        table = build_ladder(ev, 10000.0, 10026.62974124444, tol=1e-8)
+        T = table.phi_lo
+        assert T == 9483.232843884229
+        reports = V.sanity_theorem2_exact(table, T, "E2_5", 16, alpha=-0.9899999999999999,
+                                          beta=4.257270149839974)
+        assert len(reports) == 16
+        assert_exact(reports, 1e-12)
 
     def test_power_out_of_range_refused(self, small_ladder):
         with pytest.raises(DomainError, match=r"alpha, beta >= -0\.99"):
@@ -526,7 +544,7 @@ class TestWindowExecutor:
         grouped = [self.fields(r) for r in V.ladder_reports(table, sets)]
         assert grouped == [row for rows in alone for row in rows]
         # one rows call per (T, U, m) group: per T, U = 1 and U = 2 with
-        # m = 2, and E2_5's U = 2 with m = 2.4 for (alpha, beta) = (0.5, 0.25);
+        # m = (2, 2), and E2_5's U = 2 with m = (2.4, 2) for (alpha, beta) = (0.5, 0.25);
         # each T's left end located once, and E1_4's preimage of T inverted once
         assert len(rows_calls) == len({(s.T, V._member_pieces(s).U, V._member_pieces(s).m)
                                        for s in sets}) == 6
@@ -575,13 +593,21 @@ class TestWindowExecutor:
         with pytest.raises(DomainError, match=r"E2_2 at nu = 0\.0 with max_n = 64"):
             V.ladder_reports(None, V.family_sets("corollary", [1500.0], [0.0], 64))
 
-    def test_e2_2_cap_serves_negative_orders(self):
+    def test_e2_2_cap_serves_negative_orders(self, small_ladder, monkeypatch):
         # mu_64 is 199.49 at nu = -1/2 and 200.28 at nu = 0: the cap of 64 is
         # reached only below nu = 0, which the Bessel families admit to -1/2
+        assert round(bessel_zero(-0.5, 64), 2) == 199.49
         rows = V._member_pieces(V.RowSet("E2_2", 1500.0, 64, nu=-0.5)).rows
         assert [params["n"] for _, params, _ in rows] == list(range(1, 65))
-        with pytest.raises(DomainError, match=r"mu_64 = 200\.2"):
-            V._member_pieces(V.RowSet("E2_2", 1500.0, 64, nu=0.0))
+        with pytest.raises(DomainError, match=r"^E2_2 requires 1 <= max_n <= 64$"):
+            V._member_pieces(V.RowSet("E2_2", 1500.0, 65, nu=-0.5))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("integrated before the arguments were checked")
+
+        monkeypatch.setattr(V, "integrate_adaptive_rows", no_work)
+        with pytest.raises(DomainError, match=r"mu_64 = 200\.277"):
+            V.ladder_reports(small_ladder, [V.RowSet("E2_2", 1000.0, 64, nu=0.0)])
 
     def test_rows_record_their_group_time(self, small_ladder):
         reports = V.verify_theorem1(small_ladder, 1000.0, 0.0, 2)
