@@ -258,8 +258,8 @@ class LadderTable:
         if not self._built.item(k):
             lo = k - k % _ANTI_BLOCK
             self._anti_rows(np.arange(lo, min(lo + _ANTI_BLOCK, len(self._half))))
-        a, c = self._anti[k, ::-1].tolist(), self.coef[k, ::-1].tolist()   # reversed
-        return a[:-1], a[-1], c[:-1], c[-1]
+        a, c = self._anti, self.coef
+        return a[k, :0:-1].tolist(), a.item(k, 0), c[k, :0:-1].tolist(), c.item(k, 0)
 
     def _panels(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """t flattened, its panel indices and its coordinates on them."""
@@ -353,18 +353,23 @@ class LadderTable:
         """The double t nearest phi_1^{-1}(y) for one float y: |phi_1(t) - y|
         <= 1e-10, or no double in [t_lo, t_hi] comes closer to y (phi_1 can
         rise by more than 2e-10 from one double t to the next where
-        Ztilde^2 ulp(t) > 2e-10, near t ~ 1e5).
+        Ztilde^2 ulp(t) > 2e-10, from t ~ 1e5 up).
         Raises `ConvergenceError` when the solve finds neither.
 
         Newton on Python floats on the panel k whose checkpoint values
-        bracket y, then the best of the nine doubles around its result.  A
-        point strictly inside panel k takes phi_1 and p from the panel's
-        columns with the IEEE operations of `eval` and `ztilde_sq` (both on
-        a Newton step, phi_1 alone on a neighbour, each from one
-        `_clenshaw_rev` pass); any other point goes through those two.
-        Each point is evaluated once: a neighbour that Newton already visited
-        takes its value from there.  A solve is deterministic, so a repeated
-        y returns the identical float.
+        bracket y, then the first double of least residual among the nine
+        around its last iterate t, found lazily: on values that do not
+        decrease, as phi_1's do, it is the first double u at which phi_1
+        reaches y, found by a walk from t, or the first of the run below u
+        with u - 1's residual.  Only when it misses 1e-10 are all nine
+        evaluated and their bracket checked.  A point strictly inside
+        panel k takes phi_1 and p from the panel's columns with the IEEE
+        operations of `eval` and `ztilde_sq` (both on a Newton step, phi_1
+        alone on a neighbour, each from one `_clenshaw_rev` pass); any other
+        point goes through those two.  Each point is evaluated once: a
+        neighbour that Newton already visited takes its value from there.
+        A solve is deterministic, so a repeated y returns the identical
+        float.
         """
         y = float(y)
         if not self.phi_lo <= y <= self.phi_hi:   # NaN fails
@@ -402,29 +407,46 @@ class LadderTable:
             below.append(math.nextafter(below[-1], -math.inf))
             above.append(math.nextafter(above[-1], math.inf))
         cands = [c for c in below[:0:-1] + above if self.t_lo <= c <= self.t_hi]
-        vals = []
-        for c in cands:
-            if c in seen:
-                v = seen[c]
-            elif e_lo < c < e_hi:   # phi_1(c), as `eval` gives it
-                v = base + _clenshaw_rev(rest, head, (c - mid) / half)
-                v = base if v < base else top if v > top else v
-            else:
-                v = self.eval(c)
-            vals.append(v)
-        resids = [abs(v - y) for v in vals]
-        best = resids.index(min(resids))
-        resid = resids[best]
-        # no double comes closer when y lies between the values of the best's
-        # two neighbours, or, at a domain end, between the end's value and its
-        # inner neighbour's
-        at = cands[best]
-        under = vals[best - 1] if best > 0 else vals[0] if at == self.t_lo else math.inf
-        over = (vals[best + 1] if best + 1 < len(vals)
-                else vals[-1] if at == self.t_hi else -math.inf)
-        if not (resid <= 1e-10 or under <= y <= over):
-            raise ConvergenceError(f"ladder inversion stalled at |phi - y| = {resid:.2e}")
-        return at
+        vals = [seen.get(c) for c in cands]
+
+        def value(i):   # phi_1(cands[i]) as `eval` gives it, evaluated once
+            v = vals[i]
+            if v is None:
+                c = cands[i]
+                if e_lo < c < e_hi:
+                    v = base + _clenshaw_rev(rest, head, (c - mid) / half)
+                    v = base if v < base else top if v > top else v
+                else:
+                    v = self.eval(c)
+                vals[i] = v
+            return v
+
+        # walk from t to u, the first candidate whose value reaches y: on
+        # values that do not decrease, the first of least residual is u, or
+        # else the first of the run whose residual is u - 1's
+        n, u = len(cands), cands.index(t)
+        while u < n and value(u) < y:
+            u += 1
+        while u > 0 and value(u - 1) >= y:
+            u -= 1
+        best = u if u < n and (u == 0 or abs(vals[u] - y) < abs(vals[u - 1] - y)) else u - 1
+        resid = abs(vals[best] - y)
+        while 0 < best < u and abs(value(best - 1) - y) == resid:
+            best -= 1
+        if resid > 1e-10:   # all nine, and the first with the least residual
+            resids = [abs(value(i) - y) for i in range(n)]
+            best = resids.index(min(resids))
+            resid = resids[best]
+            # no double comes closer when y lies between the values of the
+            # best's two neighbours, or, at a domain end, between the end's
+            # value and its inner neighbour's
+            at = cands[best]
+            under = vals[best - 1] if best > 0 else vals[0] if at == self.t_lo else math.inf
+            over = (vals[best + 1] if best + 1 < n
+                    else vals[-1] if at == self.t_hi else -math.inf)
+            if not (resid <= 1e-10 or under <= y <= over):
+                raise ConvergenceError(f"ladder inversion stalled at |phi - y| = {resid:.2e}")
+        return cands[best]
 
     def save(self, path) -> None:
         """Write the table to `path`, under exactly that name, as a version-3

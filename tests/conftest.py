@@ -38,6 +38,12 @@ def small_ladder(ev):
 
 
 @pytest.fixture(scope="session")
+def plan_ladder(ev):
+    """The golden plan's ladder, [1000, 7000] at tol 1e-8."""
+    return build_ladder(ev, 1000.0, 7000.0, tol=1e-8)
+
+
+@pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260811)
 

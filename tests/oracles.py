@@ -6,9 +6,10 @@ import math
 import numpy as np
 from numpy.polynomial.chebyshev import chebroots
 
-from zladder.exceptions import DomainError
+from zladder.exceptions import ConvergenceError, DomainError
 from zladder.ladder import check_admissible
 from zladder.quadrature import integrate_adaptive
+from zladder.specfun.orthopoly import _clenshaw_rev
 
 
 def ln_t_placement_shift(ratio: float, T: float, interval: tuple[float, float]) -> float:
@@ -195,3 +196,104 @@ def poly_weight(spec, u):
     if spec.family == "chebyshev_u":
         return np.sqrt(1.0 - ua * ua)
     return (1.0 - ua) ** spec.alpha * (1.0 + ua) ** spec.beta
+
+
+def neighbours(table, t, count=4):
+    """t and up to `count` neighbouring doubles on either side, inside the
+    ladder domain, ascending."""
+    below, above = [t], [t]
+    for _ in range(count):
+        below.append(float(np.nextafter(below[-1], -math.inf)))
+        above.append(float(np.nextafter(above[-1], math.inf)))
+    return np.array([u for u in below[:0:-1] + above if table.t_lo <= u <= table.t_hi])
+
+
+def brackets(table, cands, vals, best, y):
+    """Whether no double comes closer to y than cands[best]: y lies between
+    the values of its two neighbours, or, at a domain end, between the end's
+    value and its inner neighbour's."""
+    under = (vals[best - 1] if best > 0
+             else vals[0] if cands[0] == table.t_lo else math.inf)
+    over = (vals[best + 1] if best + 1 < len(vals)
+            else vals[-1] if cands[-1] == table.t_hi else -math.inf)
+    return under <= y <= over
+
+
+def meets_inverse_contract(table, y):
+    """Whether invert(y) keeps its contract: it raises ConvergenceError, or
+    returns a t with |phi_1(t) - y| <= 1e-10 or with no double closer to y."""
+    try:
+        t = table.invert(y)
+    except ConvergenceError:
+        return True
+    near = neighbours(table, t, 1)
+    vals = table.eval(near)
+    best = int(np.flatnonzero(near == t)[0])
+    return abs(table.eval(t) - y) <= 1e-10 or brackets(table, near, vals, best, y)
+
+
+def invert_by_scan(table, y: float) -> float:
+    """`LadderTable.invert` as it stood before its best-double search went
+    lazy: Newton on the panel whose checkpoint values bracket y, then phi_1
+    at all nine doubles around the last iterate and the first with the
+    least residual.  The program's search must return the same double, or
+    raise where this does."""
+    y = float(y)
+    if not table.phi_lo <= y <= table.phi_hi:   # NaN fails
+        raise DomainError(f"inversion target outside [{table.phi_lo}, {table.phi_hi}]")
+    j = int(table.phi.searchsorted(y, side="left"))
+    if table.phi.item(j) == y:
+        return table.edges.item(j)
+    k = j - 1
+    lo, hi = e_lo, e_hi = table.edges.item(k), table.edges.item(j)
+    base, top = table.phi.item(k), table.phi.item(j)
+    mid, half = table._mid.item(k), table._half.item(k)
+    rest, head, c_rest, c_head = table._columns(k)
+
+    seen = {}   # phi_1 of each point evaluated so far
+    t = 0.5 * (lo + hi)   # the midpoint: x = 0.0 on the first step
+    for _ in range(80):
+        if e_lo < t < e_hi:
+            x = (t - mid) / half
+            vt, p = base + _clenshaw_rev(rest, head, x), _clenshaw_rev(c_rest, c_head, x)
+            vt, slope = base if vt < base else top if vt > top else vt, p * p   # as `eval`
+        else:
+            vt, slope = table.eval(t), table.ztilde_sq(t)
+        seen[t] = vt
+        ft = vt - y
+        lo, hi = (lo, t) if ft > 0.0 else (t, hi)
+        # Newton step on the stored derivative, safeguarded by the bracket;
+        # a step below two ulps of t is left to the search below
+        step = ft / slope if slope > 1e-18 else math.inf
+        if abs(step) <= 2.0 * math.ulp(t) or hi - lo <= 4.0 * math.ulp(hi):
+            break
+        t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
+    # the best double among t and its four neighbours on either side
+    below, above = [t], [t]
+    for _ in range(4):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    cands = [c for c in below[:0:-1] + above if table.t_lo <= c <= table.t_hi]
+    vals = []
+    for c in cands:
+        if c in seen:
+            v = seen[c]
+        elif e_lo < c < e_hi:   # phi_1(c), as `eval` gives it
+            v = base + _clenshaw_rev(rest, head, (c - mid) / half)
+            v = base if v < base else top if v > top else v
+        else:
+            v = table.eval(c)
+        vals.append(v)
+    resids = [abs(v - y) for v in vals]
+    best = resids.index(min(resids))
+    resid = resids[best]
+    # no double comes closer when y lies between the values of the best's
+    # two neighbours, or, at a domain end, between the end's value and its
+    # inner neighbour's
+    at = cands[best]
+    under = vals[best - 1] if best > 0 else vals[0] if at == table.t_lo else math.inf
+    over = (vals[best + 1] if best + 1 < len(vals)
+            else vals[-1] if at == table.t_hi else -math.inf)
+    if not (resid <= 1e-10 or under <= y <= over):
+        raise ConvergenceError(f"ladder inversion stalled at |phi - y| = {resid:.2e}")
+    return at

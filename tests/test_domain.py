@@ -13,12 +13,20 @@ documented outcome:
   [phi_lo, phi_hi - 1], where no ladder member's window fits;
 - every exactness row (E1_2, E1_3_*, the sanity rows) of a written report
   has |lhs - rhs| <= its own quadrature_error;
-- no exception escapes `cli.main`.
+- no exception escapes `cli.main`;
+- on a built ladder, `invert` at each drawn T inside [phi_lo, phi_hi] and
+  at the first checkpoint value at or above the first T returns the double
+  the scan of all nine returns (`oracles.invert_by_scan`), or raises where
+  it does, and keeps its contract: |phi_1(t) - y| <= 1e-10, or the
+  neighbours of t bracket y, or `ConvergenceError`.  Near 1e8, where phi_1
+  rises by ~1e-8 per double, nearly every inverse takes the bracket.
 
 Tier-1 runs 20 derandomized examples of every plan family at max_n <= 8.
 `--hypothesis-profile domain-sweep` (registered in conftest.py) runs 200,
 each of a drawn set of families at max_n up to the smallest of their caps.
-The explicit examples are inputs the sweep once failed on.
+The explicit examples are an input the sweep once failed on, a ladder
+near 1e8, whose inverses take the bracket, a refused build and a T below
+the built range.
 """
 
 import contextlib
@@ -30,9 +38,11 @@ import re
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from zladder import cli
+from zladder import ConvergenceError, LadderTable, ZEvaluator, cli
 from zladder.config import PLAN_EQUATIONS
 from zladder.verify import FAMILIES, LADDER_MEMBERS, is_sanity
+
+import oracles
 
 SWEEP = settings.get_current_profile_name() == "domain-sweep"
 
@@ -77,6 +87,23 @@ def plans(draw):
         beta=draw(st.floats(-0.99, 5.0)), max_n=draw(st.integers(1, cap)))
 
 
+def _check_inverse(table, y):
+    """invert(y) has the scan oracle's outcome and keeps its contract."""
+    got = []
+    for solve in (LadderTable.invert, oracles.invert_by_scan):
+        try:
+            got.append(solve(table, y).hex())
+        except ConvergenceError as exc:
+            got.append(f"raised {exc}")
+    assert got[0] == got[1], y
+    assert oracles.meets_inverse_contract(table, y), y
+    if got[0].startswith("raised"):
+        event("invert raised")
+    else:
+        near = abs(table.eval(float.fromhex(got[0])) - y) <= 1e-10
+        event(f"invert {'within 1e-10' if near else 'brackets y'}")
+
+
 @settings(max_examples=200 if SWEEP else 20, derandomize=True, database=None, deadline=None)
 @given(plan=plans())
 # T = phi_lo, whose left end piece rises only 0.0096: when both ends took
@@ -85,6 +112,17 @@ def plans(draw):
 @example(plan=dict(t_lo=10000.0, t_hi=10026.62974124444, tol=1e-8, equations=["sanity"],
                    where=[0.0], nu=0.0, alpha=-0.9899999999999999, beta=4.257270149839974,
                    max_n=16))
+# near 1e8 phi_1 rises by ~1e-8 from one double to the next: invert's
+# best-double search falls back to all nine doubles and their bracket
+@example(plan=dict(t_lo=99999940.0, t_hi=99999950.0, tol=1e-6, equations=list(PLAN_EQUATIONS),
+                   where=[0.5], nu=0.0, alpha=0.0, beta=0.0, max_n=1))
+# a refused build and a T below the built range: hypothesis seeds the
+# derandomized draws from this test's source, so an edit to it re-draws
+# them, and they need not hold either
+@example(plan=dict(t_lo=5e7, t_hi=5e7 + 10.0, tol=1e-8, equations=list(PLAN_EQUATIONS),
+                   where=[0.5], nu=0.0, alpha=0.0, beta=0.0, max_n=1))
+@example(plan=dict(t_lo=1200.0, t_hi=1210.0, tol=1e-8, equations=list(PLAN_EQUATIONS),
+                   where=[-0.5], nu=0.0, alpha=0.0, beta=0.0, max_n=1))
 def test_every_outcome_is_documented(tmp_path_factory, plan):
     root = tmp_path_factory.mktemp("domain")
     ladder = ["--t-lo", plan["t_lo"], "--t-hi", plan["t_hi"], "--tol", plan["tol"],
@@ -99,6 +137,10 @@ def test_every_outcome_is_documented(tmp_path_factory, plan):
     # where in [0, 1] keeps T + U <= phi_hi for every member: U is at most 2
     lo, hi = built["phi_lo"], built["phi_hi"]
     T = sorted({lo + w * (hi - 2.0 - lo) for w in plan["where"]})
+    table = LadderTable.load(root / "ladder.npz", ZEvaluator())
+    j = min(int(table.phi.searchsorted(T[0])), len(table.phi) - 1)
+    for y in [y for y in T if lo <= y <= hi] + [table.phi.item(j)]:
+        _check_inverse(table, y)
     outside = T[0] < lo or T[-1] + 1.0 > hi
     event(f"T outside [phi_lo, phi_hi - 1]: {outside}")
     report = root / "plan.jsonl"

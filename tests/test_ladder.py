@@ -17,7 +17,8 @@ from zladder import ladder as ladder_mod
 from zladder.specfun.orthopoly import _clenshaw, _clenshaw_rev
 
 import oracles
-from oracles import breakpoints, log_stability_check, pushforward_integral, ztilde_sq
+from oracles import (breakpoints, brackets, log_stability_check, meets_inverse_contract,
+                     neighbours, pushforward_integral, ztilde_sq)
 
 FIRST_ZETA_ZERO = 14.134725141734695
 
@@ -703,40 +704,6 @@ def one_ulp_panel(small_ladder):
         residual_total=small_ladder.residual_total)
 
 
-def _neighbours(table, t, count=4):
-    """t and up to `count` neighbouring doubles on either side, inside the
-    ladder domain, ascending."""
-    below, above = [t], [t]
-    for _ in range(count):
-        below.append(float(np.nextafter(below[-1], -math.inf)))
-        above.append(float(np.nextafter(above[-1], math.inf)))
-    return np.array([u for u in below[:0:-1] + above if table.t_lo <= u <= table.t_hi])
-
-
-def _brackets(table, cands, vals, best, y):
-    """Whether no double comes closer to y than cands[best]: y lies between
-    the values of its two neighbours, or, at a domain end, between the end's
-    value and its inner neighbour's."""
-    under = (vals[best - 1] if best > 0
-             else vals[0] if cands[0] == table.t_lo else math.inf)
-    over = (vals[best + 1] if best + 1 < len(vals)
-            else vals[-1] if cands[-1] == table.t_hi else -math.inf)
-    return under <= y <= over
-
-
-def _meets_contract(table, y):
-    """Whether invert(y) keeps its contract: it raises ConvergenceError, or
-    returns a t with |phi_1(t) - y| <= 1e-10 or with no double closer to y."""
-    try:
-        t = table.invert(y)
-    except ConvergenceError:
-        return True
-    near = _neighbours(table, t, 1)
-    vals = table.eval(near)
-    best = int(np.flatnonzero(near == t)[0])
-    return abs(table.eval(t) - y) <= 1e-10 or _brackets(table, near, vals, best, y)
-
-
 def _reference_inverse(table, y):
     """The numpy Newton solve `invert` ran before it moved to Python floats,
     every evaluation through the array path (one point per call for the
@@ -757,13 +724,20 @@ def _reference_inverse(table, y):
         if abs(step) <= 2.0 * np.spacing(t) or hi - lo <= 4.0 * np.spacing(hi):
             break
         t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
-    cands = _neighbours(table, t)
+    cands = neighbours(table, t)
     vals = table.eval(cands)
     best = int(np.argmin(np.abs(vals - y)))
     resid = abs(vals[best] - y)
-    if not (resid <= 1e-10 or _brackets(table, cands, vals, best, y)):
+    if not (resid <= 1e-10 or brackets(table, cands, vals, best, y)):
         raise ConvergenceError(f"ladder inversion stalled at |phi - y| = {resid:.2e}")
     return float(cands[best])
+
+
+def _ci_targets(table):
+    """CI's 2,000 y, stratified over [phi_lo, phi_hi] with seed 1."""
+    m = 2000
+    u = (np.arange(m) + np.random.default_rng(1).random(m)) / m
+    return np.minimum(table.phi_lo + u * (table.phi_hi - table.phi_lo), table.phi_hi).tolist()
 
 
 def _outcome(solve, table, y):
@@ -836,44 +810,95 @@ class TestInvertContract:
         assert (hits["ztilde_sq"] > 0) == (name == "one_ulp_panel")
         assert hits["bisect"] > 0
 
-    def test_each_point_evaluated_once(self, small_ladder, rng, monkeypatch):
+    def test_each_point_evaluated_once(self, small_ladder, query_ladder, monkeypatch):
         # a Newton step takes one Clenshaw pass for phi_1 and one for p at
         # its x, the first one at the panel midpoint (x = 0.0); the
-        # best-double search makes one phi_1 pass for each of the last
-        # iterate's eight neighbours that Newton did not visit; eval,
-        # ztilde_sq and the general Clenshaw routine are not called for
-        # points inside the panel
-        table = small_ladder
+        # best-double search makes one phi_1 pass for each neighbour of the
+        # last iterate that it evaluates and Newton did not visit, and
+        # evaluates all eight only when the inverse misses 1e-10 (near 1e5,
+        # where phi_1 can rise by more than 2e-10 per ulp); eval, ztilde_sq
+        # and the general Clenshaw routine are not called for points inside
+        # the panel
         calls = collections.Counter()
         phi, newton = _record_x(monkeypatch)
-        for owner, name in ((ladder_mod, "_clenshaw"), (table, "eval"),
-                            (table, "ztilde_sq")):
-            def counted(*args, _fn=getattr(owner, name), _name=name):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(owner, name, counted)
-        for y in rng.uniform(table.phi[1], table.phi[-2], 100).tolist():
-            phi.clear()
-            newton.clear()
-            table.invert(y)
-            assert phi[:len(newton)] == newton, y
-            single = phi[len(newton):]
-            k = int(np.searchsorted(table.phi, y)) - 1
-            mid, half = table._mid.item(k), table._half.item(k)
-            t = mid + half * newton[-1]   # the last iterate, to within an ulp
-            while (t - mid) / half < newton[-1]:
-                t = math.nextafter(t, math.inf)
-            while (t - mid) / half > newton[-1]:
-                t = math.nextafter(t, -math.inf)
-            assert (t - mid) / half == newton[-1], y
-            near = [t, t]
-            for _ in range(4):
-                near += [math.nextafter(near[-2], -math.inf), math.nextafter(near[-1], math.inf)]
-            unvisited = {(c - mid) / half for c in near[2:]} - set(newton)
-            assert newton[0] == 0.0, y
-            assert len(set(newton)) == len(newton), y
-            assert sorted(single) == sorted(unvisited), y
-            assert calls["_clenshaw"] == calls["eval"] == calls["ztilde_sq"] == 0, y
+        misses = collections.Counter()
+        tables = small_ladder, query_ladder
+        for table in tables:
+            table.eval(table.edges)   # every panel's row built, so no solve builds one
+        for seed, table in enumerate(tables):
+            for owner, name in ((ladder_mod, "_clenshaw"), (table, "eval"),
+                                (table, "ztilde_sq")):
+                def counted(*args, _fn=getattr(owner, name), _name=name):
+                    calls[_name] += 1
+                    return _fn(*args)
+                monkeypatch.setattr(owner, name, counted)
+            ys = np.random.default_rng(seed).uniform(table.phi[1], table.phi[-2], 200)
+            for y in ys.tolist():
+                phi.clear()
+                newton.clear()
+                at = table.invert(y)
+                assert phi[:len(newton)] == newton, y
+                single = phi[len(newton):]
+                k = int(np.searchsorted(table.phi, y)) - 1
+                mid, half = table._mid.item(k), table._half.item(k)
+                t = mid + half * newton[-1]   # the last iterate, to within an ulp
+                while (t - mid) / half < newton[-1]:
+                    t = math.nextafter(t, math.inf)
+                while (t - mid) / half > newton[-1]:
+                    t = math.nextafter(t, -math.inf)
+                assert (t - mid) / half == newton[-1], y
+                near = [t, t]
+                for _ in range(4):
+                    near += [math.nextafter(near[-2], -math.inf), math.nextafter(near[-1], math.inf)]
+                unvisited = {(c - mid) / half for c in near[2:]} - set(newton)
+                assert newton[0] == 0.0, y
+                assert len(set(newton)) == len(newton), y
+                assert len(set(single)) == len(single), y
+                assert set(single) <= unvisited, y
+                miss = abs(LadderTable.eval(table, at) - y) > 1e-10
+                assert (set(single) == unvisited) == miss, y
+                misses[seed] += miss
+                assert calls["_clenshaw"] == calls["eval"] == calls["ztilde_sq"] == 0, y
+        assert misses[0] == 0 and misses[1] > 0
+
+    def test_passes_per_invert_near_1e5(self, query_ladder, monkeypatch):
+        # CI's 2,000 stratified y: 27,608 Clenshaw passes in all, 13.8 per
+        # inverse (the scan of all nine doubles made 38,912), 233 of them
+        # with no double within 1e-10
+        table = fresh(query_ladder)
+        passes = itertools.count()
+
+        def rev(rest, head, x, _fn=ladder_mod._clenshaw_rev):
+            next(passes)
+            return _fn(rest, head, x)
+
+        monkeypatch.setattr(ladder_mod, "_clenshaw_rev", rev)
+        ys = _ci_targets(table)
+        ts = [table.invert(y) for y in ys]
+        assert next(passes) == 27608
+        monkeypatch.undo()
+        assert np.count_nonzero(np.abs(table.eval(np.array(ts)) - ys) > 1e-10) == 233
+
+    @pytest.mark.parametrize("name, targets, warm", [
+        ("plan_ladder", "ci", False), ("query_ladder", "ci", False),
+        ("query_ladder", "ci", True), ("plan_ladder", "checkpoints", False),
+        ("query_ladder", "checkpoints", False)])
+    def test_equals_scan_oracle(self, request, name, targets, warm):
+        # the lazy search returns the double the scan of all nine returns,
+        # or raises where it does: CI's 2,000 stratified y, and every
+        # checkpoint value, one ulp either side of it, phi_lo and phi_hi;
+        # cold (each panel built by the solve that first lands on it) and warm
+        table = fresh(request.getfixturevalue(name))
+        if warm:
+            table.eval(np.linspace(table.t_lo, table.t_hi, 4001))
+        if targets == "ci":
+            ys = _ci_targets(table)
+        else:
+            ys = [y for y in _within_ulps(table.phi.tolist(), 1) + [table.phi_lo, table.phi_hi]
+                  if table.phi_lo <= y <= table.phi_hi]
+        for y in ys:
+            assert (_outcome(LadderTable.invert, table, y)
+                    == _outcome(oracles.invert_by_scan, table, y)), y
 
     def test_no_point_evaluated_twice(self, query_ladder, monkeypatch):
         # CI's 2,000 stratified y: no solve makes a second Clenshaw pass at an
@@ -881,10 +906,7 @@ class TestInvertContract:
         # earlier iterate takes the iterate's value)
         table = query_ladder
         phi, newton = _record_x(monkeypatch)
-        m = 2000
-        u = (np.arange(m) + np.random.default_rng(1).random(m)) / m
-        ys = np.minimum(table.phi_lo + u * (table.phi_hi - table.phi_lo), table.phi_hi)
-        for y in ys.tolist():
+        for y in _ci_targets(table):
             phi.clear()
             newton.clear()
             table.invert(y)
@@ -901,7 +923,7 @@ class TestInvertContract:
         table = ladder_near_1e5
         for y in rng.uniform(table.phi_lo, table.phi_hi, 40):
             t = table.invert(float(y))
-            near = _neighbours(table, t)
+            near = neighbours(table, t)
             assert abs(table.eval(t) - y) == np.min(np.abs(table.eval(near) - y))
 
     @settings(max_examples=200, deadline=None)
@@ -909,7 +931,7 @@ class TestInvertContract:
     def test_contract_or_raise(self, ladder_near_1e5, u):
         table = ladder_near_1e5
         y = min(table.phi_lo + u * (table.phi_hi - table.phi_lo), table.phi_hi)
-        assert _meets_contract(table, y)
+        assert meets_inverse_contract(table, y)
 
     @pytest.mark.parametrize("end", ["top", "bottom"])
     def test_domain_end_is_nearest(self, ev, end):
@@ -927,7 +949,7 @@ class TestInvertContract:
         y = table.eval(t) + sign * 0.3 * step
         assert table.invert(y) == t
         assert sign * (table.eval(math.nextafter(t, inner)) - y) >= 0.0
-        assert _meets_contract(table, y)
+        assert meets_inverse_contract(table, y)
 
 
 def _is_p_column(rest) -> bool:

@@ -282,12 +282,6 @@ EXPONENT_SWEEP = [(-0.9, -0.9), (-0.75, 0.3), (-0.6, 0.5), (-0.5, 0.3), (0.3, -0
                   (0.3, -0.1), (0.5, 0.5), (2.0, 3.0)]
 
 
-@pytest.fixture(scope="module")
-def plan_ladder(ev):
-    """The golden plan's ladder, [1000, 7000] at tol 1e-8."""
-    return build_ladder(ev, 1000.0, 7000.0, tol=1e-8)
-
-
 def assert_exact(reports, bound):
     """Each exactness row meets its classical value to `bound` and to its
     own quadrature error estimate."""
