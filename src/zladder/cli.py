@@ -12,8 +12,9 @@ its base panels have the fixed width 1 and are halved as its tolerance
 needs.  `verify F` is `run --equations F`: the same reports, the same
 judgement and the same exit code.  Plan row sets come from
 `verify.FAMILIES`, and every row that `verify.is_sanity` picks out is judged
-at `tol_exact`.  Ladder verbs and plans cache the ladder (checkpoints and
-panel coefficients) in `<cache root>/ladder-<ladder config hash>.npz` unless
+at `tol_exact`.  The baseline (E1_2) takes min(--max-n, 8), 8 being its cap.
+Ladder verbs and plans cache the ladder (checkpoints and panel coefficients) in
+`<cache root>/ladder-<ladder config hash>.npz` unless
 `--cache` names a file (written under exactly that name), the one file
 format zladder keeps.  A default cache of an older format has another name
 and is not read, so the ladder is rebuilt once; a `--cache` file in an older
@@ -299,7 +300,7 @@ def _plot_rows(args, cfg: RunConfig) -> tuple[str, list]:
         raise DomainError(f"plot-data --what envelope needs --T and "
                           f"1 <= --points <= {MAX_GRID_POINTS}")
     else:
-        V.check_bessel_order(args.nu_single)
+        V.bessel_mu(args.nu_single, args.n, "the envelope", "n")
     if args.what == "z_trace":
         return "t,z", list(zip(ts.tolist(), ZEvaluator().z(ts).tolist()))
     table = _get_ladder(cfg)
@@ -374,7 +375,8 @@ def _add_plan_opts(p):
     _add_ladder_opts(p)
     p.add_argument("--T", dest="T", type=float, nargs="+")
     p.add_argument("--nu", dest="nu", type=float, nargs="+")
-    p.add_argument("--max-n", dest="n_max", type=int)
+    p.add_argument("--max-n", dest="n_max", type=int,
+                   help="largest degree n; the baseline (E1_2) takes min(max_n, 8)")
     p.add_argument("--alpha", dest="alpha", type=float)
     p.add_argument("--beta", dest="beta", type=float)
     p.add_argument("--tol-exact", dest="tol_exact", type=float)

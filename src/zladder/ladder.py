@@ -14,18 +14,18 @@ versioned, validated `.npz`.
 `eval` of one float runs on Python floats (one panel's columns, read from
 the table's rows on each call in the order the Clenshaw recurrence takes
 them), with the IEEE operations of the array path in the same order, so a
-point has the same bits either way.  `invert` takes one float and solves
-on the one panel whose checkpoint values bracket it, with those
-operations: a Newton step takes phi_1 and p from one Clenshaw pass
-over each of the panel's two columns, a neighbour double that Newton did not
-visit takes phi_1 from one pass, and a point not strictly inside the panel
-(a Newton step leaves one only on a panel about one ulp wide) goes through
-`eval` and `ztilde_sq`, which has the array path alone.  The recurrences
-are `specfun.orthopoly`'s.  A verification window works in a panel's own
-coordinate x, which resolves a panel to ~1e-16 at any t: `locate` and
-`solve_rise` find its ends, and `slopes` the mean slope of phi_1 between two
-points without cancellation (`_mean_slopes`), on Python floats for one
-point and with the same bits as on arrays.
+point has the same bits either way.  `invert` takes one float and solves on
+the one panel whose checkpoint values bracket it, with those operations: one
+reader gives phi_1 at each point it visits, once, from one Clenshaw pass
+over the panel's column strictly inside the panel and through `eval`
+elsewhere, and a Newton step takes p from one more pass.  An iterate leaves
+the panel only where it is one ulp wide, and the bracket then ends Newton
+in that step, so `invert` never calls `ztilde_sq`, which has the array path
+alone.  The recurrences are `specfun.orthopoly`'s.  A verification window
+works in a panel's own coordinate x, which resolves a panel to ~1e-16 at
+any t: `locate` and `solve_rise` find its ends, and `slopes` the mean slope
+of phi_1 between two points without cancellation (`_mean_slopes`), on
+Python floats for one point and with the same bits as on arrays.
 """
 
 from __future__ import annotations
@@ -212,26 +212,16 @@ class LadderTable:
                                            for a in (edges, phi, coef))
         self.residual_total = float(residual_total)
         self.t_lo, self.t_hi = float(self.edges[0]), float(self.edges[-1])
+        self.phi_lo, self.phi_hi = float(self.phi[0]), float(self.phi[-1])
         self.anchor_t0 = _anchor(self.t_lo, self.t_hi)
+        # phi_1 at the anchor checkpoint: anchor_t0 - (1 - c) pi(anchor_t0)
+        self.anchor_value = self.phi.item(int(np.searchsorted(self.edges, self.anchor_t0)))
         self._mid = 0.5 * (self.edges[:-1] + self.edges[1:])
         self._half = 0.5 * (self.edges[1:] - self.edges[:-1])
         # the antiderivative of p^2, one row per panel, built on first use
         # (racing threads write equal bits; a row is read only once built)
         self._anti = np.empty((len(self._half), 2 * _DEGREE + 2))
         self._built = np.zeros(len(self._half), dtype=bool)
-
-    @property
-    def phi_lo(self) -> float:
-        return float(self.phi[0])
-
-    @property
-    def phi_hi(self) -> float:
-        return float(self.phi[-1])
-
-    @property
-    def anchor_value(self) -> float:
-        """phi_1 at the anchor checkpoint: anchor_t0 - (1 - c) pi(anchor_t0)."""
-        return self.phi.item(int(np.searchsorted(self.edges, self.anchor_t0)))
 
     def config_hash(self) -> str:
         return ladder_config_hash(self.evaluator, self.t_lo, self.t_hi,
@@ -270,13 +260,6 @@ class LadderTable:
                        len(self._half) - 1)
         return flat, k, (flat - self._mid[k]) / self._half[k]
 
-    def _panel(self, t: float) -> tuple[int, float]:
-        """`_panels` for one float t: its panel index and coordinate there."""
-        if not self.t_lo <= t <= self.t_hi:   # NaN fails
-            raise DomainError(f"ladder evaluation outside [{self.t_lo}, {self.t_hi}]")
-        k = min(int(self.edges.searchsorted(t, side="right")) - 1, len(self._half) - 1)
-        return k, (float(t) - self._mid.item(k)) / self._half.item(k)
-
     def ztilde_sq(self, t) -> float | np.ndarray:
         """p(t)^2, the stored derivative of phi_1 (Ztilde^2 to the build
         tolerance); t in [t_lo, t_hi]."""
@@ -289,12 +272,15 @@ class LadderTable:
         the antiderivative of p^2 on the panel, clamped to the right one.
         Each point is evaluated on its own: its bits ignore the batch."""
         if isinstance(t, float):
-            k, x = self._panel(t)
+            if not self.t_lo <= t <= self.t_hi:   # NaN fails
+                raise DomainError(f"ladder evaluation outside [{self.t_lo}, {self.t_hi}]")
             if t == self.t_hi:
                 return self.phi_hi
+            k = int(self.edges.searchsorted(t, side="right")) - 1   # t < t_hi: a panel
             lo = self.phi.item(k)
             if t == self.edges.item(k):
                 return lo
+            x = (float(t) - self._mid.item(k)) / self._half.item(k)   # a Python float
             v = lo + _clenshaw_rev(*self._columns(k)[:2], x)
             return min(max(v, lo), self.phi.item(k + 1))
         flat, k, x = self._panels(t)
@@ -302,7 +288,7 @@ class LadderTable:
         out = np.minimum(np.maximum(out, self.phi[k]), self.phi[k + 1])
         exact = self.edges[k] == flat
         out[exact] = self.phi[k[exact]]
-        out[flat == self.t_hi] = self.phi[-1]
+        out[flat == self.t_hi] = self.phi_hi
         return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
     def slopes(self, k, x0, x) -> tuple:
@@ -362,12 +348,12 @@ class LadderTable:
         decrease, as phi_1's do, it is the first double u at which phi_1
         reaches y, found by a walk from t, or the first of the run below u
         with u - 1's residual.  Only when it misses 1e-10 are all nine
-        evaluated and their bracket checked.  A point strictly inside
-        panel k takes phi_1 and p from the panel's columns with the IEEE
-        operations of `eval` and `ztilde_sq` (both on a Newton step, phi_1
-        alone on a neighbour, each from one `_clenshaw_rev` pass); any other
-        point goes through those two.  Each point is evaluated once: a
-        neighbour that Newton already visited takes its value from there.
+        evaluated and their bracket checked.  One reader, `value`, gives
+        phi_1 at a point as `eval` does, each point once: strictly inside
+        panel k from one `_clenshaw_rev` pass over the panel's column,
+        elsewhere through `eval`.  A Newton step takes p from one more pass;
+        an iterate off the panel (only where the panel is one ulp wide)
+        ends Newton by the bracket test in that step, so it takes no slope.
         A solve is deterministic, so a repeated y returns the identical
         float.
         """
@@ -382,22 +368,27 @@ class LadderTable:
         base, top = self.phi.item(k), self.phi.item(j)
         mid, half = self._mid.item(k), self._half.item(k)
         rest, head, c_rest, c_head = self._columns(k)
-
         seen = {}   # phi_1 of each point evaluated so far
+
+        def value(c):   # phi_1(c) as `eval` gives it, evaluated once
+            v = seen.get(c)
+            if v is None:
+                if e_lo < c < e_hi:
+                    v = base + _clenshaw_rev(rest, head, (c - mid) / half)
+                    v = base if v < base else top if v > top else v
+                else:
+                    v = self.eval(c)
+                seen[c] = v
+            return v
+
         t = 0.5 * (lo + hi)   # the midpoint: x = 0.0 on the first step
         for _ in range(80):
-            if e_lo < t < e_hi:
-                x = (t - mid) / half
-                vt, p = base + _clenshaw_rev(rest, head, x), _clenshaw_rev(c_rest, c_head, x)
-                vt, slope = base if vt < base else top if vt > top else vt, p * p   # as `eval`
-            else:
-                vt, slope = self.eval(t), self.ztilde_sq(t)
-            seen[t] = vt
-            ft = vt - y
+            ft = value(t) - y
             lo, hi = (lo, t) if ft > 0.0 else (t, hi)
             # Newton step on the stored derivative, safeguarded by the bracket;
             # a step below two ulps of t is left to the search below
-            step = ft / slope if slope > 1e-18 else math.inf
+            p = _clenshaw_rev(c_rest, c_head, (t - mid) / half) if e_lo < t < e_hi else 0.0
+            step = ft / (p * p) if p * p > 1e-18 else math.inf
             if abs(step) <= 2.0 * math.ulp(t) or hi - lo <= 4.0 * math.ulp(hi):
                 break
             t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
@@ -407,45 +398,34 @@ class LadderTable:
             below.append(math.nextafter(below[-1], -math.inf))
             above.append(math.nextafter(above[-1], math.inf))
         cands = [c for c in below[:0:-1] + above if self.t_lo <= c <= self.t_hi]
-        vals = [seen.get(c) for c in cands]
 
-        def value(i):   # phi_1(cands[i]) as `eval` gives it, evaluated once
-            v = vals[i]
-            if v is None:
-                c = cands[i]
-                if e_lo < c < e_hi:
-                    v = base + _clenshaw_rev(rest, head, (c - mid) / half)
-                    v = base if v < base else top if v > top else v
-                else:
-                    v = self.eval(c)
-                vals[i] = v
-            return v
+        def resid(i):
+            return abs(value(cands[i]) - y)
 
         # walk from t to u, the first candidate whose value reaches y: on
         # values that do not decrease, the first of least residual is u, or
         # else the first of the run whose residual is u - 1's
         n, u = len(cands), cands.index(t)
-        while u < n and value(u) < y:
+        while u < n and value(cands[u]) < y:
             u += 1
-        while u > 0 and value(u - 1) >= y:
+        while u > 0 and value(cands[u - 1]) >= y:
             u -= 1
-        best = u if u < n and (u == 0 or abs(vals[u] - y) < abs(vals[u - 1] - y)) else u - 1
-        resid = abs(vals[best] - y)
-        while 0 < best < u and abs(value(best - 1) - y) == resid:
+        best = u if u < n and (u == 0 or resid(u) < resid(u - 1)) else u - 1
+        while 0 < best < u and resid(best - 1) == resid(best):
             best -= 1
-        if resid > 1e-10:   # all nine, and the first with the least residual
-            resids = [abs(value(i) - y) for i in range(n)]
+        if resid(best) > 1e-10:   # all nine, and the first with the least residual
+            resids = [resid(i) for i in range(n)]
             best = resids.index(min(resids))
-            resid = resids[best]
             # no double comes closer when y lies between the values of the
             # best's two neighbours, or, at a domain end, between the end's
             # value and its inner neighbour's
             at = cands[best]
-            under = vals[best - 1] if best > 0 else vals[0] if at == self.t_lo else math.inf
-            over = (vals[best + 1] if best + 1 < n
-                    else vals[-1] if at == self.t_hi else -math.inf)
-            if not (resid <= 1e-10 or under <= y <= over):
-                raise ConvergenceError(f"ladder inversion stalled at |phi - y| = {resid:.2e}")
+            under = (value(cands[best - 1]) if best > 0
+                     else value(at) if at == self.t_lo else math.inf)
+            over = (value(cands[best + 1]) if best + 1 < n
+                    else value(at) if at == self.t_hi else -math.inf)
+            if not (resids[best] <= 1e-10 or under <= y <= over):
+                raise ConvergenceError(f"ladder inversion stalled at |phi - y| = {min(resids):.2e}")
         return cands[best]
 
     def save(self, path) -> None:
@@ -501,7 +481,7 @@ class LadderTable:
                              "from t_lo to t_hi")
         k0 = int(np.searchsorted(edges, table.anchor_t0))
         if not (b["anchor_t0"] == table.anchor_t0 and edges[k0] == table.anchor_t0
-                and phi[k0] == b["anchor_value"]):
+                and table.anchor_value == b["anchor_value"]):
             raise CacheError("ladder cache anchor is not a checkpoint holding "
                              "the anchor value")
         tol, residual = table.build_tolerance, table.residual_total

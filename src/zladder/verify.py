@@ -101,6 +101,17 @@ def check_bessel_order(*nus: float) -> None:
                               f"is unbounded at u = 0 below it), got nu = {nu}")
 
 
+def bessel_mu(nu: float, n: int, who: str, n_name: str) -> float:
+    """mu_n of J_nu for the rows of `who`, which take J_nu(mu_n u) to u = 1;
+    refused by name past bessel_j's domain x <= 200, as is a bad order."""
+    check_bessel_order(nu)
+    mu = bessel_zero(nu, n)
+    if mu > 200.0:
+        raise DomainError(f"{who} at nu = {nu} with {n_name} = {n}: mu_{n} = {mu!r} "
+                          f"lies past bessel_j's domain x <= 200")
+    return mu
+
+
 def _off_zero(u: np.ndarray) -> np.ndarray:
     """u with its zeros set to its largest value (1 if all are 0): J_nu is finite
     there, and a batch of J's series takes the terms it took before."""
@@ -150,14 +161,13 @@ def envelope_23(table: LadderTable, T: float, nu: float, n: int,
                 t_grid) -> list[tuple[float, float, float]]:
     """Rows (t, |J_nu[mu_n(phi_1(t)-T)]| sqrt(phi_1(t)-T), |Z(t)|) for plotting;
     at phi_1(t) <= T, the limit: sqrt(2 / (pi mu_n)) at nu = -1/2, else 0."""
-    check_bessel_order(nu)
+    mu = bessel_mu(nu, n, "the envelope", "n")
     T = float(T)
     a = table.invert(T)
     b = table.invert(T + 1.0)
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if np.any(ts < a - 1e-9) or np.any(ts > b + 1e-9):
         raise DomainError("envelope grid must lie within the preimage of [T, T+1]")
-    mu = bessel_zero(nu, n)
     u = np.maximum(table.eval(ts) - T, 0.0)
     env = np.where(u > 0.0, np.abs(bessel_j(nu, mu * _off_zero(u))) * np.sqrt(u),
                    math.sqrt(2.0 / (math.pi * mu)) if nu == -0.5 else 0.0)
@@ -402,12 +412,8 @@ def _member_pieces(s: RowSet) -> _Member:
     smooth = ab == (0.0, 0.0)
 
     if family == "bessel":
-        check_bessel_order(nu)
         U = 1.0
-        mu = bessel_zero(nu, max_n)
-        if mu > 200.0:
-            raise DomainError(f"{eq} at nu = {nu} with max_n = {max_n}: mu_{max_n} = {mu!r} "
-                              f"lies past bessel_j's domain x <= 200")
+        bessel_mu(nu, max_n, eq, "max_n")
     else:
         U = 2.0
         spec = PolyFamilySpec.jacobi(*ab) if family == "jacobi" else PolyFamilySpec(family)

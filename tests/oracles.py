@@ -198,6 +198,14 @@ def poly_weight(spec, u):
     return (1.0 - ua) ** spec.alpha * (1.0 + ua) ** spec.beta
 
 
+def ci_targets(table) -> list[float]:
+    """The test workflow's 2,000 y for its inverse hashes, stratified over
+    [phi_lo, phi_hi] with seed 1."""
+    m = 2000
+    u = (np.arange(m) + np.random.default_rng(1).random(m)) / m
+    return np.minimum(table.phi_lo + u * (table.phi_hi - table.phi_lo), table.phi_hi).tolist()
+
+
 def neighbours(table, t, count=4):
     """t and up to `count` neighbouring doubles on either side, inside the
     ladder domain, ascending."""

@@ -393,6 +393,29 @@ class TestVerifyVerbs:
         assert captured.err.startswith("error: E2_2 at nu = 0.0 with max_n = 64: mu_64 = 200.")
         assert "bessel_j's domain" in captured.err
 
+    def test_envelope_zero_past_bessel_j_domain(self, capsys, cache_env):
+        # mu_64 of J_100 lies past bessel_j's x <= 200: refused by name, as
+        # the ladder members refuse it, before any ladder is built
+        code = run_cli("plot-data", "--what", "envelope", *LADDER_ARGS, "--T", "1000",
+                       "--nu", "100", "--n", "64", "--out", "-")
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the envelope at nu = 100.0 with n = 64: mu_64 = ")
+        assert "lies past bessel_j's domain x <= 200" in captured.err
+        assert not (cache_env / "cache").exists()
+
+    def test_baseline_stops_at_its_cap(self, capsys, cache_env):
+        # E1_2 takes min(max_n, 8): its 36 pairs of degrees up to 8, beside
+        # E1_3's 136 pairs up to 16
+        code = run_cli("run", *LADDER_ARGS, "--equations", "baseline", "theorem1",
+                       "--nu", "0", "--T", "1000", "--max-n", "16", "--out", "-")
+        assert code == EXIT_OK
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        baseline = [r["params"]["n"] for r in rows if r["equation_id"] == "E1_2"]
+        assert len(baseline) == 36 and max(baseline) == 8
+        assert sum(r["equation_id"].startswith("E1_3") for r in rows) == 136
+
     @pytest.mark.parametrize("family,rows", [("theorem1", 4), ("corollary", 2)])
     def test_high_order_rows(self, capsys, cache_env, family, rows):
         # (mu u / 2)^25 underflows near u = 0; every row is still written

@@ -8,7 +8,11 @@ reports and of `zladder report`'s summary are CI's golden values, so a
 change that moves a bit fails here before it reaches CI.  The same ladder
 built through the Python API has the same bytes, and `zladder run` with no
 flag but `--out` runs the same plan: the defaults are the plan.  The
-acceptance-scale plan on the acceptance ladder is a second golden report.
+acceptance-scale plan on the acceptance ladder is a second golden report,
+and the plans at 1e6 and 1e7 two more.  Every other hash CI checks is
+pinned here as well: the Bessel zeros `specfun zeros` prints, and the
+inverses of CI's 2,000 stratified y on the plan ladder and, cold and warm,
+on [99500, 1e5].
 """
 
 import hashlib
@@ -17,9 +21,11 @@ import json
 import numpy as np
 import pytest
 
-from zladder import ZEvaluator, build_ladder, ladder
+from zladder import LadderTable, ZEvaluator, build_ladder, ladder
 from zladder.cli import EXIT_OK, main
 from zladder.verify import is_sanity
+
+from oracles import ci_targets
 
 LADDER = ["--t-lo", "1000", "--t-hi", "7000", "--tol", "1e-8"]
 PLAN = [*LADDER, "--T", "1500", "3000", "6000", "--max-n", "4"]
@@ -37,11 +43,38 @@ SHA256 = {
     "plan.csv": "642346a3b489ff842e3929d643d48ea41879de79a40cabc2e478707acfa9f12b",
     "plan-report.txt": "08d34c40084f3fbf91ca81a358e084180b1f7f2379c6d47fc784048ccc8f455b",
     "plan-acceptance.jsonl": "bfd45e36dadd9d5a5d074034ad35436b15c56a091c692da9bb83dfb9bce28589",
+    "plan-1e6.jsonl": "9929006c20e757b769d9fe1f3bc4206d5e45235ed5f99bac1caa510421495f6d",
+    "plan-1e7.jsonl": "5bf339f92530ebed9f9be37124969564ba2b3976e0b446e4882fedb5908b12aa",
+    "zeros.txt": "fcf28dea67fc3907eeda04c729e40bf45d160854e83164c8bcedf0659574690e",
+    "inverses.txt": "085723657f329e450a572fdc4c794dfa3328b9a449e28de00424a3af8f34952c",
+    "inverses-1e5.txt": "523ef4e9a14cd39e1e60e94416d9a22b96a79e6467ffa188be3d0ada844039a3",
 }
 # The acceptance-scale plan, run on the acceptance ladder [1e3, 1.08e5]
 # (`big_ladder`), as CI runs it on the ladder its test step caches.
 ACCEPTANCE_PLAN = ["--t-lo", "1000", "--t-hi", "108000", "--tol", "1e-8",
                    "--T", "10000", "30000", "100000", "--max-n", "4"]
+# The plans at large t, each on a 60-unit ladder of its own: every family at
+# 1e6, and at 1e7, at the tol the build can certify there, the families that
+# hold on two T 20 apart.  Report name -> (plan flags, row count).
+LARGE_T_PLANS = {
+    "plan-1e6.jsonl": (["--t-lo", "1000000", "--t-hi", "1000060", "--tol", "1e-8",
+                        "--T", "966814", "966834", "--max-n", "4"], 168),
+    "plan-1e7.jsonl": (["--t-lo", "10000000", "--t-hi", "10000060", "--tol", "1e-7",
+                        "--equations", "baseline", "theorem1", "sanity",
+                        "--T", "9719040", "9719060", "--max-n", "4"], 108),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def ci_inverses(table):
+    """CI's 2,000 y (`ci_targets`), their inverses, and those as CI prints
+    them: one float.hex per line."""
+    ys = ci_targets(table)
+    ts = [table.invert(y) for y in ys]
+    return np.array(ys), np.array(ts), "".join(f"{t.hex()}\n" for t in ts).encode()
 
 
 def exactness_rows(path):
@@ -74,7 +107,7 @@ def test_one_ladder_cache_named_by_its_hash(golden):
 
 @pytest.mark.parametrize("name", [LADDER_NAME, "plan.jsonl", "plan.csv"])
 def test_file_bits(golden, name):
-    assert hashlib.sha256(golden[name].read_bytes()).hexdigest() == SHA256[name]
+    assert sha256(golden[name].read_bytes()) == SHA256[name]
 
 
 def test_run_without_flags_is_the_plan(golden):
@@ -107,7 +140,7 @@ def test_report_summary_bits(golden, capsys):
     capsys.readouterr()
     assert main(["report", str(golden["plan.jsonl"])]) == EXIT_OK
     summary = capsys.readouterr().out.encode()
-    assert hashlib.sha256(summary).hexdigest() == SHA256["plan-report.txt"]
+    assert sha256(summary) == SHA256["plan-report.txt"]
 
 
 def test_golden_exactness_rows_within_their_estimate(golden):
@@ -121,8 +154,51 @@ def test_acceptance_scale_plan(big_ladder, big_ladder_path, tmp_path):
     out = tmp_path / "plan-acceptance.jsonl"
     assert main(["run", *ACCEPTANCE_PLAN, "--cache", big_ladder_path,
                  "--out", str(out)]) == EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == SHA256["plan-acceptance.jsonl"]
+    assert sha256(out.read_bytes()) == SHA256["plan-acceptance.jsonl"]
     rows = exactness_rows(out)
     assert len(rows) == 126
     for r in rows:
         assert abs(r["lhs"] - r["rhs"]) <= r["quadrature_error"], r
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_T_PLANS))
+def test_large_t_plan_bits(tmp_path, monkeypatch, name):
+    flags, rows = LARGE_T_PLANS[name]
+    monkeypatch.setenv("ZLADDER_CACHE_ROOT", str(tmp_path / "cache"))
+    out = tmp_path / name
+    assert main(["run", *flags, "--out", str(out)]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == rows
+    assert sha256(out.read_bytes()) == SHA256[name]
+
+
+def test_bessel_zeros_bits(capsys):
+    capsys.readouterr()
+    assert main(["specfun", "zeros", "--nu", "0.5", "--count", "8"]) == EXIT_OK
+    assert sha256(capsys.readouterr().out.encode()) == SHA256["zeros.txt"]
+
+
+def test_inverse_bits_on_the_plan_ladder(golden):
+    table = LadderTable.load(golden[LADDER_NAME], ZEvaluator())
+    assert sha256(ci_inverses(table)[2]) == SHA256["inverses.txt"]
+
+
+@pytest.fixture(scope="module")
+def ladder_near_1e5_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("near-1e5") / "ladder-near-1e5.npz"
+    assert main(["ladder", "build", "--t-lo", "99500", "--t-hi", "100000", "--tol", "1e-8",
+                 "--cache", str(path)]) == EXIT_OK
+    return path
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_inverse_bits_near_1e5(ladder_near_1e5_path, warm):
+    # phi_1 can rise by more than 2e-10 from one double to the next here:
+    # 233 inverses miss 1e-10, each with no closer double.  The warm pass
+    # inverts in the order of the benchmark's query workload, after one
+    # batched eval that builds every panel's antiderivative.
+    table = LadderTable.load(ladder_near_1e5_path, ZEvaluator())
+    if warm:
+        table.eval(np.linspace(table.t_lo, table.t_hi, 4001))
+    ys, ts, lines = ci_inverses(table)
+    assert sha256(lines) == SHA256["inverses-1e5.txt"]
+    assert np.count_nonzero(np.abs(table.eval(ts) - ys) > 1e-10) == 233

@@ -17,8 +17,8 @@ from zladder import ladder as ladder_mod
 from zladder.specfun.orthopoly import _clenshaw, _clenshaw_rev
 
 import oracles
-from oracles import (breakpoints, brackets, log_stability_check, meets_inverse_contract,
-                     neighbours, pushforward_integral, ztilde_sq)
+from oracles import (breakpoints, brackets, ci_targets, log_stability_check,
+                     meets_inverse_contract, neighbours, pushforward_integral, ztilde_sq)
 
 FIRST_ZETA_ZERO = 14.134725141734695
 
@@ -733,13 +733,6 @@ def _reference_inverse(table, y):
     return float(cands[best])
 
 
-def _ci_targets(table):
-    """CI's 2,000 y, stratified over [phi_lo, phi_hi] with seed 1."""
-    m = 2000
-    u = (np.arange(m) + np.random.default_rng(1).random(m)) / m
-    return np.minimum(table.phi_lo + u * (table.phi_hi - table.phi_lo), table.phi_hi).tolist()
-
-
 def _outcome(solve, table, y):
     try:
         return solve(table, y).hex()
@@ -787,27 +780,35 @@ class TestInvertContract:
                              _newton_onto_roots(table, roots[::max(len(roots) // 20, 1)])])
         ys = np.clip(ys, table.phi_lo, table.phi_hi)
 
-        hits = collections.Counter()
+        hits, events = collections.Counter(), []   # events: one solve's, in order
         for attr in ("eval", "ztilde_sq"):
             def counted(t, _fn=getattr(table, attr), _attr=attr):
-                hits[_attr] += isinstance(t, float)   # the reference passes arrays
+                if isinstance(t, float):   # the reference passes arrays
+                    hits[_attr] += 1
+                    events.append(_attr)
                 return _fn(t)
             monkeypatch.setattr(table, attr, counted)
 
         def rev(rest, head, x, _fn=ladder_mod._clenshaw_rev):
             out = _fn(rest, head, x)
+            events.append("pass")
             hits["bisect"] += _is_p_column(rest) and out * out <= 1e-18
             return out
         monkeypatch.setattr(ladder_mod, "_clenshaw_rev", rev)
 
         for y in ys.tolist():
-            assert (_outcome(LadderTable.invert, table, y)
-                    == _outcome(_reference_inverse, table, y)), y
-        # a neighbour off the panel goes through eval alone, a Newton
-        # iterate off it (only where a panel is one ulp wide) through eval
-        # and ztilde_sq
-        assert hits["eval"] > hits["ztilde_sq"]
-        assert (hits["ztilde_sq"] > 0) == (name == "one_ulp_panel")
+            events.clear()
+            got = _outcome(LadderTable.invert, table, y)
+            # the first point a solve reads is its first Newton iterate, the
+            # panel's midpoint: off the panel, it goes through eval
+            hits["newton_off_panel"] += events[:1] == ["eval"]
+            assert got == _outcome(_reference_inverse, table, y), y
+        # a neighbour off the panel goes through eval, and so does a Newton
+        # iterate off it (only where a panel is one ulp wide), which the
+        # bracket test ends with no slope: ztilde_sq is never reached
+        assert hits["eval"] > 0
+        assert hits["ztilde_sq"] == 0
+        assert (hits["newton_off_panel"] > 0) == (name == "one_ulp_panel")
         assert hits["bisect"] > 0
 
     def test_each_point_evaluated_once(self, small_ladder, query_ladder, monkeypatch):
@@ -873,7 +874,7 @@ class TestInvertContract:
             return _fn(rest, head, x)
 
         monkeypatch.setattr(ladder_mod, "_clenshaw_rev", rev)
-        ys = _ci_targets(table)
+        ys = ci_targets(table)
         ts = [table.invert(y) for y in ys]
         assert next(passes) == 27608
         monkeypatch.undo()
@@ -892,7 +893,7 @@ class TestInvertContract:
         if warm:
             table.eval(np.linspace(table.t_lo, table.t_hi, 4001))
         if targets == "ci":
-            ys = _ci_targets(table)
+            ys = ci_targets(table)
         else:
             ys = [y for y in _within_ulps(table.phi.tolist(), 1) + [table.phi_lo, table.phi_hi]
                   if table.phi_lo <= y <= table.phi_hi]
@@ -906,7 +907,7 @@ class TestInvertContract:
         # earlier iterate takes the iterate's value)
         table = query_ladder
         phi, newton = _record_x(monkeypatch)
-        for y in _ci_targets(table):
+        for y in ci_targets(table):
             phi.clear()
             newton.clear()
             table.invert(y)
