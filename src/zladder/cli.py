@@ -12,7 +12,7 @@ its base panels have the fixed width 1 and are halved as its tolerance
 needs.  `verify F` is `run --equations F`: the same reports, the same
 judgement and the same exit code.  Plan row sets come from
 `verify.FAMILIES`, and every row that `verify.is_sanity` picks out is judged
-at `tol_exact`.  The baseline (E1_2) takes min(--max-n, 8), 8 being its cap.
+at `tol_exact`.  The baseline E1_2 takes min(--max-n, `verify.BASELINE_MAX_N`).
 Ladder verbs and plans cache the ladder (checkpoints and panel coefficients) in
 `<cache root>/ladder-<ladder config hash>.npz` unless
 `--cache` names a file (written under exactly that name), the one file
@@ -270,7 +270,8 @@ def _plan_reports(cfg: RunConfig) -> list:
     if sets:
         reports = V.ladder_reports(_get_ladder(cfg), sets)
     reports += [r for family in cfg.equations if family == "baseline" for nu in cfg.nu
-                for r in V.verify_bessel_baseline(nu, min(cfg.n_max, 8), tol=cfg.tol_baseline)]
+                for r in V.verify_bessel_baseline(nu, min(cfg.n_max, V.BASELINE_MAX_N),
+                                                  tol=cfg.tol_baseline)]
     return reports
 
 
@@ -376,7 +377,7 @@ def _add_plan_opts(p):
     p.add_argument("--T", dest="T", type=float, nargs="+")
     p.add_argument("--nu", dest="nu", type=float, nargs="+")
     p.add_argument("--max-n", dest="n_max", type=int,
-                   help="largest degree n; the baseline (E1_2) takes min(max_n, 8)")
+                   help=f"largest degree n; E1_2 takes min(max_n, {V.BASELINE_MAX_N})")
     p.add_argument("--alpha", dest="alpha", type=float)
     p.add_argument("--beta", dest="beta", type=float)
     p.add_argument("--tol-exact", dest="tol_exact", type=float)

@@ -11,9 +11,9 @@ agrees to the panel's share of the tolerance, so no other base width is
 offered.  `save` and `load` keep checkpoints and coefficients in a
 versioned, validated `.npz`.
 
-`eval` of one float runs on Python floats (one panel's columns, read from
-the table's rows on each call in the order the Clenshaw recurrence takes
-them), with the IEEE operations of the array path in the same order, so a
+`eval` of one float runs on Python floats (one panel's phi_1 column, read
+from the table's row on each call in the order the Clenshaw recurrence
+takes it), with the array path's IEEE operations in the same order, so a
 point has the same bits either way.  `invert` takes one float and solves on
 the one panel whose checkpoint values bracket it, with those operations: one
 reader gives phi_1 at each point it visits, once, from one Clenshaw pass
@@ -239,17 +239,18 @@ class LadderTable:
             self._built[todo] = True
         return self._anti
 
-    def _columns(self, k: int) -> tuple:
-        """Panel k's antiderivative a and coefficients c of p as Python
-        floats, as `_clenshaw_rev` takes them: each one's reversed tail and
-        head, read from the table's rows on each call, so nothing is kept
-        per panel.  A panel not yet built is built with the rest of its
-        aligned block of `_ANTI_BLOCK` panels."""
+    def _phi_column(self, k: int) -> tuple:
+        """Panel k's antiderivative as Python floats, as `_clenshaw_rev`
+        takes it: its reversed tail and head, read from the table's row on
+        each call, so nothing is kept per panel.  A panel not yet built is
+        built with the rest of its aligned block of `_ANTI_BLOCK` panels."""
         if not self._built.item(k):
             lo = k - k % _ANTI_BLOCK
             self._anti_rows(np.arange(lo, min(lo + _ANTI_BLOCK, len(self._half))))
-        a, c = self._anti, self.coef
-        return a[k, :0:-1].tolist(), a.item(k, 0), c[k, :0:-1].tolist(), c.item(k, 0)
+        return self._anti[k, :0:-1].tolist(), self._anti.item(k, 0)
+
+    def _columns(self, k: int) -> tuple:   # `_phi_column(k)`, then p's the same way
+        return *self._phi_column(k), self.coef[k, :0:-1].tolist(), self.coef.item(k, 0)
 
     def _panels(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """t flattened, its panel indices and its coordinates on them."""
@@ -281,7 +282,7 @@ class LadderTable:
             if t == self.edges.item(k):
                 return lo
             x = (float(t) - self._mid.item(k)) / self._half.item(k)   # a Python float
-            v = lo + _clenshaw_rev(*self._columns(k)[:2], x)
+            v = lo + _clenshaw_rev(*self._phi_column(k), x)
             return min(max(v, lo), self.phi.item(k + 1))
         flat, k, x = self._panels(t)
         out = self.phi[k] + _clenshaw(self._anti_rows(k).T, x, k)
@@ -347,8 +348,9 @@ class LadderTable:
         around its last iterate t, found lazily: on values that do not
         decrease, as phi_1's do, it is the first double u at which phi_1
         reaches y, found by a walk from t, or the first of the run below u
-        with u - 1's residual.  Only when it misses 1e-10 are all nine
-        evaluated and their bracket checked.  One reader, `value`, gives
+        with u - 1's residual.  Past a 1e-10 miss it is the nearest double
+        if the walk stopped between two of the nine, whose values then
+        bracket y; else the solve raises.  One reader, `value`, gives
         phi_1 at a point as `eval` does, each point once: strictly inside
         panel k from one `_clenshaw_rev` pass over the panel's column,
         elsewhere through `eval`.  A Newton step takes p from one more pass;
@@ -413,19 +415,9 @@ class LadderTable:
         best = u if u < n and (u == 0 or resid(u) < resid(u - 1)) else u - 1
         while 0 < best < u and resid(best - 1) == resid(best):
             best -= 1
-        if resid(best) > 1e-10:   # all nine, and the first with the least residual
-            resids = [resid(i) for i in range(n)]
-            best = resids.index(min(resids))
-            # no double comes closer when y lies between the values of the
-            # best's two neighbours, or, at a domain end, between the end's
-            # value and its inner neighbour's
-            at = cands[best]
-            under = (value(cands[best - 1]) if best > 0
-                     else value(at) if at == self.t_lo else math.inf)
-            over = (value(cands[best + 1]) if best + 1 < n
-                    else value(at) if at == self.t_hi else -math.inf)
-            if not (resids[best] <= 1e-10 or under <= y <= over):
-                raise ConvergenceError(f"ladder inversion stalled at |phi - y| = {min(resids):.2e}")
+        # a miss is the nearest double if the walk stopped inside the nine
+        if resid(best) > 1e-10 and not 0 < u < n:
+            raise ConvergenceError(f"ladder inversion stalled at |phi - y| = {resid(best):.2e}")
         return cands[best]
 
     def save(self, path) -> None:

@@ -129,8 +129,8 @@ def verify_bessel_baseline(nu: float, max_n: int, tol: float = 1e-9) -> list[Ver
     unordered pair (m, n) with m <= n <= max_n, integrated together to
     `BASELINE_QUAD_TOL`.
     """
-    if not 1 <= max_n <= 8:
-        raise DomainError("verify_bessel_baseline requires 1 <= max_n <= 8")
+    if not 1 <= max_n <= BASELINE_MAX_N:
+        raise DomainError(f"verify_bessel_baseline requires 1 <= max_n <= {BASELINE_MAX_N}")
     check_bessel_order(nu)
     mus = np.array([bessel_zero(nu, k) for k in range(1, max_n + 1)])
     pairs, mi, ni = _gram_pairs(max_n)
@@ -218,6 +218,7 @@ FAMILIES = {
     "sanity": (tuple(THEOREM2_MEMBERS), False, 1e-8, False, {"weight": "ztilde2"}),
 }
 BASELINE_QUAD_TOL = 1e-12   # E1_2's, the plan's one family without a ladder
+BASELINE_MAX_N = 8          # E1_2's largest degree; a plan cuts its max_n to it
 
 
 @dataclass

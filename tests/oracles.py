@@ -228,12 +228,10 @@ def brackets(table, cands, vals, best, y):
 
 
 def meets_inverse_contract(table, y):
-    """Whether invert(y) keeps its contract: it raises ConvergenceError, or
-    returns a t with |phi_1(t) - y| <= 1e-10 or with no double closer to y."""
-    try:
-        t = table.invert(y)
-    except ConvergenceError:
-        return True
+    """Whether invert(y) keeps its contract: it returns a t with
+    |phi_1(t) - y| <= 1e-10 or with no double closer to y.  An in-range y on
+    a built ladder has such a t, so a `ConvergenceError` is not caught."""
+    t = table.invert(y)
     near = neighbours(table, t, 1)
     vals = table.eval(near)
     best = int(np.flatnonzero(near == t)[0])
@@ -241,11 +239,12 @@ def meets_inverse_contract(table, y):
 
 
 def invert_by_scan(table, y: float) -> float:
-    """`LadderTable.invert` as it stood before its best-double search went
-    lazy: Newton on the panel whose checkpoint values bracket y, then phi_1
-    at all nine doubles around the last iterate and the first with the
-    least residual.  The program's search must return the same double, or
-    raise where this does."""
+    """`LadderTable.invert` with its best-double search as a scan: Newton on
+    the panel whose checkpoint values bracket y, then phi_1 at all nine
+    doubles around the last iterate and the first with the least residual.
+    Past a 1e-10 miss that double is kept only when the values of two
+    adjacent doubles of the nine bracket y.  The program's lazy search must
+    return the same double, or raise where this does."""
     y = float(y)
     if not table.phi_lo <= y <= table.phi_hi:   # NaN fails
         raise DomainError(f"inversion target outside [{table.phi_lo}, {table.phi_hi}]")
@@ -295,13 +294,8 @@ def invert_by_scan(table, y: float) -> float:
     resids = [abs(v - y) for v in vals]
     best = resids.index(min(resids))
     resid = resids[best]
-    # no double comes closer when y lies between the values of the best's
-    # two neighbours, or, at a domain end, between the end's value and its
-    # inner neighbour's
-    at = cands[best]
-    under = vals[best - 1] if best > 0 else vals[0] if at == table.t_lo else math.inf
-    over = (vals[best + 1] if best + 1 < len(vals)
-            else vals[-1] if at == table.t_hi else -math.inf)
-    if not (resid <= 1e-10 or under <= y <= over):
+    # on values that do not decrease, no double comes closer than the best
+    # when two adjacent candidates' values bracket y
+    if not (resid <= 1e-10 or any(a <= y <= b for a, b in zip(vals, vals[1:]))):
         raise ConvergenceError(f"ladder inversion stalled at |phi - y| = {resid:.2e}")
-    return at
+    return cands[best]
