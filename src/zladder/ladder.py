@@ -30,9 +30,10 @@ Python floats for one point and with the same bits as on arrays.
 
 from __future__ import annotations
 
-import hashlib
+import lzma
 import math
 import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ import numpy as np
 from ._atomic import atomic_writer
 from .exceptions import (AdmissibilityError, CacheError, ConvergenceError,
                          DomainError, ToleranceNotMetError)
-from .rszeta import ZEvaluator
+from .rszeta import ZEvaluator, config_digest
 from .specfun.orthopoly import _clenshaw, _clenshaw_rev
 
 EULER_C = 0.5772156649015329
@@ -80,7 +81,7 @@ def ladder_config_hash(evaluator: ZEvaluator, t_lo: float, t_hi: float,
                f"anchor={_anchor(t_lo, t_hi)!r},h={_BASE_H!r},"
                f"tol={float(tol)!r},rule={_PANEL_RULE},"
                f"z={evaluator.config_hash()})")
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return config_digest(payload)
 
 
 def prime_pi(t) -> int | np.ndarray:
@@ -178,7 +179,7 @@ def _gram(degrees: np.ndarray) -> np.ndarray:
 
 
 _GRAM_BY_PARITY = [_gram(np.arange(p, _DEGREE + 1, 2, dtype=float)) for p in (0, 1)]
-_GRAM_CHUNK = 4096   # panels per block of the quadratic form
+_GRAM_CHUNK = 1024   # panels per block of the quadratic form
 
 
 def _square_integrals(coef: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -194,7 +195,7 @@ def _square_integrals(coef: np.ndarray, half: np.ndarray) -> np.ndarray:
             gc = np.zeros_like(cp)
             for j, cj in enumerate(cp):
                 gc += gram[:, j:j + 1] * cj
-            out[lo:lo + _GRAM_CHUNK] += (cp * gc).sum(axis=0)
+            out[lo:lo + _GRAM_CHUNK] += sum(cp * gc)   # in row order, one-panel blocks too
     return out * half
 
 
@@ -451,8 +452,8 @@ class LadderTable:
                 table = cls(evaluator=evaluator, build_tolerance=b["tol"],
                             edges=doc["edges"], phi=doc["phi"], coef=doc["coef"],
                             residual_total=b["residual_total"])
-        except (OSError, EOFError, KeyError, IndexError, TypeError, ValueError,
-                AttributeError, zipfile.BadZipFile) as exc:
+        except (OSError, EOFError, KeyError, IndexError, TypeError, ValueError, AttributeError,
+                NotImplementedError, zipfile.BadZipFile, zlib.error, lzma.LZMAError) as exc:
             raise CacheError(f"ladder cache {path} unreadable: {exc}") from exc
         if (evaluator.rs_correction_order, evaluator.oracle_terms, evaluator.t_min_rs,
                 _BASE_H) != (b["rs_correction_order"], b["oracle_terms"], b["t_min_rs"], b["h"]):

@@ -15,7 +15,6 @@ exact definition through Im ln Gamma (`theta_oracle`).
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import threading
@@ -28,6 +27,11 @@ from ._rs_terms import RS_TERM_TABLES
 from .exceptions import DomainError, PrecisionError
 from .specfun.gamma import _BERNOULLI_2K, _log_gamma_cld
 from .specfun.orthopoly import _clenshaw
+
+try:   # CPython's own SHA-256: hashlib would map OpenSSL into the process
+    from _sha2 import sha256 as _sha256
+except ImportError:   # Python 3.10 and 3.11
+    from _sha256 import sha256 as _sha256
 
 _TWO_PI = 2.0 * np.pi
 _LD = np.longdouble
@@ -359,4 +363,9 @@ class ZEvaluator:
     def config_hash(self) -> str:
         payload = f"ZEvaluator(rs_correction_order={self.rs_correction_order}," \
                   f"oracle_terms={self.oracle_terms},t_min_rs={self.t_min_rs!r})"
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return config_digest(payload)
+
+
+def config_digest(payload: str) -> str:
+    """First 16 hex digits of SHA-256: the config hash of caches and reports."""
+    return _sha256(payload.encode()).hexdigest()[:16]

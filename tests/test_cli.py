@@ -1,11 +1,15 @@
 import argparse
 import dataclasses
 import json
+import lzma
 import math
 import os
+import struct
 import subprocess
 import sys
 import time
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -31,6 +35,32 @@ LADDER_ARGS = ["--t-lo", "1000", "--t-hi", "1090", "--tol", "1e-9"]
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def damage_member(path, damage, name="coef.npy"):
+    """Rewrite a ladder cache with deflate members (lzma ones for "lzma")
+    and spoil member `name`: the first byte of its deflate or LZMA data, or
+    its compression method, set to 99 (damage "method_99")."""
+    with zipfile.ZipFile(path) as zf:
+        members = {info.filename: zf.read(info) for info in zf.infolist()}
+    method = zipfile.ZIP_LZMA if damage == "lzma" else zipfile.ZIP_DEFLATED
+    with zipfile.ZipFile(path, "w", method) as zf:
+        for member, data in members.items():
+            zf.writestr(member, data)
+        info = zf.getinfo(name)
+    with open(path, "rb") as fh:
+        raw = bytearray(fh.read())
+    data = info.header_offset + 30 + len(name) + len(info.extra)
+    if damage == "deflate":
+        raw[data] = 0xFF   # a block of the reserved type 3
+    elif damage == "lzma":
+        raw[data + 9] = 0xFF   # past zipfile's 4-byte header and the 5 property bytes
+    else:
+        central = raw.rindex(name.encode()) - 46   # the member's central directory entry
+        for field in (info.header_offset + 8, central + 10):
+            raw[field:field + 2] = struct.pack("<H", 99)
+    with open(path, "wb") as fh:
+        fh.write(raw)
 
 
 class TestZEval:
@@ -191,6 +221,22 @@ class TestLadderVerbs:
         with open(built["cache"], "w") as fh:
             fh.write("{broken")
         assert run_cli("ladder", "query", *LADDER_ARGS, "--t", "1010") == EXIT_CACHE
+
+    @pytest.mark.parametrize("damage,raised", [
+        ("deflate", zlib.error), ("lzma", lzma.LZMAError), ("method_99", NotImplementedError)])
+    def test_damaged_compressed_member_exit(self, capsys, cache_env, damage, raised):
+        # zipfile raises neither OSError nor BadZipFile for these: the cache
+        # error, not a traceback and exit 1
+        assert run_cli("ladder", "build", "--t-lo", "1000", "--t-hi", "1020") == EXIT_OK
+        path = json.loads(capsys.readouterr().out)["cache"]
+        damage_member(path, damage)
+        with zipfile.ZipFile(path) as zf, pytest.raises(raised):
+            zf.read("coef.npy")
+        assert run_cli("ladder", "query", "--t-lo", "1000", "--t-hi", "1020",
+                       "--t", "1010") == EXIT_CACHE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cache error: ladder cache {path} unreadable: ")
 
     @pytest.mark.parametrize("tamper", ["coef_step", "coef_shape", "version_2"])
     def test_tampered_v3_cache_exit(self, capsys, cache_env, tamper):
@@ -633,6 +679,23 @@ class TestRun:
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert run.stdout.splitlines()[-1] == "[]"
+
+    def test_run_loads_no_openssl(self, tmp_path):
+        # the config hashes use CPython's own SHA-256, so neither the import
+        # nor a whole plan maps OpenSSL's libcrypto (hashlib's _hashlib)
+        code = (
+            "import sys\n"
+            "from zladder.cli import main\n"
+            "print('_hashlib' in sys.modules)\n"
+            f"assert main(['run', *{self.PLAN!r}, '--out', '-']) == 0\n"
+            "print('_hashlib' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(zladder.__file__))
+        env = {**os.environ, "ZLADDER_CACHE_ROOT": str(tmp_path / "cache"),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        lines = run.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("False", "False")
 
     @pytest.mark.parametrize("field,value,message", [
         ("equations", ("baseline", "theorem3"), "unknown plan equation 'theorem3'"),

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import json
 import math
@@ -621,6 +622,28 @@ class TestPanelsOnFirstUse:
         ulps = np.spacing(np.maximum(np.abs(t.phi[:-1]), np.abs(t.phi[1:])))
         assert np.all(np.abs(gram - steps) <= ulps)
         assert np.all(np.abs(np.diff(t.phi) - gram) <= ulps)
+
+    def test_load_check_bits_do_not_depend_on_its_block(self, plan_ladder, monkeypatch):
+        # the quadratic form is elementwise over each block of panels, and a
+        # block's rows are added in order, one panel's too (numpy would sum
+        # those pairwise), so the block size bounds the check's temporaries
+        # and moves no bit
+        from zladder.ladder import _square_integrals
+        t = plan_ladder
+        got = {}
+        for chunk in (1, 7, 1024, 4096):
+            monkeypatch.setattr(ladder_mod, "_GRAM_CHUNK", chunk)
+            got[chunk] = [x.hex() for x in _square_integrals(t.coef, t._half).tolist()]
+        assert len(got[1]) == len(t.coef) > 4096
+        assert got[7] == got[1] and got[1024] == got[1] and got[4096] == got[1]
+
+
+def test_ladder_config_hash_is_sha256_of_its_payload(ev):
+    # the name of the plan's cache file; the digest is hashlib's, without it
+    payload = (b"ladder(t_lo=1000.0,t_hi=7000.0,anchor=1010.0,h=1.0,tol=1e-08,"
+               b"rule=cheb32-lobatto+cheb16,z=" + ev.config_hash().encode() + b")")
+    digest = ladder_mod.ladder_config_hash(ev, 1000, 7000, 1e-8)
+    assert digest == hashlib.sha256(payload).hexdigest()[:16] == "5f998a5ec35784be"
 
 
 def test_locate_outside_the_range(small_ladder):

@@ -283,6 +283,12 @@ class TestZRs:
         payload = b"ZEvaluator(rs_correction_order=4,oracle_terms=8,t_min_rs=50.0)"
         assert ev.config_hash() == hashlib.sha256(payload).hexdigest()[:16]
 
+    @pytest.mark.parametrize("payload", ["", "x", "ladder(" + "9" * 200 + ")", "t\u2080=\u221e"])
+    def test_config_digest_is_hashlibs_sha256(self, payload):
+        # CPython's own SHA-256 module, which maps no OpenSSL, has its digests
+        want = hashlib.sha256(payload.encode()).hexdigest()[:16]
+        assert rszeta.config_digest(payload) == want
+
 
 class TestRemainderClenshaw:
     @pytest.mark.parametrize("size", [1, 2047, 2048, 2049, _CLENSHAW_CHUNK - 1,

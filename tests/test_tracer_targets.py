@@ -9,6 +9,8 @@ module level, so it is loaded here by path, without the benchmark harness.
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -44,3 +46,18 @@ def test_verify_binds_the_quadrature_driver():
     # the tracer replaces integrate_adaptive in every zladder module bound to
     # it, so verify's binding must be the quadrature module's object
     assert zladder.verify.integrate_adaptive is zladder.quadrature.integrate_adaptive
+
+
+def test_cli_import_loads_every_target_module():
+    # `Tracer.install` imports zladder.cli alone and then reads each owner
+    # module from sys.modules, so a target module that the CLI loads lazily
+    # fails every traced child with a KeyError; checked in a fresh interpreter
+    modules = sorted({owner.partition(":")[0] for _, owner, *_ in TARGETS})
+    code = ("import sys\n"
+            "import zladder.cli\n"
+            f"print([m for m in {modules!r} if m not in sys.modules])\n")
+    src = os.path.dirname(os.path.dirname(zladder.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "[]"
