@@ -97,9 +97,12 @@ def prime_pi(t) -> int | np.ndarray:
     for p in range(3, math.isqrt(limit) + 1, 2):
         if sieve[p // 2]:
             sieve[p * p // 2::p] = False
-    # the odd primes 2 i + 1 <= t: i <= (t - 1) / 2, exact in doubles for t >= 1
-    odd = np.searchsorted(np.flatnonzero(sieve), (ta - 1.0) / 2.0, side="right")
-    counts = odd + (ta >= 2.0)
+    # the odd primes 2 i + 1 <= t: i <= (t - 1) / 2, exact in doubles for t >= 1;
+    # the sieve is counted between the sorted ends that the points query
+    ends, where = np.unique(np.floor((ta.ravel() - 1.0) / 2.0) + 1.0, return_inverse=True)
+    bounds = [0, *ends.astype(np.int64).tolist()]
+    odd = np.cumsum([0] + [np.count_nonzero(sieve[a:b]) for a, b in zip(bounds, bounds[1:])])[1:]
+    counts = odd[where].reshape(ta.shape) + (ta >= 2.0)
     return counts if ta.ndim else int(counts)
 
 

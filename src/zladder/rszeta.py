@@ -3,8 +3,9 @@
 Two independent evaluation routes are provided and cross-checked in tests:
 
 * the Riemann-Siegel route (`z_rs`): main sum of length floor(sqrt(t/2pi))
-  plus the four remainder terms C_0..C_3 read from frozen Chebyshev tables,
-  the sum's tiles and the terms taken in turn by one worker thread per CPU;
+  plus the four remainder terms C_0..C_3 read from frozen Chebyshev tables;
+  each main-sum tile and each block of remainder terms is computed from t
+  alone, and the tasks are taken in turn by one worker thread per CPU;
 * the oracle route (`z_oracle`): Euler-Maclaurin summation of zeta(1/2+it)
   with ~2t terms and Bernoulli corrections, carried out in extended precision,
   then rotated by e^{i theta(t)}.
@@ -41,9 +42,9 @@ _LN_PI_LD = np.log(_LD(np.pi))
 # z_rs sums a chunk of _MAX_BLOCK // n_max points over one padded length
 # n_max, which fixes its bits (see ZEvaluator); it does not cap memory: the
 # chunk streams through tiles of _TILE // n_max rows, which stay in L2,
-# taken with the chunk's remainder terms by _WORKERS threads, one per CPU
-# this process may run on (up to _MAX_WORKERS; `taskset -c 0` leaves one),
-# each tile in a buffer of its own
+# taken with the chunk's remainder terms, in blocks of _TILE // order points,
+# by _WORKERS threads, one per CPU this process may run on (up to
+# _MAX_WORKERS; `taskset -c 0` leaves one), each tile in a buffer of its own
 _MAX_BLOCK = 4_000_000
 _TILE = 1 << 15
 _MAX_WORKERS = 4
@@ -52,33 +53,40 @@ _WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_
 _RS_T_MAX = 1e8        # z_rs's cap on t; see z_rs
 _ORACLE_T_MAX = 1e6    # theta_oracle's and z_oracle's cap on t; see z_oracle
 
-_CLENSHAW_CHUNK = 8192  # points per block: amortizes call overhead, stays in L2
 
+def _rs_terms(rem, lo, hi, t, order) -> None:
+    """rem[lo:hi] = the remainder of z_rs at t[lo:hi] from its first `order`
+    terms: the sum of C_k(p) a^-k over k < order, times (-1)^(n-1) / sqrt(a),
+    with a = sqrt(t/2pi), n = floor(a) and p = a - n.
 
-def _rs_terms(rs, lo, hi, p) -> None:
-    """rs[:, lo:hi] = C_0..C_{r-1} at p[lo:hi] (p in [0, 1], r the rows of
-    rs), in blocks of _CLENSHAW_CHUNK points.
-
-    One `_clenshaw` pass per block serves every table at once, as (r, 1)
-    columns broadcast over the block.  Each element sees the same operations
-    in the same order as a per-table recurrence, so the rows are bit-for-bit
-    those of evaluating each table on its own, whatever the blocks.
+    One `_clenshaw` pass per block of _TILE // order points serves every
+    table at once, as (order, 1) columns broadcast over the block.  Each
+    element sees the same operations in the same order as a per-table
+    recurrence, so its bits are those of evaluating each table on its own,
+    whatever the blocks.
     """
-    cols = RS_TERM_TABLES[:len(rs)].T
-    for s in range(lo, hi, _CLENSHAW_CHUNK):
-        e = min(hi, s + _CLENSHAW_CHUNK)
-        rs[:, s:e] = _clenshaw(cols, 2.0 * p[s:e] - 1.0, (slice(None), None))
+    cols = RS_TERM_TABLES[:order].T
+    step = _TILE // max(order, 1)
+    for s in range(lo, hi, step):
+        e = min(hi, s + step)
+        a = np.sqrt(t[s:e] / _TWO_PI)
+        n = np.floor(a)
+        inv_a = 1.0 / a
+        corr, fac = np.zeros_like(a), np.ones_like(a)
+        for row in _clenshaw(cols, 2.0 * (a - n) - 1.0, (slice(None), None)):
+            corr += row * fac
+            fac = fac * inv_a
+        rem[s:e] = np.where(n % 2 == 1, 1.0, -1.0) * corr / np.sqrt(a)
 
 
-def _main_sums(out, lo, hi, t, theta_t, n_len, n, ln_n, weight) -> None:
+def _main_sums(out, lo, hi, t, theta, n_len, n, ln_n, weight) -> None:
     """out[lo:hi] = the main sums of the tile t[lo:hi], each padded to
-    n.size terms.  Each row is summed on its own, so its bits do not depend
-    on its tile."""
+    n.size terms, with its phases from theta(t[lo:hi]).  Each row is summed
+    on its own, so its bits do not depend on its tile."""
     terms = np.empty((hi - lo, n.size))
-    # against int64 lengths, numpy would cast through ~130 kB of buffers
-    live = n <= n_len[lo:hi, None].astype(float)
+    live = n <= n_len[lo:hi, None]
     np.multiply(t[lo:hi, None], ln_n, out=terms)
-    np.subtract(theta_t[lo:hi, None], terms, out=terms)
+    np.subtract(theta(t[lo:hi])[:, None], terms, out=terms)
     np.cos(terms, out=terms, where=live)
     terms *= weight
     terms[~live] = 0.0
@@ -142,10 +150,12 @@ class ZEvaluator:
     taken in turn by up to _MAX_WORKERS threads, one per CPU the process may
     run on, each taking the next as it finishes the last; one worker's
     Clenshaw steps run while the others' cos releases the interpreter lock.
-    Each output row is written by one tile, and the remainder terms are
-    elementwise, so the bits do not depend on the worker count.  Memory is
-    one tile of ~_TILE terms per worker, plus the remainder terms of the
-    batch and one block's Clenshaw temporaries, whatever the chunk.
+    Each task computes what it writes from t alone: a tile its own theta, a
+    block of remainder terms its own a = sqrt(t/2pi).  Each output row is
+    written by one tile, and the remainder terms are elementwise, so the
+    bits do not depend on the worker count.  Memory is one tile of ~_TILE
+    terms per worker and one remainder block of as many, plus three doubles
+    a point (main-sum length, main sum and remainder), whatever the chunk.
 
     z_rs adds the four Riemann-Siegel remainder terms C_0..C_3 to the main
     sum, which keeps |z_rs - z_oracle| below ~6e-7 on [1e2, 1e5].  The three
@@ -202,43 +212,28 @@ class ZEvaluator:
             raise DomainError(f"z_rs requires t_min_rs = {self.t_min_rs} <= t <= "
                               f"{_RS_T_MAX:g}; use z_oracle below t_min_rs")
         flat = ta.ravel()
-        a = np.sqrt(flat / _TWO_PI)
-        n_len = np.floor(a).astype(np.int64)
-        theta_t = self.theta(flat)
-
-        p = a - n_len
-        out = np.empty_like(flat)
-        rs = np.empty((self.rs_correction_order, flat.size))
+        n_len = np.floor(np.sqrt(flat / _TWO_PI))
+        out, rem = np.empty_like(flat), np.empty_like(flat)
         start = 0
         while start < flat.size:
-            stop = flat.size
-            n_max = int(n_len[start:stop].max())
-            block = max(1, _MAX_BLOCK // max(n_max, 1))
-            stop = min(stop, start + block)
+            # every length is 2 to 3,989: _MAX_BLOCK // 3989 > 1000, _TILE // 3989 = 8
+            stop = min(flat.size, start + _MAX_BLOCK // int(n_len[start:].max()))
             n_max = int(n_len[start:stop].max())
             n = np.arange(1, n_max + 1, dtype=float)
             ln_n = np.log(n)
             weight = 1.0 / np.sqrt(n)
-            rows = max(1, _TILE // n_max)
+            rows = _TILE // n_max
             tiles = range(start, stop, rows)
             # the remainder terms go first, as one task: its Clenshaw steps
             # run beside the other workers' cos and never beside each other,
             # so one worker at a time holds their temporaries; the tiles even
             # out the ends.  A chunk of one tile starts no thread.
-            tasks = [partial(_rs_terms, rs, start, stop, p)]
-            tasks += [partial(_main_sums, out, lo, min(stop, lo + rows), flat, theta_t,
+            tasks = [partial(_rs_terms, rem, start, stop, flat, self.rs_correction_order)]
+            tasks += [partial(_main_sums, out, lo, min(stop, lo + rows), flat, self.theta,
                               n_len, n, ln_n, weight) for lo in tiles]
             _deal(tasks, min(_WORKERS, len(tiles)))
             start = stop
-
-        corr = np.zeros_like(flat)
-        fac = np.ones_like(flat)
-        inv_a = 1.0 / a
-        for row in rs:
-            corr += row * fac
-            fac = fac * inv_a
-        sign = np.where(n_len % 2 == 1, 1.0, -1.0)
-        out += sign * corr / np.sqrt(a)
+        out += rem
         return out.reshape(ta.shape) if ta.ndim else float(out[0])
 
     def rs_seams(self, lo, hi) -> list[tuple[int, float, float]]:

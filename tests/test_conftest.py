@@ -1,9 +1,13 @@
+import json
 import os
 import shutil
 import subprocess
 import sys
 
+import pytest
+
 import zladder
+from conftest import cached_meta, ladder_fingerprint
 
 FAILING_PROPERTY = '''
 from hypothesis import given, settings
@@ -30,3 +34,36 @@ def test_failing_property_prints_its_example_under_w_error(tmp_path):
     assert run.returncode == 1, run.stdout + run.stderr
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "Falsifying example: test_fails(" in run.stdout
+
+
+@pytest.mark.parametrize("meta", [
+    None,                                   # no metadata file
+    "{not json",
+    {"build_seconds": 9.0},                 # written before the fingerprint
+    {"build_seconds": 9.0, "fingerprint": {"numpy": "0.0"}},
+])
+def test_big_ladder_rebuilds_without_its_fingerprint(tmp_path, meta):
+    meta_path = tmp_path / "acceptance-ladder.npz.meta"
+    if meta is not None:
+        meta_path.write_text(meta if isinstance(meta, str) else json.dumps(meta))
+    assert cached_meta(meta_path) is None
+
+
+def test_big_ladder_reuses_a_cache_with_its_fingerprint(tmp_path):
+    meta = {"build_seconds": 9.0, "fingerprint": ladder_fingerprint()}
+    meta_path = tmp_path / "acceptance-ladder.npz.meta"
+    meta_path.write_text(json.dumps(meta))
+    assert cached_meta(meta_path) == meta
+
+
+def test_fingerprint_tracks_sources_and_cpu_features(tmp_path, monkeypatch):
+    src = tmp_path / "zladder"
+    shutil.copytree(os.path.dirname(zladder.__file__), src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    here = ladder_fingerprint(str(src))
+    assert here == ladder_fingerprint()
+    with open(src / "rszeta.py", "a") as fh:
+        fh.write("\n")
+    assert ladder_fingerprint(str(src))["sources"] != here["sources"]
+    monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", "AVX512_SPR")
+    assert ladder_fingerprint() != here

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,17 @@ class TestPrimePi:
         for t in (-1.0, 1e8 + 1.0, math.nan, [10.0, math.inf]):
             with pytest.raises(DomainError):
                 prime_pi(t)
+
+    def test_peak_memory_is_the_sieve(self):
+        # the odd numbers up to 1e7 sieve into 5 MB; counting them adds
+        # nothing of that size (a list of the primes' indices took 15.6 MB)
+        tracemalloc.start()
+        try:
+            assert prime_pi(1e7) == 664579
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 5e6
 
 
 class TestZtildeSq:

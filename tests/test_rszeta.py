@@ -17,13 +17,17 @@ from zladder import DomainError, ZEvaluator
 from zladder import rszeta
 from zladder.ladder import build_ladder
 from zladder._rs_terms import RS_TERM_TABLES
-from zladder.rszeta import _CLENSHAW_CHUNK, _MAX_BLOCK, _TILE, _rs_terms
+from zladder.rszeta import _MAX_BLOCK, _TILE, _rs_terms
+from zladder.specfun.orthopoly import _clenshaw
 
 # first two sign changes of Z, located by bisection on the oracle path
 ZERO_1 = 14.134725141734695
 ZERO_2 = 21.022039638771552
 THETA_100 = 87.97216523178722
 Z_SQ_500 = 2.168102674076738
+
+# the points of one block of z_rs's remainder task
+REM_BLOCK = _TILE // ZEvaluator.rs_correction_order
 
 
 def cheb_row(coeffs, p):
@@ -36,9 +40,18 @@ def cheb_row(coeffs, p):
     return u * b0 - b1 + coeffs[0]
 
 
-def rs_fraction(ts):
+def per_table_remainder(ts, order):
+    """The remainder z_rs adds at ts from its first `order` terms, summed
+    table by table over the whole batch: the reference the blocks of its
+    remainder task must match bit for bit."""
     a = np.sqrt(ts / (2.0 * np.pi))
-    return a, np.floor(a)
+    n = np.floor(a)
+    corr = np.zeros_like(ts)
+    fac = np.ones_like(ts)
+    for table in RS_TERM_TABLES[:order]:
+        corr += cheb_row(table, a - n) * fac
+        fac = fac * (1.0 / a)
+    return np.where(n % 2 == 1, 1.0, -1.0) * corr / np.sqrt(a)
 
 
 def z_rs_untiled(ev, t, order=ZEvaluator.rs_correction_order):
@@ -65,14 +78,7 @@ def z_rs_untiled(ev, t, order=ZEvaluator.rs_correction_order):
         terms[n[None, :] > n_len[sl, None]] = 0.0
         out[sl] = 2.0 * terms.sum(axis=1)
         start = stop
-    if order > 0:
-        corr = np.zeros_like(flat)
-        fac = np.ones_like(flat)
-        for table in RS_TERM_TABLES[:order]:
-            corr += cheb_row(table, a - n_len) * fac
-            fac = fac * (1.0 / a)
-        out += np.where(n_len % 2 == 1, 1.0, -1.0) * corr / np.sqrt(a)
-    return out
+    return out + per_table_remainder(flat, order)
 
 
 def tile_rows(t_hi):
@@ -97,15 +103,9 @@ def chunk_edge_batch(delta):
 
 @contextlib.contextmanager
 def remainder_terms(order):
-    """z_rs with only its first `order` remainder terms: the later rows
-    `_rs_terms` writes read as zeros, and a zero term adds nothing to the
-    sum."""
-    def rows(rs, lo, hi, p, _fn=rszeta._rs_terms):
-        _fn(rs, lo, hi, p)
-        rs[order:, lo:hi] = 0.0
-
+    """z_rs with only its first `order` remainder terms."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rszeta, "_rs_terms", rows)
+        mp.setattr(ZEvaluator, "rs_correction_order", order)
         yield
 
 
@@ -291,30 +291,19 @@ class TestZRs:
 
 
 class TestRemainderClenshaw:
-    @pytest.mark.parametrize("size", [1, 2047, 2048, 2049, _CLENSHAW_CHUNK - 1,
-                                      _CLENSHAW_CHUNK, _CLENSHAW_CHUNK + 1, 63000])
+    @pytest.mark.parametrize("size", [1, 2047, 2048, 2049, REM_BLOCK - 1,
+                                      REM_BLOCK, REM_BLOCK + 1, 63000])
     def test_rows_bitwise_per_table(self, size):
         ts = np.random.default_rng(size).uniform(50.0, 1.1e5, size)
-        a, n = rs_fraction(ts)
-        p = a - n
         for order in range(5):
-            rows = np.empty((order, size))
-            _rs_terms(rows, 0, size, p)
-            for j in range(order):
-                assert np.array_equal(rows[j], cheb_row(RS_TERM_TABLES[j], p)), \
-                    (order, j)
+            rem = np.empty(size)
+            _rs_terms(rem, 0, size, ts, order)
+            assert np.array_equal(rem, per_table_remainder(ts, order)), order
 
     @pytest.mark.parametrize("order", range(1, 5))
     def test_z_rs_bitwise_against_per_table_remainder(self, ev, order):
         ts = np.random.default_rng(order).uniform(50.0, 1.1e5, 2049)
-        a, n = rs_fraction(ts)
-        corr = np.zeros_like(ts)
-        fac = np.ones_like(ts)
-        for j in range(order):
-            corr += cheb_row(RS_TERM_TABLES[j], a - n) * fac
-            fac = fac * (1.0 / a)
-        sign = np.where(n % 2 == 1, 1.0, -1.0)
-        want = z_rs_untiled(ev, ts, order=0) + sign * corr / np.sqrt(a)
+        want = z_rs_untiled(ev, ts, order=0) + per_table_remainder(ts, order)
         with remainder_terms(order):
             assert np.array_equal(ev.z_rs(ts), want)
 
@@ -338,8 +327,7 @@ class TestRemainderTables:
     def test_series_match_the_closed_forms(self):
         mp = pytest.importorskip("mpmath")
         ps = np.array([0.0, 0.03] + [k / 10 for k in range(1, 11)])
-        rows = np.empty((4, ps.size))
-        _rs_terms(rows, 0, ps.size, ps)
+        rows = _clenshaw(RS_TERM_TABLES.T, 2.0 * ps - 1.0, (slice(None), None))
         with mp.workdps(40):
             want = np.array([[float(c) for c in rs_remainder_terms(mp.mpf(p))]
                              for p in ps.tolist()]).T
@@ -349,6 +337,8 @@ class TestRemainderTables:
 PEAK_CASES = [
     (99000.0, 99500.0, 16500, 4.0),     # a build batch at 1e5: 47.8 MB untiled
     (1e8 - 1e3, 1e8, 3000, 2.0),        # n_max = 3,989: 121.9 MB untiled
+    (1e3, 4e3, 99000, 6.0),             # n_max = 25: 11.9 MB with whole-batch
+                                        # remainder rows, theta and epilogue
 ]
 
 
@@ -445,12 +435,12 @@ class TestWorkers:
     @pytest.mark.parametrize("size", ["chunk-1", "chunk+1", "chunks+1"])
     @pytest.mark.parametrize("batch", ["full-length", "mixed-descending"])
     def test_remainder_blocks_match_untiled(self, ev, workers, size, batch):
-        # the remainder terms run in blocks of _CLENSHAW_CHUNK points, one
-        # task beside the tiles: on [99000, 99500] every point has
+        # the remainder terms run in blocks of REM_BLOCK points, one task
+        # beside the tiles: on [99000, 99500] every point has
         # n_len = 125, so no tile pads a row; from 99,500 down to 1e3 every
         # tile after the first pads its rows
-        m = {"chunk-1": _CLENSHAW_CHUNK - 1, "chunk+1": _CLENSHAW_CHUNK + 1,
-             "chunks+1": 2 * _CLENSHAW_CHUNK + 1}[size]
+        m = {"chunk-1": REM_BLOCK - 1, "chunk+1": REM_BLOCK + 1,
+             "chunks+1": 2 * REM_BLOCK + 1}[size]
         rng = np.random.default_rng(m)
         if batch == "full-length":
             ts = rng.uniform(99000.0, 99500.0, m)
@@ -557,7 +547,7 @@ class TestWorkers:
         monkeypatch.setattr(rszeta, "_main_sums", main_sums)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="remainder failed"):
-            ev.z_rs(np.linspace(99000.0, 99500.0, 2 * _CLENSHAW_CHUNK + 1))
+            ev.z_rs(np.linspace(99000.0, 99500.0, 2 * REM_BLOCK + 1))
         assert 0 in done
         assert threading.active_count() == before
 
