@@ -84,26 +84,64 @@ def ladder_config_hash(evaluator: ZEvaluator, t_lo: float, t_hi: float,
     return config_digest(payload)
 
 
+_PI_STEP = 10**6
+# pi(j * _PI_STEP) for j = 0..100
+_PI_AT_STEPS = np.array([
+    0, 78498, 148933, 216816, 283146, 348513, 412849, 476648, 539777, 602489,
+    664579, 726517, 788060, 849252, 910077, 970704, 1031130, 1091314, 1151367, 1211050,
+    1270607, 1329943, 1389261, 1448221, 1507122, 1565927, 1624527, 1683065, 1741430, 1799676,
+    1857859, 1915979, 1973815, 2031667, 2089379, 2146775, 2204262, 2261623, 2318966, 2376402,
+    2433654, 2490756, 2547620, 2604535, 2661384, 2718160, 2775053, 2831693, 2888144, 2944531,
+    3001134, 3057494, 3113843, 3170052, 3226203, 3282200, 3338330, 3394435, 3450336, 3506314,
+    3562115, 3618045, 3673600, 3729306, 3785086, 3840554, 3896123, 3951767, 4007342, 4062674,
+    4118064, 4173373, 4228658, 4284089, 4339254, 4394304, 4449611, 4504535, 4559544, 4614444,
+    4669382, 4724409, 4779430, 4834317, 4889139, 4943731, 4998470, 5053180, 5107832, 5162565,
+    5216954, 5271659, 5326237, 5380681, 5435104, 5489749, 5544201, 5598565, 5652996, 5707123,
+    5761455,
+])
+
+
+def _odd_sieve(lo: int, m: int, divisors) -> np.ndarray:
+    """Entry i: whether lo + 2 i + 1 is prime, for i < m and an even lo >=
+    0.  `divisors` are odd numbers that include every odd prime up to
+    sqrt(lo + 2 m - 1); each strikes its odd multiples from its square on."""
+    sieve = np.ones(m, dtype=bool)
+    if lo == 0:
+        sieve[:1] = False   # 1 is not prime
+    for p in divisors:
+        q = max(p * p, (lo // p + 1) * p)   # p's first multiple past lo, from p^2 on
+        if q % 2 == 0:
+            q += p
+        sieve[(q - lo - 1) // 2::p] = False
+    return sieve
+
+
 def prime_pi(t) -> int | np.ndarray:
-    """pi(t) = #{primes <= t} for 0 <= t <= 1e8, from one sieve of the odd
-    numbers up to max(t): entry i stands for 2 i + 1, and the prime 2 is
+    """pi(t) = #{primes <= t} for 0 <= t <= 1e8: the frozen count
+    `_PI_AT_STEPS` at the last multiple j 1e6 <= t, plus the odd primes in
+    (j 1e6, t] from a sieve of that segment's odd numbers (`_odd_sieve`),
+    sieved once for all its points, up to the largest; the prime 2 is
     counted apart."""
     ta = np.asarray(t, dtype=float)
     if not np.all((ta >= 0.0) & (ta <= 1e8)):   # NaN fails
         raise DomainError("prime_pi requires 0 <= t <= 1e8")
-    limit = int(ta.max(initial=0.0))
-    sieve = np.ones((limit + 1) // 2, dtype=bool)
-    sieve[:1] = False   # 1 is not prime
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if sieve[p // 2]:
-            sieve[p * p // 2::p] = False
-    # the odd primes 2 i + 1 <= t: i <= (t - 1) / 2, exact in doubles for t >= 1;
-    # the sieve is counted between the sorted ends that the points query
-    ends, where = np.unique(np.floor((ta.ravel() - 1.0) / 2.0) + 1.0, return_inverse=True)
-    bounds = [0, *ends.astype(np.int64).tolist()]
-    odd = np.cumsum([0] + [np.count_nonzero(sieve[a:b]) for a, b in zip(bounds, bounds[1:])])[1:]
-    counts = odd[where].reshape(ta.shape) + (ta >= 2.0)
-    return counts if ta.ndim else int(counts)
+    n = np.floor(ta.ravel()).astype(np.int64)   # pi(t) = pi(floor t)
+    seg = n // _PI_STEP
+    counts = _PI_AT_STEPS[seg] + ((n >= 2) & (seg == 0))
+    root = math.isqrt(int(n.max(initial=0)))
+    base = (2 * np.flatnonzero(_odd_sieve(0, (root + 1) // 2,
+                                          range(3, math.isqrt(root) + 1, 2))) + 1).tolist()
+    for j in sorted(set(seg.tolist())):   # np.unique(seg) would import numpy.ma, 1.2 MB
+        at = np.flatnonzero(seg == j)
+        lo = j * _PI_STEP
+        # the odd numbers in (lo, n] are the first (n - lo + 1) // 2 past lo;
+        # the sieve is counted between the sorted ends that the points query
+        ends, where = np.unique((n[at] - lo + 1) // 2, return_inverse=True)
+        sieve = _odd_sieve(lo, int(ends[-1]), base)
+        bounds = [0, *ends.tolist()]
+        counts[at] += np.cumsum([np.count_nonzero(sieve[a:b])
+                                 for a, b in zip(bounds, bounds[1:])])[where]
+    return counts.reshape(ta.shape) if ta.ndim else int(counts[0])
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +178,21 @@ def _antiderivative(coef: np.ndarray, half: np.ndarray) -> np.ndarray:
     c = np.ascontiguousarray(coef.T)
     n = len(c)
     sq = np.zeros((2 * n + 1, c.shape[1]))   # twice p^2, two zero rows past it
+    products = np.empty((n - 1, c.shape[1]))   # every degree's cross products
     for i, ci in enumerate(c):
-        sq[2 * i] += ci * ci
-        sq[0] += ci * ci
-        cross = 2.0 * ci * c[i + 1:]
+        square = ci * ci
+        sq[2 * i] += square
+        sq[0] += square
+        cross = np.multiply(2.0 * ci, c[i + 1:], out=products[:n - 1 - i])
         sq[2 * i + 1:i + n] += cross
         sq[1:n - i] += cross
     sq[0] *= 2.0
     anti = np.zeros((2 * n, c.shape[1]))
-    anti[1:] = (sq[:-2] - sq[2:]) / (4.0 * np.arange(1, 2 * n))[:, None]
+    np.subtract(sq[:-2], sq[2:], out=anti[1:])
+    anti[1:] /= (4.0 * np.arange(1, 2 * n))[:, None]
     anti[0] = -_clenshaw(anti, np.full(c.shape[1], -1.0), slice(None))
-    return anti * half
+    anti *= half
+    return anti
 
 
 def _steps(anti: np.ndarray) -> np.ndarray:   # whole-panel integrals

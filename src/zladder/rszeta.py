@@ -71,9 +71,12 @@ def _rs_terms(rem, lo, hi, t, order) -> None:
         e = min(hi, s + step)
         a = np.sqrt(t[s:e] / _TWO_PI)
         n = np.floor(a)
+        # the pass before the correction's arrays, which so do not add to
+        # its three buffers
+        rows = _clenshaw(cols, 2.0 * (a - n) - 1.0, (slice(None), None))
         inv_a = 1.0 / a
         corr, fac = np.zeros_like(a), np.ones_like(a)
-        for row in _clenshaw(cols, 2.0 * (a - n) - 1.0, (slice(None), None)):
+        for row in rows:
             corr += row * fac
             fac = fac * inv_a
         rem[s:e] = np.where(n % 2 == 1, 1.0, -1.0) * corr / np.sqrt(a)

@@ -1,7 +1,9 @@
 """Jacobi, Legendre and Chebyshev polynomials with their weighted norms, and
-the one copy of Clenshaw's recurrence for a Chebyshev series, on Python
-floats or arrays, which the Riemann-Siegel remainder terms, the ladder panels
-and the Bessel proxies evaluate."""
+Clenshaw's recurrence for a Chebyshev series, which the Riemann-Siegel
+remainder terms, the ladder panels and the Bessel proxies evaluate: one
+operation order in two loops, an in-place one on arrays (`_clenshaw`) and
+one on Python floats (`_clenshaw_rev`), so a point keeps its bits on
+either."""
 
 from __future__ import annotations
 
@@ -96,15 +98,30 @@ def poly_norm_sq(spec: PolyFamilySpec, n: int) -> float:
 
 def _clenshaw(cols, x, k):
     """sum_j cols[j][k] T_j(x), pointwise, for a (terms, ...) array `cols`
-    (terms by panels, or by tables) and an array x: `_clenshaw_rev` on the
-    rows `row[k]` gathered per step."""
-    return _clenshaw_rev((row[k] for row in cols[:0:-1]), cols[0][k], x)
+    (terms by panels, or by tables) and an array x, with the rows `row[k]`
+    gathered per step.  The recurrence of `_clenshaw_rev`, each step's
+    operations in its order, run in three buffers of the broadcast shape
+    allocated once per call: a step writes the new b1 into the buffer of the
+    b2 it drops."""
+    head = cols[0][k]
+    shape = np.broadcast_shapes(np.shape(x), np.shape(head))
+    b1, b2, tmp = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    x2 = 2.0 * x
+    for row in cols[:0:-1]:   # b1, b2 = x2 * b1 - b2 + c, b1
+        np.multiply(x2, b1, out=tmp)
+        tmp -= b2
+        tmp += row[k]
+        b1, b2, tmp = tmp, b1, b2
+    np.multiply(x, b1, out=tmp)
+    tmp -= b2
+    tmp += head
+    return tmp
 
 
 def _clenshaw_rev(rest, head, x):
     """sum_j c_j T_j(x) for a column c held as `rest = c[:0:-1]` and `head =
-    c[0]`, on Python floats or arrays alike: the only copy of the recurrence,
-    so a point keeps its bits on either."""
+    c[0]`, on Python floats (or arrays): the float loop of `_clenshaw`, with
+    its operations in its order."""
     x2 = 2.0 * x
     b1 = b2 = 0.0
     for c in rest:

@@ -77,6 +77,26 @@ def prime_pi(t):
     return counts if ta.ndim else int(counts)
 
 
+def antiderivative_reference(coef, half):
+    """`zladder.ladder._antiderivative` as it was before it worked in place:
+    a new array for every product, rule and scaling, and the array Clenshaw
+    recurrence as `_clenshaw_rev` on the table's rows."""
+    c = np.ascontiguousarray(coef.T)
+    n = len(c)
+    sq = np.zeros((2 * n + 1, c.shape[1]))   # twice p^2, two zero rows past it
+    for i, ci in enumerate(c):
+        sq[2 * i] += ci * ci
+        sq[0] += ci * ci
+        cross = 2.0 * ci * c[i + 1:]
+        sq[2 * i + 1:i + n] += cross
+        sq[1:n - i] += cross
+    sq[0] *= 2.0
+    anti = np.zeros((2 * n, c.shape[1]))
+    anti[1:] = (sq[:-2] - sq[2:]) / (4.0 * np.arange(1, 2 * n))[:, None]
+    anti[0] = -_clenshaw_rev(anti[:0:-1], anti[0], np.full(c.shape[1], -1.0))
+    return anti * half
+
+
 def rs_remainder_terms(p):
     """C_0..C_3(p) of the Riemann-Siegel remainder, p an mpf, from the closed
     forms in the `zladder._rs_terms` docstring, at mpmath's working

@@ -89,15 +89,39 @@ class TestPrimePi:
                 prime_pi(t)
 
     def test_peak_memory_is_the_sieve(self):
-        # the odd numbers up to 1e7 sieve into 5 MB; counting them adds
-        # nothing of that size (a list of the primes' indices took 15.6 MB)
+        # one segment's odd numbers, (99e6, t], sieve into 0.5 MB (a sieve
+        # of every odd number up to t took 50 MB); the primes in (t, 1e8]
+        # are 99999959, 99999971 and 99999989
         tracemalloc.start()
         try:
-            assert prime_pi(1e7) == 664579
+            assert prime_pi(99999950.0) == 5761455 - 3
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * 5e6
+        assert peak <= 2e6
+
+    @pytest.fixture(scope="class")
+    def counted(self):
+        """Points at and beside every multiple of `_PI_STEP` and across the
+        domain, with the oracle's counts, from one sieve up to 1e8."""
+        steps = np.arange(len(ladder_mod._PI_AT_STEPS)) * float(ladder_mod._PI_STEP)
+        rng = np.random.default_rng(48)
+        ts = np.concatenate([steps, np.clip(steps[:, None] + [-1.0, -0.5, 0.5, 1.0], 0.0, 1e8).ravel(),
+                             rng.uniform(0.0, 1e8, 400), np.floor(rng.uniform(0.0, 1e8, 400)),
+                             rng.uniform(0.0, 3e3, 100)])
+        return ts, oracles.prime_pi(ts)
+
+    def test_table_is_the_oracles(self, counted):
+        ts, want = counted
+        table = ladder_mod._PI_AT_STEPS
+        assert table.tolist() == want[:len(table)].tolist()
+
+    def test_segment_edges_and_random_points(self, counted):
+        # one call over every segment, and each edge point in a call of its own
+        ts, want = counted
+        assert prime_pi(ts).tolist() == want.tolist()
+        edges = 5 * len(ladder_mod._PI_AT_STEPS)
+        assert [prime_pi(t) for t in ts[:edges].tolist()] == want[:edges].tolist()
 
 
 class TestZtildeSq:
@@ -1100,6 +1124,54 @@ def test_clenshaw_leading_zero_steps(col):
     xs = np.array([-1.0, -0.3, -0.0, 0.0, 0.7, 1.0])
     got = _pinned_clenshaw(np.array(col)[:, None], xs, (slice(None), None))
     assert got == [_clenshaw_rev(col[:0:-1], col[0], x).hex() for x in xs.tolist()]
+
+
+def _extreme_coefficients(panels, terms, rng):
+    """(panels, terms) coefficients, each panel of one kind: ordinary values
+    over 40 decades; a tail of +-0.0 coefficients; +-1e150, +-1e-160 and
+    subnormals, whose products reach 1e300 or underflow; or one 1e200,
+    whose square overflows."""
+    coef = rng.standard_normal((panels, terms)) * 10.0 ** rng.integers(-20, 21, (panels, terms))
+    kind = rng.integers(0, 4, panels)
+    for i in np.flatnonzero(kind == 1).tolist():
+        lead = int(rng.integers(1, terms + 1))
+        coef[i, terms - lead:] = rng.choice([0.0, -0.0], lead)
+    extreme = (kind[:, None] == 2) & (rng.random((panels, terms)) < 0.5)
+    coef[extreme] = rng.choice([1e150, -1e150, 1e-160, -1e-160, 5e-324, -5e-324, 0.0, -0.0],
+                               np.count_nonzero(extreme))
+    coef[kind == 3, rng.integers(0, terms)] = 1e200
+    return coef
+
+
+@pytest.mark.parametrize("terms", [ladder_mod._DEGREE // 2 + 1, ladder_mod._DEGREE + 1])
+@pytest.mark.parametrize("panels", [1, 2, 17, 500, 3000])
+def test_antiderivative_keeps_the_reference_bits(panels, terms):
+    # the in-place antiderivative and its whole-panel steps against the
+    # version with a new array per operation, `oracles.antiderivative_reference`
+    rng = np.random.default_rng(panels * terms)
+    coef = _extreme_coefficients(panels, terms, rng)
+    half = np.where(rng.random(panels) < 0.2, 0.5, rng.uniform(1e-12, 0.5, panels))
+    with np.errstate(all="ignore"):
+        got = ladder_mod._antiderivative(coef, half)
+        want = oracles.antiderivative_reference(coef, half)
+        steps = ladder_mod._steps(got)
+        want_steps = _clenshaw_rev(want[:0:-1], want[0], np.ones(panels))
+    assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+    assert [v.hex() for v in steps.tolist()] == [v.hex() for v in want_steps.tolist()]
+
+
+def test_antiderivative_peak_memory():
+    # 500 panels: the table of p^2, one buffer of cross products and the
+    # antiderivative (1.25 MB with a new array per product, rule and scaling)
+    rng = np.random.default_rng(500)
+    coef, half = rng.standard_normal((500, ladder_mod._DEGREE + 1)), rng.uniform(0.1, 0.5, 500)
+    tracemalloc.start()
+    try:
+        ladder_mod._antiderivative(coef, half)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0e6
 
 
 class TestInvertMemo:

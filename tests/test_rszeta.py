@@ -307,6 +307,19 @@ class TestRemainderClenshaw:
         with remainder_terms(order):
             assert np.array_equal(ev.z_rs(ts), want)
 
+    def test_block_peak_memory(self):
+        # one block's Clenshaw pass, (4, REM_BLOCK) rows, in its three
+        # buffers (1.12 MB with a new array per step)
+        x = 2.0 * np.random.default_rng(4).random(REM_BLOCK) - 1.0
+        cols = RS_TERM_TABLES.T
+        tracemalloc.start()
+        try:
+            _clenshaw(cols, x, (slice(None), None))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.95e6
+
 
 class TestRemainderTables:
     """The stored tables against a generator, `oracles.rs_term_tables`, that
