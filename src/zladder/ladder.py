@@ -11,17 +11,21 @@ agrees to the panel's share of the tolerance, so no other base width is
 offered.  `save` and `load` keep checkpoints and coefficients in a
 versioned, validated `.npz`.
 
-`eval` of one float runs on Python floats (one panel's phi_1 column, read
-from the table's row on each call in the order the Clenshaw recurrence
-takes it), with the array path's IEEE operations in the same order, so a
-point has the same bits either way.  `invert` takes one float and solves on
-the one panel whose checkpoint values bracket it, with those operations: one
-reader gives phi_1 at each point it visits, once, from one Clenshaw pass
-over the panel's column strictly inside the panel and through `eval`
-elsewhere, and a Newton step takes p from one more pass.  An iterate leaves
-the panel only where it is one ulp wide, and the bracket then ends Newton
-in that step, so `invert` never calls `ztilde_sq`, which has the array path
-alone.  The recurrences are `specfun.orthopoly`'s.  A verification window
+A panel's antiderivative row is built, with phi_1 and p at the panel's
+midpoint, the first time a point of a batch or a float lands in its aligned
+block of `_ANTI_BLOCK` panels, with the rest of the block.  `eval` and
+`ztilde_sq` of one float run on Python floats (one panel's phi_1 or p
+column, read from the table's row on each call in the order the Clenshaw
+recurrence takes it), with the array path's IEEE operations in the same
+order, so a point has the same bits either way.  `invert` takes one float
+and solves on the one panel whose checkpoint values bracket it, with those
+operations: one reader gives phi_1 at each point it visits, once, from one
+Clenshaw pass over the panel's column strictly inside the panel and through
+`eval` elsewhere, and a Newton step takes p from one more pass; the first
+iterate, the midpoint, reads both from the values built with the row.  An
+iterate leaves the panel only where it is one ulp wide, and the bracket
+then ends Newton in that step, so `invert` never calls `ztilde_sq`.  The
+recurrences are `specfun.orthopoly`'s.  A verification window
 works in a panel's own coordinate x, which resolves a panel to ~1e-16 at
 any t: `locate` and `solve_rise` find its ends, and `slopes` the mean slope
 of phi_1 between two points without cancellation (`_mean_slopes`), on
@@ -59,8 +63,9 @@ _DEGREE = 32                 # of p on every panel; the check uses DEGREE / 2
 # panels per evaluation batch; it also fixes the batches Z is evaluated in,
 # and with them Z's bits (see ZEvaluator), so changing it moves ladder bits
 _BUILD_CHUNK = 3000
-# panels whose antiderivative rows a cold scalar lookup builds in one call:
-# the call's overhead, not its rows, dominates (one row ~0.4 ms, 64 ~0.8 ms)
+# the aligned blocks of panels whose antiderivative rows a point's first
+# lookup builds in one call: the call's overhead, not its rows, dominates
+# (one row ~0.35 ms, 64 with their midpoint values ~0.55 ms, 500 ~1.0 ms)
 _ANTI_BLOCK = 64
 _MAX_SPLIT_ROUNDS = 30
 _PANEL_RULE = "cheb32-lobatto+cheb16"
@@ -264,39 +269,57 @@ class LadderTable:
         self.anchor_value = self.phi.item(int(np.searchsorted(self.edges, self.anchor_t0)))
         self._mid = 0.5 * (self.edges[:-1] + self.edges[1:])
         self._half = 0.5 * (self.edges[1:] - self.edges[:-1])
-        # the antiderivative of p^2, one row per panel, built on first use
-        # (racing threads write equal bits; a row is read only once built)
+        # the antiderivative of p^2, one row per panel, and phi_1 and p at the
+        # panel's midpoint, built on first use (racing threads write equal
+        # bits; a row is read only once built)
         self._anti = np.empty((len(self._half), 2 * _DEGREE + 2))
+        self._at_mid = np.empty((len(self._half), 2))
         self._built = np.zeros(len(self._half), dtype=bool)
 
     def config_hash(self) -> str:
         return ladder_config_hash(self.evaluator, self.t_lo, self.t_hi,
                                   self.build_tolerance)
 
-    def _anti_rows(self, k: np.ndarray) -> np.ndarray:
-        """The antiderivative table, with the rows of the panels `k` built.
-        A panel's row does not depend on the others built with it."""
+    def _anti_rows(self, k) -> np.ndarray:
+        """The antiderivative table, with the rows built of every aligned
+        block of `_ANTI_BLOCK` panels that the panel or panels `k` touch,
+        and with each new panel's phi_1 and p at its midpoint (x = 0.0) as
+        `eval` and the p column's `_clenshaw_rev` give them.  A panel's row
+        does not depend on the others built with it."""
         if not self._built[k].all():
-            new = np.zeros_like(self._built)
-            new[k] = True
-            new &= ~self._built
-            todo = np.flatnonzero(new)
-            self._anti[todo] = _antiderivative(self.coef[todo], self._half[todo]).T
+            blocks = np.zeros(-(-len(self._built) // _ANTI_BLOCK), dtype=bool)
+            blocks[np.asarray(k) // _ANTI_BLOCK] = True
+            todo = np.flatnonzero(np.repeat(blocks, _ANTI_BLOCK)[:len(self._built)]
+                                  & ~self._built)
+            coef, lo = self.coef[todo], self.phi[todo]
+            anti = _antiderivative(coef, self._half[todo])
+            self._anti[todo] = anti.T
+            at_mid = lo + _clenshaw(anti, 0.0, slice(None))
+            self._at_mid[todo, 0] = np.minimum(np.maximum(at_mid, lo), self.phi[todo + 1])
+            self._at_mid[todo, 1] = _clenshaw(coef.T, 0.0, slice(None))
             self._built[todo] = True
         return self._anti
 
     def _phi_column(self, k: int) -> tuple:
         """Panel k's antiderivative as Python floats, as `_clenshaw_rev`
         takes it: its reversed tail and head, read from the table's row on
-        each call, so nothing is kept per panel.  A panel not yet built is
-        built with the rest of its aligned block of `_ANTI_BLOCK` panels."""
+        each call, so nothing is kept per panel (`_anti_rows` builds it)."""
         if not self._built.item(k):
-            lo = k - k % _ANTI_BLOCK
-            self._anti_rows(np.arange(lo, min(lo + _ANTI_BLOCK, len(self._half))))
+            self._anti_rows(k)
         return self._anti[k, :0:-1].tolist(), self._anti.item(k, 0)
 
-    def _columns(self, k: int) -> tuple:   # `_phi_column(k)`, then p's the same way
-        return *self._phi_column(k), self.coef[k, :0:-1].tolist(), self.coef.item(k, 0)
+    def _p_column(self, k: int) -> tuple:   # p's column, as `_phi_column` gives phi_1's
+        return self.coef[k, :0:-1].tolist(), self.coef.item(k, 0)
+
+    def _columns(self, k: int) -> tuple:   # `_phi_column(k)`, then `_p_column(k)`
+        return *self._phi_column(k), *self._p_column(k)
+
+    def _point(self, t: float) -> tuple[int, float]:
+        """`_panels` for one float t: its panel index and its coordinate there."""
+        if not self.t_lo <= t <= self.t_hi:   # NaN fails
+            raise DomainError(f"ladder evaluation outside [{self.t_lo}, {self.t_hi}]")
+        k = min(int(self.edges.searchsorted(t, side="right")) - 1, len(self._half) - 1)
+        return k, (float(t) - self._mid.item(k)) / self._half.item(k)   # a Python float
 
     def _panels(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """t flattened, its panel indices and its coordinates on them."""
@@ -309,7 +332,12 @@ class LadderTable:
 
     def ztilde_sq(self, t) -> float | np.ndarray:
         """p(t)^2, the stored derivative of phi_1 (Ztilde^2 to the build
-        tolerance); t in [t_lo, t_hi]."""
+        tolerance); t in [t_lo, t_hi].  A float runs on p's column as
+        Python floats, with the array path's bits."""
+        if isinstance(t, float):
+            k, x = self._point(t)
+            p = _clenshaw_rev(*self._p_column(k), x)
+            return p * p
         flat, k, x = self._panels(t)
         out = _clenshaw(self.coef.T, x, k) ** 2
         return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
@@ -319,15 +347,12 @@ class LadderTable:
         the antiderivative of p^2 on the panel, clamped to the right one.
         Each point is evaluated on its own: its bits ignore the batch."""
         if isinstance(t, float):
-            if not self.t_lo <= t <= self.t_hi:   # NaN fails
-                raise DomainError(f"ladder evaluation outside [{self.t_lo}, {self.t_hi}]")
+            k, x = self._point(t)
             if t == self.t_hi:
                 return self.phi_hi
-            k = int(self.edges.searchsorted(t, side="right")) - 1   # t < t_hi: a panel
             lo = self.phi.item(k)
             if t == self.edges.item(k):
                 return lo
-            x = (float(t) - self._mid.item(k)) / self._half.item(k)   # a Python float
             v = lo + _clenshaw_rev(*self._phi_column(k), x)
             return min(max(v, lo), self.phi.item(k + 1))
         flat, k, x = self._panels(t)
@@ -399,9 +424,12 @@ class LadderTable:
         bracket y; else the solve raises.  One reader, `value`, gives
         phi_1 at a point as `eval` does, each point once: strictly inside
         panel k from one `_clenshaw_rev` pass over the panel's column,
-        elsewhere through `eval`.  A Newton step takes p from one more pass;
-        an iterate off the panel (only where the panel is one ulp wide)
-        ends Newton by the bracket test in that step, so it takes no slope.
+        elsewhere through `eval`.  A Newton step takes p from one more pass,
+        except at the first iterate, the panel's midpoint (x = 0.0): strictly
+        inside the panel, phi_1 and p there were built with its row
+        (`_anti_rows`).  An iterate off the panel (only where the panel is
+        one ulp wide, the midpoint too) ends Newton by the bracket test in
+        that step, so it takes no slope.
         A solve is deterministic, so a repeated y returns the identical
         float.
         """
@@ -429,17 +457,21 @@ class LadderTable:
                 seen[c] = v
             return v
 
-        t = 0.5 * (lo + hi)   # the midpoint: x = 0.0 on the first step
+        # the first iterate is the midpoint (x = 0.0), whose phi_1 and p were
+        # built with the panel's row; each later iterate takes p when chosen
+        t, p = mid, 0.0
+        if e_lo < t < e_hi:
+            seen[t], p = self._at_mid[k].tolist()
         for _ in range(80):
             ft = value(t) - y
             lo, hi = (lo, t) if ft > 0.0 else (t, hi)
             # Newton step on the stored derivative, safeguarded by the bracket;
             # a step below two ulps of t is left to the search below
-            p = _clenshaw_rev(c_rest, c_head, (t - mid) / half) if e_lo < t < e_hi else 0.0
             step = ft / (p * p) if p * p > 1e-18 else math.inf
             if abs(step) <= 2.0 * math.ulp(t) or hi - lo <= 4.0 * math.ulp(hi):
                 break
             t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
+            p = _clenshaw_rev(c_rest, c_head, (t - mid) / half) if e_lo < t < e_hi else 0.0
         # the best double among t and its four neighbours on either side
         below, above = [t], [t]
         for _ in range(4):

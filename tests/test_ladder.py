@@ -434,6 +434,21 @@ def test_slopes_on_floats_keep_the_array_bits(small_ladder, data):
     assert [v.hex() for v in got] == [float(v[0]).hex() for v in want]
 
 
+@pytest.mark.parametrize("name", ["query_ladder", "plan_ladder"])
+def test_ztilde_sq_on_floats_keeps_the_array_bits(request, name):
+    # a float runs on p's column as Python floats, with the array path's
+    # panel rule: 2,000 stratified t, and every checkpoint, t_hi among them,
+    # with the doubles beside it
+    table = request.getfixturevalue(name)
+    m = 2000
+    u = (np.arange(m) + np.random.default_rng(2).random(m)) / m
+    ts = np.concatenate([np.minimum(table.t_lo + u * (table.t_hi - table.t_lo), table.t_hi),
+                         _special_ts(table)])
+    got = [table.ztilde_sq(t) for t in ts.tolist()]
+    assert all(type(v) is float for v in got)
+    assert [v.hex() for v in got] == [v.hex() for v in table.ztilde_sq(ts).tolist()]
+
+
 # (t, eval(t), ztilde_sq(t)) on small_ladder as float.hex: the checkpoints
 # t_lo and 1017, interior points and t_hi.  The float and the array path share
 # one Clenshaw recurrence, so comparing them cannot see a change to it.
@@ -520,19 +535,23 @@ class TestPanelsOnFirstUse:
         assert not table._built.any()
 
     def test_only_the_panels_touched(self, small_ladder):
-        # a batch builds the panels its points land on; a float builds the
-        # aligned block of _ANTI_BLOCK panels around its own
+        # a batch and a float alike build every aligned block of _ANTI_BLOCK
+        # panels that their points land on, and no other
         table = fresh(small_ladder)
         state = set(vars(table))
         block = ladder_mod._ANTI_BLOCK
-        assert len(table.coef) > block + 9
+        assert 2 * block > len(table.coef) > block + 9
         mid = 0.5 * (table.edges[:-1] + table.edges[1:])
+        table.ztilde_sq(mid[block:])   # p itself needs no antiderivative
+        table.ztilde_sq(float(mid[block + 9]))
+        assert not table._built.any()
         table.eval(mid[[7, 5, 7]])
-        assert np.flatnonzero(table._built).tolist() == [5, 7]
+        assert np.flatnonzero(table._built).tolist() == list(range(block))
         table.eval(float(mid[block + 9]))
-        table.ztilde_sq(mid[20:30])   # p itself needs no antiderivative
-        assert np.flatnonzero(table._built).tolist() == [
-            5, 7, *range(block, min(2 * block, len(table.coef)))]
+        assert table._built.all()
+        table = fresh(small_ladder)
+        table.eval(mid[[block + 9, block]])
+        assert np.flatnonzero(table._built).tolist() == list(range(block, len(table.coef)))
         # the float path reads the table's own rows and keeps nothing else
         table.invert(float(table.phi[block + 9:block + 11].mean()))
         assert set(vars(table)) == state
@@ -575,6 +594,46 @@ class TestPanelsOnFirstUse:
         assert [cold.invert(y).hex() for y in ys] == want
         assert len(calls) <= math.ceil(len(cold.coef) / ladder_mod._ANTI_BLOCK)
         assert sum(calls) == np.count_nonzero(cold._built)
+
+    def test_query_pass_builds_rows_once(self, query_ladder, monkeypatch):
+        # a pass shaped like the benchmark's query pass: its 2,000 t and 300
+        # y are one of three passes' stratified draws, so the eval misses
+        # some panels; it touches every block, though, and so builds all
+        # rows in one call, and the inverts after it build none
+        calls = []
+
+        def counted(coef, half, _fn=ladder_mod._antiderivative):
+            calls.append(len(half))
+            return _fn(coef, half)
+
+        def one_pass(lo, hi, n, rng):
+            u = (np.arange(3 * n) + rng.random(3 * n)) / (3 * n)
+            return rng.permutation(lo + u * (hi - lo))[:n]
+
+        monkeypatch.setattr(ladder_mod, "_antiderivative", counted)
+        table = fresh(query_ladder)
+        rng = np.random.default_rng(1)
+        ts = one_pass(table.t_lo, table.t_hi, 2000, rng)
+        assert len(set(table.edges.searchsorted(ts, side="right").tolist())) < len(table.coef)
+        table.eval(ts)
+        for y in one_pass(table.phi_lo, table.phi_hi, 300, rng).tolist():
+            table.invert(y)
+        assert calls == [len(table.coef)]
+
+    @pytest.mark.parametrize("name", ["small_ladder", "query_ladder", "plan_ladder"])
+    def test_midpoint_values_are_the_float_passes(self, request, name):
+        # the values cached with each panel's row, which invert's first
+        # Newton step reads, are the float passes at x = 0.0 and eval(mid)
+        table = fresh(request.getfixturevalue(name))
+        table.eval(table.edges)
+        mids = table._mid.tolist()
+        assert all(a < m < b for a, m, b in zip(table.edges[:-1], mids, table.edges[1:]))
+        for k, (m, (phi, p)) in enumerate(zip(mids, table._at_mid.tolist())):
+            lo = table.phi.item(k)
+            v = lo + ladder_mod._clenshaw_rev(*table._phi_column(k), 0.0)
+            v = min(max(v, lo), table.phi.item(k + 1))
+            assert phi.hex() == v.hex() == table.eval(m).hex(), k
+            assert p.hex() == ladder_mod._clenshaw_rev(*table._p_column(k), 0.0).hex(), k
 
     def _cases(self, table, rng):
         ts = np.concatenate([_special_ts(table), rng.uniform(table.t_lo, table.t_hi, 300)])
@@ -861,7 +920,8 @@ class TestInvertContract:
             events.clear()
             got = _outcome(LadderTable.invert, table, y)
             # the first point a solve reads is its first Newton iterate, the
-            # panel's midpoint: off the panel, it goes through eval
+            # panel's midpoint: inside the panel its values were cached with
+            # the panel's row, and off it, it goes through eval
             hits["newton_off_panel"] += events[:1] == ["eval"]
             assert got == _outcome(_reference_inverse, table, y), y
         # a neighbour off the panel goes through eval, and so does a Newton
@@ -873,12 +933,14 @@ class TestInvertContract:
         assert hits["bisect"] > 0
 
     def test_each_point_evaluated_once(self, small_ladder, query_ladder, monkeypatch):
-        # a Newton step takes one Clenshaw pass for phi_1 and one for p at
-        # its x, the first one at the panel midpoint (x = 0.0); the
-        # best-double search makes one phi_1 pass for each double on its
-        # walk that Newton did not visit: from the last iterate to the two
-        # doubles whose values bracket y, and, when the first of least
-        # residual lies below that bracket, down to the double below it.
+        # the first Newton iterate, the panel midpoint (x = 0.0), reads
+        # phi_1 and p cached with the panel's row, and no pass is made at
+        # x = 0.0; each later iterate takes one Clenshaw pass for phi_1 and
+        # one for p at its x; the best-double search makes one phi_1 pass
+        # for each double on its walk that Newton did not visit: from the
+        # last iterate to the two doubles whose values bracket y, and, when
+        # the first of least residual lies below that bracket, down to the
+        # double below it.
         # An inverse that misses 1e-10 (near 1e5, where phi_1 can rise by
         # more than 2e-10 per ulp) evaluates nothing more; eval, ztilde_sq
         # and the general Clenshaw routine are not called for points inside
@@ -902,17 +964,18 @@ class TestInvertContract:
                 newton.clear()
                 at = table.invert(y)
                 assert phi[:len(newton)] == newton, y
+                assert 0.0 not in phi + newton, y
                 single = phi[len(newton):]
+                iterates = [0.0, *newton]
                 k = int(np.searchsorted(table.phi, y)) - 1
                 mid, half = table._mid.item(k), table._half.item(k)
-                t = mid + half * newton[-1]   # the last iterate, to within an ulp
-                while (t - mid) / half < newton[-1]:
+                t = mid + half * iterates[-1]   # the last iterate, to within an ulp
+                while (t - mid) / half < iterates[-1]:
                     t = math.nextafter(t, math.inf)
-                while (t - mid) / half > newton[-1]:
+                while (t - mid) / half > iterates[-1]:
                     t = math.nextafter(t, -math.inf)
-                assert (t - mid) / half == newton[-1], y
-                assert newton[0] == 0.0, y
-                assert len(set(newton)) == len(newton), y
+                assert (t - mid) / half == iterates[-1], y
+                assert len(set(iterates)) == len(iterates), y
                 assert len(set(single)) == len(single), y
                 assert calls["_clenshaw"] == calls["eval"] == calls["ztilde_sq"] == 0, y
                 cands = neighbours(table, t).tolist()
@@ -925,14 +988,16 @@ class TestInvertContract:
                 lo = max(min(i, u - 1, best - (0 < best < u)), 0)
                 walk = cands[lo:min(max(i, u), n - 1) + 1]
                 assert cands[best] == at, y
-                assert set(single) == {(c - mid) / half for c in walk} - set(newton), y
+                assert set(single) == {(c - mid) / half for c in walk} - set(iterates), y
                 misses[seed] += resid[best] > 1e-10
         assert misses[0] == 0 and misses[1] > 0
 
     def test_passes_per_invert_near_1e5(self, query_ladder, monkeypatch):
-        # CI's 2,000 stratified y: 26,134 Clenshaw passes in all, 13.07 per
-        # inverse (27,608 when a miss evaluated all nine doubles, 38,912 when
-        # every inverse did), 233 of them with no double within 1e-10
+        # CI's 2,000 stratified y: 22,134 Clenshaw passes in all, 11.07 per
+        # inverse (26,134 when the first Newton step made its two passes at
+        # the midpoint, 27,608 when a miss also evaluated all nine doubles,
+        # 38,912 when every inverse did), 233 of them with no double within
+        # 1e-10
         table = fresh(query_ladder)
         passes = itertools.count()
 
@@ -943,7 +1008,7 @@ class TestInvertContract:
         monkeypatch.setattr(ladder_mod, "_clenshaw_rev", rev)
         ys = ci_targets(table)
         ts = [table.invert(y) for y in ys]
-        assert next(passes) == 26134
+        assert next(passes) == 22134
         monkeypatch.undo()
         assert np.count_nonzero(np.abs(table.eval(np.array(ts)) - ys) > 1e-10) == 233
 
