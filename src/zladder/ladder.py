@@ -12,20 +12,21 @@ offered.  `save` and `load` keep checkpoints and coefficients in a
 versioned, validated `.npz`.
 
 A panel's antiderivative row is built, with phi_1 and p at the panel's
-midpoint, the first time a point of a batch or a float lands in its aligned
-block of `_ANTI_BLOCK` panels, with the rest of the block.  `eval` and
-`ztilde_sq` of one float run on Python floats (one panel's phi_1 or p
-column, read from the table's row on each call in the order the Clenshaw
-recurrence takes it), with the array path's IEEE operations in the same
-order, so a point has the same bits either way.  `invert` takes one float
-and solves on the one panel whose checkpoint values bracket it, with those
-operations: one reader gives phi_1 at each point it visits, once, from one
-Clenshaw pass over the panel's column strictly inside the panel and through
-`eval` elsewhere, and a Newton step takes p from one more pass; the first
-iterate, the midpoint, reads both from the values built with the row.  An
-iterate leaves the panel only where it is one ulp wide, and the bracket
-then ends Newton in that step, so `invert` never calls `ztilde_sq`.  The
-recurrences are `specfun.orthopoly`'s.  A verification window
+midpoint, the first time a float or a batch lands in its aligned block of
+`_ANTI_BLOCK` panels, with the rest of the block; a batch whose blocks hold
+more panels than it has points builds only the panels it lands on.  `eval`
+of one float runs on Python floats (one panel's phi_1 column, read from the
+table's row on each call in the order the Clenshaw recurrence takes it),
+with the array path's IEEE operations in the same order, so a point has
+the same bits either way.  `invert` takes one float and solves on the one
+panel whose checkpoint values bracket it, with those operations: one reader
+gives phi_1 at each point it visits, once, from one Clenshaw pass over the
+panel's column strictly inside the panel and through `eval` elsewhere, and
+a Newton step takes p from one more pass; the first iterate, the midpoint,
+reads both from the values built with the row.  An iterate leaves the panel
+only where it is one ulp wide, and the bracket then ends Newton in that
+step, so `invert` never calls `ztilde_sq`, which has the array path alone.
+The recurrences are `specfun.orthopoly`'s.  A verification window
 works in a panel's own coordinate x, which resolves a panel to ~1e-16 at
 any t: `locate` and `solve_rise` find its ends, and `slopes` the mean slope
 of phi_1 between two points without cancellation (`_mean_slopes`), on
@@ -65,7 +66,8 @@ _DEGREE = 32                 # of p on every panel; the check uses DEGREE / 2
 _BUILD_CHUNK = 3000
 # the aligned blocks of panels whose antiderivative rows a point's first
 # lookup builds in one call: the call's overhead, not its rows, dominates
-# (one row ~0.35 ms, 64 with their midpoint values ~0.55 ms, 500 ~1.0 ms)
+# (one row ~0.35 ms, 64 with their midpoint values ~0.55 ms, 500 ~1.0 ms),
+# unless a sparse batch's blocks hold more panels than it has points
 _ANTI_BLOCK = 64
 _MAX_SPLIT_ROUNDS = 30
 _PANEL_RULE = "cheb32-lobatto+cheb16"
@@ -282,15 +284,22 @@ class LadderTable:
 
     def _anti_rows(self, k) -> np.ndarray:
         """The antiderivative table, with the rows built of every aligned
-        block of `_ANTI_BLOCK` panels that the panel or panels `k` touch,
-        and with each new panel's phi_1 and p at its midpoint (x = 0.0) as
-        `eval` and the p column's `_clenshaw_rev` give them.  A panel's row
-        does not depend on the others built with it."""
+        block of `_ANTI_BLOCK` panels that the panel or the points' panels
+        `k` touch, or only of the panels `k` where those blocks hold more
+        panels than `k` has entries: no call builds more rows than
+        max(len(k), `_ANTI_BLOCK`).  Each new panel's phi_1 and p at its
+        midpoint (x = 0.0) are stored too, as `eval` and the p column's
+        `_clenshaw_rev` give them.  A panel's row does not depend on the
+        others built with it."""
         if not self._built[k].all():
             blocks = np.zeros(-(-len(self._built) // _ANTI_BLOCK), dtype=bool)
             blocks[np.asarray(k) // _ANTI_BLOCK] = True
-            todo = np.flatnonzero(np.repeat(blocks, _ANTI_BLOCK)[:len(self._built)]
-                                  & ~self._built)
+            if np.count_nonzero(blocks) * _ANTI_BLOCK <= max(np.size(k), _ANTI_BLOCK):
+                new = np.repeat(blocks, _ANTI_BLOCK)[:len(self._built)]
+            else:
+                new = np.zeros_like(self._built)
+                new[k] = True
+            todo = np.flatnonzero(new & ~self._built)
             coef, lo = self.coef[todo], self.phi[todo]
             anti = _antiderivative(coef, self._half[todo])
             self._anti[todo] = anti.T
@@ -308,18 +317,8 @@ class LadderTable:
             self._anti_rows(k)
         return self._anti[k, :0:-1].tolist(), self._anti.item(k, 0)
 
-    def _p_column(self, k: int) -> tuple:   # p's column, as `_phi_column` gives phi_1's
-        return self.coef[k, :0:-1].tolist(), self.coef.item(k, 0)
-
-    def _columns(self, k: int) -> tuple:   # `_phi_column(k)`, then `_p_column(k)`
-        return *self._phi_column(k), *self._p_column(k)
-
-    def _point(self, t: float) -> tuple[int, float]:
-        """`_panels` for one float t: its panel index and its coordinate there."""
-        if not self.t_lo <= t <= self.t_hi:   # NaN fails
-            raise DomainError(f"ladder evaluation outside [{self.t_lo}, {self.t_hi}]")
-        k = min(int(self.edges.searchsorted(t, side="right")) - 1, len(self._half) - 1)
-        return k, (float(t) - self._mid.item(k)) / self._half.item(k)   # a Python float
+    def _columns(self, k: int) -> tuple:   # `_phi_column(k)`, then p's the same way
+        return *self._phi_column(k), self.coef[k, :0:-1].tolist(), self.coef.item(k, 0)
 
     def _panels(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """t flattened, its panel indices and its coordinates on them."""
@@ -332,12 +331,7 @@ class LadderTable:
 
     def ztilde_sq(self, t) -> float | np.ndarray:
         """p(t)^2, the stored derivative of phi_1 (Ztilde^2 to the build
-        tolerance); t in [t_lo, t_hi].  A float runs on p's column as
-        Python floats, with the array path's bits."""
-        if isinstance(t, float):
-            k, x = self._point(t)
-            p = _clenshaw_rev(*self._p_column(k), x)
-            return p * p
+        tolerance); t in [t_lo, t_hi]."""
         flat, k, x = self._panels(t)
         out = _clenshaw(self.coef.T, x, k) ** 2
         return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
@@ -347,12 +341,15 @@ class LadderTable:
         the antiderivative of p^2 on the panel, clamped to the right one.
         Each point is evaluated on its own: its bits ignore the batch."""
         if isinstance(t, float):
-            k, x = self._point(t)
+            if not self.t_lo <= t <= self.t_hi:   # NaN fails
+                raise DomainError(f"ladder evaluation outside [{self.t_lo}, {self.t_hi}]")
             if t == self.t_hi:
                 return self.phi_hi
+            k = int(self.edges.searchsorted(t, side="right")) - 1   # t < t_hi: a panel
             lo = self.phi.item(k)
             if t == self.edges.item(k):
                 return lo
+            x = (float(t) - self._mid.item(k)) / self._half.item(k)   # a Python float
             v = lo + _clenshaw_rev(*self._phi_column(k), x)
             return min(max(v, lo), self.phi.item(k + 1))
         flat, k, x = self._panels(t)

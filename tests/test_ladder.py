@@ -434,21 +434,6 @@ def test_slopes_on_floats_keep_the_array_bits(small_ladder, data):
     assert [v.hex() for v in got] == [float(v[0]).hex() for v in want]
 
 
-@pytest.mark.parametrize("name", ["query_ladder", "plan_ladder"])
-def test_ztilde_sq_on_floats_keeps_the_array_bits(request, name):
-    # a float runs on p's column as Python floats, with the array path's
-    # panel rule: 2,000 stratified t, and every checkpoint, t_hi among them,
-    # with the doubles beside it
-    table = request.getfixturevalue(name)
-    m = 2000
-    u = (np.arange(m) + np.random.default_rng(2).random(m)) / m
-    ts = np.concatenate([np.minimum(table.t_lo + u * (table.t_hi - table.t_lo), table.t_hi),
-                         _special_ts(table)])
-    got = [table.ztilde_sq(t) for t in ts.tolist()]
-    assert all(type(v) is float for v in got)
-    assert [v.hex() for v in got] == [v.hex() for v in table.ztilde_sq(ts).tolist()]
-
-
 # (t, eval(t), ztilde_sq(t)) on small_ladder as float.hex: the checkpoints
 # t_lo and 1017, interior points and t_hi.  The float and the array path share
 # one Clenshaw recurrence, so comparing them cannot see a change to it.
@@ -535,8 +520,9 @@ class TestPanelsOnFirstUse:
         assert not table._built.any()
 
     def test_only_the_panels_touched(self, small_ladder):
-        # a batch and a float alike build every aligned block of _ANTI_BLOCK
-        # panels that their points land on, and no other
+        # a float, and a batch with at least as many points as the aligned
+        # blocks of _ANTI_BLOCK panels it lands on hold, build those blocks
+        # and no other; a sparser batch builds only the panels it lands on
         table = fresh(small_ladder)
         state = set(vars(table))
         block = ladder_mod._ANTI_BLOCK
@@ -545,9 +531,14 @@ class TestPanelsOnFirstUse:
         table.ztilde_sq(mid[block:])   # p itself needs no antiderivative
         table.ztilde_sq(float(mid[block + 9]))
         assert not table._built.any()
+        table.eval(mid[[7, block + 9, 7]])   # two blocks, three points
+        assert np.flatnonzero(table._built).tolist() == [7, block + 9]
         table.eval(mid[[7, 5, 7]])
-        assert np.flatnonzero(table._built).tolist() == list(range(block))
-        table.eval(float(mid[block + 9]))
+        assert np.flatnonzero(table._built).tolist() == [*range(block), block + 9]
+        table.eval(float(mid[block + 3]))
+        assert table._built.all()
+        table = fresh(small_ladder)
+        table.eval(np.repeat(mid[[block + 9, 5]], block))   # two blocks, 2 * block points
         assert table._built.all()
         table = fresh(small_ladder)
         table.eval(mid[[block + 9, block]])
@@ -620,6 +611,31 @@ class TestPanelsOnFirstUse:
             table.invert(y)
         assert calls == [len(table.coef)]
 
+    def test_a_sparse_grid_builds_only_its_panels(self, plan_ladder, monkeypatch):
+        # a grid wider than a block on the plan ladder's 6,000 panels builds
+        # the panels it lands on and no others, and no batch builds more rows
+        # than max(its points, _ANTI_BLOCK)
+        calls = []
+
+        def counted(coef, half, _fn=ladder_mod._antiderivative):
+            calls.append(len(half))
+            return _fn(coef, half)
+
+        monkeypatch.setattr(ladder_mod, "_antiderivative", counted)
+        block = ladder_mod._ANTI_BLOCK
+        table = fresh(plan_ladder)
+        ts = np.linspace(table.t_lo, table.t_hi, 50)
+        assert ts[1] - ts[0] > block * 2.0 * table._half.max()
+        table.eval(ts)
+        k = np.minimum(table.edges.searchsorted(ts, side="right") - 1, len(table.coef) - 1)
+        assert np.flatnonzero(table._built).tolist() == sorted(set(k.tolist()))
+        rng = np.random.default_rng(3)
+        for n in (1, 7, 80, 700, 7000):
+            del calls[:]
+            table = fresh(plan_ladder)
+            table.eval(rng.uniform(table.t_lo, table.t_hi, n))
+            assert len(calls) == 1 and calls[0] <= max(n, block), n
+
     @pytest.mark.parametrize("name", ["small_ladder", "query_ladder", "plan_ladder"])
     def test_midpoint_values_are_the_float_passes(self, request, name):
         # the values cached with each panel's row, which invert's first
@@ -633,7 +649,7 @@ class TestPanelsOnFirstUse:
             v = lo + ladder_mod._clenshaw_rev(*table._phi_column(k), 0.0)
             v = min(max(v, lo), table.phi.item(k + 1))
             assert phi.hex() == v.hex() == table.eval(m).hex(), k
-            assert p.hex() == ladder_mod._clenshaw_rev(*table._p_column(k), 0.0).hex(), k
+            assert p.hex() == ladder_mod._clenshaw_rev(*table._columns(k)[2:], 0.0).hex(), k
 
     def _cases(self, table, rng):
         ts = np.concatenate([_special_ts(table), rng.uniform(table.t_lo, table.t_hi, 300)])
