@@ -13,22 +13,25 @@ needs.  `verify F` is `run --equations F`: the same reports, the same
 judgement and the same exit code.  Plan row sets come from
 `verify.FAMILIES`, and every row that `verify.is_sanity` picks out is judged
 at `tol_exact`.  The baseline E1_2 takes min(--max-n, `verify.BASELINE_MAX_N`).
-Ladder verbs and plans cache the ladder (checkpoints and panel coefficients) in
-`<cache root>/ladder-<ladder config hash>.npz` unless
-`--cache` names a file (written under exactly that name), the one file
-format zladder keeps.  A default cache of an older format has another name
-and is not read, so the ladder is rebuilt once; a `--cache` file in an older
-format (JSON, or a version-2 `.npz`) is rejected (exit 65) until `ladder
-build --rebuild` replaces it.  `report` lists the sanity rows of an equation
-apart from its asymptotic rows, as `E2_x/sanity`.
+Ladder verbs and plans cache the ladder in `<cache root>/ladder-<ladder
+config hash>.npz` unless `--cache` names a file (written under exactly that
+name), the one file format zladder keeps: seven members (config hash, tol,
+certificate, checkpoints, values, panel coefficients; the fifteen-member
+caches of older writers load the same), its anchor checkpoint checked
+against the retardation law.  A default cache of an older format has another
+name and is not read, so the ladder is rebuilt once; a `--cache` file in an
+older format (JSON, or a version-2 `.npz`) is rejected (exit 65) until
+`ladder build --rebuild` replaces it.  `report` lists the sanity rows of an
+equation apart from its asymptotic rows, as `E2_x/sanity`.
 
 Exit codes: 0 success, 1 exactness-layer failure, 2 asymptotic (soft)
 failure with reports still written, 64 config/usage error (including an
 unknown flag, a prefix of a flag among them, an unknown choice, a missing or
 malformed value, an unreadable input file, an unwritable output path, a NaN
 or out-of-range argument, a plan T whose window leaves the ladder's range,
-and an empty, incomplete or oversized t grid or `--points`), 65 cache corruption or
-mismatch, or a malformed report file, 70 numeric non-convergence.
+and an empty, incomplete or oversized t grid or `--points`), 65 cache
+corruption (an anchor value off the retardation law among it) or mismatch,
+or a malformed report file, 70 numeric non-convergence.
 
 All numeric output uses full round-trip precision; report files are byte
 identical across runs of the same configuration, and no report sum goes

@@ -9,7 +9,7 @@ the anchor min(t_lo + 10, t_hi) (`_anchor`) and at the RS/oracle seam, and
 are halved until the degree-16 interpolant through the nested 17 points
 agrees to the panel's share of the tolerance, so no other base width is
 offered.  `save` and `load` keep checkpoints and coefficients in a
-versioned, validated `.npz`.
+versioned, validated `.npz`, written atomically.
 
 A panel's antiderivative row is built, with phi_1 and p at the panel's
 midpoint, the first time a float or a batch lands in its aligned block of
@@ -35,15 +35,17 @@ Python floats for one point and with the same bits as on arrays.
 
 from __future__ import annotations
 
+import contextlib
 import lzma
 import math
+import os
+import threading
 import zipfile
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._atomic import atomic_writer
 from .exceptions import (AdmissibilityError, CacheError, ConvergenceError,
                          DomainError, ToleranceNotMetError)
 from .rszeta import ZEvaluator, config_digest
@@ -55,9 +57,6 @@ ONE_MINUS_C = 1.0 - EULER_C
 _E = math.e
 _LD = np.longdouble
 _CACHE_VERSION = 3
-_CACHE_SCALARS = ("config_hash", "t_lo", "t_hi", "anchor_t0", "h", "tol",
-                  "rs_correction_order", "oracle_terms", "t_min_rs",
-                  "anchor_value", "residual_total")
 
 _BASE_H = 1.0                # width of the base panels, before any halving
 _DEGREE = 32                 # of p on every panel; the check uses DEGREE / 2
@@ -77,6 +76,12 @@ def _anchor(t_lo: float, t_hi: float) -> float:
     """The anchor of the ladder on [t_lo, t_hi]: 10 units above t_lo, or t_hi
     on a narrower domain."""
     return min(t_lo + 10.0, t_hi)
+
+
+def _anchor_value(anchor_t0: float) -> float:
+    """phi_1 at the anchor by the retardation law: anchor_t0 - (1 - c)
+    pi(anchor_t0)."""
+    return anchor_t0 - ONE_MINUS_C * prime_pi(anchor_t0)
 
 
 def ladder_config_hash(evaluator: ZEvaluator, t_lo: float, t_hi: float,
@@ -497,43 +502,33 @@ class LadderTable:
 
     def save(self, path) -> None:
         """Write the table to `path`, under exactly that name, as a version-3
-        `.npz` of the checkpoints, panel coefficients and configuration
-        (with the fixed `_BASE_H` as `h`); replaced atomically."""
-        ev = self.evaluator
-        fields = {
-            "version": _CACHE_VERSION, "config_hash": self.config_hash(),
-            "t_lo": self.t_lo, "t_hi": self.t_hi, "anchor_t0": self.anchor_t0,
-            "h": _BASE_H, "tol": self.build_tolerance,
-            "rs_correction_order": ev.rs_correction_order,
-            "oracle_terms": ev.oracle_terms, "t_min_rs": ev.t_min_rs,
-            "anchor_value": self.anchor_value, "residual_total": self.residual_total,
-            "edges": self.edges, "phi": self.phi, "coef": self.coef,
-        }
-        with atomic_writer(path) as fh:
-            np.savez(fh, **fields)
+        `.npz` of its config hash (which names the anchor, `_BASE_H` and the
+        evaluator), tolerance, certificate, checkpoints, values and panel
+        coefficients; replaced atomically (`_atomic_writer`)."""
+        with _atomic_writer(path) as fh:
+            np.savez(fh, version=_CACHE_VERSION, config_hash=self.config_hash(),
+                     tol=self.build_tolerance, residual_total=self.residual_total,
+                     edges=self.edges, phi=self.phi, coef=self.coef)
 
     @classmethod
     def load(cls, path, evaluator: ZEvaluator) -> "LadderTable":
-        """The table `save` wrote to `path`.  Raises `CacheError` for a file
-        that is not such a cache, whose data contradict the configuration it
-        records, the evaluator's, or each other, or whose certificate
-        `residual_total` is not in [0, tol]."""
+        """The table `save` wrote to `path` (other members are not read).
+        Raises `CacheError` for a file that is not such a cache, whose config
+        hash is not the evaluator's for its span and tol, whose data contradict
+        each other or the retardation law at the anchor (`_anchor_value`), or
+        whose certificate `residual_total` is not in [0, tol]."""
         try:
             with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as doc:
                 if int(doc["version"]) != _CACHE_VERSION:
                     raise CacheError(f"ladder cache {path} has unsupported version")
-                b = {key: doc[key].item() for key in _CACHE_SCALARS}
-                table = cls(evaluator=evaluator, build_tolerance=b["tol"],
+                config_hash = doc["config_hash"].item()
+                table = cls(evaluator=evaluator, build_tolerance=doc["tol"].item(),
                             edges=doc["edges"], phi=doc["phi"], coef=doc["coef"],
-                            residual_total=b["residual_total"])
+                            residual_total=doc["residual_total"].item())
         except (OSError, EOFError, KeyError, IndexError, TypeError, ValueError, AttributeError,
                 NotImplementedError, zipfile.BadZipFile, zlib.error, lzma.LZMAError) as exc:
             raise CacheError(f"ladder cache {path} unreadable: {exc}") from exc
-        if (evaluator.rs_correction_order, evaluator.oracle_terms, evaluator.t_min_rs,
-                _BASE_H) != (b["rs_correction_order"], b["oracle_terms"], b["t_min_rs"], b["h"]):
-            raise CacheError("ladder cache was built with a different evaluator config "
-                             "or base panel width")
-        if b["config_hash"] != table.config_hash():
+        if config_hash != table.config_hash():
             raise CacheError("ladder cache config hash mismatch; refusing to reuse")
         edges, phi, coef = table.edges, table.phi, table.coef
         if not (edges.ndim == phi.ndim == 1 and len(edges) == len(phi) >= 2
@@ -542,15 +537,16 @@ class LadderTable:
                              "values, and one coefficient row per panel")
         if not all(np.all(np.isfinite(a)) for a in (edges, phi, coef)):
             raise CacheError("ladder cache data are not finite")
-        if not (np.all(np.diff(edges) > 0.0)
-                and (b["t_lo"], b["t_hi"]) == (table.t_lo, table.t_hi)):
-            raise CacheError("ladder cache checkpoints do not increase strictly "
-                             "from t_lo to t_hi")
-        k0 = int(np.searchsorted(edges, table.anchor_t0))
-        if not (b["anchor_t0"] == table.anchor_t0 and edges[k0] == table.anchor_t0
-                and table.anchor_value == b["anchor_value"]):
+        if not np.all(np.diff(edges) > 0.0):
+            raise CacheError("ladder cache checkpoints do not increase strictly")
+        try:
+            anchor_value = _anchor_value(table.anchor_t0)
+        except DomainError as exc:   # an anchor past 1e8, which no build writes
+            raise CacheError(f"ladder cache anchor: {exc}") from exc
+        if not (edges[np.searchsorted(edges, table.anchor_t0)] == table.anchor_t0
+                and table.anchor_value == anchor_value):
             raise CacheError("ladder cache anchor is not a checkpoint holding "
-                             "the anchor value")
+                             "anchor_t0 - (1 - c) pi(anchor_t0)")
         tol, residual = table.build_tolerance, table.residual_total
         if not (0.0 < tol < math.inf and 0.0 <= residual <= tol):   # NaN fails
             raise CacheError(f"ladder cache certificate residual_total {residual!r} "
@@ -562,6 +558,25 @@ class LadderTable:
             raise CacheError("ladder cache values decrease or disagree with the "
                              "integrals of their panel polynomials")
         return table
+
+
+@contextlib.contextmanager
+def _atomic_writer(path):
+    """A binary handle whose contents replace `path` only on clean exit: the
+    data go to a temporary file in the same directory, which `os.replace`
+    then renames over `path`.  A write that fails halfway leaves the previous
+    file untouched and removes the temporary one.  This guards against
+    failures of the writing process, not against power loss (no fsync)."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _base_edges(t_lo: float, t_hi: float, anchor_t0: float, seam: float) -> np.ndarray:
@@ -680,8 +695,7 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
 
     prefix = np.concatenate([[_LD(0.0)], np.cumsum(val_fin.astype(_LD))])
     k0 = int(np.searchsorted(edges, anchor_t0))   # a checkpoint by `_base_edges`
-    anchor_value = anchor_t0 - ONE_MINUS_C * prime_pi(anchor_t0)
-    phi = (np.longdouble(anchor_value) + (prefix - prefix[k0])).astype(float)
+    phi = (np.longdouble(_anchor_value(anchor_t0)) + (prefix - prefix[k0])).astype(float)
 
     return LadderTable(evaluator=evaluator, build_tolerance=tol, edges=edges,
                        phi=phi, coef=coef_fin, residual_total=certified)

@@ -319,3 +319,20 @@ def invert_by_scan(table, y: float) -> float:
     if not (resid <= 1e-10 or any(a <= y <= b for a, b in zip(vals, vals[1:]))):
         raise ConvergenceError(f"ladder inversion stalled at |phi - y| = {resid:.2e}")
     return cands[best]
+
+
+def save_15_member_cache(table, path, shift=0.0):
+    """Write `table` as the version-3 cache writer did before it kept seven
+    members: fifteen, with the eight scalars that the checkpoints, the anchor
+    rule and the config hash fix (the anchor value as phi_1 at the anchor
+    checkpoint), and with `phi` and `anchor_value` both moved by `shift`."""
+    ev = table.evaluator
+    with open(path, "wb") as fh:
+        np.savez(fh, version=3, config_hash=table.config_hash(),
+                 t_lo=table.t_lo, t_hi=table.t_hi, anchor_t0=table.anchor_t0,
+                 h=1.0, tol=table.build_tolerance,
+                 rs_correction_order=ev.rs_correction_order,
+                 oracle_terms=ev.oracle_terms, t_min_rs=ev.t_min_rs,
+                 anchor_value=table.anchor_value + shift,
+                 residual_total=table.residual_total,
+                 edges=table.edges, phi=table.phi + shift, coef=table.coef)

@@ -698,19 +698,20 @@ class TestRun:
         assert (lines[0], lines[-1]) == ("False", "False")
 
     def test_build_imports_no_numpy_ma(self, tmp_path):
-        # numpy.ma adds 1.2 MB to a process's peak; the build's anchor count
-        # (prime_pi) takes its segments without the np.unique that imports it
-        code = (
-            "import sys\n"
-            "from zladder.cli import main\n"
-            f"assert main(['ladder', 'build', '--t-lo', '1000', '--t-hi', '1020',"
-            f" '--cache', {str(tmp_path / 'ladder.npz')!r}]) == 0\n"
-            "print('numpy.ma' in sys.modules)\n")
+        # numpy.ma adds 1.2 MB to a process's peak; the anchor count
+        # (prime_pi) of a build, and of a load checking the cached anchor,
+        # takes its segments without the np.unique that imports it
         src = os.path.dirname(os.path.dirname(zladder.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        assert run.stdout.splitlines()[-1] == "False"
+        ladder = ["--t-lo", "1000", "--t-hi", "1020", "--cache", str(tmp_path / "ladder.npz")]
+        for argv in (["ladder", "build", *ladder], ["ladder", "query", *ladder, "--t", "1010"]):
+            code = ("import sys\n"
+                    "from zladder.cli import main\n"
+                    f"assert main({argv!r}) == 0\n"
+                    "print('numpy.ma' in sys.modules)\n")
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True)
+            assert run.stdout.splitlines()[-1] == "False", argv
 
     @pytest.mark.parametrize("field,value,message", [
         ("equations", ("baseline", "theorem3"), "unknown plan equation 'theorem3'"),

@@ -5,7 +5,10 @@ The plan ladder [1000, 7000] at tol 1e-8 and the plan
 the cache root under the test's temporary directory.  The sha256 of the
 ladder cache (and its name, the ladder config hash), of the JSONL and CSV
 reports and of `zladder report`'s summary are CI's golden values, so a
-change that moves a bit fails here before it reaches CI.  The same ladder
+change that moves a bit fails here before it reaches CI.  The ladder's data
+(`edges`, `phi`, `coef`) are pinned apart from the cache file's bytes, and a
+cache of the fifteen-member layout that the writer kept before has the
+bytes it had then and loads with the same data.  The same ladder
 built through the Python API has the same bytes, and `zladder run` with no
 flag but `--out` runs the same plan: the defaults are the plan.  The
 acceptance-scale plan on the acceptance ladder is a second golden report,
@@ -25,7 +28,7 @@ from zladder import LadderTable, ZEvaluator, build_ladder, ladder
 from zladder.cli import EXIT_OK, main
 from zladder.verify import is_sanity
 
-from oracles import ci_targets
+from oracles import ci_targets, save_15_member_cache
 
 LADDER = ["--t-lo", "1000", "--t-hi", "7000", "--tol", "1e-8"]
 PLAN = [*LADDER, "--T", "1500", "3000", "6000", "--max-n", "4"]
@@ -36,9 +39,16 @@ LADDER_NAME = "ladder-5f998a5ec35784be.npz"
 # the window's own ends: all 216 ladder rows move (the E2_7 and E2_8 rows by
 # up to 4.5e-5 in lhs, the others by at most 2.8e-11), and the worst
 # exactness error falls from 5.1e-6 to 3.1e-15.  E1_2 and E1_4 keep their
-# bytes.
+# bytes.  The cache file's hash was re-recorded when the cache dropped the
+# eight scalars that its checkpoints, the anchor rule and its config hash fix
+# (fifteen members to seven): only the container changed, and the data hash
+# below and every report hash kept their values.
 SHA256 = {
-    LADDER_NAME: "ea2e16274d5e1601e46bfc16493e26495004c3e6b421c6dc9154501c26abc88e",
+    LADDER_NAME: "c665430233a34315b47155276dff93de0593fea324eacd67abfdce1d3505d320",
+    # edges, phi and coef as little-endian float64, in that order
+    "ladder-data": "0be75aaf26c7ef76550dd908da73215c6da0b5ff17bd2faa7181e2ebaf6c2b1f",
+    # the same ladder in the fifteen-member layout (`save_15_member_cache`)
+    "ladder-15-members.npz": "ea2e16274d5e1601e46bfc16493e26495004c3e6b421c6dc9154501c26abc88e",
     "plan.jsonl": "bcb9c0c0928b877de83e780c34fbfdeb410b0c785b589274a63c05fcdd615c74",
     "plan.csv": "642346a3b489ff842e3929d643d48ea41879de79a40cabc2e478707acfa9f12b",
     "plan-report.txt": "08d34c40084f3fbf91ca81a358e084180b1f7f2379c6d47fc784048ccc8f455b",
@@ -67,6 +77,13 @@ LARGE_T_PLANS = {
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def data_sha256(table) -> str:
+    """The sha256 of a ladder's `edges`, `phi` and `coef` as little-endian
+    float64, in that order."""
+    arrays = (table.edges, table.phi, table.coef)
+    return sha256(b"".join(a.astype("<f8").tobytes() for a in arrays))
 
 
 def ci_inverses(table):
@@ -108,6 +125,20 @@ def test_one_ladder_cache_named_by_its_hash(golden):
 @pytest.mark.parametrize("name", [LADDER_NAME, "plan.jsonl", "plan.csv"])
 def test_file_bits(golden, name):
     assert sha256(golden[name].read_bytes()) == SHA256[name]
+
+
+def test_ladder_data_bits(golden, tmp_path):
+    table = LadderTable.load(golden[LADDER_NAME], ZEvaluator())
+    assert data_sha256(table) == SHA256["ladder-data"]
+    assert table.residual_total.hex() == "0x1.2c31cb3b5e9c6p-30"
+    # the fifteen-member layout of the same ladder, byte for byte, loads
+    # with the same data
+    path = tmp_path / "ladder-15-members.npz"
+    save_15_member_cache(table, path)
+    assert sha256(path.read_bytes()) == SHA256["ladder-15-members.npz"]
+    again = LadderTable.load(path, ZEvaluator())
+    assert data_sha256(again) == SHA256["ladder-data"]
+    assert again.residual_total == table.residual_total
 
 
 def test_run_without_flags_is_the_plan(golden):

@@ -1416,30 +1416,42 @@ class TestCache:
         small_ladder.save(tmp_path / "b.npz")
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
 
-    def test_rejects_other_evaluator(self, ev, small_ladder, tmp_path):
-        # a cache records the evaluator configuration it was built with; one
-        # of another configuration is refused
+    def test_saves_seven_members(self, small_ladder, tmp_path):
+        # what the arrays, the anchor rule and the config hash fix is not stored
         path = tmp_path / "ladder.npz"
         small_ladder.save(path)
         with np.load(path) as doc:
-            saved = dict(doc)
+            assert doc.files == ["version", "config_hash", "tol", "residual_total",
+                                 "edges", "phi", "coef"]
+            assert doc["version"].item() == 3
+
+    def test_rejects_other_evaluator(self, ev, tmp_path, monkeypatch):
+        # a cache built and saved by an evaluator of another configuration
+        # carries that configuration's hash, and is refused by it through
+        # the API and through the CLI
+        path = tmp_path / "ladder.npz"
         for key, value in (("rs_correction_order", 2), ("oracle_terms", 6),
                            ("t_min_rs", 40.0)):
-            assert saved[key].item() == getattr(ev, key) != value
-            np.savez(path, **{**saved, key: np.asarray(value)})
-            with pytest.raises(CacheError, match="different evaluator config"):
+            assert getattr(ev, key) != value
+            with monkeypatch.context() as mp:
+                mp.setattr(ZEvaluator, key, value)
+                build_ladder(ZEvaluator(), 1000.0, 1005.0, tol=1e-8).save(path)
+            with pytest.raises(CacheError, match="config hash mismatch"):
                 LadderTable.load(path, ev)
+            query = ["ladder", "query", "--t-lo", "1000", "--t-hi", "1005", "--tol", "1e-8",
+                     "--t", "1002", "--cache", str(path)]
+            assert cli.main(query) == cli.EXIT_CACHE
 
-    def test_rejects_other_base_width(self, ev, small_ladder, tmp_path):
-        # the base panel width is fixed; a cache that records another one
-        # (as older versions could build) is refused, though its config hash
-        # no longer depends on the stored width
+    def test_rejects_other_base_width(self, ev, tmp_path, monkeypatch):
+        # the base panel width is fixed; a cache built on half-unit base
+        # panels is hashed with that width and refused by its hash
         path = tmp_path / "ladder.npz"
-        small_ladder.save(path)
-        with np.load(path) as doc:
-            assert doc["h"].item() == 1.0
-        rewrite_cache(path, h=np.asarray(0.5))
-        with pytest.raises(CacheError, match="base panel width"):
+        with monkeypatch.context() as mp:
+            mp.setattr(ladder_mod, "_BASE_H", 0.5)
+            table = build_ladder(ev, 1000.0, 1005.0, tol=1e-8)
+            table.save(path)
+        assert np.diff(table.edges).max() == 0.5
+        with pytest.raises(CacheError, match="config hash mismatch"):
             LadderTable.load(path, ev)
 
     def test_rejects_corruption(self, ev, small_ladder, tmp_path):
@@ -1493,9 +1505,9 @@ class TestCache:
         "swap_phi", "inf_edge", "nan_phi", "first_edge", "last_edge",
         "anchor_value", "anchor_off_grid", "ragged", "short", "two_d",
         "missing_key", "string_scalar", "coef_rows", "coef_degree", "nan_coef",
-        "coef_scaled", "phi_step", "no_coef"])
+        "coef_scaled", "phi_step", "phi_shifted", "no_coef"])
     def test_rejects_tampered_data(self, ev, small_ladder, tmp_path, tamper):
-        # the configuration and so the hash are intact; only the data is not
+        # the stored configuration is intact; only the data is not
         path = tmp_path / "ladder.npz"
         small_ladder.save(path)
         edges, phi = small_ladder.edges.copy(), small_ladder.phi.copy()
@@ -1510,18 +1522,19 @@ class TestCache:
                                  "phi": np.append(phi, phi[-1]),
                                  "coef": np.vstack([coef, coef[-1:]])},
             "nan_phi": lambda: {"phi": np.where(np.arange(len(phi)) == 5, math.nan, phi)},
-            # increasing checkpoints that no longer start at t_lo / end at t_hi
+            # increasing checkpoints over another span, which the hash names
             "first_edge": lambda: {"edges": np.concatenate([[edges[0] - 1e-3], edges[1:]])},
             "last_edge": lambda: {"edges": np.concatenate([edges[:-1], [edges[-1] + 1e-3]])},
             # the anchor checkpoint holds another value, or is gone
-            "anchor_value": lambda: {"anchor_value": np.array(phi[k0] + 1e-9)},
+            "anchor_value": lambda: {"phi": np.where(np.arange(len(phi)) == k0,
+                                                     phi + 1e-9, phi)},
             "anchor_off_grid": lambda: {"edges": np.delete(edges, k0),
                                         "phi": np.delete(phi, k0)},
             "ragged": lambda: {"phi": phi[:-1]},
             "short": lambda: {"edges": edges[:1], "phi": phi[:1]},
             "two_d": lambda: {"edges": edges[None, :], "phi": phi[None, :]},
             "missing_key": lambda: {"residual_total": None},
-            "string_scalar": lambda: {"t_lo": np.array("t_lo")},
+            "string_scalar": lambda: {"tol": np.array("tol")},
             "coef_rows": lambda: {"coef": coef[:-1]},
             "coef_degree": lambda: {"coef": coef[:, :17]},
             "nan_coef": lambda: {"coef": np.where(coef == coef[7, 3], math.nan, coef)},
@@ -1530,6 +1543,9 @@ class TestCache:
             # a phi step 1e-9 off its panel integral, still nondecreasing
             "phi_step": lambda: {"phi": np.where(np.arange(len(phi)) == 60,
                                                  phi + 1e-9, phi)},
+            # every value 1e-9 off, so no step moves: off the retardation law
+            # at the anchor
+            "phi_shifted": lambda: {"phi": phi + 1e-9},
             "no_coef": lambda: {"coef": None},
         }[tamper]()
         rewrite_cache(path, **changes)
@@ -1567,3 +1583,39 @@ class TestCache:
         small_ladder.save(path)
         rewrite_cache(path)
         assert np.array_equal(LadderTable.load(path, ev).phi, small_ladder.phi)
+
+    def test_15_member_cache_loads_bitwise(self, ev, small_ladder, tmp_path):
+        # a cache of the fifteen-member layout loads without a rebuild; its
+        # eight extra scalars are not read
+        path = tmp_path / "ladder.npz"
+        oracles.save_15_member_cache(small_ladder, path)
+        with np.load(path) as doc:
+            assert len(doc.files) == 15
+        again = LadderTable.load(path, ev)
+        for key in ("edges", "phi", "coef"):
+            assert getattr(again, key).tobytes() == getattr(small_ladder, key).tobytes()
+        assert again.residual_total == small_ladder.residual_total
+        ts = np.linspace(1000.0, 1090.0, 57)
+        assert np.array_equal(again.eval(ts), small_ladder.eval(ts))
+        ys = ci_targets(small_ladder)[::20]
+        assert [again.invert(y) for y in ys] == [small_ladder.invert(y) for y in ys]
+
+    def test_rejects_shifted_15_member_cache(self, ev, small_ladder, tmp_path):
+        # phi and the stored anchor value moved by 1e-9 together keep every
+        # step and agree with each other, but the anchor checkpoint no longer
+        # holds anchor_t0 - (1 - c) pi(anchor_t0)
+        path = tmp_path / "ladder.npz"
+        oracles.save_15_member_cache(small_ladder, path, shift=1e-9)
+        with pytest.raises(CacheError, match="anchor is not a checkpoint holding"):
+            LadderTable.load(path, ev)
+
+    def test_rejects_anchor_outside_prime_pi_domain(self, ev, small_ladder, tmp_path):
+        # the ladder moved to 2e8, with the config hash its span gives: no
+        # build writes it, and its anchor is a cache error, not a domain one
+        path = tmp_path / "ladder.npz"
+        small_ladder.save(path)
+        edges = small_ladder.edges + (2e8 - 1000.0)
+        rewrite_cache(path, edges=edges, config_hash=np.array(ladder_mod.ladder_config_hash(
+            ev, edges[0], edges[-1], small_ladder.build_tolerance)))
+        with pytest.raises(CacheError, match="ladder cache anchor: prime_pi requires"):
+            LadderTable.load(path, ev)
