@@ -18,7 +18,7 @@ class ConvergenceError(ZladderError, ArithmeticError):
 
 
 class QuadratureError(ConvergenceError):
-    """Adaptive or double-exponential quadrature failed to reach tolerance."""
+    """Adaptive Gauss-Kronrod quadrature failed to reach tolerance."""
 
 
 class ToleranceNotMetError(ConvergenceError):

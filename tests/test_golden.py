@@ -1,31 +1,47 @@
-"""The golden bits of the paper's fixed plan, as CI pins them.
+"""The golden bits of the paper's fixed plan: the one place they are written.
+
+The test workflow runs this file twice: in its test step, at the runner's
+default BLAS threads and Z workers, and again in a fresh process on one CPU
+(`taskset -c 0`, one Z worker, one OpenBLAS thread), so every hash below
+holds with one worker as with several.  The workflow pins no hash of its
+own.
 
 The plan ladder [1000, 7000] at tol 1e-8 and the plan
 `--T 1500 3000 6000 --max-n 4` run through `cli.main` in this process, with
 the cache root under the test's temporary directory.  The sha256 of the
 ladder cache (and its name, the ladder config hash), of the JSONL and CSV
-reports and of `zladder report`'s summary are CI's golden values, so a
-change that moves a bit fails here before it reaches CI.  The ladder's data
-(`edges`, `phi`, `coef`) are pinned apart from the cache file's bytes, and a
-cache of the fifteen-member layout that the writer kept before has the
-bytes it had then and loads with the same data.  The same ladder
-built through the Python API has the same bytes, and `zladder run` with no
-flag but `--out` runs the same plan: the defaults are the plan.  The
-acceptance-scale plan on the acceptance ladder is a second golden report,
-and the plans at 1e6 and 1e7 two more.  Every other hash CI checks is
-pinned here as well: the Bessel zeros `specfun zeros` prints, and the
-inverses of CI's 2,000 stratified y on the plan ladder and, cold and warm,
-on [99500, 1e5].
+reports and of `zladder report`'s summary are the golden values.  The
+ladder's data (`edges`, `phi`, `coef`) are pinned apart from the cache
+file's bytes, and a cache of the fifteen-member layout that the writer kept
+before has the bytes it had then and loads with the same data.  The same
+ladder built through the Python API has the same bytes; `zladder run` with
+no flag but `--out` runs the same plan, in this process and in a fresh
+`python -m zladder.cli` one: the defaults are the plan.  The families give
+the plan's bytes in any order, and each family's verify verb writes that
+family's lines of the plan.  The acceptance-scale plan on the acceptance
+ladder is a second golden report, and the plans at 1e6 and 1e7 two more.
+The Bessel zeros `specfun zeros` prints are pinned, also beside a stale
+zero file, as are the inverses of 2,000 stratified y on the plan ladder
+and, cold and warm, on [99500, 1e5], and that ladder's data.
 """
 
+import collections
 import hashlib
 import json
+import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import zladder
 from zladder import LadderTable, ZEvaluator, build_ladder, ladder
 from zladder.cli import EXIT_OK, main
+from zladder.config import PLAN_EQUATIONS
+from zladder.specfun import bessel as bessel_mod
 from zladder.verify import is_sanity
 
 from oracles import ci_targets, save_15_member_cache
@@ -58,6 +74,8 @@ SHA256 = {
     "zeros.txt": "fcf28dea67fc3907eeda04c729e40bf45d160854e83164c8bcedf0659574690e",
     "inverses.txt": "085723657f329e450a572fdc4c794dfa3328b9a449e28de00424a3af8f34952c",
     "inverses-1e5.txt": "523ef4e9a14cd39e1e60e94416d9a22b96a79e6467ffa188be3d0ada844039a3",
+    # edges, phi and coef of the [99500, 1e5] ladder at tol 1e-8, as above
+    "ladder-near-1e5-data": "6d8b96b9158773da92a26dbac86c25f8561216c9f26a092265fec681107038fe",
 }
 # The acceptance-scale plan, run on the acceptance ladder [1e3, 1.08e5]
 # (`big_ladder`), as CI runs it on the ladder its test step caches.
@@ -145,6 +163,42 @@ def test_run_without_flags_is_the_plan(golden):
     assert golden["plan-defaults.jsonl"].read_bytes() == golden["plan.jsonl"].read_bytes()
 
 
+def test_fresh_process_runs_the_plan(golden, tmp_path):
+    # `python -m zladder.cli` on the cached plan ladder, with no flag but --out
+    src = os.path.dirname(os.path.dirname(zladder.__file__))
+    env = {**os.environ, "ZLADDER_CACHE_ROOT": str(golden[LADDER_NAME].parent),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "plan.jsonl"
+    subprocess.run([sys.executable, "-W", "error", "-m", "zladder.cli", "run", "--out", str(out)],
+                   env=env, check=True)
+    assert sha256(out.read_bytes()) == SHA256["plan.jsonl"]
+
+
+def test_reordered_families_write_the_plan_bytes(golden, tmp_path, monkeypatch):
+    # the rows are written in one total order, whatever the order of --equations
+    monkeypatch.setenv("ZLADDER_CACHE_ROOT", str(golden[LADDER_NAME].parent))
+    out = tmp_path / "plan.jsonl"
+    assert main(["run", *PLAN, "--equations", *reversed(PLAN_EQUATIONS),
+                 "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == golden["plan.jsonl"].read_bytes()
+
+
+def test_each_verb_writes_its_lines_of_the_plan(golden, tmp_path, monkeypatch):
+    # one window executor serves the rows of every family in the plan; each
+    # family's verify verb alone writes its own lines of the plan, and the
+    # five verbs share none and leave none out
+    monkeypatch.setenv("ZLADDER_CACHE_ROOT", str(golden[LADDER_NAME].parent))
+    plan = collections.Counter(golden["plan.jsonl"].read_text().splitlines(keepends=True))
+    written = collections.Counter()
+    for family in PLAN_EQUATIONS:
+        out = tmp_path / f"verify-{family}.jsonl"
+        assert main(["verify", family, *PLAN, "--out", str(out)]) == EXIT_OK
+        lines = collections.Counter(out.read_text().splitlines(keepends=True))
+        assert lines and lines <= plan, family
+        written += lines
+    assert written == plan
+
+
 def test_api_build_has_the_cli_bytes(golden, tmp_path):
     # both routes reach the one anchor rule
     path = tmp_path / "api.npz"
@@ -208,6 +262,24 @@ def test_bessel_zeros_bits(capsys):
     assert sha256(capsys.readouterr().out.encode()) == SHA256["zeros.txt"]
 
 
+def test_bessel_zeros_bits_beside_a_stale_zero_file(capsys, tmp_path, monkeypatch):
+    # a zero file in the cache root, as older versions kept, with the first
+    # zero of J_1/2 one ulp low, which an older reader printed: the verb,
+    # with no table in memory, prints the same bytes and leaves the file
+    root = tmp_path / "cache"
+    root.mkdir()
+    body = '{"version":1,"tables":{"0.5":{"zeros":[3.1415926535897927]}}}\n'
+    (root / "bessel-zeros.json").write_text(body)
+    monkeypatch.setenv("ZLADDER_CACHE_ROOT", str(root))
+    monkeypatch.setattr(bessel_mod, "_TABLES", {})
+    capsys.readouterr()
+    assert main(["specfun", "zeros", "--nu", "0.5", "--count", "8"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert json.loads(out)["zeros"][0] == math.nextafter(3.1415926535897927, 4.0)
+    assert sha256(out.encode()) == SHA256["zeros.txt"]
+    assert (root / "bessel-zeros.json").read_text() == body
+
+
 def test_inverse_bits_on_the_plan_ladder(golden):
     table = LadderTable.load(golden[LADDER_NAME], ZEvaluator())
     assert sha256(ci_inverses(table)[2]) == SHA256["inverses.txt"]
@@ -219,6 +291,12 @@ def ladder_near_1e5_path(tmp_path_factory):
     assert main(["ladder", "build", "--t-lo", "99500", "--t-hi", "100000", "--tol", "1e-8",
                  "--cache", str(path)]) == EXIT_OK
     return path
+
+
+def test_ladder_data_bits_near_1e5(ladder_near_1e5_path):
+    table = LadderTable.load(ladder_near_1e5_path, ZEvaluator())
+    assert data_sha256(table) == SHA256["ladder-near-1e5-data"]
+    assert table.residual_total.hex() == "0x1.46d3f94f0522ep-29"
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -233,3 +311,14 @@ def test_inverse_bits_near_1e5(ladder_near_1e5_path, warm):
     ys, ts, lines = ci_inverses(table)
     assert sha256(lines) == SHA256["inverses-1e5.txt"]
     assert np.count_nonzero(np.abs(table.eval(ts) - ys) > 1e-10) == 233
+
+
+def test_workflow_pins_no_hash_of_its_own():
+    # this file is the one home of the golden values: the workflow writes no
+    # sha256 and runs this file again in one process on one CPU
+    with open(os.path.join(os.path.dirname(__file__), "..", ".github", "workflows",
+                           "tests.yml")) as fh:
+        text = fh.read()
+    assert re.findall(r"[0-9a-f]{64}", text) == []
+    assert any("taskset -c 0" in line and "tests/test_golden.py" in line
+               for line in text.splitlines())
