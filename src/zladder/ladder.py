@@ -11,21 +11,19 @@ agrees to the panel's share of the tolerance, so no other base width is
 offered.  `save` and `load` keep checkpoints and coefficients in a
 versioned, validated `.npz`, written atomically.
 
-A panel's antiderivative row is built, with phi_1 and p at the panel's
-midpoint, the first time a float or a batch lands in its aligned block of
-`_ANTI_BLOCK` panels, with the rest of the block; a batch whose blocks hold
-more panels than it has points builds only the panels it lands on.  `eval`
-of one float runs on Python floats (one panel's phi_1 column, read from the
-table's row on each call in the order the Clenshaw recurrence takes it),
-with the array path's IEEE operations in the same order, so a point has
-the same bits either way.  `invert` takes one float and solves on the one
-panel whose checkpoint values bracket it, with those operations: one reader
-gives phi_1 at each point it visits, once, from one Clenshaw pass over the
-panel's column strictly inside the panel and through `eval` elsewhere, and
-a Newton step takes p from one more pass; the first iterate, the midpoint,
-reads both from the values built with the row.  An iterate leaves the panel
-only where it is one ulp wide, and the bracket then ends Newton in that
-step, so `invert` never calls `ztilde_sq`, which has the array path alone.
+A panel's antiderivative row is built the first time a float or a batch
+lands in its aligned block of `_ANTI_BLOCK` panels, with the rest of the
+block; a batch whose blocks hold more panels than it has points builds only
+the panels it lands on.  `eval` of one float runs on Python floats (one
+panel's phi_1 column, read from the table's row on each call in the order
+the Clenshaw recurrence takes it), with the array path's IEEE operations in
+the same order, so a point has the same bits either way.  `invert` takes
+one float and returns the double that a bisection over the doubles of the
+panel bracketing it finds, so its answer depends on y alone: Newton,
+started from a float32 table of phi_1's rise and slope at the Lobatto
+points built for a block on its first invert, gets near it, and a search
+over the doubles' bit patterns lands on it, reading phi_1 as `eval` gives
+it.
 The recurrences are `specfun.orthopoly`'s.  A verification window
 works in a panel's own coordinate x, which resolves a panel to ~1e-16 at
 any t: `locate` and `solve_rise` find its ends, and `slopes` the mean slope
@@ -35,10 +33,12 @@ Python floats for one point and with the same bits as on arrays.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import lzma
 import math
 import os
+import struct
 import threading
 import zipfile
 import zlib
@@ -65,11 +65,38 @@ _DEGREE = 32                 # of p on every panel; the check uses DEGREE / 2
 _BUILD_CHUNK = 3000
 # the aligned blocks of panels whose antiderivative rows a point's first
 # lookup builds in one call: the call's overhead, not its rows, dominates
-# (one row ~0.35 ms, 64 with their midpoint values ~0.55 ms, 500 ~1.0 ms),
-# unless a sparse batch's blocks hold more panels than it has points
+# (one row ~0.35 ms, 64 ~0.55 ms, 500 ~1.0 ms), unless a sparse batch's
+# blocks hold more panels than it has points
 _ANTI_BLOCK = 64
 _MAX_SPLIT_ROUNDS = 30
+_EPS = float(np.finfo(float).eps)
 _PANEL_RULE = "cheb32-lobatto+cheb16"
+
+
+_F64, _I64 = struct.Struct("<d"), struct.Struct("<q")
+
+
+def _bits(t: float) -> int:   # of a positive double, in the doubles' order
+    return _I64.unpack(_F64.pack(t))[0]
+
+
+def _double(n: int) -> float:
+    return _F64.unpack(_I64.pack(n))[0]
+
+
+def _bisect(value, level, below: int, above: int, known: int = 0,
+            reach: float = math.inf) -> float:
+    """The double a bisection between the bit patterns below < above finds
+    where value(below) < level <= value(above): the first at which value
+    reaches level, if it does not decrease.  A midpoint more than `reach`
+    patterns from `known` is judged by its side of `known`, unevaluated."""
+    while above - below > 1:
+        m = (below + above) // 2
+        if (m >= known if abs(m - known) > reach else value(_double(m)) >= level):
+            above = m
+        else:
+            below = m
+    return _double(above)
 
 
 def _anchor(t_lo: float, t_hi: float) -> float:
@@ -173,6 +200,11 @@ def _lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 _X32, _COEF32 = _lobatto(_DEGREE)
 _COEF16 = _lobatto(_DEGREE // 2)[1]
+# T_j(x) = cos(j arccos x) at the points _X32, for the degrees of the
+# antiderivative of p^2 (p's are its first 33 columns)
+_T_AT_X32 = np.cos(np.outer(np.pi * np.arange(_DEGREE, -1, -1) / _DEGREE,
+                            np.arange(2 * _DEGREE + 2)))
+_X32_FLOATS = _X32.tolist()
 
 
 def _cheb_coef(vals: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -276,12 +308,12 @@ class LadderTable:
         self.anchor_value = self.phi.item(int(np.searchsorted(self.edges, self.anchor_t0)))
         self._mid = 0.5 * (self.edges[:-1] + self.edges[1:])
         self._half = 0.5 * (self.edges[1:] - self.edges[:-1])
-        # the antiderivative of p^2, one row per panel, and phi_1 and p at the
-        # panel's midpoint, built on first use (racing threads write equal
-        # bits; a row is read only once built)
+        # the antiderivative of p^2, one row per panel, built on first use
+        # (racing threads write equal bits; a row is read only once built),
+        # and the rows `invert` starts from, by aligned block (`_node_rows`)
         self._anti = np.empty((len(self._half), 2 * _DEGREE + 2))
-        self._at_mid = np.empty((len(self._half), 2))
         self._built = np.zeros(len(self._half), dtype=bool)
+        self._nodes = {}
 
     def config_hash(self) -> str:
         return ladder_config_hash(self.evaluator, self.t_lo, self.t_hi,
@@ -292,9 +324,7 @@ class LadderTable:
         block of `_ANTI_BLOCK` panels that the panel or the points' panels
         `k` touch, or only of the panels `k` where those blocks hold more
         panels than `k` has entries: no call builds more rows than
-        max(len(k), `_ANTI_BLOCK`).  Each new panel's phi_1 and p at its
-        midpoint (x = 0.0) are stored too, as `eval` and the p column's
-        `_clenshaw_rev` give them.  A panel's row does not depend on the
+        max(len(k), `_ANTI_BLOCK`).  A panel's row does not depend on the
         others built with it."""
         if not self._built[k].all():
             blocks = np.zeros(-(-len(self._built) // _ANTI_BLOCK), dtype=bool)
@@ -305,14 +335,30 @@ class LadderTable:
                 new = np.zeros_like(self._built)
                 new[k] = True
             todo = np.flatnonzero(new & ~self._built)
-            coef, lo = self.coef[todo], self.phi[todo]
-            anti = _antiderivative(coef, self._half[todo])
-            self._anti[todo] = anti.T
-            at_mid = lo + _clenshaw(anti, 0.0, slice(None))
-            self._at_mid[todo, 0] = np.minimum(np.maximum(at_mid, lo), self.phi[todo + 1])
-            self._at_mid[todo, 1] = _clenshaw(coef.T, 0.0, slice(None))
+            self._anti[todo] = _antiderivative(self.coef[todo], self._half[todo]).T
             self._built[todo] = True
         return self._anti
+
+    def _node_rows(self, k: int) -> np.ndarray:
+        """Panel k's (2, 33) float32 rows: phi_1's rise from the panel's
+        lower checkpoint value (clamped to the panel's rise, as `eval` clamps
+        phi_1) and d(phi_1)/dx = half p^2 at its Lobatto points.  They are
+        built for the panel's aligned block of `_ANTI_BLOCK` the first time,
+        by two `einsum` contractions of the block's rows with the T_j at the
+        points (no BLAS), and kept by block.  They only start `invert`'s
+        solve, so no bit of an inverse hangs on theirs."""
+        b, i = divmod(k, _ANTI_BLOCK)
+        rows = self._nodes.get(b)
+        if rows is None:
+            a, z = b * _ANTI_BLOCK, min((b + 1) * _ANTI_BLOCK, len(self._half))
+            rise = np.einsum("kj,ij->ki", self._anti_rows(np.arange(a, z))[a:z], _T_AT_X32)
+            p = np.einsum("kj,ij->ki", self.coef[a:z], _T_AT_X32[:, :_DEGREE + 1])
+            top = (self.phi[a + 1:z + 1] - self.phi[a:z])[:, None]
+            rows = np.empty((z - a, 2, _DEGREE + 1), dtype=np.float32)
+            rows[:, 0] = np.minimum(np.maximum(rise, 0.0), top)
+            rows[:, 1] = self._half[a:z, None] * (p * p)
+            rows = self._nodes.setdefault(b, rows)   # racing threads build equal rows
+        return rows[i]
 
     def _phi_column(self, k: int) -> tuple:
         """Panel k's antiderivative as Python floats, as `_clenshaw_rev`
@@ -410,30 +456,30 @@ class LadderTable:
         raise ConvergenceError(f"ladder rise solve stalled on panel {k} in [{lo!r}, {hi!r}]")
 
     def invert(self, y: float) -> float:
-        """The double t nearest phi_1^{-1}(y) for one float y: |phi_1(t) - y|
-        <= 1e-10, or no double in [t_lo, t_hi] comes closer to y (phi_1 can
-        rise by more than 2e-10 from one double t to the next where
-        Ztilde^2 ulp(t) > 2e-10, from t ~ 1e5 up).
-        Raises `ConvergenceError` when the solve finds neither.
+        """The double t that a bisection over the doubles of the panel whose
+        checkpoint values bracket y finds, for one float y, with phi_1 as
+        `eval` gives it (a checkpoint value returns its checkpoint): where
+        phi_1's values do not decrease, the panel's lowest double of least
+        |phi_1(t) - y|.  It depends on y alone: |phi_1(t) - y| <= 1e-10, or
+        no double comes closer (phi_1 can rise by more than 2e-10 from one
+        double t to the next where Ztilde^2 ulp(t) > 2e-10, from t ~ 1e5 up).
 
-        Newton on Python floats on the panel k whose checkpoint values
-        bracket y, then the first double of least residual among the nine
-        around its last iterate t, found lazily: on values that do not
-        decrease, as phi_1's do, it is the first double u at which phi_1
-        reaches y, found by a walk from t, or the first of the run below u
-        with u - 1's residual.  Past a 1e-10 miss it is the nearest double
-        if the walk stopped between two of the nine, whose values then
-        bracket y; else the solve raises.  One reader, `value`, gives
-        phi_1 at a point as `eval` does, each point once: strictly inside
-        panel k from one `_clenshaw_rev` pass over the panel's column,
-        elsewhere through `eval`.  A Newton step takes p from one more pass,
-        except at the first iterate, the panel's midpoint (x = 0.0): strictly
-        inside the panel, phi_1 and p there were built with its row
-        (`_anti_rows`).  An iterate off the panel (only where the panel is
-        one ulp wide, the midpoint too) ends Newton by the bracket test in
-        that step, so it takes no slope.
-        A solve is deterministic, so a repeated y returns the identical
-        float.
+        t is u, the first double at which phi_1 reaches y, or, when the
+        double below u is at least as near, the first at which phi_1 reaches
+        that double's value.  Newton on Python floats starts from the panel's
+        table of phi_1's rise and slope at the Lobatto points (`_node_rows`):
+        two steps on the cubic Hermite interpolant h between the two points
+        whose rises bracket y's, then steps on h's slope, one pass each.  A
+        search from the last iterate gallops towards the crossing by 1, 2,
+        4, ... doubles, then bisects, over the doubles' bit patterns.  Where
+        phi_1 rises by less than its rounding noise per double, its values
+        can fall by one ulp and cross a level more than once; there the
+        panel's bisection is run, evaluating only its midpoints near the
+        crossing.  One reader, `value`, gives phi_1 at a point as `eval`
+        does, each point once: strictly inside the panel from one
+        `_clenshaw_rev` pass over the panel's column, elsewhere through
+        `eval`.  p is taken (one more pass) only to judge the slope at a
+        crossing that the noise may blur.
         """
         y = float(y)
         if not self.phi_lo <= y <= self.phi_hi:   # NaN fails
@@ -445,7 +491,8 @@ class LadderTable:
         lo, hi = e_lo, e_hi = self.edges.item(k), self.edges.item(j)
         base, top = self.phi.item(k), self.phi.item(j)
         mid, half = self._mid.item(k), self._half.item(k)
-        rest, head, c_rest, c_head = self._columns(k)
+        rises, slopes = self._node_rows(k).tolist()
+        rest, head = self._phi_column(k)
         seen = {}   # phi_1 of each point evaluated so far
 
         def value(c):   # phi_1(c) as `eval` gives it, evaluated once
@@ -459,46 +506,77 @@ class LadderTable:
                 seen[c] = v
             return v
 
-        # the first iterate is the midpoint (x = 0.0), whose phi_1 and p were
-        # built with the panel's row; each later iterate takes p when chosen
-        t, p = mid, 0.0
-        if e_lo < t < e_hi:
-            seen[t], p = self._at_mid[k].tolist()
+        # the start: the Lobatto points whose rises bracket y's, and Newton
+        # on the cubic Hermite interpolant h(s) of the rise between them
+        # (s in [0, 1])
+        rise = y - base
+        i = min(max(bisect.bisect_right(rises, rise), 1), _DEGREE)
+        x0, dx = _X32_FLOATS[i - 1], _X32_FLOATS[i] - _X32_FLOATS[i - 1]
+        v0, dv = rises[i - 1], rises[i] - rises[i - 1]
+        d0, d1 = slopes[i - 1] * dx, slopes[i] * dx
+        s, slope = 0.5, 0.0
+        if dv > 0.0:
+            s = min(max((rise - v0) / dv, 0.0), 1.0)
+        for _ in range(2):
+            r = 1.0 - s
+            slope = 6.0 * s * r * dv + r * (r - 2.0 * s) * d0 + s * (s - 2.0 * r) * d1
+            if not slope > 0.0:
+                break
+            h = v0 + s * s * (3.0 - 2.0 * s) * dv + s * r * (r * d0 - s * d1)
+            s = min(max(s - (h - rise) / slope, 0.0), 1.0)
+        t = min(max(mid + half * (x0 + s * dx), e_lo), e_hi)
+        slope /= half * dx   # d(phi_1)/dt of h, which every step below takes
         for _ in range(80):
             ft = value(t) - y
             lo, hi = (lo, t) if ft > 0.0 else (t, hi)
-            # Newton step on the stored derivative, safeguarded by the bracket;
+            # a Newton step on h's slope (a chord), safeguarded by the bracket;
             # a step below two ulps of t is left to the search below
-            step = ft / (p * p) if p * p > 1e-18 else math.inf
+            step = ft / slope if slope > 1e-18 else math.inf
             if abs(step) <= 2.0 * math.ulp(t) or hi - lo <= 4.0 * math.ulp(hi):
                 break
             t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
-            p = _clenshaw_rev(c_rest, c_head, (t - mid) / half) if e_lo < t < e_hi else 0.0
-        # the best double among t and its four neighbours on either side
-        below, above = [t], [t]
-        for _ in range(4):
-            below.append(math.nextafter(below[-1], -math.inf))
-            above.append(math.nextafter(above[-1], math.inf))
-        cands = [c for c in below[:0:-1] + above if self.t_lo <= c <= self.t_hi]
 
-        def resid(i):
-            return abs(value(cands[i]) - y)
+        # phi_1's Clenshaw sum is exact to within `noise` (2.2 eps (top -
+        # base) at most, measured on ladders from t = 20 to 1e6), so its
+        # rounded values can fall by one ulp from one double to the next only
+        # where phi_1 rises by less than 2 noise per double
+        noise = 16.0 * _EPS * (top - base)
 
-        # walk from t to u, the first candidate whose value reaches y: on
-        # values that do not decrease, the first of least residual is u, or
-        # else the first of the run whose residual is u - 1's
-        n, u = len(cands), cands.index(t)
-        while u < n and value(cands[u]) < y:
-            u += 1
-        while u > 0 and value(cands[u - 1]) >= y:
-            u -= 1
-        best = u if u < n and (u == 0 or resid(u) < resid(u - 1)) else u - 1
-        while 0 < best < u and resid(best - 1) == resid(best):
-            best -= 1
-        # a miss is the nearest double if the walk stopped inside the nine
-        if resid(best) > 1e-10 and not 0 < u < n:
-            raise ConvergenceError(f"ladder inversion stalled at |phi - y| = {resid(best):.2e}")
-        return cands[best]
+        def first_reaching(level, t):
+            """The double that a bisection over the panel's doubles (their bit
+            patterns, from phi_1(e_lo) < level <= phi_1(e_hi)) finds: on
+            values that do not decrease, the first at which phi_1 reaches
+            `level`, searched for from t."""
+            if level <= base:   # phi_1(e_lo) = base
+                return e_lo
+            down = value(t) >= level
+            # strides of 1, 2, 4, ... doubles towards the edge until phi_1
+            # crosses level, then a bisection over the doubles' bit patterns
+            n, end, stride = _bits(t), _bits(e_lo if down else e_hi), 1
+            while True:
+                m = max(n - stride, end) if down else min(n + stride, end)
+                if (value(_double(m)) >= level) != down:
+                    break
+                n, stride = m, 2 * stride
+            u = _bisect(value, level, *((m, n) if down else (n, m)))
+            # phi_1 crosses level at u, and may again only within `near`
+            # doubles of it, by its slope there (h's, unless that is within
+            # a factor 64, then p^2 itself); within them the panel's own
+            # bisection is run, each midpoint it meets there evaluated
+            near = 2.0 * noise / (slope * math.ulp(u)) if slope > 0.0 else math.inf
+            if near >= 1.0 / 64.0:
+                p = _clenshaw_rev(self.coef[k, :0:-1].tolist(), self.coef.item(k, 0),
+                                  (u - mid) / half)
+                near = 2.0 * noise / (p * p * math.ulp(u)) if p != 0.0 else math.inf
+            if near < 1.0:
+                return u
+            return _bisect(value, level, _bits(e_lo), _bits(e_hi), _bits(u), near + 2.0)
+
+        u = first_reaching(y, t)
+        b = math.nextafter(u, -math.inf)   # at least e_lo, whose value is below y
+        if value(u) - y < y - value(b):
+            return u
+        return first_reaching(value(b), b)
 
     def save(self, path) -> None:
         """Write the table to `path`, under exactly that name, as a version-3

@@ -133,12 +133,12 @@ def integrate_adaptive_rows(
     one float for every row or one per row.  Every row's panels are nodes of
     one bisection tree, so the rows share one list of pending panels and a
     boolean (rows, panels) mask of the panels each row owns.  Each round
-    calls `f` once, on every pending panel, and judges every (row, panel)
-    cell at once; a panel some row rejected is bisected once, its two
-    children going to the rows that rejected it.  Values on panels a row
-    does not own are never looked at.  A row's result is bit-identical to a
-    solo `integrate_adaptive` of that row when f's value at a point does not
-    depend on the other points of the batch.
+    calls `f` once, on every pending panel, and sums and judges every
+    (row, panel) cell a row owns at once; a panel some row rejected is
+    bisected once, its two children going to the rows that rejected it.
+    Values on panels a row does not own are never looked at.  A row's
+    result is bit-identical to a solo `integrate_adaptive` of that row when
+    f's value at a point does not depend on the other points of the batch.
     Raises QuadratureError for the first row (in round, then row order) that
     exhausts its panel budget (`_MAX_PANELS`) or meets a non-finite value.
     """
@@ -159,27 +159,31 @@ def integrate_adaptive_rows(
         hw = 0.5 * (hi - lo)
         nodes = mid[:, None] + hw[:, None] * _XK[None, :]
         vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(rows, *nodes.shape)
-        fine = np.isfinite(vals)
-        bad = ~fine & owns[:, :, None]
-        vals = np.where(fine & owns[:, :, None], vals, 0.0)
-        sums, errs, floors = _gk15_sums(vals, hw)
+        # the (row, panel) cells the rows own, in row order, panels ascending
+        row, panel = np.nonzero(owns)
+        vals = vals[row, panel]
+        bad = ~np.isfinite(vals)
+        vals[bad] = 0.0
+        sums, errs, floors = _gk15_sums(vals, hw[panel])
         # a panel is done when it meets its width's share of tol, or is
         # already at the roundoff floor (the reported estimate stays honest)
-        ok = errs <= np.maximum(tols[:, None] * (hi - lo) / span, 1.01 * floors)
-        rejects = owns & ~ok
+        ok = errs <= np.maximum(tols[row] * (hi - lo)[panel] / span, 1.01 * floors)
         # checked only on a split: a row may start with more panels than the budget
-        n_panels += 2 * np.count_nonzero(rejects, axis=1)
-        failed = bad.any(axis=(1, 2)) | ((n_panels > _MAX_PANELS) & rejects.any(axis=1))
+        splits = np.bincount(row[~ok], minlength=rows)
+        n_panels += 2 * splits
+        failed = (n_panels > _MAX_PANELS) & (splits > 0)
+        failed[row[bad.any(axis=1)]] = True
         if failed.any():
             r = int(np.argmax(failed))
-            if bad[r].any():
-                raise QuadratureError(_NON_FINITE.format(nodes[bad[r]][0]))
+            mine = row == r
+            if bad[mine].any():
+                raise QuadratureError(_NON_FINITE.format(nodes[panel[mine]][bad[mine]][0]))
             raise QuadratureError(
                 f"adaptive refinement exceeded {_MAX_PANELS} panels on [{a}, {b}] (unresolved "
-                f"error ~ {float(np.sum(errs[r, rejects[r]])):.3e} vs tol {tols[r]:.3e})")
-        accept = owns & ok
-        row, panel = np.nonzero(accept)
-        done.append((row, lo[panel], sums[accept], errs[accept]))
+                f"error ~ {float(np.sum(errs[mine & ~ok])):.3e} vs tol {tols[r]:.3e})")
+        done.append((row[ok], lo[panel[ok]], sums[ok], errs[ok]))
+        rejects = np.zeros_like(owns)
+        rejects[row[~ok], panel[~ok]] = True
         # left children, then right children, as a solo run queues them
         split = rejects.any(axis=0)
         lo, hi = np.concatenate([lo[split], mid[split]]), np.concatenate([mid[split], hi[split]])

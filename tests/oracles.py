@@ -2,11 +2,12 @@
 uses them."""
 
 import math
+import struct
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebroots
 
-from zladder.exceptions import ConvergenceError, DomainError
+from zladder.exceptions import DomainError
 from zladder.ladder import check_admissible
 from zladder.quadrature import integrate_adaptive
 from zladder.specfun.orthopoly import _clenshaw_rev
@@ -249,8 +250,7 @@ def brackets(table, cands, vals, best, y):
 
 def meets_inverse_contract(table, y):
     """Whether invert(y) keeps its contract: it returns a t with
-    |phi_1(t) - y| <= 1e-10 or with no double closer to y.  An in-range y on
-    a built ladder has such a t, so a `ConvergenceError` is not caught."""
+    |phi_1(t) - y| <= 1e-10 or with no double closer to y."""
     t = table.invert(y)
     near = neighbours(table, t, 1)
     vals = table.eval(near)
@@ -258,67 +258,47 @@ def meets_inverse_contract(table, y):
     return abs(table.eval(t) - y) <= 1e-10 or brackets(table, near, vals, best, y)
 
 
-def invert_by_scan(table, y: float) -> float:
-    """`LadderTable.invert` with its best-double search as a scan: Newton on
-    the panel whose checkpoint values bracket y, then phi_1 at all nine
-    doubles around the last iterate and the first with the least residual.
-    Past a 1e-10 miss that double is kept only when the values of two
-    adjacent doubles of the nine bracket y.  The program's lazy search must
-    return the same double, or raise where this does."""
+def _bits(t: float) -> int:   # a positive double's bit pattern, in the doubles' order
+    return struct.unpack("<q", struct.pack("<d", t))[0]
+
+
+def _double(n: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", n))[0]
+
+
+def invert_by_bisection(table, y: float) -> float:
+    """`LadderTable.invert`'s contract, solved by bisection alone: on the
+    panel whose checkpoint values bracket y, the first double u at which
+    `eval` reaches y, by bisection over the panel's doubles as integer bit
+    patterns; then, when the double below u is at least as near y, the
+    first double of the run with its value, by a second bisection.  A
+    checkpoint value returns its checkpoint.  Each step is one `eval` of a
+    float (~36 per search near 1e5), so nothing is shared with Newton."""
     y = float(y)
     if not table.phi_lo <= y <= table.phi_hi:   # NaN fails
         raise DomainError(f"inversion target outside [{table.phi_lo}, {table.phi_hi}]")
     j = int(table.phi.searchsorted(y, side="left"))
     if table.phi.item(j) == y:
         return table.edges.item(j)
-    k = j - 1
-    lo, hi = e_lo, e_hi = table.edges.item(k), table.edges.item(j)
-    base, top = table.phi.item(k), table.phi.item(j)
-    mid, half = table._mid.item(k), table._half.item(k)
-    rest, head, c_rest, c_head = table._columns(k)
+    e_lo, e_hi = table.edges.item(j - 1), table.edges.item(j)
 
-    seen = {}   # phi_1 of each point evaluated so far
-    t = 0.5 * (lo + hi)   # the midpoint: x = 0.0 on the first step
-    for _ in range(80):
-        if e_lo < t < e_hi:
-            x = (t - mid) / half
-            vt, p = base + _clenshaw_rev(rest, head, x), _clenshaw_rev(c_rest, c_head, x)
-            vt, slope = base if vt < base else top if vt > top else vt, p * p   # as `eval`
-        else:
-            vt, slope = table.eval(t), table.ztilde_sq(t)
-        seen[t] = vt
-        ft = vt - y
-        lo, hi = (lo, t) if ft > 0.0 else (t, hi)
-        # Newton step on the stored derivative, safeguarded by the bracket;
-        # a step below two ulps of t is left to the search below
-        step = ft / slope if slope > 1e-18 else math.inf
-        if abs(step) <= 2.0 * math.ulp(t) or hi - lo <= 4.0 * math.ulp(hi):
-            break
-        t = t - step if lo < t - step < hi else 0.5 * (lo + hi)
-    # the best double among t and its four neighbours on either side
-    below, above = [t], [t]
-    for _ in range(4):
-        below.append(math.nextafter(below[-1], -math.inf))
-        above.append(math.nextafter(above[-1], math.inf))
-    cands = [c for c in below[:0:-1] + above if table.t_lo <= c <= table.t_hi]
-    vals = []
-    for c in cands:
-        if c in seen:
-            v = seen[c]
-        elif e_lo < c < e_hi:   # phi_1(c), as `eval` gives it
-            v = base + _clenshaw_rev(rest, head, (c - mid) / half)
-            v = base if v < base else top if v > top else v
-        else:
-            v = table.eval(c)
-        vals.append(v)
-    resids = [abs(v - y) for v in vals]
-    best = resids.index(min(resids))
-    resid = resids[best]
-    # on values that do not decrease, no double comes closer than the best
-    # when two adjacent candidates' values bracket y
-    if not (resid <= 1e-10 or any(a <= y <= b for a, b in zip(vals, vals[1:]))):
-        raise ConvergenceError(f"ladder inversion stalled at |phi - y| = {resid:.2e}")
-    return cands[best]
+    def first_reaching(level, below):
+        """The lowest double in (below, e_hi] whose value reaches `level`,
+        for a `below` whose value does not."""
+        lo, hi = _bits(below), _bits(e_hi)
+        while hi - lo > 1:
+            m = (lo + hi) // 2
+            lo, hi = (lo, m) if table.eval(_double(m)) >= level else (m, hi)
+        return _double(hi)
+
+    u = first_reaching(y, e_lo)   # eval(e_lo) = phi[j - 1] < y <= eval(e_hi)
+    b = math.nextafter(u, -math.inf)
+    vb = table.eval(b)
+    if table.eval(u) - y < y - vb:
+        return u
+    if table.eval(e_lo) >= vb:   # the run reaches down to the panel's edge
+        return e_lo
+    return first_reaching(vb, e_lo)
 
 
 def save_15_member_cache(table, path, shift=0.0):

@@ -16,10 +16,11 @@ documented outcome:
 - no exception escapes `cli.main`;
 - on a built ladder, `invert` at each drawn T inside [phi_lo, phi_hi], at
   the first checkpoint value at or above the first T and at that value's
-  two neighbouring doubles returns the double the scan of all nine returns
-  (`oracles.invert_by_scan`) and keeps its contract: |phi_1(t) - y| <=
-  1e-10, or the neighbours of t bracket y.  Near 1e8, where phi_1 rises by
-  ~1e-8 per double, nearly every inverse takes the bracket.
+  two neighbouring doubles returns the double a bisection over the panel's
+  doubles returns (`oracles.invert_by_bisection`) and keeps its contract:
+  |phi_1(t) - y| <= 1e-10, or the neighbours of t bracket y.  Near 1e8,
+  where phi_1 rises by ~1e-8 per double, nearly every inverse takes the
+  bracket.
 
 Tier-1 runs 20 derandomized examples of every plan family at max_n <= 8.
 `--hypothesis-profile domain-sweep` (registered in conftest.py) runs 200,
@@ -88,9 +89,9 @@ def plans(draw):
 
 
 def _check_inverse(table, y):
-    """invert(y) returns the scan oracle's double and keeps its contract."""
+    """invert(y) returns the bisection oracle's double and keeps its contract."""
     t = table.invert(y)
-    assert t.hex() == oracles.invert_by_scan(table, y).hex(), y
+    assert t.hex() == oracles.invert_by_bisection(table, y).hex(), y
     assert oracles.meets_inverse_contract(table, y), y
     event(f"invert {'within 1e-10' if abs(table.eval(t) - y) <= 1e-10 else 'brackets y'}")
 

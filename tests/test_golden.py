@@ -58,7 +58,11 @@ LADDER_NAME = "ladder-5f998a5ec35784be.npz"
 # bytes.  The cache file's hash was re-recorded when the cache dropped the
 # eight scalars that its checkpoints, the anchor rule and its config hash fix
 # (fifteen members to seven): only the container changed, and the data hash
-# below and every report hash kept their values.
+# below and every report hash kept their values.  The two inverse files
+# were re-recorded when `invert` came to return the double a bisection over
+# the panel's doubles returns, whatever Newton's path: 27 of the 2,000 y on
+# the plan ladder and 32 near 1e5 move, each to the first double of a run
+# of doubles with its (least) residual, all of them residual 0.
 SHA256 = {
     LADDER_NAME: "c665430233a34315b47155276dff93de0593fea324eacd67abfdce1d3505d320",
     # edges, phi and coef as little-endian float64, in that order
@@ -72,8 +76,8 @@ SHA256 = {
     "plan-1e6.jsonl": "9929006c20e757b769d9fe1f3bc4206d5e45235ed5f99bac1caa510421495f6d",
     "plan-1e7.jsonl": "5bf339f92530ebed9f9be37124969564ba2b3976e0b446e4882fedb5908b12aa",
     "zeros.txt": "fcf28dea67fc3907eeda04c729e40bf45d160854e83164c8bcedf0659574690e",
-    "inverses.txt": "085723657f329e450a572fdc4c794dfa3328b9a449e28de00424a3af8f34952c",
-    "inverses-1e5.txt": "523ef4e9a14cd39e1e60e94416d9a22b96a79e6467ffa188be3d0ada844039a3",
+    "inverses.txt": "5b32a7bfdee102bd5473c70f39c1a7aa6e9e7e5eb300cbd024fe25fae1635f6d",
+    "inverses-1e5.txt": "5a0ca8f93bda4c95b8d24ec52b5bb4414b85251a8581ad5a74e39c46df740c0a",
     # edges, phi and coef of the [99500, 1e5] ladder at tol 1e-8, as above
     "ladder-near-1e5-data": "6d8b96b9158773da92a26dbac86c25f8561216c9f26a092265fec681107038fe",
 }

@@ -251,6 +251,30 @@ class TestAdaptiveRows:
             # the pooled calls held panels this row did not own
             assert sum(calls) > sum(solo_calls)
 
+    def test_sums_only_the_cells_a_row_owns(self, monkeypatch):
+        # three rows refining bumps of their own: the GK15 sums cover each
+        # row's own panels of each round, its two starting panels and two
+        # children per split, 2 panels_used - 2 in all, with the solo bits
+        fs = [lambda x, c=c: np.exp(-300.0 * (x - c) ** 2) * np.cos(9.0 * x)
+              for c in (0.3, 1.1, 1.7)]
+        cells, pooled = [], []
+
+        def counted(vals, hw, _fn=Q._gk15_sums):
+            cells.append(vals.shape[:-1])
+            return _fn(vals, hw)
+
+        def rows_f(x):
+            pooled.append(len(x) // 15)
+            return np.stack([f(x) for f in fs])
+
+        monkeypatch.setattr(Q, "_gk15_sums", counted)
+        got = integrate_adaptive_rows(rows_f, len(fs), 0.0, 2.0, 1e-13, breakpoints=[1.0])
+        assert all(len(shape) == 1 for shape in cells)
+        assert sum(shape[0] for shape in cells) == sum(2 * r.panels_used - 2 for r in got)
+        assert sum(shape[0] for shape in cells) < len(fs) * sum(pooled)
+        monkeypatch.undo()
+        assert got == [integrate_adaptive(f, 0.0, 2.0, 1e-13, breakpoints=[1.0]) for f in fs]
+
     def test_identical_rows_share_every_node(self):
         # two copies of a row refine the same panels, so each round's call
         # gets exactly the nodes of the solo row's call, in its order
