@@ -4,7 +4,8 @@ Verbs: `z eval`, `specfun zeros`, `ladder build|query|invert|retardation`,
 `verify baseline|theorem1|corollary|theorem2|sanity`, `plot-data`, `run`,
 `report`.  Flags are the one way to set up a run: the dest of a config flag
 is the `RunConfig` field it sets (`--out` of `run` and `verify` sets
-`path`), and a flag matches only whole.  Z comes from the one fixed
+`path`), and a flag matches only whole; `RunConfig`'s defaults are the
+paper's fixed plan, which the test workflow pins.  Z comes from the one fixed
 `ZEvaluator`, which no flag configures; `specfun zeros` reads and writes no
 file: its output depends only on --nu and --count.  A ladder is fixed by
 --t-lo, --t-hi and --tol: its anchor is the rule `min(t_lo + 10, t_hi)`, and
@@ -14,15 +15,19 @@ judgement and the same exit code.  Plan row sets come from
 `verify.FAMILIES`, and every row that `verify.is_sanity` picks out is judged
 at `tol_exact`.  The baseline E1_2 takes min(--max-n, `verify.BASELINE_MAX_N`).
 Ladder verbs and plans cache the ladder in `<cache root>/ladder-<ladder
-config hash>.npz` unless `--cache` names a file (written under exactly that
-name), the one file format zladder keeps: seven members (config hash, tol,
-certificate, checkpoints, values, panel coefficients; the fifteen-member
-caches of older writers load the same), its anchor checkpoint checked
-against the retardation law.  A default cache of an older format has another
-name and is not read, so the ladder is rebuilt once; a `--cache` file in an
-older format (JSON, or a version-2 `.npz`) is rejected (exit 65) until
-`ladder build --rebuild` replaces it.  `report` lists the sanity rows of an
-equation apart from its asymptotic rows, as `E2_x/sanity`.
+config hash>.npz` (the cache root is `$ZLADDER_CACHE_ROOT`, else
+`~/.cache/zladder`; every report row records that hash) unless `--cache`
+names a file (written under exactly that name), the one file format zladder
+keeps: seven members (config hash, tol, certificate, checkpoints, values,
+panel coefficients; the fifteen-member caches of older writers load the
+same), its anchor checkpoint checked against the retardation law.  A default
+cache of an older format has another name and is not read, so the ladder is
+rebuilt once; a `--cache` file in an older format (JSON, or a version-2
+`.npz`) is rejected (exit 65) until `ladder build --rebuild` replaces it.
+Reports are JSON Lines of schema `REPORT_SCHEMA_VERSION`, their fields in a
+fixed order (`report_json_line`), or CSV; `report` reads the JSONL back and
+lists the sanity rows of an equation apart from its asymptotic rows, as
+`E2_x/sanity`.
 
 Exit codes: 0 success, 1 exactness-layer failure, 2 asymptotic (soft)
 failure with reports still written, 64 config/usage error (including an
@@ -47,15 +52,14 @@ import math
 import os
 import re
 import sys
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import verify as V
-from .config import PLAN_EQUATIONS, RunConfig
 from .exceptions import (CacheError, ConvergenceError, DomainError,
                          PrecisionError, ReportFormatError)
-from .ladder import LadderTable, build_ladder, retardation_report
+from .ladder import LadderTable, build_ladder, ladder_config_hash, retardation_report
 from .rszeta import ZEvaluator
 from .specfun import zero_table
 
@@ -75,6 +79,65 @@ def _print_json(doc) -> None:
 
 # ---------------------------------------------------------------------------
 # configuration plumbing
+
+PLAN_EQUATIONS = ("baseline", *V.FAMILIES)   # E1_2 and the ladder families
+
+
+def cache_root() -> str:
+    root = os.environ.get("ZLADDER_CACHE_ROOT")
+    if root:
+        return root
+    return os.path.join(os.path.expanduser("~"), ".cache", "zladder")
+
+
+@dataclass
+class RunConfig:
+    # ladder
+    t_lo: float = 1000.0
+    t_hi: float = 7000.0
+    tol: float = 1e-8
+    cache: str | None = None
+    # plan
+    equations: tuple[str, ...] = PLAN_EQUATIONS
+    T: tuple[float, ...] = (1500.0, 3000.0, 6000.0)
+    nu: tuple[float, ...] = (0.0, 1.0)
+    n_max: int = 4
+    alpha: float = 0.5
+    beta: float = 0.5
+    tol_exact: float = 1e-4
+    tol_ratio: float = 0.25
+    tol_baseline: float = 1e-9
+    # output
+    format: str = "jsonl"
+    path: str = "reports.jsonl"
+    timings: bool = False
+
+    def __post_init__(self):
+        for name in ("tol", "tol_exact", "tol_ratio", "tol_baseline"):
+            if not 0.0 < getattr(self, name) < math.inf:   # NaN is not
+                raise DomainError(f"config: {name} must be positive and finite")
+        if not all(lo < hi for lo, hi in zip(self.T, self.T[1:])):
+            raise DomainError("config: T list must be strictly ascending")
+        for name in ("equations", "nu"):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise DomainError(f"config: {name} list repeats an entry")
+        for eq in self.equations:
+            if eq not in PLAN_EQUATIONS:
+                raise DomainError(f"config: unknown plan equation {eq!r}")
+        if self.format not in ("jsonl", "csv"):
+            raise DomainError(f"config: unknown output format {self.format!r}")
+        if self.n_max < 1:
+            raise DomainError("config: n_max must be >= 1")
+
+    def ladder_hash(self) -> str:
+        """The `LadderTable.config_hash` of the ladder this config builds."""
+        return ladder_config_hash(ZEvaluator(), self.t_lo, self.t_hi, self.tol)
+
+    def ladder_cache_path(self) -> str:
+        if self.cache:
+            return self.cache
+        return os.path.join(cache_root(), f"ladder-{self.ladder_hash()}.npz")
+
 
 def _config_from_args(args) -> RunConfig:
     """The flags given, over the defaults."""
@@ -110,9 +173,31 @@ def _write(path, text: str) -> None:
             fh.write(text)
 
 
+REPORT_SCHEMA_VERSION = 1
+
+
+def report_json_line(report: V.VerificationReport, include_timings: bool = False) -> str:
+    # the field order is fixed, so reports are byte-reproducible
+    doc = {
+        "schema": REPORT_SCHEMA_VERSION,
+        "equation_id": report.equation_id,
+        "params": {k: report.params[k] for k in sorted(report.params)},
+        "lhs": report.lhs,
+        "rhs": report.rhs,
+        "ratio": report.ratio,
+        "abs_error": report.abs_error,
+        "quadrature_error": report.quadrature_error,
+        "evaluator_hash": report.evaluator_hash,
+        "ladder_hash": report.ladder_hash,
+    }
+    if include_timings:
+        doc["elapsed"] = report.elapsed
+    return json.dumps(doc, sort_keys=False, separators=(",", ":"))
+
+
 def _emit_reports(reports, cfg: RunConfig) -> None:
     if cfg.format == "jsonl":
-        lines = [V.report_json_line(r, include_timings=cfg.timings) for r in reports]
+        lines = [report_json_line(r, include_timings=cfg.timings) for r in reports]
         text = "\n".join(lines) + ("\n" if lines else "")
     else:
         # --timings adds an elapsed column, as it adds the field to JSONL

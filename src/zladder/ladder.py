@@ -591,17 +591,22 @@ class LadderTable:
     @classmethod
     def load(cls, path, evaluator: ZEvaluator) -> "LadderTable":
         """The table `save` wrote to `path` (other members are not read).
-        Raises `CacheError` for a file that is not such a cache, whose config
-        hash is not the evaluator's for its span and tol, whose data contradict
-        each other or the retardation law at the anchor (`_anchor_value`), or
-        whose certificate `residual_total` is not in [0, tol]."""
+        Raises `CacheError` for a file that is not such a cache (edges, phi
+        and coef of dtype float64, never cast), whose config hash is not the
+        evaluator's for its span and tol, whose data contradict each other or
+        the retardation law at the anchor (`_anchor_value`), or whose
+        certificate `residual_total` is not in [0, tol]."""
         try:
             with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as doc:
                 if int(doc["version"]) != _CACHE_VERSION:
                     raise CacheError(f"ladder cache {path} has unsupported version")
                 config_hash = doc["config_hash"].item()
+                edges, phi, coef = doc["edges"], doc["phi"], doc["coef"]
+                if any((a.dtype.kind, a.dtype.itemsize) != ("f", 8) for a in (edges, phi, coef)):
+                    raise CacheError(f"ladder cache {path} data are not float64: edges "
+                                     f"{edges.dtype}, phi {phi.dtype}, coef {coef.dtype}")
                 table = cls(evaluator=evaluator, build_tolerance=doc["tol"].item(),
-                            edges=doc["edges"], phi=doc["phi"], coef=doc["coef"],
+                            edges=edges, phi=phi, coef=coef,
                             residual_total=doc["residual_total"].item())
         except (OSError, EOFError, KeyError, IndexError, TypeError, ValueError, AttributeError,
                 NotImplementedError, zipfile.BadZipFile, zlib.error, lzma.LZMAError) as exc:

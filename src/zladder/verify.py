@@ -581,32 +581,6 @@ def ratio_trend_nonincreasing(reports: list[VerificationReport]) -> bool:
     return all(e2 <= e1 for e1, e2 in zip(errs, errs[1:]))
 
 
-# ---------------------------------------------------------------------------
-# JSON Lines serialization
-
-REPORT_SCHEMA_VERSION = 1
-
-
-def report_json_line(report: VerificationReport, include_timings: bool = False) -> str:
-    import json
-    # the field order is fixed, so reports are byte-reproducible
-    doc = {
-        "schema": REPORT_SCHEMA_VERSION,
-        "equation_id": report.equation_id,
-        "params": {k: report.params[k] for k in sorted(report.params)},
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "ratio": report.ratio,
-        "abs_error": report.abs_error,
-        "quadrature_error": report.quadrature_error,
-        "evaluator_hash": report.evaluator_hash,
-        "ladder_hash": report.ladder_hash,
-    }
-    if include_timings:
-        doc["elapsed"] = report.elapsed
-    return json.dumps(doc, sort_keys=False, separators=(",", ":"))
-
-
 def sort_key(report: VerificationReport):
     """The report-file order, total over a run's rows: a member's asymptotic
     row comes before its exactness (sanity) row of the same T and degree."""

@@ -19,8 +19,7 @@ from zladder import BesselZeroTable, DomainError, bessel_j
 from zladder import cli as cli_mod
 from zladder import verify as V
 from zladder.cli import (EXIT_CACHE, EXIT_CONFIG, EXIT_HARD, EXIT_NUMERIC,
-                         EXIT_OK, EXIT_SOFT, _plan_reports, build_parser, main)
-from zladder.config import RunConfig
+                         EXIT_OK, EXIT_SOFT, RunConfig, _plan_reports, build_parser, main)
 from zladder.specfun import bessel as bessel_mod
 
 
@@ -255,6 +254,29 @@ class TestLadderVerbs:
             np.savez(fh, **fields)
         assert run_cli("ladder", "invert", *LADDER_ARGS, "--y", "950") == EXIT_CACHE
         assert "cache error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("member,dtype", [("coef", np.complex128), ("edges", np.str_),
+                                              ("phi", np.float32)])
+    def test_cache_data_not_float64_exit(self, cache_env, member, dtype):
+        # numpy would cast each member to float64, a complex one with a
+        # ComplexWarning that `-W error` raises as a traceback (exit 1); in a
+        # fresh interpreter under -W error, one cache error line instead
+        path = str(cache_env / "bad.npz")
+        span = ["--t-lo", "1000", "--t-hi", "1010"]
+        assert run_cli("ladder", "build", *span, "--cache", path) == EXIT_OK
+        with np.load(path) as doc:
+            fields = {key: doc[key] for key in doc.files}
+        fields[member] = fields[member].astype(dtype)
+        with open(path, "wb") as fh:
+            np.savez(fh, **fields)
+        src = os.path.dirname(os.path.dirname(zladder.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-W", "error", "-m", "zladder.cli", "ladder",
+                              "query", *span, "--cache", path, "--t", "1005"],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == EXIT_CACHE
+        assert run.stderr.startswith(f"cache error: ladder cache {path} data are not float64: ")
+        assert run.stderr.count("\n") == 1 and run.stdout == ""
 
     def test_cache_named_by_ladder_hash(self, capsys, cache_env):
         assert run_cli("ladder", "build", *LADDER_ARGS) == EXIT_OK
@@ -696,6 +718,19 @@ class TestRun:
                              text=True, check=True)
         lines = run.stdout.splitlines()
         assert (lines[0], lines[-1]) == ("False", "False")
+
+    def test_package_import_loads_no_front_end(self):
+        # the build and query paths import only `zladder`, which loads
+        # neither the front end (settings, cache path, report format) nor
+        # the verification layers
+        code = ("import sys\n"
+                "import zladder\n"
+                "print(sorted(m for m in ('zladder.cli', 'zladder.verify') if m in sys.modules))\n")
+        src = os.path.dirname(os.path.dirname(zladder.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert run.stdout.strip() == "[]"
 
     def test_build_imports_no_numpy_ma(self, tmp_path):
         # numpy.ma adds 1.2 MB to a process's peak; the anchor count

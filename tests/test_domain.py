@@ -40,7 +40,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from zladder import LadderTable, ZEvaluator, cli
-from zladder.config import PLAN_EQUATIONS
+from zladder.cli import PLAN_EQUATIONS
 from zladder.verify import FAMILIES, LADDER_MEMBERS, is_sanity
 
 import oracles

@@ -39,8 +39,7 @@ import pytest
 
 import zladder
 from zladder import LadderTable, ZEvaluator, build_ladder, ladder
-from zladder.cli import EXIT_OK, main
-from zladder.config import PLAN_EQUATIONS
+from zladder.cli import EXIT_OK, PLAN_EQUATIONS, main
 from zladder.specfun import bessel as bessel_mod
 from zladder.verify import is_sanity
 

@@ -1496,7 +1496,8 @@ class TestCache:
         "swap_phi", "inf_edge", "nan_phi", "first_edge", "last_edge",
         "anchor_value", "anchor_off_grid", "ragged", "short", "two_d",
         "missing_key", "string_scalar", "coef_rows", "coef_degree", "nan_coef",
-        "coef_scaled", "phi_step", "phi_shifted", "no_coef"])
+        "coef_scaled", "phi_step", "phi_shifted", "no_coef", "complex_coef",
+        "complex_edges", "complex_phi", "string_edges"])
     def test_rejects_tampered_data(self, ev, small_ladder, tmp_path, tamper):
         # the stored configuration is intact; only the data is not
         path = tmp_path / "ladder.npz"
@@ -1538,6 +1539,12 @@ class TestCache:
             # at the anchor
             "phi_shifted": lambda: {"phi": phi + 1e-9},
             "no_coef": lambda: {"coef": None},
+            # the true real parts, which a cast to float would keep
+            "complex_coef": lambda: {"coef": coef + 1e-300j},
+            "complex_edges": lambda: {"edges": edges + 1e-300j},
+            "complex_phi": lambda: {"phi": phi + 1e-300j},
+            # each value's shortest repr, which float() parses back exactly
+            "string_edges": lambda: {"edges": edges.astype(str)},
         }[tamper]()
         rewrite_cache(path, **changes)
         with pytest.raises(CacheError):

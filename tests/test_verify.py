@@ -6,6 +6,7 @@ import pytest
 from zladder import (AdmissibilityError, DomainError, PolyFamilySpec, bessel_j, bessel_norm_sq,
                      bessel_zero, build_ladder, integrate_adaptive, poly_eval)
 from zladder import verify as V
+from zladder.cli import report_json_line
 from zladder.specfun import bessel_j_proxy
 
 from oracles import ln_t_placement_shift
@@ -478,11 +479,11 @@ class TestEnvelope:
 class TestReportSerialization:
     def test_json_line_deterministic(self, small_ladder):
         r, = V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_10", 1)
-        l1 = V.report_json_line(r)
-        l2 = V.report_json_line(r)
+        l1 = report_json_line(r)
+        l2 = report_json_line(r)
         assert l1 == l2
         assert '"elapsed"' not in l1
-        assert '"elapsed"' in V.report_json_line(r, include_timings=True)
+        assert '"elapsed"' in report_json_line(r, include_timings=True)
 
     def test_sorting_key_stable(self, small_ladder):
         rows = [*V.sanity_theorem2_exact(small_ladder, 1000.0, "E2_10", 1),
@@ -613,7 +614,7 @@ class TestFamilyTable:
     plan family makes, and `is_sanity`, the one test of a sanity row."""
 
     def test_plan_equations_are_the_baseline_and_the_table(self):
-        from zladder.config import PLAN_EQUATIONS
+        from zladder.cli import PLAN_EQUATIONS
         assert PLAN_EQUATIONS == ("baseline", "theorem1", "corollary", "theorem2", "sanity")
         assert PLAN_EQUATIONS[1:] == tuple(V.FAMILIES)
 
