@@ -5,8 +5,8 @@ Verbs: `z eval`, `specfun zeros`, `ladder build|query|invert|retardation`,
 `report`.  Flags are the one way to set up a run: the dest of a config flag
 is the `RunConfig` field it sets (`--out` of `run` and `verify` sets
 `path`), and a flag matches only whole; `RunConfig`'s defaults are the
-paper's fixed plan, which the test workflow pins.  Z comes from the one fixed
-`ZEvaluator`, which no flag configures; `specfun zeros` reads and writes no
+paper's fixed plan, which `tests/test_golden.py` pins.  Z comes from the
+one fixed `ZEvaluator`, which no flag configures; `specfun zeros` reads and writes no
 file: its output depends only on --nu and --count.  A ladder is fixed by
 --t-lo, --t-hi and --tol: its anchor is the rule `min(t_lo + 10, t_hi)`, and
 its base panels have the fixed width 1 and are halved as its tolerance

@@ -170,16 +170,13 @@ def prime_pi(t) -> int | np.ndarray:
     root = math.isqrt(int(n.max(initial=0)))
     base = (2 * np.flatnonzero(_odd_sieve(0, (root + 1) // 2,
                                           range(3, math.isqrt(root) + 1, 2))) + 1).tolist()
-    for j in sorted(set(seg.tolist())):   # np.unique(seg) would import numpy.ma, 1.2 MB
+    for j in set(seg.tolist()):   # np.unique(seg) would import numpy.ma, 1.2 MB
         at = np.flatnonzero(seg == j)
-        lo = j * _PI_STEP
-        # the odd numbers in (lo, n] are the first (n - lo + 1) // 2 past lo;
-        # the sieve is counted between the sorted ends that the points query
-        ends, where = np.unique((n[at] - lo + 1) // 2, return_inverse=True)
-        sieve = _odd_sieve(lo, int(ends[-1]), base)
-        bounds = [0, *ends.tolist()]
-        counts[at] += np.cumsum([np.count_nonzero(sieve[a:b])
-                                 for a, b in zip(bounds, bounds[1:])])[where]
+        # the odd numbers in (j 1e6, n] are the first (n - j 1e6 + 1) // 2 past
+        # j 1e6: a point counts the sieve's primes before that index
+        firsts = (n[at] - j * _PI_STEP + 1) // 2
+        sieve = _odd_sieve(j * _PI_STEP, int(firsts.max()), base)
+        counts[at] += np.searchsorted(np.flatnonzero(sieve), firsts)
     return counts.reshape(ta.shape) if ta.ndim else int(counts[0])
 
 
@@ -702,7 +699,6 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
     base = _base_edges(t_lo, t_hi, anchor_t0, seam=evaluator.t_min_rs)
     n_base = len(base) - 1
     span = t_hi - t_lo
-    eps = np.finfo(float).eps
 
     def panel_batch(lo, hi):
         """Per panel: coefficients of p, its integral, the residual against
@@ -724,7 +720,7 @@ def build_ladder(evaluator: ZEvaluator, t_lo: float, t_hi: float,
         check = _steps(_antiderivative(_cheb_coef(g[:, ::2], _COEF16), half))
         zmax = np.abs(zs).max(axis=1)
         phase = np.abs(evaluator.theta(mid)) + mid
-        floor = 32.0 * eps * (hi - lo) * phase * (zmax + 1.0) / np.log(mid)
+        floor = 32.0 * _EPS * (hi - lo) * phase * (zmax + 1.0) / np.log(mid)
         return coef, value, np.abs(value - check), floor
 
     # kept panels remember whether they were certified by their budget share

@@ -250,11 +250,16 @@ class TestBuild:
         assert ev.t_min_rs in table.edges
         assert table.residual_total <= 1e-12
 
-    def test_builds_across_the_rs_seam_at_tight_tol(self, ev):
+    def test_builds_across_the_rs_seam_at_tight_tol(self, ev, tmp_path):
         # refused after 30 rounds while the panel ending on t_min_rs mixed
-        # Z's two routes
+        # Z's two routes; its cache loads back with the same data
         table = build_ladder(ev, 10.0, 1000.0, tol=1e-7)
         assert table.residual_total <= 1e-7
+        table.save(tmp_path / "ladder-seam.npz")
+        again = LadderTable.load(tmp_path / "ladder-seam.npz", ev)
+        assert np.array_equal(again.edges, table.edges)
+        assert np.array_equal(again.phi, table.phi)
+        assert np.array_equal(again.coef, table.coef)
 
     def test_no_empty_panel_at_top_edge(self, ev):
         # (t_hi - anchor) / h rounds just above 200, so the grid's last inner

@@ -462,7 +462,9 @@ class TestSeriesBitwise:
                 assert type(got) is float, (scaled, x)
                 assert got.hex() == _bessel_j_any(nu, np.array([x]), scaled)[0].hex(), (scaled, x)
 
-    @pytest.mark.parametrize("nu", sorted(SERIES_ZEROS_HEX))
+    # the third norm of J_{5/2} is 5 ulps higher on numpy's AVX2 loops
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0,
+                                    pytest.param(2.5, marks=pytest.mark.avx512_bits)])
     def test_zeros_and_norms(self, nu):
         table = BesselZeroTable(nu=nu)   # a fresh table: the zeros are found now
         table.extend_to(8)
